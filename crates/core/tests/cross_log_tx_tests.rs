@@ -2,9 +2,10 @@
 //! optimistic transactions whose read/write sets span objects homed in
 //! *different* logs. The home-anchor commit plus the decision-record path
 //! must give exactly-one-commit for conflicting writers and forbid torn
-//! reads — on the in-process cluster and over real TCP.
+//! reads — each scenario is written once against `Cluster<T>` and run on
+//! the in-process transport and over real TCP.
 
-use corfu::cluster::{ClusterConfig, LocalCluster, TcpCluster};
+use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, TcpCluster, Transport};
 use corfu::log_of_offset;
 use tango::{ApplyMeta, ObjectOptions, Oid, StateMachine, TangoRuntime, TxStatus};
 
@@ -53,41 +54,44 @@ fn object_in_log(rt: &TangoRuntime, proj: &corfu::Projection, log: u32, tag: &st
     panic!("no oid hashed into log {log} for tag {tag}");
 }
 
-#[test]
-fn conflicting_cross_log_writers_commit_exactly_once() {
-    // The classic lost-update check, with the conflict spanning logs:
-    // every transaction RMWs a shared counter homed in log 0 and writes a
-    // private object homed in log 1, so each commit record is a cross-log
-    // multiappend whose outcome is arbitrated by the home anchor plus
-    // decision records. Exactly one of each pair of racing increments may
-    // survive per version.
-    const THREADS: usize = 4;
-    const INCREMENTS: usize = 8;
-    let cluster = LocalCluster::new(ClusterConfig::sharded(2));
+/// The classic lost-update check, with the conflict spanning logs: every
+/// transaction RMWs a shared counter homed in log 0 and a second shared
+/// counter homed in log 1, and writes a private object homed in log 1, so
+/// each commit record is a cross-log multiappend whose outcome is
+/// arbitrated by the home anchor plus decision records. Exactly one of
+/// each pair of racing increments may survive per version.
+fn conflicting_cross_log_writers_commit_exactly_once<T: Transport>(
+    cluster: &Cluster<T>,
+    threads: usize,
+    increments: usize,
+) {
     let proj = cluster.client().unwrap().projection();
     let bootstrap = TangoRuntime::new(cluster.client().unwrap()).unwrap();
     let shared = object_in_log(&bootstrap, &proj, 0, "shared");
+    let other = object_in_log(&bootstrap, &proj, 1, "other");
     let privates: Vec<Oid> =
-        (0..THREADS).map(|t| object_in_log(&bootstrap, &proj, 1, &format!("priv{t}"))).collect();
+        (0..threads).map(|t| object_in_log(&bootstrap, &proj, 1, &format!("priv{t}"))).collect();
 
     let mut handles = Vec::new();
     for &mine in &privates {
         let client = cluster.client().unwrap();
         handles.push(std::thread::spawn(move || {
             let rt = TangoRuntime::new(client).unwrap();
-            let vs =
-                rt.register_object(shared, Counters::default(), ObjectOptions::default()).unwrap();
-            let vp =
-                rt.register_object(mine, Counters::default(), ObjectOptions::default()).unwrap();
+            let register =
+                |oid| rt.register_object(oid, Counters::default(), ObjectOptions::default());
+            let (vs, vo, vp) =
+                (register(shared).unwrap(), register(other).unwrap(), register(mine).unwrap());
             let mut committed = 0usize;
             let mut attempts = 0usize;
-            while committed < INCREMENTS {
+            while committed < increments {
                 attempts += 1;
-                assert!(attempts < INCREMENTS * 200, "livelock: too many retries");
+                assert!(attempts < increments * 200, "livelock: too many retries");
                 vs.query(Some(0), |_| ()).unwrap(); // refresh the view
                 rt.begin_tx().unwrap();
                 let v = get_in_tx(&vs, 0);
+                let w = get_in_tx(&vo, 0);
                 put(&vs, 0, v + 1);
+                put(&vo, 0, w + 1);
                 put(&vp, 0, (committed + 1) as i64);
                 if rt.end_tx().unwrap() == TxStatus::Committed {
                     committed += 1;
@@ -97,32 +101,49 @@ fn conflicting_cross_log_writers_commit_exactly_once() {
         }));
     }
     let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    assert_eq!(total, THREADS * INCREMENTS);
+    assert_eq!(total, threads * increments);
 
     // No lost updates on the shared (log 0) side...
     let rt = TangoRuntime::new(cluster.client().unwrap()).unwrap();
     let vs = rt.register_object(shared, Counters::default(), ObjectOptions::default()).unwrap();
-    assert_eq!(get(&vs, 0), (THREADS * INCREMENTS) as i64);
-    // ...and the log-1 halves of the same transactions all applied: a
-    // commit is atomic across its parts, never one log only.
+    assert_eq!(get(&vs, 0), (threads * increments) as i64);
+    // ...nor on the contended log-1 counter: both logs' halves applied
+    // atomically...
+    let vo = rt.register_object(other, Counters::default(), ObjectOptions::default()).unwrap();
+    assert_eq!(get(&vo, 0), (threads * increments) as i64, "both logs' halves applied atomically");
+    // ...and the private log-1 halves of the same transactions all applied:
+    // a commit is atomic across its parts, never one log only.
     for &p in &privates {
         let vp = rt.register_object(p, Counters::default(), ObjectOptions::default()).unwrap();
-        assert_eq!(get(&vp, 0), INCREMENTS as i64, "the cross-log half of each commit applied");
+        assert_eq!(get(&vp, 0), increments as i64, "the cross-log half of each commit applied");
     }
 }
 
 #[test]
-fn read_transactions_never_observe_torn_cross_log_state() {
-    // Writers keep the invariant a == b, with A homed in log 0 and B in
-    // log 1 — every write is a cross-log commit. Readers observe the pair
-    // through *read transactions*: OCC validation of the read set means a
-    // committed read transaction saw one consistent cut, even though the
-    // two objects play from different logs. (Plain unvalidated queries
-    // have no such guarantee — that is precisely what commit/decision
-    // records exist for.)
-    const WRITES: usize = 20;
-    const READS: usize = 30;
+fn conflicting_cross_log_writers_commit_exactly_once_in_process() {
     let cluster = LocalCluster::new(ClusterConfig::sharded(2));
+    conflicting_cross_log_writers_commit_exactly_once(&cluster, 4, 8);
+}
+
+#[test]
+fn conflicting_cross_log_writers_commit_exactly_once_over_tcp() {
+    // Smaller counts (TCP round trips per decision), same invariants.
+    let cluster = TcpCluster::spawn(ClusterConfig::sharded(2)).unwrap();
+    conflicting_cross_log_writers_commit_exactly_once(&cluster, 2, 4);
+}
+
+/// Writers keep the invariant a == b, with A homed in log 0 and B in
+/// log 1 — every write is a cross-log commit. Readers observe the pair
+/// through *read transactions*: OCC validation of the read set means a
+/// committed read transaction saw one consistent cut, even though the
+/// two objects play from different logs. (Plain unvalidated queries
+/// have no such guarantee — that is precisely what commit/decision
+/// records exist for.)
+fn read_transactions_never_observe_torn_cross_log_state<T: Transport>(
+    cluster: &Cluster<T>,
+    writes: usize,
+    reads: usize,
+) {
     let proj = cluster.client().unwrap().projection();
     let bootstrap = TangoRuntime::new(cluster.client().unwrap()).unwrap();
     let a = object_in_log(&bootstrap, &proj, 0, "torn-a");
@@ -135,7 +156,7 @@ fn read_transactions_never_observe_torn_cross_log_state() {
             let va = rt.register_object(a, Counters::default(), ObjectOptions::default()).unwrap();
             let vb = rt.register_object(b, Counters::default(), ObjectOptions::default()).unwrap();
             let mut done = 0usize;
-            while done < WRITES {
+            while done < writes {
                 va.query(Some(0), |_| ()).unwrap();
                 rt.begin_tx().unwrap();
                 let v = get_in_tx(&va, 0);
@@ -156,7 +177,7 @@ fn read_transactions_never_observe_torn_cross_log_state() {
             let vb = rt.register_object(b, Counters::default(), ObjectOptions::default()).unwrap();
             let mut seen = 0usize;
             let mut aborted = 0usize;
-            while seen < READS {
+            while seen < reads {
                 va.query(Some(0), |_| ()).unwrap();
                 rt.begin_tx().unwrap();
                 let ra = get_in_tx(&va, 0);
@@ -166,7 +187,7 @@ fn read_transactions_never_observe_torn_cross_log_state() {
                     seen += 1;
                 } else {
                     aborted += 1;
-                    assert!(aborted < READS * 500, "reader livelock");
+                    assert!(aborted < reads * 500, "reader livelock");
                 }
             }
             seen
@@ -174,21 +195,31 @@ fn read_transactions_never_observe_torn_cross_log_state() {
     };
 
     writer.join().unwrap();
-    assert_eq!(reader.join().unwrap(), READS);
+    assert_eq!(reader.join().unwrap(), reads);
 
     let rt = TangoRuntime::new(cluster.client().unwrap()).unwrap();
     let va = rt.register_object(a, Counters::default(), ObjectOptions::default()).unwrap();
     let vb = rt.register_object(b, Counters::default(), ObjectOptions::default()).unwrap();
-    assert_eq!(get(&va, 0), WRITES as i64);
-    assert_eq!(get(&vb, 0), WRITES as i64);
+    assert_eq!(get(&va, 0), writes as i64);
+    assert_eq!(get(&vb, 0), writes as i64);
 }
 
 #[test]
-fn cross_log_commit_records_carry_links() {
-    // White-box: a committed cross-log transaction's commit record is a
-    // linked multiappend — its parts live in both logs and each carries
-    // the link naming the home anchor.
+fn read_transactions_never_observe_torn_cross_log_state_in_process() {
     let cluster = LocalCluster::new(ClusterConfig::sharded(2));
+    read_transactions_never_observe_torn_cross_log_state(&cluster, 20, 30);
+}
+
+#[test]
+fn read_transactions_never_observe_torn_cross_log_state_over_tcp() {
+    let cluster = TcpCluster::spawn(ClusterConfig::sharded(2)).unwrap();
+    read_transactions_never_observe_torn_cross_log_state(&cluster, 8, 12);
+}
+
+/// White-box: a committed cross-log transaction's commit record is a
+/// linked multiappend — its parts live in both logs and each carries
+/// the link naming the home anchor.
+fn cross_log_commit_records_carry_links<T: Transport>(cluster: &Cluster<T>) {
     let proj = cluster.client().unwrap().projection();
     let rt = TangoRuntime::new(cluster.client().unwrap()).unwrap();
     let a = object_in_log(&rt, &proj, 0, "link-a");
@@ -229,6 +260,16 @@ fn cross_log_commit_records_carry_links() {
     let part = corfu.read_entry(other).unwrap();
     assert!(part.belongs_to(b));
     assert_eq!(part.link.as_ref().map(|l| l.home), Some(off));
+}
+
+#[test]
+fn cross_log_commit_records_carry_links_in_process() {
+    cross_log_commit_records_carry_links(&LocalCluster::new(ClusterConfig::sharded(2)));
+}
+
+#[test]
+fn cross_log_commit_records_carry_links_over_tcp() {
+    cross_log_commit_records_carry_links(&TcpCluster::spawn(ClusterConfig::sharded(2)).unwrap());
 }
 
 /// One seeded run of conflicting cross-log transactions under a fault
@@ -301,7 +342,7 @@ fn faulted_tx_scenario(seed: u64) -> (Vec<String>, Vec<support::fault::TraceEven
         // it, reconfigure log 1 to a replacement sequencer (through the
         // clean client — recovery traffic is not part of the schedule).
         if !recovered && plan.trace().iter().any(|e| e.action == "crash") {
-            let (info, _server) = cluster.spawn_replacement_sequencer_for(1);
+            let (info, _server) = cluster.spawn_replacement_sequencer_for(1).unwrap();
             corfu::reconfig::replace_sequencer_in_log(&clean, 1, info, 4).unwrap();
             recovered = true;
             outcomes.push("recovered".to_owned());
@@ -361,53 +402,4 @@ fn faulted_cross_log_transactions_replay_identically() {
         first.1.iter().any(|e| e.action == "crash") && first.1.iter().any(|e| e.action == "drop"),
         "the schedule exercised both crash-at-nth and drop-%"
     );
-}
-
-#[test]
-fn cross_log_transactions_over_tcp() {
-    // The same exactly-one-commit discipline over real sockets: smaller
-    // counts (TCP round trips per decision), same invariants.
-    const THREADS: usize = 2;
-    const INCREMENTS: usize = 4;
-    let cluster = TcpCluster::spawn(ClusterConfig::sharded(2)).unwrap();
-    let proj = cluster.client().unwrap().projection();
-    let bootstrap = TangoRuntime::new(cluster.client().unwrap()).unwrap();
-    let shared = object_in_log(&bootstrap, &proj, 0, "tcp-shared");
-    let other = object_in_log(&bootstrap, &proj, 1, "tcp-other");
-
-    let mut handles = Vec::new();
-    for _ in 0..THREADS {
-        let client = cluster.client().unwrap();
-        handles.push(std::thread::spawn(move || {
-            let rt = TangoRuntime::new(client).unwrap();
-            let vs =
-                rt.register_object(shared, Counters::default(), ObjectOptions::default()).unwrap();
-            let vo =
-                rt.register_object(other, Counters::default(), ObjectOptions::default()).unwrap();
-            let mut committed = 0usize;
-            let mut attempts = 0usize;
-            while committed < INCREMENTS {
-                attempts += 1;
-                assert!(attempts < INCREMENTS * 200, "livelock: too many retries");
-                vs.query(Some(0), |_| ()).unwrap();
-                rt.begin_tx().unwrap();
-                let v = get_in_tx(&vs, 0);
-                let w = get_in_tx(&vo, 0);
-                put(&vs, 0, v + 1);
-                put(&vo, 0, w + 1);
-                if rt.end_tx().unwrap() == TxStatus::Committed {
-                    committed += 1;
-                }
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-
-    let rt = TangoRuntime::new(cluster.client().unwrap()).unwrap();
-    let vs = rt.register_object(shared, Counters::default(), ObjectOptions::default()).unwrap();
-    let vo = rt.register_object(other, Counters::default(), ObjectOptions::default()).unwrap();
-    assert_eq!(get(&vs, 0), (THREADS * INCREMENTS) as i64);
-    assert_eq!(get(&vo, 0), (THREADS * INCREMENTS) as i64, "both logs' halves applied atomically");
 }

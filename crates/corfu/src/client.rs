@@ -251,23 +251,8 @@ pub struct CorfuClient {
 }
 
 impl CorfuClient {
-    /// Creates a client: fetches the projection from `layout` and connects
-    /// to nodes via `factory`.
-    pub fn new(layout: LayoutClient, factory: Arc<dyn ConnFactory>) -> Result<Self> {
-        Self::with_options(layout, factory, ClientOptions::default())
-    }
-
-    /// Creates a client with explicit options and a fresh (enabled)
-    /// metrics registry.
-    pub fn with_options(
-        layout: LayoutClient,
-        factory: Arc<dyn ConnFactory>,
-        opts: ClientOptions,
-    ) -> Result<Self> {
-        Self::with_options_and_metrics(layout, factory, opts, Registry::new())
-    }
-
-    /// Creates a client recording into an existing registry (pass
+    /// Creates a client: fetches the projection from `layout`, connects to
+    /// nodes via `factory`, and records into `registry` (pass
     /// [`Registry::disabled`] to turn instrumentation off).
     pub fn with_options_and_metrics(
         layout: LayoutClient,

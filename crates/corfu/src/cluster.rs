@@ -1,24 +1,26 @@
-//! Cluster harnesses: spin up a full CORFU deployment in one process (for
-//! tests, examples and benchmarks) or over real TCP sockets.
+//! The deployment harness: one [`Cluster`] stands a full CORFU deployment
+//! up — storage nodes, compactors, per-log sequencers, the genesis
+//! projection and the metalog replicas — for tests, examples and
+//! benchmarks, generic over the [`Transport`] its nodes are served on.
 //!
-//! The in-process harness routes RPCs through the same wire encoding as the
-//! TCP transport, and supports failure injection: any node can be "killed"
-//! (its connections start failing) and replacement sequencers can be
-//! registered for reconfiguration tests.
+//! [`Transport`] hides exactly what differs between an in-process
+//! deployment ([`LocalCluster`]) and one over real sockets
+//! ([`TcpCluster`]). Everything else — the spawn routine, clients, failure
+//! injection (any node can be killed and a replacement served for the
+//! [`crate::reconfig`] protocols), snapshots and health — exists once, so
+//! every capability exists on every transport.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 use tango_flash::{FlashUnit, TieredStore};
 use tango_meta::{Dial, MetaClient, MetaNode, ReplicaInfo};
 use tango_metrics::{ClusterHealth, ClusterSnapshot, HealthPolicy, Registry};
-use tango_rpc::{
-    fetch_snapshot, ClientConn, ConnMetrics, HttpScrapeServer, RpcError, RpcHandler, TcpConn,
-    TcpServer,
-};
+use tango_rpc::RpcHandler;
 use tango_wire::encode_to_vec;
 
 use crate::client::{ClientOptions, ConnFactory, CorfuClient};
@@ -28,6 +30,9 @@ use crate::projection::{LogLayout, ShardMap};
 use crate::sequencer::SequencerServer;
 use crate::storage::StorageServer;
 use crate::{NodeId, NodeInfo, Projection, Result};
+
+mod transport;
+pub use transport::{HandlerRegistry, InProcess, Tcp, TcpEndpoint, Transport};
 
 /// Geometry and tuning for a cluster.
 #[derive(Debug, Clone)]
@@ -48,7 +53,7 @@ pub struct ClusterConfig {
     /// `⌊n/2⌋` fail-stop crashes, so the default of 3 rides through any
     /// single replica failure.
     pub layout_replicas: usize,
-    /// Client options handed to [`LocalCluster::client`].
+    /// Client options handed to [`Cluster::client`].
     pub client_options: ClientOptions,
     /// Page store each storage node runs on.
     pub storage: StorageBackend,
@@ -142,169 +147,223 @@ impl ClusterConfig {
     }
 }
 
-/// Shared registry mapping node addresses to in-process handlers. Removing
-/// an address simulates a node crash: subsequent calls fail with
-/// `Disconnected`.
-#[derive(Clone, Default)]
-pub struct HandlerRegistry {
-    inner: Arc<RwLock<HashMap<String, Arc<dyn RpcHandler>>>>,
-}
-
-impl HandlerRegistry {
-    /// Registers (or replaces) the handler at `addr`.
-    pub fn register(&self, addr: impl Into<String>, handler: Arc<dyn RpcHandler>) {
-        self.inner.write().insert(addr.into(), handler);
-    }
-
-    /// Removes the handler at `addr`, simulating a crash.
-    pub fn kill(&self, addr: &str) {
-        self.inner.write().remove(addr);
-    }
-
-    fn lookup(&self, addr: &str) -> Option<Arc<dyn RpcHandler>> {
-        self.inner.read().get(addr).cloned()
-    }
-}
-
-/// A connection that resolves its target in the registry on every call, so
-/// kills and restarts take effect immediately.
-struct RegistryConn {
-    registry: HandlerRegistry,
-    addr: String,
-}
-
-impl ClientConn for RegistryConn {
-    fn call(&self, request: &[u8]) -> tango_rpc::Result<Vec<u8>> {
-        match self.registry.lookup(&self.addr) {
-            Some(handler) => Ok(handler.handle(request)),
-            None => Err(RpcError::Disconnected),
-        }
-    }
-}
-
-struct RegistryFactory {
-    registry: HandlerRegistry,
-}
-
-impl ConnFactory for RegistryFactory {
-    fn connect(&self, node: &NodeInfo) -> Arc<dyn ClientConn> {
-        Arc::new(RegistryConn { registry: self.registry.clone(), addr: node.addr.clone() })
-    }
-}
-
-/// A complete in-process CORFU deployment.
-pub struct LocalCluster {
-    config: ClusterConfig,
-    registry: HandlerRegistry,
-    meta_nodes: parking_lot::Mutex<HashMap<NodeId, Arc<MetaNode>>>,
-    layout_replicas: parking_lot::Mutex<Vec<ReplicaInfo>>,
-    sequencers: Vec<Arc<SequencerServer>>,
-    storage: Vec<Arc<StorageServer>>,
-    /// Background compactors (one per storage node when enabled). Held so
-    /// they stop when the cluster drops.
-    compactors: parking_lot::Mutex<Vec<Compactor>>,
-    sequencer_generation: std::sync::atomic::AtomicU32,
-    storage_generation: std::sync::atomic::AtomicU32,
-    layout_generation: std::sync::atomic::AtomicU32,
-    metrics: Registry,
-}
-
 /// Node id assigned to the first sequencer; replacements count up from it.
 pub const SEQUENCER_BASE_ID: NodeId = 10_000;
 
-/// Node id assigned to the first replacement storage node; further
-/// replacements count up from it. Kept above the sequencer range so node
-/// kind is recoverable from the id in either harness.
+/// Node ids of replacement storage nodes count up from here. Kept above
+/// the sequencer range so node kind is recoverable from the id.
 pub const STORAGE_REPLACEMENT_BASE_ID: NodeId = 20_000;
 
 /// Node id assigned to the first metalog (layout) replica; replacements
 /// count up past the initial set. Kept above the storage-replacement range
-/// so node kind is recoverable from the id in either harness.
+/// so node kind is recoverable from the id.
 pub const LAYOUT_BASE_ID: NodeId = 30_000;
 
-impl LocalCluster {
-    /// Builds and wires up a cluster per `config`, with in-memory flash.
-    /// Every server and every [`LocalCluster::client`] records into one
-    /// shared metrics registry ([`LocalCluster::metrics`]).
+/// What a live node runs; a storage node owns its background compactor.
+enum Role {
+    Storage(Arc<StorageServer>, Option<Compactor>),
+    Sequencer,
+    Meta(Arc<MetaNode>),
+}
+
+/// One live node; `name` is its monitoring name (`storage-3`,
+/// `sequencer`, `layout-30000`).
+struct Node<T: Transport> {
+    name: String,
+    registry: Registry,
+    role: Role,
+    endpoint: T::Endpoint,
+}
+
+/// A complete CORFU deployment — storage nodes, their compactors, one
+/// sequencer per log, and the metalog replicas holding the projection —
+/// served on transport `T`, with failure injection: any node can be killed
+/// and a replacement spawned for the [`crate::reconfig`] protocols.
+pub struct Cluster<T: Transport> {
+    config: ClusterConfig,
+    transport: T,
+    metrics: Registry,
+    /// Every live node by id; removing one is the kill.
+    nodes: Mutex<HashMap<NodeId, Node<T>>>,
+    /// Names of killed nodes still on the monitoring target list: they
+    /// count as unreachable until [`Cluster::retire_scrape_target`].
+    dead_targets: Mutex<Vec<String>>,
+    /// The initial storage servers, indexed by node id.
+    storage: Vec<Arc<StorageServer>>,
+    /// The initial sequencer servers, indexed by log.
+    sequencers: Vec<Arc<SequencerServer>>,
+    /// The current metalog replica set, in arbitration order.
+    layout_replicas: Mutex<Vec<ReplicaInfo>>,
+    /// Numbers replacement nodes of every kind.
+    generation: AtomicU32,
+}
+
+/// A deployment in one address space: no sockets, one shared registry.
+pub type LocalCluster = Cluster<InProcess>;
+
+/// A deployment over real TCP sockets on localhost, every node with its
+/// own registry behind an HTTP scrape endpoint.
+pub type TcpCluster = Cluster<Tcp>;
+
+impl Cluster<InProcess> {
+    /// Builds and wires up an in-process cluster per `config`. Every server
+    /// and every [`Cluster::client`] records into one shared metrics
+    /// registry ([`Cluster::metrics`]).
     pub fn new(config: ClusterConfig) -> Self {
-        let registry = HandlerRegistry::default();
-        let metrics = Registry::new();
-        let mut storage = Vec::new();
-        let mut compactors = Vec::new();
-        let mut sequencers = Vec::new();
+        Self::start(InProcess::default(), config).expect("start in-process cluster")
+    }
+
+    /// The handler registry (for failure injection).
+    pub fn registry(&self) -> &HandlerRegistry {
+        &self.transport.registry
+    }
+}
+
+impl Cluster<Tcp> {
+    /// Spawns the cluster on ephemeral localhost ports, each node with a
+    /// private registry and a scrape endpoint.
+    pub fn spawn(config: ClusterConfig) -> Result<Self> {
+        Self::start(Tcp, config)
+    }
+
+    /// The live scrape endpoints, as sorted `(node_name, http_addr)` pairs.
+    /// The client-side registry is not listed — it has no HTTP endpoint.
+    pub fn scrape_targets(&self) -> Vec<(String, String)> {
+        let http = |n: &Node<Tcp>| (n.name.clone(), n.endpoint.scrape_addr());
+        let mut targets: Vec<_> = self.nodes.lock().values().map(http).collect();
+        targets.sort();
+        targets
+    }
+}
+
+/// Adapts a [`ConnFactory`] to the metalog client's [`Dial`].
+fn dial_through(factory: Arc<dyn ConnFactory>) -> Arc<dyn Dial> {
+    Arc::new(move |replica: &ReplicaInfo| {
+        factory.connect(&NodeInfo { id: replica.id, addr: replica.addr.clone() })
+    })
+}
+
+impl<T: Transport> Cluster<T> {
+    /// Stands the deployment up on `transport`: `num_logs` × `num_sets` ×
+    /// `replication` storage nodes (with compactors when configured), one
+    /// sequencer per log, and `layout_replicas` metalog replicas
+    /// bootstrapped with the genesis projection at position 0.
+    pub fn start(transport: T, config: ClusterConfig) -> Result<Self> {
+        let mut cluster = Self {
+            config,
+            transport,
+            metrics: Registry::new(),
+            nodes: Mutex::default(),
+            dead_targets: Mutex::default(),
+            storage: Vec::new(),
+            sequencers: Vec::new(),
+            layout_replicas: Mutex::default(),
+            generation: AtomicU32::new(1),
+        };
+        let num_logs = cluster.config.num_logs.max(1) as u32;
         let mut logs = Vec::new();
         let mut nodes = Vec::new();
         let mut next_id: NodeId = 0;
-        let num_logs = config.num_logs.max(1);
         for log in 0..num_logs {
             let mut replica_sets = Vec::new();
-            for _ in 0..config.num_sets {
+            for _ in 0..cluster.config.num_sets {
                 let mut set = Vec::new();
-                for _ in 0..config.replication {
-                    let unit = config
-                        .storage
-                        .build_unit(next_id, config.page_size)
-                        .expect("open storage backend");
-                    let server = Arc::new(
-                        StorageServer::new(unit).with_metrics_for_log(&metrics, log as u64),
-                    );
-                    if let Some(cfg) = &config.compaction {
-                        compactors.push(Compactor::spawn(Arc::clone(&server), cfg.clone()));
-                    }
-                    let addr = format!("storage-{next_id}");
-                    registry.register(addr.clone(), Arc::clone(&server) as Arc<dyn RpcHandler>);
-                    storage.push(server);
-                    nodes.push(NodeInfo { id: next_id, addr });
+                for _ in 0..cluster.config.replication {
+                    let (info, server) = cluster.spawn_storage(next_id, Some(log))?;
+                    cluster.storage.push(server);
+                    nodes.push(info);
                     set.push(next_id);
                     next_id += 1;
                 }
                 replica_sets.push(set);
             }
-            let sequencer = Arc::new(
-                SequencerServer::new_for_log(config.k_backpointers, log as u32)
-                    .with_metrics(&metrics),
-            );
-            let seq_id = SEQUENCER_BASE_ID + log as NodeId;
-            let seq_addr = format!("sequencer-{seq_id}");
-            registry.register(seq_addr.clone(), Arc::clone(&sequencer) as Arc<dyn RpcHandler>);
-            nodes.push(NodeInfo { id: seq_id, addr: seq_addr });
-            sequencers.push(sequencer);
+            let seq_id = SEQUENCER_BASE_ID + log;
+            let name = if log == 0 { "sequencer".to_string() } else { format!("sequencer-{log}") };
+            let (info, server) = cluster.spawn_sequencer(seq_id, log, name)?;
+            cluster.sequencers.push(server);
+            nodes.push(info);
             logs.push(LogLayout { epoch: 0, replica_sets, sequencer: seq_id });
         }
-        let shard =
-            if num_logs == 1 { ShardMap::single() } else { ShardMap::hashed(num_logs as u32) };
-        let projection = Projection { epoch: 0, logs, shard, nodes };
-        // The layout service: a replica set of metalog nodes, each
-        // bootstrapped with the genesis projection at position 0.
-        let genesis = Bytes::from(encode_to_vec(&projection));
-        let mut meta_nodes = HashMap::new();
-        let mut layout_set = Vec::new();
-        for i in 0..config.layout_replicas.max(1) {
-            let id = LAYOUT_BASE_ID + i as NodeId;
-            let addr = format!("meta-{id}");
-            let node = Arc::new(MetaNode::new().with_metrics(&metrics));
+        let shard = if num_logs == 1 { ShardMap::single() } else { ShardMap::hashed(num_logs) };
+        let genesis = Bytes::from(encode_to_vec(&Projection { epoch: 0, logs, shard, nodes }));
+        let ids = LAYOUT_BASE_ID..LAYOUT_BASE_ID + cluster.config.layout_replicas.max(1) as NodeId;
+        let metas = ids.map(|id| cluster.spawn_meta(id)).collect::<Result<Vec<_>>>()?;
+        let layout_set: Vec<ReplicaInfo> = metas.iter().map(|(info, _)| info.clone()).collect();
+        for (_, node) in &metas {
             node.bootstrap(genesis.clone());
-            registry.register(addr.clone(), Arc::clone(&node) as Arc<dyn RpcHandler>);
-            layout_set.push(ReplicaInfo { id, addr });
-            meta_nodes.insert(id, node);
-        }
-        for node in meta_nodes.values() {
             node.set_peers(layout_set.clone());
         }
+        *cluster.layout_replicas.lock() = layout_set;
+        Ok(cluster)
+    }
 
-        Self {
-            config,
-            registry,
-            meta_nodes: parking_lot::Mutex::new(meta_nodes),
-            layout_replicas: parking_lot::Mutex::new(layout_set),
-            sequencers,
-            storage,
-            compactors: parking_lot::Mutex::new(compactors),
-            sequencer_generation: std::sync::atomic::AtomicU32::new(1),
-            storage_generation: std::sync::atomic::AtomicU32::new(0),
-            layout_generation: std::sync::atomic::AtomicU32::new(0),
-            metrics,
+    /// Builds a server on the registry the transport's policy gives it,
+    /// serves it as node `id` at label `{kind}-{id}`, and lists it among the
+    /// live nodes under the monitoring name `name`.
+    fn spawn_node<S: RpcHandler + 'static>(
+        &self,
+        id: NodeId,
+        kind: &str,
+        name: String,
+        build: impl FnOnce(&Registry) -> (Arc<S>, Role),
+    ) -> Result<(NodeInfo, Arc<S>)> {
+        let registry = if T::SHARED_REGISTRY { self.metrics.clone() } else { Registry::new() };
+        let (server, role) = build(&registry);
+        let handler = Arc::clone(&server) as Arc<dyn RpcHandler>;
+        let (addr, endpoint) = self.transport.serve(&format!("{kind}-{id}"), handler, &registry)?;
+        self.nodes.lock().insert(id, Node { name, registry, role, endpoint });
+        Ok((NodeInfo { id, addr }, server))
+    }
+
+    /// A fresh storage node (and its compactor); `log` scopes an initial
+    /// node's trim/occupancy instruments to the log it stripes.
+    fn spawn_storage(
+        &self,
+        id: NodeId,
+        log: Option<u32>,
+    ) -> Result<(NodeInfo, Arc<StorageServer>)> {
+        let unit = self.config.storage.build_unit(id, self.config.page_size)?;
+        self.spawn_node(id, "storage", format!("storage-{id}"), |registry| {
+            let server = Arc::new(match log {
+                Some(log) => StorageServer::new(unit).with_metrics_for_log(registry, log as u64),
+                None => StorageServer::new(unit).with_metrics(registry),
+            });
+            let compactor = self.config.compaction.clone();
+            let compactor = compactor.map(|cfg| Compactor::spawn(Arc::clone(&server), cfg));
+            (Arc::clone(&server), Role::Storage(server, compactor))
+        })
+    }
+
+    fn spawn_sequencer(
+        &self,
+        id: NodeId,
+        log: u32,
+        name: String,
+    ) -> Result<(NodeInfo, Arc<SequencerServer>)> {
+        let k = self.config.k_backpointers;
+        self.spawn_node(id, "sequencer", name, |registry| {
+            (Arc::new(SequencerServer::new_for_log(k, log).with_metrics(registry)), Role::Sequencer)
+        })
+    }
+
+    fn spawn_meta(&self, id: NodeId) -> Result<(ReplicaInfo, Arc<MetaNode>)> {
+        let (info, node) = self.spawn_node(id, "meta", format!("layout-{id}"), |registry| {
+            let node = Arc::new(MetaNode::new().with_metrics(registry));
+            (Arc::clone(&node), Role::Meta(node))
+        })?;
+        Ok((ReplicaInfo { id, addr: info.addr }, node))
+    }
+
+    /// Crashes node `id` and leaves its name on the dead-target list.
+    fn kill_node(&self, id: NodeId) {
+        let Some(mut node) = self.nodes.lock().remove(&id) else { return };
+        // Stop a storage node's compactor first, so no background pass runs
+        // on a "dead" unit.
+        if let Role::Storage(_, Some(compactor)) = &mut node.role {
+            compactor.stop();
         }
+        self.transport.kill(node.endpoint);
+        self.dead_targets.lock().push(node.name);
     }
 
     /// The cluster's configuration.
@@ -312,69 +371,88 @@ impl LocalCluster {
         &self.config
     }
 
-    /// The handler registry (for failure injection).
-    pub fn registry(&self) -> &HandlerRegistry {
-        &self.registry
-    }
-
-    /// The deployment-wide metrics registry: servers and all clients
-    /// created via [`LocalCluster::client`] record here.
+    /// The cluster handle's metrics registry: every [`Cluster::client`]
+    /// records here. On a shared-registry transport (in-process) so does
+    /// every server; otherwise server-side metrics live per node — see
+    /// [`Cluster::node_registry`] and [`Cluster::cluster_snapshot`].
     pub fn metrics(&self) -> &Registry {
         &self.metrics
     }
 
-    /// The in-process analogue of [`TcpCluster::cluster_snapshot`]: one
-    /// node named `"local"` holding the shared registry's snapshot, so
-    /// code written against [`ClusterSnapshot`] runs on either harness.
-    pub fn cluster_snapshot(&self) -> ClusterSnapshot {
+    /// The registry live node `id` records into (for assertions that would
+    /// otherwise need a scrape). `None` for unknown or killed nodes.
+    pub fn node_registry(&self, id: NodeId) -> Option<Registry> {
+        self.nodes.lock().get(&id).map(|n| n.registry.clone())
+    }
+
+    /// Scrapes every live node and adds the handle's own registry (as
+    /// `"local"` when nodes share it, else `"clients"`). Also returns the
+    /// unreachable names: dead targets plus live nodes that did not answer.
+    fn scrape(&self) -> (ClusterSnapshot, Vec<String>) {
         let mut cluster = ClusterSnapshot::new();
-        cluster.insert("local", self.metrics.snapshot());
-        cluster
+        let mut unreachable = self.dead_targets.lock().clone();
+        for node in self.nodes.lock().values() {
+            match self.transport.scrape(&node.endpoint) {
+                Ok(snap) => cluster.insert(node.name.clone(), snap),
+                Err(_) => unreachable.push(node.name.clone()),
+            }
+        }
+        unreachable.sort();
+        let handle = if T::SHARED_REGISTRY { "local" } else { "clients" };
+        cluster.insert(handle, self.metrics.snapshot());
+        (cluster, unreachable)
     }
 
-    /// Health verdict over the shared registry (every scrape target is
-    /// in-process, so nothing is ever unreachable here).
+    /// One [`ClusterSnapshot`] of the whole deployment: every live node's
+    /// scrape plus the handle's registry. Killed nodes are skipped.
+    pub fn cluster_snapshot(&self) -> ClusterSnapshot {
+        self.scrape().0
+    }
+
+    /// Scrapes the cluster and evaluates [`ClusterHealth`]: live targets
+    /// that fail to answer and killed-but-not-retired nodes both count as
+    /// unreachable, so a fault window reads as `degraded` (or `unhealthy`
+    /// once a metalog majority is gone) until repair *and* target-list
+    /// cleanup bring it back to `ok`.
     pub fn cluster_health(&self) -> ClusterHealth {
-        ClusterHealth::evaluate(&self.cluster_snapshot(), &[], &HealthPolicy::default())
+        self.cluster_health_with(&HealthPolicy::default())
     }
 
-    /// Creates a new client connected to the cluster.
+    /// [`Cluster::cluster_health`] under an explicit policy.
+    pub fn cluster_health_with(&self, policy: &HealthPolicy) -> ClusterHealth {
+        let (cluster, unreachable) = self.scrape();
+        ClusterHealth::evaluate(&cluster, &unreachable, policy)
+    }
+
+    /// Drops `name` from the dead-target list after its replacement is in
+    /// service — the monitoring analogue of updating the target list.
+    pub fn retire_scrape_target(&self, name: &str) {
+        self.dead_targets.lock().retain(|n| n != name);
+    }
+
+    /// Creates a client with [`ClusterConfig::client_options`].
     pub fn client(&self) -> Result<CorfuClient> {
-        self.client_with_metrics(self.metrics.clone())
+        self.client_with_options(self.config.client_options.clone())
+    }
+
+    /// Creates a client with explicit options (e.g. [`ClientOptions::batched`]
+    /// for §5's sequencer token batching), overriding the configured ones.
+    pub fn client_with_options(&self, options: ClientOptions) -> Result<CorfuClient> {
+        self.client_with_factory(self.conn_factory(), options, self.metrics.clone())
     }
 
     /// Creates a client whose instruments record into `metrics` instead of
-    /// the cluster-wide registry. Pass [`Registry::disabled()`] to measure
-    /// the cost of the no-op instrumentation path.
+    /// the cluster handle's registry. Pass [`Registry::disabled()`] to
+    /// measure the cost of the no-op instrumentation path.
     pub fn client_with_metrics(&self, metrics: Registry) -> Result<CorfuClient> {
-        self.client_with_factory(self.conn_factory(), self.config.client_options.clone(), metrics)
+        let factory = self.transport.conn_factory(&metrics);
+        self.client_with_factory(factory, self.config.client_options.clone(), metrics)
     }
 
-    /// The cluster's plain connection factory. Test harnesses (e.g. fault
-    /// injection) can wrap it and build clients via
-    /// [`LocalCluster::client_with_factory`].
+    /// The cluster's plain connection factory. Fault-injection harnesses
+    /// wrap it and build clients via [`Cluster::client_with_factory`].
     pub fn conn_factory(&self) -> Arc<dyn ConnFactory> {
-        Arc::new(RegistryFactory { registry: self.registry.clone() })
-    }
-
-    /// A layout-service client stub over the metalog replica set.
-    pub fn layout_client(&self) -> LayoutClient {
-        self.layout_client_with(self.conn_factory(), &self.metrics)
-    }
-
-    /// A layout client dialing replicas through `factory` and recording
-    /// `meta.*` instruments into `metrics` — the hook fault-injection
-    /// harnesses use to interpose on layout traffic too.
-    pub fn layout_client_with(
-        &self,
-        factory: Arc<dyn ConnFactory>,
-        metrics: &Registry,
-    ) -> LayoutClient {
-        let replicas = self.layout_replicas.lock().clone();
-        let dial: Arc<dyn Dial> = Arc::new(move |replica: &ReplicaInfo| {
-            factory.connect(&NodeInfo { id: replica.id, addr: replica.addr.clone() })
-        });
-        LayoutClient::replicated(Arc::new(MetaClient::new(replicas, dial).with_metrics(metrics)))
+        self.transport.conn_factory(&self.metrics)
     }
 
     /// Creates a client routing node connections through an arbitrary
@@ -390,85 +468,86 @@ impl LocalCluster {
         CorfuClient::with_options_and_metrics(layout, factory, options, metrics)
     }
 
-    /// Direct access to log 0's current sequencer server (for assertions).
+    /// A layout-service client stub over the metalog replica set.
+    pub fn layout_client(&self) -> LayoutClient {
+        self.layout_client_with(self.conn_factory(), &self.metrics)
+    }
+
+    /// A layout client dialing replicas through `factory` and recording
+    /// `meta.*` instruments into `metrics` — the hook fault-injection
+    /// harnesses use to interpose on layout traffic too.
+    pub fn layout_client_with(
+        &self,
+        factory: Arc<dyn ConnFactory>,
+        metrics: &Registry,
+    ) -> LayoutClient {
+        let meta = MetaClient::new(self.layout_replicas(), dial_through(factory));
+        LayoutClient::replicated(Arc::new(meta.with_metrics(metrics)))
+    }
+
+    /// Direct access to log 0's initial sequencer server (for assertions).
     pub fn sequencer(&self) -> &Arc<SequencerServer> {
         &self.sequencers[0]
     }
 
-    /// Direct access to log `log`'s initial sequencer server.
-    pub fn sequencer_of(&self, log: u32) -> &Arc<SequencerServer> {
-        &self.sequencers[log as usize]
-    }
-
-    /// Direct access to the storage servers, indexed by node id.
+    /// Direct access to the initial storage servers, indexed by node id
+    /// (killed ones included — their flash outlives the crash).
     pub fn storage(&self) -> &[Arc<StorageServer>] {
         &self.storage
     }
 
-    /// Kills log 0's current sequencer (its address stops resolving).
+    /// Direct access to one live storage node's server, replacements
+    /// included (tier stats, manual compaction). `None` if unknown or killed.
+    pub fn storage_server(&self, id: NodeId) -> Option<Arc<StorageServer>> {
+        match &self.nodes.lock().get(&id)?.role {
+            Role::Storage(server, _) => Some(Arc::clone(server)),
+            _ => None,
+        }
+    }
+
+    /// Kills log 0's current sequencer.
     pub fn kill_sequencer(&self) {
         self.kill_sequencer_of(0)
     }
 
-    /// Kills log `log`'s current sequencer.
+    /// Kills log `log`'s current sequencer (per the installed projection):
+    /// its address stops answering.
     pub fn kill_sequencer_of(&self, log: u32) {
         if let Ok(p) = self.layout_client().get() {
-            if let Some(addr) = p.addr_of(p.sequencer_of(log)) {
-                self.registry.kill(addr);
-            }
+            self.kill_node(p.sequencer_of(log));
         }
     }
 
-    /// Registers a fresh, empty sequencer server for log 0 and returns its
-    /// node info, ready to be handed to
-    /// [`crate::reconfig::replace_sequencer`].
-    pub fn spawn_replacement_sequencer(&self) -> (NodeInfo, Arc<SequencerServer>) {
+    /// Serves a fresh, empty sequencer for log 0 and returns its node
+    /// info, ready to be handed to [`crate::reconfig::replace_sequencer`].
+    pub fn spawn_replacement_sequencer(&self) -> Result<(NodeInfo, Arc<SequencerServer>)> {
         self.spawn_replacement_sequencer_for(0)
     }
 
-    /// Registers a fresh, empty sequencer server for log `log`. Replacement
-    /// ids are `SEQUENCER_BASE_ID + generation*100 + log`, so fault
-    /// harnesses can recover the log id from a replacement's node id
+    /// Serves a fresh, empty sequencer for log `log`. Replacement ids are
+    /// `SEQUENCER_BASE_ID + generation*100 + log`, so fault harnesses can
+    /// recover the log id from a replacement's node id
     /// (`(id - SEQUENCER_BASE_ID) % 100`).
-    pub fn spawn_replacement_sequencer_for(&self, log: u32) -> (NodeInfo, Arc<SequencerServer>) {
-        let gen = self.sequencer_generation.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        let id = SEQUENCER_BASE_ID + gen * 100 + log;
-        let addr = format!("sequencer-{id}");
-        let server = Arc::new(
-            SequencerServer::new_for_log(self.config.k_backpointers, log)
-                .with_metrics(&self.metrics),
-        );
-        self.registry.register(addr.clone(), Arc::clone(&server) as Arc<dyn RpcHandler>);
-        (NodeInfo { id, addr }, server)
+    pub fn spawn_replacement_sequencer_for(
+        &self,
+        log: u32,
+    ) -> Result<(NodeInfo, Arc<SequencerServer>)> {
+        let id = SEQUENCER_BASE_ID + self.generation.fetch_add(1, Ordering::SeqCst) * 100 + log;
+        self.spawn_sequencer(id, log, format!("sequencer-{id}"))
     }
 
-    /// Kills the storage node `id`: its address stops resolving, so every
-    /// subsequent call to it fails with `Disconnected`.
+    /// Kills the storage node `id`: its compactor stops, its address stops
+    /// answering and open connections fail. It stays on the monitoring
+    /// target list (unreachable) until [`Cluster::retire_scrape_target`].
     pub fn kill_storage_node(&self, id: NodeId) {
-        if let Ok(p) = self.layout_client().get() {
-            if let Some(addr) = p.addr_of(id) {
-                self.registry.kill(addr);
-            }
-        }
+        self.kill_node(id);
     }
 
-    /// Registers a fresh, empty storage server and returns its node info,
-    /// ready to be handed to [`crate::reconfig::replace_storage_node`].
-    pub fn spawn_replacement_storage(&self) -> (NodeInfo, Arc<StorageServer>) {
-        let gen = self.storage_generation.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        let id = STORAGE_REPLACEMENT_BASE_ID + gen;
-        let addr = format!("storage-{id}");
-        let unit = self
-            .config
-            .storage
-            .build_unit(id, self.config.page_size)
-            .expect("open storage backend");
-        let server = Arc::new(StorageServer::new(unit).with_metrics(&self.metrics));
-        if let Some(cfg) = &self.config.compaction {
-            self.compactors.lock().push(Compactor::spawn(Arc::clone(&server), cfg.clone()));
-        }
-        self.registry.register(addr.clone(), Arc::clone(&server) as Arc<dyn RpcHandler>);
-        (NodeInfo { id, addr }, server)
+    /// Serves a fresh, empty storage node and returns its node info and
+    /// server, ready for [`crate::reconfig::replace_storage_node`].
+    pub fn spawn_replacement_storage(&self) -> Result<(NodeInfo, Arc<StorageServer>)> {
+        let gen = self.generation.fetch_add(1, Ordering::SeqCst);
+        self.spawn_storage(STORAGE_REPLACEMENT_BASE_ID + gen, None)
     }
 
     /// The current metalog (layout) replica set, in arbitration order.
@@ -478,21 +557,18 @@ impl LocalCluster {
         self.layout_replicas.lock().clone()
     }
 
-    /// Direct access to a live metalog replica (for assertions). `None`
-    /// for unknown or killed replicas.
+    /// Direct access to a live metalog replica. `None` if unknown or killed.
     pub fn meta_node(&self, id: NodeId) -> Option<Arc<MetaNode>> {
-        self.meta_nodes.lock().get(&id).cloned()
+        match &self.nodes.lock().get(&id)?.role {
+            Role::Meta(node) => Some(Arc::clone(node)),
+            _ => None,
+        }
     }
 
-    /// Kills the metalog replica `id`: its address stops resolving, so
-    /// every subsequent call to it fails with `Disconnected`. Membership is
-    /// untouched — quorum clients ride through on the survivors.
+    /// Kills the metalog replica `id`: its address stops answering.
+    /// Membership is untouched — quorum clients ride through on survivors.
     pub fn kill_layout_replica(&self, id: NodeId) {
-        let replicas = self.layout_replicas.lock().clone();
-        if let Some(r) = replicas.iter().find(|r| r.id == id) {
-            self.registry.kill(&r.addr);
-        }
-        self.meta_nodes.lock().remove(&id);
+        self.kill_node(id);
     }
 
     /// Replaces the crashed metalog replica `dead`: spawns a fresh node,
@@ -501,402 +577,20 @@ impl LocalCluster {
     /// metalog analogue of [`crate::reconfig::replace_storage_node`]'s
     /// chain rebuild.
     pub fn replace_layout_replica(&self, dead: NodeId) -> Result<ReplicaInfo> {
-        let gen = self.layout_generation.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        let gen = self.generation.fetch_add(1, Ordering::SeqCst);
         let id = LAYOUT_BASE_ID + self.config.layout_replicas.max(1) as NodeId + gen;
-        let addr = format!("meta-{id}");
-        let node = Arc::new(MetaNode::new().with_metrics(&self.metrics));
-        self.registry.register(addr.clone(), Arc::clone(&node) as Arc<dyn RpcHandler>);
-        let info = ReplicaInfo { id, addr: addr.clone() };
+        let (info, _node) = self.spawn_meta(id)?;
 
-        let survivors: Vec<ReplicaInfo> =
-            self.layout_replicas.lock().iter().filter(|r| r.id != dead).cloned().collect();
-        let registry = self.registry.clone();
-        let dial: Arc<dyn Dial> = Arc::new(move |replica: &ReplicaInfo| -> Arc<dyn ClientConn> {
-            Arc::new(RegistryConn { registry: registry.clone(), addr: replica.addr.clone() })
-        });
-        let meta = MetaClient::new(survivors.clone(), dial);
-        let target: Arc<dyn ClientConn> =
-            Arc::new(RegistryConn { registry: self.registry.clone(), addr });
+        let mut set = self.layout_replicas();
+        set.retain(|r| r.id != dead);
+        let factory = self.conn_factory();
+        let target = factory.connect(&NodeInfo { id, addr: info.addr.clone() });
+        let meta = MetaClient::new(set.clone(), dial_through(factory));
         meta.catch_up(&target)?;
 
-        let mut new_set = survivors;
-        new_set.push(info.clone());
-        meta.install_peers(new_set.clone())?;
-        *self.layout_replicas.lock() = new_set;
-        self.meta_nodes.lock().insert(id, node);
-        Ok(info)
-    }
-}
-
-/// One node of a [`TcpCluster`]: its RPC server, its private metrics
-/// registry, and the HTTP scrape endpoint exposing that registry.
-struct TcpNode {
-    name: String,
-    registry: Registry,
-    server: TcpServer,
-    scrape: HttpScrapeServer,
-}
-
-impl TcpNode {
-    fn spawn(name: String, handler: Arc<dyn RpcHandler>, registry: Registry) -> Result<Self> {
-        // Surface the node's reactor health (connection gauge, dropped
-        // accepts) in its own registry so scrapes see transport pressure.
-        let options = tango_rpc::ServerOptions {
-            metrics: tango_rpc::ServerMetrics::from_registry(&registry),
-            ..Default::default()
-        };
-        let server = TcpServer::spawn_with("127.0.0.1:0", handler, options)
-            .map_err(|e| crate::CorfuError::Rpc(e.to_string()))?;
-        let scrape = HttpScrapeServer::spawn("127.0.0.1:0", registry.clone())
-            .map_err(|e| crate::CorfuError::Rpc(e.to_string()))?;
-        Ok(Self { name, registry, server, scrape })
-    }
-}
-
-/// A CORFU deployment over real TCP sockets on localhost: the same servers,
-/// each behind a [`TcpServer`]. Useful for end-to-end integration tests.
-/// Storage nodes can be killed (their listener shuts down) and replacements
-/// spawned, mirroring the [`LocalCluster`] failure-injection API.
-///
-/// Unlike [`LocalCluster`], every node here keeps its *own* metrics
-/// registry — exactly like a real deployment, where processes cannot share
-/// an address space — and exposes it through a per-node
-/// [`HttpScrapeServer`]. [`TcpCluster::cluster_snapshot`] scrapes every
-/// node over HTTP and merges the results; [`TcpCluster::metrics`] is the
-/// client-side registry only.
-pub struct TcpCluster {
-    config: ClusterConfig,
-    /// Storage nodes by id; removing one drops it, which shuts the
-    /// listener (and its scrape endpoint) down and disconnects clients.
-    storage_servers: parking_lot::Mutex<HashMap<NodeId, TcpNode>>,
-    /// The storage servers behind the listeners, for direct assertions
-    /// (tier stats, compaction reports) without an RPC round trip.
-    storage_handles: parking_lot::Mutex<HashMap<NodeId, Arc<StorageServer>>>,
-    /// Per-node background compactors when [`ClusterConfig::compaction`]
-    /// is set; killing a node stops its compactor.
-    compactors: parking_lot::Mutex<HashMap<NodeId, Compactor>>,
-    /// Metalog (layout) replicas by id, each with its own registry and
-    /// scrape endpoint; removing one simulates a layout-replica crash.
-    layout_servers: parking_lot::Mutex<HashMap<NodeId, TcpNode>>,
-    /// The current metalog replica set, in arbitration order.
-    layout_replicas: parking_lot::Mutex<Vec<ReplicaInfo>>,
-    /// Keep the sequencer node alive.
-    aux_servers: Vec<TcpNode>,
-    storage_generation: std::sync::atomic::AtomicU32,
-    layout_generation: std::sync::atomic::AtomicU32,
-    metrics: Registry,
-    /// Names of killed nodes still on the monitoring target list; they
-    /// count as unreachable in [`TcpCluster::cluster_health`] until
-    /// [`TcpCluster::retire_scrape_target`] (the "operator updated the
-    /// target list" step) removes them.
-    dead_targets: parking_lot::Mutex<Vec<String>>,
-}
-
-impl TcpCluster {
-    /// Spawns storage nodes, a sequencer, and a layout service on ephemeral
-    /// localhost ports, each with a private registry and a scrape endpoint.
-    /// Clients created via [`TcpCluster::client`] record into the cluster
-    /// handle's own registry ([`TcpCluster::metrics`]), including their TCP
-    /// connections' `rpc.*` transport metrics.
-    pub fn spawn(config: ClusterConfig) -> Result<Self> {
-        let metrics = Registry::new();
-        let mut storage_servers = HashMap::new();
-        let mut storage_handles = HashMap::new();
-        let mut compactors = HashMap::new();
-        let mut aux_servers = Vec::new();
-        let mut logs = Vec::new();
-        let mut nodes = Vec::new();
-        let mut next_id: NodeId = 0;
-        let num_logs = config.num_logs.max(1);
-        for log in 0..num_logs {
-            let mut replica_sets = Vec::new();
-            for _ in 0..config.num_sets {
-                let mut set = Vec::new();
-                for _ in 0..config.replication {
-                    let registry = Registry::new();
-                    let unit = config.storage.build_unit(next_id, config.page_size)?;
-                    let server = Arc::new(
-                        StorageServer::new(unit).with_metrics_for_log(&registry, log as u64),
-                    );
-                    if let Some(cfg) = &config.compaction {
-                        compactors
-                            .insert(next_id, Compactor::spawn(Arc::clone(&server), cfg.clone()));
-                    }
-                    let handler: Arc<dyn RpcHandler> = Arc::clone(&server) as Arc<dyn RpcHandler>;
-                    storage_handles.insert(next_id, server);
-                    let node = TcpNode::spawn(format!("storage-{next_id}"), handler, registry)?;
-                    nodes
-                        .push(NodeInfo { id: next_id, addr: node.server.local_addr().to_string() });
-                    storage_servers.insert(next_id, node);
-                    set.push(next_id);
-                    next_id += 1;
-                }
-                replica_sets.push(set);
-            }
-            let seq_registry = Registry::new();
-            let seq_handler: Arc<dyn RpcHandler> = Arc::new(
-                SequencerServer::new_for_log(config.k_backpointers, log as u32)
-                    .with_metrics(&seq_registry),
-            );
-            let seq_id = SEQUENCER_BASE_ID + log as NodeId;
-            let name = if log == 0 { "sequencer".to_string() } else { format!("sequencer-{log}") };
-            let seq_node = TcpNode::spawn(name, seq_handler, seq_registry)?;
-            nodes.push(NodeInfo { id: seq_id, addr: seq_node.server.local_addr().to_string() });
-            aux_servers.push(seq_node);
-            logs.push(LogLayout { epoch: 0, replica_sets, sequencer: seq_id });
-        }
-        let shard =
-            if num_logs == 1 { ShardMap::single() } else { ShardMap::hashed(num_logs as u32) };
-        let projection = Projection { epoch: 0, logs, shard, nodes };
-        // The layout service: metalog replicas on their own ports, each
-        // with a private registry (`meta.node.*`) and scrape endpoint.
-        let genesis = Bytes::from(encode_to_vec(&projection));
-        let mut layout_servers = HashMap::new();
-        let mut layout_set = Vec::new();
-        let mut meta_handles = Vec::new();
-        for i in 0..config.layout_replicas.max(1) {
-            let id = LAYOUT_BASE_ID + i as NodeId;
-            let registry = Registry::new();
-            let meta = Arc::new(MetaNode::new().with_metrics(&registry));
-            meta.bootstrap(genesis.clone());
-            let node = TcpNode::spawn(
-                format!("layout-{id}"),
-                Arc::clone(&meta) as Arc<dyn RpcHandler>,
-                registry,
-            )?;
-            layout_set.push(ReplicaInfo { id, addr: node.server.local_addr().to_string() });
-            layout_servers.insert(id, node);
-            meta_handles.push(meta);
-        }
-        for meta in &meta_handles {
-            meta.set_peers(layout_set.clone());
-        }
-
-        Ok(Self {
-            config,
-            storage_servers: parking_lot::Mutex::new(storage_servers),
-            storage_handles: parking_lot::Mutex::new(storage_handles),
-            compactors: parking_lot::Mutex::new(compactors),
-            layout_servers: parking_lot::Mutex::new(layout_servers),
-            layout_replicas: parking_lot::Mutex::new(layout_set),
-            aux_servers,
-            storage_generation: std::sync::atomic::AtomicU32::new(0),
-            layout_generation: std::sync::atomic::AtomicU32::new(0),
-            metrics,
-            dead_targets: parking_lot::Mutex::new(Vec::new()),
-        })
-    }
-
-    /// The *client-side* metrics registry: every client created through
-    /// [`TcpCluster::client`] records its `corfu.client.*`, `stream.*`, and
-    /// `rpc.*` instruments here. Server-side metrics live in the per-node
-    /// registries; scrape them via [`TcpCluster::cluster_snapshot`].
-    pub fn metrics(&self) -> &Registry {
-        &self.metrics
-    }
-
-    /// The live scrape endpoints, as `(node_name, http_addr)` pairs. The
-    /// client-side registry is not listed — it has no HTTP endpoint.
-    pub fn scrape_targets(&self) -> Vec<(String, String)> {
-        let mut targets: Vec<(String, String)> = self
-            .aux_servers
-            .iter()
-            .map(|n| (n.name.clone(), n.scrape.local_addr().to_string()))
-            .collect();
-        for node in self.storage_servers.lock().values() {
-            targets.push((node.name.clone(), node.scrape.local_addr().to_string()));
-        }
-        for node in self.layout_servers.lock().values() {
-            targets.push((node.name.clone(), node.scrape.local_addr().to_string()));
-        }
-        targets.sort();
-        targets
-    }
-
-    /// Scrapes every live node's `/snapshot.bin` over HTTP and merges the
-    /// results into a [`ClusterSnapshot`], adding the client-side registry
-    /// under the node name `"clients"`. Nodes that fail to answer (e.g.
-    /// killed ones) are skipped — a scrape must not wedge on a dead node.
-    pub fn cluster_snapshot(&self) -> ClusterSnapshot {
-        let mut cluster = ClusterSnapshot::new();
-        for (name, addr) in self.scrape_targets() {
-            if let Ok(snap) = fetch_snapshot(&addr, std::time::Duration::from_secs(2)) {
-                cluster.insert(name, snap);
-            }
-        }
-        cluster.insert("clients", self.metrics.snapshot());
-        cluster
-    }
-
-    /// Scrapes the cluster and evaluates [`ClusterHealth`]: live targets
-    /// that fail to answer and killed-but-not-retired nodes both count as
-    /// unreachable, so a fault window reads as `degraded` (or `unhealthy`
-    /// once a metalog majority is gone) until repair *and* target-list
-    /// cleanup bring it back to `ok`.
-    pub fn cluster_health(&self) -> ClusterHealth {
-        self.cluster_health_with(&HealthPolicy::default())
-    }
-
-    /// [`TcpCluster::cluster_health`] under an explicit policy.
-    pub fn cluster_health_with(&self, policy: &HealthPolicy) -> ClusterHealth {
-        let mut cluster = ClusterSnapshot::new();
-        let mut unreachable: Vec<String> = self.dead_targets.lock().clone();
-        for (name, addr) in self.scrape_targets() {
-            match fetch_snapshot(&addr, std::time::Duration::from_secs(2)) {
-                Ok(snap) => cluster.insert(name, snap),
-                Err(_) => unreachable.push(name),
-            }
-        }
-        cluster.insert("clients", self.metrics.snapshot());
-        ClusterHealth::evaluate(&cluster, &unreachable, policy)
-    }
-
-    /// Drops `name` from the dead-target list after its replacement is in
-    /// service — the monitoring analogue of updating the target list.
-    pub fn retire_scrape_target(&self, name: &str) {
-        self.dead_targets.lock().retain(|n| n != name);
-    }
-
-    /// Direct access to one storage node's registry (for assertions that
-    /// would otherwise need an HTTP round trip). `None` for unknown or
-    /// killed nodes.
-    pub fn storage_registry(&self, id: NodeId) -> Option<Registry> {
-        self.storage_servers.lock().get(&id).map(|n| n.registry.clone())
-    }
-
-    /// Log 0's sequencer node registry.
-    pub fn sequencer_registry(&self) -> Registry {
-        self.aux_servers[0].registry.clone()
-    }
-
-    /// Log `log`'s sequencer node registry (aux servers are one per log,
-    /// in log order).
-    pub fn sequencer_registry_of(&self, log: u32) -> Registry {
-        self.aux_servers[log as usize].registry.clone()
-    }
-
-    /// Kills the storage node `id`: its TCP listener and scrape endpoint
-    /// shut down and open connections drop, so subsequent calls to it fail.
-    /// The node stays on the monitoring target list (unreachable) until
-    /// [`TcpCluster::retire_scrape_target`].
-    pub fn kill_storage_node(&self, id: NodeId) {
-        // Stop the node's compactor first so no background pass runs on a
-        // "dead" unit, then drop the server handle — with a tiered backend
-        // that loses the RAM hot tail, exactly like a real crash.
-        if let Some(mut compactor) = self.compactors.lock().remove(&id) {
-            compactor.stop();
-        }
-        self.storage_handles.lock().remove(&id);
-        if let Some(node) = self.storage_servers.lock().remove(&id) {
-            self.dead_targets.lock().push(node.name.clone());
-        }
-    }
-
-    /// Direct access to one storage node's server (for assertions on tier
-    /// stats or manual compaction). `None` for unknown or killed nodes.
-    pub fn storage_server(&self, id: NodeId) -> Option<Arc<StorageServer>> {
-        self.storage_handles.lock().get(&id).cloned()
-    }
-
-    /// Spawns a fresh, empty storage server on an ephemeral port (with its
-    /// own registry and scrape endpoint) and returns its node info, ready
-    /// for [`crate::reconfig::replace_storage_node`].
-    pub fn spawn_replacement_storage(&self) -> Result<NodeInfo> {
-        let gen = self.storage_generation.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        let id = STORAGE_REPLACEMENT_BASE_ID + gen;
-        let registry = Registry::new();
-        let unit = self.config.storage.build_unit(id, self.config.page_size)?;
-        let server = Arc::new(StorageServer::new(unit).with_metrics(&registry));
-        if let Some(cfg) = &self.config.compaction {
-            self.compactors.lock().insert(id, Compactor::spawn(Arc::clone(&server), cfg.clone()));
-        }
-        let handler: Arc<dyn RpcHandler> = Arc::clone(&server) as Arc<dyn RpcHandler>;
-        let node = TcpNode::spawn(format!("storage-{id}"), handler, registry)?;
-        let info = NodeInfo { id, addr: node.server.local_addr().to_string() };
-        self.storage_handles.lock().insert(id, server);
-        self.storage_servers.lock().insert(id, node);
-        Ok(info)
-    }
-
-    /// Creates a client that talks to the cluster over TCP.
-    pub fn client(&self) -> Result<CorfuClient> {
-        self.client_with_options(ClientOptions::default())
-    }
-
-    /// Creates a TCP client with explicit options (e.g.
-    /// [`ClientOptions::batched`] for §5's sequencer token batching).
-    pub fn client_with_options(&self, opts: ClientOptions) -> Result<CorfuClient> {
-        let conn_metrics = ConnMetrics::from_registry(&self.metrics);
-        let layout = self.layout_client();
-        let factory: Arc<dyn ConnFactory> =
-            Arc::new(move |node: &NodeInfo| -> Arc<dyn ClientConn> {
-                Arc::new(TcpConn::new(node.addr.clone()).with_metrics(conn_metrics.clone()))
-            });
-        CorfuClient::with_options_and_metrics(layout, factory, opts, self.metrics.clone())
-    }
-
-    fn tcp_dial(&self) -> Arc<dyn Dial> {
-        let conn_metrics = ConnMetrics::from_registry(&self.metrics);
-        Arc::new(move |replica: &ReplicaInfo| -> Arc<dyn ClientConn> {
-            Arc::new(TcpConn::new(replica.addr.clone()).with_metrics(conn_metrics.clone()))
-        })
-    }
-
-    /// A layout-service client stub over the metalog replica set (TCP).
-    pub fn layout_client(&self) -> LayoutClient {
-        let replicas = self.layout_replicas.lock().clone();
-        LayoutClient::replicated(Arc::new(
-            MetaClient::new(replicas, self.tcp_dial()).with_metrics(&self.metrics),
-        ))
-    }
-
-    /// The current metalog (layout) replica set, in arbitration order.
-    pub fn layout_replicas(&self) -> Vec<ReplicaInfo> {
-        self.layout_replicas.lock().clone()
-    }
-
-    /// One metalog replica's registry (for assertions on `meta.node.*`
-    /// without an HTTP round trip). `None` for unknown or killed replicas.
-    pub fn layout_registry(&self, id: NodeId) -> Option<Registry> {
-        self.layout_servers.lock().get(&id).map(|n| n.registry.clone())
-    }
-
-    /// Kills the metalog replica `id`: its TCP listener and scrape
-    /// endpoint shut down and open connections drop. Membership is
-    /// untouched — quorum clients ride through on the survivors.
-    pub fn kill_layout_replica(&self, id: NodeId) {
-        if let Some(node) = self.layout_servers.lock().remove(&id) {
-            self.dead_targets.lock().push(node.name.clone());
-        }
-    }
-
-    /// Replaces the crashed metalog replica `dead`: spawns a fresh node on
-    /// an ephemeral port, catch-up copies every decided record onto it from
-    /// the surviving quorum, then installs the new replica set on all
-    /// members.
-    pub fn replace_layout_replica(&self, dead: NodeId) -> Result<ReplicaInfo> {
-        let gen = self.layout_generation.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        let id = LAYOUT_BASE_ID + self.config.layout_replicas.max(1) as NodeId + gen;
-        let registry = Registry::new();
-        let meta = Arc::new(MetaNode::new().with_metrics(&registry));
-        let node = TcpNode::spawn(
-            format!("layout-{id}"),
-            Arc::clone(&meta) as Arc<dyn RpcHandler>,
-            registry,
-        )?;
-        let info = ReplicaInfo { id, addr: node.server.local_addr().to_string() };
-
-        let survivors: Vec<ReplicaInfo> =
-            self.layout_replicas.lock().iter().filter(|r| r.id != dead).cloned().collect();
-        let client = MetaClient::new(survivors.clone(), self.tcp_dial());
-        let target: Arc<dyn ClientConn> = Arc::new(TcpConn::new(info.addr.clone()));
-        client.catch_up(&target)?;
-
-        let mut new_set = survivors;
-        new_set.push(info.clone());
-        client.install_peers(new_set.clone())?;
-        *self.layout_replicas.lock() = new_set;
-        self.layout_servers.lock().insert(id, node);
+        set.push(info.clone());
+        meta.install_peers(set.clone())?;
+        *self.layout_replicas.lock() = set;
         // The replacement is serving: the dead replica leaves the
         // monitoring target list along with the membership.
         self.retire_scrape_target(&format!("layout-{dead}"));

@@ -1,215 +1,68 @@
 //! The layout (auxiliary) service: stores projections and arbitrates
 //! reconfiguration races.
 //!
-//! The paper's CORFU delegates membership to an auxiliary. Two backends
-//! capture its role here:
+//! The paper's CORFU delegates membership to an auxiliary. Here that is
+//! the **metalog** (`tango-meta`): a replicated write-once log of
+//! projection records where epoch *e* lives at metalog position *e* — the
+//! CORFU discipline turned inward on its own metadata. The epoch CAS is a
+//! write-once proposal at position `current + 1`, arbitrated by the
+//! replicas exactly like a data-plane address, so concurrent
+//! reconfigurations converge on the quorum winner. A single-node layout
+//! service is the 1-replica metalog, not a second mechanism.
 //!
-//! - [`LayoutServer`]: the original single-node epoch-CAS service, kept for
-//!   unit tests and minimal deployments.
-//! - the **metalog** (`tango-meta`): a replicated write-once log of
-//!   projection records where epoch *e* lives at metalog position *e* —
-//!   the CORFU discipline turned inward on its own metadata. The epoch CAS
-//!   becomes a write-once proposal at position `current + 1`, arbitrated by
-//!   the replicas exactly like a data-plane address, so concurrent
-//!   reconfigurations converge on the quorum winner.
-//!
-//! [`LayoutClient`] hides the distinction: both backends expose
-//! `get`/`propose` with identical semantics, and both get bounded
-//! exponential-backoff retry on transient transport failures (counted on
-//! the `meta.retries` instrument).
+//! [`LayoutClient`] is the typed face of that log: `get`/`propose` over
+//! projections. Retry with bounded exponential backoff, replica failover
+//! and discovery live in the [`MetaClient`] (counted on `meta.retries`).
 
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
-use tango_meta::metrics::MetaMetrics;
-use tango_meta::{MetaClient, MetaOptions};
-use tango_metrics::Registry;
-use tango_rpc::{ClientConn, RpcHandler};
+use tango_meta::MetaClient;
 use tango_wire::{decode_from_slice, encode_to_vec};
 
-use crate::proto::{LayoutRequest, LayoutResponse};
 use crate::{CorfuError, Projection, Result};
 
-/// The single-node layout server: holds the current projection and
-/// arbitrates proposals with an epoch CAS.
-pub struct LayoutServer {
-    current: Mutex<Projection>,
-}
-
-impl LayoutServer {
-    /// Creates a layout service seeded with the bootstrap projection.
-    pub fn new(initial: Projection) -> Self {
-        Self { current: Mutex::new(initial) }
-    }
-
-    /// Processes a decoded request.
-    pub fn process(&self, req: LayoutRequest) -> LayoutResponse {
-        match req {
-            LayoutRequest::Get => LayoutResponse::Current(self.current.lock().clone()),
-            LayoutRequest::Propose(p) => {
-                let mut cur = self.current.lock();
-                if p.epoch == cur.epoch + 1 {
-                    *cur = p;
-                    LayoutResponse::Installed
-                } else {
-                    LayoutResponse::Conflict(cur.clone())
-                }
-            }
-        }
-    }
-}
-
-impl RpcHandler for LayoutServer {
-    fn handle(&self, request: &[u8]) -> Vec<u8> {
-        let response = match decode_from_slice::<LayoutRequest>(request) {
-            Ok(req) => self.process(req),
-            Err(e) => LayoutResponse::ErrMalformed { reason: e.to_string() },
-        };
-        encode_to_vec(&response)
-    }
-}
-
-/// How a [`LayoutClient`] reaches the layout service.
-#[derive(Clone)]
-enum Backend {
-    /// One [`LayoutServer`] behind one connection.
-    Single { conn: Arc<dyn ClientConn>, opts: MetaOptions, metrics: MetaMetrics },
-    /// A replicated metalog; projections are opaque records to it.
-    Replicated(Arc<MetaClient>),
-}
-
-/// Client stub for the layout service, over either backend.
+/// Client stub for the layout service: projections over a metalog.
 #[derive(Clone)]
 pub struct LayoutClient {
-    backend: Backend,
+    meta: Arc<MetaClient>,
 }
 
 impl LayoutClient {
-    /// Wraps a connection to a single-node layout service, with default
-    /// retry options and disabled instruments.
-    pub fn new(conn: Arc<dyn ClientConn>) -> Self {
-        Self {
-            backend: Backend::Single {
-                conn,
-                opts: MetaOptions::default(),
-                metrics: MetaMetrics::default(),
-            },
-        }
-    }
-
-    /// Wraps a single-node connection with explicit retry options.
-    pub fn with_options(conn: Arc<dyn ClientConn>, opts: MetaOptions) -> Self {
-        Self { backend: Backend::Single { conn, opts, metrics: MetaMetrics::default() } }
-    }
-
     /// A client over a replicated metalog. Projections are stored at their
     /// epoch's metalog position; retry, failover, and discovery live in the
     /// [`MetaClient`].
     pub fn replicated(meta: Arc<MetaClient>) -> Self {
-        Self { backend: Backend::Replicated(meta) }
-    }
-
-    /// Binds the single-node backend's `meta.*` instruments in `registry`
-    /// (the replicated backend's instruments are bound on its
-    /// [`MetaClient`]).
-    pub fn with_metrics(mut self, registry: &Registry) -> Self {
-        if let Backend::Single { metrics, .. } = &mut self.backend {
-            *metrics = MetaMetrics::from_registry(registry);
-        }
-        self
-    }
-
-    /// The underlying metalog client, if this is a replicated-backend stub
-    /// (operations plumbing: replica catch-up and peer installation).
-    pub fn meta(&self) -> Option<&Arc<MetaClient>> {
-        match &self.backend {
-            Backend::Replicated(meta) => Some(meta),
-            Backend::Single { .. } => None,
-        }
-    }
-
-    /// One request against the single-node backend, with bounded
-    /// exponential-backoff retry on transport failures.
-    fn call_single(
-        conn: &Arc<dyn ClientConn>,
-        opts: &MetaOptions,
-        metrics: &MetaMetrics,
-        req: &LayoutRequest,
-    ) -> Result<LayoutResponse> {
-        let mut backoff = opts.backoff_base;
-        let mut attempt = 0u32;
-        loop {
-            match conn.call(&encode_to_vec(req)) {
-                Ok(bytes) => {
-                    return match decode_from_slice::<LayoutResponse>(&bytes)? {
-                        LayoutResponse::ErrMalformed { reason } => Err(CorfuError::Layout(
-                            format!("layout server rejected request as malformed: {reason}"),
-                        )),
-                        resp => Ok(resp),
-                    };
-                }
-                Err(e) => {
-                    if attempt >= opts.max_retries {
-                        return Err(e.into());
-                    }
-                    attempt += 1;
-                    metrics.retries.inc();
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(opts.backoff_max);
-                }
-            }
-        }
+        Self { meta }
     }
 
     /// Fetches the current projection.
     pub fn get(&self) -> Result<Projection> {
-        match &self.backend {
-            Backend::Single { conn, opts, metrics } => {
-                match Self::call_single(conn, opts, metrics, &LayoutRequest::Get)? {
-                    LayoutResponse::Current(p) => Ok(p),
-                    other => Err(CorfuError::Layout(format!("unexpected response {other:?}"))),
-                }
-            }
-            Backend::Replicated(meta) => {
-                let (pos, record) = meta.latest()?;
-                let p: Projection = decode_from_slice(&record)?;
-                if p.epoch != pos {
-                    return Err(CorfuError::Layout(format!(
-                        "metalog position {pos} holds projection for epoch {}",
-                        p.epoch
-                    )));
-                }
-                Ok(p)
-            }
+        let (pos, record) = self.meta.latest()?;
+        let p: Projection = decode_from_slice(&record)?;
+        if p.epoch != pos {
+            return Err(CorfuError::Layout(format!(
+                "metalog position {pos} holds projection for epoch {}",
+                p.epoch
+            )));
         }
+        Ok(p)
     }
 
     /// Proposes `p` (whose epoch must be current + 1). `Ok(None)` means it
     /// was installed; `Ok(Some(winner))` means a concurrent reconfiguration
     /// won — adopt the winner and carry on.
     pub fn propose(&self, p: Projection) -> Result<Option<Projection>> {
-        match &self.backend {
-            Backend::Single { conn, opts, metrics } => {
-                match Self::call_single(conn, opts, metrics, &LayoutRequest::Propose(p))? {
-                    LayoutResponse::Installed => Ok(None),
-                    LayoutResponse::Conflict(winner) => Ok(Some(winner)),
-                    other => Err(CorfuError::Layout(format!("unexpected response {other:?}"))),
-                }
-            }
-            Backend::Replicated(meta) => {
-                // The epoch CAS, restated over a write-once log: epoch e's
-                // projection is the record decided at position e, so
-                // "install at current + 1" is a write-once proposal there.
-                let current = self.get()?;
-                if p.epoch != current.epoch + 1 {
-                    return Ok(Some(current));
-                }
-                match meta.propose_at(p.epoch, Bytes::from(encode_to_vec(&p)))? {
-                    None => Ok(None),
-                    Some(winner) => Ok(Some(decode_from_slice(&winner)?)),
-                }
-            }
+        // The epoch CAS, restated over a write-once log: epoch e's
+        // projection is the record decided at position e, so "install at
+        // current + 1" is a write-once proposal there.
+        let current = self.get()?;
+        if p.epoch != current.epoch + 1 {
+            return Ok(Some(current));
+        }
+        match self.meta.propose_at(p.epoch, Bytes::from(encode_to_vec(&p)))? {
+            None => Ok(None),
+            Some(winner) => Ok(Some(decode_from_slice(&winner)?)),
         }
     }
 }
@@ -219,7 +72,7 @@ mod tests {
     use super::*;
     use crate::NodeInfo;
     use tango_meta::{MetaNode, ReplicaInfo};
-    use tango_rpc::LocalConn;
+    use tango_rpc::{ClientConn, LocalConn};
 
     fn proj(epoch: u64) -> Projection {
         Projection::single(
@@ -230,38 +83,7 @@ mod tests {
         )
     }
 
-    #[test]
-    fn get_and_propose() {
-        let server = Arc::new(LayoutServer::new(proj(0)));
-        let client = LayoutClient::new(Arc::new(LocalConn::new(server)));
-        assert_eq!(client.get().unwrap().epoch, 0);
-        assert_eq!(client.propose(proj(1)).unwrap(), None);
-        assert_eq!(client.get().unwrap().epoch, 1);
-    }
-
-    #[test]
-    fn cas_rejects_stale_and_skipping_proposals() {
-        let server = Arc::new(LayoutServer::new(proj(5)));
-        let client = LayoutClient::new(Arc::new(LocalConn::new(server)));
-        // Same epoch: conflict.
-        assert_eq!(client.propose(proj(5)).unwrap().unwrap().epoch, 5);
-        // Skipping ahead: conflict.
-        assert_eq!(client.propose(proj(7)).unwrap().unwrap().epoch, 5);
-        // Exactly +1: installed.
-        assert_eq!(client.propose(proj(6)).unwrap(), None);
-    }
-
-    #[test]
-    fn malformed_requests_get_a_typed_error_not_a_conflict() {
-        let server = Arc::new(LayoutServer::new(proj(0)));
-        let resp = server.handle(&[0xFF, 0xFF]);
-        match decode_from_slice::<LayoutResponse>(&resp).unwrap() {
-            LayoutResponse::ErrMalformed { reason } => assert!(!reason.is_empty()),
-            other => panic!("expected ErrMalformed, got {other:?}"),
-        }
-    }
-
-    fn replicated_client() -> (Vec<Arc<MetaNode>>, LayoutClient) {
+    fn layout_client() -> (Vec<Arc<MetaNode>>, LayoutClient) {
         let nodes: Vec<Arc<MetaNode>> = (0..3).map(|_| Arc::new(MetaNode::new())).collect();
         let replicas: Vec<ReplicaInfo> =
             (0..3).map(|i| ReplicaInfo { id: i, addr: format!("meta-{i}") }).collect();
@@ -280,8 +102,8 @@ mod tests {
     }
 
     #[test]
-    fn replicated_backend_matches_single_node_semantics() {
-        let (_nodes, client) = replicated_client();
+    fn epoch_cas_installs_only_the_next_epoch() {
+        let (_nodes, client) = layout_client();
         assert_eq!(client.get().unwrap().epoch, 0);
         assert_eq!(client.propose(proj(1)).unwrap(), None);
         assert_eq!(client.get().unwrap().epoch, 1);
@@ -295,8 +117,8 @@ mod tests {
     }
 
     #[test]
-    fn replicated_propose_race_has_one_winner() {
-        let (_nodes, client) = replicated_client();
+    fn propose_race_has_one_winner() {
+        let (_nodes, client) = layout_client();
         let a = proj(1);
         let mut b = proj(1);
         b.logs[0].sequencer = 0;

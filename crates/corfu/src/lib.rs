@@ -14,9 +14,12 @@
 //!
 //! * [`Projection`] — the epoch-stamped cluster layout (replica sets +
 //!   sequencer) and the deterministic offset→replica-set mapping.
-//! * [`StorageServer`] / [`SequencerServer`] / [`LayoutServer`] — the three
+//! * [`StorageServer`] / [`SequencerServer`] — the two data-plane
 //!   services, each an [`tango_rpc::RpcHandler`] usable over the in-process
 //!   or TCP transport.
+//! * [`LayoutClient`] — the layout (auxiliary) service's client: typed
+//!   `get`/`propose` of projections over a `tango-meta` metalog, whose
+//!   replicas are the only layout servers there are.
 //! * [`CorfuClient`] — the client library: `append`, `read`, `check` (fast
 //!   and slow), `fill`, `trim`, plus the token/raw-write split used by the
 //!   streaming layer.
@@ -25,8 +28,9 @@
 //!   them and sequencer recovery must parse them).
 //! * [`reconfig`] — seal-based reconfiguration: replacing a failed
 //!   sequencer and rebuilding its tail + backpointer state from the log.
-//! * [`cluster`] — an in-process or TCP cluster harness for tests, examples
-//!   and benchmarks.
+//! * [`cluster`] — the deployment harness: one [`cluster::Cluster`] generic
+//!   over its [`cluster::Transport`] (in-process or TCP), for tests,
+//!   examples and benchmarks.
 
 mod client;
 pub mod cluster;
@@ -45,7 +49,7 @@ pub use client::{AppendOutcome, ClientOptions, ConnFactory, CorfuClient, ReadOut
 pub use compactor::{Compactor, CompactorConfig};
 pub use entry::{CrossLogLink, EntryEnvelope, StreamHeader};
 pub use error::CorfuError;
-pub use layout::{LayoutClient, LayoutServer};
+pub use layout::LayoutClient;
 pub use projection::{LogLayout, NodeInfo, Projection, ShardMap};
 pub use sequencer::{SequencerServer, SequencerState, MAX_TOKEN_BATCH};
 pub use storage::{CompactionReport, StorageServer, MAX_READ_BATCH};

@@ -1,9 +1,9 @@
-//! Wire messages for the three CORFU services.
+//! Wire messages for the storage and sequencer services. (The layout
+//! service speaks the metalog protocol, `tango_meta::proto`.)
 
 use bytes::Bytes;
 use tango_wire::{Decode, Encode, Reader, WireError, Writer};
 
-use crate::projection::Projection;
 use crate::{Epoch, LogOffset, StreamId};
 
 /// Whether a page write carries data or a junk fill.
@@ -274,32 +274,6 @@ pub enum SequencerResponse {
     ErrSealed {
         /// Its current epoch.
         epoch: Epoch,
-    },
-}
-
-/// Requests accepted by the layout (auxiliary) service.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LayoutRequest {
-    /// Fetch the current projection.
-    Get,
-    /// Install a new projection; its epoch must be exactly current + 1.
-    Propose(Projection),
-}
-
-/// Responses from the layout service.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LayoutResponse {
-    /// The current projection.
-    Current(Projection),
-    /// The proposal was installed.
-    Installed,
-    /// The proposal lost a race; here is the winning projection.
-    Conflict(Projection),
-    /// The request could not be decoded. Distinct from `Conflict` so a
-    /// corrupted frame is never mistaken for a lost reconfiguration race.
-    ErrMalformed {
-        /// The decoder's diagnosis.
-        reason: String,
     },
 }
 
@@ -716,60 +690,6 @@ impl Decode for SequencerResponse {
                 Ok(SequencerResponse::TokenBatch { start, tokens })
             }
             tag => Err(WireError::InvalidTag { what: "SequencerResponse", tag: tag as u64 }),
-        }
-    }
-}
-
-impl Encode for LayoutRequest {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            LayoutRequest::Get => w.put_u8(0),
-            LayoutRequest::Propose(p) => {
-                w.put_u8(1);
-                p.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for LayoutRequest {
-    fn decode(r: &mut Reader<'_>) -> tango_wire::Result<Self> {
-        match r.get_u8()? {
-            0 => Ok(LayoutRequest::Get),
-            1 => Ok(LayoutRequest::Propose(Projection::decode(r)?)),
-            tag => Err(WireError::InvalidTag { what: "LayoutRequest", tag: tag as u64 }),
-        }
-    }
-}
-
-impl Encode for LayoutResponse {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            LayoutResponse::Current(p) => {
-                w.put_u8(0);
-                p.encode(w);
-            }
-            LayoutResponse::Installed => w.put_u8(1),
-            LayoutResponse::Conflict(p) => {
-                w.put_u8(2);
-                p.encode(w);
-            }
-            LayoutResponse::ErrMalformed { reason } => {
-                w.put_u8(3);
-                w.put_str(reason);
-            }
-        }
-    }
-}
-
-impl Decode for LayoutResponse {
-    fn decode(r: &mut Reader<'_>) -> tango_wire::Result<Self> {
-        match r.get_u8()? {
-            0 => Ok(LayoutResponse::Current(Projection::decode(r)?)),
-            1 => Ok(LayoutResponse::Installed),
-            2 => Ok(LayoutResponse::Conflict(Projection::decode(r)?)),
-            3 => Ok(LayoutResponse::ErrMalformed { reason: r.get_str()?.to_string() }),
-            tag => Err(WireError::InvalidTag { what: "LayoutResponse", tag: tag as u64 }),
         }
     }
 }

@@ -2,7 +2,8 @@
 //! (sequencer token batching on) while a replacement runs concurrently.
 //! Every acked append must stay readable, no sealed-epoch write may leak
 //! into the rebuilt chain, and — because every fault decision is a pure
-//! function of the seed — the schedule replays identically.
+//! function of the seed — the schedule replays identically. One scenario,
+//! run in-process and over real sockets.
 
 mod support;
 
@@ -10,7 +11,7 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use corfu::cluster::{ClusterConfig, LocalCluster};
+use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, TcpCluster, Transport};
 use corfu::proto::{StorageRequest, StorageResponse};
 use corfu::reconfig::replace_storage_node;
 use corfu::{ClientOptions, LogOffset, NodeId};
@@ -20,26 +21,22 @@ use support::{seed_from_env, SeedGuard};
 const TOTAL_APPENDS: u32 = 120;
 const CRASH_AT_WRITE: u64 = 25;
 
-/// One full run of the scenario. Returns the fault plan's decision trace
-/// (for the determinism assertion) after verifying all safety properties.
-fn scenario(seed: u64) -> Vec<TraceEvent> {
-    let cluster =
-        LocalCluster::new(ClusterConfig { num_sets: 2, replication: 2, ..Default::default() });
+/// One full run of the scenario on a fresh 2x2 cluster. Returns the fault
+/// plan's decision trace (for the determinism assertion) after verifying
+/// all safety properties.
+fn scenario<T: Transport>(cluster: &Cluster<T>, seed: u64) -> Vec<TraceEvent> {
     let plan = FaultPlan::new(seed);
     // Seeded jitter on the storage path perturbs interleavings, then the
     // 25th storage write kills its target node outright.
     plan.delay_calls("storage.", 20, 300);
     plan.crash_at("storage.write", CRASH_AT_WRITE);
+    // The plan fails every later call to the victim itself; the hook
+    // hands the victim to the coordinator, which kills the node for real
+    // (so clients outside the plan observe the crash too) and replaces it.
     let (tx, rx) = mpsc::channel::<NodeId>();
-    {
-        let registry = cluster.registry().clone();
-        plan.on_crash(move |node| {
-            // Kill the node for real so clients outside the plan observe
-            // the crash too, then hand the victim to the coordinator.
-            registry.kill(&format!("storage-{node}"));
-            let _ = tx.send(node);
-        });
-    }
+    plan.on_crash(move |node| {
+        let _ = tx.send(node);
+    });
 
     // The workload: pipelined appends with batched tokens, retrying
     // through the crash and the concurrent reseal until all are acked.
@@ -74,8 +71,9 @@ fn scenario(seed: u64) -> Vec<TraceEvent> {
 
     // Replace the victim while the appender is still hammering the log.
     let dead = rx.recv_timeout(Duration::from_secs(10)).expect("the planned crash must fire");
+    cluster.kill_storage_node(dead);
     let coordinator = cluster.client().unwrap();
-    let (info, replacement) = cluster.spawn_replacement_storage();
+    let (info, replacement) = cluster.spawn_replacement_storage().unwrap();
     let outcome = replace_storage_node(&coordinator, dead, info.clone()).unwrap();
     assert!(outcome.pages_copied > 0, "the rebuild must move pages");
     assert_eq!(outcome.projection.epoch, 1);
@@ -124,13 +122,18 @@ fn scenario(seed: u64) -> Vec<TraceEvent> {
     plan.trace()
 }
 
-#[test]
-fn killed_node_under_pipelined_load_is_replaced_deterministically() {
+fn two_by_two() -> ClusterConfig {
+    ClusterConfig { num_sets: 2, replication: 2, ..Default::default() }
+}
+
+/// Runs the scenario twice on fresh clusters from `spawn` and checks the
+/// schedule replays.
+fn replays_deterministically<T: Transport>(spawn: impl Fn() -> Cluster<T>) {
     let seed = seed_from_env(0xC0FF_EE00_0003);
     let _guard = SeedGuard(seed);
 
-    let first = scenario(seed);
-    let second = scenario(seed);
+    let first = scenario(&spawn(), seed);
+    let second = scenario(&spawn(), seed);
 
     // The pre-crash schedule is a pure function of the seed: both runs
     // must agree decision-for-decision up to and including the crash.
@@ -148,4 +151,14 @@ fn killed_node_under_pipelined_load_is_replaced_deterministically() {
     let crash = &first[c1];
     assert_eq!(crash.point, "storage.write");
     assert_eq!(crash.nth, CRASH_AT_WRITE);
+}
+
+#[test]
+fn killed_node_under_pipelined_load_is_replaced_deterministically() {
+    replays_deterministically(|| LocalCluster::new(two_by_two()));
+}
+
+#[test]
+fn killed_node_under_pipelined_load_is_replaced_deterministically_over_tcp() {
+    replays_deterministically(|| TcpCluster::spawn(two_by_two()).unwrap());
 }

@@ -2,7 +2,7 @@
 //! hole filling, checks, trims, and sequencer failover.
 
 use bytes::Bytes;
-use corfu::cluster::{ClusterConfig, LocalCluster};
+use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, TcpCluster, Transport};
 use corfu::reconfig;
 use corfu::{CorfuError, ReadOutcome};
 
@@ -227,9 +227,11 @@ fn random_trim_single_offset() {
     assert!(matches!(client.read(3).unwrap(), ReadOutcome::Data(_)));
 }
 
-#[test]
-fn sequencer_failover_preserves_log_and_tail() {
-    let cluster = LocalCluster::new(ClusterConfig::default());
+/// Kill the sequencer, reseal onto a replacement with
+/// `reconfig::replace_sequencer`: the log, the tail and the backpointers
+/// survive — with the kill a dropped handler in-process and a closed
+/// listener over real sockets.
+fn sequencer_failover_preserves_log_and_tail<T: Transport>(cluster: &Cluster<T>) {
     let client = cluster.client().unwrap();
     for i in 0..40u32 {
         client.append_streams(&[i % 4], payload(i as u64)).unwrap();
@@ -241,7 +243,7 @@ fn sequencer_failover_preserves_log_and_tail() {
     assert_eq!(client.check_tail_slow().unwrap(), 40);
 
     // Reconfigure to a replacement sequencer.
-    let (info, _server) = cluster.spawn_replacement_sequencer();
+    let (info, _server) = cluster.spawn_replacement_sequencer().unwrap();
     let outcome = reconfig::replace_sequencer(&client, info, 4).unwrap();
     assert_eq!(outcome.recovered_tail, 40);
     assert_eq!(outcome.projection.epoch, 1);
@@ -258,6 +260,17 @@ fn sequencer_failover_preserves_log_and_tail() {
     // Old data is still readable.
     let entry = client.read_entry(5).unwrap();
     assert_eq!(entry.payload, payload(5));
+}
+
+#[test]
+fn sequencer_failover_preserves_log_and_tail_in_process() {
+    sequencer_failover_preserves_log_and_tail(&LocalCluster::new(ClusterConfig::default()));
+}
+
+#[test]
+fn sequencer_failover_preserves_log_and_tail_over_tcp() {
+    let cluster = TcpCluster::spawn(ClusterConfig::default()).unwrap();
+    sequencer_failover_preserves_log_and_tail(&cluster);
 }
 
 #[test]

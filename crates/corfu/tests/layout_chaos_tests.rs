@@ -64,7 +64,7 @@ fn replacement_scenario(seed: u64) -> Vec<TraceEvent> {
     // rebuild triggers the planned metalog-replica crash mid-operation.
     let victim: NodeId = 3;
     cluster.kill_storage_node(victim);
-    let (info, _replacement) = cluster.spawn_replacement_storage();
+    let (info, _replacement) = cluster.spawn_replacement_storage().unwrap();
     let outcome = replace_storage_node(&client, victim, info).unwrap();
     assert_eq!(outcome.projection.epoch, 1, "the rebuild must install epoch 1");
     assert!(outcome.pages_copied > 0, "the rebuild must move pages");

@@ -70,7 +70,7 @@ fn chaos_timeline(seed: u64) -> String {
     // seal log 1 + install a replacement sequencer, then move the stream
     // to log 0 — the seal → projection → adoption chain the timeline
     // must narrate.
-    let (info, _replacement) = cluster.spawn_replacement_sequencer_for(1);
+    let (info, _replacement) = cluster.spawn_replacement_sequencer_for(1).unwrap();
     let outcome = replace_sequencer_in_log(&client, 1, info, 4).unwrap();
     assert_eq!(outcome.projection.epoch_of_log(1), 1, "log 1 sealed into epoch 1");
     remap_stream(&client, s1, 0).unwrap();

@@ -171,7 +171,7 @@ fn seal_during_pipelined_batched_appends() {
     // Yank the sequencer out from under the appenders mid-stream.
     barrier.wait();
     let admin = cluster.client().unwrap();
-    let (info, _server) = cluster.spawn_replacement_sequencer();
+    let (info, _server) = cluster.spawn_replacement_sequencer().unwrap();
     let outcome = reconfig::replace_sequencer(&admin, info, k).unwrap();
     assert_eq!(outcome.projection.epoch, 1);
 

@@ -1,25 +1,22 @@
-//! Storage-node replacement (chain rebuild): end-to-end over both cluster
-//! harnesses, the transparent `ErrSealed` retry path for racing clients,
+//! Storage-node replacement (chain rebuild): end-to-end on both
+//! transports, the transparent `ErrSealed` retry path for racing clients,
 //! and convergence of concurrent replacements.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use corfu::cluster::{ClusterConfig, LocalCluster, TcpCluster};
+use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, TcpCluster, Transport};
 use corfu::proto::{StorageRequest, StorageResponse};
 use corfu::reconfig::replace_storage_node;
-use corfu::{CorfuError, LogOffset, ReadOutcome};
+use corfu::{CorfuError, LogOffset, NodeId, ReadOutcome};
 use parking_lot::Mutex;
 
-/// The full rebuild over the in-process harness: data pages, a junk-filled
-/// hole, a random trim mark, and the prefix-trim horizon all survive the
-/// move to the replacement, and the replacement's flash is byte-identical
-/// to the surviving replica's.
-#[test]
-fn replacement_preserves_log_contents() {
-    let cluster =
-        LocalCluster::new(ClusterConfig { num_sets: 2, replication: 2, ..Default::default() });
+/// The full rebuild, on any transport: data pages, a junk-filled hole, a
+/// random trim mark, and the prefix-trim horizon all survive the move to
+/// the replacement, and the replacement's flash is byte-identical to the
+/// surviving replica's. `victim` heads a 2-node chain of a 2x2 cluster.
+fn replacement_preserves_log_contents<T: Transport>(cluster: &Cluster<T>, victim: NodeId) {
     let client = cluster.client().unwrap();
 
     let mut entries: Vec<(LogOffset, Bytes)> = Vec::new();
@@ -37,43 +34,48 @@ fn replacement_preserves_log_contents() {
     let horizon = 5;
     client.trim_prefix(horizon).unwrap();
 
-    // Kill the head of replica set 0 and rebuild it onto a fresh node.
-    cluster.kill_storage_node(0);
-    let (info, replacement) = cluster.spawn_replacement_storage();
-    let outcome = replace_storage_node(&client, 0, info.clone()).unwrap();
+    // Kill the head of the victim's replica set (its address stops
+    // answering: a dropped handler in-process, a closed listener over TCP)
+    // and rebuild it onto a fresh node.
+    cluster.kill_storage_node(victim);
+    let (info, replacement) = cluster.spawn_replacement_storage().unwrap();
+    let outcome = replace_storage_node(&client, victim, info.clone()).unwrap();
 
     assert_eq!(outcome.chains_rebuilt, 1);
     assert!(outcome.pages_copied > 0, "the rebuild must move pages");
     assert!(outcome.bytes_copied > 0);
     assert_eq!(outcome.projection.epoch, 1);
     assert!(outcome.projection.log(0).replica_sets.iter().any(|set| set.contains(&info.id)));
-    assert!(outcome.projection.log(0).replica_sets.iter().all(|set| !set.contains(&0)));
+    assert!(outcome.projection.log(0).replica_sets.iter().all(|set| !set.contains(&victim)));
 
-    // Every kind of page reads back exactly as before the failure.
-    let reader = cluster.client().unwrap();
-    for (off, payload) in &entries {
-        let expect = if *off < horizon || *off == trimmed {
-            None // trimmed
-        } else {
-            Some(payload)
-        };
-        match (expect, reader.read(*off).unwrap()) {
-            (None, ReadOutcome::Trimmed) => {}
-            (Some(payload), ReadOutcome::Data(_)) => {
-                assert_eq!(&reader.read_entry(*off).unwrap().payload, payload);
-            }
-            (want, got) => panic!("offset {off}: wanted {want:?}, got {got:?}"),
-        }
-    }
-    assert_eq!(reader.read(hole).unwrap(), ReadOutcome::Junk);
-
-    // The replacement now heads chain 0: appends land on it.
+    // The replacement now heads the chain: appends land on it.
     let post = client.append(Bytes::from_static(b"after-rebuild")).unwrap();
-    assert_eq!(client.read_entry(post).unwrap().payload, Bytes::from_static(b"after-rebuild"));
+    entries.push((post, Bytes::from_static(b"after-rebuild")));
 
-    // Page-for-page, the replacement matches the surviving replica
-    // (node 1, the copy source) across its whole local address space.
-    let survivor = &cluster.storage()[1];
+    // Every kind of page reads back exactly as before the failure, through
+    // the coordinating client and through a fresh one.
+    for reader in [&client, &cluster.client().unwrap()] {
+        for (off, payload) in &entries {
+            let expect = if *off < horizon || *off == trimmed {
+                None // trimmed
+            } else {
+                Some(payload)
+            };
+            match (expect, reader.read(*off).unwrap()) {
+                (None, ReadOutcome::Trimmed) => {}
+                (Some(payload), ReadOutcome::Data(_)) => {
+                    assert_eq!(&reader.read_entry(*off).unwrap().payload, payload);
+                }
+                (want, got) => panic!("offset {off}: wanted {want:?}, got {got:?}"),
+            }
+        }
+        assert_eq!(reader.read(hole).unwrap(), ReadOutcome::Junk);
+    }
+
+    // Page-for-page, the replacement matches the surviving replica (the
+    // victim's chain successor, the copy source) across its whole local
+    // address space.
+    let survivor = &cluster.storage()[victim as usize + 1];
     let tail = match survivor.process(StorageRequest::LocalTail { epoch: 1 }) {
         StorageResponse::Tail(t) => t,
         other => panic!("local tail: {other:?}"),
@@ -91,34 +93,20 @@ fn replacement_preserves_log_contents() {
     }
 }
 
-/// The same rebuild over real TCP sockets: kill a node's listener, splice
-/// in a replacement on a fresh port.
+fn two_by_two() -> ClusterConfig {
+    ClusterConfig { num_sets: 2, replication: 2, ..Default::default() }
+}
+
 #[test]
-fn tcp_cluster_replacement_end_to_end() {
-    let cluster =
-        TcpCluster::spawn(ClusterConfig { num_sets: 2, replication: 2, ..Default::default() })
-            .unwrap();
-    let client = cluster.client().unwrap();
+fn replacement_preserves_log_contents_in_process() {
+    // Node 0 heads replica set 0.
+    replacement_preserves_log_contents(&LocalCluster::new(two_by_two()), 0);
+}
 
-    let mut entries = Vec::new();
-    for i in 0..12u32 {
-        let payload = Bytes::from(format!("tcp-{i}").into_bytes());
-        let off = client.append(payload.clone()).unwrap();
-        entries.push((off, payload));
-    }
-
+#[test]
+fn replacement_preserves_log_contents_over_tcp() {
     // Node 2 heads replica set 1.
-    cluster.kill_storage_node(2);
-    let info = cluster.spawn_replacement_storage().unwrap();
-    let outcome = replace_storage_node(&client, 2, info.clone()).unwrap();
-    assert!(outcome.pages_copied > 0);
-    assert!(outcome.projection.log(0).replica_sets.iter().any(|set| set.contains(&info.id)));
-
-    let post = client.append(Bytes::from_static(b"tcp-after")).unwrap();
-    entries.push((post, Bytes::from_static(b"tcp-after")));
-    for (off, payload) in &entries {
-        assert_eq!(&client.read_entry(*off).unwrap().payload, payload);
-    }
+    replacement_preserves_log_contents(&TcpCluster::spawn(two_by_two()).unwrap(), 2);
 }
 
 /// Regression: clients racing a replacement only ever observe `ErrSealed`,
@@ -175,7 +163,7 @@ fn sealed_epoch_retry_is_transparent_to_racing_clients() {
     // Decommission the live tail of replica set 0 mid-traffic.
     std::thread::sleep(std::time::Duration::from_millis(10));
     let coordinator = cluster.client().unwrap();
-    let (info, _server) = cluster.spawn_replacement_storage();
+    let (info, _server) = cluster.spawn_replacement_storage().unwrap();
     let outcome = replace_storage_node(&coordinator, 1, info).unwrap();
     assert_eq!(outcome.projection.epoch, 1);
 
@@ -210,8 +198,8 @@ fn concurrent_replacements_converge_on_one_winner() {
     }
 
     cluster.kill_storage_node(0);
-    let (info_a, _server_a) = cluster.spawn_replacement_storage();
-    let (info_b, _server_b) = cluster.spawn_replacement_storage();
+    let (info_a, _server_a) = cluster.spawn_replacement_storage().unwrap();
+    let (info_b, _server_b) = cluster.spawn_replacement_storage().unwrap();
     let candidates = [info_a.id, info_b.id];
 
     let spawn_replacer = |info: corfu::NodeInfo| {

@@ -24,7 +24,7 @@ fn checkpoint_bounds_recovery_scan() {
     }
 
     cluster.kill_sequencer();
-    let (info, _server) = cluster.spawn_replacement_sequencer();
+    let (info, _server) = cluster.spawn_replacement_sequencer().unwrap();
     let outcome = reconfig::replace_sequencer(&client, info, 4).unwrap();
     assert_eq!(outcome.recovered_tail, 221); // 220 entries + 1 checkpoint
                                              // The scan stopped at the checkpoint: far fewer than 221 entries read.
@@ -50,7 +50,7 @@ fn recovery_without_checkpoint_still_exact() {
         client.append_streams(&[i % 3], payload(i as u64)).unwrap();
     }
     cluster.kill_sequencer();
-    let (info, _server) = cluster.spawn_replacement_sequencer();
+    let (info, _server) = cluster.spawn_replacement_sequencer().unwrap();
     let outcome = reconfig::replace_sequencer(&client, info, 4).unwrap();
     // Full scan.
     assert_eq!(outcome.entries_scanned, 50);
@@ -71,7 +71,7 @@ fn checkpoint_state_covers_streams_with_no_suffix_entries() {
         client.append_streams(&[8], payload(i)).unwrap(); // 3..33
     }
     cluster.kill_sequencer();
-    let (info, _server) = cluster.spawn_replacement_sequencer();
+    let (info, _server) = cluster.spawn_replacement_sequencer().unwrap();
     let outcome = reconfig::replace_sequencer(&client, info, 4).unwrap();
     assert!(outcome.entries_scanned <= 32);
     // Stream 7's backpointers come from the checkpoint.

@@ -139,7 +139,7 @@ fn sequencer_crash_scenario(seed: u64) -> Vec<TraceEvent> {
 
     // Recover log 1 alone: seal it, rebuild stream state from its storage,
     // install a fresh sequencer. Log 0 keeps epoch 0 throughout.
-    let (info, _replacement) = cluster.spawn_replacement_sequencer_for(1);
+    let (info, _replacement) = cluster.spawn_replacement_sequencer_for(1).unwrap();
     let outcome = replace_sequencer_in_log(&client, 1, info, 4).unwrap();
     assert_eq!(outcome.projection.epoch_of_log(1), 1, "log 1 sealed into epoch 1");
     assert_eq!(outcome.projection.epoch_of_log(0), 0, "log 0 never reconfigures");

@@ -1,24 +1,20 @@
-//! Length-prefixed, CRC-checked framing for the TCP transport (wire v3).
+//! Length-prefixed, CRC-checked framing for the TCP transport.
 //!
-//! Base frame layout: `magic u32 | request_id u64 | len u32 | crc u32 |
-//! payload[len]`, all little-endian. The `request_id` lets many RPCs share
-//! one socket: the client stamps each request with a fresh id and the server
-//! echoes it on the response, so responses may arrive in any order and are
-//! routed back to the right caller. `crc` is the CRC-32C of the payload.
-//! `len` is bounded to guard against garbage on the socket.
+//! One frame layout: `magic u32 | request_id u64 | len u32 | crc u32 |
+//! trace_id u64 | span_id u64 | payload[len]`, all little-endian. The
+//! `request_id` lets many RPCs share one socket: the client stamps each
+//! request with a fresh id and the server echoes it on the response, so
+//! responses may arrive in any order and are routed back to the right
+//! caller. `crc` is the CRC-32C of the payload. `len` is bounded to guard
+//! against garbage on the socket.
 //!
-//! v3 adds an *optional* trace extension: a frame written with magic
-//! `..03` carries `trace_id u64 | span_id u64` between the base header and
-//! the payload, propagating a [`TraceContext`] to the server. Untraced
-//! frames keep the v2 magic (`..02`) and the exact v2 layout, so the
-//! common case pays zero extra bytes and a v3 decoder accepts every v2
-//! stream unchanged (backward-compatible decode). Responses are never
-//! traced — the context only flows caller → callee.
+//! `trace_id | span_id` propagate a [`TraceContext`] caller → callee. Trace
+//! ids are never 0, so a zero `trace_id` means "untraced" (responses always
+//! are) and the header needs no optional part: the decoder is two states,
+//! header then payload.
 //!
-//! v1 (magic `..01`) had no request id and therefore forced a strict
-//! one-in-flight request/response lockstep per connection; the magic bump to
-//! `..02` makes the incompatibility explicit (a v1 peer fails with
-//! `BadFrame` instead of misparsing).
+//! The low byte of the magic is the layout version; a peer speaking any
+//! other layout fails with `BadFrame` instead of misparsing.
 
 use std::io::{Read, Write};
 
@@ -27,19 +23,12 @@ use tango_wire::crc32c;
 
 use crate::{Result, RpcError};
 
-/// Magic for an untraced frame (v2 layout; the low byte is the version,
-/// v1 was `0x7A_4E_47_01`).
-pub const FRAME_MAGIC: u32 = 0x7A_4E_47_02;
+/// Frame magic; the low byte is the layout version.
+pub const FRAME_MAGIC: u32 = 0x7A_4E_47_04;
 
-/// Magic for a traced frame: the v2 header followed by a
-/// [`TRACE_EXT_LEN`]-byte trace extension, then the payload.
-pub const FRAME_MAGIC_TRACED: u32 = 0x7A_4E_47_03;
-
-/// Bytes in a frame header: magic, request id, length, CRC.
-pub const HEADER_LEN: usize = 20;
-
-/// Bytes in the v3 trace extension: trace id + span id.
-pub const TRACE_EXT_LEN: usize = 16;
+/// Bytes in a frame header: magic, request id, length, CRC, trace id,
+/// span id.
+pub const HEADER_LEN: usize = 36;
 
 /// Upper bound on a frame payload (64 MiB): far above any CORFU entry but
 /// small enough to reject corrupted lengths immediately.
@@ -53,17 +42,16 @@ pub struct Frame {
     pub id: u64,
     /// The message bytes.
     pub payload: Vec<u8>,
-    /// Trace context from a v3 traced frame (`None` for v2 frames).
+    /// The sender's trace context (`None` for untraced frames).
     pub trace: Option<TraceContext>,
 }
 
-/// Writes one untraced frame to `w` (v2 layout).
+/// Writes one untraced frame to `w`.
 pub fn write_frame(w: &mut impl Write, id: u64, payload: &[u8]) -> Result<()> {
     write_frame_traced(w, id, None, payload)
 }
 
-/// Writes one frame to `w`, as v2 when `trace` is `None` and as a v3
-/// traced frame otherwise — so untraced traffic is byte-identical to v2.
+/// Writes one frame to `w`, carrying `trace` in the header when present.
 pub fn write_frame_traced(
     w: &mut impl Write,
     id: u64,
@@ -73,20 +61,15 @@ pub fn write_frame_traced(
     if payload.len() as u64 > MAX_FRAME_LEN as u64 {
         return Err(RpcError::BadFrame(format!("payload of {} bytes too large", payload.len())));
     }
-    let mut header = [0u8; HEADER_LEN + TRACE_EXT_LEN];
-    let magic = if trace.is_some() { FRAME_MAGIC_TRACED } else { FRAME_MAGIC };
-    header[0..4].copy_from_slice(&magic.to_le_bytes());
+    let (trace_id, span_id) = trace.map_or((0, 0), |ctx| (ctx.trace_id, ctx.span_id));
+    let mut header = [0u8; HEADER_LEN];
+    header[0..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
     header[4..12].copy_from_slice(&id.to_le_bytes());
     header[12..16].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     header[16..20].copy_from_slice(&crc32c(payload).to_le_bytes());
-    let header = if let Some(ctx) = trace {
-        header[20..28].copy_from_slice(&ctx.trace_id.to_le_bytes());
-        header[28..36].copy_from_slice(&ctx.span_id.to_le_bytes());
-        &header[..HEADER_LEN + TRACE_EXT_LEN]
-    } else {
-        &header[..HEADER_LEN]
-    };
-    w.write_all(header)?;
+    header[20..28].copy_from_slice(&trace_id.to_le_bytes());
+    header[28..36].copy_from_slice(&span_id.to_le_bytes());
+    w.write_all(&header)?;
     w.write_all(payload)?;
     w.flush()?;
     Ok(())
@@ -107,7 +90,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame> {
 
 enum AssemblerState {
     Header,
-    TraceExt { id: u64, len: u32, crc: u32 },
     Payload { id: u64, crc: u32, trace: Option<TraceContext> },
 }
 
@@ -123,11 +105,9 @@ enum AssemblerState {
 pub struct FrameAssembler {
     state: AssemblerState,
     header: [u8; HEADER_LEN],
-    header_got: usize,
-    ext: [u8; TRACE_EXT_LEN],
-    ext_got: usize,
     payload: Vec<u8>,
-    payload_got: usize,
+    /// Bytes of the current state's buffer (header or payload) filled.
+    got: usize,
 }
 
 impl FrameAssembler {
@@ -136,18 +116,15 @@ impl FrameAssembler {
         Self {
             state: AssemblerState::Header,
             header: [0u8; HEADER_LEN],
-            header_got: 0,
-            ext: [0u8; TRACE_EXT_LEN],
-            ext_got: 0,
             payload: Vec::new(),
-            payload_got: 0,
+            got: 0,
         }
     }
 
     /// True if no partial frame is buffered (the stream is at a frame
     /// boundary, so a timeout means the peer is idle).
     pub fn is_idle(&self) -> bool {
-        matches!(self.state, AssemblerState::Header) && self.header_got == 0
+        matches!(self.state, AssemblerState::Header) && self.got == 0
     }
 
     /// Drives assembly forward. Returns `Ok(Some(frame))` once a complete
@@ -158,93 +135,43 @@ impl FrameAssembler {
         loop {
             match self.state {
                 AssemblerState::Header => {
-                    while self.header_got < HEADER_LEN {
-                        match r.read(&mut self.header[self.header_got..]) {
-                            Ok(0) => return Err(RpcError::Disconnected),
-                            Ok(n) => self.header_got += n,
-                            Err(e) => match Self::classify(e)? {
-                                Interruption::Timeout => return Ok(None),
-                                Interruption::Retry => continue,
-                            },
-                        }
+                    if !fill(r, &mut self.header, &mut self.got)? {
+                        return Ok(None);
                     }
-                    let magic =
-                        u32::from_le_bytes(self.header[0..4].try_into().expect("fixed slice"));
-                    if magic != FRAME_MAGIC && magic != FRAME_MAGIC_TRACED {
+                    let h = &self.header;
+                    let u32_at =
+                        |at| u32::from_le_bytes(h[at..at + 4].try_into().expect("fixed slice"));
+                    let u64_at =
+                        |at| u64::from_le_bytes(h[at..at + 8].try_into().expect("fixed slice"));
+                    let magic = u32_at(0);
+                    if magic != FRAME_MAGIC {
                         return Err(RpcError::BadFrame(format!("bad magic {magic:#x}")));
                     }
-                    let id =
-                        u64::from_le_bytes(self.header[4..12].try_into().expect("fixed slice"));
-                    let len =
-                        u32::from_le_bytes(self.header[12..16].try_into().expect("fixed slice"));
+                    let len = u32_at(12);
                     if len > MAX_FRAME_LEN {
                         return Err(RpcError::BadFrame(format!("length {len} exceeds bound")));
                     }
-                    let crc =
-                        u32::from_le_bytes(self.header[16..20].try_into().expect("fixed slice"));
-                    if magic == FRAME_MAGIC_TRACED {
-                        self.ext_got = 0;
-                        self.state = AssemblerState::TraceExt { id, len, crc };
-                    } else {
-                        self.payload = vec![0u8; len as usize];
-                        self.payload_got = 0;
-                        self.state = AssemblerState::Payload { id, crc, trace: None };
-                    }
-                }
-                AssemblerState::TraceExt { id, len, crc } => {
-                    while self.ext_got < TRACE_EXT_LEN {
-                        match r.read(&mut self.ext[self.ext_got..]) {
-                            Ok(0) => return Err(RpcError::Disconnected),
-                            Ok(n) => self.ext_got += n,
-                            Err(e) => match Self::classify(e)? {
-                                Interruption::Timeout => return Ok(None),
-                                Interruption::Retry => continue,
-                            },
-                        }
-                    }
-                    let trace = Some(TraceContext {
-                        trace_id: u64::from_le_bytes(
-                            self.ext[0..8].try_into().expect("fixed slice"),
-                        ),
-                        span_id: u64::from_le_bytes(
-                            self.ext[8..16].try_into().expect("fixed slice"),
-                        ),
-                    });
+                    let trace = match u64_at(20) {
+                        0 => None,
+                        trace_id => Some(TraceContext { trace_id, span_id: u64_at(28) }),
+                    };
+                    self.state = AssemblerState::Payload { id: u64_at(4), crc: u32_at(16), trace };
                     self.payload = vec![0u8; len as usize];
-                    self.payload_got = 0;
-                    self.state = AssemblerState::Payload { id, crc, trace };
+                    self.got = 0;
                 }
                 AssemblerState::Payload { id, crc, trace } => {
-                    while self.payload_got < self.payload.len() {
-                        match r.read(&mut self.payload[self.payload_got..]) {
-                            Ok(0) => return Err(RpcError::Disconnected),
-                            Ok(n) => self.payload_got += n,
-                            Err(e) => match Self::classify(e)? {
-                                Interruption::Timeout => return Ok(None),
-                                Interruption::Retry => continue,
-                            },
-                        }
+                    if !fill(r, &mut self.payload, &mut self.got)? {
+                        return Ok(None);
                     }
                     let payload = std::mem::take(&mut self.payload);
                     self.state = AssemblerState::Header;
-                    self.header_got = 0;
-                    self.payload_got = 0;
+                    self.got = 0;
                     if crc32c(&payload) != crc {
                         return Err(RpcError::BadFrame("payload checksum mismatch".into()));
                     }
                     return Ok(Some(Frame { id, payload, trace }));
                 }
             }
-        }
-    }
-
-    fn classify(e: std::io::Error) -> Result<Interruption> {
-        match e.kind() {
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
-                Ok(Interruption::Timeout)
-            }
-            std::io::ErrorKind::Interrupted => Ok(Interruption::Retry),
-            _ => Err(e.into()),
         }
     }
 }
@@ -255,9 +182,21 @@ impl Default for FrameAssembler {
     }
 }
 
-enum Interruption {
-    Timeout,
-    Retry,
+/// Reads into `buf[*got..]` until it is full (`Ok(true)`) or the reader
+/// times out (`Ok(false)`, progress kept in `got`).
+fn fill(r: &mut impl Read, buf: &mut [u8], got: &mut usize) -> Result<bool> {
+    while *got < buf.len() {
+        match r.read(&mut buf[*got..]) {
+            Ok(0) => return Err(RpcError::Disconnected),
+            Ok(n) => *got += n,
+            Err(e) => match e.kind() {
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => return Ok(false),
+                std::io::ErrorKind::Interrupted => continue,
+                _ => return Err(e.into()),
+            },
+        }
+    }
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -288,36 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn untraced_write_is_byte_identical_to_v2() {
-        // `write_frame_traced(.., None, ..)` must emit exactly the v2
-        // layout so old peers keep working with untraced traffic.
-        let mut a = Vec::new();
-        write_frame(&mut a, 3, b"same").unwrap();
-        let mut b = Vec::new();
-        write_frame_traced(&mut b, 3, None, b"same").unwrap();
-        assert_eq!(a, b);
-        assert_eq!(&a[0..4], &FRAME_MAGIC.to_le_bytes());
-        assert_eq!(a.len(), HEADER_LEN + 4);
-    }
-
-    #[test]
-    fn mixed_v2_and_v3_stream_decodes() {
-        let ctx = TraceContext { trace_id: 1, span_id: 2 };
-        let mut buf = Vec::new();
-        write_frame(&mut buf, 1, b"plain").unwrap();
-        write_frame_traced(&mut buf, 2, Some(ctx), b"traced").unwrap();
-        write_frame(&mut buf, 3, b"plain again").unwrap();
-        let mut cursor = std::io::Cursor::new(buf);
-        let mut assembler = FrameAssembler::new();
-        let f1 = assembler.poll(&mut cursor).unwrap().unwrap();
-        let f2 = assembler.poll(&mut cursor).unwrap().unwrap();
-        let f3 = assembler.poll(&mut cursor).unwrap().unwrap();
-        assert_eq!((f1.id, f1.trace), (1, None));
-        assert_eq!((f2.id, f2.trace), (2, Some(ctx)));
-        assert_eq!((f3.id, f3.trace), (3, None));
-    }
-
-    #[test]
     fn empty_payload_roundtrip() {
         let mut buf = Vec::new();
         write_frame(&mut buf, u64::MAX, b"").unwrap();
@@ -339,32 +248,15 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        // Flip a non-version bit: the version byte 0x02 -> 0x03 would be
-        // the (valid) traced magic, so corrupt the vendor prefix instead.
-        let mut buf = Vec::new();
-        write_frame(&mut buf, 1, b"x").unwrap();
-        buf[1] ^= 1;
-        let mut cursor = std::io::Cursor::new(buf);
-        assert!(matches!(read_frame(&mut cursor), Err(RpcError::BadFrame(_))));
-        // An unknown *future* version byte is rejected too.
-        let mut buf = Vec::new();
-        write_frame(&mut buf, 1, b"x").unwrap();
-        buf[0] = 0x04;
-        let mut cursor = std::io::Cursor::new(buf);
-        assert!(matches!(read_frame(&mut cursor), Err(RpcError::BadFrame(_))));
-    }
-
-    #[test]
-    fn v1_frame_rejected() {
-        // A v1 header (old magic, no request id) must not parse as v2.
-        let payload = [0x5Au8; 64];
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&0x7A_4E_47_01u32.to_le_bytes());
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&crc32c(&payload).to_le_bytes());
-        buf.extend_from_slice(&payload);
-        let mut cursor = std::io::Cursor::new(buf);
-        assert!(matches!(read_frame(&mut cursor), Err(RpcError::BadFrame(_))));
+        // A corrupted vendor prefix and an unknown layout version both fail
+        // the magic check rather than being parsed as this layout.
+        for byte in [1, 0] {
+            let mut buf = Vec::new();
+            write_frame(&mut buf, 1, b"x").unwrap();
+            buf[byte] ^= 1;
+            let mut cursor = std::io::Cursor::new(buf);
+            assert!(matches!(read_frame(&mut cursor), Err(RpcError::BadFrame(_))));
+        }
     }
 
     #[test]
@@ -382,7 +274,7 @@ mod tests {
         buf.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
         buf.extend_from_slice(&0u64.to_le_bytes());
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf.resize(HEADER_LEN, 0);
         let mut cursor = std::io::Cursor::new(buf);
         assert!(matches!(read_frame(&mut cursor), Err(RpcError::BadFrame(_))));
     }
@@ -415,8 +307,11 @@ mod tests {
 
     #[test]
     fn assembler_survives_mid_frame_timeouts() {
+        // chunk=3 lands timeouts inside every header field, the trace
+        // context included, and all through the payload.
+        let ctx = TraceContext { trace_id: u64::MAX, span_id: 0x0102_0304_0506_0708 };
         let mut buf = Vec::new();
-        write_frame(&mut buf, 42, &vec![0xAB; 1000]).unwrap();
+        write_frame_traced(&mut buf, 42, Some(ctx), &vec![0xAB; 1000]).unwrap();
         let mut dribble = Dribble { data: buf, pos: 0, chunk: 3, timeout_next: false };
         let mut assembler = FrameAssembler::new();
         let mut timeouts = 0u32;
@@ -427,29 +322,10 @@ mod tests {
             }
         };
         assert_eq!(frame.id, 42);
+        assert_eq!(frame.trace, Some(ctx));
         assert_eq!(frame.payload, vec![0xAB; 1000]);
         // The frame arrived across many timeouts, several of them mid-frame.
         assert!(timeouts > 100, "expected many interleaved timeouts, got {timeouts}");
-    }
-
-    #[test]
-    fn assembler_survives_timeouts_inside_trace_extension() {
-        let ctx = TraceContext { trace_id: u64::MAX, span_id: 0x0102_0304_0506_0708 };
-        let mut buf = Vec::new();
-        write_frame_traced(&mut buf, 77, Some(ctx), b"dribbled trace").unwrap();
-        // chunk=1 guarantees several timeouts land inside the 16-byte
-        // trace extension itself.
-        let mut dribble = Dribble { data: buf, pos: 0, chunk: 1, timeout_next: false };
-        let mut assembler = FrameAssembler::new();
-        let frame = loop {
-            if let Some(frame) = assembler.poll(&mut dribble).unwrap() {
-                break frame;
-            }
-        };
-        assert_eq!(frame.id, 77);
-        assert_eq!(frame.trace, Some(ctx));
-        assert_eq!(frame.payload, b"dribbled trace");
-        assert!(assembler.is_idle());
     }
 
     #[test]

@@ -61,7 +61,8 @@ pub struct HttpScrapeServer {
 
 impl HttpScrapeServer {
     /// Binds `addr` (port 0 for ephemeral) and serves `registry` snapshots
-    /// until dropped.
+    /// until dropped. The accept thread is named `http<port>-a` and the
+    /// pool `http<port>-w<i>` (within the kernel's 15-byte `comm` limit).
     pub fn spawn(addr: &str, registry: Registry) -> Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
@@ -74,7 +75,7 @@ impl HttpScrapeServer {
             let registry = registry.clone();
             let queued = Arc::clone(&queued);
             let worker = std::thread::Builder::new()
-                .name(format!("http-scrape-worker-{i}"))
+                .name(format!("http{}-w{i}", local.port()))
                 .spawn(move || {
                     while let Ok(stream) = rx.recv() {
                         queued.fetch_sub(1, Ordering::AcqRel);
@@ -87,7 +88,7 @@ impl HttpScrapeServer {
         drop(rx);
         let accept_shutdown = Arc::clone(&shutdown);
         let accept_thread = std::thread::Builder::new()
-            .name(format!("http-scrape-{local}"))
+            .name(format!("http{}-a", local.port()))
             .spawn(move || accept_loop(listener, tx, queued, accept_shutdown))
             .map_err(|e| RpcError::Io(e.to_string()))?;
         Ok(Self { addr: local, shutdown, accept_thread: Some(accept_thread), workers })

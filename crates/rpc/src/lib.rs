@@ -12,17 +12,16 @@
 //! * [`LocalConn`] — in-process transport used by tests, examples, and the
 //!   single-process cluster harness.
 //! * [`TcpServer`] / [`TcpConn`] — a real socket transport: length-framed,
-//!   CRC-checked messages over TCP. Frames carry a `u64` request id (wire
-//!   v3, see [`frame`]), so a single connection multiplexes many pipelined
-//!   RPCs: the client matches responses to callers by id, and the server
+//!   CRC-checked messages over TCP. Frames carry a `u64` request id (see
+//!   [`frame`]), so a single connection multiplexes many pipelined RPCs:
+//!   the client matches responses to callers by id, and the server
 //!   completes requests out of order on a fixed worker pool fed by an
 //!   epoll readiness reactor — one event-loop thread owns every accepted
 //!   socket, so the thread budget stays constant from 1 connection to
 //!   10K+. The client side shares one process-wide reactor for response
 //!   routing (no reader thread per connection). Clients reconnect
 //!   transparently with a dial bounded by the per-call timeout. Traced
-//!   calls carry their `TraceContext` in the frame (v2 frames — untraced
-//!   — still decode).
+//!   calls carry their `TraceContext` in the frame header.
 //! * [`HttpScrapeServer`] / [`http_get`] / [`fetch_snapshot`] — a minimal
 //!   hand-rolled HTTP endpoint serving metric snapshots and trace spans,
 //!   run next to each RPC server so a real deployment is observable from

@@ -38,7 +38,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use tango_metrics::{Counter, EventKind, Events, Gauge, TraceContext};
 
-use crate::frame::{write_frame_traced, Frame, FrameAssembler, HEADER_LEN, TRACE_EXT_LEN};
+use crate::frame::{write_frame_traced, Frame, FrameAssembler, HEADER_LEN};
 use crate::{Result, RpcError};
 
 /// Minimal epoll bindings against the libc `std` already links — no new
@@ -212,7 +212,7 @@ impl Conn {
         trace: Option<TraceContext>,
         payload: &[u8],
     ) -> Result<()> {
-        let mut frame = Vec::with_capacity(HEADER_LEN + TRACE_EXT_LEN + payload.len());
+        let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
         write_frame_traced(&mut frame, id, trace, payload)?;
         let mut out = self.out.lock();
         if self.closed.load(Ordering::SeqCst) {

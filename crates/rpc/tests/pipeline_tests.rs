@@ -1,6 +1,6 @@
 //! Integration tests for the multiplexed, pipelined TCP transport.
 //!
-//! These exercise the wire-v2 request-id machinery end to end over real
+//! These exercise the request-id machinery end to end over real
 //! sockets: many threads sharing ONE `TcpConn`, responses completing out of
 //! order on the server's per-connection worker pool, frames dribbling in
 //! slower than the server's read timeout, and reconnect behaviour when a

@@ -1,15 +1,20 @@
 //! Thread-budget soak: one reactor server under hundreds of mixed
 //! idle/active connections. Asserts (a) responses stay correct under
-//! pipelining while idle connections pile up, and (b) the process thread
-//! count stays constant as the connection count grows — the property the
-//! reactor exists to provide.
+//! pipelining while idle connections pile up, and (b) the server's and
+//! the client reactor's thread counts stay constant as the connection
+//! count grows — the property the reactor exists to provide.
 
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 use tango_metrics::Registry;
-use tango_rpc::{ClientConn, RpcHandler, ServerMetrics, ServerOptions, TcpConn, TcpServer};
+use tango_rpc::{
+    ClientConn, RpcHandler, ServerMetrics, ServerOptions, TcpConn, TcpServer, SERVER_WORKERS,
+};
+
+mod support;
+use support::{threads_named, wait_until};
 
 struct Reverse;
 impl RpcHandler for Reverse {
@@ -20,13 +25,12 @@ impl RpcHandler for Reverse {
     }
 }
 
-fn process_threads() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap()
+/// The threads the transport owns on either side of the sockets: the
+/// server's reactor + worker pool and the process-wide client reactor
+/// (named `rpc-client-reactor`, 15 bytes of which survive in `comm`).
+fn transport_threads(server: &TcpServer) -> (usize, usize) {
+    let own = format!("rpc{}-", server.local_addr().port());
+    (threads_named(&own), threads_named("rpc-client-reac"))
 }
 
 /// One round of pipelined traffic: `threads` caller threads share the
@@ -69,11 +73,11 @@ fn hundreds_of_connections_on_a_fixed_thread_budget() {
         .map(|_| Arc::new(TcpConn::new(addr.clone()).with_timeout(Duration::from_secs(10))))
         .collect();
 
-    // Warm up so every long-lived thread exists (server reactor + worker
-    // pool, client reactor, and this test's own caller threads are
-    // spawned fresh each round so they don't count).
+    // Warm up so every long-lived thread exists: the server's reactor and
+    // worker pool, and the one client reactor.
     traffic_round(&actives, 8, 5);
-    let baseline = process_threads();
+    let budget = (SERVER_WORKERS + 1, 1);
+    wait_until("the transport's threads are up", || transport_threads(&server) == budget);
 
     // Grow an idle population in batches; after each batch the thread
     // count must not have moved and pipelined traffic must stay correct.
@@ -83,21 +87,14 @@ fn hundreds_of_connections_on_a_fixed_thread_budget() {
             idles.push(TcpStream::connect(&addr).unwrap());
         }
         // Let the reactor register the batch.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
         let want = (idles.len() + actives.len()) as i64;
-        while registry.gauge("rpc.server_conns").get() < want {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "reactor registered {} of {want} connections",
-                registry.gauge("rpc.server_conns").get()
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        wait_until("the reactor registered the batch", || {
+            registry.gauge("rpc.server_conns").get() >= want
+        });
         traffic_round(&actives, 8, 10);
-        let now = process_threads();
         assert_eq!(
-            now,
-            baseline,
+            transport_threads(&server),
+            budget,
             "thread count moved with connection count ({} conns, batch {batch})",
             idles.len()
         );
@@ -108,5 +105,5 @@ fn hundreds_of_connections_on_a_fixed_thread_budget() {
     // Idle connections come and go without disturbing the budget.
     idles.truncate(50);
     traffic_round(&actives, 8, 10);
-    assert_eq!(process_threads(), baseline);
+    assert_eq!(transport_threads(&server), budget);
 }

@@ -19,25 +19,18 @@ use std::time::{Duration, Instant};
 
 use tango_metrics::Registry;
 use tango_rpc::{
-    http_get, ClientConn, HttpScrapeServer, RpcHandler, ServerMetrics, ServerOptions, TcpConn,
-    TcpServer,
+    ClientConn, HttpScrapeServer, RpcHandler, ServerMetrics, ServerOptions, TcpConn, TcpServer,
+    SCRAPE_WORKERS, SERVER_WORKERS,
 };
+
+mod support;
+use support::{threads_named, wait_until};
 
 struct Echo;
 impl RpcHandler for Echo {
     fn handle(&self, request: &[u8]) -> Vec<u8> {
         request.to_vec()
     }
-}
-
-/// Number of threads in this process, from /proc/self/status.
-fn process_threads() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap()
 }
 
 /// A listener that accepts nothing and whose accept queue is full, so new
@@ -199,38 +192,52 @@ fn scrape_burst_is_served_without_thread_growth() {
     registry.counter("burst.probe").add(7);
     let server = HttpScrapeServer::spawn("127.0.0.1:0", registry).unwrap();
     let addr = server.local_addr().to_string();
+    // The server's own threads: the accept thread plus the fixed pool.
+    let own = format!("http{}-", server.local_addr().port());
+    let budget = SCRAPE_WORKERS + 1;
+    wait_until("the scrape pool is up", || threads_named(&own) == budget);
 
-    // Warm up: one scrape so every server-side thread exists.
-    let (status, _) = http_get(&addr, "/metrics", Duration::from_secs(2)).unwrap();
-    assert_eq!(status, 200);
-    let baseline = process_threads();
-
-    // Pile up 24 connections that have not sent their request yet. The
-    // old endpoint spawned a thread per accepted connection right here.
-    let mut streams: Vec<TcpStream> = (0..24)
+    // Pile up 24 connections, each with its request already sent. The old
+    // endpoint spawned a thread per accepted connection right here.
+    let streams: Vec<TcpStream> = (0..24)
         .map(|_| {
-            let s = TcpStream::connect(&addr).unwrap();
+            let mut s = TcpStream::connect(&addr).unwrap();
             s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            s.write_all(b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
             s
         })
         .collect();
-    std::thread::sleep(Duration::from_millis(300));
-    let during = process_threads();
-    assert!(
-        during <= baseline,
-        "server grew threads under connection burst: {baseline} -> {during}"
-    );
 
-    // Every queued connection is still served once it speaks.
-    for s in &mut streams {
-        s.write_all(b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
-    }
+    // Every queued connection is served, and at no point while the burst
+    // drains does the server own more threads than its budget.
     let mut served = 0;
     for mut s in streams {
+        assert_eq!(threads_named(&own), budget, "server grew threads under connection burst");
         let mut response = String::new();
         if s.read_to_string(&mut response).is_ok() && response.contains("burst.probe") {
             served += 1;
         }
     }
     assert_eq!(served, 24, "queued scrapes must all be answered by the pool");
+    assert_eq!(threads_named(&own), budget);
+}
+
+/// The whole point of the reactor: more connections must not mean more
+/// threads. 32 idle connections registered, zero additional threads.
+#[test]
+fn server_thread_budget_is_fixed() {
+    let registry = Registry::new();
+    let options =
+        ServerOptions { metrics: ServerMetrics::from_registry(&registry), ..Default::default() };
+    let server = TcpServer::spawn_with("127.0.0.1:0", Arc::new(Echo), options).unwrap();
+    let addr = server.local_addr();
+    let own = format!("rpc{}-", addr.port());
+    let budget = SERVER_WORKERS + 1;
+    wait_until("the server pool is up", || threads_named(&own) == budget);
+
+    let idle: Vec<TcpStream> = (0..32).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    wait_until("the reactor registered every connection", || {
+        registry.gauge("rpc.server_conns").get() == idle.len() as i64
+    });
+    assert_eq!(threads_named(&own), budget, "connections must not spawn threads");
 }

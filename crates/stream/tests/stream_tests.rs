@@ -1,11 +1,12 @@
-//! End-to-end tests of the streaming layer over an in-process CORFU cluster.
+//! End-to-end tests of the streaming layer over a CORFU cluster (in-process,
+//! plus the transport-sensitive scenarios over TCP too).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use corfu::cluster::{ClusterConfig, LocalCluster};
+use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, TcpCluster, Transport};
 use corfu::{ConnFactory, NodeInfo, StreamId};
 use corfu_stream::StreamClient;
 use tango_rpc::ClientConn;
@@ -123,9 +124,11 @@ fn backward_reconstruction_beyond_k() {
     }
 }
 
-#[test]
-fn junk_in_chain_falls_back_to_scan() {
-    let (cluster, writer) = cluster_with_client();
+/// §5's fallback path, on any transport: junk entries sever the
+/// backpointer chain, forcing the reader into the batched linear backward
+/// scan. The recovered member set must be exact.
+fn junk_in_chain_falls_back_to_scan<T: Transport>(cluster: &Cluster<T>) {
+    let writer = StreamClient::new(cluster.client().unwrap());
     // Interleave entries of stream 3 with reserved-but-never-written tokens
     // for the same stream; fill the holes; a late reader must still recover
     // every real entry.
@@ -145,6 +148,23 @@ fn junk_in_chain_falls_back_to_scan() {
     reader.open(3);
     reader.sync(&[3]).unwrap();
     assert_eq!(drain(&reader, 3), real);
+    // The scan travelled as ReadBatch requests; the storage nodes'
+    // batch-size histogram is read through the cluster snapshot (over TCP,
+    // scraped from every node's HTTP endpoint as an operator would).
+    let merged = cluster.cluster_snapshot().merged();
+    let hist = merged.histogram("corfu.storage.read_batch").expect("batch histogram recorded");
+    assert!(hist.count() > 0, "no batched reads reached storage");
+}
+
+#[test]
+fn junk_in_chain_falls_back_to_scan_in_process() {
+    junk_in_chain_falls_back_to_scan(&LocalCluster::new(ClusterConfig::default()));
+}
+
+#[test]
+fn junk_in_chain_falls_back_to_scan_over_tcp() {
+    let config = ClusterConfig { num_sets: 2, replication: 2, ..ClusterConfig::default() };
+    junk_in_chain_falls_back_to_scan(&TcpCluster::spawn(config).unwrap());
 }
 
 #[test]

@@ -112,7 +112,7 @@ fn sequencer_failover_under_live_tango_traffic() {
     // Kill the sequencer and reconfigure.
     cluster.kill_sequencer();
     let admin = cluster.client().unwrap();
-    let (info, _server) = cluster.spawn_replacement_sequencer();
+    let (info, _server) = cluster.spawn_replacement_sequencer().unwrap();
     reconfig::replace_sequencer(&admin, info, cluster.config().k_backpointers).unwrap();
 
     // Existing runtime keeps working (its CORFU client refreshes layout).

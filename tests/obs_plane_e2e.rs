@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use bytes::Bytes;
-use corfu::cluster::{ClusterConfig, TcpCluster, LAYOUT_BASE_ID};
+use corfu::cluster::{ClusterConfig, TcpCluster, LAYOUT_BASE_ID, SEQUENCER_BASE_ID};
 use corfu::{log_of_offset, Projection, StreamId};
 use tango_metrics::{log_scoped, HealthStatus, Sampler, SpanKind};
 use tango_repro::inspector;
@@ -163,7 +163,7 @@ fn cross_log_multiappend_shares_one_trace_over_tcp() {
     // Server side: *both* logs' sequencers granted under the same trace —
     // the context crossed the socket to every shard.
     for log in 0..2u32 {
-        let spans = cluster.sequencer_registry_of(log).spans();
+        let spans = cluster.node_registry(SEQUENCER_BASE_ID + log).unwrap().spans();
         let grant = spans
             .iter()
             .find(|s| s.kind == SpanKind::SeqGrant)

@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use bytes::Bytes;
-use corfu::cluster::{ClusterConfig, TcpCluster};
+use corfu::cluster::{ClusterConfig, TcpCluster, SEQUENCER_BASE_ID};
 use tango_metrics::{Sampler, SpanKind};
 use tango_rpc::http_get;
 
@@ -128,7 +128,7 @@ fn traces_propagate_across_tcp_into_per_node_rings() {
 
     // The grant span lives in the sequencer's own registry, parented to
     // the client's root — the context crossed the socket in the frame.
-    let seq_spans = cluster.sequencer_registry().spans();
+    let seq_spans = cluster.node_registry(SEQUENCER_BASE_ID).unwrap().spans();
     let grant = seq_spans
         .iter()
         .find(|s| s.kind == SpanKind::SeqGrant)
@@ -138,7 +138,7 @@ fn traces_propagate_across_tcp_into_per_node_rings() {
 
     // Each replica's write span lives in that node's registry.
     for id in 0..2 {
-        let spans = cluster.storage_registry(id).unwrap().spans();
+        let spans = cluster.node_registry(id).unwrap().spans();
         let write = spans
             .iter()
             .find(|s| s.kind == SpanKind::StorageWrite)

@@ -1,9 +1,7 @@
 //! The full stack over real TCP sockets on localhost: CORFU servers,
 //! stream layer, Tango runtime, objects, transactions.
 
-use bytes::Bytes;
 use corfu::cluster::{ClusterConfig, TcpCluster};
-use corfu_stream::StreamClient;
 use tango::{TangoRuntime, TxStatus};
 use tango_objects::{TangoMap, TangoRegister};
 
@@ -62,41 +60,4 @@ fn concurrent_clients_over_tcp() {
     let verify = TangoRuntime::new(cluster.client().unwrap()).unwrap();
     let map: TangoMap<u64, u64> = TangoMap::open(&verify, "shared").unwrap();
     assert_eq!(map.len().unwrap(), 60);
-}
-
-#[test]
-fn junk_broken_backpointers_recover_over_tcp() {
-    // §5's fallback path, over real sockets: junk entries sever the
-    // backpointer chain, forcing the reader into the batched linear
-    // backward scan. The recovered member set must be exact.
-    let config = ClusterConfig { num_sets: 2, replication: 2, ..ClusterConfig::default() };
-    let cluster = TcpCluster::spawn(config).unwrap();
-    let raw = cluster.client().unwrap();
-    let writer = StreamClient::new(cluster.client().unwrap());
-    let mut real = Vec::new();
-    for i in 0..20u64 {
-        if i % 5 == 4 {
-            // Crash simulation: token issued for stream 3, never written.
-            let tok = raw.token(&[3]).unwrap();
-            raw.fill(tok.offset).unwrap();
-        } else {
-            let payload = Bytes::from(format!("p{i}").into_bytes());
-            let off = writer.multiappend(&[3], payload.clone()).unwrap();
-            real.push((off, payload));
-        }
-    }
-    let reader = StreamClient::new(cluster.client().unwrap());
-    reader.open(3);
-    reader.sync(&[3]).unwrap();
-    let mut got = Vec::new();
-    while let Some((off, entry)) = reader.readnext(3).unwrap() {
-        got.push((off, entry.payload.clone()));
-    }
-    assert_eq!(got, real);
-    // The scan travelled as ReadBatch requests; the per-node batch-size
-    // histogram is scraped over the same HTTP /metrics plane operators use.
-    let snap = cluster.cluster_snapshot();
-    let batches = snap.merged();
-    let hist = batches.histogram("corfu.storage.read_batch").expect("batch histogram scraped");
-    assert!(hist.count() > 0, "no batched reads reached storage");
 }
