@@ -1,11 +1,11 @@
-//! c10k curve: one reactor-backed `TcpServer`, a growing population of
+//! c10k curve: one epoll-backed `TcpServer`, a growing population of
 //! idle connections, and a fixed active load measured at each step.
 //!
-//! The thread-per-connection transport this repo shipped before the
-//! reactor would need one thread (plus stack) per idle socket; the
-//! reactor holds them all on one event-loop thread, so throughput and
-//! latency of the *active* load should stay flat as the idle population
-//! grows — and the process thread count should not move at all.
+//! A thread-per-connection transport would need one thread (plus stack)
+//! per idle socket; the server's fixed pool holds them all in one epoll
+//! set, so throughput and latency of the *active* load should stay flat
+//! as the idle population grows — and the process thread count should not
+//! move at all.
 //!
 //! Output: `results/c10k.csv` with
 //! `connections,threads,ops,elapsed_ms,ops_per_sec,p50_us,p99_us,process_threads,server_conns`.
@@ -156,7 +156,7 @@ fn main() {
             server_registry.gauge("rpc.server_conns").get(),
         ));
 
-        // Tear the step down and wait for the reactor to reap the herd so
+        // Tear the step down and wait for the server to reap the herd so
         // the next step starts clean.
         drop(actives);
         drop(idles);

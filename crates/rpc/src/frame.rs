@@ -58,9 +58,7 @@ pub fn write_frame_traced(
     trace: Option<TraceContext>,
     payload: &[u8],
 ) -> Result<()> {
-    if payload.len() as u64 > MAX_FRAME_LEN as u64 {
-        return Err(RpcError::BadFrame(format!("payload of {} bytes too large", payload.len())));
-    }
+    check_len(payload)?;
     let (trace_id, span_id) = trace.map_or((0, 0), |ctx| (ctx.trace_id, ctx.span_id));
     let mut header = [0u8; HEADER_LEN];
     header[0..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
@@ -75,39 +73,72 @@ pub fn write_frame_traced(
     Ok(())
 }
 
+/// Refuses a payload no frame can carry, before anything is written.
+pub(crate) fn check_len(payload: &[u8]) -> Result<()> {
+    if payload.len() as u64 > MAX_FRAME_LEN as u64 {
+        return Err(RpcError::BadFrame(format!("payload of {} bytes too large", payload.len())));
+    }
+    Ok(())
+}
+
+/// Encodes one frame into a buffer of its own, so that a socket takes
+/// header and payload in a single write.
+pub(crate) fn encode_frame(
+    id: u64,
+    trace: Option<TraceContext>,
+    payload: &[u8],
+) -> Result<Vec<u8>> {
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+    write_frame_traced(&mut frame, id, trace, payload)?;
+    Ok(frame)
+}
+
 /// Reads one complete frame from `r`, treating a read timeout as an error.
 ///
-/// Connection loops that must keep partial progress across timeouts (the
-/// server's 200ms shutdown poll, the client's reader thread) use a
-/// [`FrameAssembler`] instead.
+/// Both ends of the transport must keep partial progress when a read comes
+/// back empty-handed (a nonblocking server socket, a client reader whose
+/// deadline passed mid-frame) and use a [`FrameAssembler`] instead.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame> {
-    let mut assembler = FrameAssembler::new();
+    // This assembler does not outlive the call, so it must not read past
+    // the frame's end.
+    let mut assembler = FrameAssembler { reach: 0, ..FrameAssembler::new() };
     match assembler.poll(r)? {
         Some(frame) => Ok(frame),
         None => Err(RpcError::Timeout),
     }
 }
 
+/// How far past a header a long-lived assembler reads: enough that no
+/// frame of a 512 B append needs a second read. The stack buffer it reads
+/// into is zeroed on every call, which at 4 KiB cost more than it saved.
+const READ_AHEAD: usize = 1024;
+
 enum AssemblerState {
     Header,
     Payload { id: u64, crc: u32, trace: Option<TraceContext> },
 }
 
-/// Incremental frame reader that survives read timeouts mid-frame.
+/// Incremental frame reader that survives reads that stop mid-frame.
 ///
-/// Sockets in this transport carry a short read timeout so connection
-/// threads can poll a shutdown flag; with a plain `read_exact` a timeout
-/// firing after part of a frame has been consumed would discard that
-/// progress and desync the stream (the next read would start mid-frame and
-/// die with `BadFrame`). The assembler instead buffers whatever has arrived:
-/// [`FrameAssembler::poll`] returns `Ok(None)` on a timeout and resumes
-/// exactly where it left off on the next call.
+/// A server socket is nonblocking and a client's reader gives up at its
+/// caller's deadline, so a read can return `WouldBlock`/`TimedOut` after
+/// part of a frame has been consumed; with a plain `read_exact` that
+/// progress would be discarded and the stream desynced (the next read
+/// would start mid-frame and die with `BadFrame`). The assembler instead
+/// buffers whatever has arrived: [`FrameAssembler::poll`] returns
+/// `Ok(None)` when the reader has nothing more for now and resumes exactly
+/// where it left off on the next call, whichever thread makes it.
 pub struct FrameAssembler {
     state: AssemblerState,
     header: [u8; HEADER_LEN],
     payload: Vec<u8>,
     /// Bytes of the current state's buffer (header or payload) filled.
     got: usize,
+    /// How far past a header one read may reach.
+    reach: usize,
+    /// Bytes read past the end of the last frame; empty (and unallocated)
+    /// unless the peer pipelines.
+    ahead: Vec<u8>,
 }
 
 impl FrameAssembler {
@@ -118,25 +149,45 @@ impl FrameAssembler {
             header: [0u8; HEADER_LEN],
             payload: Vec::new(),
             got: 0,
+            reach: READ_AHEAD,
+            ahead: Vec::new(),
         }
     }
 
     /// True if no partial frame is buffered (the stream is at a frame
-    /// boundary, so a timeout means the peer is idle).
+    /// boundary, so an empty-handed read means the peer is idle).
     pub fn is_idle(&self) -> bool {
-        matches!(self.state, AssemblerState::Header) && self.got == 0
+        matches!(self.state, AssemblerState::Header) && self.got == 0 && self.ahead.is_empty()
     }
 
     /// Drives assembly forward. Returns `Ok(Some(frame))` once a complete
-    /// frame is available, `Ok(None)` if the reader timed out (partial
-    /// progress is retained; call again), or an error on EOF, I/O failure,
-    /// or frame validation failure.
+    /// frame is available, `Ok(None)` if the reader would block or timed
+    /// out (partial progress is retained; call again), or an error on EOF,
+    /// I/O failure, or frame validation failure.
     pub fn poll(&mut self, r: &mut impl Read) -> Result<Option<Frame>> {
         loop {
             match self.state {
                 AssemblerState::Header => {
-                    if !fill(r, &mut self.header, &mut self.got)? {
-                        return Ok(None);
+                    // One read fetches the header and whatever is behind
+                    // it — for the small frames an append is made of, the
+                    // whole payload. Bytes past this frame's end (the next
+                    // one, pipelined behind it) wait in `ahead`.
+                    let mut chunk = [0u8; HEADER_LEN + READ_AHEAD];
+                    let mut n = self.ahead.len();
+                    chunk[..n].copy_from_slice(&self.ahead);
+                    self.ahead.clear();
+                    if n == 0 {
+                        let want = HEADER_LEN - self.got + self.reach;
+                        match read_some(r, &mut chunk[..want])? {
+                            Some(read) => n = read,
+                            None => return Ok(None),
+                        }
+                    }
+                    let head = n.min(HEADER_LEN - self.got);
+                    self.header[self.got..][..head].copy_from_slice(&chunk[..head]);
+                    self.got += head;
+                    if self.got < HEADER_LEN {
+                        continue;
                     }
                     let h = &self.header;
                     let u32_at =
@@ -157,7 +208,9 @@ impl FrameAssembler {
                     };
                     self.state = AssemblerState::Payload { id: u64_at(4), crc: u32_at(16), trace };
                     self.payload = vec![0u8; len as usize];
-                    self.got = 0;
+                    self.got = (n - head).min(len as usize);
+                    self.payload[..self.got].copy_from_slice(&chunk[head..][..self.got]);
+                    self.ahead.extend_from_slice(&chunk[head + self.got..n]);
                 }
                 AssemblerState::Payload { id, crc, trace } => {
                     if !fill(r, &mut self.payload, &mut self.got)? {
@@ -183,20 +236,31 @@ impl Default for FrameAssembler {
 }
 
 /// Reads into `buf[*got..]` until it is full (`Ok(true)`) or the reader
-/// times out (`Ok(false)`, progress kept in `got`).
+/// would block or times out (`Ok(false)`, progress kept in `got`).
 fn fill(r: &mut impl Read, buf: &mut [u8], got: &mut usize) -> Result<bool> {
     while *got < buf.len() {
-        match r.read(&mut buf[*got..]) {
+        match read_some(r, &mut buf[*got..])? {
+            Some(n) => *got += n,
+            None => return Ok(false),
+        }
+    }
+    Ok(true)
+}
+
+/// One successful read into `buf`: `Some(n)` with `n > 0`, or `None` if
+/// the reader would block or timed out.
+fn read_some(r: &mut impl Read, buf: &mut [u8]) -> Result<Option<usize>> {
+    loop {
+        match r.read(buf) {
             Ok(0) => return Err(RpcError::Disconnected),
-            Ok(n) => *got += n,
+            Ok(n) => return Ok(Some(n)),
             Err(e) => match e.kind() {
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => return Ok(false),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => return Ok(None),
                 std::io::ErrorKind::Interrupted => continue,
                 _ => return Err(e.into()),
             },
         }
     }
-    Ok(true)
 }
 
 #[cfg(test)]
@@ -326,6 +390,43 @@ mod tests {
         assert_eq!(frame.payload, vec![0xAB; 1000]);
         // The frame arrived across many timeouts, several of them mid-frame.
         assert!(timeouts > 100, "expected many interleaved timeouts, got {timeouts}");
+    }
+
+    #[test]
+    fn pipelined_frames_survive_any_chunking() {
+        // Frames from empty to larger than the read-ahead, back to back,
+        // arriving in chunks that split headers, payloads and frame
+        // boundaries everywhere: each comes out whole and in order.
+        let sizes = [0usize, 1, 35, 36, 37, 512, 4096, READ_AHEAD, READ_AHEAD + 1, 9000, 3, 0];
+        let mut wire = Vec::new();
+        for (id, &len) in sizes.iter().enumerate() {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 + id) as u8).collect();
+            write_frame(&mut wire, id as u64, &payload).unwrap();
+        }
+        for chunk in [1, 7, 36, 100, 1000, 5000, wire.len()] {
+            let mut dribble = Dribble { data: wire.clone(), pos: 0, chunk, timeout_next: false };
+            let mut assembler = FrameAssembler::new();
+            for (id, &len) in sizes.iter().enumerate() {
+                let frame = loop {
+                    if let Some(frame) = assembler.poll(&mut dribble).unwrap() {
+                        break frame;
+                    }
+                };
+                assert_eq!((frame.id, frame.payload.len()), (id as u64, len), "chunk {chunk}");
+                assert!(frame.payload.iter().enumerate().all(|(i, &b)| b == (i * 31 + id) as u8));
+            }
+            assert!(assembler.is_idle(), "chunk {chunk}: bytes left over");
+        }
+    }
+
+    #[test]
+    fn read_frame_takes_one_frame_and_no_more() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, 1, b"first").unwrap();
+        write_frame(&mut wire, 2, b"second").unwrap();
+        let mut cursor = std::io::Cursor::new(wire);
+        assert_eq!(read_frame(&mut cursor).unwrap().payload, b"first");
+        assert_eq!(read_frame(&mut cursor).unwrap().payload, b"second");
     }
 
     #[test]

@@ -15,13 +15,15 @@
 //!   CRC-checked messages over TCP. Frames carry a `u64` request id (see
 //!   [`frame`]), so a single connection multiplexes many pipelined RPCs:
 //!   the client matches responses to callers by id, and the server
-//!   completes requests out of order on a fixed worker pool fed by an
-//!   epoll readiness reactor — one event-loop thread owns every accepted
-//!   socket, so the thread budget stays constant from 1 connection to
-//!   10K+. The client side shares one process-wide reactor for response
-//!   routing (no reader thread per connection). Clients reconnect
-//!   transparently with a dial bounded by the per-call timeout. Traced
-//!   calls carry their `TraceContext` in the frame header.
+//!   completes requests out of order on a fixed pool of threads that
+//!   share one epoll set, so the thread budget stays constant from 1
+//!   connection to 10K+. On both ends the thread that waits on the socket
+//!   does the work — a pool thread reads the request, runs the handler
+//!   and writes the response; a caller reads its own connection, routing
+//!   other callers' responses while it holds the reader role — so an RPC
+//!   costs two wake-ups and the client side owns no thread. Clients
+//!   reconnect transparently with a dial bounded by the per-call timeout.
+//!   Traced calls carry their `TraceContext` in the frame header.
 //! * [`HttpScrapeServer`] / [`http_get`] / [`fetch_snapshot`] — a minimal
 //!   hand-rolled HTTP endpoint serving metric snapshots and trace spans,
 //!   run next to each RPC server so a real deployment is observable from

@@ -1,45 +1,54 @@
-//! A hand-rolled epoll readiness reactor: thousands of connections on a
-//! fixed thread budget.
+//! The server's epoll engine: thousands of connections on a fixed pool of
+//! threads, each of which polls the sockets *and* does the work.
 //!
-//! The thread-per-connection transport topped out at tens of clients — a
-//! CORFU log absorbing fan-in from thousands of Tango views (§5 runs
-//! thousands of views against one log) cannot spend a reader thread per
-//! socket. The reactor inverts that: **one** event-loop thread owns every
-//! nonblocking socket of a server (or of all of a process's client
-//! connections), parks in `epoll_wait`, and drives per-connection
-//! [`FrameAssembler`] state machines as bytes arrive. Decoded request
-//! frames are handed to a small fixed worker pool; response writes are
-//! attempted directly on the (nonblocking) socket and spill into a
-//! per-connection outbound buffer drained on `EPOLLOUT` when the kernel
-//! send queue is full. A socketpair waker lets other threads nudge the
-//! loop — shutdown sets a flag and writes one byte, which is also what
-//! makes shutting down a wildcard-bound (`0.0.0.0`) server deterministic
-//! (the old transport "poked" the listener by dialing its own address,
-//! a no-op when bound to a wildcard).
+//! A CORFU log absorbs fan-in from thousands of Tango views (§5), so a
+//! server cannot spend a thread per socket; and an append is three
+//! sequential RPCs, so it cannot spend a thread hand-off per request
+//! either. The pool's threads therefore all wait on **one** epoll set
+//! (leader/followers): the thread `epoll_wait` wakes reads the request
+//! frame off the socket, runs the handler and writes the response itself.
+//! One request costs the server one wake-up.
+//!
+//! Every descriptor except the waker is armed `EPOLLONESHOT`, and a thread
+//! takes one event per `epoll_wait`: an event belongs to exactly one
+//! thread, and a slow handler never sits on events an idle thread could
+//! serve. The thread that read a frame re-arms the connection *before* it
+//! calls the handler, so the next pipelined request on the same socket is
+//! picked up by another thread while this one is still working, and a
+//! handler that panics leaves the connection listening. Re-arming a
+//! level-triggered descriptor re-checks readiness, so bytes that arrived
+//! in between are never missed.
+//!
+//! Reads go through a per-connection resumable [`FrameAssembler`];
+//! response writes are attempted directly on the nonblocking socket and
+//! spill into a bounded per-connection buffer, drained on `EPOLLOUT` by
+//! whichever thread gets that event. The listener is one more one-shot
+//! descriptor: the thread that is woken accepts until `WouldBlock` and
+//! re-arms it. Shutdown sets a flag and writes one byte to a socketpair
+//! that nobody reads: it stays readable, so every thread sees it in turn
+//! and exits — which is also what makes shutting down a wildcard-bound
+//! (`0.0.0.0`) server deterministic.
 //!
 //! In the spirit of the `vendor/` shims there are **no new
 //! dependencies**: the four epoll calls are declared directly against the
 //! libc that `std` already links, mio-style, in [`sys`].
-//!
-//! Level-triggered epoll keeps the loop honest: a connection whose frames
-//! were not fully drained in one tick (reads are capped per tick for
-//! fairness) is simply reported ready again on the next `epoll_wait`.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use tango_metrics::{Counter, EventKind, Events, Gauge, TraceContext};
+use tango_metrics::{trace, EventKind};
 
-use crate::frame::{write_frame_traced, Frame, FrameAssembler, HEADER_LEN};
-use crate::{Result, RpcError};
+use crate::frame::{encode_frame, Frame, FrameAssembler};
+use crate::{Result, RpcError, RpcHandler, ServerOptions};
 
 /// Minimal epoll bindings against the libc `std` already links — no new
 /// crate, just the four calls a readiness loop needs.
@@ -49,8 +58,8 @@ mod sys {
     pub const EPOLLIN: u32 = 0x001;
     pub const EPOLLOUT: u32 = 0x004;
     pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
     pub const EPOLLRDHUP: u32 = 0x2000;
+    pub const EPOLLONESHOT: u32 = 1 << 30;
 
     const EPOLL_CTL_ADD: i32 = 1;
     const EPOLL_CTL_DEL: i32 = 2;
@@ -132,19 +141,14 @@ mod sys {
     }
 }
 
-pub(crate) use sys::{EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use sys::{EPOLLERR, EPOLLIN, EPOLLONESHOT, EPOLLOUT, EPOLLRDHUP};
 
 /// Token of the waker's read end in the epoll set.
 const WAKER_TOKEN: u64 = 0;
-/// Token of the (optional) listener in the epoll set.
+/// Token of the listener in the epoll set.
 const LISTENER_TOKEN: u64 = 1;
 /// First token handed to a registered connection.
 const FIRST_CONN_TOKEN: u64 = 2;
-
-/// How many decoded frames one connection may deliver per readiness tick
-/// before the loop moves on. Level-triggered epoll re-reports the
-/// connection immediately, so a firehose peer cannot starve the others.
-const FRAMES_PER_TICK: usize = 32;
 
 /// Upper bound on one connection's outbound spill buffer. A peer that
 /// stops reading cannot balloon the process; past this the connection is
@@ -158,19 +162,6 @@ const MAX_OUT_BUF: usize = 128 << 20;
 /// responsive.
 pub(crate) fn accept_backoff(consecutive: u32) -> Duration {
     Duration::from_millis(u64::from(consecutive).saturating_mul(10).min(250))
-}
-
-/// Per-connection frame consumer: where the reactor delivers decoded
-/// frames and connection-death notice.
-///
-/// `on_frame` runs on the reactor thread — it must only route (enqueue to
-/// workers, rendezvous with a waiter), never block or invoke handlers.
-pub(crate) trait Sink: Send + Sync {
-    /// A complete frame arrived. Return `false` to close the connection.
-    fn on_frame(&self, conn: &Arc<Conn>, frame: Frame) -> bool;
-    /// The connection died (EOF, I/O error, reactor shutdown). Called
-    /// exactly once, after the connection left the epoll set.
-    fn on_close(&self, error: RpcError);
 }
 
 /// Outbound spill state: bytes the kernel would not take synchronously.
@@ -187,14 +178,14 @@ impl OutBuf {
     }
 }
 
-/// One reactor-owned connection: the nonblocking socket, its incremental
-/// frame assembler (reactor thread only), and the outbound spill buffer
-/// (shared with writer threads).
-pub(crate) struct Conn {
+/// One accepted connection: the nonblocking socket, its incremental frame
+/// assembler (held by the one thread serving the connection's current
+/// event) and the outbound spill buffer (shared by every thread with a
+/// response to write).
+struct Conn {
     token: u64,
     epfd: i32,
     stream: TcpStream,
-    sink: Arc<dyn Sink>,
     assembler: Mutex<FrameAssembler>,
     out: Mutex<OutBuf>,
     closed: AtomicBool,
@@ -203,23 +194,16 @@ pub(crate) struct Conn {
 impl Conn {
     /// Encodes and sends one frame. The write is attempted synchronously
     /// on the nonblocking socket; whatever the kernel refuses is buffered
-    /// and drained by the reactor on `EPOLLOUT`. May be called from any
-    /// thread. A hard I/O error tears the connection down (so peers fail
-    /// fast on a desynced stream) and is returned.
-    pub(crate) fn send_frame(
-        &self,
-        id: u64,
-        trace: Option<TraceContext>,
-        payload: &[u8],
-    ) -> Result<()> {
-        let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-        write_frame_traced(&mut frame, id, trace, payload)?;
+    /// and drained on `EPOLLOUT`. A hard I/O error tears the connection
+    /// down (so peers fail fast on a desynced stream) and is returned.
+    fn send_frame(&self, id: u64, payload: &[u8]) -> Result<()> {
+        let frame = encode_frame(id, None, payload)?;
         let mut out = self.out.lock();
         if self.closed.load(Ordering::SeqCst) {
             return Err(RpcError::Disconnected);
         }
         if out.pending() > 0 {
-            // EPOLLOUT is already armed; just append (bounded).
+            // EPOLLOUT is (or is about to be) armed; just append (bounded).
             if out.pending() + frame.len() > MAX_OUT_BUF {
                 drop(out);
                 self.close();
@@ -241,7 +225,7 @@ impl Conn {
                     out.buf.clear();
                     out.pos = 0;
                     out.buf.extend_from_slice(&frame[written..]);
-                    self.set_writable(true);
+                    self.arm(&out, false);
                     return Ok(());
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -255,8 +239,8 @@ impl Conn {
         Ok(())
     }
 
-    /// Reactor-side: flush the spill buffer on `EPOLLOUT`. `Err` means the
-    /// connection must be closed.
+    /// Flushes the spill buffer on `EPOLLOUT`. `Err` means the connection
+    /// must be closed.
     fn drain_out(&self) -> std::result::Result<(), ()> {
         let mut out = self.out.lock();
         while out.pending() > 0 {
@@ -271,15 +255,20 @@ impl Conn {
         }
         out.buf.clear();
         out.pos = 0;
-        self.set_writable(false);
         Ok(())
     }
 
-    /// Re-arms the connection's epoll interest with or without `EPOLLOUT`.
-    /// Callers hold the `out` lock, which serializes interest changes.
-    fn set_writable(&self, on: bool) {
-        let mut interest = EPOLLIN | EPOLLRDHUP;
-        if on {
+    /// (Re-)arms the connection's one-shot interest: readable always;
+    /// writable while spilled bytes are pending, and also when the
+    /// assembler already `holds_input` past the frame just taken — that
+    /// fires at once, which hands the buffered frame to the next thread
+    /// through the same queue as everything else. Taking the `out` guard
+    /// serializes interest changes, so the last one applied reflects the
+    /// buffer as it is. Arming a connection another thread is still
+    /// reading is harmless — the assembler lock serializes the reads.
+    fn arm(&self, out: &OutBuf, holds_input: bool) {
+        let mut interest = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
+        if holds_input || out.pending() > 0 {
             interest |= EPOLLOUT;
         }
         // The connection may have been deregistered concurrently; a
@@ -287,51 +276,34 @@ impl Conn {
         let _ = sys::modify(self.epfd, self.stream.as_raw_fd(), interest, self.token);
     }
 
-    /// Marks the connection closed and shuts the socket down; the reactor
+    /// Marks the connection closed and shuts the socket down; the pool
     /// observes the resulting readiness (EOF) and deregisters it. Safe to
     /// call from any thread, any number of times.
-    pub(crate) fn close(&self) {
+    fn close(&self) {
         if !self.closed.swap(true, Ordering::SeqCst) {
             let _ = self.stream.shutdown(Shutdown::Both);
         }
     }
 }
 
-/// A listener the reactor accepts on, plus what to do with accepted
-/// connections.
-pub(crate) struct ListenerConfig {
-    pub listener: TcpListener,
-    /// Sink shared by every accepted connection.
-    pub sink: Arc<dyn Sink>,
-    /// Accepted connections beyond this are closed immediately (and
-    /// counted in `dropped`) instead of degrading the whole event loop.
-    pub max_conns: usize,
-    /// Connections dropped at accept: over `max_conns`, or reactor
-    /// registration failure (`rpc.accepts_dropped`).
-    pub dropped: Counter,
-    /// Currently registered server-side connections (`rpc.server_conns`).
-    pub connections: Gauge,
-    /// Event journal: each accept-time drop is recorded as a
-    /// `ConnDropped` event (detail 0 = over the cap, 1 = registration
-    /// failure) so the flight recorder shows *when* churn happened.
-    pub events: Events,
-}
-
 struct Inner {
     epfd: i32,
     shutdown: AtomicBool,
-    /// Write end of the waker socketpair; one byte = one nudge.
+    /// The shutdown signal: one byte written to `waker_tx` and never read
+    /// makes `waker_rx`, which sits in the epoll set, readable for good.
     waker_tx: UnixStream,
+    waker_rx: UnixStream,
+    listener: TcpListener,
+    /// The connection cap, and where accepts are accounted: drops (over
+    /// the cap: `ConnDropped` detail 0, registration failure: detail 1) and
+    /// the gauge of registered connections.
+    options: ServerOptions,
+    /// Back-to-back `accept` failures; the listener is one-shot, so only
+    /// the thread holding its event touches this.
+    accept_errors: AtomicU32,
+    handler: Arc<dyn RpcHandler>,
     conns: Mutex<HashMap<u64, Arc<Conn>>>,
     next_token: AtomicU64,
-    connections: Gauge,
-}
-
-impl Inner {
-    fn wake(&self) {
-        // WouldBlock means a wake is already pending — good enough.
-        let _ = (&self.waker_tx).write(&[1u8]);
-    }
 }
 
 impl Drop for Inner {
@@ -340,93 +312,76 @@ impl Drop for Inner {
     }
 }
 
-/// The readiness event loop: one thread, any number of sockets.
+/// A listener, its accepted connections and the fixed pool of threads
+/// that serves them.
 ///
-/// Dropping the reactor shuts it down: the event thread closes every
-/// registered connection (each sink gets `on_close`) and exits, and the
-/// drop joins it.
+/// Dropping the reactor shuts it down: idle threads exit at once, busy
+/// ones after the request they are serving, then every connection is
+/// closed and the drop returns.
 pub(crate) struct Reactor {
     inner: Arc<Inner>,
-    thread: Option<JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Reactor {
-    /// Spawns the event loop, optionally owning a listener whose accepted
-    /// connections feed `ListenerConfig::sink`.
-    pub(crate) fn spawn(name: &str, listener: Option<ListenerConfig>) -> Result<Reactor> {
+    /// Starts `threads` pool threads named `<name>0..` that accept on
+    /// `listener` and answer every request frame with `handler`.
+    pub(crate) fn spawn(
+        name: &str,
+        threads: usize,
+        listener: TcpListener,
+        options: ServerOptions,
+        handler: Arc<dyn RpcHandler>,
+    ) -> Result<Reactor> {
+        let (waker_rx, waker_tx) = UnixStream::pair()?;
+        listener.set_nonblocking(true)?;
         let epfd = sys::create()?;
-        let pair = match UnixStream::pair() {
-            Ok(pair) => pair,
-            Err(e) => {
-                sys::close_fd(epfd);
-                return Err(e.into());
-            }
-        };
-        let (waker_rx, waker_tx) = pair;
-        let setup = (|| -> Result<()> {
-            waker_rx.set_nonblocking(true)?;
-            waker_tx.set_nonblocking(true)?;
-            sys::add(epfd, waker_rx.as_raw_fd(), EPOLLIN, WAKER_TOKEN)?;
-            if let Some(cfg) = &listener {
-                cfg.listener.set_nonblocking(true)?;
-                sys::add(epfd, cfg.listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)?;
-            }
-            Ok(())
-        })();
-        if let Err(e) = setup {
-            sys::close_fd(epfd);
-            return Err(e);
-        }
-        let connections = listener.as_ref().map(|cfg| cfg.connections.clone()).unwrap_or_default();
         let inner = Arc::new(Inner {
             epfd,
             shutdown: AtomicBool::new(false),
             waker_tx,
+            waker_rx,
+            listener,
+            options,
+            accept_errors: AtomicU32::new(0),
+            handler,
             conns: Mutex::new(HashMap::new()),
             next_token: AtomicU64::new(FIRST_CONN_TOKEN),
-            connections,
         });
-        let loop_inner = Arc::clone(&inner);
-        let thread = std::thread::Builder::new()
-            .name(name.to_string())
-            .spawn(move || event_loop(loop_inner, listener, waker_rx))
-            .map_err(|e| RpcError::Io(e.to_string()))?;
-        Ok(Reactor { inner, thread: Some(thread) })
-    }
-
-    /// Registers an already-connected stream; decoded frames flow to
-    /// `sink`. The stream is switched to nonblocking mode and owned by the
-    /// reactor from here on — all writes must go through
-    /// [`Conn::send_frame`].
-    pub(crate) fn register_conn(
-        &self,
-        stream: TcpStream,
-        sink: Arc<dyn Sink>,
-    ) -> Result<Arc<Conn>> {
-        if self.inner.shutdown.load(Ordering::SeqCst) {
-            return Err(RpcError::Disconnected);
+        // From here on `inner` owns the epoll fd, and dropping `reactor`
+        // stops whatever threads were started before a failure.
+        sys::add(epfd, inner.waker_rx.as_raw_fd(), EPOLLIN, WAKER_TOKEN)?;
+        let listener_fd = inner.listener.as_raw_fd();
+        sys::add(epfd, listener_fd, EPOLLIN | EPOLLONESHOT, LISTENER_TOKEN)?;
+        let mut reactor = Reactor { inner, threads: Vec::with_capacity(threads) };
+        for i in 0..threads {
+            let inner = Arc::clone(&reactor.inner);
+            let thread = std::thread::Builder::new()
+                .name(format!("{name}{i}"))
+                .spawn(move || serve(&inner))
+                .map_err(|e| RpcError::Io(e.to_string()))?;
+            reactor.threads.push(thread);
         }
-        register(&self.inner, stream, sink)
-    }
-
-    /// Number of currently registered connections.
-    #[cfg(test)]
-    pub(crate) fn conn_count(&self) -> usize {
-        self.inner.conns.lock().len()
+        Ok(reactor)
     }
 }
 
 impl Drop for Reactor {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.wake();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
+        // WouldBlock cannot happen: this is the only byte ever written.
+        let _ = (&self.inner.waker_tx).write(&[1u8]);
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
+        let remaining: Vec<Arc<Conn>> = self.inner.conns.lock().values().cloned().collect();
+        for conn in remaining {
+            close_conn(&self.inner, &conn);
         }
     }
 }
 
-fn register(inner: &Arc<Inner>, stream: TcpStream, sink: Arc<dyn Sink>) -> Result<Arc<Conn>> {
+fn register(inner: &Inner, stream: TcpStream) -> Result<()> {
     let _ = stream.set_nodelay(true);
     stream.set_nonblocking(true)?;
     let token = inner.next_token.fetch_add(1, Ordering::Relaxed);
@@ -434,42 +389,40 @@ fn register(inner: &Arc<Inner>, stream: TcpStream, sink: Arc<dyn Sink>) -> Resul
         token,
         epfd: inner.epfd,
         stream,
-        sink,
         assembler: Mutex::new(FrameAssembler::new()),
         out: Mutex::new(OutBuf::default()),
         closed: AtomicBool::new(false),
     });
+    // In the map before it can fire: the thread that gets its first event
+    // looks it up by token.
     inner.conns.lock().insert(token, Arc::clone(&conn));
-    if let Err(e) = sys::add(inner.epfd, conn.stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token) {
+    let interest = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
+    if let Err(e) = sys::add(inner.epfd, conn.stream.as_raw_fd(), interest, token) {
         inner.conns.lock().remove(&token);
         return Err(e.into());
     }
-    inner.connections.add(1);
-    Ok(conn)
+    inner.options.metrics.connections.add(1);
+    Ok(())
 }
 
-/// Removes a connection from the epoll set and delivers its death notice.
-/// Idempotent: only the caller that actually removes it from the map runs
-/// the teardown.
-fn close_conn(inner: &Arc<Inner>, conn: &Arc<Conn>, error: RpcError) {
+/// Removes a connection from the epoll set and closes it. Idempotent: only
+/// the caller that actually removes it from the map runs the teardown.
+fn close_conn(inner: &Inner, conn: &Conn) {
     if inner.conns.lock().remove(&conn.token).is_none() {
         return;
     }
     let _ = sys::del(inner.epfd, conn.stream.as_raw_fd());
     conn.close();
-    inner.connections.sub(1);
-    conn.sink.on_close(error);
+    inner.options.metrics.connections.sub(1);
 }
 
-fn event_loop(inner: Arc<Inner>, listener: Option<ListenerConfig>, waker_rx: UnixStream) {
-    let mut events = vec![sys::EpollEvent::zeroed(); 128];
-    let mut accept_errors: u32 = 0;
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let n = match sys::wait(inner.epfd, &mut events, -1) {
-            Ok(n) => n,
+/// One pool thread: wait for an event, serve it, repeat.
+fn serve(inner: &Inner) {
+    let mut event = [sys::EpollEvent::zeroed()];
+    while !inner.shutdown.load(Ordering::SeqCst) {
+        match sys::wait(inner.epfd, &mut event, -1) {
+            Ok(0) => continue,
+            Ok(_) => {}
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             // An unexpected epoll failure: pace the retry so a persistent
             // error cannot spin the loop at 100% CPU.
@@ -477,119 +430,101 @@ fn event_loop(inner: Arc<Inner>, listener: Option<ListenerConfig>, waker_rx: Uni
                 std::thread::sleep(Duration::from_millis(10));
                 continue;
             }
-        };
-        for event in events.iter().take(n) {
-            let (ready, token) = (event.events(), event.token());
-            match token {
-                WAKER_TOKEN => drain_waker(&waker_rx),
-                LISTENER_TOKEN => {
-                    if let Some(cfg) = &listener {
-                        accept_ready(&inner, cfg, &mut accept_errors);
-                    }
-                }
-                token => conn_ready(&inner, token, ready),
-            }
         }
-    }
-    // Teardown: every connection is closed and notified, so blocked
-    // callers fail promptly instead of waiting out their timeouts.
-    let remaining: Vec<Arc<Conn>> = inner.conns.lock().drain().map(|(_, c)| c).collect();
-    for conn in remaining {
-        let _ = sys::del(inner.epfd, conn.stream.as_raw_fd());
-        conn.close();
-        inner.connections.sub(1);
-        conn.sink.on_close(RpcError::Disconnected);
-    }
-}
-
-fn drain_waker(waker_rx: &UnixStream) {
-    let mut buf = [0u8; 64];
-    loop {
-        match (&*waker_rx).read(&mut buf) {
-            Ok(0) => return,
-            Ok(_) => continue,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return, // WouldBlock: fully drained.
+        match event[0].token() {
+            // Only shutdown writes the waker; the loop condition sees it.
+            WAKER_TOKEN => {}
+            LISTENER_TOKEN => accept_ready(inner),
+            token => conn_ready(inner, token, event[0].events()),
         }
     }
 }
 
-fn accept_ready(inner: &Arc<Inner>, cfg: &ListenerConfig, accept_errors: &mut u32) {
+fn accept_ready(inner: &Inner) {
+    let metrics = &inner.options.metrics;
     loop {
-        match cfg.listener.accept() {
+        match inner.listener.accept() {
             Ok((stream, _peer)) => {
-                *accept_errors = 0;
-                if inner.conns.lock().len() >= cfg.max_conns {
-                    // Close explicitly and account for it — a silently
-                    // vanished connection is undebuggable at 10K peers.
-                    cfg.dropped.inc();
-                    cfg.events.emit(EventKind::ConnDropped, 0, 0, 0);
-                    drop(stream);
-                    continue;
-                }
-                if register(inner, stream, Arc::clone(&cfg.sink)).is_err() {
-                    cfg.dropped.inc();
-                    cfg.events.emit(EventKind::ConnDropped, 0, 0, 1);
+                inner.accept_errors.store(0, Ordering::Relaxed);
+                // Close explicitly and account for it — a silently
+                // vanished connection is undebuggable at 10K peers.
+                let over_cap = inner.conns.lock().len() >= inner.options.max_conns;
+                if over_cap || register(inner, stream).is_err() {
+                    metrics.accepts_dropped.inc();
+                    metrics.events.emit(EventKind::ConnDropped, 0, 0, u64::from(!over_cap));
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => {
                 // EMFILE and friends do not consume the pending
-                // connection, so level-triggered epoll would re-report it
-                // instantly; pace the retry.
-                *accept_errors += 1;
-                std::thread::sleep(accept_backoff(*accept_errors));
-                return;
+                // connection, so re-arming would re-report it instantly;
+                // pace the retry.
+                let consecutive = inner.accept_errors.fetch_add(1, Ordering::Relaxed) + 1;
+                std::thread::sleep(accept_backoff(consecutive));
+                break;
             }
         }
     }
+    let fd = inner.listener.as_raw_fd();
+    let _ = sys::modify(inner.epfd, fd, EPOLLIN | EPOLLONESHOT, LISTENER_TOKEN);
 }
 
-fn conn_ready(inner: &Arc<Inner>, token: u64, ready: u32) {
+fn conn_ready(inner: &Inner, token: u64, ready: u32) {
     let Some(conn) = inner.conns.lock().get(&token).cloned() else {
-        return; // Already closed this tick.
+        return; // Closed since the event was queued.
     };
-    if ready & EPOLLERR != 0 {
-        close_conn(inner, &conn, RpcError::Disconnected);
+    if ready & EPOLLERR != 0 || (ready & EPOLLOUT != 0 && conn.drain_out().is_err()) {
+        close_conn(inner, &conn);
         return;
     }
-    if ready & EPOLLOUT != 0 && conn.drain_out().is_err() {
-        close_conn(inner, &conn, RpcError::Disconnected);
-        return;
-    }
-    if ready & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 {
-        read_ready(inner, &conn);
-    }
-}
-
-fn read_ready(inner: &Arc<Inner>, conn: &Arc<Conn>) {
-    let mut assembler = conn.assembler.lock();
-    for _ in 0..FRAMES_PER_TICK {
-        let mut reader = &conn.stream;
-        match assembler.poll(&mut reader) {
-            Ok(Some(frame)) => {
-                if !conn.sink.on_frame(conn, frame) {
-                    drop(assembler);
-                    close_conn(inner, conn, RpcError::Disconnected);
-                    return;
-                }
+    // One frame per wake-up, and the connection is armed again before the
+    // handler runs; whatever else is pending — in the socket, or already in
+    // the assembler, which is why input is polled whatever the event said —
+    // is re-reported to this thread or an idle one, so a firehose peer
+    // cannot starve the others.
+    let (request, holds_input) = {
+        let mut assembler = conn.assembler.lock();
+        match assembler.poll(&mut &conn.stream) {
+            Ok(frame) => {
+                let holds_input = frame.is_some() && !assembler.is_idle();
+                (frame, holds_input)
             }
-            // WouldBlock: the socket is drained for now.
-            Ok(None) => return,
-            Err(e) => {
+            Err(_) => {
                 drop(assembler);
-                close_conn(inner, conn, e);
+                close_conn(inner, &conn);
                 return;
             }
         }
+    };
+    conn.arm(&conn.out.lock(), holds_input);
+    if let Some(frame) = request {
+        answer(inner, &conn, frame);
     }
-    // Frame budget spent; level-triggered epoll re-reports the rest.
+}
+
+fn answer(inner: &Inner, conn: &Conn, frame: Frame) {
+    let response = catch_unwind(AssertUnwindSafe(|| {
+        // Install the propagated trace context so spans the handler opens
+        // become children of the caller's span.
+        let _trace_guard = trace::install(frame.trace);
+        inner.handler.handle(&frame.payload)
+    }));
+    // A panicking handler must not shrink the fixed pool; its caller
+    // times out on the dropped request. A response that cannot be sent —
+    // a hard I/O error, or a payload the frame layer refuses — closes the
+    // connection, so the caller fails fast instead of waiting it out.
+    if let Ok(response) = response {
+        if conn.send_frame(frame.id, &response).is_err() {
+            conn.close();
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
 
     #[test]
     fn accept_backoff_paces_persistent_errors() {
@@ -604,43 +539,22 @@ mod tests {
         }
     }
 
-    struct CountingSink {
-        frames: Mutex<Vec<Frame>>,
-        closed: AtomicBool,
-    }
-
-    impl Sink for CountingSink {
-        fn on_frame(&self, conn: &Arc<Conn>, frame: Frame) -> bool {
-            // Record before echoing: once the client sees the reply, the
-            // frame must already be in the log.
-            let payload = frame.payload.clone();
-            let id = frame.id;
-            self.frames.lock().push(frame);
-            let _ = conn.send_frame(id, None, &payload);
-            true
-        }
-        fn on_close(&self, _error: RpcError) {
-            self.closed.store(true, Ordering::SeqCst);
-        }
-    }
-
     #[test]
     fn reactor_registers_echoes_and_tears_down() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let sink = Arc::new(CountingSink {
-            frames: Mutex::new(Vec::new()),
-            closed: AtomicBool::new(false),
-        });
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
+        let metrics = crate::ServerMetrics::from_registry(&tango_metrics::Registry::new());
+        let connections = metrics.connections.clone();
         let reactor = Reactor::spawn(
             "test-reactor",
-            Some(ListenerConfig {
-                listener,
-                sink: Arc::clone(&sink) as Arc<dyn Sink>,
-                max_conns: 16,
-                dropped: Counter::default(),
-                connections: Gauge::default(),
-                events: Events::default(),
+            2,
+            listener,
+            ServerOptions { metrics, max_conns: 16 },
+            Arc::new(move |request: &[u8]| {
+                log.lock().push(request.to_vec());
+                request.to_vec()
             }),
         )
         .unwrap();
@@ -653,11 +567,11 @@ mod tests {
         let reply = crate::frame::read_frame(&mut client).unwrap();
         assert_eq!(reply.id, 9);
         assert_eq!(reply.payload, b"ping");
-        assert_eq!(sink.frames.lock().len(), 1);
-        assert_eq!(reactor.conn_count(), 1);
+        assert_eq!(*seen.lock(), vec![b"ping".to_vec()]);
+        assert_eq!(connections.get(), 1);
 
         drop(reactor); // Shutdown closes the registered connection...
-        assert!(sink.closed.load(Ordering::SeqCst), "sink must get its death notice");
+        assert_eq!(connections.get(), 0, "teardown must balance the gauge");
         // ...and the peer observes EOF.
         let mut buf = [0u8; 8];
         assert_eq!(client.read(&mut buf).unwrap_or(0), 0);

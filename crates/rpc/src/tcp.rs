@@ -1,51 +1,49 @@
-//! TCP transport: a multiplexed, pipelined client and an epoll-reactor
-//! server — thousands of connections on a fixed thread budget.
+//! TCP transport: a multiplexed, pipelined client and an epoll server —
+//! thousands of connections on a fixed thread budget, and an RPC in two
+//! wake-ups: on both ends the thread that waits on the socket is the
+//! thread that does the work.
 //!
 //! ## Server
 //!
-//! A [`TcpServer`] runs exactly `1 + SERVER_WORKERS` threads no matter how
-//! many connections it is carrying: one [`reactor`](crate::reactor) event
-//! loop owns the listener and every accepted (nonblocking) socket, drives a
-//! per-connection `FrameAssembler`, and feeds decoded request frames to a
-//! fixed pool of [`SERVER_WORKERS`] handler threads. Workers invoke the
-//! handler and write the response frame straight onto the nonblocking
-//! socket; if the kernel send queue is full the bytes spill into the
-//! connection's outbound buffer, drained by the reactor on `EPOLLOUT`.
-//! Responses therefore complete — and are sent — in whatever order they
-//! finish, not the order they arrived, exactly as before.
+//! A [`TcpServer`] runs exactly [`SERVER_WORKERS`] threads no matter how
+//! many connections it is carrying. All of them wait on one epoll set; the
+//! one that is woken reads the request frame, invokes the handler and
+//! writes the response itself, so responses complete — and are sent — in
+//! whatever order they finish. The engine is [`reactor`](crate::reactor).
 //!
 //! ## Client
 //!
-//! [`TcpConn`] multiplexes many concurrent RPCs over one socket. Each call
-//! stamps its request frame with a fresh `u64` id and registers a waiter;
-//! the write happens directly on the caller's thread, while a single
-//! process-wide client reactor reads every connection's responses and
-//! routes them back to waiters by id — no reader thread per connection. A
-//! call that times out simply abandons its waiter — a late response is
-//! discarded by id with no stream desync, so the connection stays usable.
-//! Dialing uses `connect_timeout` bounded by the per-call timeout and
-//! happens *outside* the connection lock, so one unreachable server cannot
-//! stall unrelated callers for the OS dial timeout. Transparent reconnect
-//! (one retry per call) is preserved from the v1 transport.
+//! [`TcpConn`] multiplexes many concurrent RPCs over one socket and owns
+//! no thread. Each call stamps its request frame with a fresh `u64` id,
+//! registers a slot, writes the frame and then waits for the response *on
+//! the socket itself*: the first waiter becomes the connection's reader,
+//! routes other callers' responses to their slots by id, and when its own
+//! response arrives (or its deadline passes) hands the reader role to a
+//! parked waiter. A call that times out simply abandons its slot — a late
+//! response is discarded by id with no stream desync, so the connection
+//! stays usable. Dialing uses `connect_timeout` bounded by the per-call
+//! timeout and happens *outside* the connection lock, so one unreachable
+//! server cannot stall unrelated callers for the OS dial timeout.
+//! Transparent reconnect (one retry per call) covers a restarted server.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::Write;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::Arc;
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel;
 use parking_lot::Mutex;
-use tango_metrics::{trace, Counter, Events, Gauge, Histogram, Registry, TraceContext};
+use tango_metrics::{trace, Counter, Events, Gauge, Histogram, Registry};
 
-use crate::frame::Frame;
-use crate::reactor::{self, ListenerConfig, Reactor, Sink};
+use crate::frame::{check_len, encode_frame, Frame, FrameAssembler};
+use crate::reactor::Reactor;
 use crate::{ClientConn, Result, RpcError, RpcHandler};
 
-/// Size of a server's worker pool: how many requests (across *all* of its
-/// connections) can be in the handler concurrently. Together with the
-/// reactor thread this is the server's entire thread budget.
+/// Size of a server's thread pool, and the server's entire thread budget:
+/// how many requests (across *all* of its connections) can be in the
+/// handler concurrently.
 pub const SERVER_WORKERS: usize = 4;
 
 /// Default cap on concurrently registered server connections; accepts
@@ -56,11 +54,13 @@ pub const DEFAULT_MAX_CONNS: usize = 65_536;
 #[derive(Clone, Default)]
 pub struct ServerMetrics {
     /// Accepted connections dropped before service: over the connection
-    /// cap, or reactor registration failure.
+    /// cap, or epoll registration failure.
     pub accepts_dropped: Counter,
-    /// Connections currently registered with the server's reactor.
+    /// Connections currently registered with the server's epoll set.
     pub connections: Gauge,
-    /// Event journal; accept-time drops land as `ConnDropped` records.
+    /// Event journal; accept-time drops land as `ConnDropped` records
+    /// (detail 0 = over the cap, 1 = registration failure), so the flight
+    /// recorder shows *when* churn happened.
     pub events: Events,
 }
 
@@ -98,53 +98,6 @@ impl Default for ServerOptions {
 pub struct TcpServer {
     addr: SocketAddr,
     reactor: Option<Reactor>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-/// One decoded request on its way to the worker pool.
-struct Job {
-    conn: Arc<reactor::Conn>,
-    id: u64,
-    trace: Option<TraceContext>,
-    request: Vec<u8>,
-}
-
-/// Reactor → worker-pool handoff, shared by every accepted connection.
-struct ServerSink {
-    jobs: channel::Sender<Job>,
-}
-
-impl Sink for ServerSink {
-    fn on_frame(&self, conn: &Arc<reactor::Conn>, frame: Frame) -> bool {
-        self.jobs
-            .send(Job {
-                conn: Arc::clone(conn),
-                id: frame.id,
-                trace: frame.trace,
-                request: frame.payload,
-            })
-            .is_ok()
-    }
-
-    fn on_close(&self, _error: RpcError) {}
-}
-
-fn worker_loop(jobs: channel::Receiver<Job>, handler: Arc<dyn RpcHandler>) {
-    while let Ok(job) = jobs.recv() {
-        let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // Install the propagated trace context so spans the handler
-            // opens become children of the caller's span.
-            let _trace_guard = trace::install(job.trace);
-            handler.handle(&job.request)
-        }));
-        // A panicking handler must not shrink the fixed pool; the caller
-        // times out on the dropped request. A failed send already tore
-        // the connection down so peers fail fast instead of hanging on a
-        // desynced stream.
-        if let Ok(response) = response {
-            let _ = job.conn.send_frame(job.id, None, &response);
-        }
-    }
 }
 
 impl TcpServer {
@@ -154,11 +107,11 @@ impl TcpServer {
         Self::spawn_with(addr, handler, ServerOptions::default())
     }
 
-    /// Binds to `addr` and starts serving `handler`: one reactor thread
-    /// plus a fixed [`SERVER_WORKERS`] pool, regardless of connection
-    /// count. The threads are named `rpc<port>-r` and `rpc<port>-w<i>` —
-    /// short enough to survive the kernel's 15-byte `comm` limit, so a
-    /// server's own threads can be counted under `/proc/self/task`.
+    /// Binds to `addr` and starts serving `handler` on a fixed pool of
+    /// [`SERVER_WORKERS`] threads, regardless of connection count. The
+    /// threads are named `rpc<port>-w<i>` — short enough to survive the
+    /// kernel's 15-byte `comm` limit, so a server's own threads can be
+    /// counted under `/proc/self/task`.
     pub fn spawn_with(
         addr: &str,
         handler: Arc<dyn RpcHandler>,
@@ -166,30 +119,9 @@ impl TcpServer {
     ) -> Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let (jobs_tx, jobs_rx) = channel::unbounded::<Job>();
-        let mut workers = Vec::with_capacity(SERVER_WORKERS);
-        for i in 0..SERVER_WORKERS {
-            let jobs = jobs_rx.clone();
-            let handler = Arc::clone(&handler);
-            let worker = std::thread::Builder::new()
-                .name(format!("rpc{}-w{i}", local.port()))
-                .spawn(move || worker_loop(jobs, handler))
-                .map_err(|e| RpcError::Io(e.to_string()))?;
-            workers.push(worker);
-        }
-        drop(jobs_rx);
-        let reactor = Reactor::spawn(
-            &format!("rpc{}-r", local.port()),
-            Some(ListenerConfig {
-                listener,
-                sink: Arc::new(ServerSink { jobs: jobs_tx }),
-                max_conns: options.max_conns,
-                dropped: options.metrics.accepts_dropped,
-                connections: options.metrics.connections,
-                events: options.metrics.events,
-            }),
-        )?;
-        Ok(Self { addr: local, reactor: Some(reactor), workers })
+        let name = format!("rpc{}-w", local.port());
+        let reactor = Reactor::spawn(&name, SERVER_WORKERS, listener, options, handler)?;
+        Ok(Self { addr: local, reactor: Some(reactor) })
     }
 
     /// The address the server is listening on.
@@ -197,23 +129,12 @@ impl TcpServer {
         self.addr
     }
 
-    /// Stops the server: the reactor waker interrupts the event loop (no
-    /// self-connect — that was a no-op for wildcard binds), every live
-    /// connection is closed, queued requests drain, and all threads join.
+    /// Stops the server: a waker in the epoll set interrupts every pool
+    /// thread (dialing the listener to poke it would not reach a wildcard
+    /// bind), requests already in a handler are answered, the threads
+    /// join, and every connection and the listener are closed.
     pub fn shutdown(&mut self) {
-        // Dropping the reactor wakes the loop, closes all connections
-        // (dropping the last `ServerSink` senders with them), and joins
-        // the event thread.
         self.reactor.take();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl Drop for TcpServer {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -253,75 +174,150 @@ impl ConnMetrics {
     }
 }
 
-type Waiter = channel::Sender<Result<Vec<u8>>>;
+/// A caller's entry in its connection's response table.
+enum Slot {
+    /// Registered; the caller is writing its request or reading the socket.
+    Pending,
+    /// The caller is parked until its response, the reader role or the
+    /// connection's death wakes it.
+    Parked(Thread),
+    /// The connection's reader routed the response here.
+    Done(Vec<u8>),
+}
 
-/// State shared between callers and the client reactor's response routing.
-#[derive(Default)]
-struct Shared {
-    pending: Mutex<HashMap<u64, Waiter>>,
+/// The read half of a connection. Taking it out of [`Routing`] makes a
+/// caller the connection's reader.
+struct ReadHalf {
+    assembler: FrameAssembler,
+    /// The read timeout the socket currently carries.
+    read_timeout: Duration,
+}
+
+/// A reader with this much of its call's timeout still ahead of it reads
+/// under the whole timeout — which the socket carries from the dial on, so
+/// the common call sets nothing — and returns `Timeout` at most this late.
+const DEADLINE_SLACK: Duration = Duration::from_millis(1);
+
+/// What callers sharing a connection coordinate through.
+struct Routing {
+    slots: HashMap<u64, Slot>,
+    /// `None` while some caller is reading the socket.
+    read_half: Option<ReadHalf>,
+}
+
+impl Routing {
+    /// Retires `id`'s slot on every way out of a call and, if that leaves
+    /// the socket without a reader, wakes a parked caller to become one.
+    fn leave(&mut self, id: u64) {
+        self.slots.remove(&id);
+        if self.read_half.is_some() {
+            if let Some(Slot::Parked(next)) =
+                self.slots.values().find(|slot| matches!(slot, Slot::Parked(_)))
+            {
+                next.unpark();
+            }
+        }
+    }
+}
+
+/// One live socket and the callers multiplexed over it.
+struct Live {
+    /// Blocking, with the per-call timeout as its write timeout.
+    stream: TcpStream,
+    /// The per-call timeout.
+    timeout: Duration,
+    /// Serializes whole-frame writes.
+    write_turn: Mutex<()>,
+    routing: Mutex<Routing>,
+    /// Set (under `routing`) once the stream is broken or desynced.
     dead: AtomicBool,
 }
 
-impl Shared {
-    /// Marks the connection dead and fails every outstanding waiter.
-    fn fail(&self, error: RpcError) {
+impl Live {
+    /// Marks the connection dead and wakes every caller on it: parked ones
+    /// by name, a reader blocked in `read` by shutting the socket down.
+    fn fail(&self) {
+        let routing = self.routing.lock();
         self.dead.store(true, Ordering::SeqCst);
-        let mut pending = self.pending.lock();
-        for (_, waiter) in pending.drain() {
-            let _ = waiter.send(Err(error.clone()));
+        let _ = self.stream.shutdown(Shutdown::Both);
+        for slot in routing.slots.values() {
+            if let Slot::Parked(caller) = slot {
+                caller.unpark();
+            }
         }
     }
-}
 
-/// Client-side sink: routes response frames to their waiters by id on the
-/// client reactor thread.
-struct ClientSink {
-    shared: Arc<Shared>,
-}
-
-impl Sink for ClientSink {
-    fn on_frame(&self, _conn: &Arc<reactor::Conn>, frame: Frame) -> bool {
-        let waiter = self.shared.pending.lock().remove(&frame.id);
-        if let Some(waiter) = waiter {
-            let _ = waiter.send(Ok(frame.payload));
+    /// Waits for the response to `id` until `deadline`, reading the socket
+    /// if nobody else is. Retires the slot whatever the outcome.
+    fn await_response(&self, id: u64, deadline: Instant) -> Result<Vec<u8>> {
+        loop {
+            let mut routing = self.routing.lock();
+            let now = Instant::now();
+            let outcome = match routing.slots.get_mut(&id) {
+                Some(Slot::Done(response)) => Ok(std::mem::take(response)),
+                _ if self.dead.load(Ordering::SeqCst) => Err(RpcError::Disconnected),
+                // Abandon the slot; whoever reads the late response
+                // discards it by id.
+                _ if now >= deadline => Err(RpcError::Timeout),
+                _ => match routing.read_half.take() {
+                    Some(mut read_half) => {
+                        drop(routing);
+                        let outcome = self.read_until(id, deadline, &mut read_half);
+                        if !matches!(outcome, Ok(_) | Err(RpcError::Timeout)) {
+                            self.fail();
+                        }
+                        routing = self.routing.lock();
+                        routing.read_half = Some(read_half);
+                        outcome
+                    }
+                    None => {
+                        routing.slots.insert(id, Slot::Parked(std::thread::current()));
+                        drop(routing);
+                        // A stale or spurious unpark only costs a lap.
+                        std::thread::park_timeout(deadline - now);
+                        continue;
+                    }
+                },
+            };
+            routing.leave(id);
+            return outcome;
         }
-        // No waiter: the caller timed out and abandoned this id.
-        // Discarding the late response by id is what keeps a timeout
-        // from desyncing the stream.
-        true
     }
 
-    fn on_close(&self, error: RpcError) {
-        self.shared.fail(error);
+    /// The reader role: pulls frames off the socket until `id`'s own
+    /// arrives or `deadline` passes, handing every other frame to its
+    /// caller. A partial frame stays in the assembler for the next reader.
+    fn read_until(&self, id: u64, deadline: Instant, half: &mut ReadHalf) -> Result<Vec<u8>> {
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(RpcError::Timeout);
+            }
+            let read_timeout =
+                if left + DEADLINE_SLACK >= self.timeout { self.timeout } else { left };
+            if read_timeout != half.read_timeout {
+                self.stream.set_read_timeout(Some(read_timeout))?;
+                half.read_timeout = read_timeout;
+            }
+            match half.assembler.poll(&mut &self.stream)? {
+                Some(frame) if frame.id == id => return Ok(frame.payload),
+                Some(frame) => self.route(frame),
+                None => {} // Timed out, as the check above will find.
+            }
+        }
     }
-}
 
-/// One live socket: the reactor-registered connection plus the waiter
-/// rendezvous state.
-struct Live {
-    conn: Arc<reactor::Conn>,
-    shared: Arc<Shared>,
-}
-
-impl Drop for Live {
-    fn drop(&mut self) {
-        // Shutting the socket down makes the reactor observe EOF,
-        // deregister the connection, and fail any remaining waiters.
-        self.shared.dead.store(true, Ordering::SeqCst);
-        self.conn.close();
+    fn route(&self, frame: Frame) {
+        let mut routing = self.routing.lock();
+        // No slot: the caller timed out and abandoned this id. Discarding
+        // the late response by id is what keeps a timeout from desyncing
+        // the stream.
+        if let Some(slot) = routing.slots.get_mut(&frame.id) {
+            if let Slot::Parked(caller) = std::mem::replace(slot, Slot::Done(frame.payload)) {
+                caller.unpark();
+            }
+        }
     }
-}
-
-/// The process-wide reactor that reads every [`TcpConn`]'s responses: one
-/// thread regardless of how many connections the process dials.
-fn client_reactor() -> Result<&'static Reactor> {
-    static REACTOR: OnceLock<Reactor> = OnceLock::new();
-    if let Some(reactor) = REACTOR.get() {
-        return Ok(reactor);
-    }
-    let fresh = Reactor::spawn("rpc-client-reactor", None)?;
-    // A racing initializer may win; our spare shuts down cleanly on drop.
-    Ok(REACTOR.get_or_init(|| fresh))
 }
 
 /// Resolves `addr` and dials with a connect timeout, so an unreachable
@@ -344,11 +340,9 @@ fn dial(addr: &str, timeout: Duration) -> Result<TcpStream> {
 /// transparent reconnect.
 ///
 /// Any number of threads may `call` concurrently over one `TcpConn`: each
-/// request is stamped with a fresh id, written directly on the caller's
-/// thread, and matched to its response by the shared client reactor, so
-/// many RPCs are in flight on the socket at once. (The v1 transport
-/// allowed one in-flight request per connection and callers opened several
-/// connections for pipelining; that is no longer necessary.)
+/// request is stamped with a fresh id and written on the caller's thread,
+/// and whichever caller is reading the socket matches responses to callers
+/// by id, so many RPCs are in flight on the socket at once.
 pub struct TcpConn {
     addr: String,
     timeout: Duration,
@@ -383,10 +377,17 @@ impl TcpConn {
 
     fn connect(&self) -> Result<Live> {
         let stream = dial(&self.addr, self.timeout)?;
-        let shared = Arc::new(Shared::default());
-        let sink = Arc::new(ClientSink { shared: Arc::clone(&shared) });
-        let conn = client_reactor()?.register_conn(stream, sink)?;
-        Ok(Live { conn, shared })
+        let _ = stream.set_nodelay(true);
+        stream.set_write_timeout(Some(self.timeout))?;
+        stream.set_read_timeout(Some(self.timeout))?;
+        let read_half = ReadHalf { assembler: FrameAssembler::new(), read_timeout: self.timeout };
+        Ok(Live {
+            stream,
+            timeout: self.timeout,
+            write_turn: Mutex::new(()),
+            routing: Mutex::new(Routing { slots: HashMap::new(), read_half: Some(read_half) }),
+            dead: AtomicBool::new(false),
+        })
     }
 
     /// Returns the live connection, dialing a fresh one if none exists or
@@ -399,7 +400,7 @@ impl TcpConn {
         {
             let guard = self.live.lock();
             if let Some(live) = guard.as_ref() {
-                if !live.shared.dead.load(Ordering::SeqCst) {
+                if !live.dead.load(Ordering::SeqCst) {
                     return Ok(Arc::clone(live));
                 }
             }
@@ -409,7 +410,7 @@ impl TcpConn {
         // A concurrent caller may have installed a live connection while
         // we dialed; use theirs (our spare, if any, closes on drop).
         if let Some(live) = guard.as_ref() {
-            if !live.shared.dead.load(Ordering::SeqCst) {
+            if !live.dead.load(Ordering::SeqCst) {
                 return Ok(Arc::clone(live));
             }
         }
@@ -423,35 +424,27 @@ impl TcpConn {
 
     fn call_once(&self, request: &[u8]) -> Result<Vec<u8>> {
         let live = self.live()?;
+        let deadline = Instant::now() + self.timeout;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         // If the calling thread is inside a sampled trace, stamp its
         // context on the request frame.
-        let ctx = trace::current();
-        let (tx, rx) = channel::unbounded();
-        live.shared.pending.lock().insert(id, tx);
+        let frame = encode_frame(id, trace::current(), request)?;
+        // Registered before the write: the response can come back, and be
+        // routed by another caller, before this one looks for it.
+        live.routing.lock().slots.insert(id, Slot::Pending);
         self.metrics.in_flight.add(1);
-        let result = (|| {
-            // The connection may have died between the liveness check and
-            // the waiter registration; its drain would miss a later insert.
-            if live.shared.dead.load(Ordering::SeqCst) {
-                return Err(RpcError::Disconnected);
-            }
-            if let Err(e) = live.conn.send_frame(id, ctx, request) {
-                // A partial write desyncs the stream for everyone;
-                // send_frame already tore the connection down.
-                live.shared.fail(e.clone());
-                return Err(e);
-            }
-            match rx.recv_timeout(self.timeout) {
-                Ok(outcome) => outcome,
-                // Abandon the waiter; the reactor discards the late
-                // response by id.
-                Err(_) => Err(RpcError::Timeout),
-            }
-        })();
-        live.shared.pending.lock().remove(&id);
+        let sent = {
+            let _turn = live.write_turn.lock();
+            (&live.stream).write_all(&frame)
+        };
+        if sent.is_err() {
+            // A partial write desyncs the stream for everyone.
+            live.fail();
+        }
+        // A failed send finds the connection dead and only retires the slot.
+        let awaited = live.await_response(id, deadline);
         self.metrics.in_flight.sub(1);
-        result
+        sent.map_err(RpcError::from).and(awaited)
     }
 
     fn call_inner(&self, request: &[u8]) -> Result<Vec<u8>> {
@@ -468,6 +461,9 @@ impl TcpConn {
 
 impl ClientConn for TcpConn {
     fn call(&self, request: &[u8]) -> Result<Vec<u8>> {
+        // Before anything is registered or sent: an oversized request is
+        // the caller's error, not the connection's.
+        check_len(request)?;
         let timer = self.metrics.round_trip_ns.start();
         match self.call_inner(request) {
             Ok(resp) => {
@@ -488,6 +484,7 @@ impl ClientConn for TcpConn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tango_metrics::TraceContext;
 
     #[test]
     fn request_response_over_sockets() {

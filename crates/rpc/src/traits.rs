@@ -3,8 +3,9 @@ use crate::Result;
 /// The server side of a service: turns request bytes into response bytes.
 ///
 /// Handlers must be safe to invoke concurrently: a TCP server calls `handle`
-/// from a worker pool per connection, so several requests from the *same*
-/// connection may be in `handle` simultaneously and complete out of order.
+/// from every thread of its pool, so several requests — from the *same*
+/// connection too — may be in `handle` simultaneously and complete out of
+/// order.
 pub trait RpcHandler: Send + Sync {
     /// Processes one request and produces its response.
     fn handle(&self, request: &[u8]) -> Vec<u8>;

@@ -1,8 +1,8 @@
-//! Thread-budget soak: one reactor server under hundreds of mixed
-//! idle/active connections. Asserts (a) responses stay correct under
-//! pipelining while idle connections pile up, and (b) the server's and
-//! the client reactor's thread counts stay constant as the connection
-//! count grows — the property the reactor exists to provide.
+//! Thread-budget soak: one server under hundreds of mixed idle/active
+//! connections. Asserts (a) responses stay correct under pipelining while
+//! idle connections pile up, and (b) the server's thread count stays
+//! constant — and the clients' at zero — as the connection count grows:
+//! the property the epoll pool exists to provide.
 
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -26,11 +26,13 @@ impl RpcHandler for Reverse {
 }
 
 /// The threads the transport owns on either side of the sockets: the
-/// server's reactor + worker pool and the process-wide client reactor
-/// (named `rpc-client-reactor`, 15 bytes of which survive in `comm`).
-fn transport_threads(server: &TcpServer) -> (usize, usize) {
-    let own = format!("rpc{}-", server.local_addr().port());
-    (threads_named(&own), threads_named("rpc-client-reac"))
+/// server's pool by name, and on the client side whatever else exists
+/// beyond the `bystanders` counted before the transport was touched (the
+/// test harness; this binary has one test). Callers read their own
+/// sockets, so once a round's caller threads are gone that must be zero.
+fn transport_threads(server: &TcpServer, bystanders: usize) -> (usize, usize) {
+    let own = threads_named(&format!("rpc{}-", server.local_addr().port()));
+    (own, threads_named("").saturating_sub(own + bystanders))
 }
 
 /// One round of pipelined traffic: `threads` caller threads share the
@@ -60,6 +62,7 @@ fn traffic_round(conns: &[Arc<TcpConn>], threads: usize, calls_per_thread: usize
 
 #[test]
 fn hundreds_of_connections_on_a_fixed_thread_budget() {
+    let bystanders = threads_named("");
     let registry = Registry::new();
     let options =
         ServerOptions { metrics: ServerMetrics::from_registry(&registry), ..Default::default() };
@@ -67,17 +70,17 @@ fn hundreds_of_connections_on_a_fixed_thread_budget() {
     let addr = server.local_addr().to_string();
 
     // Active connections: a handful of multiplexed clients shared by many
-    // caller threads, all routed through the one process-wide client
-    // reactor.
+    // caller threads, which take turns reading each socket.
     let actives: Vec<Arc<TcpConn>> = (0..4)
         .map(|_| Arc::new(TcpConn::new(addr.clone()).with_timeout(Duration::from_secs(10))))
         .collect();
 
-    // Warm up so every long-lived thread exists: the server's reactor and
-    // worker pool, and the one client reactor.
+    // Warm up so every long-lived thread exists (and every caller thread
+    // of the round is gone again).
     traffic_round(&actives, 8, 5);
-    let budget = (SERVER_WORKERS + 1, 1);
-    wait_until("the transport's threads are up", || transport_threads(&server) == budget);
+    let budget = (SERVER_WORKERS, 0);
+    let within_budget = || transport_threads(&server, bystanders) == budget;
+    wait_until("the transport's threads are up and the callers gone", within_budget);
 
     // Grow an idle population in batches; after each batch the thread
     // count must not have moved and pipelined traffic must stay correct.
@@ -86,17 +89,17 @@ fn hundreds_of_connections_on_a_fixed_thread_budget() {
         for _ in 0..75 {
             idles.push(TcpStream::connect(&addr).unwrap());
         }
-        // Let the reactor register the batch.
+        // Let the server register the batch.
         let want = (idles.len() + actives.len()) as i64;
-        wait_until("the reactor registered the batch", || {
+        wait_until("the server registered the batch", || {
             registry.gauge("rpc.server_conns").get() >= want
         });
         traffic_round(&actives, 8, 10);
-        assert_eq!(
-            transport_threads(&server),
-            budget,
-            "thread count moved with connection count ({} conns, batch {batch})",
-            idles.len()
+        // (Polled only because a joined caller thread can outlive its
+        // `join` in procfs by a moment.)
+        wait_until(
+            &format!("threads are back to budget at {} conns, batch {batch}", idles.len()),
+            within_budget,
         );
     }
     assert!(idles.len() >= 300, "soak must cover hundreds of connections");
@@ -105,5 +108,5 @@ fn hundreds_of_connections_on_a_fixed_thread_budget() {
     // Idle connections come and go without disturbing the budget.
     idles.truncate(50);
     traffic_round(&actives, 8, 10);
-    assert_eq!(transport_threads(&server), budget);
+    wait_until("threads are back to budget after the idle herd shrank", within_budget);
 }

@@ -1,5 +1,5 @@
 //! Regression tests for the four transport bugs fixed alongside the
-//! reactor port:
+//! epoll port:
 //!
 //! 1. `TcpConn::live()` used to hold the connection mutex across a
 //!    `TcpStream::connect` with no connect timeout — one unreachable
@@ -222,7 +222,7 @@ fn scrape_burst_is_served_without_thread_growth() {
     assert_eq!(threads_named(&own), budget);
 }
 
-/// The whole point of the reactor: more connections must not mean more
+/// The whole point of the epoll pool: more connections must not mean more
 /// threads. 32 idle connections registered, zero additional threads.
 #[test]
 fn server_thread_budget_is_fixed() {
@@ -232,11 +232,11 @@ fn server_thread_budget_is_fixed() {
     let server = TcpServer::spawn_with("127.0.0.1:0", Arc::new(Echo), options).unwrap();
     let addr = server.local_addr();
     let own = format!("rpc{}-", addr.port());
-    let budget = SERVER_WORKERS + 1;
+    let budget = SERVER_WORKERS;
     wait_until("the server pool is up", || threads_named(&own) == budget);
 
     let idle: Vec<TcpStream> = (0..32).map(|_| TcpStream::connect(addr).unwrap()).collect();
-    wait_until("the reactor registered every connection", || {
+    wait_until("the server registered every connection", || {
         registry.gauge("rpc.server_conns").get() == idle.len() as i64
     });
     assert_eq!(threads_named(&own), budget, "connections must not spawn threads");
