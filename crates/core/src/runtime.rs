@@ -185,8 +185,7 @@ impl TangoRuntime {
     /// the (possibly trimmed) prefix it captures.
     fn restore_directory_checkpoint(&self) -> Result<()> {
         self.stream.sync(&[DIRECTORY_OID])?;
-        let offsets = self.stream.known_offsets(DIRECTORY_OID);
-        if let Some((off, data, as_of)) = self.find_latest_checkpoint(DIRECTORY_OID, &offsets)? {
+        if let Some((off, data, as_of)) = self.find_latest_checkpoint(DIRECTORY_OID)? {
             self.dir_state.lock().restore(&data)?;
             self.stream.seek(DIRECTORY_OID, as_of);
             let mut play = self.play.lock();
@@ -197,20 +196,13 @@ impl TangoRuntime {
         Ok(())
     }
 
-    /// Scans `offsets` newest-first for the latest checkpoint record of
-    /// `oid` (respecting the play limit), bulk-fetching the scan in
-    /// batches so a restore does not pay one round trip per candidate.
-    fn find_latest_checkpoint(
-        &self,
-        oid: Oid,
-        offsets: &[LogOffset],
-    ) -> Result<Option<(LogOffset, Bytes, LogOffset)>> {
+    /// Scans `oid`'s known membership newest-first for its latest
+    /// checkpoint record (respecting the play limit), bulk-fetching the
+    /// scan in batches so a restore does not pay one round trip per
+    /// candidate.
+    fn find_latest_checkpoint(&self, oid: Oid) -> Result<Option<(LogOffset, Bytes, LogOffset)>> {
         const RESTORE_SCAN_BATCH: usize = 32;
-        let eligible: Vec<LogOffset> = offsets
-            .iter()
-            .copied()
-            .filter(|&off| !self.opts.play_limit.map(|l| off >= l).unwrap_or(false))
-            .collect();
+        let eligible = self.stream.known_below(oid, self.opts.play_limit.unwrap_or(LogOffset::MAX));
         for chunk in eligible.rchunks(RESTORE_SCAN_BATCH) {
             let entries = self.stream.read_many_at(chunk)?;
             for (&off, entry) in chunk.iter().zip(entries.iter()).rev() {
@@ -295,9 +287,8 @@ impl TangoRuntime {
     ) -> Result<ObjectView<S>> {
         self.stream.open(oid);
         self.stream.sync(&[oid])?;
-        let offsets = self.stream.known_offsets(oid);
         let mut restore_point = None;
-        if let Some((off, data, as_of)) = self.find_latest_checkpoint(oid, &offsets)? {
+        if let Some((off, data, as_of)) = self.find_latest_checkpoint(oid)? {
             state.restore(&data)?;
             restore_point = Some((off, as_of));
         }
@@ -574,12 +565,7 @@ impl TangoRuntime {
             // Scan ahead on hosted streams for the decision record,
             // bulk-fetching each stream's lookahead in one go.
             for &oid in &hosted {
-                let ahead: Vec<LogOffset> = self
-                    .stream
-                    .known_offsets(oid)
-                    .into_iter()
-                    .filter(|&o| o > commit_off)
-                    .collect();
+                let ahead = self.stream.known_above(oid, commit_off);
                 self.stream.fetch_into_cache(&ahead)?;
                 for off in ahead {
                     let Some(entry) = self.stream.read_at(off)? else { continue };
@@ -743,7 +729,10 @@ impl TangoRuntime {
         }
         self.stream.open(oid);
         self.stream.sync(&[oid])?;
+        // The decision harvest reads the whole stream, so this copy of the
+        // membership is inherent; the replay reads the prefix below `upto`.
         let offsets = self.stream.known_offsets(oid);
+        let below = &offsets[..offsets.partition_point(|&o| o < upto)];
         // Both passes below walk the same offsets; pull the whole stream
         // into the cache in batched round trips first.
         self.stream.fetch_into_cache(&offsets)?;
@@ -759,7 +748,7 @@ impl TangoRuntime {
         // Second pass: replay version metadata below `upto`.
         let mut table = ConflictTable::new();
         let mut spec: HashMap<TxId, Vec<UpdateRecord>> = HashMap::new();
-        for &off in offsets.iter().filter(|&&o| o < upto) {
+        for &off in below {
             let Some(entry) = self.stream.read_at(off)? else { continue };
             let Ok(record) = decode_from_slice::<LogRecord>(&entry.payload) else { continue };
             match record {
@@ -908,18 +897,24 @@ impl TangoRuntime {
             speculative: spec_offsets,
             needs_decision,
         };
-        let commit_off =
-            self.stream.multiappend(&write_streams, Bytes::from(encode_to_vec(&record)))?;
+        // The commit's token grant doubles as its stream sync: the append
+        // leaves every hosted stream's membership complete below the commit
+        // point (read-set streams the transaction does not write included),
+        // which is all the conflict window needs.
+        let hosted = self.hosted_streams();
+        let commit_off = self.stream.multiappend_observing(
+            &write_streams,
+            &hosted,
+            Bytes::from(encode_to_vec(&record)),
+        )?;
         // A cross-log commit's anchor envelope carries the part offsets
-        // (cached by `multiappend`, so this is a local lookup).
+        // (cached by the append, so this is a local lookup).
         let commit_link = self.stream.read_at(commit_off)?.and_then(|e| e.link.clone());
 
         // Play the conflict window, then validate. `commit_off` is the
         // home (lowest-log) part, so the play covers exactly the home
         // log's window; reads pinned in other logs are validated by
         // replaying their own streams up to their part there.
-        let hosted = self.hosted_streams();
-        self.stream.sync(&hosted)?;
         let committed = {
             let mut play = self.play.lock();
             self.play_to_locked(&mut play, commit_off)?;

@@ -181,6 +181,10 @@ impl ClientOptions {
     }
 }
 
+/// Last-K offset windows (most recent first), one per stream, in the order
+/// the streams were named in the request.
+pub type StreamWindows = Vec<Vec<LogOffset>>;
+
 /// A reserved log position plus per-stream backpointers (§5).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
@@ -189,6 +193,11 @@ pub struct Token {
     /// For each stream in the request, the previous K offsets of that
     /// stream (most recent first).
     pub backpointers: Vec<Vec<LogOffset>>,
+    /// For each stream the grant was asked to observe, its last K offsets
+    /// as of the grant (most recent first). `None` when the sequencer was
+    /// not asked: a pooled token was granted before anyone knew what its
+    /// append would want to observe.
+    pub observed: Option<StreamWindows>,
 }
 
 /// The value found at a log offset.
@@ -486,11 +495,14 @@ impl CorfuClient {
     /// subsequent requests for the same stream set from its pool.
     pub fn token(&self, streams: &[StreamId]) -> Result<Token> {
         let log = self.log_of_streams(&self.projection(), streams);
-        self.token_in_log(log, streams)
+        self.token_in_log(log, streams, &[])
     }
 
-    /// [`CorfuClient::token`] targeting an explicit log.
-    fn token_in_log(&self, log: u32, streams: &[StreamId]) -> Result<Token> {
+    /// [`CorfuClient::token`] targeting an explicit log. With a non-empty
+    /// `observe` (streams of the same log) the grant also reports their
+    /// last-K offsets — unless tokens are pooled, which leaves
+    /// [`Token::observed`] `None`.
+    fn token_in_log(&self, log: u32, streams: &[StreamId], observe: &[StreamId]) -> Result<Token> {
         if self.opts.seq_batch > 1 {
             if let Some(token) = self.pooled_token(log, streams) {
                 self.metrics.token_pool_hits.inc();
@@ -501,12 +513,22 @@ impl CorfuClient {
         }
         self.with_sequencer_retry("token", || {
             let epoch = self.projection().epoch_of_log(log);
-            match self
-                .sequencer_call(log, &SequencerRequest::Next { epoch, streams: streams.to_vec() })?
-            {
-                SequencerResponse::Token { offset, backpointers } => {
+            let streams = streams.to_vec();
+            let req = if observe.is_empty() {
+                SequencerRequest::Next { epoch, streams }
+            } else {
+                SequencerRequest::NextObserve { epoch, streams, observe: observe.to_vec() }
+            };
+            match self.sequencer_call(log, &req)? {
+                SequencerResponse::Token { offset, backpointers, observed }
+                    if observed.len() == observe.len() =>
+                {
                     self.metrics.tokens.inc();
-                    Ok(Token { offset: compose(log, offset), backpointers })
+                    Ok(Token {
+                        offset: compose(log, offset),
+                        backpointers,
+                        observed: Some(observed),
+                    })
                 }
                 SequencerResponse::ErrSealed { epoch } => {
                     Err(CorfuError::Sealed { server_epoch: epoch })
@@ -541,9 +563,12 @@ impl CorfuClient {
             match self.sequencer_call(log, &req)? {
                 SequencerResponse::TokenBatch { start, tokens } => {
                     self.metrics.token_batches.inc();
-                    let mut tokens = tokens.into_iter().enumerate().map(|(i, backpointers)| {
-                        Token { offset: compose(log, start + i as u64), backpointers }
-                    });
+                    let mut tokens =
+                        tokens.into_iter().enumerate().map(|(i, backpointers)| Token {
+                            offset: compose(log, start + i as u64),
+                            backpointers,
+                            observed: None,
+                        });
                     let first = tokens
                         .next()
                         .ok_or_else(|| CorfuError::Codec("empty token batch".into()))?;
@@ -752,24 +777,56 @@ impl CorfuClient {
         streams: &[StreamId],
         payload: Bytes,
     ) -> Result<(LogOffset, EntryEnvelope)> {
-        // One sampling decision covers both the latency timer and the
-        // trace: sampled appends get a root span whose context rides in
-        // every RPC the append makes (token grant, chain writes), so the
-        // servers' child spans land in the same trace.
+        self.timed_append(|| {
+            let groups = self.group_by_log(&self.projection(), streams);
+            if groups.len() <= 1 {
+                let log = groups.first().map(|g| g.0).unwrap_or(0);
+                self.append_in_log(log, streams, &[], &payload, None)
+                    .map(|(off, envelope, _)| (off, envelope))
+            } else {
+                self.append_cross_log(&groups, &payload)
+            }
+        })
+    }
+
+    /// Runs one append under the client's sampling decision, which covers
+    /// both the latency timer and the trace: a sampled append gets a root
+    /// span whose context rides in every RPC it makes (token grant, chain
+    /// writes), so the servers' child spans land in the same trace.
+    fn timed_append<T>(&self, append: impl FnOnce() -> Result<T>) -> Result<T> {
         let (timer, _span) =
             self.sampled_root(SpanKind::ClientAppend, &self.metrics.append_latency_ns);
-        let groups = self.group_by_log(&self.projection(), streams);
-        let result = if groups.len() <= 1 {
-            let log = groups.first().map(|g| g.0).unwrap_or(0);
-            self.append_in_log(log, streams, &payload, None)
-        } else {
-            self.append_cross_log(&groups, &payload)
-        };
+        let result = append();
         match result.is_ok() {
             true => timer.stop(),
             false => timer.discard(),
         }
         result
+    }
+
+    /// [`CorfuClient::append_streams`] whose token grant also observes
+    /// `observe` (streams the entry does *not* join): the third result is,
+    /// per observed stream in input order, its last-K offsets as of the
+    /// grant — what [`CorfuClient::tail_info`] would have answered at that
+    /// instant, without the second sequencer call. It is `None` when the
+    /// append has no such observation and the caller must ask: a pooled
+    /// token (`seq_batch > 1`), a cross-log append, or an observed stream
+    /// homed in another log than the entry (a log's sequencer knows nothing
+    /// of streams homed elsewhere).
+    pub fn append_streams_observing(
+        &self,
+        streams: &[StreamId],
+        observe: &[StreamId],
+        payload: Bytes,
+    ) -> Result<(LogOffset, EntryEnvelope, Option<StreamWindows>)> {
+        let proj = self.projection();
+        let log = streams.first().map(|&s| proj.log_of_stream(s)).unwrap_or(0);
+        if streams.iter().chain(observe).any(|&s| proj.log_of_stream(s) != log) {
+            return self
+                .append_streams(streams, payload)
+                .map(|(off, envelope)| (off, envelope, None));
+        }
+        self.timed_append(|| self.append_in_log(log, streams, observe, &payload, None))
     }
 
     /// Appends to `streams` forcing the entry into log `log`, bypassing the
@@ -781,7 +838,8 @@ impl CorfuClient {
         streams: &[StreamId],
         payload: Bytes,
     ) -> Result<(LogOffset, EntryEnvelope)> {
-        self.append_in_log(log, streams, &payload, None)
+        self.append_in_log(log, streams, &[], &payload, None)
+            .map(|(off, envelope, _)| (off, envelope))
     }
 
     /// One token-acquire/chain-write attempt loop confined to a single log.
@@ -792,22 +850,24 @@ impl CorfuClient {
         &self,
         log: u32,
         streams: &[StreamId],
+        observe: &[StreamId],
         payload: &Bytes,
         link: Option<CrossLogLink>,
-    ) -> Result<(LogOffset, EntryEnvelope)> {
+    ) -> Result<(LogOffset, EntryEnvelope, Option<StreamWindows>)> {
         for _ in 0..self.opts.max_token_retries {
-            let token = self.token_in_log(log, streams)?;
+            let Token { offset, backpointers, observed } =
+                self.token_in_log(log, streams, observe)?;
             let headers = streams
                 .iter()
-                .zip(token.backpointers.iter())
-                .map(|(&stream, backs)| StreamHeader { stream, backpointers: backs.clone() })
+                .zip(backpointers)
+                .map(|(&stream, backpointers)| StreamHeader { stream, backpointers })
                 .collect();
             let envelope = EntryEnvelope { headers, payload: payload.clone(), link: link.clone() };
-            let body = envelope.encode(token.offset)?;
-            match self.write_at(token.offset, &body) {
+            let body = envelope.encode(offset)?;
+            match self.write_at(offset, &body) {
                 Ok(()) => {
                     self.log_metrics(log).appends.inc();
-                    return Ok((token.offset, envelope));
+                    return Ok((offset, envelope, observed));
                 }
                 Err(CorfuError::TokenLost { .. }) => {
                     self.metrics.tokens_lost.inc();
@@ -842,7 +902,7 @@ impl CorfuClient {
             // (1) One token per participating log, ascending log order.
             let mut tokens = Vec::with_capacity(groups.len());
             for (log, streams) in groups {
-                tokens.push(self.token_in_log(*log, streams)?);
+                tokens.push(self.token_in_log(*log, streams, &[])?);
             }
             // (2) The link every part carries.
             let mut parts: Vec<LogOffset> = tokens.iter().map(|t| t.offset).collect();

@@ -45,7 +45,9 @@ pub mod reconfig;
 mod sequencer;
 mod storage;
 
-pub use client::{AppendOutcome, ClientOptions, ConnFactory, CorfuClient, ReadOutcome, Token};
+pub use client::{
+    AppendOutcome, ClientOptions, ConnFactory, CorfuClient, ReadOutcome, StreamWindows, Token,
+};
 pub use compactor::{Compactor, CompactorConfig};
 pub use entry::{CrossLogLink, EntryEnvelope, StreamHeader};
 pub use error::CorfuError;

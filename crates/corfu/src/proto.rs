@@ -176,6 +176,19 @@ pub enum SequencerRequest {
         /// Streams the new entry joins.
         streams: Vec<StreamId>,
     },
+    /// [`SequencerRequest::Next`] that also reads, under the same lock as
+    /// the grant, the last-K offsets of the streams in `observe` — what a
+    /// [`SequencerRequest::Query`] sent right after the grant would return
+    /// for them. A committing client passes the streams it hosts but does
+    /// not write, so the token reply doubles as the commit's stream sync.
+    NextObserve {
+        /// The client's epoch.
+        epoch: Epoch,
+        /// Streams the new entry joins.
+        streams: Vec<StreamId>,
+        /// Streams whose last-K offsets ride back with the token.
+        observe: Vec<StreamId>,
+    },
     /// Reserve `count` consecutive offsets in one round trip (§5's sequencer
     /// batching, batch=4 in the paper's evaluation). Every reserved entry
     /// joins the same `streams`; the response carries per-token
@@ -241,6 +254,10 @@ pub enum SequencerResponse {
         offset: LogOffset,
         /// Backpointers per requested stream, in request order.
         backpointers: Vec<Vec<LogOffset>>,
+        /// Last-K issued offsets (most recent first, as of this grant) per
+        /// stream of a [`SequencerRequest::NextObserve`]'s `observe` list,
+        /// in request order; empty for a plain `Next`.
+        observed: Vec<Vec<LogOffset>>,
     },
     /// A batch of consecutive tokens: offsets `start..start + tokens.len()`,
     /// with each token's per-stream backpointers (request order). Token `i`
@@ -525,6 +542,22 @@ fn get_streams(r: &mut Reader<'_>) -> tango_wire::Result<Vec<StreamId>> {
     Ok(out)
 }
 
+fn put_backs(w: &mut Writer, backs: &[Vec<LogOffset>]) {
+    w.put_varint(backs.len() as u64);
+    for b in backs {
+        put_offsets(w, b);
+    }
+}
+
+fn get_backs(r: &mut Reader<'_>) -> tango_wire::Result<Vec<Vec<LogOffset>>> {
+    let len = r.get_len(1 << 16)?;
+    let mut out = Vec::with_capacity(len);
+    for _ in 0..len {
+        out.push(get_offsets(r)?);
+    }
+    Ok(out)
+}
+
 impl Encode for SequencerRequest {
     fn encode(&self, w: &mut Writer) {
         match self {
@@ -568,6 +601,12 @@ impl Encode for SequencerRequest {
                 w.put_u32(*stream);
                 put_offsets(w, backpointers);
             }
+            SequencerRequest::NextObserve { epoch, streams, observe } => {
+                w.put_u8(7);
+                w.put_u64(*epoch);
+                put_streams(w, streams);
+                put_streams(w, observe);
+            }
         }
     }
 }
@@ -600,6 +639,11 @@ impl Decode for SequencerRequest {
                 stream: r.get_u32()?,
                 backpointers: get_offsets(r)?,
             }),
+            7 => Ok(SequencerRequest::NextObserve {
+                epoch: r.get_u64()?,
+                streams: get_streams(r)?,
+                observe: get_streams(r)?,
+            }),
             tag => Err(WireError::InvalidTag { what: "SequencerRequest", tag: tag as u64 }),
         }
     }
@@ -608,21 +652,16 @@ impl Decode for SequencerRequest {
 impl Encode for SequencerResponse {
     fn encode(&self, w: &mut Writer) {
         match self {
-            SequencerResponse::Token { offset, backpointers } => {
+            SequencerResponse::Token { offset, backpointers, observed } => {
                 w.put_u8(0);
                 w.put_u64(*offset);
-                w.put_varint(backpointers.len() as u64);
-                for b in backpointers {
-                    put_offsets(w, b);
-                }
+                put_backs(w, backpointers);
+                put_backs(w, observed);
             }
             SequencerResponse::TailInfo { tail, backpointers } => {
                 w.put_u8(1);
                 w.put_u64(*tail);
-                w.put_varint(backpointers.len() as u64);
-                for b in backpointers {
-                    put_offsets(w, b);
-                }
+                put_backs(w, backpointers);
             }
             SequencerResponse::Ok => w.put_u8(2),
             SequencerResponse::ErrSealed { epoch } => {
@@ -634,10 +673,7 @@ impl Encode for SequencerResponse {
                 w.put_u64(*start);
                 w.put_varint(tokens.len() as u64);
                 for token in tokens {
-                    w.put_varint(token.len() as u64);
-                    for backs in token {
-                        put_offsets(w, backs);
-                    }
+                    put_backs(w, token);
                 }
             }
             SequencerResponse::State { tail, streams } => {
@@ -655,16 +691,12 @@ impl Encode for SequencerResponse {
 
 impl Decode for SequencerResponse {
     fn decode(r: &mut Reader<'_>) -> tango_wire::Result<Self> {
-        fn get_backs(r: &mut Reader<'_>) -> tango_wire::Result<Vec<Vec<LogOffset>>> {
-            let len = r.get_len(1 << 16)?;
-            let mut out = Vec::with_capacity(len);
-            for _ in 0..len {
-                out.push(get_offsets(r)?);
-            }
-            Ok(out)
-        }
         match r.get_u8()? {
-            0 => Ok(SequencerResponse::Token { offset: r.get_u64()?, backpointers: get_backs(r)? }),
+            0 => Ok(SequencerResponse::Token {
+                offset: r.get_u64()?,
+                backpointers: get_backs(r)?,
+                observed: get_backs(r)?,
+            }),
             1 => {
                 Ok(SequencerResponse::TailInfo { tail: r.get_u64()?, backpointers: get_backs(r)? })
             }
@@ -768,6 +800,8 @@ mod tests {
     fn sequencer_messages_roundtrip() {
         let msgs = vec![
             SequencerRequest::Next { epoch: 1, streams: vec![1, 2, 3] },
+            SequencerRequest::NextObserve { epoch: 1, streams: vec![1, 2], observe: vec![0, 9] },
+            SequencerRequest::NextObserve { epoch: 0, streams: vec![], observe: vec![] },
             SequencerRequest::NextBatch { epoch: 1, streams: vec![1, 2], count: 4 },
             SequencerRequest::NextBatch { epoch: 0, streams: vec![], count: 1 },
             SequencerRequest::Query { epoch: 1, streams: vec![] },
@@ -788,7 +822,16 @@ mod tests {
             assert_eq!(decode_from_slice::<SequencerRequest>(&bytes).unwrap(), m);
         }
         let resps = vec![
-            SequencerResponse::Token { offset: 5, backpointers: vec![vec![4, 2], vec![]] },
+            SequencerResponse::Token {
+                offset: 5,
+                backpointers: vec![vec![4, 2], vec![]],
+                observed: vec![],
+            },
+            SequencerResponse::Token {
+                offset: 6,
+                backpointers: vec![vec![5]],
+                observed: vec![vec![3, 1], vec![]],
+            },
             SequencerResponse::TokenBatch {
                 start: 10,
                 tokens: vec![vec![vec![9, 8], vec![]], vec![vec![10, 9], vec![10]]],

@@ -30,6 +30,9 @@ use crate::{FlashError, PageAddr, Result};
 const SLOT_MAGIC: u32 = 0xC0_4F_5E_01;
 const META_MAGIC: u32 = 0xC0_4F_5E_02;
 const HEADER_LEN: usize = 32;
+/// Payload bytes `get` reads together with the slot header: a payload up
+/// to this long costs one `pread`, a longer one a second for the rest.
+const INLINE_READ: usize = 480;
 
 const STATE_DATA: u8 = 1;
 const STATE_JUNK: u8 = 2;
@@ -233,20 +236,40 @@ impl PageStore for FileStore {
 
     fn get(&self, addr: PageAddr) -> Result<Option<(PageKind, Bytes)>> {
         let (seg, off) = self.locate(addr);
-        let Some(file) = self.segment_readonly(seg)? else {
-            return Ok(None);
+        // Read through the handle this process wrote the segment with; only
+        // a segment it has not touched (reopened store) costs an open.
+        let opened;
+        let file = match self.segments.get(&seg) {
+            Some(file) => file,
+            None => match self.segment_readonly(seg)? {
+                Some(file) => {
+                    opened = file;
+                    &opened
+                }
+                None => return Ok(None),
+            },
         };
-        let mut header = [0u8; HEADER_LEN];
-        if file.read_exact_at(&mut header, off).is_err() {
+        // Header and the head of the payload in one read; a slot never
+        // extends past its file (segments are sized at creation).
+        let mut first = [0u8; HEADER_LEN + INLINE_READ];
+        let first = &mut first[..HEADER_LEN + self.page_size.min(INLINE_READ)];
+        if file.read_exact_at(first, off).is_err() {
             return Ok(None);
         }
-        let Some((state, len, crc, _)) = Self::decode_header(&header, Some(addr)) else {
+        let (header, head) = first.split_at(HEADER_LEN);
+        let Some((state, len, crc, _)) = Self::decode_header(header, Some(addr)) else {
             return Ok(None);
         };
         match state {
             STATE_DATA => {
-                let mut payload = vec![0u8; len as usize];
-                file.read_exact_at(&mut payload, off + HEADER_LEN as u64)?;
+                let len = len as usize;
+                if len > self.page_size {
+                    return Err(FlashError::Corrupt(format!("payload length {len} at {addr}")));
+                }
+                let mut payload = vec![0u8; len];
+                let inline = len.min(head.len());
+                payload[..inline].copy_from_slice(&head[..inline]);
+                file.read_exact_at(&mut payload[inline..], off + (HEADER_LEN + inline) as u64)?;
                 if crc32c(&payload) != crc {
                     return Err(FlashError::Corrupt(format!("payload CRC mismatch at {addr}")));
                 }
@@ -297,19 +320,7 @@ impl PageStore for FileStore {
 
     fn scan(&self) -> Result<Vec<ScannedPage>> {
         let mut out = Vec::new();
-        let entries = fs::read_dir(&self.dir)?;
-        let mut seg_ids = Vec::new();
-        for entry in entries {
-            let name = entry?.file_name();
-            let name = name.to_string_lossy();
-            if let Some(rest) = name.strip_prefix("seg-").and_then(|r| r.strip_suffix(".dat")) {
-                if let Ok(id) = rest.parse::<u64>() {
-                    seg_ids.push(id);
-                }
-            }
-        }
-        seg_ids.sort_unstable();
-        for seg in seg_ids {
+        for seg in self.segment_ids()? {
             let Some(file) = self.segment_readonly(seg)? else { continue };
             for slot in 0..self.pages_per_segment {
                 let addr = seg * self.pages_per_segment + slot;
@@ -412,6 +423,38 @@ mod tests {
         assert_eq!(store.get_meta().unwrap(), Some((3, 1)));
         let scanned = store.scan().unwrap();
         assert_eq!(scanned.len(), 3);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn get_reads_any_length_through_the_open_handle() {
+        let dir = tmpdir("inline");
+        let mut store = FileStore::open(&dir, 1024, 4).unwrap();
+        // Around the one-read limit, and in a segment's last slot (3, 7).
+        let lens = [(0u64, 0usize), (1, 1), (2, INLINE_READ), (3, INLINE_READ + 1), (7, 1024)];
+        let page = |len: usize| -> Vec<u8> { (0..len).map(|i| (i % 251) as u8).collect() };
+        for &(addr, len) in &lens {
+            store.put(addr, PageKind::Data, &page(len)).unwrap();
+        }
+        let check = |store: &FileStore| {
+            for &(addr, len) in &lens {
+                assert_eq!(
+                    store.get(addr).unwrap(),
+                    Some((PageKind::Data, Bytes::from(page(len)))),
+                    "addr {addr}, {len} bytes"
+                );
+            }
+            assert_eq!(store.get(4).unwrap(), None);
+        };
+        check(&store);
+        // A store that has not touched the segments falls back to an open.
+        check(&FileStore::open(&dir, 1024, 4).unwrap());
+        // The writing store reads through its own handles: unlinking the
+        // files behind its back does not take the pages away.
+        fs::remove_file(dir.join("seg-0.dat")).unwrap();
+        fs::remove_file(dir.join("seg-1.dat")).unwrap();
+        check(&store);
+        assert_eq!(FileStore::open(&dir, 1024, 4).unwrap().get(0).unwrap(), None);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -70,8 +70,8 @@ impl StreamMetrics {
 pub struct StreamClient {
     corfu: CorfuClient,
     config: StreamConfig,
-    /// Cursor table. `learn` computes its walk against a floor snapshot
-    /// and re-validates under this lock before integrating.
+    /// Cursor table. `learn` asks the live cursor what is known (short
+    /// lock, binary search) and integrates its discoveries under it.
     cursors: Mutex<HashMap<StreamId, StreamCursor>>,
     /// Decoded-entry cache. Lookups and inserts bracket the (lock-free)
     /// network fetches.
@@ -122,8 +122,7 @@ impl StreamClient {
 
     /// Registers a stream for playback. Idempotent.
     pub fn open(&self, stream: StreamId) {
-        let mut cursors = self.cursors.lock();
-        cursors.entry(stream).or_insert_with(|| StreamCursor::new(stream));
+        self.with_cursor(stream, |_| ());
     }
 
     /// Appends `payload` to one or more streams atomically: the entry
@@ -132,6 +131,57 @@ impl StreamClient {
     pub fn multiappend(&self, streams: &[StreamId], payload: Bytes) -> corfu::Result<LogOffset> {
         let (offset, envelope) = self.corfu.append_streams(streams, payload)?;
         self.cache.lock().insert(offset, Arc::new(envelope));
+        Ok(offset)
+    }
+
+    /// [`StreamClient::multiappend`] that also leaves the membership of
+    /// every stream in `observe` (the caller's played streams, written or
+    /// not) complete below the returned offset — what a
+    /// [`StreamClient::sync`] right after the append would guarantee, at no
+    /// extra sequencer round trip. A written stream learns from the entry's
+    /// own header (`[offset] ++ backpointers` is its last-K window as of
+    /// the grant); an unwritten one from the window the token grant
+    /// observed for it. Where the append has no such observation (pooled
+    /// tokens, cross-log appends, a stream homed in another log than the
+    /// entry) those streams are synced the ordinary way.
+    pub fn multiappend_observing(
+        &self,
+        streams: &[StreamId],
+        observe: &[StreamId],
+        payload: Bytes,
+    ) -> corfu::Result<LogOffset> {
+        let (written, unwritten): (Vec<StreamId>, Vec<StreamId>) =
+            observe.iter().partition(|s| streams.contains(s));
+        let (offset, envelope, observed) =
+            self.corfu.append_streams_observing(streams, &unwritten, payload)?;
+        let envelope = Arc::new(envelope);
+        self.cache.lock().insert(offset, Arc::clone(&envelope));
+        let tail = offset + 1;
+        // Streams the append itself says nothing fresh about.
+        let mut unsynced: Vec<StreamId> = Vec::new();
+        for stream in written {
+            match envelope.header_for(stream) {
+                Some(header) => {
+                    let mut window = Vec::with_capacity(header.backpointers.len() + 1);
+                    window.push(offset);
+                    window.extend_from_slice(&header.backpointers);
+                    self.learn(stream, tail, &window)?;
+                }
+                // A cross-log append: this stream's part is in another log.
+                None => unsynced.push(stream),
+            }
+        }
+        match observed {
+            Some(windows) => {
+                for (&stream, window) in unwritten.iter().zip(&windows) {
+                    self.learn(stream, tail, window)?;
+                }
+            }
+            None => unsynced.extend_from_slice(&unwritten),
+        }
+        if !unsynced.is_empty() {
+            self.sync(&unsynced)?;
+        }
         Ok(offset)
     }
 
@@ -230,6 +280,18 @@ impl StreamClient {
     /// Snapshot of the known member offsets of `stream` (ascending).
     pub fn known_offsets(&self, stream: StreamId) -> Vec<LogOffset> {
         self.cursors.lock().get(&stream).map(|c| c.offsets().to_vec()).unwrap_or_default()
+    }
+
+    /// The known member offsets of `stream` strictly above `offset`
+    /// (ascending): a copy of that suffix only.
+    pub fn known_above(&self, stream: StreamId, offset: LogOffset) -> Vec<LogOffset> {
+        self.cursors.lock().get(&stream).map(|c| c.above(offset).to_vec()).unwrap_or_default()
+    }
+
+    /// The known member offsets of `stream` strictly below `offset`
+    /// (ascending): a copy of that prefix only.
+    pub fn known_below(&self, stream: StreamId, offset: LogOffset) -> Vec<LogOffset> {
+        self.cursors.lock().get(&stream).map(|c| c.below(offset).to_vec()).unwrap_or_default()
     }
 
     /// The next (up to `limit`) unconsumed member offsets of `stream`
@@ -480,35 +542,33 @@ impl StreamClient {
     /// Each stride fetches its whole backpointer window in one bulk read
     /// (the window's entries are due for playback anyway, so the batch
     /// doubles as a cache warmer), and no cursor lock is held across any
-    /// of the network reads: the known set is snapshotted up front and the
-    /// discoveries merged into the live cursor at the end.
+    /// of the network reads. Nor is the known set copied: "is this offset
+    /// known?" goes to the live cursor. That is sound against a concurrent
+    /// `learn` of the same stream because a walk's discoveries are
+    /// integrated in one `extend` — whatever the cursor knows, it knows
+    /// together with its whole older chain — so the cost of a sync is
+    /// O(discovered · log n), with nothing proportional to the stream.
     fn learn(
         &self,
         stream: StreamId,
         tail: LogOffset,
         seq_backs: &[LogOffset],
     ) -> corfu::Result<()> {
-        let known: Vec<LogOffset> = {
-            let mut cursors = self.cursors.lock();
-            cursors.entry(stream).or_insert_with(|| StreamCursor::new(stream)).offsets().to_vec()
-        };
-        let is_known = |off: LogOffset| known.binary_search(&off).is_ok();
-
+        let (mut discovered, reconnected_at_seq, newest_known) = self.with_cursor(stream, |c| {
+            let (unknown, any_known) = split_known(c, seq_backs);
+            (unknown, any_known, c.max_known())
+        });
         // Offsets below a log's trim floor are reclaimed — a stale
         // sequencer backpointer landing there must not seed a walk into
         // trimmed territory.
-        let above_floor = |off: LogOffset| off >= self.trim_floor(log_of_offset(off));
-        let mut discovered: Vec<LogOffset> = seq_backs
-            .iter()
-            .copied()
-            .filter(|&o| o != u64::MAX && !is_known(o) && above_floor(o))
-            .collect();
+        let above_floor = |off: &LogOffset| *off >= self.trim_floor(log_of_offset(*off));
+        discovered.retain(above_floor);
         // The playback side of a remap: fresh discoveries landing in a
         // different log than anything the cursor knew means this stream's
         // home moved (or its entries span logs). Journalled so a cluster
         // timeline shows readers reacting to the remap, not just the
         // coordinator performing it.
-        if let (Some(&newest), Some(&prev)) = (discovered.first(), known.last()) {
+        if let (Some(&newest), Some(prev)) = (discovered.first(), newest_known) {
             if log_of_offset(newest) != log_of_offset(prev) {
                 self.metrics.events.emit(
                     tango_metrics::EventKind::ShardRemapped,
@@ -521,7 +581,6 @@ impl StreamClient {
         // Entries fetched while striding/scanning backward (the walk).
         let mut walked = 0u64;
 
-        let reconnected_at_seq = seq_backs.iter().any(|&o| o != u64::MAX && is_known(o));
         if !discovered.is_empty() && !reconnected_at_seq {
             // Windows are most-recent-first in *stream order*, so each
             // stride anchors on the window's last element — its
@@ -548,28 +607,22 @@ impl StreamClient {
                 };
                 let Some(header) = header else {
                     let log = log_of_offset(oldest);
-                    // Scan down to the newest known member in this log, or
-                    // to the log's trim floor — never into reclaimed slots.
-                    let lo = known
-                        .iter()
-                        .rev()
-                        .copied()
-                        .find(|&o| log_of_offset(o) == log)
+                    // Scan down to the newest known member below the anchor
+                    // in this log, or to the log's trim floor — never into
+                    // reclaimed slots.
+                    let lo = self
+                        .with_cursor(stream, |c| c.below(oldest).last().copied())
+                        .filter(|&o| log_of_offset(o) == log)
                         .map(|o| o + 1)
                         .unwrap_or_else(|| compose(log, 0))
                         .max(self.trim_floor(log));
                     walked += self.scan_backward(stream, lo, oldest, &mut discovered)?;
                     break;
                 };
-                let older: Vec<LogOffset> = header
-                    .backpointers
-                    .iter()
-                    .copied()
-                    .filter(|&o| o != u64::MAX && !is_known(o) && above_floor(o))
-                    .collect();
-                let at_stream_start = header.backpointers.is_empty()
-                    || header.backpointers.iter().all(|&o| o == u64::MAX);
-                let reconnected = header.backpointers.iter().any(|&o| o != u64::MAX && is_known(o));
+                let (mut older, reconnected) =
+                    self.with_cursor(stream, |c| split_known(c, &header.backpointers));
+                older.retain(above_floor);
+                let at_stream_start = header.backpointers.iter().all(|&o| o == u64::MAX);
                 discovered.extend(older.iter().copied());
                 if at_stream_start || reconnected || older.is_empty() {
                     break;
@@ -577,15 +630,18 @@ impl StreamClient {
                 window = older;
             }
         }
-        discovered.sort_unstable();
-        discovered.dedup();
-        let mut cursors = self.cursors.lock();
-        let cursor = cursors.entry(stream).or_insert_with(|| StreamCursor::new(stream));
         // A concurrent sync of the same stream may have integrated part of
-        // the walk already; `extend` merges and drops duplicates.
-        cursor.extend(discovered, tail);
+        // the walk already; `extend` sorts and drops duplicates.
+        self.with_cursor(stream, |c| c.extend(discovered, tail));
         self.metrics.backpointer_walk.record(walked);
         Ok(())
+    }
+
+    /// Runs `f` on `stream`'s cursor (created if absent) under the cursor
+    /// lock. `f` must not block.
+    fn with_cursor<R>(&self, stream: StreamId, f: impl FnOnce(&mut StreamCursor) -> R) -> R {
+        let mut cursors = self.cursors.lock();
+        f(cursors.entry(stream).or_insert_with(|| StreamCursor::new(stream)))
     }
 
     /// Batched linear backward scan of `(lo..hi)`, pushing the offsets
@@ -614,4 +670,22 @@ impl StreamClient {
         }
         Ok(walked)
     }
+}
+
+/// Splits a backpointer window (sentinels dropped) against what `cursor`
+/// knows: the offsets it does not know, in window order, and whether it
+/// knew any — the walk's reconnection test.
+fn split_known(cursor: &StreamCursor, window: &[LogOffset]) -> (Vec<LogOffset>, bool) {
+    let mut any_known = false;
+    let unknown = window
+        .iter()
+        .copied()
+        .filter(|&o| o != u64::MAX)
+        .filter(|&o| {
+            let known = cursor.contains(o);
+            any_known |= known;
+            !known
+        })
+        .collect();
+    (unknown, any_known)
 }

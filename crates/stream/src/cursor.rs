@@ -59,24 +59,59 @@ impl StreamCursor {
         }
     }
 
+    /// Whether `offset` is a known member (binary search).
+    pub fn contains(&self, offset: LogOffset) -> bool {
+        self.offsets.binary_search(&offset).is_ok()
+    }
+
+    /// The known member offsets strictly above `offset` (ascending).
+    pub fn above(&self, offset: LogOffset) -> &[LogOffset] {
+        &self.offsets[self.offsets.partition_point(|&o| o <= offset)..]
+    }
+
+    /// The known member offsets strictly below `offset` (ascending).
+    pub fn below(&self, offset: LogOffset) -> &[LogOffset] {
+        &self.offsets[..self.offsets.partition_point(|&o| o < offset)]
+    }
+
     /// Integrates newly discovered offsets (any order; duplicates of
     /// already-known offsets are dropped) and advances the synced tail.
     ///
-    /// Discoveries may sort *below* the known suffix: a stream remapped
-    /// back to a lower-numbered log gets numerically smaller offsets for
-    /// newer entries. Those are merged into the membership list — keeping
-    /// the list complete for `offsets`/`seek`/fresh replays — but the
-    /// iterator never rewinds below its consumed watermark: offsets
-    /// inserted at or below the last delivered offset are not delivered
-    /// by this cursor, while insertions between the watermark and the
-    /// next pending entry are.
+    /// Discoveries that sort above everything known — every discovery,
+    /// outside a shard remap — are appended in place, so the cost is
+    /// proportional to what is new, not to what the stream holds.
+    ///
+    /// Discoveries may also sort *below* the known suffix: a stream
+    /// remapped back to a lower-numbered log gets numerically smaller
+    /// offsets for newer entries. Those are merged into the membership list
+    /// — keeping the list complete for `offsets`/`seek`/fresh replays — but
+    /// the iterator never rewinds below its consumed watermark: offsets
+    /// inserted at or below the last delivered offset are not delivered by
+    /// this cursor, while insertions between the watermark and the next
+    /// pending entry are.
     pub fn extend(&mut self, mut discovered: Vec<LogOffset>, tail: LogOffset) {
         discovered.sort_unstable();
         discovered.dedup();
+        let split = match self.offsets.last() {
+            Some(&max) => discovered.partition_point(|&o| o <= max),
+            None => 0,
+        };
+        let (below, above) = discovered.split_at(split);
+        if below.iter().any(|&o| !self.contains(o)) {
+            self.merge_below(below);
+        }
+        // `next` indexes the unchanged prefix, so appending never moves it.
+        self.offsets.extend_from_slice(above);
+        self.synced_tail = self.synced_tail.max(tail);
+    }
+
+    /// Merges `below` (sorted, unique, nothing above the known maximum)
+    /// into the membership list, keeping the iterator at its watermark.
+    fn merge_below(&mut self, below: &[LogOffset]) {
         let watermark = self.next.checked_sub(1).map(|i| self.offsets[i]);
-        let mut merged = Vec::with_capacity(self.offsets.len() + discovered.len());
+        let mut merged = Vec::with_capacity(self.offsets.len() + below.len());
         let mut a = self.offsets.iter().copied().peekable();
-        let mut b = discovered.into_iter().peekable();
+        let mut b = below.iter().copied().peekable();
         loop {
             let next = match (a.peek(), b.peek()) {
                 (Some(&x), Some(&y)) if x <= y => {
@@ -96,7 +131,6 @@ impl StreamCursor {
             Some(w) => self.offsets.partition_point(|&o| o <= w),
             None => 0,
         };
-        self.synced_tail = self.synced_tail.max(tail);
     }
 
     /// Repositions the iterator so the next delivered offset is the first

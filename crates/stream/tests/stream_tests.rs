@@ -376,3 +376,38 @@ fn cache_avoids_refetching_multiappend_entries() {
     assert_eq!(misses, 0, "hits={hits} misses={misses}");
     assert!(hits >= 20);
 }
+
+/// An observing append leaves every observed stream — written or not —
+/// exactly as a `sync` right after it would, without asking the sequencer
+/// again: written streams learn from the entry's own backpointers (striding
+/// past K like any sync), unwritten ones from the window the grant saw.
+#[test]
+fn observing_append_syncs_without_a_tail_query() {
+    let (cluster, writer) = cluster_with_client();
+    let registry = tango_metrics::Registry::new();
+    let reader = StreamClient::new(cluster.client_with_metrics(registry.clone()).unwrap());
+    for s in [1, 2, 3] {
+        reader.open(s);
+    }
+    let mut expected: Vec<Vec<(u64, Bytes)>> = vec![Vec::new(); 4];
+    for i in 0..30 {
+        let streams: &[StreamId] = if i % 3 == 0 { &[1, 2] } else { &[1] };
+        let off = writer.multiappend(streams, payload(i)).unwrap();
+        for &s in streams {
+            expected[s as usize].push((off, payload(i)));
+        }
+    }
+    let off = reader.multiappend_observing(&[1], &[1, 2, 3], payload(99)).unwrap();
+    expected[1].push((off, payload(99)));
+    assert_eq!(registry.counter("corfu.client.tail_queries").get(), 0);
+    for s in [1, 2, 3] {
+        assert_eq!(drain(&reader, s), expected[s as usize], "stream {s}");
+        assert_eq!(reader.synced_tail(s), off + 1);
+    }
+    // What comes later is still found by an ordinary sync.
+    let later = writer.multiappend(&[2, 3], payload(100)).unwrap();
+    reader.sync(&[1, 2, 3]).unwrap();
+    assert!(drain(&reader, 1).is_empty());
+    assert_eq!(drain(&reader, 2), vec![(later, payload(100))]);
+    assert_eq!(drain(&reader, 3), vec![(later, payload(100))]);
+}

@@ -1,0 +1,101 @@
+//! A sync pays for what it discovers, not for what the stream holds: the
+//! bytes one `StreamClient::sync` allocates while discovering a single new
+//! entry must not grow with the number of entries already known. Measured
+//! with a counting allocator instead of a clock, so the check repeats
+//! exactly. Its own test binary: the allocator is process-wide.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use bytes::Bytes;
+use corfu::cluster::{ClusterConfig, LocalCluster};
+use corfu_stream::StreamClient;
+
+thread_local! {
+    /// Bytes this thread asked the allocator for while `COUNTING`.
+    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+struct CountingAlloc;
+
+// SAFETY: every call is forwarded unchanged to `System`; the bookkeeping
+// touches only const-initialised thread-locals, which never allocate.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        record(new_size);
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+fn record(bytes: usize) {
+    // `try_with`: the allocator also runs while a thread's locals are torn down.
+    let _ = COUNTING.try_with(|on| {
+        if on.get() {
+            let _ = ALLOCATED.try_with(|a| a.set(a.get() + bytes as u64));
+        }
+    });
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Bytes allocated on this thread by one `sync` that discovers exactly one
+/// entry, on a reader that already knows (and has consumed) `known` entries.
+/// The cluster is in-process, so the sequencer's and storage node's share of
+/// the round trips is counted too — and is the same at every `known`.
+fn sync_bytes_discovering_one(known: usize) -> u64 {
+    const STREAM: u32 = 7;
+    let cluster = LocalCluster::new(ClusterConfig::tiny());
+    let writer = StreamClient::new(cluster.client().unwrap());
+    let reader = StreamClient::new(cluster.client().unwrap());
+    reader.open(STREAM);
+    let payload = Bytes::from_static(b"entry");
+    for _ in 0..known {
+        writer.multiappend(&[STREAM], payload.clone()).unwrap();
+    }
+    reader.sync(&[STREAM]).unwrap();
+    let mut drained = 0;
+    while reader.readnext(STREAM).unwrap().is_some() {
+        drained += 1;
+    }
+    assert_eq!(drained, known);
+    // One warm-up discovery so one-time growth (the cursor's `Vec` doubling,
+    // lazily bound metrics) is not billed to the measured sync.
+    let mut bytes = 0;
+    for _ in 0..2 {
+        let off = writer.multiappend(&[STREAM], payload.clone()).unwrap();
+        ALLOCATED.with(|a| a.set(0));
+        COUNTING.with(|on| on.set(true));
+        let synced = reader.sync(&[STREAM]);
+        COUNTING.with(|on| on.set(false));
+        bytes = ALLOCATED.with(|a| a.get());
+        synced.unwrap();
+        assert_eq!(reader.readnext(STREAM).unwrap().map(|(o, _)| o), Some(off));
+        assert!(reader.readnext(STREAM).unwrap().is_none());
+    }
+    bytes
+}
+
+#[test]
+fn sync_allocation_does_not_grow_with_the_stream() {
+    let small = sync_bytes_discovering_one(100);
+    let large = sync_bytes_discovering_one(10_000);
+    assert!(small > 0, "the counting allocator saw nothing");
+    assert!(
+        large <= 2 * small,
+        "one-entry sync allocated {small} B at 100 known entries, {large} B at 10 000"
+    );
+}
