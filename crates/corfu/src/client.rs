@@ -18,13 +18,14 @@ use crossbeam::channel;
 use parking_lot::RwLock;
 use tango_metrics::{Registry, Span, SpanKind, Timer};
 use tango_rpc::ClientConn;
-use tango_wire::{decode_from_slice, encode_to_vec};
+use tango_wire::{decode_from_slice, encode_to_vec, Decode, Encode};
 
 use crate::entry::{CrossLogLink, EntryEnvelope, StreamHeader};
 use crate::layout::LayoutClient;
 use crate::metrics::{ClientLogMetrics, ClientMetrics};
 use crate::proto::{
     PageOutcome, SequencerRequest, SequencerResponse, StorageRequest, StorageResponse, WriteKind,
+    WriteRef, WRITE_HEAD_MAX,
 };
 use crate::{
     compose, log_of_offset, raw_of_offset, CorfuError, Epoch, LogOffset, NodeId, NodeInfo,
@@ -213,16 +214,34 @@ pub enum ReadOutcome {
     Trimmed,
 }
 
-/// What happened to an append.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AppendOutcome {
-    /// The entry was written at this offset.
-    Written(LogOffset),
+/// One operation's view of the cluster: a layout and, beside it, what is
+/// only good for that layout. An operation takes one `Arc` of it and every
+/// step — token, chain write, read — works from that; nothing in it
+/// changes, a refresh installs a new one.
+pub(crate) struct View {
+    pub(crate) proj: Arc<Projection>,
+    /// Connections dialled under `proj`, parallel to `proj.nodes`.
+    conns: Vec<OnceLock<Arc<dyn ClientConn>>>,
+    /// The per-log instrument bundles, indexed by log id.
+    log_metrics: Vec<ClientLogMetrics>,
 }
 
-struct ClientState {
-    proj: Projection,
-    conns: HashMap<NodeId, Arc<dyn ClientConn>>,
+impl View {
+    /// A view of `proj`. Of `prev`'s connections it keeps those to nodes
+    /// whose id *and* address are unchanged: a node that kept its id but
+    /// moved is another node.
+    fn new(proj: Arc<Projection>, registry: &Registry, prev: Option<&View>) -> Self {
+        let carried = |node: &NodeInfo| {
+            let at = prev?.proj.nodes.iter().position(|n| n == node)?;
+            prev?.conns[at].get().cloned().map(OnceLock::from)
+        };
+        let logs = 0..proj.num_logs() as u64;
+        Self {
+            conns: proj.nodes.iter().map(|n| carried(n).unwrap_or_default()).collect(),
+            log_metrics: logs.map(|log| ClientLogMetrics::for_log(registry, log)).collect(),
+            proj,
+        }
+    }
 }
 
 /// Client-side stash of batch-reserved tokens, kept *per log* and keyed by
@@ -250,13 +269,12 @@ struct LogTokenPool {
 pub struct CorfuClient {
     layout: LayoutClient,
     factory: Arc<dyn ConnFactory>,
-    state: Arc<RwLock<ClientState>>,
+    state: Arc<RwLock<Arc<View>>>,
     token_pool: Arc<parking_lot::Mutex<TokenPool>>,
     fanout: Arc<OnceLock<CallPool>>,
     opts: ClientOptions,
     registry: Registry,
     metrics: ClientMetrics,
-    log_metrics: Arc<RwLock<HashMap<u32, ClientLogMetrics>>>,
 }
 
 impl CorfuClient {
@@ -269,8 +287,7 @@ impl CorfuClient {
         opts: ClientOptions,
         registry: Registry,
     ) -> Result<Self> {
-        let proj = layout.get()?;
-        let state = ClientState { proj, conns: HashMap::new() };
+        let state = Arc::new(View::new(Arc::new(layout.get()?), &registry, None));
         let metrics = ClientMetrics::from_registry(&registry);
         Ok(Self {
             layout,
@@ -281,22 +298,7 @@ impl CorfuClient {
             opts,
             registry,
             metrics,
-            log_metrics: Arc::new(RwLock::new(HashMap::new())),
         })
-    }
-
-    /// The per-log instrument bundle for `log`, bound lazily on first use
-    /// so the shard count never has to be declared up front. Cached: the
-    /// registry's registration lock is only taken the first time a log is
-    /// seen.
-    fn log_metrics(&self, log: u32) -> ClientLogMetrics {
-        if let Some(m) = self.log_metrics.read().get(&log) {
-            return m.clone();
-        }
-        let mut map = self.log_metrics.write();
-        map.entry(log)
-            .or_insert_with(|| ClientLogMetrics::for_log(&self.registry, log as u64))
-            .clone()
     }
 
     /// The metrics registry this client records into. Snapshot it to
@@ -313,9 +315,10 @@ impl CorfuClient {
         self.metrics.sampler = sampler;
     }
 
-    /// The client's current view of the projection.
-    pub fn projection(&self) -> Projection {
-        self.state.read().proj.clone()
+    /// The layout the client is operating under: a shared handle, not a
+    /// copy.
+    pub fn projection(&self) -> Arc<Projection> {
+        Arc::clone(&self.state.read().proj)
     }
 
     /// The epoch the client is operating at.
@@ -323,84 +326,78 @@ impl CorfuClient {
         self.state.read().proj.epoch
     }
 
+    /// The installed view: what an operation starts from.
+    pub(crate) fn view(&self) -> Arc<View> {
+        Arc::clone(&self.state.read())
+    }
+
     /// Re-fetches the projection from the layout service. Returns the new
     /// epoch.
     pub fn refresh_layout(&self) -> Result<Epoch> {
+        Ok(self.refresh()?.proj.epoch)
+    }
+
+    /// Re-fetches the projection, installs a view of it if it is newer, and
+    /// returns the installed view.
+    fn refresh(&self) -> Result<Arc<View>> {
         let fresh = self.layout.get()?;
         let mut state = self.state.write();
         if fresh.epoch > state.proj.epoch {
-            // Addresses may have changed; drop stale connections lazily by
-            // keeping only ids still present.
-            state.conns.retain(|id, _| fresh.addr_of(*id).is_some());
-            state.proj = fresh;
+            *state = Arc::new(View::new(Arc::new(fresh), &self.registry, Some(&state)));
         }
-        Ok(state.proj.epoch)
+        Ok(Arc::clone(&state))
     }
 
-    fn conn(&self, node: NodeId) -> Result<Arc<dyn ClientConn>> {
-        {
-            let state = self.state.read();
-            if let Some(c) = state.conns.get(&node) {
-                return Ok(Arc::clone(c));
-            }
-        }
-        let mut state = self.state.write();
-        if let Some(c) = state.conns.get(&node) {
-            return Ok(Arc::clone(c));
-        }
-        let info = state
-            .proj
-            .nodes
+    /// `view`'s connection to `node`, dialled on first use. No lock and no
+    /// hashing: the address book of a view is a handful of entries.
+    fn conn<'v>(&self, view: &'v View, node: NodeId) -> Result<&'v Arc<dyn ClientConn>> {
+        let nodes = &view.proj.nodes;
+        let at = nodes
             .iter()
-            .find(|n| n.id == node)
-            .ok_or_else(|| CorfuError::Layout(format!("node {node} not in projection")))?
-            .clone();
-        let conn = self.factory.connect(&info);
-        state.conns.insert(node, Arc::clone(&conn));
-        Ok(conn)
+            .position(|n| n.id == node)
+            .ok_or_else(|| CorfuError::Layout(format!("node {node} not in projection")))?;
+        Ok(view.conns[at].get_or_init(|| self.factory.connect(&nodes[at])))
     }
 
+    /// One RPC to `node` over `view`'s connection: pre-encoded request
+    /// bytes out, a decoded response back.
+    fn call_raw<Resp: Decode>(&self, view: &View, node: NodeId, request: &[u8]) -> Result<Resp> {
+        Ok(decode_from_slice(&self.conn(view, node)?.call(request)?)?)
+    }
+
+    fn call<Resp: Decode>(&self, view: &View, node: NodeId, req: &impl Encode) -> Result<Resp> {
+        self.call_raw(view, node, &encode_to_vec(req))
+    }
+
+    /// A storage request outside any operation (reconfiguration tooling).
     pub(crate) fn storage_call(
         &self,
         node: NodeId,
         req: &StorageRequest,
     ) -> Result<StorageResponse> {
-        let conn = self.conn(node)?;
-        let resp = conn.call(&encode_to_vec(req))?;
-        Ok(decode_from_slice(&resp)?)
+        self.call(&self.view(), node, req)
     }
 
-    /// Sends a raw request to log `log`'s sequencer (used by
-    /// reconfiguration tooling).
-    pub(crate) fn sequencer_call_pub(
+    /// A request to log `log`'s sequencer.
+    pub(crate) fn sequencer_call(
         &self,
+        view: &View,
         log: u32,
         req: &SequencerRequest,
     ) -> Result<SequencerResponse> {
-        self.sequencer_call(log, req)
+        self.call(view, view.proj.sequencer_of(log), req)
     }
 
-    fn sequencer_call(&self, log: u32, req: &SequencerRequest) -> Result<SequencerResponse> {
-        let seq = self.state.read().proj.sequencer_of(log);
-        let conn = self.conn(seq)?;
-        let resp = conn.call(&encode_to_vec(req))?;
-        Ok(decode_from_slice(&resp)?)
-    }
-
-    /// The log hosting `streams[0]` (log 0 for an empty set). Debug-asserts
-    /// the set does not span logs — multi-log appends split per log first.
-    fn log_of_streams(&self, proj: &Projection, streams: &[StreamId]) -> u32 {
-        let log = streams.first().map(|&s| proj.log_of_stream(s)).unwrap_or(0);
-        debug_assert!(
-            streams.iter().all(|&s| proj.log_of_stream(s) == log),
-            "stream set spans logs; split per log first"
-        );
-        log
+    /// The one log hosting every stream of `streams` (log 0 for none), or
+    /// `None` when they span logs.
+    fn single_log(proj: &Projection, streams: &[StreamId]) -> Option<u32> {
+        let log = streams.first().map_or(0, |&s| proj.log_of_stream(s));
+        streams.iter().all(|&s| proj.log_of_stream(s) == log).then_some(log)
     }
 
     /// Groups `streams` by their hosting log, ascending by log id, with
     /// each group preserving the input order.
-    fn group_by_log(&self, proj: &Projection, streams: &[StreamId]) -> Vec<(u32, Vec<StreamId>)> {
+    fn group_by_log(proj: &Projection, streams: &[StreamId]) -> Vec<(u32, Vec<StreamId>)> {
         let mut groups: Vec<(u32, Vec<StreamId>)> = Vec::new();
         for &s in streams {
             let log = proj.log_of_stream(s);
@@ -424,62 +421,34 @@ impl CorfuClient {
         }
     }
 
-    /// Runs `op` with automatic projection refresh on `ErrSealed`.
-    fn with_epoch_retry<T>(&self, what: &'static str, op: impl FnMut() -> Result<T>) -> Result<T> {
-        self.with_retry(what, false, op)
-    }
-
-    /// Like [`CorfuClient::with_epoch_retry`], but also refreshes and
-    /// retries on transport failures. Used for sequencer operations: a dead
-    /// sequencer is expected to be replaced by reconfiguration, so clients
-    /// re-fetch the projection instead of giving up (§5 reports replacing a
-    /// failed sequencer within 10ms).
-    fn with_sequencer_retry<T>(
-        &self,
-        what: &'static str,
-        op: impl FnMut() -> Result<T>,
-    ) -> Result<T> {
-        self.with_retry(what, true, op)
-    }
-
+    /// Runs `op` on `view` with automatic projection refresh on
+    /// `ErrSealed`: a refresh swaps `view` for the new one, which is what
+    /// the operation's later steps see too. With `retry_rpc` it also
+    /// refreshes and retries on transport failures. Used for sequencer
+    /// operations: a dead sequencer is expected to be replaced by
+    /// reconfiguration, so clients re-fetch the projection instead of giving
+    /// up (§5 reports replacing a failed sequencer within 10ms).
     fn with_retry<T>(
         &self,
         what: &'static str,
         retry_rpc: bool,
-        mut op: impl FnMut() -> Result<T>,
+        view: &mut Arc<View>,
+        mut op: impl FnMut(&View) -> Result<T>,
     ) -> Result<T> {
         let mut last_rpc_error = None;
         for attempt in 0..self.opts.max_epoch_retries {
-            match op() {
-                Err(CorfuError::Sealed { .. }) => {
-                    // Reconfiguration in progress: pick up the new
-                    // projection; back off briefly if it has not landed yet.
-                    self.metrics.seal_retries.inc();
-                    let before = self.epoch();
-                    let after = self.refresh_layout()?;
-                    if after == before && attempt > 0 {
-                        std::thread::sleep(Duration::from_millis(1 << attempt.min(6)));
-                    }
-                }
-                Err(CorfuError::Rpc(e)) if retry_rpc => {
-                    last_rpc_error = Some(CorfuError::Rpc(e));
-                    let before = self.epoch();
-                    let after = self.refresh_layout()?;
-                    if after == before && attempt > 0 {
-                        std::thread::sleep(Duration::from_millis(1 << attempt.min(6)));
-                    }
-                    // A new projection may name new sequencers; drop the
-                    // cached connections so the next attempt reconnects.
-                    let seqs: Vec<NodeId> = {
-                        let state = self.state.read();
-                        (0..state.proj.num_logs()).map(|l| state.proj.sequencer_of(l)).collect()
-                    };
-                    let mut state = self.state.write();
-                    for seq in seqs {
-                        state.conns.remove(&seq);
-                    }
-                }
+            match op(view) {
+                Err(CorfuError::Sealed { .. }) => self.metrics.seal_retries.inc(),
+                Err(CorfuError::Rpc(e)) if retry_rpc => last_rpc_error = Some(CorfuError::Rpc(e)),
                 other => return other,
+            }
+            // Reconfiguration in progress: pick up the new projection (a
+            // replaced sequencer is another node in it, so it gets dialled
+            // afresh); back off briefly if it has not landed yet.
+            let before = view.proj.epoch;
+            *view = self.refresh()?;
+            if view.proj.epoch == before && attempt > 0 {
+                std::thread::sleep(Duration::from_millis(1 << attempt.min(6)));
             }
         }
         Err(last_rpc_error.unwrap_or(CorfuError::RetriesExhausted { what }))
@@ -494,32 +463,40 @@ impl CorfuClient {
     /// `seq_batch` consecutive tokens per sequencer round trip and serves
     /// subsequent requests for the same stream set from its pool.
     pub fn token(&self, streams: &[StreamId]) -> Result<Token> {
-        let log = self.log_of_streams(&self.projection(), streams);
-        self.token_in_log(log, streams, &[])
+        let mut view = self.view();
+        let log = streams.first().map_or(0, |&s| view.proj.log_of_stream(s));
+        debug_assert_eq!(Self::single_log(&view.proj, streams), Some(log), "split per log first");
+        self.token_in_log(&mut view, log, streams, &[])
     }
 
     /// [`CorfuClient::token`] targeting an explicit log. With a non-empty
     /// `observe` (streams of the same log) the grant also reports their
     /// last-K offsets — unless tokens are pooled, which leaves
     /// [`Token::observed`] `None`.
-    fn token_in_log(&self, log: u32, streams: &[StreamId], observe: &[StreamId]) -> Result<Token> {
+    fn token_in_log(
+        &self,
+        view: &mut Arc<View>,
+        log: u32,
+        streams: &[StreamId],
+        observe: &[StreamId],
+    ) -> Result<Token> {
         if self.opts.seq_batch > 1 {
-            if let Some(token) = self.pooled_token(log, streams) {
+            if let Some(token) = self.pooled_token(&view.proj, log, streams) {
                 self.metrics.token_pool_hits.inc();
                 self.metrics.tokens.inc();
                 return Ok(token);
             }
-            return self.token_batch(log, streams);
+            return self.token_batch(view, log, streams);
         }
-        self.with_sequencer_retry("token", || {
-            let epoch = self.projection().epoch_of_log(log);
+        self.with_retry("token", true, view, |view| {
+            let epoch = view.proj.epoch_of_log(log);
             let streams = streams.to_vec();
             let req = if observe.is_empty() {
                 SequencerRequest::Next { epoch, streams }
             } else {
                 SequencerRequest::NextObserve { epoch, streams, observe: observe.to_vec() }
             };
-            match self.sequencer_call(log, &req)? {
+            match self.sequencer_call(view, log, &req)? {
                 SequencerResponse::Token { offset, backpointers, observed }
                     if observed.len() == observe.len() =>
                 {
@@ -541,8 +518,8 @@ impl CorfuClient {
     /// Pops a pooled token of log `log` for exactly this stream set,
     /// discarding that log's pool if the *log's* epoch moved since the
     /// tokens were reserved. Other logs' pools are untouched.
-    fn pooled_token(&self, log: u32, streams: &[StreamId]) -> Option<Token> {
-        let epoch = self.projection().epoch_of_log(log);
+    fn pooled_token(&self, proj: &Projection, log: u32, streams: &[StreamId]) -> Option<Token> {
+        let epoch = proj.epoch_of_log(log);
         let mut pool = self.token_pool.lock();
         let entry = pool.logs.entry(log).or_default();
         if entry.epoch != epoch {
@@ -555,12 +532,12 @@ impl CorfuClient {
 
     /// Reserves `seq_batch` consecutive tokens in one sequencer round trip
     /// against log `log`, returns the first and pools the rest.
-    fn token_batch(&self, log: u32, streams: &[StreamId]) -> Result<Token> {
+    fn token_batch(&self, view: &mut Arc<View>, log: u32, streams: &[StreamId]) -> Result<Token> {
         let count = self.opts.seq_batch as u32;
-        self.with_sequencer_retry("token", || {
-            let epoch = self.projection().epoch_of_log(log);
+        self.with_retry("token", true, view, |view| {
+            let epoch = view.proj.epoch_of_log(log);
             let req = SequencerRequest::NextBatch { epoch, streams: streams.to_vec(), count };
-            match self.sequencer_call(log, &req)? {
+            match self.sequencer_call(view, log, &req)? {
                 SequencerResponse::TokenBatch { start, tokens } => {
                     self.metrics.token_batches.inc();
                     let mut tokens =
@@ -606,17 +583,15 @@ impl CorfuClient {
     /// one, that single value upper-bounds every offset the backpointers
     /// can name.
     pub fn tail_info(&self, streams: &[StreamId]) -> Result<(LogOffset, Vec<Vec<LogOffset>>)> {
-        let proj = self.projection();
-        let groups = self.group_by_log(&proj, streams);
-        if groups.len() <= 1 {
-            let log = groups.first().map(|g| g.0).unwrap_or(0);
-            let (tail, backs) = self.tail_info_log(log, streams)?;
+        let mut view = self.view();
+        if let Some(log) = Self::single_log(&view.proj, streams) {
+            let (tail, backs) = self.tail_info_log(&mut view, log, streams)?;
             return Ok((compose(log, tail), backs));
         }
         let mut tail = 0;
         let mut by_stream: HashMap<StreamId, Vec<LogOffset>> = HashMap::new();
-        for (log, group) in &groups {
-            let (log_tail, backs) = self.tail_info_log(*log, group)?;
+        for (log, group) in &Self::group_by_log(&view.proj, streams) {
+            let (log_tail, backs) = self.tail_info_log(&mut view, *log, group)?;
             tail = tail.max(compose(*log, log_tail));
             for (&s, b) in group.iter().zip(backs) {
                 by_stream.insert(s, b);
@@ -630,15 +605,14 @@ impl CorfuClient {
     /// One log's tail (raw) + backpointers for a stream subset of that log.
     fn tail_info_log(
         &self,
+        view: &mut Arc<View>,
         log: u32,
         streams: &[StreamId],
     ) -> Result<(LogOffset, Vec<Vec<LogOffset>>)> {
-        self.with_sequencer_retry("tail_info", || {
-            let epoch = self.projection().epoch_of_log(log);
-            match self.sequencer_call(
-                log,
-                &SequencerRequest::Query { epoch, streams: streams.to_vec() },
-            )? {
+        self.with_retry("tail_info", true, view, |view| {
+            let epoch = view.proj.epoch_of_log(log);
+            let req = SequencerRequest::Query { epoch, streams: streams.to_vec() };
+            match self.sequencer_call(view, log, &req)? {
                 SequencerResponse::TailInfo { tail, backpointers } => {
                     self.metrics.tail_queries.inc();
                     Ok((tail, backpointers))
@@ -655,25 +629,25 @@ impl CorfuClient {
     /// per additional log in a sharded deployment). Returns the highest
     /// composite tail.
     pub fn check_tail_fast(&self) -> Result<LogOffset> {
-        let nlogs = self.projection().num_logs();
+        let mut view = self.view();
         let mut tail = 0;
-        for log in 0..nlogs {
-            tail = tail.max(compose(log, self.tail_info_log(log, &[])?.0));
+        for log in 0..view.proj.num_logs() {
+            tail = tail.max(compose(log, self.tail_info_log(&mut view, log, &[])?.0));
         }
         Ok(tail)
     }
 
     /// The raw tail of one log, from its sequencer.
     pub fn log_tail_fast(&self, log: u32) -> Result<LogOffset> {
-        Ok(self.tail_info_log(log, &[])?.0)
+        Ok(self.tail_info_log(&mut self.view(), log, &[])?.0)
     }
 
     /// The slow tail check: query every storage node's local tail and invert
     /// the mapping (used when the sequencer is unavailable). Returns the
     /// highest composite tail across logs.
     pub fn check_tail_slow(&self) -> Result<LogOffset> {
-        self.with_epoch_retry("check_tail_slow", || {
-            let proj = self.projection();
+        self.with_retry("check_tail_slow", false, &mut self.view(), |view| {
+            let proj = &view.proj;
             let mut tail = 0;
             for log in 0..proj.num_logs() {
                 let layout = proj.log(log);
@@ -681,7 +655,7 @@ impl CorfuClient {
                 let mut local_tails = vec![0u64; layout.replica_sets.len()];
                 for (set_idx, set) in layout.replica_sets.iter().enumerate() {
                     for &node in set {
-                        match self.storage_call(node, &StorageRequest::LocalTail { epoch })? {
+                        match self.call(view, node, &StorageRequest::LocalTail { epoch })? {
                             StorageResponse::Tail(t) => {
                                 local_tails[set_idx] = local_tails[set_idx].max(t)
                             }
@@ -706,20 +680,28 @@ impl CorfuClient {
     /// replication. Fails with [`CorfuError::TokenLost`] if another client
     /// consumed the slot.
     pub fn write_at(&self, offset: LogOffset, body: &[u8]) -> Result<()> {
-        self.with_epoch_retry("write_at", || {
-            let proj = self.projection();
+        let mut framed = [&[0; WRITE_HEAD_MAX][..], body].concat();
+        self.chain_write(&mut self.view(), offset, &mut framed)
+    }
+
+    /// Chain-writes at `offset` the entry bytes that `framed` holds behind
+    /// [`WRITE_HEAD_MAX`] spare ones. The write request is framed in that
+    /// spare room, once, and every hop of the chain is sent the same bytes.
+    fn chain_write(
+        &self,
+        view: &mut Arc<View>,
+        offset: LogOffset,
+        framed: &mut [u8],
+    ) -> Result<()> {
+        let body_len = framed.len() - WRITE_HEAD_MAX;
+        self.with_retry("write_at", false, view, |view| {
+            let proj = &view.proj;
             let epoch = proj.epoch_of_log(log_of_offset(offset));
             let (_, local) = proj.map(offset);
-            let chain = proj.chain_for(offset).to_vec();
-            for (pos, node) in chain.iter().enumerate() {
-                let req = StorageRequest::Write {
-                    epoch,
-                    addr: local,
-                    kind: WriteKind::Data,
-                    payload: Bytes::copy_from_slice(body),
-                };
+            let request = WriteRef::stamp(framed, epoch, local, WriteKind::Data);
+            for (pos, &node) in proj.chain_for(offset).iter().enumerate() {
                 let hop = self.metrics.chain_hop_latency_ns.start_sampled(&self.metrics.sampler);
-                let resp = self.storage_call(*node, &req);
+                let resp = self.call_raw(view, node, request);
                 match resp.is_ok() {
                     true => hop.stop(),
                     false => hop.discard(),
@@ -740,10 +722,7 @@ impl CorfuClient {
                     }
                     StorageResponse::ErrTrimmed => return Err(CorfuError::Trimmed { offset }),
                     StorageResponse::ErrTooLarge { max } => {
-                        return Err(CorfuError::EntryTooLarge {
-                            len: body.len(),
-                            max: max as usize,
-                        })
+                        return Err(CorfuError::EntryTooLarge { len: body_len, max: max as usize })
                     }
                     other => {
                         return Err(CorfuError::Storage(format!(
@@ -778,13 +757,15 @@ impl CorfuClient {
         payload: Bytes,
     ) -> Result<(LogOffset, EntryEnvelope)> {
         self.timed_append(|| {
-            let groups = self.group_by_log(&self.projection(), streams);
-            if groups.len() <= 1 {
-                let log = groups.first().map(|g| g.0).unwrap_or(0);
-                self.append_in_log(log, streams, &[], &payload, None)
-                    .map(|(off, envelope, _)| (off, envelope))
-            } else {
-                self.append_cross_log(&groups, &payload)
+            let mut view = self.view();
+            match Self::single_log(&view.proj, streams) {
+                Some(log) => self
+                    .append_in_log(&mut view, log, streams, &[], &payload, None)
+                    .map(|(off, envelope, _)| (off, envelope)),
+                None => {
+                    let groups = Self::group_by_log(&view.proj, streams);
+                    self.append_cross_log(&mut view, &groups, &payload)
+                }
             }
         })
     }
@@ -819,14 +800,16 @@ impl CorfuClient {
         observe: &[StreamId],
         payload: Bytes,
     ) -> Result<(LogOffset, EntryEnvelope, Option<StreamWindows>)> {
-        let proj = self.projection();
-        let log = streams.first().map(|&s| proj.log_of_stream(s)).unwrap_or(0);
-        if streams.iter().chain(observe).any(|&s| proj.log_of_stream(s) != log) {
+        let mut view = self.view();
+        let proj = &view.proj;
+        let log = Self::single_log(proj, streams)
+            .filter(|&log| observe.iter().all(|&s| proj.log_of_stream(s) == log));
+        let Some(log) = log else {
             return self
                 .append_streams(streams, payload)
                 .map(|(off, envelope)| (off, envelope, None));
-        }
-        self.timed_append(|| self.append_in_log(log, streams, observe, &payload, None))
+        };
+        self.timed_append(|| self.append_in_log(&mut view, log, streams, observe, &payload, None))
     }
 
     /// Appends to `streams` forcing the entry into log `log`, bypassing the
@@ -838,7 +821,7 @@ impl CorfuClient {
         streams: &[StreamId],
         payload: Bytes,
     ) -> Result<(LogOffset, EntryEnvelope)> {
-        self.append_in_log(log, streams, &[], &payload, None)
+        self.append_in_log(&mut self.view(), log, streams, &[], &payload, None)
             .map(|(off, envelope, _)| (off, envelope))
     }
 
@@ -848,6 +831,7 @@ impl CorfuClient {
     /// individual lost tokens retry here.
     fn append_in_log(
         &self,
+        view: &mut Arc<View>,
         log: u32,
         streams: &[StreamId],
         observe: &[StreamId],
@@ -856,17 +840,17 @@ impl CorfuClient {
     ) -> Result<(LogOffset, EntryEnvelope, Option<StreamWindows>)> {
         for _ in 0..self.opts.max_token_retries {
             let Token { offset, backpointers, observed } =
-                self.token_in_log(log, streams, observe)?;
+                self.token_in_log(view, log, streams, observe)?;
             let headers = streams
                 .iter()
                 .zip(backpointers)
                 .map(|(&stream, backpointers)| StreamHeader { stream, backpointers })
                 .collect();
             let envelope = EntryEnvelope { headers, payload: payload.clone(), link: link.clone() };
-            let body = envelope.encode(offset)?;
-            match self.write_at(offset, &body) {
+            let mut framed = envelope.encode_after(WRITE_HEAD_MAX, offset)?;
+            match self.chain_write(view, offset, &mut framed) {
                 Ok(()) => {
-                    self.log_metrics(log).appends.inc();
+                    view.log_metrics[log as usize].appends.inc();
                     return Ok((offset, envelope, observed));
                 }
                 Err(CorfuError::TokenLost { .. }) => {
@@ -895,6 +879,7 @@ impl CorfuClient {
     /// their home slot can never acquire the matching link.
     fn append_cross_log(
         &self,
+        view: &mut Arc<View>,
         groups: &[(u32, Vec<StreamId>)],
         payload: &Bytes,
     ) -> Result<(LogOffset, EntryEnvelope)> {
@@ -902,7 +887,7 @@ impl CorfuClient {
             // (1) One token per participating log, ascending log order.
             let mut tokens = Vec::with_capacity(groups.len());
             for (log, streams) in groups {
-                tokens.push(self.token_in_log(*log, streams, &[])?);
+                tokens.push(self.token_in_log(view, *log, streams, &[])?);
             }
             // (2) The link every part carries.
             let mut parts: Vec<LogOffset> = tokens.iter().map(|t| t.offset).collect();
@@ -934,11 +919,11 @@ impl CorfuClient {
                         payload: payload.clone(),
                         link: Some(link.clone()),
                     };
-                    let body = envelope.encode(token.offset)?;
-                    match self.write_at(token.offset, &body) {
+                    let mut framed = envelope.encode_after(WRITE_HEAD_MAX, token.offset)?;
+                    match self.chain_write(view, token.offset, &mut framed) {
                         Ok(()) => {
                             drop(part_span);
-                            self.log_metrics(*log).appends.inc();
+                            view.log_metrics[*log as usize].appends.inc();
                             if pass {
                                 anchor = Some(envelope);
                             }
@@ -951,7 +936,7 @@ impl CorfuClient {
                             self.metrics.tokens_lost.inc();
                             self.metrics.events.emit(
                                 tango_metrics::EventKind::CrossLogDecision,
-                                self.projection().epoch_of_log(home_log),
+                                view.proj.epoch_of_log(home_log),
                                 home_log as u64,
                                 0,
                             );
@@ -964,7 +949,7 @@ impl CorfuClient {
             // The home write landed: the multiappend is committed.
             self.metrics.events.emit(
                 tango_metrics::EventKind::CrossLogDecision,
-                self.projection().epoch_of_log(home_log),
+                view.proj.epoch_of_log(home_log),
                 home_log as u64,
                 1,
             );
@@ -977,9 +962,8 @@ impl CorfuClient {
     /// half-completed chain writes by propagating the head's value forward.
     pub fn read(&self, offset: LogOffset) -> Result<ReadOutcome> {
         let (timer, _span) = self.sampled_root(SpanKind::ClientRead, &self.metrics.read_latency_ns);
-        let result = self.with_epoch_retry("read", || {
-            let proj = self.projection();
-            self.read_with(&proj, offset)
+        let result = self.with_retry("read", false, &mut self.view(), |view| {
+            self.read_with(view, &view.proj, offset)
         });
         match result.is_ok() {
             true => timer.stop(),
@@ -988,15 +972,21 @@ impl CorfuClient {
         result
     }
 
-    /// Reads `offset` using an explicit projection (and thus epoch) instead
-    /// of the client's installed one. Reconfiguration uses this to scan the
-    /// log at the new epoch before the projection is published.
-    pub(crate) fn read_with(&self, proj: &Projection, offset: LogOffset) -> Result<ReadOutcome> {
+    /// Reads `offset` over `view`'s connections using an explicit projection
+    /// (and thus epoch), which an operation takes from `view` itself.
+    /// Reconfiguration passes another: it scans the log at the new epoch
+    /// before the projection is published.
+    pub(crate) fn read_with(
+        &self,
+        view: &View,
+        proj: &Projection,
+        offset: LogOffset,
+    ) -> Result<ReadOutcome> {
         let epoch = proj.epoch_of_log(log_of_offset(offset));
         let (_, local) = proj.map(offset);
-        let chain = proj.chain_for(offset).to_vec();
+        let chain = proj.chain_for(offset);
         let tail = *chain.last().expect("non-empty chain");
-        match self.storage_call(tail, &StorageRequest::Read { epoch, addr: local })? {
+        match self.call(view, tail, &StorageRequest::Read { epoch, addr: local })? {
             StorageResponse::Data(b) => Ok(ReadOutcome::Data(b)),
             StorageResponse::Junk => Ok(ReadOutcome::Junk),
             StorageResponse::Trimmed => Ok(ReadOutcome::Trimmed),
@@ -1004,7 +994,7 @@ impl CorfuClient {
                 if chain.len() == 1 {
                     Ok(ReadOutcome::Unwritten)
                 } else {
-                    self.repair_chain(proj, offset)
+                    self.repair_chain(view, proj, offset)
                 }
             }
             StorageResponse::ErrSealed { epoch } => Err(CorfuError::Sealed { server_epoch: epoch }),
@@ -1025,13 +1015,18 @@ impl CorfuClient {
     /// Completes a chain whose tail is missing the value: reads the head
     /// and pushes its value (data or junk) down the chain. Returns the
     /// authoritative value, or `Unwritten` if the head has nothing.
-    fn repair_chain(&self, proj: &Projection, offset: LogOffset) -> Result<ReadOutcome> {
+    fn repair_chain(
+        &self,
+        view: &View,
+        proj: &Projection,
+        offset: LogOffset,
+    ) -> Result<ReadOutcome> {
         let epoch = proj.epoch_of_log(log_of_offset(offset));
         let (_, local) = proj.map(offset);
         let chain = proj.chain_for(offset);
         let head = chain[0];
         let (kind, value) =
-            match self.storage_call(head, &StorageRequest::Read { epoch, addr: local })? {
+            match self.call(view, head, &StorageRequest::Read { epoch, addr: local })? {
                 StorageResponse::Data(b) => (WriteKind::Data, b),
                 StorageResponse::Junk => (WriteKind::Junk, Bytes::new()),
                 StorageResponse::Unwritten => return Ok(ReadOutcome::Unwritten),
@@ -1045,9 +1040,10 @@ impl CorfuClient {
                     )))
                 }
             };
+        let write = StorageRequest::Write { epoch, addr: local, kind, payload: value.clone() };
+        let request = encode_to_vec(&write);
         for &node in &chain[1..] {
-            let req = StorageRequest::Write { epoch, addr: local, kind, payload: value.clone() };
-            match self.storage_call(node, &req)? {
+            match self.call_raw(view, node, &request)? {
                 StorageResponse::Ok | StorageResponse::ErrAlreadyWritten => {}
                 StorageResponse::ErrSealed { epoch } => {
                     return Err(CorfuError::Sealed { server_epoch: epoch })
@@ -1069,26 +1065,26 @@ impl CorfuClient {
     /// first, completes and returns the existing value instead.
     pub fn fill(&self, offset: LogOffset) -> Result<ReadOutcome> {
         let log = log_of_offset(offset);
-        let log_metrics = self.log_metrics(log);
         // The backlog gauge brackets the whole chase, retries included —
         // the health plane reads a sustained non-zero value as readers
         // stuck behind slow or dead writers.
         self.metrics.hole_backlog.add(1);
-        let result = self.with_epoch_retry("fill", || {
-            let proj = self.projection();
+        let result = self.with_retry("fill", false, &mut self.view(), |view| {
+            let proj = &view.proj;
             let epoch = proj.epoch_of_log(log);
             let (_, local) = proj.map(offset);
-            let chain = proj.chain_for(offset).to_vec();
+            let chain = proj.chain_for(offset);
             let head = chain[0];
-            let req = StorageRequest::Write {
+            // One request, head to tail, as for a data write.
+            let request = encode_to_vec(&StorageRequest::Write {
                 epoch,
                 addr: local,
                 kind: WriteKind::Junk,
                 payload: Bytes::new(),
-            };
-            match self.storage_call(head, &req)? {
+            });
+            match self.call_raw(view, head, &request)? {
                 StorageResponse::Ok => {
-                    log_metrics.hole_fills.inc();
+                    view.log_metrics[log as usize].hole_fills.inc();
                     self.metrics.junk_forced.inc();
                     self.metrics.events.emit(
                         tango_metrics::EventKind::JunkForced,
@@ -1097,13 +1093,7 @@ impl CorfuClient {
                         local,
                     );
                     for &node in &chain[1..] {
-                        let req = StorageRequest::Write {
-                            epoch,
-                            addr: local,
-                            kind: WriteKind::Junk,
-                            payload: Bytes::new(),
-                        };
-                        match self.storage_call(node, &req)? {
+                        match self.call_raw(view, node, &request)? {
                             StorageResponse::Ok | StorageResponse::ErrAlreadyWritten => {}
                             StorageResponse::ErrSealed { epoch } => {
                                 return Err(CorfuError::Sealed { server_epoch: epoch })
@@ -1128,7 +1118,7 @@ impl CorfuClient {
                     if chain.len() == 1 {
                         self.read(offset)
                     } else {
-                        self.repair_chain(&proj, offset)
+                        self.repair_chain(view, proj, offset)
                     }
                 }
                 StorageResponse::ErrTrimmed => Ok(ReadOutcome::Trimmed),
@@ -1182,9 +1172,8 @@ impl CorfuClient {
             return Ok(Vec::new());
         }
         let (timer, _span) = self.sampled_root(SpanKind::ClientRead, &self.metrics.read_latency_ns);
-        let result = self.with_epoch_retry("read_many", || {
-            let proj = self.projection();
-            self.read_many_with(&proj, offsets)
+        let result = self.with_retry("read_many", false, &mut self.view(), |view| {
+            self.read_many_with(view, offsets)
         });
         match result.is_ok() {
             true => timer.stop(),
@@ -1193,7 +1182,8 @@ impl CorfuClient {
         result
     }
 
-    fn read_many_with(&self, proj: &Projection, offsets: &[LogOffset]) -> Result<Vec<ReadOutcome>> {
+    fn read_many_with(&self, view: &View, offsets: &[LogOffset]) -> Result<Vec<ReadOutcome>> {
+        let proj = &*view.proj;
         // One `ReadBatch` round trip: target node, its epoch, and the
         // (input position, local address) pairs it answers for.
         type ReadChunk<'a> = (NodeId, Epoch, &'a [(usize, u64)]);
@@ -1236,7 +1226,7 @@ impl CorfuClient {
             let (tail, epoch, entries) = chunks[0];
             self.metrics.read_batches.inc();
             let addrs = entries.iter().map(|&(_, local)| local).collect();
-            let resp = self.storage_call(tail, &StorageRequest::ReadBatch { epoch, addrs })?;
+            let resp = self.call(view, tail, &StorageRequest::ReadBatch { epoch, addrs })?;
             vec![parse(entries.len(), resp)]
         } else {
             // Connections are resolved and requests encoded up front so the
@@ -1249,7 +1239,7 @@ impl CorfuClient {
                 self.metrics.read_batches.inc();
                 let addrs = entries.iter().map(|&(_, local)| local).collect();
                 let request = encode_to_vec(&StorageRequest::ReadBatch { epoch, addrs });
-                calls.push((self.conn(tail)?, request));
+                calls.push((Arc::clone(self.conn(view, tail)?), request));
             }
             let pool = self.fanout.get_or_init(|| CallPool::new(FANOUT_WORKERS));
             pool.call_all(calls)
@@ -1279,7 +1269,7 @@ impl CorfuClient {
         // through the repair path before reporting.
         for (idx, &off) in offsets.iter().enumerate() {
             if stitched[idx] == ReadOutcome::Unwritten && proj.chain_for(off).len() > 1 {
-                stitched[idx] = self.repair_chain(proj, off)?;
+                stitched[idx] = self.repair_chain(view, proj, off)?;
             }
         }
         Ok(stitched)
@@ -1307,13 +1297,14 @@ impl CorfuClient {
     /// they are counted separately (`corfu.client.random_trims`) from the
     /// [`CorfuClient::trim_prefix`] path.
     pub fn trim(&self, offset: LogOffset) -> Result<()> {
-        self.log_metrics(log_of_offset(offset)).random_trims.inc();
-        self.with_epoch_retry("trim", || {
-            let proj = self.projection();
+        let mut view = self.view();
+        view.log_metrics[log_of_offset(offset) as usize].random_trims.inc();
+        self.with_retry("trim", false, &mut view, |view| {
+            let proj = &view.proj;
             let epoch = proj.epoch_of_log(log_of_offset(offset));
             let (_, local) = proj.map(offset);
             for &node in proj.chain_for(offset) {
-                match self.storage_call(node, &StorageRequest::Trim { epoch, addr: local })? {
+                match self.call(view, node, &StorageRequest::Trim { epoch, addr: local })? {
                     StorageResponse::Ok => {}
                     StorageResponse::ErrSealed { epoch } => {
                         return Err(CorfuError::Sealed { server_epoch: epoch })
@@ -1335,17 +1326,17 @@ impl CorfuClient {
     /// horizons — callers garbage-collect per log.
     pub fn trim_prefix(&self, horizon: LogOffset) -> Result<()> {
         let log = log_of_offset(horizon);
-        self.log_metrics(log).prefix_trim.set(raw_of_offset(horizon) as i64);
-        self.with_epoch_retry("trim_prefix", || {
-            let proj = self.projection();
-            let log = log_of_offset(horizon);
+        let mut view = self.view();
+        view.log_metrics[log as usize].prefix_trim.set(raw_of_offset(horizon) as i64);
+        self.with_retry("trim_prefix", false, &mut view, |view| {
+            let proj = &view.proj;
             let layout = proj.log(log);
             let epoch = layout.epoch;
             for (set_idx, set) in layout.replica_sets.iter().enumerate() {
                 let local_horizon = proj.local_trim_horizon_in_log(log, set_idx, horizon);
                 for &node in set {
                     let req = StorageRequest::TrimPrefix { epoch, horizon: local_horizon };
-                    match self.storage_call(node, &req)? {
+                    match self.call(view, node, &req)? {
                         StorageResponse::Ok => {}
                         StorageResponse::ErrSealed { epoch } => {
                             return Err(CorfuError::Sealed { server_epoch: epoch })

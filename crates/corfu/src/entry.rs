@@ -85,7 +85,16 @@ impl EntryEnvelope {
     /// switches that header to the absolute format (truncated to K/4
     /// pointers, minimum 1, matching §5).
     pub fn encode(&self, offset: LogOffset) -> Result<Vec<u8>> {
-        let mut w = Writer::with_capacity(self.payload.len() + 16 + self.headers.len() * 16);
+        self.encode_after(0, offset)
+    }
+
+    /// [`EntryEnvelope::encode`] behind `spare` zero bytes, for a caller
+    /// that frames the entry in place instead of copying it into a frame.
+    #[inline]
+    pub(crate) fn encode_after(&self, spare: usize, offset: LogOffset) -> Result<Vec<u8>> {
+        let mut w =
+            Writer::with_capacity(spare + self.payload.len() + 16 + self.headers.len() * 16);
+        w.put_zeros(spare);
         w.put_u8(if self.link.is_some() { ENTRY_MAGIC_LINKED } else { ENTRY_MAGIC });
         w.put_u8(self.headers.len() as u8);
         if self.headers.len() > u8::MAX as usize {

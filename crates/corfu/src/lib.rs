@@ -45,9 +45,7 @@ pub mod reconfig;
 mod sequencer;
 mod storage;
 
-pub use client::{
-    AppendOutcome, ClientOptions, ConnFactory, CorfuClient, ReadOutcome, StreamWindows, Token,
-};
+pub use client::{ClientOptions, ConnFactory, CorfuClient, ReadOutcome, StreamWindows, Token};
 pub use compactor::{Compactor, CompactorConfig};
 pub use entry::{CrossLogLink, EntryEnvelope, StreamHeader};
 pub use error::CorfuError;

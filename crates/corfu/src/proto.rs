@@ -2,7 +2,7 @@
 //! service speaks the metalog protocol, `tango_meta::proto`.)
 
 use bytes::Bytes;
-use tango_wire::{Decode, Encode, Reader, WireError, Writer};
+use tango_wire::{decode_all, Decode, Encode, Reader, WireError, Writer};
 
 use crate::{Epoch, LogOffset, StreamId};
 
@@ -87,6 +87,59 @@ pub enum StorageRequest {
         /// Maximum number of addresses to scan in this round trip.
         count: u32,
     },
+}
+
+/// A [`StorageRequest::Write`] whose payload is a view into the bytes it
+/// was decoded from, so a storage node copies a page once: into its store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WriteRef<'a> {
+    pub epoch: Epoch,
+    pub addr: u64,
+    pub kind: WriteKind,
+    pub payload: &'a [u8],
+}
+
+/// The most bytes of a `Write` that precede its payload: tag, epoch,
+/// address, kind and the payload's varint length.
+pub(crate) const WRITE_HEAD_MAX: usize = 1 + 8 + 8 + 1 + 10;
+
+impl<'a> WriteRef<'a> {
+    /// Everything of a `Write` up to its payload bytes: the one place that
+    /// knows the variant's layout on the encode side.
+    fn put_head(w: &mut Writer, epoch: Epoch, addr: u64, kind: WriteKind, payload_len: usize) {
+        w.put_u8(0);
+        w.put_u64(epoch);
+        w.put_u64(addr);
+        kind.encode(w);
+        w.put_varint(payload_len as u64);
+    }
+
+    /// The fields that follow a `Write`'s tag: the one place that knows the
+    /// layout on the decode side.
+    fn decode_fields(r: &mut Reader<'a>) -> tango_wire::Result<Self> {
+        let (epoch, addr, kind) = (r.get_u64()?, r.get_u64()?, WriteKind::decode(r)?);
+        Ok(Self { epoch, addr, kind, payload: r.get_bytes()? })
+    }
+
+    /// `request` as a `Write`, when that is what its tag says — with
+    /// exactly the outcome `decode_from_slice::<StorageRequest>` has on the
+    /// same bytes. `None`: some other request (or none at all).
+    pub fn peek(request: &'a [u8]) -> Option<tango_wire::Result<Self>> {
+        let fields = |r: &mut Reader<'a>| r.get_u8().and_then(|_| Self::decode_fields(r));
+        (request.first() == Some(&0)).then(|| decode_all(request, fields))
+    }
+
+    /// Turns `buf` — [`WRITE_HEAD_MAX`] spare bytes, then a payload — into
+    /// the encoded `Write` of that payload and returns it: the bytes
+    /// `encode_to_vec(&StorageRequest::Write { .. })` gives, without a
+    /// second buffer. Stamping again (a retry at another epoch) is fine.
+    pub fn stamp(buf: &mut [u8], epoch: Epoch, addr: u64, kind: WriteKind) -> &[u8] {
+        let mut head = Writer::with_capacity(WRITE_HEAD_MAX);
+        Self::put_head(&mut head, epoch, addr, kind, buf.len() - WRITE_HEAD_MAX);
+        let start = WRITE_HEAD_MAX - head.len();
+        buf[start..WRITE_HEAD_MAX].copy_from_slice(head.as_slice());
+        &buf[start..]
+    }
 }
 
 /// The per-address outcome of a [`StorageRequest::ReadBatch`] — the same
@@ -317,11 +370,8 @@ impl Encode for StorageRequest {
     fn encode(&self, w: &mut Writer) {
         match self {
             StorageRequest::Write { epoch, addr, kind, payload } => {
-                w.put_u8(0);
-                w.put_u64(*epoch);
-                w.put_u64(*addr);
-                kind.encode(w);
-                w.put_bytes(payload);
+                WriteRef::put_head(w, *epoch, *addr, *kind, payload.len());
+                w.put_raw(payload);
             }
             StorageRequest::Read { epoch, addr } => {
                 w.put_u8(1);
@@ -364,12 +414,11 @@ impl Encode for StorageRequest {
 impl Decode for StorageRequest {
     fn decode(r: &mut Reader<'_>) -> tango_wire::Result<Self> {
         match r.get_u8()? {
-            0 => Ok(StorageRequest::Write {
-                epoch: r.get_u64()?,
-                addr: r.get_u64()?,
-                kind: WriteKind::decode(r)?,
-                payload: Bytes::decode(r)?,
-            }),
+            0 => {
+                let WriteRef { epoch, addr, kind, payload } = WriteRef::decode_fields(r)?;
+                let payload = Bytes::copy_from_slice(payload);
+                Ok(StorageRequest::Write { epoch, addr, kind, payload })
+            }
             1 => Ok(StorageRequest::Read { epoch: r.get_u64()?, addr: r.get_u64()? }),
             2 => Ok(StorageRequest::Trim { epoch: r.get_u64()?, addr: r.get_u64()? }),
             3 => Ok(StorageRequest::TrimPrefix { epoch: r.get_u64()?, horizon: r.get_u64()? }),
@@ -794,6 +843,32 @@ mod tests {
             let bytes = encode_to_vec(&m);
             assert_eq!(decode_from_slice::<StorageResponse>(&bytes).unwrap(), m);
         }
+    }
+
+    #[test]
+    fn stamped_write_is_the_owned_encoding_and_peeks_back() {
+        // Payload lengths either side of each varint width.
+        for len in [0usize, 1, 127, 128, 16_383, 16_384] {
+            let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut buf = [&[0xAA; WRITE_HEAD_MAX][..], &payload].concat();
+            // Stamped twice, as a retry at another epoch does.
+            for (epoch, addr) in [(u64::MAX, 7), (3, u64::MAX)] {
+                let owned = StorageRequest::Write {
+                    epoch,
+                    addr,
+                    kind: WriteKind::Data,
+                    payload: Bytes::copy_from_slice(&payload),
+                };
+                let stamped = WriteRef::stamp(&mut buf, epoch, addr, WriteKind::Data);
+                assert_eq!(stamped, encode_to_vec(&owned));
+                let expected = WriteRef { epoch, addr, kind: WriteKind::Data, payload: &payload };
+                assert_eq!(WriteRef::peek(stamped), Some(Ok(expected)));
+            }
+        }
+        // Not a write, not anything, and a write that is cut short.
+        assert_eq!(WriteRef::peek(&encode_to_vec(&StorageRequest::Seal { epoch: 1 })), None);
+        assert_eq!(WriteRef::peek(&[]), None);
+        assert!(matches!(WriteRef::peek(&[0, 1, 2]), Some(Err(WireError::Truncated { .. }))));
     }
 
     #[test]

@@ -494,10 +494,11 @@ fn rebuild_stream_state(
     let mut floor = 0u64;
     let mut seed: Option<SequencerState> = None;
     let mut offset = tail;
+    let view = client.view();
     while offset > floor {
         offset -= 1;
         let composite = compose(log, offset);
-        match client.read_with(proj, composite)? {
+        match client.read_with(&view, proj, composite)? {
             ReadOutcome::Data(bytes) => {
                 scanned += 1;
                 if let Ok(envelope) = EntryEnvelope::decode(&bytes, composite) {
@@ -562,8 +563,9 @@ pub fn checkpoint_sequencer_state(client: &CorfuClient) -> Result<LogOffset> {
 /// into `log` (bypassing the shard map) because that is the log the
 /// recovery scan reads. Call periodically from an operational task.
 pub fn checkpoint_sequencer_state_in_log(client: &CorfuClient, log: u32) -> Result<LogOffset> {
-    let epoch = client.projection().epoch_of_log(log);
-    let state = match client.sequencer_call_pub(log, &SequencerRequest::Dump { epoch })? {
+    let view = client.view();
+    let epoch = view.proj.epoch_of_log(log);
+    let state = match client.sequencer_call(&view, log, &SequencerRequest::Dump { epoch })? {
         SequencerResponse::State { tail, streams } => SequencerState { tail, streams },
         SequencerResponse::ErrSealed { epoch } => {
             return Err(CorfuError::Sealed { server_epoch: epoch })

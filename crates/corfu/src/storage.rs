@@ -1,13 +1,13 @@
 //! The storage server: an epoch gate in front of a [`FlashUnit`].
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use tango_flash::{FlashError, FlashMetrics, FlashUnit, PageRead, ScrubReport, TierStats};
-use tango_metrics::{EventKind, Registry, SpanKind};
+use tango_metrics::{EventKind, Registry, Span, SpanKind};
 use tango_rpc::RpcHandler;
 use tango_wire::{decode_from_slice, encode_to_vec};
 
 use crate::metrics::StorageMetrics;
-use crate::proto::{PageCopy, PageOutcome, StorageRequest, StorageResponse, WriteKind};
+use crate::proto::{PageCopy, PageOutcome, StorageRequest, StorageResponse, WriteKind, WriteRef};
 use crate::Epoch;
 
 /// Upper bound on addresses scanned per [`StorageRequest::CopyRange`] round
@@ -215,40 +215,49 @@ impl StorageServer {
         reclaimed_segments
     }
 
-    /// Processes a decoded request (also used directly by unit tests).
-    pub fn process(&self, req: StorageRequest) -> StorageResponse {
+    /// What every request does before it is served: waits for the unit's
+    /// lock and opens its span.
+    fn enter(&self, span_kind: SpanKind) -> (MutexGuard<'_, Inner>, Span) {
         // Queue wait is the time spent behind other requests for the
         // unit's lock; everything after the lock is service time, which
         // the flash.* histograms measure per device op.
         let wait = self.metrics.queue_wait_ns.start_sampled(&self.metrics.sampler);
-        let mut inner = self.inner.lock();
+        let inner = self.inner.lock();
         wait.stop();
-        let span_kind = match req {
+        // Records only when the request arrived with a trace context.
+        (inner, self.metrics.tracer.child(span_kind))
+    }
+
+    /// Serves a write under the unit's lock. The payload is only borrowed —
+    /// from an owned request or straight from the request bytes — and the
+    /// unit's store makes the one copy.
+    fn write(&self, inner: &mut Inner, write: WriteRef<'_>) -> StorageResponse {
+        if let Err(resp) = inner.check_epoch(write.epoch) {
+            return resp;
+        }
+        let (result, served) = match write.kind {
+            WriteKind::Data => (inner.unit.write(write.addr, write.payload), &self.metrics.writes),
+            WriteKind::Junk => (inner.unit.fill(write.addr), &self.metrics.fills),
+        };
+        match result {
+            Ok(()) => {
+                served.inc();
+                StorageResponse::Ok
+            }
+            Err(e) => Inner::flash_error(e),
+        }
+    }
+
+    /// Processes a decoded request (also used directly by unit tests).
+    pub fn process(&self, req: StorageRequest) -> StorageResponse {
+        let (mut inner, _span) = self.enter(match req {
             StorageRequest::Write { .. } => SpanKind::StorageWrite,
             StorageRequest::Read { .. } | StorageRequest::ReadBatch { .. } => SpanKind::StorageRead,
             _ => SpanKind::StorageCtl,
-        };
-        // Records only when the request arrived with a trace context.
-        let _span = self.metrics.tracer.child(span_kind);
+        });
         match req {
             StorageRequest::Write { epoch, addr, kind, payload } => {
-                if let Err(resp) = inner.check_epoch(epoch) {
-                    return resp;
-                }
-                let result = match kind {
-                    WriteKind::Data => inner.unit.write(addr, &payload),
-                    WriteKind::Junk => inner.unit.fill(addr),
-                };
-                match result {
-                    Ok(()) => {
-                        match kind {
-                            WriteKind::Data => self.metrics.writes.inc(),
-                            WriteKind::Junk => self.metrics.fills.inc(),
-                        }
-                        StorageResponse::Ok
-                    }
-                    Err(e) => Inner::flash_error(e),
-                }
+                self.write(&mut inner, WriteRef { epoch, addr, kind, payload: &payload })
             }
             StorageRequest::Read { epoch, addr } => {
                 if let Err(resp) = inner.check_epoch(epoch) {
@@ -393,10 +402,17 @@ impl Inner {
 
 impl RpcHandler for StorageServer {
     fn handle(&self, request: &[u8]) -> Vec<u8> {
-        let response = match decode_from_slice::<StorageRequest>(request) {
-            Ok(req) => self.process(req),
-            Err(e) => StorageResponse::ErrStorage(format!("bad request: {e}")),
+        // A write is served from the request bytes as they arrived; every
+        // other request is small and decodes into an owned value.
+        let response = match WriteRef::peek(request) {
+            Some(write) => write.map(|write| {
+                let (mut inner, _span) = self.enter(SpanKind::StorageWrite);
+                self.write(&mut inner, write)
+            }),
+            None => decode_from_slice::<StorageRequest>(request).map(|req| self.process(req)),
         };
+        let response =
+            response.unwrap_or_else(|e| StorageResponse::ErrStorage(format!("bad request: {e}")));
         encode_to_vec(&response)
     }
 }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, TcpCluster, Transport};
 use corfu::reconfig::{replace_sequencer, replace_storage_node};
-use corfu::{ClientOptions, CompactorConfig};
+use corfu::{ClientOptions, CompactorConfig, EntryEnvelope, NodeInfo};
 use tango_metrics::HealthStatus;
 
 /// Expands to `<scenario>::in_process` and `<scenario>::over_tcp`: the one
@@ -138,4 +138,76 @@ fn single_replica_metalog_is_a_complete_layout_service<T: Transport>(cluster: &C
 on_both_transports!(
     single_replica_metalog_is_a_complete_layout_service,
     ClusterConfig { layout_replicas: 1, ..ClusterConfig::tiny() }
+);
+
+/// A node that keeps its id but moves to another address is another node:
+/// a client that learns of the move through a refresh dials the new address
+/// instead of carrying its old connection over. The old sequencer is
+/// decommissioned, not killed — it stays up, sealed at the new epoch — so a
+/// carried-over connection fails no call: it gets tokens from a sequencer
+/// that is no longer the log's.
+fn moved_node_is_dialled_at_its_new_address<T: Transport>(cluster: &Cluster<T>) {
+    let operator = cluster.client().unwrap();
+    let bystander = cluster.client().unwrap();
+    assert_eq!(bystander.append(Bytes::from_static(b"before")).unwrap(), 0);
+
+    let old = bystander.projection();
+    let id = old.sequencer_of(0);
+    let (replacement, server) = cluster.spawn_replacement_sequencer().unwrap();
+    assert_ne!(Some(replacement.addr.as_str()), old.addr_of(id));
+    let moved = NodeInfo { id, addr: replacement.addr };
+    let outcome = replace_sequencer(&operator, moved.clone(), 4).unwrap();
+    assert_eq!(outcome.projection.sequencer_of(0), id);
+    assert_eq!(outcome.projection.addr_of(id), Some(moved.addr.as_str()));
+
+    assert_eq!(bystander.append(Bytes::from_static(b"after")).unwrap(), 1);
+    assert_eq!(bystander.projection().addr_of(id), Some(moved.addr.as_str()));
+    assert_eq!(server.tokens_issued(), 1, "the token came from the sequencer that moved in");
+    assert_eq!(cluster.sequencer().tokens_issued(), 1, "and not from the one that moved out");
+}
+
+on_both_transports!(moved_node_is_dialled_at_its_new_address, ClusterConfig::tiny());
+
+/// An operation works from the snapshot it took. An appender that holds a
+/// pre-seal snapshot — and a token granted under it — across a storage
+/// replacement is told `ErrSealed`, swaps its snapshot for the new layout,
+/// re-frames the same entry at the new epoch and lands it exactly once; a
+/// client created after the swap reads it back from the new chain.
+fn pre_seal_snapshot_is_swapped_and_the_entry_lands_once<T: Transport>(cluster: &Cluster<T>) {
+    let operator = cluster.client().unwrap();
+    let appender = cluster.client().unwrap();
+    let seal_retries = || cluster.metrics().counter("corfu.client.seal_retries").get();
+    assert_eq!(appender.append(Bytes::from_static(b"before")).unwrap(), 0);
+    let held = appender.projection();
+    let token = appender.token(&[]).unwrap();
+
+    cluster.kill_storage_node(1);
+    let (replacement, _server) = cluster.spawn_replacement_storage().unwrap();
+    let installed = replace_storage_node(&operator, 1, replacement.clone()).unwrap().projection;
+    assert!(Arc::ptr_eq(&held, &appender.projection()), "nobody told the appender yet");
+    assert_eq!(seal_retries(), 0);
+
+    // The chain write goes out framed for epoch 0, is refused, and goes out
+    // again — same entry bytes, new epoch — over the new chain.
+    let late_entry = EntryEnvelope::raw(Bytes::from_static(b"token from before the seal"));
+    appender.write_at(token.offset, &late_entry.encode(token.offset).unwrap()).unwrap();
+    assert_eq!(seal_retries(), 1);
+    assert_eq!(*appender.projection(), installed);
+    assert_eq!(held.epoch + 1, installed.epoch, "the held snapshot itself never changed");
+    assert!(installed.chain_for(0).contains(&replacement.id));
+    let after = appender.append(Bytes::from_static(b"after")).unwrap();
+    assert_eq!(seal_retries(), 1, "one refresh served both");
+
+    let late = cluster.client().unwrap();
+    let tail = late.check_tail_fast().unwrap();
+    let payloads: Vec<Bytes> = (0..tail).map(|o| late.read_entry(o).unwrap().payload).collect();
+    assert_eq!(payloads, [&b"before"[..], b"token from before the seal", b"after"]);
+    assert_eq!((token.offset, after), (1, 2));
+    // Both replicas of the new chain hold all three: the replacement is one.
+    assert_eq!(cluster.storage_server(replacement.id).unwrap().stats().data_writes, 3);
+}
+
+on_both_transports!(
+    pre_seal_snapshot_is_swapped_and_the_entry_lands_once,
+    ClusterConfig { num_sets: 1, replication: 2, ..Default::default() }
 );

@@ -25,7 +25,7 @@ mod writer;
 pub use crc::crc32c;
 pub use error::WireError;
 pub use reader::Reader;
-pub use traits::{decode_from_slice, encode_to_vec, Decode, Encode};
+pub use traits::{decode_all, decode_from_slice, encode_to_vec, Decode, Encode};
 pub use writer::Writer;
 
 /// Convenience alias for results produced by decoding.

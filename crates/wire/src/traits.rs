@@ -19,15 +19,27 @@ pub trait Decode: Sized {
 
 /// Encodes `value` into a fresh byte vector.
 pub fn encode_to_vec<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
-    let mut w = Writer::new();
+    // Most messages are a tag and a few integers: one allocation covers
+    // them, where growing from empty takes four.
+    let mut w = Writer::with_capacity(64);
     value.encode(&mut w);
     w.into_vec()
 }
 
 /// Decodes a value from `buf`, requiring the whole buffer to be consumed.
 pub fn decode_from_slice<T: Decode>(buf: &[u8]) -> Result<T> {
+    decode_all(buf, T::decode)
+}
+
+/// Runs `decode` over `buf`, requiring the whole buffer to be consumed.
+/// [`decode_from_slice`] for a value that borrows from `buf` (the closure
+/// gets the reader's `'a`, so it can return `get_bytes` slices as they are).
+pub fn decode_all<'a, T>(
+    buf: &'a [u8],
+    decode: impl FnOnce(&mut Reader<'a>) -> Result<T>,
+) -> Result<T> {
     let mut r = Reader::new(buf);
-    let value = T::decode(&mut r)?;
+    let value = decode(&mut r)?;
     if !r.is_empty() {
         return Err(WireError::LengthOutOfRange {
             declared: buf.len() as u64,
@@ -238,6 +250,24 @@ mod tests {
         let mut bytes = encode_to_vec(&42u64);
         bytes.push(0);
         assert!(decode_from_slice::<u64>(&bytes).is_err());
+    }
+
+    #[test]
+    fn decode_all_lends_slices_of_the_input_and_rejects_trailing_bytes() {
+        let mut w = Writer::new();
+        w.put_u8(9);
+        w.put_zeros(3);
+        w.put_bytes(b"payload");
+        let mut buf = w.into_vec();
+        assert_eq!(&buf[..5], &[9u8, 0, 0, 0, 7][..]);
+        let (tag, skipped, payload) =
+            decode_all(&buf, |r| Ok((r.get_u8()?, r.get_raw(3)?.len(), r.get_bytes()?))).unwrap();
+        assert_eq!((tag, skipped, payload), (9, 3, &b"payload"[..]));
+        assert_eq!(payload.as_ptr(), buf[5..].as_ptr(), "a view, not a copy");
+        buf.push(0);
+        // The same error `decode_from_slice` gives for the same excess.
+        let owned = decode_from_slice::<(u32, Vec<u8>)>(&buf).unwrap_err();
+        assert_eq!(decode_all(&buf, |r| Ok((r.get_raw(4)?, r.get_bytes()?))).unwrap_err(), owned);
     }
 
     #[test]

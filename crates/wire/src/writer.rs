@@ -81,6 +81,13 @@ impl Writer {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Appends `n` zero bytes: room the caller fills in once it knows what
+    /// belongs there.
+    #[inline]
+    pub fn put_zeros(&mut self, n: usize) {
+        self.buf.resize(self.buf.len() + n, 0);
+    }
+
     /// Appends a varint-length-prefixed byte string.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_varint(bytes.len() as u64);
