@@ -5,13 +5,12 @@
 //! count (one token, no tail query per commit) and — the part that count
 //! must not buy — that a read-set object the transaction does *not* write
 //! is still validated against everything below the commit point, on the
-//! piggybacked path and on each fallback (pooled tokens, cross-log commits,
-//! read-set streams homed in another log than the commit).
+//! piggybacked path and on each fallback (cross-log commits, read-set
+//! streams homed in another log than the commit).
 
 use std::sync::Arc;
 
 use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, TcpCluster, Transport};
-use corfu::ClientOptions;
 use tango::{ApplyMeta, ObjectOptions, ObjectView, Oid, StateMachine, TangoRuntime, TxStatus};
 use tango_metrics::Registry;
 
@@ -105,11 +104,10 @@ fn a_commit_is_one_sequencer_call_over_tcp() {
 /// and after runtime 1's commit must both reach runtime 1.
 fn unwritten_read_set_decides_the_commit<T: Transport>(
     cluster: &Cluster<T>,
-    committer: ClientOptions,
     a_log: u32,
     written_logs: &[u32],
 ) {
-    let r1 = TangoRuntime::new(cluster.client_with_options(committer).unwrap()).unwrap();
+    let r1 = TangoRuntime::new(cluster.client().unwrap()).unwrap();
     let r2 = TangoRuntime::new(cluster.client().unwrap()).unwrap();
     let a = object_in_log(&r1, a_log, "read");
     let (a1, a2) = (host(&r1, a), host(&r2, a));
@@ -160,21 +158,13 @@ fn unwritten_read_set_decides_the_commit<T: Transport>(
 #[test]
 fn unwritten_read_set_decides_the_commit_in_process() {
     let cluster = LocalCluster::new(ClusterConfig::default());
-    unwritten_read_set_decides_the_commit(&cluster, ClientOptions::default(), 0, &[0]);
+    unwritten_read_set_decides_the_commit(&cluster, 0, &[0]);
 }
 
 #[test]
 fn unwritten_read_set_decides_the_commit_over_tcp() {
     let cluster = TcpCluster::spawn(ClusterConfig::default()).unwrap();
-    unwritten_read_set_decides_the_commit(&cluster, ClientOptions::default(), 0, &[0]);
-}
-
-/// Fallback: a pooled token was granted before its append existed, so it
-/// observed nothing; the unwritten streams take the `Query` round trip.
-#[test]
-fn pooled_tokens_fall_back_to_a_tail_query() {
-    let cluster = LocalCluster::new(ClusterConfig::default());
-    unwritten_read_set_decides_the_commit(&cluster, ClientOptions::batched(), 0, &[0]);
+    unwritten_read_set_decides_the_commit(&cluster, 0, &[0]);
 }
 
 /// Fallback: a cross-log commit has one token per log and no single grant
@@ -182,9 +172,9 @@ fn pooled_tokens_fall_back_to_a_tail_query() {
 #[test]
 fn cross_log_commits_fall_back_to_a_tail_query() {
     let cluster = LocalCluster::new(ClusterConfig::sharded(2));
-    unwritten_read_set_decides_the_commit(&cluster, ClientOptions::default(), 0, &[0, 1]);
+    unwritten_read_set_decides_the_commit(&cluster, 0, &[0, 1]);
     let cluster = LocalCluster::new(ClusterConfig::sharded(2));
-    unwritten_read_set_decides_the_commit(&cluster, ClientOptions::default(), 1, &[0, 1]);
+    unwritten_read_set_decides_the_commit(&cluster, 1, &[0, 1]);
 }
 
 /// Fallback: the commit's log's sequencer knows nothing of a read-set
@@ -192,5 +182,5 @@ fn cross_log_commits_fall_back_to_a_tail_query() {
 #[test]
 fn read_set_in_another_log_falls_back_to_a_tail_query() {
     let cluster = LocalCluster::new(ClusterConfig::sharded(2));
-    unwritten_read_set_decides_the_commit(&cluster, ClientOptions::default(), 0, &[1]);
+    unwritten_read_set_decides_the_commit(&cluster, 0, &[1]);
 }

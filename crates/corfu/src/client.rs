@@ -14,7 +14,6 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel;
 use parking_lot::RwLock;
 use tango_metrics::{Registry, Span, SpanKind, Timer};
 use tango_rpc::ClientConn;
@@ -32,90 +31,6 @@ use crate::{
     Projection, Result, StreamId,
 };
 
-/// Workers in the lazily-spawned fan-out pool (see [`CallPool`]). The
-/// calling thread always services one request itself, so `read_many` keeps
-/// up to `FANOUT_WORKERS + 1` batches in flight at once.
-const FANOUT_WORKERS: usize = 6;
-
-struct FanoutJob {
-    conn: Arc<dyn ClientConn>,
-    request: Vec<u8>,
-    slot: usize,
-    reply: channel::Sender<(usize, tango_rpc::Result<Vec<u8>>)>,
-}
-
-/// A small persistent worker pool for issuing concurrent blocking RPCs.
-///
-/// Scoped threads would work, but a backpointer walk calls `read_many`
-/// once per stride and a thread spawn per call costs more than the round
-/// trip it hides. Jobs carry everything they need (the connection handle
-/// and pre-encoded request bytes), so the workers are `'static` and live
-/// until the pool is dropped.
-struct CallPool {
-    jobs: Option<channel::Sender<FanoutJob>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl CallPool {
-    fn new(size: usize) -> Self {
-        let (tx, rx) = channel::unbounded::<FanoutJob>();
-        let workers = (0..size)
-            .map(|_| {
-                let rx = rx.clone();
-                std::thread::Builder::new()
-                    .name("corfu-fanout".into())
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            let result = job.conn.call(&job.request);
-                            let _ = job.reply.send((job.slot, result));
-                        }
-                    })
-                    .expect("spawn corfu-fanout worker")
-            })
-            .collect();
-        Self { jobs: Some(tx), workers }
-    }
-
-    /// Issues every request concurrently and returns the raw responses in
-    /// input order. The calling thread services the first request itself.
-    fn call_all(
-        &self,
-        calls: Vec<(Arc<dyn ClientConn>, Vec<u8>)>,
-    ) -> Vec<tango_rpc::Result<Vec<u8>>> {
-        let n = calls.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let jobs = self.jobs.as_ref().expect("pool open while client alive");
-        let (reply_tx, reply_rx) = channel::unbounded();
-        let mut iter = calls.into_iter();
-        let (first_conn, first_request) = iter.next().expect("checked non-empty");
-        for (i, (conn, request)) in iter.enumerate() {
-            jobs.send(FanoutJob { conn, request, slot: i + 1, reply: reply_tx.clone() })
-                .map_err(|_| ())
-                .expect("fan-out workers alive");
-        }
-        drop(reply_tx);
-        let mut out: Vec<Option<tango_rpc::Result<Vec<u8>>>> = (0..n).map(|_| None).collect();
-        out[0] = Some(first_conn.call(&first_request));
-        for _ in 1..n {
-            let (slot, result) = reply_rx.recv().expect("every job replies");
-            out[slot] = Some(result);
-        }
-        out.into_iter().map(|r| r.expect("every slot served")).collect()
-    }
-}
-
-impl Drop for CallPool {
-    fn drop(&mut self) {
-        // Closing the job channel lets every worker drain and exit.
-        self.jobs.take();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
 /// Creates connections to nodes named by the projection's address book.
 pub trait ConnFactory: Send + Sync {
     /// Opens (or reuses) a connection to `node`.
@@ -131,54 +46,30 @@ where
     }
 }
 
-/// Tuning knobs for the client.
+/// First poll interval while waiting on an unwritten offset. Each poll that
+/// still finds it unwritten doubles the interval, up to [`HOLE_POLL_MAX`].
+const HOLE_POLL_INTERVAL: Duration = Duration::from_millis(1);
+/// Cap on the poll backoff: keeps a slow writer from turning every waiting
+/// reader into a busy-poller while bounding how stale the reader's view of
+/// the offset gets.
+const HOLE_POLL_MAX: Duration = Duration::from_millis(16);
+/// How many times an operation retries across epoch changes before giving
+/// up.
+const MAX_EPOCH_RETRIES: u32 = 32;
+/// How many times an append retries lost tokens before giving up.
+const MAX_TOKEN_RETRIES: u32 = 64;
+
+/// What a deployment may set on its clients.
 #[derive(Debug, Clone)]
 pub struct ClientOptions {
     /// How long a reader waits on an unwritten offset before patching it
     /// with junk (the paper's default is 100ms).
     pub hole_fill_timeout: Duration,
-    /// Initial poll interval while waiting on an unwritten offset. Each
-    /// poll that still finds the offset unwritten doubles the interval, up
-    /// to [`ClientOptions::hole_poll_max`].
-    pub hole_poll_interval: Duration,
-    /// Cap on the exponential poll backoff in `wait_read`. Keeps a slow
-    /// writer from turning every waiting reader into a busy-poller while
-    /// still bounding how stale a reader's view of the offset can get.
-    pub hole_poll_max: Duration,
-    /// How many times an operation retries across epoch changes before
-    /// giving up.
-    pub max_epoch_retries: u32,
-    /// How many times an append retries lost tokens before giving up.
-    pub max_token_retries: u32,
-    /// Tokens reserved per sequencer round trip (§5's sequencer batching;
-    /// the paper's evaluation uses 4). With a batch of `n`, `token` fetches
-    /// `n` consecutive tokens via `NextBatch` and parks the spares in a
-    /// client-side pool keyed by stream set, so concurrent `append_streams`
-    /// callers amortize sequencer round trips ~`n`×.
-    ///
-    /// The default is 1 (no batching): unused pooled tokens become holes
-    /// that readers must junk-fill, so batching is opt-in for workloads with
-    /// a steady append rate — see [`ClientOptions::batched`].
-    pub seq_batch: usize,
 }
 
 impl Default for ClientOptions {
     fn default() -> Self {
-        Self {
-            hole_fill_timeout: Duration::from_millis(100),
-            hole_poll_interval: Duration::from_millis(1),
-            hole_poll_max: Duration::from_millis(16),
-            max_epoch_retries: 32,
-            max_token_retries: 64,
-            seq_batch: 1,
-        }
-    }
-}
-
-impl ClientOptions {
-    /// The paper's §5 configuration: sequencer tokens batched 4 at a time.
-    pub fn batched() -> Self {
-        Self { seq_batch: 4, ..Self::default() }
+        Self { hole_fill_timeout: Duration::from_millis(100) }
     }
 }
 
@@ -195,10 +86,8 @@ pub struct Token {
     /// stream (most recent first).
     pub backpointers: Vec<Vec<LogOffset>>,
     /// For each stream the grant was asked to observe, its last K offsets
-    /// as of the grant (most recent first). `None` when the sequencer was
-    /// not asked: a pooled token was granted before anyone knew what its
-    /// append would want to observe.
-    pub observed: Option<StreamWindows>,
+    /// as of the grant (most recent first).
+    pub observed: StreamWindows,
 }
 
 /// The value found at a log offset.
@@ -244,24 +133,22 @@ impl View {
     }
 }
 
-/// Client-side stash of batch-reserved tokens, kept *per log* and keyed by
-/// the exact stream set they were reserved for (backpointers are
-/// stream-specific, so a token reserved for streams `[a, b]` can only stamp
-/// an entry joining `[a, b]`). Tokens are only valid at the epoch of the
-/// log they were issued in: a reconfigured sequencer rebuilds its tail from
-/// *written* entries, so reserved-but-unwritten offsets may be re-issued —
-/// a log's pool is cleared when *that log's* epoch changes (sealing log A
-/// must not discard log B's perfectly valid tokens) and write-once
-/// arbitration covers any stragglers.
-#[derive(Default)]
-struct TokenPool {
-    logs: HashMap<u32, LogTokenPool>,
+/// The error for a storage response `what` has no use for. A sealed
+/// server's answer becomes [`CorfuError::Sealed`], the one `with_retry`
+/// refreshes on; anything else is reported as it came.
+fn storage_refusal(what: impl std::fmt::Display, resp: StorageResponse) -> CorfuError {
+    match resp {
+        StorageResponse::ErrSealed { epoch } => CorfuError::Sealed { server_epoch: epoch },
+        other => CorfuError::Storage(format!("{what} failed: {other:?}")),
+    }
 }
 
-#[derive(Default)]
-struct LogTokenPool {
-    epoch: Epoch,
-    by_streams: HashMap<Vec<StreamId>, std::collections::VecDeque<Token>>,
+/// [`storage_refusal`] for the sequencer's answers.
+fn sequencer_refusal(what: &str, resp: SequencerResponse) -> CorfuError {
+    match resp {
+        SequencerResponse::ErrSealed { epoch } => CorfuError::Sealed { server_epoch: epoch },
+        other => CorfuError::Codec(format!("unexpected {what} response {other:?}")),
+    }
 }
 
 /// A CORFU client handle. Cheap to clone; safe to share across threads.
@@ -270,8 +157,6 @@ pub struct CorfuClient {
     layout: LayoutClient,
     factory: Arc<dyn ConnFactory>,
     state: Arc<RwLock<Arc<View>>>,
-    token_pool: Arc<parking_lot::Mutex<TokenPool>>,
-    fanout: Arc<OnceLock<CallPool>>,
     opts: ClientOptions,
     registry: Registry,
     metrics: ClientMetrics,
@@ -289,16 +174,7 @@ impl CorfuClient {
     ) -> Result<Self> {
         let state = Arc::new(View::new(Arc::new(layout.get()?), &registry, None));
         let metrics = ClientMetrics::from_registry(&registry);
-        Ok(Self {
-            layout,
-            factory,
-            state: Arc::new(RwLock::new(state)),
-            token_pool: Arc::new(parking_lot::Mutex::new(TokenPool::default())),
-            fanout: Arc::new(OnceLock::new()),
-            opts,
-            registry,
-            metrics,
-        })
+        Ok(Self { layout, factory, state: Arc::new(RwLock::new(state)), opts, registry, metrics })
     }
 
     /// The metrics registry this client records into. Snapshot it to
@@ -436,7 +312,7 @@ impl CorfuClient {
         mut op: impl FnMut(&View) -> Result<T>,
     ) -> Result<T> {
         let mut last_rpc_error = None;
-        for attempt in 0..self.opts.max_epoch_retries {
+        for attempt in 0..MAX_EPOCH_RETRIES {
             match op(view) {
                 Err(CorfuError::Sealed { .. }) => self.metrics.seal_retries.inc(),
                 Err(CorfuError::Rpc(e)) if retry_rpc => last_rpc_error = Some(CorfuError::Rpc(e)),
@@ -458,10 +334,6 @@ impl CorfuClient {
     /// and their backpointers are returned. All streams must live in the
     /// same log (the offset returned is that log's next composite offset);
     /// an empty stream set targets log 0.
-    ///
-    /// With [`ClientOptions::seq_batch`] > 1 the client reserves
-    /// `seq_batch` consecutive tokens per sequencer round trip and serves
-    /// subsequent requests for the same stream set from its pool.
     pub fn token(&self, streams: &[StreamId]) -> Result<Token> {
         let mut view = self.view();
         let log = streams.first().map_or(0, |&s| view.proj.log_of_stream(s));
@@ -471,8 +343,7 @@ impl CorfuClient {
 
     /// [`CorfuClient::token`] targeting an explicit log. With a non-empty
     /// `observe` (streams of the same log) the grant also reports their
-    /// last-K offsets — unless tokens are pooled, which leaves
-    /// [`Token::observed`] `None`.
+    /// last-K offsets.
     fn token_in_log(
         &self,
         view: &mut Arc<View>,
@@ -480,14 +351,6 @@ impl CorfuClient {
         streams: &[StreamId],
         observe: &[StreamId],
     ) -> Result<Token> {
-        if self.opts.seq_batch > 1 {
-            if let Some(token) = self.pooled_token(&view.proj, log, streams) {
-                self.metrics.token_pool_hits.inc();
-                self.metrics.tokens.inc();
-                return Ok(token);
-            }
-            return self.token_batch(view, log, streams);
-        }
         self.with_retry("token", true, view, |view| {
             let epoch = view.proj.epoch_of_log(log);
             let streams = streams.to_vec();
@@ -501,75 +364,9 @@ impl CorfuClient {
                     if observed.len() == observe.len() =>
                 {
                     self.metrics.tokens.inc();
-                    Ok(Token {
-                        offset: compose(log, offset),
-                        backpointers,
-                        observed: Some(observed),
-                    })
+                    Ok(Token { offset: compose(log, offset), backpointers, observed })
                 }
-                SequencerResponse::ErrSealed { epoch } => {
-                    Err(CorfuError::Sealed { server_epoch: epoch })
-                }
-                other => Err(CorfuError::Codec(format!("unexpected token response {other:?}"))),
-            }
-        })
-    }
-
-    /// Pops a pooled token of log `log` for exactly this stream set,
-    /// discarding that log's pool if the *log's* epoch moved since the
-    /// tokens were reserved. Other logs' pools are untouched.
-    fn pooled_token(&self, proj: &Projection, log: u32, streams: &[StreamId]) -> Option<Token> {
-        let epoch = proj.epoch_of_log(log);
-        let mut pool = self.token_pool.lock();
-        let entry = pool.logs.entry(log).or_default();
-        if entry.epoch != epoch {
-            entry.by_streams.clear();
-            entry.epoch = epoch;
-            return None;
-        }
-        entry.by_streams.get_mut(streams)?.pop_front()
-    }
-
-    /// Reserves `seq_batch` consecutive tokens in one sequencer round trip
-    /// against log `log`, returns the first and pools the rest.
-    fn token_batch(&self, view: &mut Arc<View>, log: u32, streams: &[StreamId]) -> Result<Token> {
-        let count = self.opts.seq_batch as u32;
-        self.with_retry("token", true, view, |view| {
-            let epoch = view.proj.epoch_of_log(log);
-            let req = SequencerRequest::NextBatch { epoch, streams: streams.to_vec(), count };
-            match self.sequencer_call(view, log, &req)? {
-                SequencerResponse::TokenBatch { start, tokens } => {
-                    self.metrics.token_batches.inc();
-                    let mut tokens =
-                        tokens.into_iter().enumerate().map(|(i, backpointers)| Token {
-                            offset: compose(log, start + i as u64),
-                            backpointers,
-                            observed: None,
-                        });
-                    let first = tokens
-                        .next()
-                        .ok_or_else(|| CorfuError::Codec("empty token batch".into()))?;
-                    let spares: Vec<Token> = tokens.collect();
-                    if !spares.is_empty() {
-                        let mut pool = self.token_pool.lock();
-                        let entry = pool.logs.entry(log).or_default();
-                        if entry.epoch < epoch {
-                            entry.by_streams.clear();
-                            entry.epoch = epoch;
-                        }
-                        if entry.epoch == epoch {
-                            entry.by_streams.entry(streams.to_vec()).or_default().extend(spares);
-                        }
-                        // entry.epoch > epoch: a refresh raced us; the spares
-                        // are from a sealed epoch, so drop them.
-                    }
-                    self.metrics.tokens.inc();
-                    Ok(first)
-                }
-                SequencerResponse::ErrSealed { epoch } => {
-                    Err(CorfuError::Sealed { server_epoch: epoch })
-                }
-                other => Err(CorfuError::Codec(format!("unexpected batch response {other:?}"))),
+                other => Err(sequencer_refusal("token", other)),
             }
         })
     }
@@ -617,10 +414,7 @@ impl CorfuClient {
                     self.metrics.tail_queries.inc();
                     Ok((tail, backpointers))
                 }
-                SequencerResponse::ErrSealed { epoch } => {
-                    Err(CorfuError::Sealed { server_epoch: epoch })
-                }
-                other => Err(CorfuError::Codec(format!("unexpected query response {other:?}"))),
+                other => Err(sequencer_refusal("query", other)),
             }
         })
     }
@@ -659,14 +453,7 @@ impl CorfuClient {
                             StorageResponse::Tail(t) => {
                                 local_tails[set_idx] = local_tails[set_idx].max(t)
                             }
-                            StorageResponse::ErrSealed { epoch } => {
-                                return Err(CorfuError::Sealed { server_epoch: epoch })
-                            }
-                            other => {
-                                return Err(CorfuError::Codec(format!(
-                                    "unexpected local-tail response {other:?}"
-                                )))
-                            }
+                            other => return Err(storage_refusal("local tail", other)),
                         }
                     }
                 }
@@ -717,18 +504,11 @@ impl CorfuClient {
                         // A repairing reader raced us past the head; the
                         // value is ours either way (head-first ordering).
                     }
-                    StorageResponse::ErrSealed { epoch } => {
-                        return Err(CorfuError::Sealed { server_epoch: epoch })
-                    }
                     StorageResponse::ErrTrimmed => return Err(CorfuError::Trimmed { offset }),
                     StorageResponse::ErrTooLarge { max } => {
                         return Err(CorfuError::EntryTooLarge { len: body_len, max: max as usize })
                     }
-                    other => {
-                        return Err(CorfuError::Storage(format!(
-                            "write at {offset} failed: {other:?}"
-                        )))
-                    }
+                    other => return Err(storage_refusal(format_args!("write at {offset}"), other)),
                 }
             }
             Ok(())
@@ -790,10 +570,9 @@ impl CorfuClient {
     /// per observed stream in input order, its last-K offsets as of the
     /// grant — what [`CorfuClient::tail_info`] would have answered at that
     /// instant, without the second sequencer call. It is `None` when the
-    /// append has no such observation and the caller must ask: a pooled
-    /// token (`seq_batch > 1`), a cross-log append, or an observed stream
-    /// homed in another log than the entry (a log's sequencer knows nothing
-    /// of streams homed elsewhere).
+    /// append has no such observation and the caller must ask: a cross-log
+    /// append, or an observed stream homed in another log than the entry (a
+    /// log's sequencer knows nothing of streams homed elsewhere).
     pub fn append_streams_observing(
         &self,
         streams: &[StreamId],
@@ -810,6 +589,7 @@ impl CorfuClient {
                 .map(|(off, envelope)| (off, envelope, None));
         };
         self.timed_append(|| self.append_in_log(&mut view, log, streams, observe, &payload, None))
+            .map(|(off, envelope, observed)| (off, envelope, Some(observed)))
     }
 
     /// Appends to `streams` forcing the entry into log `log`, bypassing the
@@ -837,8 +617,8 @@ impl CorfuClient {
         observe: &[StreamId],
         payload: &Bytes,
         link: Option<CrossLogLink>,
-    ) -> Result<(LogOffset, EntryEnvelope, Option<StreamWindows>)> {
-        for _ in 0..self.opts.max_token_retries {
+    ) -> Result<(LogOffset, EntryEnvelope, StreamWindows)> {
+        for _ in 0..MAX_TOKEN_RETRIES {
             let Token { offset, backpointers, observed } =
                 self.token_in_log(view, log, streams, observe)?;
             let headers = streams
@@ -883,7 +663,7 @@ impl CorfuClient {
         groups: &[(u32, Vec<StreamId>)],
         payload: &Bytes,
     ) -> Result<(LogOffset, EntryEnvelope)> {
-        'attempt: for _ in 0..self.opts.max_token_retries {
+        'attempt: for _ in 0..MAX_TOKEN_RETRIES {
             // (1) One token per participating log, ascending log order.
             let mut tokens = Vec::with_capacity(groups.len());
             for (log, streams) in groups {
@@ -997,8 +777,7 @@ impl CorfuClient {
                     self.repair_chain(view, proj, offset)
                 }
             }
-            StorageResponse::ErrSealed { epoch } => Err(CorfuError::Sealed { server_epoch: epoch }),
-            other => Err(CorfuError::Storage(format!("read at {offset} failed: {other:?}"))),
+            other => Err(storage_refusal(format_args!("read at {offset}"), other)),
         }
     }
 
@@ -1031,34 +810,36 @@ impl CorfuClient {
                 StorageResponse::Junk => (WriteKind::Junk, Bytes::new()),
                 StorageResponse::Unwritten => return Ok(ReadOutcome::Unwritten),
                 StorageResponse::Trimmed => return Ok(ReadOutcome::Trimmed),
-                StorageResponse::ErrSealed { epoch } => {
-                    return Err(CorfuError::Sealed { server_epoch: epoch })
-                }
                 other => {
-                    return Err(CorfuError::Storage(format!(
-                        "repair read at {offset} failed: {other:?}"
-                    )))
+                    return Err(storage_refusal(format_args!("repair read at {offset}"), other))
                 }
             };
         let write = StorageRequest::Write { epoch, addr: local, kind, payload: value.clone() };
-        let request = encode_to_vec(&write);
-        for &node in &chain[1..] {
-            match self.call_raw(view, node, &request)? {
-                StorageResponse::Ok | StorageResponse::ErrAlreadyWritten => {}
-                StorageResponse::ErrSealed { epoch } => {
-                    return Err(CorfuError::Sealed { server_epoch: epoch })
-                }
-                other => {
-                    return Err(CorfuError::Storage(format!(
-                        "repair write at {offset} failed: {other:?}"
-                    )))
-                }
-            }
-        }
+        let what = format_args!("repair write at {offset}");
+        self.write_past_head(view, chain, &encode_to_vec(&write), what)?;
         Ok(match kind {
             WriteKind::Data => ReadOutcome::Data(value),
             WriteKind::Junk => ReadOutcome::Junk,
         })
+    }
+
+    /// Sends `request`, a write whose value `chain`'s head already holds, to
+    /// every node past the head: the rest of a hole fill or a chain repair.
+    /// A node that has the value already is as good as one that takes it.
+    fn write_past_head(
+        &self,
+        view: &View,
+        chain: &[NodeId],
+        request: &[u8],
+        what: impl std::fmt::Display,
+    ) -> Result<()> {
+        for &node in &chain[1..] {
+            match self.call_raw(view, node, request)? {
+                StorageResponse::Ok | StorageResponse::ErrAlreadyWritten => {}
+                other => return Err(storage_refusal(what, other)),
+            }
+        }
+        Ok(())
     }
 
     /// Patches the hole at `offset` with junk (§3.2). If a writer got there
@@ -1092,19 +873,8 @@ impl CorfuClient {
                         log as u64,
                         local,
                     );
-                    for &node in &chain[1..] {
-                        match self.call_raw(view, node, &request)? {
-                            StorageResponse::Ok | StorageResponse::ErrAlreadyWritten => {}
-                            StorageResponse::ErrSealed { epoch } => {
-                                return Err(CorfuError::Sealed { server_epoch: epoch })
-                            }
-                            other => {
-                                return Err(CorfuError::Storage(format!(
-                                    "fill at {offset} failed: {other:?}"
-                                )))
-                            }
-                        }
-                    }
+                    let what = format_args!("fill at {offset}");
+                    self.write_past_head(view, chain, &request, what)?;
                     Ok(ReadOutcome::Junk)
                 }
                 StorageResponse::ErrAlreadyWritten => {
@@ -1122,47 +892,23 @@ impl CorfuClient {
                     }
                 }
                 StorageResponse::ErrTrimmed => Ok(ReadOutcome::Trimmed),
-                StorageResponse::ErrSealed { epoch } => {
-                    Err(CorfuError::Sealed { server_epoch: epoch })
-                }
-                other => Err(CorfuError::Storage(format!("fill at {offset} failed: {other:?}"))),
+                other => Err(storage_refusal(format_args!("fill at {offset}"), other)),
             }
         });
         self.metrics.hole_backlog.add(-1);
         result
     }
 
-    /// Reads `offset`, waiting for an in-flight writer and finally patching
-    /// the hole with junk after `hole_fill_timeout` (§3.2). Never returns
-    /// `Unwritten`.
-    ///
-    /// Each poll is a full chain-read RPC, so polling backs off
-    /// exponentially from `hole_poll_interval` up to `hole_poll_max`
-    /// instead of hammering the tail at a fixed interval.
+    /// [`CorfuClient::wait_read_many`] of one offset.
     pub fn wait_read(&self, offset: LogOffset) -> Result<ReadOutcome> {
-        let deadline = Instant::now() + self.opts.hole_fill_timeout;
-        let mut backoff = self.opts.hole_poll_interval;
-        loop {
-            match self.read(offset)? {
-                ReadOutcome::Unwritten => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return self.fill(offset);
-                    }
-                    self.metrics.hole_polls.inc();
-                    std::thread::sleep(backoff.min(deadline - now));
-                    backoff = (backoff * 2).min(self.opts.hole_poll_max);
-                }
-                done => return Ok(done),
-            }
-        }
+        Ok(self.wait_read_many(&[offset])?.pop().expect("one outcome per offset"))
     }
 
     /// Reads a batch of offsets in bulk: offsets are grouped by replica
     /// set, each group goes out as (at most `MAX_READ_BATCH`-sized)
-    /// `ReadBatch` requests to the chain tails — fanned out concurrently
-    /// over the pipelined transport when more than one batch is in play —
-    /// and the per-offset outcomes are stitched back in input order.
+    /// `ReadBatch` requests to the chain tails — all of them started before
+    /// any is awaited, so they are in flight together — and the per-offset
+    /// outcomes are stitched back in input order.
     ///
     /// Like [`CorfuClient::read`], a tail-side `Unwritten` on a replicated
     /// chain is resolved through chain repair before being reported, so an
@@ -1184,9 +930,6 @@ impl CorfuClient {
 
     fn read_many_with(&self, view: &View, offsets: &[LogOffset]) -> Result<Vec<ReadOutcome>> {
         let proj = &*view.proj;
-        // One `ReadBatch` round trip: target node, its epoch, and the
-        // (input position, local address) pairs it answers for.
-        type ReadChunk<'a> = (NodeId, Epoch, &'a [(usize, u64)]);
         // Group offsets by (global) replica set, remembering where each one
         // sits in the input so outcomes can be stitched back in order.
         let mut groups: Vec<Vec<(usize, u64)>> = vec![Vec::new(); proj.num_sets() as usize];
@@ -1194,76 +937,45 @@ impl CorfuClient {
             let (set, local) = proj.map(off);
             groups[set].push((idx, local));
         }
-        // Each batch is stamped with the epoch of the log owning its set.
-        let mut chunks: Vec<ReadChunk> = Vec::new();
-        for (set, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            // Reads go to the chain tail, as in the single-offset path.
-            let tail = *proj.replica_set(set).last().expect("non-empty chain");
+        // Start one `ReadBatch` per chunk of each group, stamped with the
+        // epoch of the log owning the set, at the chain tail as in the
+        // single-offset path. Nothing is awaited until all are on the wire.
+        let mut started = Vec::new();
+        for (set, group) in groups.iter().enumerate().filter(|(_, group)| !group.is_empty()) {
+            let conn = self.conn(view, *proj.replica_set(set).last().expect("non-empty chain"))?;
             let epoch = proj.epoch_of_set(set);
             for entries in group.chunks(crate::storage::MAX_READ_BATCH) {
-                chunks.push((tail, epoch, entries));
-            }
-        }
-        let parse = |expected: usize, resp: StorageResponse| -> Result<Vec<PageOutcome>> {
-            match resp {
-                StorageResponse::BatchOutcomes(outcomes) if outcomes.len() == expected => {
-                    Ok(outcomes)
-                }
-                StorageResponse::BatchOutcomes(outcomes) => Err(CorfuError::Codec(format!(
-                    "batch answered {} of {expected} addrs",
-                    outcomes.len()
-                ))),
-                StorageResponse::ErrSealed { epoch } => {
-                    Err(CorfuError::Sealed { server_epoch: epoch })
-                }
-                other => Err(CorfuError::Storage(format!("batch read failed: {other:?}"))),
-            }
-        };
-        let results: Vec<Result<Vec<PageOutcome>>> = if chunks.len() == 1 {
-            let (tail, epoch, entries) = chunks[0];
-            self.metrics.read_batches.inc();
-            let addrs = entries.iter().map(|&(_, local)| local).collect();
-            let resp = self.call(view, tail, &StorageRequest::ReadBatch { epoch, addrs })?;
-            vec![parse(entries.len(), resp)]
-        } else {
-            // Connections are resolved and requests encoded up front so the
-            // pool jobs are self-contained; responses decode back on this
-            // thread. Concurrent blocking calls on the multiplexed
-            // transport pipeline, so one straggler node no longer
-            // serializes behind the others.
-            let mut calls = Vec::with_capacity(chunks.len());
-            for &(tail, epoch, entries) in &chunks {
                 self.metrics.read_batches.inc();
                 let addrs = entries.iter().map(|&(_, local)| local).collect();
                 let request = encode_to_vec(&StorageRequest::ReadBatch { epoch, addrs });
-                calls.push((Arc::clone(self.conn(view, tail)?), request));
+                started.push((conn, conn.start(&request), entries));
             }
-            let pool = self.fanout.get_or_init(|| CallPool::new(FANOUT_WORKERS));
-            pool.call_all(calls)
-                .into_iter()
-                .zip(chunks.iter())
-                .map(|(raw, &(_, _, entries))| {
-                    let resp: StorageResponse = decode_from_slice(&raw?)?;
-                    parse(entries.len(), resp)
-                })
-                .collect()
-        };
-        let mut out: Vec<Option<ReadOutcome>> = vec![None; offsets.len()];
-        for (&(_, _, entries), result) in chunks.iter().zip(results) {
-            for (&(idx, _), outcome) in entries.iter().zip(result?) {
-                out[idx] = Some(match outcome {
+        }
+        // An error drops the tickets behind it, which abandons their calls.
+        let mut stitched = vec![ReadOutcome::Unwritten; offsets.len()];
+        for (conn, ticket, entries) in started {
+            let outcomes = match decode_from_slice(&conn.finish(ticket)?)? {
+                StorageResponse::BatchOutcomes(outcomes) if outcomes.len() == entries.len() => {
+                    outcomes
+                }
+                StorageResponse::BatchOutcomes(outcomes) => {
+                    return Err(CorfuError::Codec(format!(
+                        "batch answered {} of {} addrs",
+                        outcomes.len(),
+                        entries.len()
+                    )))
+                }
+                other => return Err(storage_refusal("batch read", other)),
+            };
+            for (&(idx, _), outcome) in entries.iter().zip(outcomes) {
+                stitched[idx] = match outcome {
                     PageOutcome::Data(b) => ReadOutcome::Data(b),
                     PageOutcome::Junk => ReadOutcome::Junk,
                     PageOutcome::Unwritten => ReadOutcome::Unwritten,
                     PageOutcome::Trimmed => ReadOutcome::Trimmed,
-                });
+                };
             }
         }
-        let mut stitched: Vec<ReadOutcome> =
-            out.into_iter().map(|o| o.expect("every offset answered")).collect();
         // A tail that answered Unwritten on a replicated chain may be
         // lagging a half-finished chain write; resolve those few stragglers
         // through the repair path before reporting.
@@ -1275,17 +987,42 @@ impl CorfuClient {
         Ok(stitched)
     }
 
-    /// [`CorfuClient::read_many`] with [`CorfuClient::wait_read`] semantics:
-    /// offsets that come back `Unwritten` from the bulk read are re-polled
-    /// individually (and eventually junk-filled), so the result never
-    /// contains `Unwritten`. The wait path is per-offset because unwritten
-    /// stragglers are the rare case on a catch-up read of known entries.
+    /// [`CorfuClient::read_many`] that waits for in-flight writers and
+    /// finally patches what is still a hole after `hole_fill_timeout` with
+    /// junk (§3.2), so the result never contains `Unwritten`. The offsets
+    /// that come back `Unwritten` share one deadline: they are re-read
+    /// together, and a reader behind K abandoned tokens waits one timeout,
+    /// not K.
+    ///
+    /// Each poll is a bulk read of what is still unwritten, so polling
+    /// backs off exponentially (1 ms doubling to 16 ms) instead of hammering
+    /// the tails at a fixed interval.
     pub fn wait_read_many(&self, offsets: &[LogOffset]) -> Result<Vec<ReadOutcome>> {
         let mut out = self.read_many(offsets)?;
-        for (idx, outcome) in out.iter_mut().enumerate() {
-            if *outcome == ReadOutcome::Unwritten {
-                *outcome = self.wait_read(offsets[idx])?;
+        // Input positions of the offsets still unwritten.
+        let mut holes: Vec<usize> =
+            (0..out.len()).filter(|&i| out[i] == ReadOutcome::Unwritten).collect();
+        if holes.is_empty() {
+            return Ok(out);
+        }
+        let deadline = Instant::now() + self.opts.hole_fill_timeout;
+        let mut backoff = HOLE_POLL_INTERVAL;
+        while !holes.is_empty() {
+            let now = Instant::now();
+            if now >= deadline {
+                for &i in &holes {
+                    out[i] = self.fill(offsets[i])?;
+                }
+                break;
             }
+            self.metrics.hole_polls.inc();
+            std::thread::sleep(backoff.min(deadline - now));
+            backoff = (backoff * 2).min(HOLE_POLL_MAX);
+            let unwritten: Vec<LogOffset> = holes.iter().map(|&i| offsets[i]).collect();
+            for (&i, outcome) in holes.iter().zip(self.read_many(&unwritten)?) {
+                out[i] = outcome;
+            }
+            holes.retain(|&i| out[i] == ReadOutcome::Unwritten);
         }
         Ok(out)
     }
@@ -1306,14 +1043,7 @@ impl CorfuClient {
             for &node in proj.chain_for(offset) {
                 match self.call(view, node, &StorageRequest::Trim { epoch, addr: local })? {
                     StorageResponse::Ok => {}
-                    StorageResponse::ErrSealed { epoch } => {
-                        return Err(CorfuError::Sealed { server_epoch: epoch })
-                    }
-                    other => {
-                        return Err(CorfuError::Storage(format!(
-                            "trim at {offset} failed: {other:?}"
-                        )))
-                    }
+                    other => return Err(storage_refusal(format_args!("trim at {offset}"), other)),
                 }
             }
             Ok(())
@@ -1338,14 +1068,7 @@ impl CorfuClient {
                     let req = StorageRequest::TrimPrefix { epoch, horizon: local_horizon };
                     match self.call(view, node, &req)? {
                         StorageResponse::Ok => {}
-                        StorageResponse::ErrSealed { epoch } => {
-                            return Err(CorfuError::Sealed { server_epoch: epoch })
-                        }
-                        other => {
-                            return Err(CorfuError::Storage(format!(
-                                "trim_prefix failed: {other:?}"
-                            )))
-                        }
+                        other => return Err(storage_refusal("trim_prefix", other)),
                     }
                 }
             }

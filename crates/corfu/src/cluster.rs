@@ -435,8 +435,7 @@ impl<T: Transport> Cluster<T> {
         self.client_with_options(self.config.client_options.clone())
     }
 
-    /// Creates a client with explicit options (e.g. [`ClientOptions::batched`]
-    /// for §5's sequencer token batching), overriding the configured ones.
+    /// Creates a client with explicit options, overriding the configured ones.
     pub fn client_with_options(&self, options: ClientOptions) -> Result<CorfuClient> {
         self.client_with_factory(self.conn_factory(), options, self.metrics.clone())
     }

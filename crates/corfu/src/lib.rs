@@ -51,7 +51,7 @@ pub use entry::{CrossLogLink, EntryEnvelope, StreamHeader};
 pub use error::CorfuError;
 pub use layout::LayoutClient;
 pub use projection::{LogLayout, NodeInfo, Projection, ShardMap};
-pub use sequencer::{SequencerServer, SequencerState, MAX_TOKEN_BATCH};
+pub use sequencer::{SequencerServer, SequencerState};
 pub use storage::{CompactionReport, StorageServer, MAX_READ_BATCH};
 
 /// A reconfiguration epoch. All requests are epoch-stamped; sealed servers

@@ -16,14 +16,8 @@ use tango_metrics::{log_scoped, Counter, Events, Gauge, Histogram, Registry, Sam
 /// operations pay the timer's clock reads.
 #[derive(Clone, Default)]
 pub struct ClientMetrics {
-    /// Sequencer tokens successfully acquired (from any path: single-token
-    /// RPC, batch RPC, or the client-side token pool).
+    /// Sequencer tokens successfully acquired.
     pub tokens: Counter,
-    /// `NextBatch` round trips to the sequencer.
-    pub token_batches: Counter,
-    /// Tokens served from the client-side pool without a sequencer round
-    /// trip.
-    pub token_pool_hits: Counter,
     /// Tail/backpointer queries (`tail_info` and the fast check).
     pub tail_queries: Counter,
     /// End-to-end latency of successful `append_streams` calls, ns
@@ -36,8 +30,8 @@ pub struct ClientMetrics {
     pub chain_hop_latency_ns: Histogram,
     /// Holes this client patched with junk.
     pub hole_fills: Counter,
-    /// Poll round trips spent waiting for an unwritten offset in
-    /// `wait_read` before it resolved (or the hole was filled).
+    /// Polls — one bulk re-read of whatever is still unwritten — spent in
+    /// `wait_read_many` before every offset resolved (or was filled).
     pub hole_polls: Counter,
     /// `ReadBatch` round trips issued by `read_many`.
     pub read_batches: Counter,
@@ -67,8 +61,6 @@ impl ClientMetrics {
     pub fn from_registry(registry: &Registry) -> Self {
         Self {
             tokens: registry.counter("corfu.client.tokens"),
-            token_batches: registry.counter("corfu.client.token_batches"),
-            token_pool_hits: registry.counter("corfu.client.token_pool_hits"),
             tail_queries: registry.counter("corfu.client.tail_queries"),
             append_latency_ns: registry.histogram("corfu.client.append_latency_ns"),
             read_latency_ns: registry.histogram("corfu.client.read_latency_ns"),
@@ -128,12 +120,8 @@ impl ClientLogMetrics {
 /// the historical bare names.
 #[derive(Clone, Default)]
 pub struct SequencerMetrics {
-    /// Tokens granted, counting every token inside a batch (`Next` and
-    /// `NextBatch` requests that succeeded).
+    /// Tokens granted (`Next` and `NextObserve` requests that succeeded).
     pub tokens_granted: Counter,
-    /// `NextBatch` requests that succeeded. `tokens_granted` minus plain
-    /// `Next` grants divided by this gives the realized batch size.
-    pub batches_granted: Counter,
     /// Backpointer lookups served (`Query` requests that succeeded).
     pub backpointer_lookups: Counter,
     /// Seals accepted.
@@ -164,7 +152,6 @@ impl SequencerMetrics {
     pub fn for_log(registry: &Registry, log: u64) -> Self {
         Self {
             tokens_granted: registry.counter(&log_scoped("corfu.seq.tokens_granted", log)),
-            batches_granted: registry.counter(&log_scoped("corfu.seq.batches_granted", log)),
             backpointer_lookups: registry
                 .counter(&log_scoped("corfu.seq.backpointer_lookups", log)),
             seals: registry.counter(&log_scoped("corfu.seq.seals", log)),

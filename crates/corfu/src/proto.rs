@@ -242,18 +242,6 @@ pub enum SequencerRequest {
         /// Streams whose last-K offsets ride back with the token.
         observe: Vec<StreamId>,
     },
-    /// Reserve `count` consecutive offsets in one round trip (§5's sequencer
-    /// batching, batch=4 in the paper's evaluation). Every reserved entry
-    /// joins the same `streams`; the response carries per-token
-    /// backpointers.
-    NextBatch {
-        /// The client's epoch.
-        epoch: Epoch,
-        /// Streams every entry in the batch joins.
-        streams: Vec<StreamId>,
-        /// How many tokens to reserve (clamped to at least 1 by the server).
-        count: u32,
-    },
     /// Read the tail and per-stream backpointers without incrementing
     /// (the "fast check" / stream-sync primitive).
     Query {
@@ -311,17 +299,6 @@ pub enum SequencerResponse {
         /// stream of a [`SequencerRequest::NextObserve`]'s `observe` list,
         /// in request order; empty for a plain `Next`.
         observed: Vec<Vec<LogOffset>>,
-    },
-    /// A batch of consecutive tokens: offsets `start..start + tokens.len()`,
-    /// with each token's per-stream backpointers (request order). Token `i`
-    /// in the batch sees tokens `0..i` in its backpointer chains, exactly as
-    /// if it had been issued by its own `Next`.
-    TokenBatch {
-        /// The first reserved offset.
-        start: LogOffset,
-        /// Per token, per requested stream: the previous K offsets (most
-        /// recent first, excluding the token's own offset).
-        tokens: Vec<Vec<Vec<LogOffset>>>,
     },
     /// A query result: the current tail (next offset to be issued) plus the
     /// last K offsets of each requested stream.
@@ -628,12 +605,6 @@ impl Encode for SequencerRequest {
                 w.put_u8(4);
                 w.put_u64(*epoch);
             }
-            SequencerRequest::NextBatch { epoch, streams, count } => {
-                w.put_u8(5);
-                w.put_u64(*epoch);
-                put_streams(w, streams);
-                w.put_u32(*count);
-            }
             SequencerRequest::Bootstrap { epoch, tail, streams } => {
                 w.put_u8(3);
                 w.put_u64(*epoch);
@@ -678,11 +649,8 @@ impl Decode for SequencerRequest {
                 Ok(SequencerRequest::Bootstrap { epoch, tail, streams })
             }
             4 => Ok(SequencerRequest::Dump { epoch: r.get_u64()? }),
-            5 => Ok(SequencerRequest::NextBatch {
-                epoch: r.get_u64()?,
-                streams: get_streams(r)?,
-                count: r.get_u32()?,
-            }),
+            // Tag 5 (a batch grant for client-side token pooling) is retired:
+            // never reuse it.
             6 => Ok(SequencerRequest::AdoptStream {
                 epoch: r.get_u64()?,
                 stream: r.get_u32()?,
@@ -716,14 +684,6 @@ impl Encode for SequencerResponse {
             SequencerResponse::ErrSealed { epoch } => {
                 w.put_u8(3);
                 w.put_u64(*epoch);
-            }
-            SequencerResponse::TokenBatch { start, tokens } => {
-                w.put_u8(5);
-                w.put_u64(*start);
-                w.put_varint(tokens.len() as u64);
-                for token in tokens {
-                    put_backs(w, token);
-                }
             }
             SequencerResponse::State { tail, streams } => {
                 w.put_u8(4);
@@ -761,15 +721,7 @@ impl Decode for SequencerResponse {
                 }
                 Ok(SequencerResponse::State { tail, streams })
             }
-            5 => {
-                let start = r.get_u64()?;
-                let n = r.get_len(1 << 16)?;
-                let mut tokens = Vec::with_capacity(n);
-                for _ in 0..n {
-                    tokens.push(get_backs(r)?);
-                }
-                Ok(SequencerResponse::TokenBatch { start, tokens })
-            }
+            // Tag 5 (the batch grant's reply) is retired: never reuse it.
             tag => Err(WireError::InvalidTag { what: "SequencerResponse", tag: tag as u64 }),
         }
     }
@@ -877,8 +829,6 @@ mod tests {
             SequencerRequest::Next { epoch: 1, streams: vec![1, 2, 3] },
             SequencerRequest::NextObserve { epoch: 1, streams: vec![1, 2], observe: vec![0, 9] },
             SequencerRequest::NextObserve { epoch: 0, streams: vec![], observe: vec![] },
-            SequencerRequest::NextBatch { epoch: 1, streams: vec![1, 2], count: 4 },
-            SequencerRequest::NextBatch { epoch: 0, streams: vec![], count: 1 },
             SequencerRequest::Query { epoch: 1, streams: vec![] },
             SequencerRequest::Seal { epoch: 4 },
             SequencerRequest::Bootstrap {
@@ -907,11 +857,6 @@ mod tests {
                 backpointers: vec![vec![5]],
                 observed: vec![vec![3, 1], vec![]],
             },
-            SequencerResponse::TokenBatch {
-                start: 10,
-                tokens: vec![vec![vec![9, 8], vec![]], vec![vec![10, 9], vec![10]]],
-            },
-            SequencerResponse::TokenBatch { start: 0, tokens: vec![vec![]] },
             SequencerResponse::TailInfo { tail: 6, backpointers: vec![vec![5]] },
             SequencerResponse::Ok,
             SequencerResponse::ErrSealed { epoch: 2 },
@@ -920,5 +865,20 @@ mod tests {
             let bytes = encode_to_vec(&m);
             assert_eq!(decode_from_slice::<SequencerResponse>(&bytes).unwrap(), m);
         }
+    }
+
+    #[test]
+    fn retired_sequencer_tag_5_is_invalid() {
+        // The batch grant and its reply as a pre-retirement peer sent them.
+        let request = [&[5u8][..], &1u64.to_le_bytes(), &[0], &4u32.to_le_bytes()].concat();
+        assert!(matches!(
+            decode_from_slice::<SequencerRequest>(&request),
+            Err(WireError::InvalidTag { what: "SequencerRequest", tag: 5 })
+        ));
+        let response = [&[5u8][..], &10u64.to_le_bytes(), &[0]].concat();
+        assert!(matches!(
+            decode_from_slice::<SequencerResponse>(&response),
+            Err(WireError::InvalidTag { what: "SequencerResponse", tag: 5 })
+        ));
     }
 }

@@ -17,8 +17,7 @@
 //!    concurrent reconfigurer loses cleanly).
 //!
 //! With a sharded projection only the affected log is sealed: other logs
-//! keep their epochs, their sequencers stay live, and clients holding
-//! pooled tokens for them keep using them. Clients racing the
+//! keep their epochs and their sequencers stay live. Clients racing the
 //! reconfiguration of the sealed log observe `ErrSealed`, refresh their
 //! projection, and retry.
 //!
@@ -655,8 +654,8 @@ pub fn bump_epoch(client: &CorfuClient) -> Result<(Epoch, LogOffset)> {
 
 /// Seals *one log* of a sharded projection into its next epoch without
 /// changing membership — the per-log fencing barrier. Other logs keep their
-/// epochs, their live sequencers, and any client-pooled tokens. Returns the
-/// new global epoch and the sealed log's composite tail.
+/// epochs and their live sequencers. Returns the new global epoch and the
+/// sealed log's composite tail.
 pub fn seal_log(client: &CorfuClient, log: u32) -> Result<(Epoch, LogOffset)> {
     let metrics = ReconfigMetrics::from_registry(client.metrics());
     let old = client.layout().get()?;

@@ -54,10 +54,6 @@ impl Decode for SequencerState {
     }
 }
 
-/// Upper bound on one `NextBatch` grant: far above any sane client batch,
-/// small enough that a corrupt count cannot blow a hole in the log.
-pub const MAX_TOKEN_BATCH: u32 = 1024;
-
 /// The CORFU sequencer.
 ///
 /// Holds a single 64-bit tail counter plus, for the streaming extension,
@@ -65,10 +61,6 @@ pub const MAX_TOKEN_BATCH: u32 = 1024;
 /// a token holder may crash before writing, which is why stream playback
 /// must tolerate junk at the end of a backpointer chain). The state is soft;
 /// a replacement sequencer recovers it from the log (see [`crate::reconfig`]).
-///
-/// `NextBatch` grants `count` consecutive tokens in one round trip (§5's
-/// sequencer batching); each token's backpointers are computed exactly as if
-/// the batch had been `count` separate `Next` calls.
 ///
 /// In a sharded deployment each log has its own sequencer, created with
 /// [`SequencerServer::new_for_log`]. The tail counter and token offsets
@@ -148,9 +140,9 @@ impl SequencerServer {
     /// Processes a decoded request (also used directly by unit tests).
     pub fn process(&self, req: SequencerRequest) -> SequencerResponse {
         let span_kind = match req {
-            SequencerRequest::Next { .. }
-            | SequencerRequest::NextObserve { .. }
-            | SequencerRequest::NextBatch { .. } => tango_metrics::SpanKind::SeqGrant,
+            SequencerRequest::Next { .. } | SequencerRequest::NextObserve { .. } => {
+                tango_metrics::SpanKind::SeqGrant
+            }
             SequencerRequest::Query { .. } => tango_metrics::SpanKind::SeqQuery,
             _ => tango_metrics::SpanKind::Other,
         };
@@ -163,31 +155,6 @@ impl SequencerServer {
             }
             SequencerRequest::NextObserve { epoch, streams, observe } => {
                 self.grant(&mut inner, epoch, &streams, &observe)
-            }
-            SequencerRequest::NextBatch { epoch, streams, count } => {
-                if epoch != inner.epoch {
-                    return SequencerResponse::ErrSealed { epoch: inner.epoch };
-                }
-                let count = count.clamp(1, MAX_TOKEN_BATCH) as u64;
-                let start = inner.tail;
-                inner.tail += count;
-                inner.tokens_issued += count;
-                let mut tokens = Vec::with_capacity(count as usize);
-                for i in 0..count {
-                    let composite = compose(self.log_id, start + i);
-                    let mut backpointers = Vec::with_capacity(streams.len());
-                    for &stream in &streams {
-                        let entry = inner.streams.entry(stream).or_default();
-                        backpointers.push(entry.iter().copied().collect());
-                        entry.push_front(composite);
-                        entry.truncate(self.k);
-                    }
-                    tokens.push(backpointers);
-                }
-                self.metrics.tokens_granted.add(count);
-                self.metrics.batches_granted.inc();
-                self.metrics.tail.set(inner.tail as i64);
-                SequencerResponse::TokenBatch { start, tokens }
             }
             SequencerRequest::Query { epoch, streams } => {
                 if epoch != inner.epoch {
@@ -352,75 +319,6 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn batch_matches_repeated_next() {
-        // A NextBatch must be indistinguishable (offsets and backpointers)
-        // from the same number of individual Next calls.
-        let single = SequencerServer::new(3);
-        let batched = SequencerServer::new(3);
-        let streams = vec![1u32, 9];
-        // Pre-seed both with some singles.
-        for _ in 0..3 {
-            single.process(SequencerRequest::Next { epoch: 0, streams: streams.clone() });
-            batched.process(SequencerRequest::Next { epoch: 0, streams: streams.clone() });
-        }
-        let mut expect = Vec::new();
-        for _ in 0..4 {
-            match single.process(SequencerRequest::Next { epoch: 0, streams: streams.clone() }) {
-                SequencerResponse::Token { offset, backpointers, .. } => {
-                    expect.push((offset, backpointers))
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        match batched.process(SequencerRequest::NextBatch {
-            epoch: 0,
-            streams: streams.clone(),
-            count: 4,
-        }) {
-            SequencerResponse::TokenBatch { start, tokens } => {
-                assert_eq!(start, 3);
-                assert_eq!(tokens.len(), 4);
-                for (i, backs) in tokens.into_iter().enumerate() {
-                    assert_eq!((start + i as u64, backs), expect[i]);
-                }
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(single.state(), batched.state());
-        assert_eq!(batched.tokens_issued(), 7);
-    }
-
-    #[test]
-    fn batch_count_clamped() {
-        let s = SequencerServer::new(2);
-        match s.process(SequencerRequest::NextBatch { epoch: 0, streams: vec![], count: 0 }) {
-            SequencerResponse::TokenBatch { start, tokens } => {
-                assert_eq!(start, 0);
-                assert_eq!(tokens.len(), 1);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match s.process(SequencerRequest::NextBatch { epoch: 0, streams: vec![], count: u32::MAX })
-        {
-            SequencerResponse::TokenBatch { start, tokens } => {
-                assert_eq!(start, 1);
-                assert_eq!(tokens.len(), MAX_TOKEN_BATCH as usize);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn batch_respects_seal() {
-        let s = SequencerServer::new(2);
-        assert_eq!(s.process(SequencerRequest::Seal { epoch: 2 }), SequencerResponse::Ok);
-        assert_eq!(
-            s.process(SequencerRequest::NextBatch { epoch: 0, streams: vec![], count: 4 }),
-            SequencerResponse::ErrSealed { epoch: 2 }
-        );
     }
 
     #[test]

@@ -38,12 +38,12 @@ fn scenario<T: Transport>(cluster: &Cluster<T>, seed: u64) -> Vec<TraceEvent> {
         let _ = tx.send(node);
     });
 
-    // The workload: pipelined appends with batched tokens, retrying
-    // through the crash and the concurrent reseal until all are acked.
+    // The workload: appends retrying through the crash and the concurrent
+    // reseal until all are acked.
     let appender_client = cluster
         .client_with_factory(
             plan.wrap(cluster.conn_factory()),
-            ClientOptions::batched(),
+            ClientOptions::default(),
             cluster.metrics().clone(),
         )
         .unwrap();

@@ -152,6 +152,34 @@ fn wait_read_backs_off_while_polling_holes() {
     assert!((4..=40).contains(&polls), "expected bounded backoff, saw {polls} polls");
 }
 
+/// A reader behind K abandoned tokens waits for them together: one
+/// hole-fill timeout, not K of them one after another.
+#[test]
+fn wait_read_many_gives_its_holes_one_deadline() {
+    let timeout = std::time::Duration::from_millis(200);
+    let cluster = LocalCluster::new(ClusterConfig {
+        client_options: corfu::ClientOptions { hole_fill_timeout: timeout },
+        ..ClusterConfig::default()
+    });
+    let client = cluster.client().unwrap();
+    let mut offsets: Vec<u64> = (0..3).map(|_| client.token(&[]).unwrap().offset).collect();
+    offsets.push(client.append(payload(3)).unwrap());
+    let polls_before = client.metrics().counter("corfu.hole_polls").get();
+    let start = std::time::Instant::now();
+    let outcomes = client.wait_read_many(&offsets).unwrap();
+    let waited = start.elapsed();
+    assert!(matches!(
+        outcomes[..],
+        [ReadOutcome::Junk, ReadOutcome::Junk, ReadOutcome::Junk, ReadOutcome::Data(_)]
+    ));
+    assert!(waited >= timeout, "the holes were filled {waited:?} in, before their deadline");
+    assert!(waited < 2 * timeout, "three holes cost {waited:?}: a deadline each");
+    // The three were polled as one: as many polls as one hole's backoff
+    // (1 ms doubling to 16 ms) fits into the window, not three times that.
+    let polls = client.metrics().counter("corfu.hole_polls").get() - polls_before;
+    assert!((4..=40).contains(&polls), "expected one backoff ladder, saw {polls} polls");
+}
+
 #[test]
 fn fill_loses_to_completed_write() {
     let cluster = LocalCluster::new(ClusterConfig::default());

@@ -4,6 +4,7 @@
 //! of one harness copy drifting from the other.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use bytes::Bytes;
 use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, TcpCluster, Transport};
@@ -56,23 +57,19 @@ on_both_transports!(
 /// `client()` honours `ClusterConfig::client_options`; `client_with_options`
 /// is the explicit override.
 fn client_honours_configured_options<T: Transport>(cluster: &Cluster<T>) {
-    let batches = || cluster.metrics().counter("corfu.client.token_batches").get();
     let configured = cluster.client().unwrap();
-    for i in 0..8u32 {
-        configured.append(Bytes::from(format!("batched-{i}"))).unwrap();
-    }
-    assert_eq!(batches(), 2, "seq_batch = 4 reserves 8 tokens in 2 round trips");
+    assert_eq!(configured.options().hole_fill_timeout, Duration::from_millis(250));
 
     let overridden = cluster.client_with_options(ClientOptions::default()).unwrap();
-    for i in 0..4u32 {
-        overridden.append(Bytes::from(format!("plain-{i}"))).unwrap();
-    }
-    assert_eq!(batches(), 2, "the explicit override turns batching off");
+    assert_eq!(overridden.options().hole_fill_timeout, Duration::from_millis(100));
 }
 
 on_both_transports!(
     client_honours_configured_options,
-    ClusterConfig { client_options: ClientOptions::batched(), ..ClusterConfig::tiny() }
+    ClusterConfig {
+        client_options: ClientOptions { hole_fill_timeout: Duration::from_millis(250) },
+        ..ClusterConfig::tiny()
+    }
 );
 
 /// A killed node reads as unreachable — ok → degraded — until it has been

@@ -9,10 +9,9 @@ mod support;
 
 use bytes::Bytes;
 use corfu::cluster::{ClusterConfig, LocalCluster};
-use corfu::reconfig::{remap_stream, seal_log};
+use corfu::reconfig::remap_stream;
 use corfu::{
-    compose, log_of_offset, raw_of_offset, ClientOptions, EntryEnvelope, Projection, ReadOutcome,
-    StreamId,
+    compose, log_of_offset, raw_of_offset, EntryEnvelope, Projection, ReadOutcome, StreamId,
 };
 
 /// The first stream id at or above `from` that the shard map sends to
@@ -100,52 +99,6 @@ fn cross_log_multiappend_writes_every_part_with_one_link() {
     let other = *link.parts.iter().max().unwrap();
     let other_entry = client.read_entry(other).unwrap();
     assert!(other_entry.belongs_to(s1) && !other_entry.belongs_to(s0));
-}
-
-#[test]
-fn sealing_one_log_leaves_other_logs_pooled_tokens_valid() {
-    // The per-log token-pool regression: sealing log 0 must invalidate
-    // only log 0's pooled tokens. Log 1's pool keeps serving without a
-    // sequencer round trip, and its tokens still commit.
-    let cluster = LocalCluster::new(ClusterConfig::sharded(2));
-    let client = cluster
-        .client_with_factory(
-            cluster.conn_factory(),
-            ClientOptions::batched(),
-            cluster.metrics().clone(),
-        )
-        .unwrap();
-    let proj = client.projection();
-    let s0 = stream_in_log(&proj, 0, 1);
-    let s1 = stream_in_log(&proj, 1, 1);
-
-    // Warm both logs' pools.
-    client.append_streams(&[s0], Bytes::from_static(b"warm-0")).unwrap();
-    client.append_streams(&[s1], Bytes::from_static(b"warm-1")).unwrap();
-    let hits_before = cluster.metrics().counter("corfu.client.token_pool_hits").get();
-
-    // Seal log 0 into its next epoch (membership unchanged).
-    seal_log(&client, 0).unwrap();
-
-    // Log 1's pooled tokens are still stamped with log 1's live epoch:
-    // they must be served from the pool and commit.
-    let (off, _) = client.append_streams(&[s1], Bytes::from_static(b"pooled")).unwrap();
-    assert_eq!(log_of_offset(off), 1);
-    assert_eq!(client.read_entry(off).unwrap().payload, Bytes::from_static(b"pooled"));
-    let hits_after = cluster.metrics().counter("corfu.client.token_pool_hits").get();
-    assert!(
-        hits_after > hits_before,
-        "log 1's append must be served from its pool across log 0's seal"
-    );
-
-    // Log 0 itself recovers through the epoch change: its pool is cleared
-    // and the append retries at the new epoch.
-    let (off0, _) = client.append_streams(&[s0], Bytes::from_static(b"resealed")).unwrap();
-    assert_eq!(log_of_offset(off0), 0);
-    assert_eq!(client.read_entry(off0).unwrap().payload, Bytes::from_static(b"resealed"));
-    let p = client.projection();
-    assert_eq!(p.epoch_of_log(0), 1, "log 0 moved to epoch 1");
-    assert_eq!(p.epoch_of_log(1), 0, "log 1 kept its epoch");
 }
 
 #[test]

@@ -19,10 +19,7 @@ fn wait_read_returns_trimmed_mid_poll() {
     // and certainly not junk-fill a trimmed slot. The 30s deadline makes
     // the failure mode (waiting it out) unmistakable.
     let config = ClusterConfig {
-        client_options: ClientOptions {
-            hole_fill_timeout: Duration::from_secs(30),
-            ..ClientOptions::default()
-        },
+        client_options: ClientOptions { hole_fill_timeout: Duration::from_secs(30) },
         ..ClusterConfig::default()
     };
     let cluster = LocalCluster::new(config);
@@ -75,7 +72,7 @@ fn seeded_workload(seed: u64) -> Vec<Op> {
     for round in 0..ROUNDS {
         let base = round * ROUND;
         for addr in base..base + ROUND {
-            if rng.next() % 7 == 0 {
+            if rng.next().is_multiple_of(7) {
                 ops.push(Op::Fill { addr });
             } else {
                 let filler = rng.next() % 100;

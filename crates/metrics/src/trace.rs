@@ -100,7 +100,7 @@ pub enum SpanKind {
     ClientRead = 1,
     /// A stream-level `sync` (tail query + playback).
     ClientSync = 2,
-    /// Sequencer token grant (`Next`/`NextBatch`).
+    /// Sequencer token grant (`Next`/`NextObserve`).
     SeqGrant = 3,
     /// Sequencer tail/stream query.
     SeqQuery = 4,

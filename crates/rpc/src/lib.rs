@@ -8,7 +8,10 @@
 //!
 //! * [`RpcHandler`] — the server side: a function from request bytes to
 //!   response bytes.
-//! * [`ClientConn`] — the client side: a blocking `call`.
+//! * [`ClientConn`] — the client side: a blocking `call`, also available
+//!   as its two halves, `start` (issue the request, get a [`Ticket`]) and
+//!   `finish` (wait for that ticket's response), so one thread can have
+//!   several requests in flight without a helper thread.
 //! * [`LocalConn`] — in-process transport used by tests, examples, and the
 //!   single-process cluster harness.
 //! * [`TcpServer`] / [`TcpConn`] — a real socket transport: length-framed,
@@ -47,7 +50,7 @@ pub use tcp::{
     ConnMetrics, ServerMetrics, ServerOptions, TcpConn, TcpServer, DEFAULT_MAX_CONNS,
     SERVER_WORKERS,
 };
-pub use traits::{ClientConn, RpcHandler};
+pub use traits::{ClientConn, RpcHandler, Ticket};
 
 /// Convenience alias for transport results.
 pub type Result<T> = std::result::Result<T, RpcError>;

@@ -14,17 +14,20 @@
 //! ## Client
 //!
 //! [`TcpConn`] multiplexes many concurrent RPCs over one socket and owns
-//! no thread. Each call stamps its request frame with a fresh `u64` id,
-//! registers a slot, writes the frame and then waits for the response *on
-//! the socket itself*: the first waiter becomes the connection's reader,
-//! routes other callers' responses to their slots by id, and when its own
-//! response arrives (or its deadline passes) hands the reader role to a
-//! parked waiter. A call that times out simply abandons its slot — a late
-//! response is discarded by id with no stream desync, so the connection
-//! stays usable. Dialing uses `connect_timeout` bounded by the per-call
-//! timeout and happens *outside* the connection lock, so one unreachable
-//! server cannot stall unrelated callers for the OS dial timeout.
-//! Transparent reconnect (one retry per call) covers a restarted server.
+//! no thread. A call is two halves. `start` stamps the request frame with a
+//! fresh `u64` id, registers a slot and writes the frame; `finish` waits
+//! for the response *on the socket itself*: the first waiter becomes the
+//! connection's reader, routes other callers' responses to their slots by
+//! id, and when its own response arrives (or its deadline passes) hands the
+//! reader role to a parked waiter. `call` is the two in a row; one thread
+//! that starts several calls before finishing any has them all in flight.
+//! A call that times out, or whose ticket is dropped, simply abandons its
+//! slot — a late response is discarded by id with no stream desync, so the
+//! connection stays usable. Dialing uses `connect_timeout` bounded by the
+//! per-call timeout and happens *outside* the connection lock, so one
+//! unreachable server cannot stall unrelated callers for the OS dial
+//! timeout. Transparent reconnect (one retry per call) covers a restarted
+//! server.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -37,9 +40,10 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use tango_metrics::{trace, Counter, Events, Gauge, Histogram, Registry};
 
-use crate::frame::{check_len, encode_frame, Frame, FrameAssembler};
+use crate::frame::{encode_frame, Frame, FrameAssembler, HEADER_LEN};
 use crate::reactor::Reactor;
-use crate::{ClientConn, Result, RpcError, RpcHandler};
+use crate::traits::TicketKind;
+use crate::{ClientConn, Result, RpcError, RpcHandler, Ticket};
 
 /// Size of a server's thread pool, and the server's entire thread budget:
 /// how many requests (across *all* of its connections) can be in the
@@ -203,13 +207,18 @@ struct Routing {
     slots: HashMap<u64, Slot>,
     /// `None` while some caller is reading the socket.
     read_half: Option<ReadHalf>,
+    /// `rpc.in_flight`: the slots registered and not yet retired.
+    in_flight: Gauge,
 }
 
 impl Routing {
-    /// Retires `id`'s slot on every way out of a call and, if that leaves
-    /// the socket without a reader, wakes a parked caller to become one.
+    /// Retires `id`'s slot on every way out of a call (a second time does
+    /// nothing) and, if that leaves the socket without a reader, wakes a
+    /// parked caller to become one.
     fn leave(&mut self, id: u64) {
-        self.slots.remove(&id);
+        if self.slots.remove(&id).is_some() {
+            self.in_flight.sub(1);
+        }
         if self.read_half.is_some() {
             if let Some(Slot::Parked(next)) =
                 self.slots.values().find(|slot| matches!(slot, Slot::Parked(_)))
@@ -385,7 +394,11 @@ impl TcpConn {
             stream,
             timeout: self.timeout,
             write_turn: Mutex::new(()),
-            routing: Mutex::new(Routing { slots: HashMap::new(), read_half: Some(read_half) }),
+            routing: Mutex::new(Routing {
+                slots: HashMap::new(),
+                read_half: Some(read_half),
+                in_flight: self.metrics.in_flight.clone(),
+            }),
             dead: AtomicBool::new(false),
         })
     }
@@ -422,62 +435,97 @@ impl TcpConn {
         Ok(fresh)
     }
 
-    fn call_once(&self, request: &[u8]) -> Result<Vec<u8>> {
+    /// Registers `id`'s slot on the live connection and writes `frame` to
+    /// it — an attempt, which [`Live::await_response`] completes by the
+    /// deadline returned. A failed attempt leaves nothing registered.
+    fn send(&self, id: u64, frame: &[u8]) -> Result<(Arc<Live>, Instant)> {
         let live = self.live()?;
         let deadline = Instant::now() + self.timeout;
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        // If the calling thread is inside a sampled trace, stamp its
-        // context on the request frame.
-        let frame = encode_frame(id, trace::current(), request)?;
         // Registered before the write: the response can come back, and be
         // routed by another caller, before this one looks for it.
-        live.routing.lock().slots.insert(id, Slot::Pending);
-        self.metrics.in_flight.add(1);
+        {
+            let mut routing = live.routing.lock();
+            routing.slots.insert(id, Slot::Pending);
+            routing.in_flight.add(1);
+        }
         let sent = {
             let _turn = live.write_turn.lock();
-            (&live.stream).write_all(&frame)
+            (&live.stream).write_all(frame)
         };
-        if sent.is_err() {
+        if let Err(e) = sent {
             // A partial write desyncs the stream for everyone.
             live.fail();
+            live.routing.lock().leave(id);
+            return Err(e.into());
         }
-        // A failed send finds the connection dead and only retires the slot.
-        let awaited = live.await_response(id, deadline);
-        self.metrics.in_flight.sub(1);
-        sent.map_err(RpcError::from).and(awaited)
+        Ok((live, deadline))
     }
+}
 
-    fn call_inner(&self, request: &[u8]) -> Result<Vec<u8>> {
-        match self.call_once(request) {
-            // The connection stays usable after a timeout (responses are
-            // matched by id), so there is nothing to retry against.
-            Err(RpcError::Timeout) => Err(RpcError::Timeout),
-            // Reconnect and retry once: the server may have restarted.
-            Err(_) => self.call_once(request),
-            ok => ok,
+/// The TCP side of a [`Ticket`]: the request frame, kept for the one retry,
+/// and the attempt in flight.
+pub(crate) struct Started {
+    frame: Vec<u8>,
+    id: u64,
+    begun: Instant,
+    /// Taken by `finish`; an error if the frame could not be sent.
+    attempt: Option<Result<(Arc<Live>, Instant)>>,
+}
+
+impl Drop for Started {
+    /// Never finished: abandon the slot, as a call that timed out does.
+    fn drop(&mut self) {
+        if let Some(Ok((live, _))) = self.attempt.take() {
+            live.routing.lock().leave(self.id);
         }
     }
 }
 
 impl ClientConn for TcpConn {
     fn call(&self, request: &[u8]) -> Result<Vec<u8>> {
-        // Before anything is registered or sent: an oversized request is
-        // the caller's error, not the connection's.
-        check_len(request)?;
-        let timer = self.metrics.round_trip_ns.start();
-        match self.call_inner(request) {
-            Ok(resp) => {
-                self.metrics.bytes_out.add(request.len() as u64);
-                self.metrics.bytes_in.add(resp.len() as u64);
-                timer.stop();
-                Ok(resp)
+        self.finish(self.start(request))
+    }
+
+    fn start(&self, request: &[u8]) -> Ticket {
+        let begun = Instant::now();
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        // If the calling thread is inside a sampled trace, its context is
+        // stamped on the frame. An oversized request fails here, before
+        // anything is registered or sent: it is the caller's error, not
+        // the connection's.
+        Ticket(match encode_frame(id, trace::current(), request) {
+            Ok(frame) => {
+                let attempt = Some(self.send(id, &frame));
+                TicketKind::Tcp(Started { frame, id, begun, attempt })
             }
-            Err(e) => {
-                // Failed calls would pollute the round-trip histogram.
-                timer.discard();
-                Err(e)
+            Err(e) => TicketKind::Called(Err(e)),
+        })
+    }
+
+    fn finish(&self, ticket: Ticket) -> Result<Vec<u8>> {
+        let mut started = match ticket.0 {
+            TicketKind::Tcp(started) => started,
+            TicketKind::Called(outcome) => return outcome,
+        };
+        let id = started.id;
+        let attempt = started.attempt.take().expect("a ticket is finished once");
+        let response = match attempt.and_then(|(live, deadline)| live.await_response(id, deadline))
+        {
+            // The connection stays usable after a timeout (responses are
+            // matched by id), so there is nothing to retry against.
+            Err(RpcError::Timeout) => Err(RpcError::Timeout),
+            // Reconnect and retry once: the server may have restarted.
+            // Failed calls stay out of the byte counts and the histogram.
+            Err(_) => {
+                let (live, deadline) = self.send(id, &started.frame)?;
+                live.await_response(id, deadline)
             }
-        }
+            ok => ok,
+        }?;
+        self.metrics.bytes_out.add((started.frame.len() - HEADER_LEN) as u64);
+        self.metrics.bytes_in.add(response.len() as u64);
+        self.metrics.round_trip_ns.record_duration(started.begun.elapsed());
+        Ok(response)
     }
 }
 

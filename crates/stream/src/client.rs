@@ -12,27 +12,14 @@ use tango_metrics::{Counter, Events, Histogram, Registry, SpanKind, Tracer};
 use crate::cache::EntryCache;
 use crate::cursor::StreamCursor;
 
-/// Tuning for the stream layer.
-#[derive(Debug, Clone)]
-pub struct StreamConfig {
-    /// Capacity of the decoded-entry cache.
-    pub cache_capacity: usize,
-    /// Offsets fetched per bulk-read round trip on the batched paths
-    /// (backpointer windows, linear scans, readahead, playback prefetch).
-    /// A value `<= 1` disables batching and degrades to the serial
-    /// per-offset read path — kept selectable so benchmarks can compare.
-    pub read_batch: usize,
-    /// After `sync`, up to this many known-but-uncached upcoming member
-    /// offsets per stream are bulk-fetched so steady-state `readnext` is a
-    /// cache hit. `0` disables readahead.
-    pub prefetch_window: usize,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        Self { cache_capacity: 65_536, read_batch: 32, prefetch_window: 32 }
-    }
-}
+/// Capacity of the decoded-entry cache.
+const CACHE_CAPACITY: usize = 65_536;
+/// Offsets fetched per bulk-read round trip (backpointer windows, linear
+/// scans, readahead, playback prefetch).
+const READ_BATCH: usize = 32;
+/// After `sync`, up to this many known-but-uncached upcoming member offsets
+/// per stream are bulk-fetched so steady-state `readnext` is a cache hit.
+const PREFETCH_WINDOW: usize = 32;
 
 /// Stream-layer instruments (`stream.*`), bound to the CORFU client's
 /// registry at construction.
@@ -69,7 +56,6 @@ impl StreamMetrics {
 /// hole-fill timeout) does not stall `readnext`/`peek` on other streams.
 pub struct StreamClient {
     corfu: CorfuClient,
-    config: StreamConfig,
     /// Cursor table. `learn` asks the live cursor what is known (short
     /// lock, binary search) and integrates its discoveries under it.
     cursors: Mutex<HashMap<StreamId, StreamCursor>>,
@@ -85,21 +71,15 @@ pub struct StreamClient {
 }
 
 impl StreamClient {
-    /// Wraps a CORFU client.
+    /// Wraps a CORFU client. The stream layer records `stream.*` metrics
+    /// into the CORFU client's registry.
     pub fn new(corfu: CorfuClient) -> Self {
-        Self::with_config(corfu, StreamConfig::default())
-    }
-
-    /// Wraps a CORFU client with explicit configuration. The stream layer
-    /// records `stream.*` metrics into the CORFU client's registry.
-    pub fn with_config(corfu: CorfuClient, config: StreamConfig) -> Self {
         let metrics = StreamMetrics::from_registry(corfu.metrics());
         Self {
             corfu,
             cursors: Mutex::new(HashMap::new()),
-            cache: Mutex::new(EntryCache::new(config.cache_capacity)),
+            cache: Mutex::new(EntryCache::new(CACHE_CAPACITY)),
             trim_floor: Mutex::new(HashMap::new()),
-            config,
             metrics,
         }
     }
@@ -113,11 +93,6 @@ impl StreamClient {
     /// underlying CORFU client).
     pub fn metrics(&self) -> &Registry {
         self.corfu.metrics()
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &StreamConfig {
-        &self.config
     }
 
     /// Registers a stream for playback. Idempotent.
@@ -141,9 +116,9 @@ impl StreamClient {
     /// extra sequencer round trip. A written stream learns from the entry's
     /// own header (`[offset] ++ backpointers` is its last-K window as of
     /// the grant); an unwritten one from the window the token grant
-    /// observed for it. Where the append has no such observation (pooled
-    /// tokens, cross-log appends, a stream homed in another log than the
-    /// entry) those streams are synced the ordinary way.
+    /// observed for it. Where the append has no such observation (cross-log
+    /// appends, a stream homed in another log than the entry) those streams
+    /// are synced the ordinary way.
     pub fn multiappend_observing(
         &self,
         streams: &[StreamId],
@@ -189,10 +164,9 @@ impl StreamClient {
     /// round trip and returns the global tail. Call before `readnext` for
     /// linearizable semantics (the paper's explicit `sync`).
     ///
-    /// After membership is integrated, the next [`StreamConfig::
-    /// prefetch_window`] upcoming member offsets of each stream are
-    /// bulk-fetched into the cache, so steady-state `readnext` never goes
-    /// to the network.
+    /// After membership is integrated, the next `PREFETCH_WINDOW` upcoming
+    /// member offsets of each stream are bulk-fetched into the cache, so
+    /// steady-state `readnext` never goes to the network.
     pub fn sync(&self, streams: &[StreamId]) -> corfu::Result<LogOffset> {
         // Sampled root span: the sequencer round trip below records a
         // `seq.query` child under it when the sample hits.
@@ -202,23 +176,21 @@ impl StreamClient {
         for (&stream, seq_backs) in streams.iter().zip(backs.iter()) {
             self.learn(stream, tail, seq_backs)?;
         }
-        if self.config.prefetch_window > 0 {
-            let mut upcoming: Vec<LogOffset> = Vec::new();
-            {
-                let cursors = self.cursors.lock();
-                for &stream in streams {
-                    if let Some(c) = cursors.get(&stream) {
-                        upcoming.extend_from_slice(c.upcoming(self.config.prefetch_window));
-                    }
+        let mut upcoming: Vec<LogOffset> = Vec::new();
+        {
+            let cursors = self.cursors.lock();
+            for &stream in streams {
+                if let Some(c) = cursors.get(&stream) {
+                    upcoming.extend_from_slice(c.upcoming(PREFETCH_WINDOW));
                 }
             }
-            upcoming.sort_unstable();
-            upcoming.dedup();
-            // Readahead must not stall on (or junk-fill) an in-flight
-            // writer, so it reads without wait semantics; a hole left by a
-            // slow writer is simply not cached and readnext waits it out.
-            self.fetch_many(&upcoming, false)?;
         }
+        upcoming.sort_unstable();
+        upcoming.dedup();
+        // Readahead must not stall on (or junk-fill) an in-flight writer,
+        // so it reads without wait semantics; a hole left by a slow writer
+        // is simply not cached and readnext waits it out.
+        self.fetch_many(&upcoming, false)?;
         timer.stop();
         Ok(tail)
     }
@@ -381,11 +353,11 @@ impl StreamClient {
             return Ok(Some(hit));
         }
         self.metrics.cache_misses.inc();
-        self.fetch_miss(offset, true)
+        self.admit(offset, self.corfu.wait_read(offset)?, true)
     }
 
     /// Bulk cache-through fetch. Cached offsets are answered from the
-    /// cache under one short lock; misses go out in `read_batch`-sized
+    /// cache under one short lock; misses go out in `READ_BATCH`-sized
     /// `read_many` round trips. With `wait`, unwritten offsets get
     /// `wait_read` semantics (poll, then junk-fill — never `Unwritten`);
     /// without it (readahead) they come back `None` and are *not* cached,
@@ -409,17 +381,7 @@ impl StreamClient {
         }
         self.metrics.cache_hits.add((offsets.len() - misses.len()) as u64);
         self.metrics.cache_misses.add(misses.len() as u64);
-        if misses.is_empty() {
-            return Ok(out);
-        }
-        if self.config.read_batch <= 1 {
-            // Batching disabled: the serial per-offset path.
-            for &(idx, off) in &misses {
-                out[idx] = self.fetch_miss(off, wait)?;
-            }
-            return Ok(out);
-        }
-        for chunk in misses.chunks(self.config.read_batch) {
+        for chunk in misses.chunks(READ_BATCH) {
             let addrs: Vec<LogOffset> = chunk.iter().map(|&(_, off)| off).collect();
             self.metrics.read_batch_size.record(addrs.len() as u64);
             let outcomes = if wait {
@@ -427,46 +389,24 @@ impl StreamClient {
             } else {
                 self.corfu.read_many(&addrs)?
             };
-            // Cross-log bodies (link whose home is elsewhere) need a read
-            // of their anchor to resolve commit/abort; collect them and
-            // resolve outside the cache lock.
-            let mut linked: Vec<(usize, LogOffset, Arc<EntryEnvelope>)> = Vec::new();
-            {
-                let mut cache = self.cache.lock();
-                for (&(idx, off), outcome) in chunk.iter().zip(outcomes) {
-                    out[idx] = match outcome {
-                        ReadOutcome::Data(bytes) => {
-                            let entry = Arc::new(EntryEnvelope::decode(&bytes, off)?);
-                            if entry.link.as_ref().is_none_or(|l| l.home == off) {
-                                cache.insert(off, Arc::clone(&entry));
-                                Some(entry)
-                            } else {
-                                linked.push((idx, off, entry));
-                                None
-                            }
-                        }
-                        ReadOutcome::Junk | ReadOutcome::Trimmed => None,
-                        ReadOutcome::Unwritten if !wait => None,
-                        ReadOutcome::Unwritten => {
-                            return Err(CorfuError::Unwritten { offset: off })
-                        }
-                    };
-                }
-            }
-            for (idx, off, entry) in linked {
-                out[idx] = self.resolve_link(off, entry, wait)?;
+            for (&(idx, off), outcome) in chunk.iter().zip(outcomes) {
+                out[idx] = self.admit(off, outcome, wait)?;
             }
         }
         Ok(out)
     }
 
-    /// Resolves one cache miss against the log and caches data outcomes.
-    fn fetch_miss(
+    /// What the log's answer for a missed `offset` means to a reader: the
+    /// decoded entry, cached, for data — a cross-log body only once its
+    /// anchor says it committed — and `None` for junk, trimmed or (without
+    /// `wait`) a slot still unwritten. No lock is held across the decode or
+    /// the anchor read.
+    fn admit(
         &self,
         offset: LogOffset,
+        outcome: ReadOutcome,
         wait: bool,
     ) -> corfu::Result<Option<Arc<EntryEnvelope>>> {
-        let outcome = if wait { self.corfu.wait_read(offset)? } else { self.corfu.read(offset)? };
         match outcome {
             ReadOutcome::Data(bytes) => {
                 let entry = Arc::new(EntryEnvelope::decode(&bytes, offset)?);
@@ -654,7 +594,7 @@ impl StreamClient {
         discovered: &mut Vec<LogOffset>,
     ) -> corfu::Result<u64> {
         let mut walked = 0u64;
-        let step = self.config.read_batch.max(1) as u64;
+        let step = READ_BATCH as u64;
         let mut end = hi;
         while end > lo {
             let start = end.saturating_sub(step).max(lo);

@@ -28,7 +28,7 @@ mod client;
 mod cursor;
 
 pub use cache::EntryCache;
-pub use client::{StreamClient, StreamConfig};
+pub use client::StreamClient;
 pub use cursor::StreamCursor;
 
 pub use corfu::{EntryEnvelope, LogOffset, StreamId};
