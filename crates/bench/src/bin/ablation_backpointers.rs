@@ -4,11 +4,16 @@
 //! longer stride length and allows for faster construction of the linked
 //! list." This runs on the REAL stack: one writer interleaves entries of
 //! 8 streams; a cold reader then reconstructs one stream's membership, and
-//! we count the storage *round trips* the backward walk needed. With the
-//! batched read path each stride fetches its whole K-entry window in one
-//! `ReadBatch`, so round trips fall roughly as N/K while the pages touched
-//! stay ~N (every member entry is read once and cached for playback).
-//! Both columns are reported.
+//! we count the storage *round trips* the backward walk needed. A stride's
+//! read is a `ReadChase`: the storage node follows the stream's
+//! backpointers to its own pages and returns up to 32 entries, so what K
+//! buys is no longer stride length but *reach* — whether an entry's last K
+//! predecessors include one on the same replica set. With 8 streams taking
+//! turns over 3 sets a stream's entries are 8 offsets apart, and the first
+//! same-set predecessor is the third: K < 3 walks a window per round trip
+//! (N·min(sets, K)/K round trips), K ≥ 3 about N/32 per set, whatever K.
+//! Pages touched stay ~N (every member entry is read once and cached for
+//! playback). Both columns are reported.
 
 use bytes::Bytes;
 use corfu::cluster::{ClusterConfig, LocalCluster};
@@ -16,9 +21,9 @@ use corfu_stream::StreamClient;
 use tango_bench::FigureOutput;
 
 /// (storage round trips, pages served) from the cluster-wide registry.
-/// A plain `Read` is one round trip serving one page; a `ReadBatch` is one
-/// round trip serving `batch` pages (the `reads` counter counts pages, the
-/// `read_batch` histogram one record per batch).
+/// A plain `Read` is one round trip serving one page; a `ReadBatch` or
+/// `ReadChase` is one round trip serving `batch` pages (the `reads` counter
+/// counts pages, the `read_batch` histogram one record per batch).
 fn storage_traffic(cluster: &LocalCluster) -> (u64, u64) {
     let pages = cluster.metrics().counter("corfu.storage.reads").get();
     let batch = cluster.metrics().histogram("corfu.storage.read_batch");

@@ -127,6 +127,10 @@ struct Playback {
     checkpoint_floor: HashMap<Oid, LogOffset>,
 }
 
+/// A checkpoint record found in a stream: its offset, the state it holds
+/// and the position that state is as of.
+type FoundCheckpoint = (LogOffset, Bytes, LogOffset);
+
 /// The Tango runtime (§3): one per client process. All views it hosts are
 /// kept consistent by playing their streams forward in global log order.
 pub struct TangoRuntime {
@@ -184,7 +188,6 @@ impl TangoRuntime {
     /// Finds the newest directory checkpoint and restores from it, skipping
     /// the (possibly trimmed) prefix it captures.
     fn restore_directory_checkpoint(&self) -> Result<()> {
-        self.stream.sync(&[DIRECTORY_OID])?;
         if let Some((off, data, as_of)) = self.find_latest_checkpoint(DIRECTORY_OID)? {
             self.dir_state.lock().restore(&data)?;
             self.stream.seek(DIRECTORY_OID, as_of);
@@ -196,27 +199,55 @@ impl TangoRuntime {
         Ok(())
     }
 
-    /// Scans `oid`'s known membership newest-first for its latest
-    /// checkpoint record (respecting the play limit), bulk-fetching the
-    /// scan in batches so a restore does not pay one round trip per
-    /// candidate.
-    fn find_latest_checkpoint(&self, oid: Oid) -> Result<Option<(LogOffset, Bytes, LogOffset)>> {
+    /// Syncs `oid` and scans its membership newest-first for its latest
+    /// checkpoint record (respecting the play limit).
+    ///
+    /// A prefix trim can overtake the scan, and it reaches the replica sets
+    /// one after another: for a moment an old checkpoint can still be read
+    /// while entries above it are gone. So what a scan finds below an offset
+    /// with nothing left to read is not to be trusted — the checkpoint that
+    /// allowed the trim stands above everything the sync knew — and the
+    /// restore syncs and looks again. Junk reads like a trimmed entry, hence
+    /// the bound: the last scan's word stands.
+    fn find_latest_checkpoint(&self, oid: Oid) -> Result<Option<FoundCheckpoint>> {
+        const RESTORE_SCANS: usize = 4;
+        let mut found = None;
+        for _ in 0..RESTORE_SCANS {
+            self.stream.sync(&[oid])?;
+            let overtaken;
+            (found, overtaken) = self.scan_for_checkpoint(oid)?;
+            if !overtaken {
+                break;
+            }
+        }
+        Ok(found)
+    }
+
+    /// One newest-first pass over what the cursor knows of `oid`, bulk-fetched
+    /// in batches so a restore does not pay one round trip per candidate: the
+    /// latest checkpoint record, if there is one, and whether an offset above
+    /// it had nothing left to read.
+    fn scan_for_checkpoint(&self, oid: Oid) -> Result<(Option<FoundCheckpoint>, bool)> {
         const RESTORE_SCAN_BATCH: usize = 32;
         let eligible = self.stream.known_below(oid, self.opts.play_limit.unwrap_or(LogOffset::MAX));
+        let mut overtaken = false;
         for chunk in eligible.rchunks(RESTORE_SCAN_BATCH) {
             let entries = self.stream.read_many_at(chunk)?;
             for (&off, entry) in chunk.iter().zip(entries.iter()).rev() {
-                let Some(entry) = entry else { continue };
+                let Some(entry) = entry else {
+                    overtaken = true;
+                    continue;
+                };
                 if let Ok(LogRecord::Checkpoint { oid: o, data, as_of }) =
                     decode_from_slice::<LogRecord>(&entry.payload)
                 {
                     if o == oid {
-                        return Ok(Some((off, data, as_of)));
+                        return Ok((Some((off, data, as_of)), overtaken));
                     }
                 }
             }
         }
-        Ok(None)
+        Ok((None, overtaken))
     }
 
     /// The options in effect.
@@ -286,7 +317,6 @@ impl TangoRuntime {
         options: ObjectOptions,
     ) -> Result<ObjectView<S>> {
         self.stream.open(oid);
-        self.stream.sync(&[oid])?;
         let mut restore_point = None;
         if let Some((off, data, as_of)) = self.find_latest_checkpoint(oid)? {
             state.restore(&data)?;

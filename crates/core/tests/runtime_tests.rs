@@ -2,12 +2,15 @@
 //! single-object linearizability, transactions, decision records, history,
 //! checkpoints, and garbage collection.
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use corfu::cluster::{ClusterConfig, LocalCluster};
+use corfu::{ClientOptions, ConnFactory, NodeInfo};
 use tango::{
     ApplyMeta, ObjectOptions, RuntimeOptions, StateMachine, TangoRuntime, TxOptions, TxStatus,
 };
+use tango_rpc::ClientConn;
 
 /// The paper's TangoRegister (Figure 3).
 #[derive(Default)]
@@ -452,6 +455,99 @@ fn restore_races_with_advancing_trim_horizon() {
         .register_object_from_checkpoint(oid, Register::default(), ObjectOptions::default())
         .unwrap();
     assert_eq!(reg3.query(None, |r| r.0).unwrap(), 120);
+}
+
+/// What an [`Interposed`] connection does with a request before sending it.
+type Before = Arc<dyn Fn(&[u8]) + Send + Sync>;
+
+/// Connections to storage nodes that run `before` on every request they
+/// forward.
+struct Interposed {
+    inner: Arc<dyn ConnFactory>,
+    before: Before,
+}
+
+struct InterposedConn {
+    inner: Arc<dyn ClientConn>,
+    before: Before,
+}
+
+impl ConnFactory for Interposed {
+    fn connect(&self, node: &NodeInfo) -> Arc<dyn ClientConn> {
+        let inner = self.inner.connect(node);
+        if !node.addr.starts_with("storage") {
+            return inner;
+        }
+        Arc::new(InterposedConn { inner, before: Arc::clone(&self.before) })
+    }
+}
+
+impl ClientConn for InterposedConn {
+    fn call(&self, request: &[u8]) -> tango_rpc::Result<Vec<u8>> {
+        (self.before)(request);
+        self.inner.call(request)
+    }
+}
+
+#[test]
+fn restore_distrusts_a_checkpoint_found_below_what_a_trim_took() {
+    // A prefix trim reaches the replica sets one after another. A restore
+    // that synced before the trim and reads across it can still find the
+    // old checkpoint, on a set the trim has not reached, while updates
+    // above it are gone from the sets it has — and the checkpoint that
+    // allowed the trim is above everything that sync knew.
+    let cluster = cluster();
+    let rt = runtime(&cluster);
+    let oid = rt.create_or_open("straddled").unwrap();
+    let reg = rt.register_object(oid, Register::default(), ObjectOptions::default()).unwrap();
+    let write = {
+        let reg = reg.clone();
+        move |v: i64| reg.update(None, v.to_le_bytes().to_vec()).unwrap()
+    };
+    // A checkpoint on replica set 0 of 3 and an update above it on each
+    // set: the four entries a reader's walk of the stream asks for first.
+    let mut v = 0;
+    loop {
+        v += 1;
+        write(v);
+        reg.query(None, |_| ()).unwrap();
+        if rt.checkpoint(oid).unwrap().is_multiple_of(3) {
+            break;
+        }
+    }
+    for _ in 0..3 {
+        v += 1;
+        write(v);
+    }
+    let latest = v + 1;
+
+    // The reader's bulk reads (storage requests 7 and 8) go out set by set;
+    // between its first and its second, once armed, the writer moves on,
+    // checkpoints and trims.
+    let armed = Arc::new(AtomicBool::new(false));
+    let overtake: Before = {
+        let (rt, armed, reads) = (Arc::clone(&rt), Arc::clone(&armed), AtomicUsize::new(0));
+        Arc::new(move |request| {
+            let bulk_read = matches!(request.first(), Some(7 | 8));
+            if bulk_read
+                && armed.load(Ordering::SeqCst)
+                && reads.fetch_add(1, Ordering::SeqCst) == 1
+            {
+                write(latest);
+                rt.checkpoint_and_trim().unwrap();
+            }
+        })
+    };
+    let factory = Arc::new(Interposed { inner: cluster.conn_factory(), before: overtake });
+    let client = cluster
+        .client_with_factory(factory, ClientOptions::default(), cluster.metrics().clone())
+        .unwrap();
+    let reader = TangoRuntime::new(client).unwrap();
+    armed.store(true, Ordering::SeqCst);
+    let restored = reader
+        .register_object_from_checkpoint(oid, Register::default(), ObjectOptions::default())
+        .unwrap();
+    assert_eq!(restored.query(None, |r| r.0).unwrap(), latest);
 }
 
 #[test]

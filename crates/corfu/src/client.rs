@@ -103,6 +103,32 @@ pub enum ReadOutcome {
     Trimmed,
 }
 
+impl From<PageOutcome> for ReadOutcome {
+    fn from(outcome: PageOutcome) -> Self {
+        match outcome {
+            PageOutcome::Data(b) => ReadOutcome::Data(b),
+            PageOutcome::Junk => ReadOutcome::Junk,
+            PageOutcome::Unwritten => ReadOutcome::Unwritten,
+            PageOutcome::Trimmed => ReadOutcome::Trimmed,
+        }
+    }
+}
+
+/// What a reader walking a stream backward lets the storage nodes read
+/// beyond the offsets it names (see [`StorageRequest::ReadChase`]).
+pub struct Chase<'a> {
+    /// The stream whose backpointers the nodes follow.
+    pub stream: StreamId,
+    /// Per log, the lowest composite offset the reader has any use for.
+    pub floor: &'a dyn Fn(u32) -> LogOffset,
+    /// Pages per storage round trip, the named offsets included.
+    pub limit: usize,
+}
+
+/// The entries a [`Chase`] brought along: offsets nobody named, with what
+/// they hold.
+pub type Chased = Vec<(LogOffset, Bytes)>;
+
 /// One operation's view of the cluster: a layout and, beside it, what is
 /// only good for that layout. An operation takes one `Arc` of it and every
 /// step — token, chain write, read — works from that; nothing in it
@@ -540,7 +566,7 @@ impl CorfuClient {
             let mut view = self.view();
             match Self::single_log(&view.proj, streams) {
                 Some(log) => self
-                    .append_in_log(&mut view, log, streams, &[], &payload, None)
+                    .append_in_log(&mut view, log, streams, &[], &payload)
                     .map(|(off, envelope, _)| (off, envelope)),
                 None => {
                     let groups = Self::group_by_log(&view.proj, streams);
@@ -588,7 +614,7 @@ impl CorfuClient {
                 .append_streams(streams, payload)
                 .map(|(off, envelope)| (off, envelope, None));
         };
-        self.timed_append(|| self.append_in_log(&mut view, log, streams, observe, &payload, None))
+        self.timed_append(|| self.append_in_log(&mut view, log, streams, observe, &payload))
             .map(|(off, envelope, observed)| (off, envelope, Some(observed)))
     }
 
@@ -601,14 +627,13 @@ impl CorfuClient {
         streams: &[StreamId],
         payload: Bytes,
     ) -> Result<(LogOffset, EntryEnvelope)> {
-        self.append_in_log(&mut self.view(), log, streams, &[], &payload, None)
+        self.append_in_log(&mut self.view(), log, streams, &[], &payload)
             .map(|(off, envelope, _)| (off, envelope))
     }
 
     /// One token-acquire/chain-write attempt loop confined to a single log.
-    /// `link` is threaded into the envelope for cross-log parts. Returns
-    /// [`CorfuError::TokenLost`] to the *caller* only via retry exhaustion —
-    /// individual lost tokens retry here.
+    /// Returns [`CorfuError::TokenLost`] to the *caller* only via retry
+    /// exhaustion — individual lost tokens retry here.
     fn append_in_log(
         &self,
         view: &mut Arc<View>,
@@ -616,7 +641,6 @@ impl CorfuClient {
         streams: &[StreamId],
         observe: &[StreamId],
         payload: &Bytes,
-        link: Option<CrossLogLink>,
     ) -> Result<(LogOffset, EntryEnvelope, StreamWindows)> {
         for _ in 0..MAX_TOKEN_RETRIES {
             let Token { offset, backpointers, observed } =
@@ -626,7 +650,7 @@ impl CorfuClient {
                 .zip(backpointers)
                 .map(|(&stream, backpointers)| StreamHeader { stream, backpointers })
                 .collect();
-            let envelope = EntryEnvelope { headers, payload: payload.clone(), link: link.clone() };
+            let envelope = EntryEnvelope { headers, payload: payload.clone(), link: None };
             let mut framed = envelope.encode_after(WRITE_HEAD_MAX, offset)?;
             match self.chain_write(view, offset, &mut framed) {
                 Ok(()) => {
@@ -816,7 +840,9 @@ impl CorfuClient {
             };
         let write = StorageRequest::Write { epoch, addr: local, kind, payload: value.clone() };
         let what = format_args!("repair write at {offset}");
-        self.write_past_head(view, chain, &encode_to_vec(&write), what)?;
+        if !self.write_past_head(view, chain, &encode_to_vec(&write), what)? {
+            return Ok(ReadOutcome::Trimmed);
+        }
         Ok(match kind {
             WriteKind::Data => ReadOutcome::Data(value),
             WriteKind::Junk => ReadOutcome::Junk,
@@ -826,20 +852,22 @@ impl CorfuClient {
     /// Sends `request`, a write whose value `chain`'s head already holds, to
     /// every node past the head: the rest of a hole fill or a chain repair.
     /// A node that has the value already is as good as one that takes it.
+    /// `false`: a prefix trim overtook the writes and the offset is gone.
     fn write_past_head(
         &self,
         view: &View,
         chain: &[NodeId],
         request: &[u8],
         what: impl std::fmt::Display,
-    ) -> Result<()> {
+    ) -> Result<bool> {
         for &node in &chain[1..] {
             match self.call_raw(view, node, request)? {
                 StorageResponse::Ok | StorageResponse::ErrAlreadyWritten => {}
+                StorageResponse::ErrTrimmed => return Ok(false),
                 other => return Err(storage_refusal(what, other)),
             }
         }
-        Ok(())
+        Ok(true)
     }
 
     /// Patches the hole at `offset` with junk (§3.2). If a writer got there
@@ -874,8 +902,10 @@ impl CorfuClient {
                         local,
                     );
                     let what = format_args!("fill at {offset}");
-                    self.write_past_head(view, chain, &request, what)?;
-                    Ok(ReadOutcome::Junk)
+                    Ok(match self.write_past_head(view, chain, &request, what)? {
+                        true => ReadOutcome::Junk,
+                        false => ReadOutcome::Trimmed,
+                    })
                 }
                 StorageResponse::ErrAlreadyWritten => {
                     // A writer won; complete its chain and return the value.
@@ -914,12 +944,21 @@ impl CorfuClient {
     /// chain is resolved through chain repair before being reported, so an
     /// `Unwritten` result really means no writer has reached the head.
     pub fn read_many(&self, offsets: &[LogOffset]) -> Result<Vec<ReadOutcome>> {
+        Ok(self.read_bulk(offsets, None)?.0)
+    }
+
+    /// One bulk read as an operation: sampled, and retried across a seal.
+    fn read_bulk(
+        &self,
+        offsets: &[LogOffset],
+        chase: Option<&Chase<'_>>,
+    ) -> Result<(Vec<ReadOutcome>, Chased)> {
         if offsets.is_empty() {
-            return Ok(Vec::new());
+            return Ok(Default::default());
         }
         let (timer, _span) = self.sampled_root(SpanKind::ClientRead, &self.metrics.read_latency_ns);
         let result = self.with_retry("read_many", false, &mut self.view(), |view| {
-            self.read_many_with(view, offsets)
+            self.read_many_with(view, offsets, chase)
         });
         match result.is_ok() {
             true => timer.stop(),
@@ -928,7 +967,16 @@ impl CorfuClient {
         result
     }
 
-    fn read_many_with(&self, view: &View, offsets: &[LogOffset]) -> Result<Vec<ReadOutcome>> {
+    /// The bulk read itself. With a `chase` each group's request is a
+    /// `ReadChase`, and the data pages the tails read beyond `offsets` come
+    /// back beside the outcomes; grouping, stitching and repair do not know
+    /// the difference.
+    fn read_many_with(
+        &self,
+        view: &View,
+        offsets: &[LogOffset],
+        chase: Option<&Chase<'_>>,
+    ) -> Result<(Vec<ReadOutcome>, Chased)> {
         let proj = &*view.proj;
         // Group offsets by (global) replica set, remembering where each one
         // sits in the input so outcomes can be stitched back in order.
@@ -937,44 +985,65 @@ impl CorfuClient {
             let (set, local) = proj.map(off);
             groups[set].push((idx, local));
         }
-        // Start one `ReadBatch` per chunk of each group, stamped with the
-        // epoch of the log owning the set, at the chain tail as in the
+        // Start one request per chunk of each group, stamped with the epoch
+        // of the log owning the set, at the chain tail as in the
         // single-offset path. Nothing is awaited until all are on the wire.
         let mut started = Vec::new();
         for (set, group) in groups.iter().enumerate().filter(|(_, group)| !group.is_empty()) {
             let conn = self.conn(view, *proj.replica_set(set).last().expect("non-empty chain"))?;
-            let epoch = proj.epoch_of_set(set);
+            let log = proj.log_of_set(set);
+            let layout = proj.log(log);
+            let epoch = layout.epoch;
             for entries in group.chunks(crate::storage::MAX_READ_BATCH) {
                 self.metrics.read_batches.inc();
                 let addrs = entries.iter().map(|&(_, local)| local).collect();
-                let request = encode_to_vec(&StorageRequest::ReadBatch { epoch, addrs });
-                started.push((conn, conn.start(&request), entries));
+                let request = encode_to_vec(&match chase {
+                    None => StorageRequest::ReadBatch { epoch, addrs },
+                    Some(chase) => StorageRequest::ReadChase {
+                        epoch,
+                        addrs,
+                        stream: chase.stream,
+                        stripe: layout.num_sets() as u32,
+                        floor: proj.local_trim_horizon_in_log(
+                            log,
+                            set - proj.set_base(log),
+                            (chase.floor)(log),
+                        ),
+                        limit: chase.limit as u32,
+                    },
+                });
+                started.push((set, conn, conn.start(&request), entries));
             }
         }
         // An error drops the tickets behind it, which abandons their calls.
         let mut stitched = vec![ReadOutcome::Unwritten; offsets.len()];
-        for (conn, ticket, entries) in started {
-            let outcomes = match decode_from_slice(&conn.finish(ticket)?)? {
-                StorageResponse::BatchOutcomes(outcomes) if outcomes.len() == entries.len() => {
-                    outcomes
-                }
-                StorageResponse::BatchOutcomes(outcomes) => {
-                    return Err(CorfuError::Codec(format!(
-                        "batch answered {} of {} addrs",
-                        outcomes.len(),
-                        entries.len()
-                    )))
+        let mut chased = Chased::new();
+        for (set, conn, ticket, entries) in started {
+            let (outcomes, followed) = match decode_from_slice(&conn.finish(ticket)?)? {
+                StorageResponse::BatchOutcomes(outcomes) => (outcomes, Vec::new().into_iter()),
+                StorageResponse::Chased(pages) => {
+                    let mut pages = pages.into_iter();
+                    let asked = pages.by_ref().take(entries.len());
+                    (asked.map(|(_, outcome)| outcome).collect(), pages)
                 }
                 other => return Err(storage_refusal("batch read", other)),
             };
-            for (&(idx, _), outcome) in entries.iter().zip(outcomes) {
-                stitched[idx] = match outcome {
-                    PageOutcome::Data(b) => ReadOutcome::Data(b),
-                    PageOutcome::Junk => ReadOutcome::Junk,
-                    PageOutcome::Unwritten => ReadOutcome::Unwritten,
-                    PageOutcome::Trimmed => ReadOutcome::Trimmed,
-                };
+            if outcomes.len() != entries.len() {
+                return Err(CorfuError::Codec(format!(
+                    "batch answered {} of {} addrs",
+                    outcomes.len(),
+                    entries.len()
+                )));
             }
+            for (&(idx, _), outcome) in entries.iter().zip(outcomes) {
+                stitched[idx] = outcome.into();
+            }
+            // Only what a page the node chose to read holds is of use; what
+            // it does not hold is the business of whoever asks for it.
+            chased.extend(followed.filter_map(|(local, outcome)| match outcome {
+                PageOutcome::Data(bytes) => Some((proj.unmap(set, local), bytes)),
+                _ => None,
+            }));
         }
         // A tail that answered Unwritten on a replicated chain may be
         // lagging a half-finished chain write; resolve those few stragglers
@@ -984,7 +1053,7 @@ impl CorfuClient {
                 stitched[idx] = self.repair_chain(view, proj, off)?;
             }
         }
-        Ok(stitched)
+        Ok((stitched, chased))
     }
 
     /// [`CorfuClient::read_many`] that waits for in-flight writers and
@@ -998,12 +1067,34 @@ impl CorfuClient {
     /// backs off exponentially (1 ms doubling to 16 ms) instead of hammering
     /// the tails at a fixed interval.
     pub fn wait_read_many(&self, offsets: &[LogOffset]) -> Result<Vec<ReadOutcome>> {
-        let mut out = self.read_many(offsets)?;
+        Ok(self.wait_read_bulk(offsets, None)?.0)
+    }
+
+    /// [`CorfuClient::wait_read_many`] for a reader walking `chase.stream`
+    /// backward from `offsets`: the storage nodes go on reading where the
+    /// stream's backpointers lead on their own pages, and the entries they
+    /// find come back too — the reader's next strides, in this round trip.
+    /// Only `offsets` are waited for, repaired or filled; of the rest, an
+    /// offset that holds no data is simply not mentioned.
+    pub fn wait_read_chase(
+        &self,
+        offsets: &[LogOffset],
+        chase: &Chase<'_>,
+    ) -> Result<(Vec<ReadOutcome>, Chased)> {
+        self.wait_read_bulk(offsets, Some(chase))
+    }
+
+    fn wait_read_bulk(
+        &self,
+        offsets: &[LogOffset],
+        chase: Option<&Chase<'_>>,
+    ) -> Result<(Vec<ReadOutcome>, Chased)> {
+        let (mut out, chased) = self.read_bulk(offsets, chase)?;
         // Input positions of the offsets still unwritten.
         let mut holes: Vec<usize> =
             (0..out.len()).filter(|&i| out[i] == ReadOutcome::Unwritten).collect();
         if holes.is_empty() {
-            return Ok(out);
+            return Ok((out, chased));
         }
         let deadline = Instant::now() + self.opts.hole_fill_timeout;
         let mut backoff = HOLE_POLL_INTERVAL;
@@ -1024,7 +1115,7 @@ impl CorfuClient {
             }
             holes.retain(|&i| out[i] == ReadOutcome::Unwritten);
         }
-        Ok(out)
+        Ok((out, chased))
     }
 
     /// Trims a single offset, marking it garbage-collectable.

@@ -10,7 +10,7 @@
 //! headers, which is fine: readers always know the offset they just read.
 
 use bytes::Bytes;
-use tango_wire::{Reader, Writer};
+use tango_wire::{Reader, WireError, Writer};
 
 use crate::{CorfuError, LogOffset, Result, StreamId, MAX_STREAM_ID};
 
@@ -138,37 +138,14 @@ impl EntryEnvelope {
 
     /// Decodes an envelope read from `offset`.
     pub fn decode(bytes: &[u8], offset: LogOffset) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        let magic = r.get_u8()?;
-        if magic != ENTRY_MAGIC && magic != ENTRY_MAGIC_LINKED {
-            return Err(CorfuError::Codec(format!("bad entry magic {magic:#x} at {offset}")));
+        let mut scan = Headers::new(bytes)
+            .map_err(|e| CorfuError::Codec(format!("bad entry at {offset}: {e}")))?;
+        let mut headers = Vec::with_capacity(scan.remaining);
+        for header in scan.by_ref() {
+            headers.push(header?.resolve(offset)?);
         }
-        let nheaders = r.get_u8()? as usize;
-        let mut headers = Vec::with_capacity(nheaders);
-        for _ in 0..nheaders {
-            let id_fmt = r.get_u32()?;
-            let stream = id_fmt & MAX_STREAM_ID;
-            let nback = r.get_u8()? as usize;
-            let mut backpointers = Vec::with_capacity(nback);
-            if id_fmt & FMT_ABSOLUTE != 0 {
-                for _ in 0..nback {
-                    backpointers.push(r.get_u64()?);
-                }
-            } else {
-                for _ in 0..nback {
-                    let delta = r.get_u16()?;
-                    backpointers.push(if delta == 0 {
-                        u64::MAX
-                    } else {
-                        offset
-                            .checked_sub(delta as u64)
-                            .ok_or_else(|| CorfuError::Codec("backpointer underflow".into()))?
-                    });
-                }
-            }
-            headers.push(StreamHeader { stream, backpointers });
-        }
-        let link = if magic == ENTRY_MAGIC_LINKED {
+        let Headers { mut r, linked, .. } = scan;
+        let link = if linked {
             let home = r.get_u64()?;
             let nparts = r.get_len(256)?;
             let mut parts = Vec::with_capacity(nparts);
@@ -187,9 +164,103 @@ impl EntryEnvelope {
     }
 }
 
+/// One stream header of an encoded entry, borrowed from the entry's bytes.
+#[derive(Debug, Clone)]
+pub(crate) struct HeaderRef<'a> {
+    /// The stream the entry belongs to.
+    pub stream: StreamId,
+    /// Whether `pointers` are 8-byte absolute offsets, not 2-byte deltas.
+    absolute: bool,
+    /// The backpointers as stored, most recent first.
+    pointers: &'a [u8],
+}
+
+impl<'a> HeaderRef<'a> {
+    /// The header's deltas from the entry's own offset as stored: most
+    /// recent first, 0 for "no previous entry". A header in the absolute
+    /// format has none.
+    pub fn deltas(&self) -> impl Iterator<Item = u16> + 'a {
+        let stored = if self.absolute { &[] } else { self.pointers };
+        stored.chunks_exact(2).map(|delta| u16::from_le_bytes([delta[0], delta[1]]))
+    }
+
+    /// The header as absolute offsets, for an entry read from `offset`.
+    fn resolve(&self, offset: LogOffset) -> Result<StreamHeader> {
+        let backpointers = if self.absolute {
+            let stored = self.pointers.chunks_exact(8);
+            stored.map(|at| u64::from_le_bytes(at.try_into().expect("chunk of 8"))).collect()
+        } else {
+            let mut resolved = Vec::with_capacity(self.pointers.len() / 2);
+            for delta in self.deltas() {
+                resolved.push(match delta {
+                    0 => u64::MAX,
+                    delta => offset
+                        .checked_sub(delta as u64)
+                        .ok_or_else(|| CorfuError::Codec("backpointer underflow".into()))?,
+                });
+            }
+            resolved
+        };
+        Ok(StreamHeader { stream: self.stream, backpointers })
+    }
+}
+
+/// Walks the stream headers of an encoded entry where they lie: no payload
+/// copy, no allocation. The one place that knows the header layout on the
+/// decode side — [`EntryEnvelope::decode`] builds its headers from it, and a
+/// storage node following a stream's backpointers reads nothing else of a
+/// page.
+pub(crate) struct Headers<'a> {
+    /// Positioned at the next header; behind the last one, at the link.
+    r: Reader<'a>,
+    /// Headers not yet yielded.
+    remaining: usize,
+    /// Whether a link section follows the headers.
+    linked: bool,
+}
+
+impl<'a> Headers<'a> {
+    /// Starts at the first header of the encoded entry `bytes`.
+    pub fn new(bytes: &'a [u8]) -> tango_wire::Result<Self> {
+        let mut r = Reader::new(bytes);
+        let magic = r.get_u8()?;
+        if magic != ENTRY_MAGIC && magic != ENTRY_MAGIC_LINKED {
+            return Err(WireError::InvalidTag { what: "entry magic", tag: magic as u64 });
+        }
+        let remaining = r.get_u8()? as usize;
+        Ok(Self { r, remaining, linked: magic == ENTRY_MAGIC_LINKED })
+    }
+
+    fn header(&mut self) -> tango_wire::Result<HeaderRef<'a>> {
+        let id_fmt = self.r.get_u32()?;
+        let absolute = id_fmt & FMT_ABSOLUTE != 0;
+        let stored = self.r.get_u8()? as usize * if absolute { 8 } else { 2 };
+        let pointers = self.r.get_raw(stored)?;
+        Ok(HeaderRef { stream: id_fmt & MAX_STREAM_ID, absolute, pointers })
+    }
+}
+
+impl<'a> Iterator for Headers<'a> {
+    type Item = tango_wire::Result<HeaderRef<'a>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.remaining = self.remaining.checked_sub(1)?;
+        Some(self.header())
+    }
+}
+
+/// The deltas `stream`'s header holds in the encoded entry `bytes` (see
+/// [`HeaderRef::deltas`]). Nothing when the entry is not of `stream`, and
+/// nothing when `bytes` stop being an entry before that header is found.
+pub(crate) fn deltas_of(bytes: &[u8], stream: StreamId) -> impl Iterator<Item = u16> + '_ {
+    let mut headers = Headers::new(bytes).into_iter().flatten().map_while(|header| header.ok());
+    headers.find(|header| header.stream == stream).into_iter().flat_map(|header| header.deltas())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn raw_roundtrip() {
@@ -279,6 +350,78 @@ mod tests {
         let plain = EntryEnvelope::raw(Bytes::from_static(b"x")).encode(0).unwrap();
         assert_eq!(plain[0], ENTRY_MAGIC);
         assert_eq!(bytes[0], ENTRY_MAGIC_LINKED);
+    }
+
+    /// An offset and an envelope to store there: 0–4 headers of 0–4
+    /// backpointers each — absent, within a 2-byte delta, or far enough to
+    /// push the header into the absolute format — over few enough streams
+    /// that ids repeat, and sometimes a link.
+    fn envelopes() -> impl Strategy<Value = (LogOffset, EntryEnvelope)> {
+        let offset = 70_000u64..1 << 40;
+        let distance = prop_oneof![
+            Just(None),
+            (1u64..=65_535).prop_map(Some),
+            (65_536u64..70_000).prop_map(Some)
+        ];
+        let header = (0u32..6, proptest::collection::vec(distance, 0..5));
+        let headers = proptest::collection::vec(header, 0..5);
+        let payload = proptest::collection::vec(any::<u8>(), 0..40);
+        let link =
+            prop_oneof![Just(None), proptest::collection::vec(any::<u64>(), 1..4).prop_map(Some)];
+        (offset, headers, payload, link).prop_map(|(offset, headers, payload, link)| {
+            let headers = headers
+                .into_iter()
+                .map(|(stream, distances)| StreamHeader {
+                    stream,
+                    backpointers: distances
+                        .into_iter()
+                        .map(|distance| distance.map_or(u64::MAX, |d| offset - d))
+                        .collect(),
+                })
+                .collect();
+            let link = link.map(|parts| CrossLogLink { home: parts[0], parts });
+            (offset, EntryEnvelope { headers, payload: payload.into(), link })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// What a storage node reads of a page is what the client's decode
+        /// makes of it: per stream, the deltas of the entry's first header
+        /// for that stream if it is stored in the relative format — which
+        /// resolve to the backpointers `decode` reports — and nothing
+        /// otherwise. Of a page cut short it reads the same or nothing.
+        #[test]
+        fn borrowed_header_scan_agrees_with_decode(
+            (offset, envelope) in envelopes(),
+            cut in 0usize..120,
+        ) {
+            let bytes = envelope.encode(offset).unwrap();
+            let decoded = EntryEnvelope::decode(&bytes, offset).unwrap();
+            let cut = &bytes[..cut.min(bytes.len())];
+            for stream in 0..7 {
+                let deltas: Vec<u16> = deltas_of(&bytes, stream).collect();
+                let relative = |h: &&StreamHeader| {
+                    h.backpointers.iter().all(|&b| b == u64::MAX || offset - b <= u16::MAX as u64)
+                };
+                match envelope.header_for(stream).filter(relative) {
+                    Some(_) => {
+                        let resolved: Vec<LogOffset> = deltas
+                            .iter()
+                            .map(|&d| if d == 0 { u64::MAX } else { offset - d as u64 })
+                            .collect();
+                        prop_assert_eq!(&resolved, &decoded.header_for(stream).unwrap().backpointers);
+                    }
+                    None => prop_assert!(deltas.is_empty(), "{:?}", deltas),
+                }
+                let of_cut: Vec<u16> = deltas_of(cut, stream).collect();
+                prop_assert!(of_cut.is_empty() || of_cut == deltas, "{:?} of {:?}", of_cut, cut);
+                if EntryEnvelope::decode(cut, offset).is_ok() {
+                    prop_assert_eq!(of_cut, deltas);
+                }
+            }
+        }
     }
 
     #[test]

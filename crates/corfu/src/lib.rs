@@ -45,7 +45,9 @@ pub mod reconfig;
 mod sequencer;
 mod storage;
 
-pub use client::{ClientOptions, ConnFactory, CorfuClient, ReadOutcome, StreamWindows, Token};
+pub use client::{
+    Chase, Chased, ClientOptions, ConnFactory, CorfuClient, ReadOutcome, StreamWindows, Token,
+};
 pub use compactor::{Compactor, CompactorConfig};
 pub use entry::{CrossLogLink, EntryEnvelope, StreamHeader};
 pub use error::CorfuError;

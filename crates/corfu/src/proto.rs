@@ -1,5 +1,10 @@
 //! Wire messages for the storage and sequencer services. (The layout
 //! service speaks the metalog protocol, `tango_meta::proto`.)
+//!
+//! A storage node reads pages three ways: `Read` (one address),
+//! `ReadBatch` (the addresses named, under one lock acquisition) and
+//! `ReadChase` (those, and then the pages one stream's backpointers lead to
+//! on that node — the one request in which a node looks inside a page).
 
 use bytes::Bytes;
 use tango_wire::{decode_all, Decode, Encode, Reader, WireError, Writer};
@@ -73,6 +78,35 @@ pub enum StorageRequest {
         /// Local page addresses, in the order outcomes are wanted.
         addrs: Vec<u64>,
     },
+    /// [`StorageRequest::ReadBatch`] that keeps reading where `stream`'s
+    /// backpointers lead *on this node*, so a client walking a stream
+    /// backward gets its next strides' pages in the round trip of this one.
+    /// `addrs` are served first, exactly as a `ReadBatch` serves them. Then,
+    /// under the same lock acquisition and until `limit` pages have been
+    /// read in all (clamped to [`crate::MAX_READ_BATCH`]; `addrs` are always
+    /// served), the node reads the highest address not yet read that a page
+    /// it has read points to: a page holding an entry of `stream` whose
+    /// header is in the relative format names, per delta `d` that is a
+    /// multiple of `stripe` (the number of replica sets the log stripes
+    /// over), the local address `d / stripe` below its own; addresses under
+    /// `floor` are left alone. Any other page — another stream's entry, an
+    /// absolute-format header, junk, a hole, bytes that are no entry —
+    /// points nowhere: the node reports what it read and judges nothing.
+    /// Answered with [`StorageResponse::Chased`].
+    ReadChase {
+        /// The client's epoch.
+        epoch: Epoch,
+        /// Local page addresses, in the order outcomes are wanted.
+        addrs: Vec<u64>,
+        /// The stream whose backpointers are followed.
+        stream: StreamId,
+        /// Raw-offset distance between neighbouring local addresses.
+        stripe: u32,
+        /// Lowest local address worth following a backpointer to.
+        floor: u64,
+        /// Pages to read in all, the requested ones included.
+        limit: u32,
+    },
     /// Stream a range of consumed pages out of this node, for rebuilding a
     /// failed replica onto a replacement (§5 / CORFU chain rebuild). The
     /// node answers with a [`StorageResponse::PageChunk`] covering local
@@ -142,9 +176,10 @@ impl<'a> WriteRef<'a> {
     }
 }
 
-/// The per-address outcome of a [`StorageRequest::ReadBatch`] — the same
-/// four states a single `Read` distinguishes, minus the error cases (a
-/// batch either succeeds wholesale or fails with one error response).
+/// The per-address outcome of a [`StorageRequest::ReadBatch`] or
+/// [`StorageRequest::ReadChase`] — the same four states a single `Read`
+/// distinguishes, minus the error cases (a batch either succeeds wholesale
+/// or fails with one error response).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PageOutcome {
     /// The page holds this payload.
@@ -216,6 +251,10 @@ pub enum StorageResponse {
     /// Per-address outcomes of a [`StorageRequest::ReadBatch`], in request
     /// order (`outcomes[i]` answers `addrs[i]`).
     BatchOutcomes(Vec<PageOutcome>),
+    /// The pages a [`StorageRequest::ReadChase`] read, each with its local
+    /// address: the requested ones first, in request order, then those the
+    /// node followed backpointers to, highest address first.
+    Chased(Vec<(u64, PageOutcome)>),
 }
 
 /// Requests accepted by the sequencer.
@@ -343,6 +382,32 @@ impl Decode for WriteKind {
     }
 }
 
+impl Encode for PageOutcome {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            PageOutcome::Data(b) => {
+                w.put_u8(0);
+                w.put_bytes(b);
+            }
+            PageOutcome::Junk => w.put_u8(1),
+            PageOutcome::Unwritten => w.put_u8(2),
+            PageOutcome::Trimmed => w.put_u8(3),
+        }
+    }
+}
+
+impl Decode for PageOutcome {
+    fn decode(r: &mut Reader<'_>) -> tango_wire::Result<Self> {
+        match r.get_u8()? {
+            0 => Ok(PageOutcome::Data(Bytes::decode(r)?)),
+            1 => Ok(PageOutcome::Junk),
+            2 => Ok(PageOutcome::Unwritten),
+            3 => Ok(PageOutcome::Trimmed),
+            tag => Err(WireError::InvalidTag { what: "PageOutcome", tag: tag as u64 }),
+        }
+    }
+}
+
 impl Encode for StorageRequest {
     fn encode(&self, w: &mut Writer) {
         match self {
@@ -384,6 +449,15 @@ impl Encode for StorageRequest {
                 w.put_u64(*epoch);
                 put_offsets(w, addrs);
             }
+            StorageRequest::ReadChase { epoch, addrs, stream, stripe, floor, limit } => {
+                w.put_u8(8);
+                w.put_u64(*epoch);
+                put_offsets(w, addrs);
+                w.put_u32(*stream);
+                w.put_u32(*stripe);
+                w.put_u64(*floor);
+                w.put_u32(*limit);
+            }
         }
     }
 }
@@ -407,6 +481,14 @@ impl Decode for StorageRequest {
                 count: r.get_u32()?,
             }),
             7 => Ok(StorageRequest::ReadBatch { epoch: r.get_u64()?, addrs: get_offsets(r)? }),
+            8 => Ok(StorageRequest::ReadChase {
+                epoch: r.get_u64()?,
+                addrs: get_offsets(r)?,
+                stream: r.get_u32()?,
+                stripe: r.get_u32()?,
+                floor: r.get_u64()?,
+                limit: r.get_u32()?,
+            }),
             tag => Err(WireError::InvalidTag { what: "StorageRequest", tag: tag as u64 }),
         }
     }
@@ -462,16 +544,16 @@ impl Encode for StorageResponse {
             StorageResponse::BatchOutcomes(outcomes) => {
                 w.put_u8(12);
                 w.put_varint(outcomes.len() as u64);
-                for o in outcomes {
-                    match o {
-                        PageOutcome::Data(b) => {
-                            w.put_u8(0);
-                            w.put_bytes(b);
-                        }
-                        PageOutcome::Junk => w.put_u8(1),
-                        PageOutcome::Unwritten => w.put_u8(2),
-                        PageOutcome::Trimmed => w.put_u8(3),
-                    }
+                for outcome in outcomes {
+                    outcome.encode(w);
+                }
+            }
+            StorageResponse::Chased(pages) => {
+                w.put_u8(13);
+                w.put_varint(pages.len() as u64);
+                for (addr, outcome) in pages {
+                    w.put_u64(*addr);
+                    outcome.encode(w);
                 }
             }
         }
@@ -516,20 +598,17 @@ impl Decode for StorageResponse {
                 let len = r.get_len(1 << 20)?;
                 let mut outcomes = Vec::with_capacity(len);
                 for _ in 0..len {
-                    outcomes.push(match r.get_u8()? {
-                        0 => PageOutcome::Data(Bytes::decode(r)?),
-                        1 => PageOutcome::Junk,
-                        2 => PageOutcome::Unwritten,
-                        3 => PageOutcome::Trimmed,
-                        tag => {
-                            return Err(WireError::InvalidTag {
-                                what: "PageOutcome",
-                                tag: tag as u64,
-                            })
-                        }
-                    });
+                    outcomes.push(PageOutcome::decode(r)?);
                 }
                 Ok(StorageResponse::BatchOutcomes(outcomes))
+            }
+            13 => {
+                let len = r.get_len(1 << 20)?;
+                let mut pages = Vec::with_capacity(len);
+                for _ in 0..len {
+                    pages.push((r.get_u64()?, PageOutcome::decode(r)?));
+                }
+                Ok(StorageResponse::Chased(pages))
             }
             tag => Err(WireError::InvalidTag { what: "StorageResponse", tag: tag as u64 }),
         }
@@ -755,6 +834,22 @@ mod tests {
             StorageRequest::CopyRange { epoch: 9, start: 128, count: 256 },
             StorageRequest::ReadBatch { epoch: 5, addrs: vec![0, 7, 12, u64::MAX] },
             StorageRequest::ReadBatch { epoch: 0, addrs: vec![] },
+            StorageRequest::ReadChase {
+                epoch: 5,
+                addrs: vec![40, 38, u64::MAX],
+                stream: crate::MAX_STREAM_ID,
+                stripe: 2,
+                floor: 17,
+                limit: 32,
+            },
+            StorageRequest::ReadChase {
+                epoch: 0,
+                addrs: vec![],
+                stream: 0,
+                stripe: 0,
+                floor: 0,
+                limit: 0,
+            },
         ];
         for m in msgs {
             let bytes = encode_to_vec(&m);
@@ -790,11 +885,41 @@ mod tests {
                 PageOutcome::Trimmed,
             ]),
             StorageResponse::BatchOutcomes(vec![]),
+            StorageResponse::Chased(vec![
+                (40, PageOutcome::Data(Bytes::from_static(b"asked"))),
+                (u64::MAX, PageOutcome::Unwritten),
+                (39, PageOutcome::Data(Bytes::from_static(b"followed"))),
+                (36, PageOutcome::Junk),
+                (35, PageOutcome::Trimmed),
+            ]),
+            StorageResponse::Chased(vec![]),
         ];
         for m in resps {
             let bytes = encode_to_vec(&m);
             assert_eq!(decode_from_slice::<StorageResponse>(&bytes).unwrap(), m);
         }
+        // The chase is request 8 and response 13.
+        let chase = StorageRequest::ReadChase {
+            epoch: 1,
+            addrs: vec![2],
+            stream: 3,
+            stripe: 4,
+            floor: 5,
+            limit: 6,
+        };
+        let expected = [
+            &[8u8][..],
+            &1u64.to_le_bytes(),
+            &[1],
+            &2u64.to_le_bytes(),
+            &3u32.to_le_bytes(),
+            &4u32.to_le_bytes(),
+            &5u64.to_le_bytes(),
+            &6u32.to_le_bytes(),
+        ];
+        assert_eq!(encode_to_vec(&chase), expected.concat());
+        let chased = StorageResponse::Chased(vec![(2, PageOutcome::Junk)]);
+        assert_eq!(encode_to_vec(&chased), [&[13u8, 1][..], &2u64.to_le_bytes(), &[1]].concat());
     }
 
     #[test]

@@ -1,23 +1,27 @@
 //! The storage server: an epoch gate in front of a [`FlashUnit`].
 
+use std::collections::BTreeSet;
+
 use parking_lot::{Mutex, MutexGuard};
 use tango_flash::{FlashError, FlashMetrics, FlashUnit, PageRead, ScrubReport, TierStats};
 use tango_metrics::{EventKind, Registry, Span, SpanKind};
 use tango_rpc::RpcHandler;
 use tango_wire::{decode_from_slice, encode_to_vec};
 
+use crate::entry::deltas_of;
 use crate::metrics::StorageMetrics;
 use crate::proto::{PageCopy, PageOutcome, StorageRequest, StorageResponse, WriteKind, WriteRef};
-use crate::Epoch;
+use crate::{Epoch, StreamId};
 
 /// Upper bound on addresses scanned per [`StorageRequest::CopyRange`] round
 /// trip, regardless of what the requester asks for. Bounds both response
 /// size and the time the node's lock is held.
 pub const MAX_COPY_RANGE: u32 = 1024;
 
-/// Upper bound on pages served per [`StorageRequest::ReadBatch`]. Oversized
-/// batches are rejected outright (the client chunks), bounding response
-/// size and the time the node's lock is held.
+/// Upper bound on pages served per [`StorageRequest::ReadBatch`] or
+/// [`StorageRequest::ReadChase`]. Oversized batches are rejected outright
+/// (the client chunks), bounding response size and the time the node's lock
+/// is held.
 pub const MAX_READ_BATCH: usize = 1024;
 
 /// A CORFU storage node: a write-once flash unit behind an RPC interface,
@@ -248,11 +252,42 @@ impl StorageServer {
         }
     }
 
+    /// Serves the requested pages of a bulk read under the unit's lock: the
+    /// whole batch in one lock acquisition, one outcome per address in
+    /// request order. `read_many` charges wear per page but times the batch
+    /// once.
+    fn read_batch(
+        &self,
+        inner: &mut Inner,
+        epoch: Epoch,
+        addrs: &[u64],
+    ) -> Result<Vec<PageOutcome>, StorageResponse> {
+        inner.check_epoch(epoch)?;
+        if addrs.len() > MAX_READ_BATCH {
+            return Err(StorageResponse::ErrStorage(format!(
+                "read batch of {} exceeds {MAX_READ_BATCH}",
+                addrs.len()
+            )));
+        }
+        match inner.unit.read_many(addrs) {
+            Ok(reads) => Ok(reads.into_iter().map(PageOutcome::from).collect()),
+            Err(e) => Err(Inner::flash_error(e)),
+        }
+    }
+
+    /// Counts one bulk read that returned `pages` pages.
+    fn count_reads(&self, pages: usize) {
+        self.metrics.reads.add(pages as u64);
+        self.metrics.read_batch.record(pages as u64);
+    }
+
     /// Processes a decoded request (also used directly by unit tests).
     pub fn process(&self, req: StorageRequest) -> StorageResponse {
         let (mut inner, _span) = self.enter(match req {
             StorageRequest::Write { .. } => SpanKind::StorageWrite,
-            StorageRequest::Read { .. } | StorageRequest::ReadBatch { .. } => SpanKind::StorageRead,
+            StorageRequest::Read { .. }
+            | StorageRequest::ReadBatch { .. }
+            | StorageRequest::ReadChase { .. } => SpanKind::StorageRead,
             _ => SpanKind::StorageCtl,
         });
         match req {
@@ -273,32 +308,24 @@ impl StorageServer {
                 }
             }
             StorageRequest::ReadBatch { epoch, addrs } => {
-                if let Err(resp) = inner.check_epoch(epoch) {
-                    return resp;
+                match self.read_batch(&mut inner, epoch, &addrs) {
+                    Ok(outcomes) => {
+                        self.count_reads(outcomes.len());
+                        StorageResponse::BatchOutcomes(outcomes)
+                    }
+                    Err(resp) => resp,
                 }
-                if addrs.len() > MAX_READ_BATCH {
-                    return StorageResponse::ErrStorage(format!(
-                        "read batch of {} exceeds {MAX_READ_BATCH}",
-                        addrs.len()
-                    ));
-                }
-                // The whole batch is served under this one lock acquisition;
-                // read_many charges wear per page but times the batch once.
-                self.metrics.reads.add(addrs.len() as u64);
-                self.metrics.read_batch.record(addrs.len() as u64);
-                match inner.unit.read_many(&addrs) {
-                    Ok(reads) => StorageResponse::BatchOutcomes(
-                        reads
-                            .into_iter()
-                            .map(|r| match r {
-                                PageRead::Data(bytes) => PageOutcome::Data(bytes),
-                                PageRead::Junk => PageOutcome::Junk,
-                                PageRead::Unwritten => PageOutcome::Unwritten,
-                                PageRead::Trimmed => PageOutcome::Trimmed,
-                            })
-                            .collect(),
-                    ),
-                    Err(e) => Inner::flash_error(e),
+            }
+            StorageRequest::ReadChase { epoch, addrs, stream, stripe, floor, limit } => {
+                match self.read_batch(&mut inner, epoch, &addrs) {
+                    Ok(outcomes) => {
+                        let mut pages: Vec<_> = addrs.into_iter().zip(outcomes).collect();
+                        let limit = (limit as usize).min(MAX_READ_BATCH);
+                        chase(&mut inner.unit, &mut pages, limit, stream, stripe, floor);
+                        self.count_reads(pages.len());
+                        StorageResponse::Chased(pages)
+                    }
+                    Err(resp) => resp,
                 }
             }
             StorageRequest::Trim { epoch, addr } => {
@@ -376,6 +403,68 @@ impl StorageServer {
     }
 }
 
+/// The following half of a [`StorageRequest::ReadChase`]: reads, and adds
+/// to `pages` (the requested ones, already read) until they are `limit`, the
+/// pages that `stream`'s backpointers lead to on this unit, none below
+/// `floor`. Only a page that holds an entry of `stream` with a
+/// relative-format header leads anywhere; whatever else a page holds, it is
+/// a page read and nothing more.
+fn chase(
+    unit: &mut FlashUnit,
+    pages: &mut Vec<(u64, PageOutcome)>,
+    limit: usize,
+    stream: StreamId,
+    stripe: u32,
+    floor: u64,
+) {
+    let mut asked: Vec<u64> = pages.iter().map(|&(addr, _)| addr).collect();
+    asked.sort_unstable();
+    // The addresses that pages read so far point to and that are still to
+    // read. An entry points below itself, so with the highest taken first no
+    // address comes up twice.
+    let mut ahead = BTreeSet::new();
+    let follow = |ahead: &mut BTreeSet<u64>, (addr, outcome): &(u64, PageOutcome)| {
+        if let PageOutcome::Data(bytes) = outcome {
+            ahead.extend(
+                deltas_of(bytes, stream)
+                    .filter_map(|delta| local_step(delta, stripe))
+                    .filter_map(|step| addr.checked_sub(step))
+                    .filter(|to| *to >= floor && asked.binary_search(to).is_err()),
+            );
+        }
+    };
+    pages.iter().for_each(|page| follow(&mut ahead, page));
+    while pages.len() < limit {
+        let Some(addr) = ahead.pop_last() else { break };
+        // A page nobody asked for that cannot be read is not this request's
+        // to report: whoever asks for it will hear.
+        let Ok(read) = unit.read(addr) else { continue };
+        let page = (addr, read.into());
+        follow(&mut ahead, &page);
+        pages.push(page);
+    }
+}
+
+/// How many local addresses below its own an entry's backpointer `delta`
+/// reaches on a node of a log striped over `stripe` replica sets — if it
+/// stays on the node at all: neighbouring local addresses are `stripe` raw
+/// offsets apart. A delta of 0 is "no previous entry".
+fn local_step(delta: u16, stripe: u32) -> Option<u64> {
+    let delta = delta as u32;
+    (delta != 0 && delta.checked_rem(stripe)? == 0).then(|| (delta / stripe) as u64)
+}
+
+impl From<PageRead> for PageOutcome {
+    fn from(read: PageRead) -> Self {
+        match read {
+            PageRead::Data(bytes) => PageOutcome::Data(bytes),
+            PageRead::Junk => PageOutcome::Junk,
+            PageRead::Unwritten => PageOutcome::Unwritten,
+            PageRead::Trimmed => PageOutcome::Trimmed,
+        }
+    }
+}
+
 impl Inner {
     fn check_epoch(&self, epoch: Epoch) -> Result<(), StorageResponse> {
         if epoch != self.epoch {
@@ -420,6 +509,7 @@ impl RpcHandler for StorageServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EntryEnvelope, StreamHeader};
     use bytes::Bytes;
 
     fn server() -> StorageServer {
@@ -622,6 +712,196 @@ mod tests {
             s.process(StorageRequest::ReadBatch { epoch: 1, addrs: oversized }),
             StorageResponse::ErrStorage(_)
         ));
+    }
+
+    fn data(addr: u64, bytes: Vec<u8>) -> StorageRequest {
+        StorageRequest::Write { epoch: 0, addr, kind: WriteKind::Data, payload: bytes.into() }
+    }
+
+    /// A node holding set 0's share of a log striped over `stripe` sets.
+    /// The entry at raw offset `o` is of stream `streams[o]` alone and
+    /// points at that stream's previous four entries, as the sequencer
+    /// would have it; the offsets in `lost` were granted and never written.
+    fn node_with_log(stripe: u64, streams: &[StreamId], lost: &[u64]) -> StorageServer {
+        let node = server();
+        let mut issued: std::collections::HashMap<StreamId, Vec<u64>> = Default::default();
+        for (raw, &stream) in (0u64..).zip(streams) {
+            let backpointers = issued.entry(stream).or_default();
+            if raw % stripe == 0 && !lost.contains(&raw) {
+                let headers = vec![StreamHeader { stream, backpointers: backpointers.clone() }];
+                let entry =
+                    EntryEnvelope { headers, payload: Bytes::from_static(b"e"), link: None };
+                let write = data(raw / stripe, entry.encode(raw).unwrap());
+                assert_eq!(node.process(write), StorageResponse::Ok);
+            }
+            backpointers.insert(0, raw);
+            backpointers.truncate(4);
+        }
+        node
+    }
+
+    /// Chases `stream` from `addrs` and returns the addresses read, in
+    /// reply order, with whether each held data.
+    fn chased(
+        node: &StorageServer,
+        addrs: &[u64],
+        stream: StreamId,
+        (stripe, floor, limit): (u32, u64, u32),
+    ) -> Vec<(u64, bool)> {
+        let addrs = addrs.to_vec();
+        match node.process(StorageRequest::ReadChase {
+            epoch: 0,
+            addrs,
+            stream,
+            stripe,
+            floor,
+            limit,
+        }) {
+            StorageResponse::Chased(pages) => pages
+                .into_iter()
+                .map(|(addr, outcome)| (addr, matches!(outcome, PageOutcome::Data(_))))
+                .collect(),
+            other => panic!("expected Chased, got {other:?}"),
+        }
+    }
+
+    fn all_data(addrs: impl IntoIterator<Item = u64>) -> Vec<(u64, bool)> {
+        addrs.into_iter().map(|addr| (addr, true)).collect()
+    }
+
+    #[test]
+    fn chase_reads_a_newest_first_run_of_the_asked_stream_only() {
+        // Streams 1 and 2 take turns: 1 on the even addresses, 2 on the odd.
+        let interleave: Vec<StreamId> = (0..40).map(|raw| 1 + raw % 2).collect();
+        let node = node_with_log(1, &interleave, &[]);
+        // The requested window first, in request order, then on down the
+        // stream: every page read is one of stream 1.
+        assert_eq!(
+            chased(&node, &[32, 38, 34, 36], 1, (1, 0, 12)),
+            all_data([32, 38, 34, 36, 30, 28, 26, 24, 22, 20, 18, 16])
+        );
+        assert_eq!(node.stats().reads, 12);
+        // To the stream's first entry, and no further.
+        assert_eq!(chased(&node, &[9], 2, (1, 0, 32)), all_data([9, 7, 5, 3, 1]));
+        // An address asked for is not read again as one pointed to.
+        assert_eq!(chased(&node, &[10, 4], 1, (1, 0, 32)), all_data([10, 4, 8, 6, 2, 0]));
+        // A page of another stream than the one chased leads nowhere.
+        assert_eq!(chased(&node, &[10, 7], 1, (1, 0, 4)), all_data([10, 7, 8, 6]));
+        assert_eq!(chased(&node, &[7], 1, (1, 0, 4)), all_data([7]));
+    }
+
+    #[test]
+    fn chase_honours_floor_limit_and_stripe() {
+        let node = node_with_log(1, &[1; 1100], &[]);
+        assert_eq!(chased(&node, &[50, 49], 1, (1, 45, 32)), all_data([50, 49, 48, 47, 46, 45]));
+        assert_eq!(chased(&node, &[50, 49], 1, (1, 51, 32)), all_data([50, 49]));
+        // The limit counts the requested pages, which are served whatever
+        // it says, and is itself capped.
+        assert_eq!(chased(&node, &[50, 49], 1, (1, 0, 3)), all_data([50, 49, 48]));
+        assert_eq!(chased(&node, &[50, 49, 48], 1, (1, 0, 2)), all_data([50, 49, 48]));
+        assert_eq!(chased(&node, &[50], 1, (1, 0, 0)), all_data([50]));
+        assert_eq!(chased(&node, &[1099], 1, (1, 0, u32::MAX)).len(), MAX_READ_BATCH);
+
+        // Two sets, and a stream on every third offset: its entries fall on
+        // either set in turn. Set 0 has raw 0, 6, 12, 18, 24 of it at local
+        // 0, 3, 6, 9, 12, and each points back 3 (the other set's), 6, 9
+        // (the other set's) and 12 raw offsets.
+        let thirds: Vec<StreamId> = (0..30).map(|raw| if raw % 3 == 0 { 7 } else { 9 }).collect();
+        let node = node_with_log(2, &thirds, &[]);
+        assert_eq!(chased(&node, &[12], 7, (2, 0, 32)), all_data([12, 9, 6, 3, 0]));
+        assert_eq!(node.stats().reads, 5);
+        // A delta that is no multiple of the stripe is not rounded to a
+        // neighbour (local 11 here), and no stripe at all means no neighbours.
+        assert_eq!(chased(&node, &[12], 7, (0, 0, 32)), all_data([12]));
+    }
+
+    #[test]
+    fn chase_goes_around_what_is_not_an_entry() {
+        // Offsets 8 and 6 were granted and never written; 8 gets filled.
+        let node = node_with_log(1, &[1; 12], &[8, 6]);
+        let fill = StorageRequest::Write {
+            epoch: 0,
+            addr: 8,
+            kind: WriteKind::Junk,
+            payload: Bytes::new(),
+        };
+        assert_eq!(node.process(fill), StorageResponse::Ok);
+        assert_eq!(node.process(StorageRequest::Trim { epoch: 0, addr: 4 }), StorageResponse::Ok);
+        // Each is reported as found and stepped over by way of its
+        // neighbours' pointers.
+        let read = chased(&node, &[11], 1, (1, 0, 32));
+        assert_eq!(
+            read.iter().map(|&(addr, _)| addr).collect::<Vec<_>>(),
+            (0..12).rev().collect::<Vec<_>>()
+        );
+        let not_data: Vec<u64> =
+            read.iter().filter(|(_, data)| !data).map(|&(addr, _)| addr).collect();
+        assert_eq!(not_data, [8, 6, 4]);
+        let outcome_at = |addr: u64| match node.process(StorageRequest::ReadChase {
+            epoch: 0,
+            addrs: vec![addr + 1],
+            stream: 1,
+            stripe: 1,
+            floor: addr,
+            limit: 2,
+        }) {
+            StorageResponse::Chased(pages) => pages[1].clone(),
+            other => panic!("expected Chased, got {other:?}"),
+        };
+        assert_eq!(outcome_at(8), (8, PageOutcome::Junk));
+        assert_eq!(outcome_at(6), (6, PageOutcome::Unwritten));
+        assert_eq!(outcome_at(4), (4, PageOutcome::Trimmed));
+    }
+
+    #[test]
+    fn chase_never_judges_a_page() {
+        let node = server();
+        let entry = |offset: u64, backpointers: Vec<u64>| {
+            let headers = vec![StreamHeader { stream: 1, backpointers }];
+            EntryEnvelope { headers, payload: Bytes::from_static(b"e"), link: None }
+                .encode(offset)
+                .unwrap()
+        };
+        let mut cut_short = entry(9, vec![8, 7, 6, 5]);
+        cut_short.truncate(8);
+        let pages = [
+            (0, entry(0, vec![])),
+            // Not an entry at all, and one that ends inside its header.
+            (1, b"\xFFnot an entry".to_vec()),
+            (2, cut_short),
+            // An entry so far from its predecessors that it names them by
+            // absolute offset: from here the client has to find the way.
+            (3, entry(1 << 20, vec![2, 1, 0])),
+            (4, entry(4, vec![1])),
+            (5, entry(5, vec![2])),
+            (6, entry(6, vec![5, 4, 3])),
+        ];
+        for (addr, bytes) in pages {
+            assert_eq!(node.process(data(addr, bytes)), StorageResponse::Ok);
+        }
+        // All three branches end where the pointers stop making sense, each
+        // page reported as the data it is; page 0 is never reached.
+        assert_eq!(chased(&node, &[6], 1, (1, 0, 32)), all_data([6, 5, 4, 3, 2, 1]));
+    }
+
+    #[test]
+    fn chase_epoch_gated_and_size_capped() {
+        let node = node_with_log(1, &[1; 8], &[]);
+        assert_eq!(node.process(StorageRequest::Seal { epoch: 1 }), StorageResponse::Tail(8));
+        let chase = |epoch, addrs| StorageRequest::ReadChase {
+            epoch,
+            addrs,
+            stream: 1,
+            stripe: 1,
+            floor: 0,
+            limit: 32,
+        };
+        assert_eq!(node.process(chase(0, vec![7])), StorageResponse::ErrSealed { epoch: 1 });
+        assert!(
+            matches!(node.process(chase(1, vec![7])), StorageResponse::Chased(p) if p.len() == 8)
+        );
+        let oversized = (0..=MAX_READ_BATCH as u64).collect();
+        assert!(matches!(node.process(chase(1, oversized)), StorageResponse::ErrStorage(_)));
     }
 
     #[test]

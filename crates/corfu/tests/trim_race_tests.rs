@@ -9,8 +9,11 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use corfu::cluster::{ClusterConfig, LocalCluster};
 use corfu::proto::{StorageRequest, StorageResponse, WriteKind};
-use corfu::{ClientOptions, Compactor, CompactorConfig, ReadOutcome, StorageServer};
+use corfu::{
+    ClientOptions, Compactor, CompactorConfig, ConnFactory, NodeInfo, ReadOutcome, StorageServer,
+};
 use tango_flash::{FlashUnit, TieredStore};
+use tango_rpc::ClientConn;
 
 #[test]
 fn wait_read_returns_trimmed_mid_poll() {
@@ -41,6 +44,70 @@ fn wait_read_returns_trimmed_mid_poll() {
         "waiter spun for {:?} instead of observing the trim",
         start.elapsed()
     );
+}
+
+/// What an [`Interposed`] connection does with a request before sending it.
+type Before = Arc<dyn Fn(&[u8]) + Send + Sync>;
+
+/// Connections to storage nodes that run `before` on every request they
+/// forward.
+struct Interposed {
+    inner: Arc<dyn ConnFactory>,
+    before: Before,
+}
+
+struct InterposedConn {
+    inner: Arc<dyn ClientConn>,
+    before: Before,
+}
+
+impl ConnFactory for Interposed {
+    fn connect(&self, node: &NodeInfo) -> Arc<dyn ClientConn> {
+        let inner = self.inner.connect(node);
+        if !node.addr.starts_with("storage") {
+            return inner;
+        }
+        Arc::new(InterposedConn { inner, before: Arc::clone(&self.before) })
+    }
+}
+
+impl ClientConn for InterposedConn {
+    fn call(&self, request: &[u8]) -> tango_rpc::Result<Vec<u8>> {
+        (self.before)(request);
+        self.inner.call(request)
+    }
+}
+
+#[test]
+fn a_trim_overtaking_a_chain_repair_reads_as_trimmed() {
+    // An entry that reached the head only; the reader finds the tail empty,
+    // goes to the head for the value — and by the time it brings it to the
+    // tail a prefix trim has passed the offset. That is an offset that was
+    // trimmed, not a storage failure.
+    let config = ClusterConfig { num_sets: 1, replication: 2, ..ClusterConfig::default() };
+    let cluster = LocalCluster::new(config);
+    let (head, tail) = (Arc::clone(&cluster.storage()[0]), Arc::clone(&cluster.storage()[1]));
+    let half_written = StorageRequest::Write {
+        epoch: 0,
+        addr: 0,
+        kind: WriteKind::Data,
+        payload: Bytes::from_static(b"head only"),
+    };
+    assert_eq!(head.process(half_written), StorageResponse::Ok);
+    // The only `Write` (tag 0) this reader sends is the repair's.
+    let trim_at_repair: Before = Arc::new(move |request| {
+        if request.first() == Some(&0) {
+            for node in [&head, &tail] {
+                let trim = StorageRequest::TrimPrefix { epoch: 0, horizon: 1 };
+                assert_eq!(node.process(trim), StorageResponse::Ok);
+            }
+        }
+    });
+    let factory = Arc::new(Interposed { inner: cluster.conn_factory(), before: trim_at_repair });
+    let reader = cluster
+        .client_with_factory(factory, ClientOptions::default(), cluster.metrics().clone())
+        .unwrap();
+    assert_eq!(reader.read_many(&[0]).unwrap(), [ReadOutcome::Trimmed]);
 }
 
 /// One deterministic storage operation of the seeded churn workload.

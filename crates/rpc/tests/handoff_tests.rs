@@ -165,12 +165,27 @@ fn a_dying_connection_fails_its_reader_and_every_parked_caller() {
     let acceptor = {
         let stop = Arc::clone(&stop);
         thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let mut assembler = FrameAssembler::new();
-            for _ in 0..CALLERS {
-                while assembler.poll(&mut stream).unwrap().is_none() {}
+            // Callers that race the first dial each open a socket and all
+            // but one close theirs unused, in any order: the requests are
+            // counted over every connection accepted so far.
+            listener.set_nonblocking(true).unwrap();
+            let mut conns: Vec<(TcpStream, FrameAssembler)> = Vec::new();
+            let mut requests = 0;
+            while requests < CALLERS {
+                if let Ok((stream, _)) = listener.accept() {
+                    stream.set_nonblocking(true).unwrap();
+                    conns.push((stream, FrameAssembler::new()));
+                }
+                for (stream, assembler) in &mut conns {
+                    // An unused socket reads as closed, every time.
+                    while let Ok(Some(_)) = assembler.poll(stream) {
+                        requests += 1;
+                    }
+                }
+                thread::sleep(Duration::from_millis(1));
             }
-            drop(stream);
+            drop(conns);
+            listener.set_nonblocking(false).unwrap();
             while !stop.load(Ordering::SeqCst) {
                 drop(listener.accept().unwrap());
             }

@@ -3,8 +3,8 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use corfu::{
-    compose, log_of_offset, CorfuClient, CorfuError, EntryEnvelope, LogOffset, ReadOutcome,
-    StreamId,
+    compose, log_of_offset, Chase, CorfuClient, CorfuError, EntryEnvelope, LogOffset, ReadOutcome,
+    StreamId, LOG_OFFSET_MASK,
 };
 use parking_lot::Mutex;
 use tango_metrics::{Counter, Events, Histogram, Registry, SpanKind, Tracer};
@@ -14,7 +14,7 @@ use crate::cursor::StreamCursor;
 
 /// Capacity of the decoded-entry cache.
 const CACHE_CAPACITY: usize = 65_536;
-/// Offsets fetched per bulk-read round trip (backpointer windows, linear
+/// Entries fetched per bulk-read round trip (backpointer strides, linear
 /// scans, readahead, playback prefetch).
 const READ_BATCH: usize = 32;
 /// After `sync`, up to this many known-but-uncached upcoming member offsets
@@ -190,7 +190,7 @@ impl StreamClient {
         // Readahead must not stall on (or junk-fill) an in-flight writer,
         // so it reads without wait semantics; a hole left by a slow writer
         // is simply not cached and readnext waits it out.
-        self.fetch_many(&upcoming, false)?;
+        self.fetch_many(&upcoming, false, None)?;
         timer.stop();
         Ok(tail)
     }
@@ -309,14 +309,14 @@ impl StreamClient {
         &self,
         offsets: &[LogOffset],
     ) -> corfu::Result<Vec<Option<Arc<EntryEnvelope>>>> {
-        self.fetch_many(offsets, true)
+        self.fetch_many(offsets, true, None)
     }
 
     /// Bulk-fetches `offsets` into the entry cache and discards the
     /// decoded entries. Playback calls this ahead of its in-order delivery
     /// loop so the per-entry reads inside the loop are cache hits.
     pub fn fetch_into_cache(&self, offsets: &[LogOffset]) -> corfu::Result<()> {
-        self.fetch_many(offsets, true).map(|_| ())
+        self.fetch_many(offsets, true, None).map(|_| ())
     }
 
     /// Forgets stream membership and cached entries below `horizon`
@@ -363,10 +363,18 @@ impl StreamClient {
     /// without it (readahead) they come back `None` and are *not* cached,
     /// so a prefetch racing an in-flight writer neither stalls nor
     /// junk-fills it.
+    ///
+    /// `walking` is the stream whose backward walk the (waiting) fetch is a
+    /// stride of, if it is one. The storage nodes then fill each round trip
+    /// up to `READ_BATCH` entries by following that stream's backpointers
+    /// themselves, and what they find is cached as readahead is — it is the
+    /// walk's next strides. The walk learns nothing from it: it asks for
+    /// every offset in turn, and finds most of them here.
     fn fetch_many(
         &self,
         offsets: &[LogOffset],
         wait: bool,
+        walking: Option<StreamId>,
     ) -> corfu::Result<Vec<Option<Arc<EntryEnvelope>>>> {
         let mut out: Vec<Option<Arc<EntryEnvelope>>> = vec![None; offsets.len()];
         let mut misses: Vec<(usize, LogOffset)> = Vec::new();
@@ -383,17 +391,39 @@ impl StreamClient {
         self.metrics.cache_misses.add(misses.len() as u64);
         for chunk in misses.chunks(READ_BATCH) {
             let addrs: Vec<LogOffset> = chunk.iter().map(|&(_, off)| off).collect();
-            self.metrics.read_batch_size.record(addrs.len() as u64);
-            let outcomes = if wait {
-                self.corfu.wait_read_many(&addrs)?
-            } else {
-                self.corfu.read_many(&addrs)?
+            let (outcomes, chased) = match walking {
+                Some(stream) => {
+                    let floor = |log| self.unwalked_floor(stream, compose(log, LOG_OFFSET_MASK));
+                    let chase = Chase { stream, floor: &floor, limit: READ_BATCH };
+                    self.corfu.wait_read_chase(&addrs, &chase)?
+                }
+                None if wait => (self.corfu.wait_read_many(&addrs)?, Vec::new()),
+                None => (self.corfu.read_many(&addrs)?, Vec::new()),
             };
+            self.metrics.read_batch_size.record((addrs.len() + chased.len()) as u64);
             for (&(idx, off), outcome) in chunk.iter().zip(outcomes) {
                 out[idx] = self.admit(off, outcome, wait)?;
             }
+            for (off, bytes) in chased {
+                // Nobody asked for this entry yet, so nobody is told what is
+                // wrong with it: it stays uncached and the walk, when it
+                // gets there, reads it for itself.
+                let _ = self.admit(off, ReadOutcome::Data(bytes), false);
+            }
         }
         Ok(out)
+    }
+
+    /// The lowest offset that a backward walk of `stream`, arrived at `from`,
+    /// can still need of `from`'s log: past the newest member below `from`
+    /// that the cursor knows there (a walk ends where it meets the cursor)
+    /// and not below the log's trim floor — never into reclaimed slots.
+    fn unwalked_floor(&self, stream: StreamId, from: LogOffset) -> LogOffset {
+        let log = log_of_offset(from);
+        self.with_cursor(stream, |c| c.below(from).last().copied())
+            .filter(|&known| log_of_offset(known) == log)
+            .map_or(0, |known| known + 1)
+            .max(self.trim_floor(log))
     }
 
     /// What the log's answer for a missed `offset` means to a reader: the
@@ -481,13 +511,16 @@ impl StreamClient {
     ///
     /// Each stride fetches its whole backpointer window in one bulk read
     /// (the window's entries are due for playback anyway, so the batch
-    /// doubles as a cache warmer), and no cursor lock is held across any
-    /// of the network reads. Nor is the known set copied: "is this offset
-    /// known?" goes to the live cursor. That is sound against a concurrent
-    /// `learn` of the same stream because a walk's discoveries are
-    /// integrated in one `extend` — whatever the cursor knows, it knows
-    /// together with its whole older chain — so the cost of a sync is
-    /// O(discovered · log n), with nothing proportional to the stream.
+    /// doubles as a cache warmer) — a read the storage nodes extend along
+    /// the stream's backpointers to `READ_BATCH` entries, so that of eight
+    /// strides seven find their window cached (see `fetch_many`). No cursor
+    /// lock is held across any of the network reads. Nor is the known set
+    /// copied: "is this offset known?" goes to the live cursor. That is
+    /// sound against a concurrent `learn` of the same stream because a
+    /// walk's discoveries are integrated in one `extend` — whatever the
+    /// cursor knows, it knows together with its whole older chain — so the
+    /// cost of a sync is O(discovered · log n), with nothing proportional to
+    /// the stream.
     fn learn(
         &self,
         stream: StreamId,
@@ -535,7 +568,7 @@ impl StreamClient {
                     break;
                 }
                 // NOTE: the bulk fetch may block while writers finish.
-                let fetched = self.fetch_many(&window, true)?;
+                let fetched = self.fetch_many(&window, true, Some(stream))?;
                 walked += window.len() as u64;
                 let header = match fetched.last().expect("one result per offset") {
                     // Junk broke the chain — and a member entry written
@@ -546,16 +579,7 @@ impl StreamClient {
                     Some(entry) => entry.header_for(stream).cloned(),
                 };
                 let Some(header) = header else {
-                    let log = log_of_offset(oldest);
-                    // Scan down to the newest known member below the anchor
-                    // in this log, or to the log's trim floor — never into
-                    // reclaimed slots.
-                    let lo = self
-                        .with_cursor(stream, |c| c.below(oldest).last().copied())
-                        .filter(|&o| log_of_offset(o) == log)
-                        .map(|o| o + 1)
-                        .unwrap_or_else(|| compose(log, 0))
-                        .max(self.trim_floor(log));
+                    let lo = self.unwalked_floor(stream, oldest);
                     walked += self.scan_backward(stream, lo, oldest, &mut discovered)?;
                     break;
                 };
@@ -599,7 +623,7 @@ impl StreamClient {
         while end > lo {
             let start = end.saturating_sub(step).max(lo);
             let range: Vec<LogOffset> = (start..end).collect();
-            let fetched = self.fetch_many(&range, true)?;
+            let fetched = self.fetch_many(&range, true, None)?;
             walked += range.len() as u64;
             for (&off, entry) in range.iter().zip(fetched.iter()) {
                 if entry.as_ref().map(|e| e.belongs_to(stream)).unwrap_or(false) {

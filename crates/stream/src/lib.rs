@@ -9,12 +9,16 @@
 //! Stream membership is materialized client-side as a linked list of
 //! offsets, reconstructed lazily from the per-entry backpointer headers: the
 //! sequencer reports the last K offsets issued for a stream, and the client
-//! strides backward through entry headers (N/K round trips for N entries,
-//! each stride fetching its K-entry window in one bulk `ReadBatch`) until
-//! it reconnects with what it already knows. Junk entries — holes patched
-//! after a client crash — carry no headers and break the chain; the client
-//! then falls back to a backward linear scan, exactly as described in the
-//! paper (also batched). After `sync`, a readahead prefetcher bulk-fetches
+//! strides backward through entry headers, a K-entry window at a time,
+//! until it reconnects with what it already knows. The paper counts N/K
+//! reads for N entries, one behind the other; here a stride's read is a
+//! `ReadChase`, which the storage node extends along the stream's
+//! backpointers to its own pages, so a round trip brings 32 entries and
+//! most strides find their window in the entry cache (N/32 round trips;
+//! the walk still looks at every header itself). Junk entries — holes
+//! patched after a client crash — carry no headers and break the chain; the
+//! client then falls back to a backward linear scan, exactly as described
+//! in the paper (also batched). After `sync`, a readahead prefetcher bulk-fetches
 //! the next window of member entries so steady-state `readnext` is served
 //! from the decoded-entry cache without touching the network.
 //!
