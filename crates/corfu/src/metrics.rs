@@ -222,7 +222,9 @@ pub struct StorageMetrics {
     pub reclaimed_segments: Counter,
     /// Pages whose checksums the scrub pass verified (log-scoped).
     pub scrubbed_pages: Counter,
-    /// Scrub checksum failures (log-scoped). Any nonzero value is bit rot.
+    /// Scrub checksum failures, plus one per background pass that hit a
+    /// storage error (log-scoped). Any nonzero value is bit rot or a failing
+    /// device.
     pub scrub_errors: Counter,
     /// Gate pacing `queue_wait_ns`.
     pub sampler: Sampler,

@@ -41,7 +41,6 @@ pub struct StorageServer {
 
 struct Inner {
     unit: FlashUnit,
-    epoch: Epoch,
     /// Tier/wear values already folded into the monotone metrics counters;
     /// publication adds only the delta since the last publish.
     published: PublishedBaseline,
@@ -59,7 +58,7 @@ struct PublishedBaseline {
 
 /// What one compaction pass accomplished (see
 /// [`StorageServer::compact_once`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct CompactionReport {
     /// The prefix-trim horizon after the pass.
     pub trim_horizon: u64,
@@ -69,16 +68,19 @@ pub struct CompactionReport {
     pub reclaimed_segments: u64,
     /// Live (untrimmed) pages occupying the unit after the pass.
     pub occupancy: u64,
-    /// The CRC scrub outcome, when the pass scrubbed.
+    /// The CRC scrub outcome, when the pass scrubbed and the scrub ran.
     pub scrub: Option<ScrubReport>,
+    /// The first storage error a step of the pass hit. The steps after it
+    /// still ran; the pass also counts into `corfu.storage.scrub_errors`,
+    /// the column `tangoctl storage` shows.
+    pub error: Option<FlashError>,
 }
 
 impl StorageServer {
-    /// Wraps a flash unit. The server adopts the unit's persisted epoch.
+    /// Wraps a flash unit. The node's epoch is the unit's persisted one.
     pub fn new(unit: FlashUnit) -> Self {
-        let epoch = unit.epoch();
         Self {
-            inner: Mutex::new(Inner { unit, epoch, published: PublishedBaseline::default() }),
+            inner: Mutex::new(Inner { unit, published: PublishedBaseline::default() }),
             metrics: StorageMetrics::default(),
             log: 0,
         }
@@ -111,7 +113,7 @@ impl StorageServer {
 
     /// The node's current epoch.
     pub fn epoch(&self) -> Epoch {
-        self.inner.lock().epoch
+        self.inner.lock().unit.epoch()
     }
 
     /// Wear statistics from the underlying unit.
@@ -120,7 +122,7 @@ impl StorageServer {
     }
 
     /// Hot/cold occupancy and migration accounting from the underlying
-    /// unit (all zeros over single-tier stores).
+    /// unit.
     pub fn tier_stats(&self) -> TierStats {
         self.inner.lock().unit.tier_stats()
     }
@@ -148,24 +150,28 @@ impl StorageServer {
     /// device.
     pub fn compact_once(&self, scrub: bool) -> CompactionReport {
         let mut inner = self.inner.lock();
-        let horizon =
-            inner.unit.advance_trim_horizon().unwrap_or_else(|_| inner.unit.prefix_trim());
-        let migrated = inner.unit.migrate_cold().unwrap_or(0);
-        let scrub_report = if scrub {
-            let report = inner.unit.scrub().unwrap_or_default();
+        // A step that fails does not stop the ones after it; the first
+        // error is the one reported.
+        let mut error = None;
+        let mut failed = |e: FlashError| {
+            error.get_or_insert(e);
+        };
+        let _ = inner.unit.advance_trim_horizon().map_err(&mut failed);
+        let migrated = inner.unit.migrate_cold().map_err(&mut failed).unwrap_or(0);
+        let scrub_report = scrub.then(|| inner.unit.scrub().map_err(&mut failed).ok()).flatten();
+        if let Some(report) = &scrub_report {
             self.metrics.scrubbed_pages.add(report.pages_checked);
             self.metrics.scrub_errors.add(report.errors);
-            Some(report)
-        } else {
-            None
-        };
+        }
+        self.metrics.scrub_errors.add(error.is_some() as u64);
         let reclaimed_segments = self.publish(&mut inner);
         CompactionReport {
-            trim_horizon: horizon,
+            trim_horizon: inner.unit.prefix_trim(),
             migrated_pages: migrated,
             reclaimed_segments,
             occupancy: inner.unit.live_pages(),
             scrub: scrub_report,
+            error,
         }
     }
 
@@ -191,7 +197,7 @@ impl StorageServer {
         if tier.migrated_pages > base.migrated_pages {
             self.metrics.events.emit(
                 EventKind::ColdMigration,
-                inner.epoch,
+                inner.unit.epoch(),
                 self.log,
                 tier.migrated_pages - base.migrated_pages,
             );
@@ -199,7 +205,7 @@ impl StorageServer {
         if reclaimed_segments > 0 {
             self.metrics.events.emit(
                 EventKind::SegmentReclaimed,
-                inner.epoch,
+                inner.unit.epoch(),
                 self.log,
                 reclaimed_segments,
             );
@@ -234,7 +240,7 @@ impl StorageServer {
 
     /// Serves a write under the unit's lock. The payload is only borrowed —
     /// from an owned request or straight from the request bytes — and the
-    /// unit's store makes the one copy.
+    /// unit makes the one copy.
     fn write(&self, inner: &mut Inner, write: WriteRef<'_>) -> StorageResponse {
         if let Err(resp) = inner.check_epoch(write.epoch) {
             return resp;
@@ -355,19 +361,14 @@ impl StorageServer {
                     Err(e) => Inner::flash_error(e),
                 }
             }
-            StorageRequest::Seal { epoch } => {
-                if epoch <= inner.epoch {
-                    return StorageResponse::ErrSealed { epoch: inner.epoch };
+            // The unit refuses an epoch at or below its own as `Sealed`.
+            StorageRequest::Seal { epoch } => match inner.unit.seal(epoch) {
+                Ok(tail) => {
+                    self.metrics.seals.inc();
+                    StorageResponse::Tail(tail)
                 }
-                match inner.unit.seal(epoch) {
-                    Ok(tail) => {
-                        inner.epoch = epoch;
-                        self.metrics.seals.inc();
-                        StorageResponse::Tail(tail)
-                    }
-                    Err(e) => Inner::flash_error(e),
-                }
-            }
+                Err(e) => Inner::flash_error(e),
+            },
             StorageRequest::LocalTail { epoch } => {
                 if let Err(resp) = inner.check_epoch(epoch) {
                     return resp;
@@ -467,8 +468,8 @@ impl From<PageRead> for PageOutcome {
 
 impl Inner {
     fn check_epoch(&self, epoch: Epoch) -> Result<(), StorageResponse> {
-        if epoch != self.epoch {
-            Err(StorageResponse::ErrSealed { epoch: self.epoch })
+        if epoch != self.unit.epoch() {
+            Err(StorageResponse::ErrSealed { epoch: self.unit.epoch() })
         } else {
             Ok(())
         }
@@ -902,6 +903,69 @@ mod tests {
         );
         let oversized = (0..=MAX_READ_BATCH as u64).collect();
         assert!(matches!(node.process(chase(1, oversized)), StorageResponse::ErrStorage(_)));
+    }
+
+    fn tmpdir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("corfu-storage-test-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn seal_whose_epoch_cannot_be_persisted_is_retryable() {
+        let dir = tmpdir("seal");
+        let store = tango_flash::FileStore::open(&dir, 64, 8).unwrap();
+        let s = StorageServer::new(FlashUnit::open(Box::new(store), 64).unwrap());
+        // The suite runs as root, so permissions cannot fail the meta write;
+        // a directory squatting on its temp-file path can.
+        std::fs::create_dir(dir.join("meta.tmp")).unwrap();
+        assert!(matches!(
+            s.process(StorageRequest::Seal { epoch: 1 }),
+            StorageResponse::ErrStorage(_)
+        ));
+        // Nothing was adopted: the node still serves epoch 0.
+        assert_eq!(s.epoch(), 0);
+        assert_eq!(s.process(StorageRequest::LocalTail { epoch: 0 }), StorageResponse::Tail(0));
+        std::fs::remove_dir(dir.join("meta.tmp")).unwrap();
+        assert_eq!(s.process(StorageRequest::Seal { epoch: 1 }), StorageResponse::Tail(0));
+        assert_eq!(
+            s.process(StorageRequest::LocalTail { epoch: 0 }),
+            StorageResponse::ErrSealed { epoch: 1 }
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn compaction_pass_reports_a_failed_migration() {
+        let dir = tmpdir("compact");
+        let store = tango_flash::TieredStore::open(&dir, 64, 8, 2).unwrap();
+        let registry = Registry::new();
+        let s = StorageServer::new(FlashUnit::open(Box::new(store), 64).unwrap())
+            .with_metrics(&registry);
+        for addr in 0..3 {
+            let w = StorageRequest::Write {
+                epoch: 0,
+                addr,
+                kind: WriteKind::Data,
+                payload: Bytes::from_static(b"x"),
+            };
+            assert_eq!(s.process(w), StorageResponse::Ok);
+        }
+        // One page over the hot capacity, and its segment file cannot be
+        // created: a directory has its name.
+        std::fs::create_dir(dir.join("seg-0.dat")).unwrap();
+        let report = s.compact_once(true);
+        assert!(matches!(report.error, Some(FlashError::Io(_))), "{report:?}");
+        assert_eq!((report.migrated_pages, report.occupancy), (0, 3));
+        // The steps after the failed one still ran.
+        assert!(report.scrub.is_some());
+        assert_eq!(registry.snapshot().counter("corfu.storage.scrub_errors"), 1);
+        std::fs::remove_dir(dir.join("seg-0.dat")).unwrap();
+        let report = s.compact_once(false);
+        assert_eq!((report.error, report.migrated_pages), (None, 1));
+        assert_eq!(registry.snapshot().counter("corfu.storage.scrub_errors"), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

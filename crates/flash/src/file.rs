@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 use bytes::Bytes;
 use tango_wire::crc32c;
 
-use crate::store::{PageKind, PageStore, ScannedPage, ScannedState, ScrubReport};
+use crate::store::{PageKind, ScannedPage, ScannedState, ScrubReport};
 use crate::{FlashError, PageAddr, Result};
 
 const SLOT_MAGIC: u32 = 0xC0_4F_5E_01;
@@ -38,7 +38,11 @@ const STATE_DATA: u8 = 1;
 const STATE_JUNK: u8 = 2;
 const STATE_TRIMMED: u8 = 3;
 
-/// A durable [`PageStore`] over segmented slot files.
+/// The cold device under a [`crate::FlashUnit`]: segmented slot files.
+///
+/// A dumb slot device — write-once enforcement, sealing and trim bookkeeping
+/// live in the unit. It persists page payloads, trim markers and the unit
+/// metadata (epoch, prefix-trim horizon).
 pub struct FileStore {
     dir: PathBuf,
     page_size: usize,
@@ -213,10 +217,11 @@ impl FileStore {
         let prefix_trim = u64::from_le_bytes(bytes[28..36].try_into().unwrap());
         Ok((magic, page_size, pps, epoch, prefix_trim))
     }
-}
 
-impl PageStore for FileStore {
-    fn put(&mut self, addr: PageAddr, kind: PageKind, data: &[u8]) -> Result<()> {
+    /// Persists a page payload (data or junk) at `addr`. The unit calls this
+    /// at most once per live address, so the slot is overwritten
+    /// unconditionally.
+    pub(crate) fn put(&mut self, addr: PageAddr, kind: PageKind, data: &[u8]) -> Result<()> {
         if data.len() > self.page_size {
             return Err(FlashError::PageTooLarge { len: data.len(), page_size: self.page_size });
         }
@@ -234,7 +239,8 @@ impl PageStore for FileStore {
         Ok(())
     }
 
-    fn get(&self, addr: PageAddr) -> Result<Option<(PageKind, Bytes)>> {
+    /// Reads the slot at `addr`, or `None` if it holds no page.
+    pub(crate) fn get(&self, addr: PageAddr) -> Result<Option<(PageKind, Bytes)>> {
         let (seg, off) = self.locate(addr);
         // Read through the handle this process wrote the segment with; only
         // a segment it has not touched (reopened store) costs an open.
@@ -282,7 +288,8 @@ impl PageStore for FileStore {
         }
     }
 
-    fn mark_trimmed(&mut self, addr: PageAddr) -> Result<()> {
+    /// Persists a trim marker at `addr`, releasing the payload.
+    pub(crate) fn mark_trimmed(&mut self, addr: PageAddr) -> Result<()> {
         let (seg, off) = self.locate(addr);
         let header = Self::encode_header(STATE_TRIMMED, 0, 0, addr);
         let file = self.segment(seg)?;
@@ -290,7 +297,8 @@ impl PageStore for FileStore {
         Ok(())
     }
 
-    fn put_meta(&mut self, epoch: u64, prefix_trim: PageAddr) -> Result<()> {
+    /// Persists unit metadata: the seal epoch and the prefix-trim horizon.
+    pub(crate) fn put_meta(&mut self, epoch: u64, prefix_trim: PageAddr) -> Result<()> {
         let mut bytes = Vec::with_capacity(40);
         bytes.extend_from_slice(&META_MAGIC.to_le_bytes());
         bytes.extend_from_slice(&(self.page_size as u64).to_le_bytes());
@@ -307,7 +315,8 @@ impl PageStore for FileStore {
         Ok(())
     }
 
-    fn get_meta(&self) -> Result<Option<(u64, PageAddr)>> {
+    /// Loads unit metadata, or `None` on a fresh store.
+    pub(crate) fn get_meta(&self) -> Result<Option<(u64, PageAddr)>> {
         match fs::read(self.meta_path()) {
             Ok(bytes) => {
                 let (_, _, _, epoch, prefix_trim) = Self::decode_meta(&bytes)?;
@@ -318,7 +327,8 @@ impl PageStore for FileStore {
         }
     }
 
-    fn scan(&self) -> Result<Vec<ScannedPage>> {
+    /// Enumerates every persisted slot for crash recovery.
+    pub(crate) fn scan(&self) -> Result<Vec<ScannedPage>> {
         let mut out = Vec::new();
         for seg in self.segment_ids()? {
             let Some(file) = self.segment_readonly(seg)? else { continue };
@@ -353,14 +363,16 @@ impl PageStore for FileStore {
         Ok(out)
     }
 
-    fn sync(&mut self) -> Result<()> {
+    /// Flushes written segments to stable storage.
+    pub(crate) fn sync(&mut self) -> Result<()> {
         for file in self.segments.values() {
             file.sync_data()?;
         }
         Ok(())
     }
 
-    fn scrub(&self) -> Result<ScrubReport> {
+    /// Verifies every data slot's payload against its CRC.
+    pub(crate) fn scrub(&self) -> Result<ScrubReport> {
         let mut report = ScrubReport::default();
         for seg in self.segment_ids()? {
             let Some(file) = self.segment_readonly(seg)? else { continue };
@@ -396,13 +408,7 @@ impl PageStore for FileStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("tango-flash-test-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
+    use crate::tmpdir;
 
     #[test]
     fn put_get_roundtrip_across_reopen() {

@@ -9,13 +9,15 @@
 //! * [`FlashUnit`] — the write-once 64-bit page address space with
 //!   `write`/`read`/`trim`/`trim_prefix`/`seal` and wear accounting. Pages can
 //!   hold data or *junk* (the fill value used to patch holes left by crashed
-//!   clients).
-//! * [`PageStore`] — the persistence backend trait, with three
-//!   implementations: [`MemStore`] (RAM, used by tests and the in-process
-//!   cluster), [`FileStore`] (segmented slot files with CRC-checked headers
-//!   and crash recovery by scanning), and [`TieredStore`] (hot tail in RAM,
-//!   cold sealed ranges migrated into segment files, with whole-segment
-//!   reclamation below the prefix-trim horizon).
+//!   clients). Its one ordered index is the only record of a page: a slot is
+//!   hot (the payload is in the slot), cold (the payload is in a segment
+//!   file) or trimmed, and a page changes tier by changing slot.
+//! * [`FileStore`] — the optional cold device: segmented slot files with
+//!   CRC-checked headers, crash recovery by scanning, and whole-segment
+//!   reclamation below the prefix-trim horizon. [`FlashUnit::in_memory`] has
+//!   none; a unit opened over a `FileStore` writes every page through; a
+//!   unit opened over a [`TieredStore`] (a `FileStore` plus a hot capacity)
+//!   keeps a volatile hot tail and migrates older pages cold.
 //!
 //! We do not have the paper's Intel X25-V SSDs; `FileStore` over a local
 //! filesystem is the substitution. It preserves the semantics that matter to
@@ -25,7 +27,6 @@
 
 mod error;
 mod file;
-mod mem;
 mod metrics;
 mod store;
 mod tiered;
@@ -33,9 +34,8 @@ mod unit;
 
 pub use error::FlashError;
 pub use file::FileStore;
-pub use mem::MemStore;
 pub use metrics::FlashMetrics;
-pub use store::{PageKind, PageRead, PageStore, ScannedPage, ScrubReport, TierStats};
+pub use store::{PageRead, ScrubReport, TierStats};
 pub use tiered::TieredStore;
 pub use unit::{FlashUnit, WearStats};
 
@@ -44,3 +44,11 @@ pub type PageAddr = u64;
 
 /// Convenience alias for flash results.
 pub type Result<T> = std::result::Result<T, FlashError>;
+
+/// A scratch directory that does not exist yet, for one unit test.
+#[cfg(test)]
+pub(crate) fn tmpdir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("tango-flash-test-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}

@@ -1,6 +1,6 @@
 use bytes::Bytes;
 
-use crate::{PageAddr, Result};
+use crate::PageAddr;
 
 /// What a written page holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,15 +53,14 @@ pub enum ScannedState {
     Trimmed,
 }
 
-/// Occupancy and migration accounting for tiered stores.
-///
-/// Flat (all zeros) for single-tier stores; [`crate::TieredStore`] reports
-/// its hot/cold split, migration traffic, and whole-segment reclamation here.
+/// A unit's hot/cold occupancy, migration traffic and whole-segment
+/// reclamation. An in-memory unit has no cold device: all its pages are hot.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TierStats {
     /// Live pages resident in the hot (RAM) tier.
     pub hot_pages: u64,
-    /// Live pages resident in the cold (segmented file) tier.
+    /// Live pages resident in the cold (segmented file) tier;
+    /// `hot_pages + cold_pages` is the unit's occupancy.
     pub cold_pages: u64,
     /// Segment files currently backing the cold tier.
     pub cold_segments: u64,
@@ -83,65 +82,4 @@ pub struct ScrubReport {
     /// Slots whose header validated but whose payload failed its CRC —
     /// bit rot, not a torn write (headers are written after payloads).
     pub errors: u64,
-}
-
-/// Persistence backend for a [`crate::FlashUnit`].
-///
-/// The store is a dumb slot device: write-once enforcement, sealing, and trim
-/// bookkeeping live in the unit. Implementations must persist page payloads,
-/// trim markers, and the unit metadata (epoch, prefix-trim horizon).
-pub trait PageStore: Send {
-    /// Persists a page payload (data or junk) at `addr`.
-    ///
-    /// The unit guarantees it calls this at most once per live address, so
-    /// implementations may overwrite the slot unconditionally.
-    fn put(&mut self, addr: PageAddr, kind: PageKind, data: &[u8]) -> Result<()>;
-
-    /// Reads the slot at `addr`, or `None` if nothing was ever persisted.
-    fn get(&self, addr: PageAddr) -> Result<Option<(PageKind, Bytes)>>;
-
-    /// Persists a trim marker at `addr` and releases the payload.
-    fn mark_trimmed(&mut self, addr: PageAddr) -> Result<()>;
-
-    /// Persists unit metadata: the seal epoch and the prefix-trim horizon.
-    fn put_meta(&mut self, epoch: u64, prefix_trim: PageAddr) -> Result<()>;
-
-    /// Loads unit metadata, or `None` on a fresh store.
-    fn get_meta(&self) -> Result<Option<(u64, PageAddr)>>;
-
-    /// Enumerates every persisted slot for crash recovery.
-    fn scan(&self) -> Result<Vec<ScannedPage>>;
-
-    /// Flushes buffered state to stable storage.
-    fn sync(&mut self) -> Result<()>;
-
-    /// Applies a sequential prefix trim: releases every consumed address in
-    /// `addrs` (each strictly below `horizon`) and persists the new horizon.
-    ///
-    /// The default marks each slot individually and then persists metadata;
-    /// tiered stores override this to reclaim whole segments instead of
-    /// touching every slot.
-    fn trim_prefix(&mut self, epoch: u64, horizon: PageAddr, addrs: &[PageAddr]) -> Result<()> {
-        for &addr in addrs {
-            self.mark_trimmed(addr)?;
-        }
-        self.put_meta(epoch, horizon)
-    }
-
-    /// Migrates cold pages toward stable storage, returning how many pages
-    /// moved. A no-op for single-tier stores.
-    fn migrate_cold(&mut self) -> Result<u64> {
-        Ok(0)
-    }
-
-    /// Verifies stored checksums, returning what was checked and how many
-    /// slots failed. Single-tier RAM stores have nothing to verify.
-    fn scrub(&self) -> Result<ScrubReport> {
-        Ok(ScrubReport::default())
-    }
-
-    /// Occupancy/migration accounting; all zeros for single-tier stores.
-    fn tier_stats(&self) -> TierStats {
-        TierStats::default()
-    }
 }

@@ -1,266 +1,75 @@
-//! Two-tier page store: hot tail in RAM, cold sealed ranges in segment files.
-//!
-//! The log's write pattern is strictly append-heavy: the tail is hammered by
-//! writes and catch-up reads, while everything behind the most recent
-//! checkpoint goes cold and is eventually prefix-trimmed (§5 of the paper's
-//! checkpoint-then-trim discipline). `TieredStore` shapes storage around
-//! that lifecycle:
-//!
-//! * **Hot tier** — recently written pages live in a RAM map. They are
-//!   volatile until migrated (the write buffer in front of the flash), which
-//!   is safe under CORFU's client-driven chain replication: an acked append
-//!   is durable across replicas, not across one unit's power cycle, and a
-//!   replacement rebuilds from the surviving chain.
-//! * **Cold tier** — a background migration pass (or hot-tier overflow)
-//!   moves the lowest addresses into the segmented [`FileStore`], oldest
-//!   first, so each segment file fills with a contiguous cold range.
-//! * **Reclamation** — a prefix trim releases whole segment files whose
-//!   entire address range sits below the horizon: one `unlink` instead of a
-//!   per-slot trim marker. Only the single segment straddling the horizon
-//!   is trimmed slot by slot. This is what makes sequential trims cheap on
-//!   flash (§2.2) — the device erases whole blocks.
-//!
-//! Crash safety: the horizon is persisted in the store metadata *before*
-//! segment files are unlinked, so recovery after a crash mid-reclaim ignores
-//! the stale slots either way.
+//! The cold device with a hot capacity in front of it.
 
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 use std::path::Path;
 
-use bytes::Bytes;
-
 use crate::file::FileStore;
-use crate::store::{PageKind, PageStore, ScannedPage, ScannedState, ScrubReport, TierStats};
-use crate::{PageAddr, Result};
+use crate::Result;
 
-/// A hot-tier slot: pages are either payloads or junk fills.
-#[derive(Debug, Clone)]
-enum HotSlot {
-    Data(Bytes),
-    Junk,
-}
-
-/// A tiered [`PageStore`]: hot tail in RAM, cold ranges in a segmented
-/// [`FileStore`], whole-segment reclamation below the prefix-trim horizon.
+/// A [`FileStore`] plus the number of pages the unit over it may keep hot.
+///
+/// The log's write pattern is append-heavy: the tail is hammered by writes
+/// and catch-up reads, while everything behind the most recent checkpoint
+/// goes cold and is eventually prefix-trimmed (§5's checkpoint-then-trim
+/// discipline). A [`crate::FlashUnit`] opened over a `TieredStore` keeps up
+/// to `hot_capacity` recent pages in RAM only and migrates older ones into
+/// the segment files; opened over a bare [`FileStore`] (hot capacity 0) it
+/// writes every page through.
 pub struct TieredStore {
-    hot: BTreeMap<PageAddr, HotSlot>,
-    cold: FileStore,
-    /// Cold addresses holding live payloads (data or junk), for occupancy
-    /// accounting and straddling-segment trims.
-    cold_live: BTreeSet<PageAddr>,
-    /// Target hot-tier size; `migrate_cold` drains down to this, and writes
-    /// spill eagerly past twice this (a burst guard between compactor runs).
-    hot_capacity: usize,
-    /// Mirror of the persisted prefix-trim horizon.
-    prefix_trim: PageAddr,
-    migrations: u64,
-    migrated_pages: u64,
-    reclaimed_segments: u64,
-    reclaimed_pages: u64,
+    pub(crate) cold: FileStore,
+    pub(crate) hot_capacity: usize,
 }
 
 impl TieredStore {
-    /// Opens (or recovers) a tiered store rooted at `dir`.
+    /// Opens (or creates) the segment files rooted at `dir`.
     ///
     /// `hot_capacity` is the target number of pages kept in RAM;
-    /// `page_size`/`pages_per_segment` fix the cold tier's geometry exactly
-    /// as for [`FileStore::open`]. Hot pages from a previous process are
-    /// gone (they are the volatile tail by design); everything previously
-    /// migrated recovers from the segment files.
+    /// `page_size`/`pages_per_segment` fix the geometry exactly as for
+    /// [`FileStore::open`].
     pub fn open(
         dir: impl AsRef<Path>,
         page_size: usize,
         pages_per_segment: u64,
         hot_capacity: usize,
     ) -> Result<Self> {
-        let cold = FileStore::open(dir, page_size, pages_per_segment)?;
-        let prefix_trim = cold.get_meta()?.map(|(_, h)| h).unwrap_or(0);
-        let mut cold_live = BTreeSet::new();
-        for page in cold.scan()? {
-            if page.addr >= prefix_trim && !matches!(page.state, ScannedState::Trimmed) {
-                cold_live.insert(page.addr);
-            }
-        }
-        Ok(Self {
-            hot: BTreeMap::new(),
-            cold,
-            cold_live,
-            hot_capacity,
-            prefix_trim,
-            migrations: 0,
-            migrated_pages: 0,
-            reclaimed_segments: 0,
-            reclaimed_pages: 0,
-        })
-    }
-
-    /// The target hot-tier size in pages.
-    pub fn hot_capacity(&self) -> usize {
-        self.hot_capacity
-    }
-
-    /// Moves the lowest-addressed hot pages into the cold tier until at most
-    /// `target` pages remain hot. Returns how many pages moved.
-    fn drain_hot_to(&mut self, target: usize) -> Result<u64> {
-        let mut moved = 0u64;
-        while self.hot.len() > target {
-            let (&addr, _) = self.hot.iter().next().expect("hot tier is non-empty");
-            let slot = self.hot.remove(&addr).expect("just observed");
-            match &slot {
-                HotSlot::Data(bytes) => self.cold.put(addr, PageKind::Data, bytes)?,
-                HotSlot::Junk => self.cold.put(addr, PageKind::Junk, &[])?,
-            }
-            self.cold_live.insert(addr);
-            moved += 1;
-        }
-        if moved > 0 {
-            self.migrations += 1;
-            self.migrated_pages += moved;
-        }
-        Ok(moved)
+        Ok(Self { cold: FileStore::open(dir, page_size, pages_per_segment)?, hot_capacity })
     }
 }
 
-impl PageStore for TieredStore {
-    fn put(&mut self, addr: PageAddr, kind: PageKind, data: &[u8]) -> Result<()> {
-        let slot = match kind {
-            PageKind::Data => HotSlot::Data(Bytes::copy_from_slice(data)),
-            PageKind::Junk => HotSlot::Junk,
-        };
-        self.hot.insert(addr, slot);
-        // Burst guard: if the compactor falls behind, spill eagerly rather
-        // than letting the hot tier grow without bound.
-        if self.hot.len() > self.hot_capacity.saturating_mul(2) {
-            self.drain_hot_to(self.hot_capacity)?;
-        }
-        Ok(())
-    }
-
-    fn get(&self, addr: PageAddr) -> Result<Option<(PageKind, Bytes)>> {
-        match self.hot.get(&addr) {
-            Some(HotSlot::Data(b)) => Ok(Some((PageKind::Data, b.clone()))),
-            Some(HotSlot::Junk) => Ok(Some((PageKind::Junk, Bytes::new()))),
-            None => self.cold.get(addr),
-        }
-    }
-
-    fn mark_trimmed(&mut self, addr: PageAddr) -> Result<()> {
-        // Random trims are durable regardless of tier: drop any hot copy and
-        // persist the marker in the cold slot.
-        self.hot.remove(&addr);
-        self.cold_live.remove(&addr);
-        self.cold.mark_trimmed(addr)
-    }
-
-    fn put_meta(&mut self, epoch: u64, prefix_trim: PageAddr) -> Result<()> {
-        self.prefix_trim = self.prefix_trim.max(prefix_trim);
-        self.cold.put_meta(epoch, prefix_trim)
-    }
-
-    fn get_meta(&self) -> Result<Option<(u64, PageAddr)>> {
-        self.cold.get_meta()
-    }
-
-    fn scan(&self) -> Result<Vec<ScannedPage>> {
-        let mut out = self.cold.scan()?;
-        for (&addr, slot) in &self.hot {
-            out.push(ScannedPage {
-                addr,
-                state: match slot {
-                    HotSlot::Data(_) => ScannedState::Data,
-                    HotSlot::Junk => ScannedState::Junk,
-                },
-            });
-        }
-        out.sort_by_key(|p| p.addr);
-        Ok(out)
-    }
-
-    fn sync(&mut self) -> Result<()> {
-        // A sync is the durability point: flush the volatile tail down to
-        // the cold tier, then flush the cold tier to disk.
-        self.drain_hot_to(0)?;
-        self.cold.sync()
-    }
-
-    fn trim_prefix(&mut self, epoch: u64, horizon: PageAddr, _addrs: &[PageAddr]) -> Result<()> {
-        // Hot pages below the horizon just evaporate.
-        let keep = self.hot.split_off(&horizon);
-        let hot_dropped = self.hot.len() as u64;
-        self.hot = keep;
-
-        // Cold pages in the one segment straddling the horizon need per-slot
-        // markers; everything in fully-covered segments is reclaimed below
-        // by deleting the files outright.
-        let pps = self.cold.pages_per_segment();
-        let straddle_start = (horizon / pps) * pps;
-        let straddling: Vec<PageAddr> =
-            self.cold_live.range(straddle_start..horizon).copied().collect();
-        for addr in straddling {
-            self.cold.mark_trimmed(addr)?;
-        }
-
-        let keep = self.cold_live.split_off(&horizon);
-        let cold_dropped = self.cold_live.len() as u64;
-        self.cold_live = keep;
-
-        // Persist the horizon before unlinking segments: recovery ignores
-        // addresses below it whether or not the unlinks happened.
-        self.prefix_trim = self.prefix_trim.max(horizon);
-        self.cold.put_meta(epoch, horizon)?;
-        let removed = self.cold.remove_segments_below(horizon)?;
-        self.reclaimed_segments += removed.len() as u64;
-        self.reclaimed_pages += hot_dropped + cold_dropped;
-        Ok(())
-    }
-
-    fn migrate_cold(&mut self) -> Result<u64> {
-        let target = self.hot_capacity;
-        self.drain_hot_to(target)
-    }
-
-    fn scrub(&self) -> Result<ScrubReport> {
-        // Only the cold tier carries checksums; the hot tail is RAM.
-        self.cold.scrub()
-    }
-
-    fn tier_stats(&self) -> TierStats {
-        TierStats {
-            hot_pages: self.hot.len() as u64,
-            cold_pages: self.cold_live.len() as u64,
-            cold_segments: self.cold.segment_ids().map(|s| s.len() as u64).unwrap_or(0),
-            migrations: self.migrations,
-            migrated_pages: self.migrated_pages,
-            reclaimed_segments: self.reclaimed_segments,
-            reclaimed_pages: self.reclaimed_pages,
-        }
+impl From<FileStore> for TieredStore {
+    fn from(cold: FileStore) -> Self {
+        Self { cold, hot_capacity: 0 }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{PageKind, ScannedState};
+    use crate::{tmpdir, FlashError, FlashUnit, PageRead};
+    use bytes::Bytes;
     use std::fs;
-    use std::path::PathBuf;
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("tango-tiered-test-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
+    fn open(dir: &Path, pages_per_segment: u64, hot_capacity: usize) -> FlashUnit {
+        let store = TieredStore::open(dir, 64, pages_per_segment, hot_capacity).unwrap();
+        FlashUnit::open(Box::new(store), 64).unwrap()
+    }
+
+    fn data(bytes: &'static [u8]) -> PageRead {
+        PageRead::Data(Bytes::from_static(bytes))
     }
 
     #[test]
     fn hot_tail_serves_reads_before_migration() {
         let dir = tmpdir("hot");
-        let mut store = TieredStore::open(&dir, 64, 8, 16).unwrap();
-        store.put(0, PageKind::Data, b"zero").unwrap();
-        store.put(1, PageKind::Junk, &[]).unwrap();
-        assert_eq!(store.get(0).unwrap(), Some((PageKind::Data, Bytes::from_static(b"zero"))));
-        assert_eq!(store.get(1).unwrap(), Some((PageKind::Junk, Bytes::new())));
-        let stats = store.tier_stats();
-        assert_eq!((stats.hot_pages, stats.cold_pages), (2, 0));
+        let mut unit = open(&dir, 8, 16);
+        unit.write(0, b"zero").unwrap();
+        unit.fill(1).unwrap();
+        assert_eq!(unit.read(0).unwrap(), data(b"zero"));
+        assert_eq!(unit.read(1).unwrap(), PageRead::Junk);
+        let stats = unit.tier_stats();
+        assert_eq!((stats.hot_pages, stats.cold_pages, stats.cold_segments), (2, 0, 0));
+        // Nothing reached the device: the hot tail is RAM only.
+        assert!(FileStore::open(&dir, 64, 8).unwrap().scan().unwrap().is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -268,96 +77,145 @@ mod tests {
     fn migration_moves_oldest_pages_cold_and_survives_reopen() {
         let dir = tmpdir("migrate");
         {
-            let mut store = TieredStore::open(&dir, 64, 8, 4).unwrap();
+            let mut unit = open(&dir, 8, 4);
             for addr in 0..10u64 {
-                store.put(addr, PageKind::Data, format!("p{addr}").as_bytes()).unwrap();
+                unit.write(addr, format!("p{addr}").as_bytes()).unwrap();
             }
-            // The burst guard already spilled 5 pages when the hot tier hit
-            // twice its capacity; the explicit pass drains the remainder.
-            assert_eq!(store.migrate_cold().unwrap(), 1);
-            let stats = store.tier_stats();
+            // The burst guard already spilled 5 pages when the hot pages hit
+            // twice the capacity; the explicit pass drains the remainder.
+            assert_eq!(unit.migrate_cold().unwrap(), 1);
+            let stats = unit.tier_stats();
             assert_eq!((stats.hot_pages, stats.cold_pages), (4, 6));
             assert_eq!(stats.migrated_pages, 6);
             assert_eq!(stats.migrations, 2);
+            // Oldest first: 0..6 are on the device, 6..10 are not.
+            let on_device: Vec<u64> = FileStore::open(&dir, 64, 8)
+                .unwrap()
+                .scan()
+                .unwrap()
+                .iter()
+                .map(|p| p.addr)
+                .collect();
+            assert_eq!(on_device, (0..6).collect::<Vec<u64>>());
             // Reads hit whichever tier holds the page.
-            assert_eq!(store.get(0).unwrap(), Some((PageKind::Data, Bytes::from_static(b"p0"))));
-            assert_eq!(store.get(9).unwrap(), Some((PageKind::Data, Bytes::from_static(b"p9"))));
-            store.sync().unwrap(); // drains the tail for the reopen below
+            assert_eq!(unit.read(0).unwrap(), data(b"p0"));
+            assert_eq!(unit.read(9).unwrap(), data(b"p9"));
         }
-        let store = TieredStore::open(&dir, 64, 8, 4).unwrap();
-        assert_eq!(store.get(9).unwrap(), Some((PageKind::Data, Bytes::from_static(b"p9"))));
-        assert_eq!(store.tier_stats().cold_pages, 10);
+        // Reopened without a sync: the migrated pages survive, the hot tail
+        // is gone and its addresses are free again.
+        {
+            let mut unit = open(&dir, 8, 4);
+            assert_eq!(unit.read(5).unwrap(), data(b"p5"));
+            assert_eq!(unit.read(6).unwrap(), PageRead::Unwritten);
+            assert_eq!((unit.local_tail(), unit.live_pages()), (6, 6));
+            for addr in 6..10u64 {
+                unit.write(addr, format!("p{addr}").as_bytes()).unwrap();
+            }
+            unit.sync().unwrap(); // the durability point drains the tail
+            assert_eq!(unit.tier_stats().hot_pages, 0);
+        }
+        let mut unit = open(&dir, 8, 4);
+        assert_eq!(unit.read(9).unwrap(), data(b"p9"));
+        assert_eq!(unit.tier_stats().cold_pages, 10);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn overflow_spills_without_explicit_migration() {
         let dir = tmpdir("spill");
-        let mut store = TieredStore::open(&dir, 64, 8, 2).unwrap();
+        let mut unit = open(&dir, 8, 2);
         for addr in 0..5u64 {
-            store.put(addr, PageKind::Data, b"x").unwrap();
+            unit.write(addr, b"x").unwrap();
         }
-        // Capacity 2, burst guard at 4: the fifth put drains down to 2 hot.
-        let stats = store.tier_stats();
+        // Capacity 2, burst guard at 4: the fifth write drains down to 2 hot.
+        let stats = unit.tier_stats();
         assert_eq!(stats.hot_pages, 2);
         assert_eq!(stats.cold_pages, 3);
+        // A late write below the migrated range is found by the next pass.
+        let sparse = tmpdir("spill-sparse");
+        let mut unit = open(&sparse, 8, 1);
+        for addr in [10u64, 11, 12, 3] {
+            unit.write(addr, b"x").unwrap();
+        }
+        assert_eq!(unit.tier_stats().hot_pages, 2);
+        assert_eq!(unit.migrate_cold().unwrap(), 1);
+        unit.trim(12).unwrap();
+        assert_eq!(unit.tier_stats().hot_pages, 0);
+        assert_eq!(unit.tier_stats().cold_pages, 3);
         fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(&sparse).unwrap();
     }
 
     #[test]
     fn prefix_trim_reclaims_whole_segments() {
         let dir = tmpdir("reclaim");
-        let mut store = TieredStore::open(&dir, 64, 4, 0).unwrap();
+        let mut unit = open(&dir, 4, 0);
         for addr in 0..10u64 {
-            store.put(addr, PageKind::Data, b"x").unwrap();
+            unit.write(addr, b"x").unwrap();
         }
-        store.migrate_cold().unwrap(); // hot_capacity 0: everything cold
-        assert_eq!(store.tier_stats().cold_segments, 3);
+        // hot_capacity 0 writes through: everything is cold already.
+        assert_eq!(unit.migrate_cold().unwrap(), 0);
+        assert_eq!(unit.tier_stats().cold_segments, 3);
+        unit.seal(1).unwrap();
 
         // Horizon 9 covers segments 0 and 1 entirely; segment 2 straddles.
-        let addrs: Vec<PageAddr> = (0..9).collect();
-        store.trim_prefix(1, 9, &addrs).unwrap();
-        let stats = store.tier_stats();
+        unit.trim_prefix(9).unwrap();
+        let stats = unit.tier_stats();
         assert_eq!(stats.reclaimed_segments, 2);
         assert_eq!(stats.reclaimed_pages, 9);
         assert_eq!(stats.cold_pages, 1);
+        assert_eq!(unit.stats().prefix_trimmed_pages, 9);
         assert!(!dir.join("seg-0.dat").exists());
         assert!(!dir.join("seg-1.dat").exists());
         assert!(dir.join("seg-2.dat").exists());
-        // The straddling slot got a durable marker, the survivor reads back.
-        assert_eq!(store.get(8).unwrap(), None);
-        assert_eq!(store.get(9).unwrap(), Some((PageKind::Data, Bytes::from_static(b"x"))));
-        assert_eq!(store.get_meta().unwrap(), Some((1, 9)));
+        // The straddling slot got a durable marker, the survivor reads back,
+        // and the horizon is on the device with the epoch.
+        let device = FileStore::open(&dir, 64, 4).unwrap();
+        let slots: Vec<_> = device.scan().unwrap().iter().map(|p| (p.addr, p.state)).collect();
+        assert_eq!(slots, vec![(8, ScannedState::Trimmed), (9, ScannedState::Data)]);
+        assert_eq!(device.get(9).unwrap(), Some((PageKind::Data, Bytes::from_static(b"x"))));
+        assert_eq!(device.get_meta().unwrap(), Some((1, 9)));
+        assert_eq!(unit.read(8).unwrap(), PageRead::Trimmed);
+        assert_eq!(unit.read(9).unwrap(), data(b"x"));
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn reclaim_drops_hot_pages_below_horizon() {
         let dir = tmpdir("hot-reclaim");
-        let mut store = TieredStore::open(&dir, 64, 4, 16).unwrap();
+        let mut unit = open(&dir, 4, 16);
         for addr in 0..6u64 {
-            store.put(addr, PageKind::Data, b"x").unwrap();
+            unit.write(addr, b"x").unwrap();
         }
-        let addrs: Vec<PageAddr> = (0..4).collect();
-        store.trim_prefix(0, 4, &addrs).unwrap();
-        let stats = store.tier_stats();
+        unit.trim_prefix(4).unwrap();
+        let stats = unit.tier_stats();
         assert_eq!(stats.hot_pages, 2);
         assert_eq!(stats.reclaimed_pages, 4);
-        assert_eq!(store.get(1).unwrap(), None);
-        assert_eq!(store.get(5).unwrap(), Some((PageKind::Data, Bytes::from_static(b"x"))));
+        assert_eq!(unit.live_pages(), 2);
+        assert_eq!(unit.read(1).unwrap(), PageRead::Trimmed);
+        assert_eq!(unit.read(5).unwrap(), data(b"x"));
+        // Hot pages just evaporate: no slot was ever written for them.
+        assert!(FileStore::open(&dir, 64, 4).unwrap().scan().unwrap().is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn scrub_checks_cold_payloads() {
         let dir = tmpdir("scrub");
-        let mut store = TieredStore::open(&dir, 64, 8, 0).unwrap();
-        store.put(0, PageKind::Data, b"checked").unwrap();
-        store.put(1, PageKind::Data, b"also").unwrap();
-        store.migrate_cold().unwrap();
-        let report = store.scrub().unwrap();
-        assert_eq!(report.pages_checked, 2);
-        assert_eq!(report.errors, 0);
+        let mut unit = open(&dir, 8, 1);
+        unit.write(0, b"checked").unwrap();
+        unit.write(1, b"also").unwrap();
+        unit.write(2, b"hot").unwrap();
+        // Only the device carries checksums; the one hot page is RAM.
+        assert_eq!(unit.tier_stats().hot_pages, 1);
+        let report = unit.scrub().unwrap();
+        assert_eq!((report.pages_checked, report.errors), (2, 0));
+        // Bit rot behind the unit's back is found.
+        use std::os::unix::fs::FileExt;
+        let file = fs::OpenOptions::new().write(true).open(dir.join("seg-0.dat")).unwrap();
+        file.write_all_at(b"X", 32).unwrap();
+        let report = unit.scrub().unwrap();
+        assert_eq!((report.pages_checked, report.errors), (2, 1));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -365,18 +223,20 @@ mod tests {
     fn reopen_after_crash_mid_reclaim_ignores_stale_slots() {
         let dir = tmpdir("crash");
         {
-            let mut store = TieredStore::open(&dir, 64, 4, 0).unwrap();
+            let mut unit = open(&dir, 4, 0);
             for addr in 0..8u64 {
-                store.put(addr, PageKind::Data, b"x").unwrap();
+                unit.write(addr, b"x").unwrap();
             }
-            store.migrate_cold().unwrap();
             // Simulate the crash window: horizon persisted, unlinks lost.
-            store.put_meta(0, 8).unwrap();
+            FileStore::open(&dir, 64, 4).unwrap().put_meta(0, 8).unwrap();
         }
         // Segment files still exist, but recovery honors the horizon.
         assert!(dir.join("seg-0.dat").exists());
-        let store = TieredStore::open(&dir, 64, 4, 0).unwrap();
-        assert_eq!(store.tier_stats().cold_pages, 0);
+        let mut unit = open(&dir, 4, 0);
+        assert_eq!(unit.tier_stats().cold_pages, 0);
+        assert_eq!((unit.prefix_trim(), unit.local_tail(), unit.live_pages()), (8, 8, 0));
+        assert_eq!(unit.read(3).unwrap(), PageRead::Trimmed);
+        assert_eq!(unit.write(3, b"y"), Err(FlashError::Trimmed { addr: 3 }));
         fs::remove_dir_all(&dir).unwrap();
     }
 }
