@@ -8,9 +8,9 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use corfu::{log_of_offset, raw_of_offset, CorfuClient, CrossLogLink, StreamId};
-use corfu_stream::StreamClient;
+use corfu_stream::{Delivery, Run, StreamClient};
 use parking_lot::Mutex;
-use tango_metrics::{log_scoped, Counter, Gauge, Histogram, Registry};
+use tango_metrics::{log_scoped, Counter, Gauge, Histogram, Registry, Sampler};
 use tango_wire::{decode_from_slice, encode_to_vec};
 
 use crate::directory::{DirectoryOp, DirectoryState};
@@ -60,7 +60,9 @@ struct RegisteredObject {
 /// underlying CORFU client carries.
 #[derive(Clone, Default)]
 struct RuntimeMetrics {
+    /// Sampled (see `sampler`): an apply is the per-entry step of a replay.
     apply_latency_ns: Histogram,
+    sampler: Sampler,
     conflict_check_latency_ns: Histogram,
     tx_begin: Counter,
     tx_commit: Counter,
@@ -80,6 +82,7 @@ impl RuntimeMetrics {
     fn from_registry(registry: &Registry) -> Self {
         Self {
             apply_latency_ns: registry.histogram("tango.apply_latency_ns"),
+            sampler: Sampler::default(),
             conflict_check_latency_ns: registry.histogram("tango.conflict_check_latency_ns"),
             tx_begin: registry.counter("tango.tx_begin"),
             tx_commit: registry.counter("tango.tx_commit"),
@@ -110,7 +113,10 @@ impl RuntimeMetrics {
 }
 
 struct Playback {
-    objects: HashMap<Oid, RegisteredObject>,
+    /// The hosted objects; their oids are the streams playback merges.
+    objects: BTreeMap<Oid, RegisteredObject>,
+    /// The playback loop's buffers, kept so a short sync allocates none.
+    run: Run,
     versions: ConflictTable,
     /// Transaction outcomes this runtime knows (own evaluations, decision
     /// records, offline resolutions).
@@ -153,7 +159,7 @@ impl TangoRuntime {
     pub fn with_options(corfu: CorfuClient, opts: RuntimeOptions) -> Result<Arc<Self>> {
         let stream = StreamClient::new(corfu);
         let dir_state = Arc::new(Mutex::new(DirectoryState::new()));
-        let mut objects: HashMap<Oid, RegisteredObject> = HashMap::new();
+        let mut objects: BTreeMap<Oid, RegisteredObject> = BTreeMap::new();
         objects.insert(
             DIRECTORY_OID,
             RegisteredObject {
@@ -169,6 +175,7 @@ impl TangoRuntime {
             tx_seq: AtomicU64::new(1),
             play: Mutex::new(Playback {
                 objects,
+                run: Run::default(),
                 versions: ConflictTable::new(),
                 decided: HashMap::new(),
                 speculative: HashMap::new(),
@@ -415,10 +422,7 @@ impl TangoRuntime {
     }
 
     fn hosted_streams(&self) -> Vec<StreamId> {
-        let play = self.play.lock();
-        let mut v: Vec<StreamId> = play.objects.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.play.lock().objects.keys().copied().collect()
     }
 
     fn play_to(&self, target: LogOffset) -> Result<()> {
@@ -429,58 +433,58 @@ impl TangoRuntime {
     /// Processes entries of all hosted streams, in global offset order,
     /// up to (but excluding) `target`.
     ///
-    /// Delivery itself is strictly in-order and per-entry, but the entries
-    /// are pulled from the log in bulk: playback prefetches the upcoming
-    /// window of every hosted cursor into the stream cache in waves, so
-    /// the `read_at` inside the loop is a cache hit. This is what makes
-    /// cold catch-up (a new client replaying a long log) fast.
+    /// Delivery is strictly in order, a run at a time: the stream client
+    /// merges the hosted cursors' next offsets and bulk-fetches their
+    /// entries, the run is applied — which hosted object an entry is
+    /// delivered to is the run's word, fixed when it was merged — and the
+    /// cursors and the applied watermark then move once, past what was
+    /// applied. An error stops the run there: the entry that failed is
+    /// delivered again by the next sync, the ones before it are not. What
+    /// the cursors learn while a run is applied (a commit waiting for its
+    /// decision syncs them) is in a later run, until one comes back empty.
     fn play_to_locked(&self, play: &mut Playback, target: LogOffset) -> Result<()> {
-        // Wave size: how many upcoming offsets per stream are bulk-fetched
-        // ahead of delivery each time the previous wave is consumed.
+        // Offsets per run, and so per bulk fetch.
         const PLAYBACK_WAVE: usize = 256;
-        let mut since_prefetch = PLAYBACK_WAVE;
-        loop {
-            if since_prefetch >= PLAYBACK_WAVE {
-                let mut pending: Vec<LogOffset> = Vec::new();
-                for &oid in play.objects.keys() {
-                    pending.extend(self.stream.pending_below(oid, target, PLAYBACK_WAVE));
-                }
-                pending.sort_unstable();
-                pending.dedup();
-                self.stream.fetch_into_cache(&pending)?;
-                since_prefetch = 0;
+        let mut run = std::mem::take(&mut play.run);
+        let played = loop {
+            if let Err(e) =
+                self.stream.next_run(play.objects.keys(), target, PLAYBACK_WAVE, &mut run)
+            {
+                break Err(e.into());
             }
-            since_prefetch += 1;
-            // The next entry in the merged order: the minimum cursor head.
-            let mut min_off: Option<LogOffset> = None;
-            for &oid in play.objects.keys() {
-                if let Some(off) = self.stream.peek(oid) {
-                    if off < target && min_off.map(|m| off < m).unwrap_or(true) {
-                        min_off = Some(off);
-                    }
-                }
+            if run.offsets().is_empty() {
+                break Ok(());
             }
-            let Some(off) = min_off else { break };
-            if let Some(entry) = self.stream.read_at(off)? {
+            let mut count = 0;
+            let mut outcome = Ok(());
+            for delivery in run.iter() {
                 // A payload this runtime cannot parse (foreign writer) is
                 // skipped rather than wedging playback.
-                if let Ok(record) = decode_from_slice::<LogRecord>(&entry.payload) {
-                    self.process_record(play, record, off, entry.link.as_ref())?;
+                let payload = delivery.entry.map(|entry| &entry.payload[..]);
+                if let Some(Ok(record)) = payload.map(decode_from_slice::<LogRecord>) {
+                    outcome = self.process_record(play, record, &delivery);
+                    if outcome.is_err() {
+                        break;
+                    }
                 }
+                count += 1;
             }
-            // Advance every hosted cursor sitting on this offset.
-            let on_this: Vec<Oid> = play
-                .objects
-                .keys()
-                .filter(|&&oid| self.stream.peek(oid) == Some(off))
-                .copied()
-                .collect();
-            for oid in on_this {
-                self.stream.seek(oid, off + 1);
+            self.stream.advance_past(play.objects.keys(), &run, count);
+            let applied = &run.offsets()[..count];
+            if let Some(&last) = applied.last() {
+                play.position = play.position.max(last + 1);
             }
-            play.position = play.position.max(off + 1);
-            self.metrics.record_applied(log_of_offset(off), raw_of_offset(off) + 1);
-        }
+            // Ascending composite offsets: a log's are together.
+            for of_log in applied.chunk_by(|a, b| log_of_offset(*a) == log_of_offset(*b)) {
+                let last = of_log[of_log.len() - 1];
+                self.metrics.record_applied(log_of_offset(last), raw_of_offset(last) + 1);
+            }
+            if outcome.is_err() {
+                break outcome;
+            }
+        };
+        play.run = run;
+        played?;
         play.position = play.position.max(target);
         if target > 0 {
             // `target` is usually the tail: everything below it in its own
@@ -492,23 +496,31 @@ impl TangoRuntime {
         Ok(())
     }
 
+    /// Applies `data` to the hosted view of `meta.oid`, if there is one.
+    fn apply(&self, play: &Playback, data: &[u8], meta: &ApplyMeta) {
+        if let Some(obj) = play.objects.get(&meta.oid) {
+            let timer = self.metrics.apply_latency_ns.start_sampled(&self.metrics.sampler);
+            obj.sink.apply(data, meta);
+            timer.stop();
+        }
+    }
+
     fn process_record(
         &self,
         play: &mut Playback,
         record: LogRecord,
-        off: LogOffset,
-        link: Option<&CrossLogLink>,
+        delivery: &Delivery<'_>,
     ) -> Result<()> {
+        let off = delivery.offset;
+        let link = delivery.entry.and_then(|entry| entry.link.as_ref());
         match record {
             LogRecord::Update(u) => {
                 // Apply only if this object's cursor is delivering this
                 // entry now (idempotence across late registrations).
-                if play.objects.contains_key(&u.oid) && self.stream.peek(u.oid) == Some(off) {
+                if delivery.is_to(u.oid) {
                     play.versions.record_write(u.oid, u.key, off);
                     let meta = ApplyMeta { offset: off, oid: u.oid, key: u.key, txid: None };
-                    if let Some(obj) = play.objects.get(&u.oid) {
-                        self.metrics.apply_latency_ns.time(|| obj.sink.apply(&u.data, &meta));
-                    }
+                    self.apply(play, &u.data, &meta);
                 }
             }
             LogRecord::Speculative { txid, updates } => {
@@ -530,7 +542,7 @@ impl TangoRuntime {
                     Some(c) => c,
                     None => self.await_decision(play, txid, off, &reads, needs_decision, link)?,
                 };
-                self.finish_commit(play, txid, off, &updates, &speculative, committed)?;
+                self.finish_commit(play, txid, delivery, &updates, &speculative, committed)?;
             }
         }
         Ok(())
@@ -586,11 +598,7 @@ impl TangoRuntime {
         } else {
             Instant::now()
         };
-        let hosted = {
-            let mut v: Vec<StreamId> = play.objects.keys().copied().collect();
-            v.sort_unstable();
-            v
-        };
+        let hosted: Vec<StreamId> = play.objects.keys().copied().collect();
         loop {
             // Scan ahead on hosted streams for the decision record,
             // bulk-fetching each stream's lookahead in one go.
@@ -646,11 +654,12 @@ impl TangoRuntime {
         &self,
         play: &mut Playback,
         txid: TxId,
-        off: LogOffset,
+        delivery: &Delivery<'_>,
         inline: &[UpdateRecord],
         spec_offsets: &[LogOffset],
         committed: bool,
     ) -> Result<()> {
+        let off = delivery.offset;
         play.decided.insert(txid, committed);
         let buffered = play.speculative.remove(&txid).unwrap_or_default();
         if !committed {
@@ -679,14 +688,10 @@ impl TangoRuntime {
         }
         all_updates.extend(inline.iter().cloned());
         for u in all_updates {
-            let hosted_now =
-                play.objects.contains_key(&u.oid) && self.stream.peek(u.oid) == Some(off);
-            if hosted_now {
+            if delivery.is_to(u.oid) {
                 play.versions.record_write(u.oid, u.key, off);
                 let meta = ApplyMeta { offset: off, oid: u.oid, key: u.key, txid: Some(txid) };
-                if let Some(obj) = play.objects.get(&u.oid) {
-                    self.metrics.apply_latency_ns.time(|| obj.sink.apply(&u.data, &meta));
-                }
+                self.apply(play, &u.data, &meta);
             }
         }
         Ok(())

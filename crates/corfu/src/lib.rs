@@ -54,7 +54,7 @@ pub use error::CorfuError;
 pub use layout::LayoutClient;
 pub use projection::{LogLayout, NodeInfo, Projection, ShardMap};
 pub use sequencer::{SequencerServer, SequencerState};
-pub use storage::{CompactionReport, StorageServer, MAX_READ_BATCH};
+pub use storage::{CompactionReport, StorageServer, CHASE_REPLY_BYTES, MAX_READ_BATCH};
 
 /// A reconfiguration epoch. All requests are epoch-stamped; sealed servers
 /// reject stale epochs.

@@ -1,7 +1,5 @@
 //! The storage server: an epoch gate in front of a [`FlashUnit`].
 
-use std::collections::BTreeSet;
-
 use parking_lot::{Mutex, MutexGuard};
 use tango_flash::{FlashError, FlashMetrics, FlashUnit, PageRead, ScrubReport, TierStats};
 use tango_metrics::{EventKind, Registry, Span, SpanKind};
@@ -23,6 +21,12 @@ pub const MAX_COPY_RANGE: u32 = 1024;
 /// (the client chunks), bounding response size and the time the node's lock
 /// is held.
 pub const MAX_READ_BATCH: usize = 1024;
+
+/// Data bytes a [`StorageRequest::ReadChase`] reply may come to hold before
+/// the node stops following backpointers: 32 full 4 KiB pages. The bound a
+/// reader states is in pages (`limit`); this one keeps a stream of large
+/// entries from turning a generous page limit into a megabyte reply.
+pub const CHASE_REPLY_BYTES: usize = 128 * 1024;
 
 /// A CORFU storage node: a write-once flash unit behind an RPC interface,
 /// with epoch-based sealing (§5 failure handling).
@@ -405,7 +409,8 @@ impl StorageServer {
 }
 
 /// The following half of a [`StorageRequest::ReadChase`]: reads, and adds
-/// to `pages` (the requested ones, already read) until they are `limit`, the
+/// to `pages` (the requested ones, already read) until they are `limit` or
+/// one page more could take their data past [`CHASE_REPLY_BYTES`], the
 /// pages that `stream`'s backpointers lead to on this unit, none below
 /// `floor`. Only a page that holds an entry of `stream` with a
 /// relative-format header leads anywhere; whatever else a page holds, it is
@@ -421,27 +426,37 @@ fn chase(
     let mut asked: Vec<u64> = pages.iter().map(|&(addr, _)| addr).collect();
     asked.sort_unstable();
     // The addresses that pages read so far point to and that are still to
-    // read. An entry points below itself, so with the highest taken first no
-    // address comes up twice.
-    let mut ahead = BTreeSet::new();
-    let follow = |ahead: &mut BTreeSet<u64>, (addr, outcome): &(u64, PageOutcome)| {
+    // read, ascending: a handful (an entry points at its stream's previous
+    // few), so a sorted `Vec`. An entry points below itself, so with the
+    // highest taken first no address comes up twice.
+    let mut ahead: Vec<u64> = Vec::new();
+    let follow = |ahead: &mut Vec<u64>, (addr, outcome): &(u64, PageOutcome)| {
         if let PageOutcome::Data(bytes) = outcome {
-            ahead.extend(
-                deltas_of(bytes, stream)
-                    .filter_map(|delta| local_step(delta, stripe))
-                    .filter_map(|step| addr.checked_sub(step))
-                    .filter(|to| *to >= floor && asked.binary_search(to).is_err()),
-            );
+            deltas_of(bytes, stream)
+                .filter_map(|delta| local_step(delta, stripe))
+                .filter_map(|step| addr.checked_sub(step))
+                .filter(|to| *to >= floor && asked.binary_search(to).is_err())
+                .for_each(|to| {
+                    if let Err(at) = ahead.binary_search(&to) {
+                        ahead.insert(at, to);
+                    }
+                });
         }
     };
     pages.iter().for_each(|page| follow(&mut ahead, page));
-    while pages.len() < limit {
-        let Some(addr) = ahead.pop_last() else { break };
+    let data_len = |(_, outcome): &(u64, PageOutcome)| match outcome {
+        PageOutcome::Data(bytes) => bytes.len(),
+        _ => 0,
+    };
+    let mut gathered: usize = pages.iter().map(data_len).sum();
+    while pages.len() < limit && gathered + unit.page_size() <= CHASE_REPLY_BYTES {
+        let Some(addr) = ahead.pop() else { break };
         // A page nobody asked for that cannot be read is not this request's
         // to report: whoever asks for it will hear.
         let Ok(read) = unit.read(addr) else { continue };
         let page = (addr, read.into());
         follow(&mut ahead, &page);
+        gathered += data_len(&page);
         pages.push(page);
     }
 }

@@ -1,8 +1,7 @@
-//! Pipelined-append integration tests: several threads appending through
+//! Concurrent-append integration tests: several threads appending through
 //! one client (or one cluster) at once. They pin offset uniqueness under
 //! concurrent appends over real TCP, and seal/reconfiguration behaviour
-//! while appends are in flight. (The names say "batched" from when these
-//! scenarios also ran with client-side token pooling, which is gone.)
+//! while appends are in flight.
 
 use std::sync::Arc;
 use std::thread;
@@ -12,7 +11,7 @@ use corfu::cluster::{ClusterConfig, LocalCluster, TcpCluster};
 use corfu::reconfig;
 
 #[test]
-fn concurrent_batched_appends_over_tcp_get_unique_offsets() {
+fn concurrent_appends_over_tcp_get_unique_offsets() {
     // Several threads share one client over real TCP: no offset may be
     // handed out twice, and every grant is one sequencer round trip.
     let cluster = TcpCluster::spawn(ClusterConfig::default()).unwrap();
@@ -62,7 +61,7 @@ fn concurrent_batched_appends_over_tcp_get_unique_offsets() {
 }
 
 #[test]
-fn seal_during_pipelined_batched_appends() {
+fn seal_during_concurrent_appends() {
     // Replace the sequencer while appenders are mid-flight. Sealing bumps
     // the epoch: a token granted before it must not write into the sealed
     // epoch or collide with an offset the replacement hands out. Appenders

@@ -259,8 +259,8 @@ impl FileStore {
         // extends past its file (segments are sized at creation).
         let mut first = [0u8; HEADER_LEN + INLINE_READ];
         let first = &mut first[..HEADER_LEN + self.page_size.min(INLINE_READ)];
-        if file.read_exact_at(first, off).is_err() {
-            return Ok(None);
+        if let Err(e) = file.read_exact_at(first, off) {
+            return no_page(e);
         }
         let (header, head) = first.split_at(HEADER_LEN);
         let Some((state, len, crc, _)) = Self::decode_header(header, Some(addr)) else {
@@ -272,14 +272,20 @@ impl FileStore {
                 if len > self.page_size {
                     return Err(FlashError::Corrupt(format!("payload length {len} at {addr}")));
                 }
-                let mut payload = vec![0u8; len];
-                let inline = len.min(head.len());
-                payload[..inline].copy_from_slice(&head[..inline]);
-                file.read_exact_at(&mut payload[inline..], off + (HEADER_LEN + inline) as u64)?;
+                let payload = match head.get(..len) {
+                    Some(whole) => Bytes::copy_from_slice(whole),
+                    None => {
+                        let mut payload = vec![0u8; len];
+                        let (inline, rest) = payload.split_at_mut(head.len());
+                        inline.copy_from_slice(head);
+                        file.read_exact_at(rest, off + (HEADER_LEN + head.len()) as u64)?;
+                        Bytes::from(payload)
+                    }
+                };
                 if crc32c(&payload) != crc {
                     return Err(FlashError::Corrupt(format!("payload CRC mismatch at {addr}")));
                 }
-                Ok(Some((PageKind::Data, Bytes::from(payload))))
+                Ok(Some((PageKind::Data, payload)))
             }
             STATE_JUNK => Ok(Some((PageKind::Junk, Bytes::new()))),
             // Trimmed slots are reported as absent; the unit tracks trims.
@@ -405,10 +411,53 @@ impl FileStore {
     }
 }
 
+/// What a failed read of a slot means. A slot beyond the end of its file —
+/// a truncated segment of a reopened store — holds no page; any other
+/// failure is the device's, and the reader hears it as one.
+fn no_page<T>(e: std::io::Error) -> Result<Option<T>> {
+    match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => Ok(None),
+        _ => Err(e.into()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tmpdir;
+
+    #[test]
+    fn only_a_read_past_the_end_of_a_segment_means_no_page() {
+        use std::io::{Error, ErrorKind};
+        assert_eq!(no_page::<()>(Error::from(ErrorKind::UnexpectedEof)), Ok(None));
+        // EIO, as the kernel reports a failing device.
+        let eio = no_page::<()>(Error::from_raw_os_error(5));
+        assert!(matches!(eio, Err(FlashError::Io(_))), "{eio:?}");
+        for kind in [ErrorKind::PermissionDenied, ErrorKind::InvalidInput, ErrorKind::Other] {
+            assert!(matches!(no_page::<()>(Error::from(kind)), Err(FlashError::Io(_))));
+        }
+    }
+
+    #[test]
+    fn a_truncated_segment_reads_as_no_page_and_a_directory_in_its_place_as_an_error() {
+        let dir = tmpdir("truncated");
+        {
+            let mut store = FileStore::open(&dir, 64, 4).unwrap();
+            store.put(1, PageKind::Data, b"kept").unwrap();
+            store.put(3, PageKind::Data, b"cut off").unwrap();
+        }
+        let slot = (HEADER_LEN + 64) as u64;
+        let seg = OpenOptions::new().write(true).open(dir.join("seg-0.dat")).unwrap();
+        seg.set_len(3 * slot + 8).unwrap();
+        let store = FileStore::open(&dir, 64, 4).unwrap();
+        assert_eq!(store.get(1).unwrap(), Some((PageKind::Data, Bytes::from_static(b"kept"))));
+        assert_eq!(store.get(3).unwrap(), None);
+        // Reading a directory fails with EISDIR: not a page that is absent.
+        fs::remove_file(dir.join("seg-0.dat")).unwrap();
+        fs::create_dir(dir.join("seg-0.dat")).unwrap();
+        assert!(matches!(store.get(1), Err(FlashError::Io(_))), "{:?}", store.get(1));
+        fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn put_get_roundtrip_across_reopen() {

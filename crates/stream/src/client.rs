@@ -10,13 +10,18 @@ use parking_lot::Mutex;
 use tango_metrics::{Counter, Events, Histogram, Registry, SpanKind, Tracer};
 
 use crate::cache::EntryCache;
-use crate::cursor::StreamCursor;
+use crate::cursor::{Run, StreamCursor};
 
 /// Capacity of the decoded-entry cache.
 const CACHE_CAPACITY: usize = 65_536;
-/// Entries fetched per bulk-read round trip (backpointer strides, linear
-/// scans, readahead, playback prefetch).
+/// Entries asked for per bulk-read round trip (linear scans, readahead,
+/// playback).
 const READ_BATCH: usize = 32;
+/// Pages a storage node may answer a backward walk's stride with: the
+/// stride's own window and what the stream's backpointers lead to from
+/// there. The node stops earlier once the reply holds `READ_BATCH` full
+/// pages' worth of bytes.
+const CHASE_PAGES: usize = 256;
 /// After `sync`, up to this many known-but-uncached upcoming member offsets
 /// per stream are bulk-fetched so steady-state `readnext` is a cache hit.
 const PREFETCH_WINDOW: usize = 32;
@@ -266,20 +271,44 @@ impl StreamClient {
         self.cursors.lock().get(&stream).map(|c| c.below(offset).to_vec()).unwrap_or_default()
     }
 
-    /// The next (up to `limit`) unconsumed member offsets of `stream`
-    /// strictly below `below`, in delivery order. Playback uses this to
-    /// bulk-prefetch the exact range it is about to apply.
-    pub fn pending_below(
+    /// Refills `run` with what a merged playback of `streams` delivers next
+    /// below `below` — at most `limit` offsets, merged under one cursor-lock
+    /// acquisition — and bulk-fetches their entries (cache-through, waiting
+    /// out holes). No cursor moves: the caller applies the run and then
+    /// calls [`StreamClient::advance_past`]. An empty run means `streams`
+    /// deliver nothing below `below`.
+    pub fn next_run<'a>(
         &self,
-        stream: StreamId,
+        streams: impl IntoIterator<Item = &'a StreamId>,
         below: LogOffset,
         limit: usize,
-    ) -> Vec<LogOffset> {
-        self.cursors
-            .lock()
-            .get(&stream)
-            .map(|c| c.upcoming(limit).iter().copied().take_while(|&o| o < below).collect())
-            .unwrap_or_default()
+        run: &mut Run,
+    ) -> corfu::Result<()> {
+        {
+            let cursors = self.cursors.lock();
+            run.merge(streams.into_iter().filter_map(|s| cursors.get(s)), below, limit);
+        }
+        self.fetch_many_into(&run.offsets, true, None, &mut run.entries)
+    }
+
+    /// Moves the iterator of each of `streams` past its deliveries among
+    /// `run`'s first `applied` offsets — under one cursor-lock acquisition,
+    /// and past nothing else: what a cursor learnt since the run was merged
+    /// is still to deliver, wherever it sorts.
+    pub fn advance_past<'a>(
+        &self,
+        streams: impl IntoIterator<Item = &'a StreamId>,
+        run: &Run,
+        applied: usize,
+    ) {
+        let delivered = run.delivered(applied);
+        let mut cursors = self.cursors.lock();
+        for stream in streams {
+            let last = delivered.iter().rev().find(|(_, of)| of == stream);
+            if let (Some(&(last, _)), Some(c)) = (last, cursors.get_mut(stream)) {
+                c.advance_through(last);
+            }
+        }
     }
 
     /// The global tail through which `stream`'s membership is known.
@@ -313,8 +342,8 @@ impl StreamClient {
     }
 
     /// Bulk-fetches `offsets` into the entry cache and discards the
-    /// decoded entries. Playback calls this ahead of its in-order delivery
-    /// loop so the per-entry reads inside the loop are cache hits.
+    /// decoded entries, so that reading them one by one afterwards is a
+    /// cache hit each.
     pub fn fetch_into_cache(&self, offsets: &[LogOffset]) -> corfu::Result<()> {
         self.fetch_many(offsets, true, None).map(|_| ())
     }
@@ -366,7 +395,7 @@ impl StreamClient {
     ///
     /// `walking` is the stream whose backward walk the (waiting) fetch is a
     /// stride of, if it is one. The storage nodes then fill each round trip
-    /// up to `READ_BATCH` entries by following that stream's backpointers
+    /// up to `CHASE_PAGES` entries by following that stream's backpointers
     /// themselves, and what they find is cached as readahead is — it is the
     /// walk's next strides. The walk learns nothing from it: it asks for
     /// every offset in turn, and finds most of them here.
@@ -376,7 +405,24 @@ impl StreamClient {
         wait: bool,
         walking: Option<StreamId>,
     ) -> corfu::Result<Vec<Option<Arc<EntryEnvelope>>>> {
-        let mut out: Vec<Option<Arc<EntryEnvelope>>> = vec![None; offsets.len()];
+        let mut out = Vec::new();
+        self.fetch_many_into(offsets, wait, walking, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`StreamClient::fetch_many`] into a buffer the caller keeps.
+    fn fetch_many_into(
+        &self,
+        offsets: &[LogOffset],
+        wait: bool,
+        walking: Option<StreamId>,
+        out: &mut Vec<Option<Arc<EntryEnvelope>>>,
+    ) -> corfu::Result<()> {
+        out.clear();
+        if offsets.is_empty() {
+            return Ok(());
+        }
+        out.resize(offsets.len(), None);
         let mut misses: Vec<(usize, LogOffset)> = Vec::new();
         {
             let cache = self.cache.lock();
@@ -394,7 +440,7 @@ impl StreamClient {
             let (outcomes, chased) = match walking {
                 Some(stream) => {
                     let floor = |log| self.unwalked_floor(stream, compose(log, LOG_OFFSET_MASK));
-                    let chase = Chase { stream, floor: &floor, limit: READ_BATCH };
+                    let chase = Chase { stream, floor: &floor, limit: CHASE_PAGES };
                     self.corfu.wait_read_chase(&addrs, &chase)?
                 }
                 None if wait => (self.corfu.wait_read_many(&addrs)?, Vec::new()),
@@ -411,7 +457,7 @@ impl StreamClient {
                 let _ = self.admit(off, ReadOutcome::Data(bytes), false);
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// The lowest offset that a backward walk of `stream`, arrived at `from`,
@@ -512,8 +558,8 @@ impl StreamClient {
     /// Each stride fetches its whole backpointer window in one bulk read
     /// (the window's entries are due for playback anyway, so the batch
     /// doubles as a cache warmer) — a read the storage nodes extend along
-    /// the stream's backpointers to `READ_BATCH` entries, so that of eight
-    /// strides seven find their window cached (see `fetch_many`). No cursor
+    /// the stream's backpointers to `CHASE_PAGES` entries, so that most
+    /// strides find their window cached (see `fetch_many`). No cursor
     /// lock is held across any of the network reads. Nor is the known set
     /// copied: "is this offset known?" goes to the live cursor. That is
     /// sound against a concurrent `learn` of the same stream because a
@@ -570,15 +616,12 @@ impl StreamClient {
                 // NOTE: the bulk fetch may block while writers finish.
                 let fetched = self.fetch_many(&window, true, Some(stream))?;
                 walked += window.len() as u64;
-                let header = match fetched.last().expect("one result per offset") {
-                    // Junk broke the chain — and a member entry written
-                    // without its header cannot happen with our client, but
-                    // be defensive: linear backward scan (§5), batched,
-                    // over the anchor's own log segment.
-                    None => None,
-                    Some(entry) => entry.header_for(stream).cloned(),
-                };
-                let Some(header) = header else {
+                let oldest_entry = fetched.last().expect("one result per offset").as_ref();
+                // Junk broke the chain — and a member entry written without
+                // its header cannot happen with our client, but be
+                // defensive: linear backward scan (§5), batched, over the
+                // anchor's own log segment.
+                let Some(header) = oldest_entry.and_then(|entry| entry.header_for(stream)) else {
                     let lo = self.unwalked_floor(stream, oldest);
                     walked += self.scan_backward(stream, lo, oldest, &mut discovered)?;
                     break;

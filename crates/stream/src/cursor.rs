@@ -1,4 +1,6 @@
-use corfu::{LogOffset, StreamId};
+use std::sync::Arc;
+
+use corfu::{EntryEnvelope, LogOffset, StreamId};
 
 /// Client-side state for one stream: the reconstructed linked list of
 /// member offsets plus an iterator over it.
@@ -142,6 +144,11 @@ impl StreamCursor {
         moved
     }
 
+    /// Moves the iterator past every offset `<= offset`; never backward.
+    pub fn advance_through(&mut self, offset: LogOffset) {
+        self.next = self.next.max(self.offsets.partition_point(|&o| o <= offset));
+    }
+
     /// Number of known-but-unconsumed entries.
     pub fn backlog(&self) -> usize {
         self.offsets.len() - self.next
@@ -161,6 +168,98 @@ impl StreamCursor {
         let cut = self.offsets.partition_point(|&o| o < horizon);
         self.offsets.drain(..cut);
         self.next = self.next.saturating_sub(cut);
+    }
+}
+
+/// One offset of a [`Run`]: the entry there, and which streams' cursors
+/// deliver it.
+#[derive(Debug, Clone, Copy)]
+pub struct Delivery<'a> {
+    /// The offset delivered.
+    pub offset: LogOffset,
+    /// The entry it holds; `None` for junk or trimmed.
+    pub entry: Option<&'a Arc<EntryEnvelope>>,
+    /// The run's `(offset, stream)` pairs of this offset.
+    streams: &'a [(LogOffset, StreamId)],
+}
+
+impl Delivery<'_> {
+    /// Whether `stream`'s cursor is one of those delivering the entry.
+    pub fn is_to(&self, stream: StreamId) -> bool {
+        self.streams.iter().any(|&(_, to)| to == stream)
+    }
+}
+
+/// The next stretch of several cursors' merged delivery order: the offsets
+/// a playback of those streams delivers next, ascending, each with the
+/// streams delivering it and, once fetched, the entry it holds. A playback
+/// keeps one `Run` and refills it, so a refill allocates nothing once the
+/// buffers have grown.
+#[derive(Debug, Default)]
+pub struct Run {
+    /// `(offset, stream)` for every stream delivering every offset of the
+    /// run, ascending.
+    deliveries: Vec<(LogOffset, StreamId)>,
+    /// The distinct offsets of `deliveries`, ascending.
+    pub(crate) offsets: Vec<LogOffset>,
+    /// Parallel to `offsets` (`None`: junk or trimmed).
+    pub(crate) entries: Vec<Option<Arc<EntryEnvelope>>>,
+}
+
+impl Run {
+    /// Refills the run with what `cursors` deliver next below `below`, at
+    /// most `limit` offsets. Each cursor contributes its next `limit`
+    /// offsets, so none of them can deliver anything unseen before the
+    /// `limit`-th offset of the merge: everything any of the cursors
+    /// delivers up to the run's last offset is in the run. The next merge
+    /// continues behind it; an empty run means the cursors deliver nothing
+    /// below `below`.
+    pub(crate) fn merge<'a>(
+        &mut self,
+        cursors: impl Iterator<Item = &'a StreamCursor>,
+        below: LogOffset,
+        limit: usize,
+    ) {
+        self.deliveries.clear();
+        self.offsets.clear();
+        self.entries.clear();
+        for cursor in cursors {
+            let upcoming = cursor.upcoming(limit);
+            let upcoming = &upcoming[..upcoming.partition_point(|&o| o < below)];
+            self.deliveries.extend(upcoming.iter().map(|&offset| (offset, cursor.id)));
+        }
+        // One cursor's share is sorted already, which the sort sees at once.
+        self.deliveries.sort_unstable();
+        self.offsets.extend(self.deliveries.iter().map(|&(offset, _)| offset));
+        self.offsets.dedup();
+        if let Some(&cut) = self.offsets.get(limit) {
+            self.offsets.truncate(limit);
+            self.deliveries.truncate(self.deliveries.partition_point(|&(o, _)| o < cut));
+        }
+    }
+
+    /// The run's offsets, ascending.
+    pub fn offsets(&self) -> &[LogOffset] {
+        &self.offsets
+    }
+
+    /// The `(offset, stream)` pairs of the run's first `applied` offsets.
+    pub(crate) fn delivered(&self, applied: usize) -> &[(LogOffset, StreamId)] {
+        let end = match self.offsets.get(applied) {
+            Some(&next) => self.deliveries.partition_point(|&(o, _)| o < next),
+            None => self.deliveries.len(),
+        };
+        &self.deliveries[..end]
+    }
+
+    /// The run in delivery order.
+    pub fn iter(&self) -> impl Iterator<Item = Delivery<'_>> {
+        let per_offset = self.deliveries.chunk_by(|a, b| a.0 == b.0);
+        per_offset.zip(&self.entries).map(|(streams, entry)| Delivery {
+            offset: streams[0].0,
+            entry: entry.as_ref(),
+            streams,
+        })
     }
 }
 
@@ -251,5 +350,51 @@ mod tests {
         c.forget_below(3);
         assert_eq!(c.offsets(), &[3, 4, 5]);
         assert_eq!(c.peek(), Some(4));
+    }
+
+    fn cursor(id: StreamId, offsets: &[LogOffset]) -> StreamCursor {
+        let mut c = StreamCursor::new(id);
+        c.extend(offsets.to_vec(), offsets.last().map_or(0, |last| last + 1));
+        c
+    }
+
+    fn deliveries(run: &mut Run) -> Vec<(LogOffset, Vec<StreamId>)> {
+        run.entries.resize(run.offsets.len(), None);
+        let to = |d: &Delivery<'_>| (1..=3).filter(|&s| d.is_to(s)).collect();
+        run.iter().map(|d| (d.offset, to(&d))).collect()
+    }
+
+    #[test]
+    fn a_run_is_the_merge_of_the_cursors_next_offsets_below_the_bound() {
+        let (mut a, b, c) = (cursor(1, &[1, 4, 6, 9]), cursor(2, &[2, 4, 7]), cursor(3, &[]));
+        a.advance();
+        let mut run = Run::default();
+        run.merge([&a, &b, &c].into_iter(), 9, 10);
+        assert_eq!(run.offsets(), &[2, 4, 6, 7]);
+        assert_eq!(
+            deliveries(&mut run),
+            vec![(2, vec![2]), (4, vec![1, 2]), (6, vec![1]), (7, vec![2])]
+        );
+        assert_eq!(run.delivered(0), &[]);
+        assert_eq!(run.delivered(2), &[(2, 2), (4, 1), (4, 2)]);
+        assert_eq!(run.delivered(4).len(), 5);
+        run.merge([&a, &b, &c].into_iter(), 2, 10);
+        assert!(run.offsets().is_empty());
+    }
+
+    #[test]
+    fn a_run_ends_before_any_cursor_could_deliver_what_it_did_not_contribute() {
+        // Two offsets each: stream 1 says nothing about 6 and beyond, so 7
+        // must not be delivered yet — and is not, the run being two long.
+        let (a, b) = (cursor(1, &[1, 5, 6, 8]), cursor(2, &[2, 7]));
+        let mut run = Run::default();
+        run.merge([&a, &b].into_iter(), 100, 2);
+        assert_eq!(run.offsets(), &[1, 2]);
+        run.merge([&a, &b].into_iter(), 100, 3);
+        assert_eq!(deliveries(&mut run), vec![(1, vec![1]), (2, vec![2]), (5, vec![1])]);
+        // An entry of both streams counts once.
+        let b = cursor(2, &[1, 5, 7]);
+        run.merge([&a, &b].into_iter(), 100, 3);
+        assert_eq!(deliveries(&mut run), vec![(1, vec![1, 2]), (5, vec![1, 2]), (6, vec![1])]);
     }
 }

@@ -13,9 +13,10 @@
 //! until it reconnects with what it already knows. The paper counts N/K
 //! reads for N entries, one behind the other; here a stride's read is a
 //! `ReadChase`, which the storage node extends along the stream's
-//! backpointers to its own pages, so a round trip brings 32 entries and
-//! most strides find their window in the entry cache (N/32 round trips;
-//! the walk still looks at every header itself). Junk entries — holes
+//! backpointers to its own pages, so a round trip brings up to 256 entries
+//! (128 KiB of pages at most) and most strides find their window in the
+//! entry cache (N/256 round trips for small entries; the walk still looks
+//! at every header itself). Junk entries — holes
 //! patched after a client crash — carry no headers and break the chain; the
 //! client then falls back to a backward linear scan, exactly as described
 //! in the paper (also batched). After `sync`, a readahead prefetcher bulk-fetches
@@ -33,6 +34,6 @@ mod cursor;
 
 pub use cache::EntryCache;
 pub use client::StreamClient;
-pub use cursor::StreamCursor;
+pub use cursor::{Delivery, Run, StreamCursor};
 
 pub use corfu::{EntryEnvelope, LogOffset, StreamId};

@@ -1,7 +1,8 @@
 //! A backward walk whose strides the storage nodes extend (`ReadChase`): the
-//! walk finds what it would have found reading four entries at a time, in an
-//! eighth of the round trips and without a page read twice — and whatever the
-//! nodes bring along that is not a plain entry is left for the walk to judge.
+//! walk finds what it would have found reading four entries at a time, in a
+//! sixty-fourth of the round trips (small entries) and without a page read
+//! twice — and whatever the nodes bring along that is not a plain entry is
+//! left for the walk to judge.
 //! Each scenario is one generic body run in-process and over TCP.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -10,10 +11,11 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, TcpCluster, Transport};
+use corfu::proto::{PageOutcome, StorageResponse};
 use corfu::reconfig::replace_storage_node;
 use corfu::{
     ClientOptions, ConnFactory, CorfuClient, CrossLogLink, EntryEnvelope, LogOffset, NodeInfo,
-    Projection, ReadOutcome, StreamHeader, StreamId,
+    Projection, ReadOutcome, StreamHeader, StreamId, CHASE_REPLY_BYTES,
 };
 use corfu_stream::StreamClient;
 use tango_metrics::Registry;
@@ -94,8 +96,8 @@ fn sync_and_drain(reader: &StreamClient, stream: StreamId) -> Vec<LogOffset> {
 
 /// Two streams taking turns, 2 000 entries each, as in the benchmark's
 /// catch-up: a cold reader of one of them reads that one's pages once each,
-/// 32 to the round trip.
-fn cold_replay_reads_each_member_once_32_to_the_round_trip<T: Transport>(cluster: &Cluster<T>) {
+/// 256 to the round trip.
+fn cold_replay_reads_each_member_once_256_to_the_round_trip<T: Transport>(cluster: &Cluster<T>) {
     const ENTRIES: usize = 2_000;
     let writer = StreamClient::new(cluster.client().unwrap());
     write_turns(&writer, (0..2 * ENTRIES).map(|turn| 1 + turn as StreamId % 2));
@@ -111,13 +113,79 @@ fn cold_replay_reads_each_member_once_32_to_the_round_trip<T: Transport>(cluster
         "a page read twice, or one of stream 2"
     );
     assert!(
-        storage_calls() <= (ENTRIES / 32 + 4) as u64,
+        storage_calls() <= (ENTRIES / 256 + 4) as u64,
         "{} storage calls for {ENTRIES} entries",
         storage_calls()
     );
 }
 
-on_both_transports!(cold_replay_reads_each_member_once_32_to_the_round_trip, two_by_two());
+on_both_transports!(cold_replay_reads_each_member_once_256_to_the_round_trip, two_by_two());
+
+/// Connections that note the data bytes of the largest `Chased` reply.
+struct WeighChased {
+    inner: Arc<dyn ConnFactory>,
+    heaviest: Arc<Mutex<usize>>,
+}
+
+struct WeighingConn {
+    inner: Arc<dyn ClientConn>,
+    heaviest: Arc<Mutex<usize>>,
+}
+
+impl ConnFactory for WeighChased {
+    fn connect(&self, node: &NodeInfo) -> Arc<dyn ClientConn> {
+        let heaviest = Arc::clone(&self.heaviest);
+        Arc::new(WeighingConn { inner: self.inner.connect(node), heaviest })
+    }
+}
+
+impl ClientConn for WeighingConn {
+    fn call(&self, request: &[u8]) -> tango_rpc::Result<Vec<u8>> {
+        let response = self.inner.call(request)?;
+        if let Ok(StorageResponse::Chased(pages)) = tango_wire::decode_from_slice(&response) {
+            let data = pages.iter().map(|(_, outcome)| match outcome {
+                PageOutcome::Data(bytes) => bytes.len(),
+                _ => 0,
+            });
+            let mut heaviest = self.heaviest.lock().unwrap();
+            *heaviest = data.sum::<usize>().max(*heaviest);
+        }
+        Ok(response)
+    }
+}
+
+/// The page limit is what a reader of small entries gets; entries that fill
+/// their 4 KiB pages stop a reply at 128 KiB, 32 of them — and are still
+/// read once each.
+fn a_reply_of_full_pages_stops_at_128_kib<T: Transport>(cluster: &Cluster<T>) {
+    const ENTRIES: usize = 200;
+    let writer = StreamClient::new(cluster.client().unwrap());
+    for turn in 0..2 * ENTRIES {
+        writer
+            .multiappend(&[1 + turn as StreamId % 2], Bytes::from(vec![turn as u8; 4_000]))
+            .unwrap();
+    }
+    let members = members_by_scan(writer.corfu(), 1);
+    assert_eq!(members.len(), ENTRIES);
+
+    let heaviest = Arc::new(Mutex::new(0));
+    let factory =
+        Arc::new(WeighChased { inner: cluster.conn_factory(), heaviest: Arc::clone(&heaviest) });
+    let registry = Registry::new();
+    let corfu =
+        cluster.client_with_factory(factory, ClientOptions::default(), registry.clone()).unwrap();
+    let reader = StreamClient::new(corfu);
+    let before = pages_read(cluster);
+    assert_eq!(sync_and_drain(&reader, 1), members);
+    assert_eq!(pages_read(cluster) - before, ENTRIES as u64);
+    let heaviest = *heaviest.lock().unwrap();
+    assert!(heaviest <= CHASE_REPLY_BYTES, "a reply of {heaviest} data bytes");
+    assert!(heaviest > CHASE_REPLY_BYTES - 2 * 4_096, "replies stopped early, at {heaviest}");
+    let calls = registry.counter("corfu.client.read_batches").get();
+    assert!(calls <= (ENTRIES / 32 + 4) as u64, "{calls} storage calls for {ENTRIES} entries");
+}
+
+on_both_transports!(a_reply_of_full_pages_stops_at_128_kib, two_by_two());
 
 /// Three streams sharing three replica sets unevenly: a node can follow a
 /// stream only as far as the stream's last four entries include one of its
@@ -298,11 +366,11 @@ fn cross_log_body(
     body.offset
 }
 
-/// Two cross-log bodies among a stream's entries, close enough to its end
-/// that a cold reader's first round trip brings both along unasked: the one
-/// whose anchor committed is delivered, the one whose anchor is junk is not
-/// — nor is it cached on arrival: the walk reads it again when it gets
-/// there, and judges it then.
+/// Two cross-log bodies among a stream's entries, where a cold reader's
+/// first round trip brings both along unasked: the one whose anchor
+/// committed is delivered, the one whose anchor is junk is not — nor is it
+/// cached on arrival: the walk reads it again when it gets there, and judges
+/// it then.
 fn a_cross_log_body_brought_along_is_delivered_only_if_it_committed<T: Transport>(
     cluster: &Cluster<T>,
 ) {
@@ -323,9 +391,9 @@ fn a_cross_log_body_brought_along_is_delivered_only_if_it_committed<T: Transport
     reader.open(stream);
     reader.sync(&[stream]).unwrap();
     // The walk: one round trip from the stream's last four entries, which
-    // brings 28 more, both bodies among them; one for the aborted body when
-    // its turn comes, which brings the two entries still missing, and one
-    // to look at its anchor. Readahead then asks for the aborted body again.
+    // brings the 30 before them, both bodies among them; one for the aborted
+    // body when its turn comes (it was not cached), and one to look at its
+    // anchor. Readahead then asks for the aborted body again.
     assert_eq!(storage_calls(), 3 + 1);
     let (hits, _) = reader.cache_stats();
     assert!(reader.read_at(committed).unwrap().is_some());

@@ -2,7 +2,8 @@
 //! bytes one `StreamClient::sync` allocates while discovering a single new
 //! entry must not grow with the number of entries already known. Measured
 //! with a counting allocator instead of a clock, so the check repeats
-//! exactly. Its own test binary: the allocator is process-wide.
+//! exactly. A cold replay is counted the same way, in allocator calls per
+//! entry. Its own test binary: the allocator is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,6 +15,8 @@ use corfu_stream::StreamClient;
 thread_local! {
     /// Bytes this thread asked the allocator for while `COUNTING`.
     static ALLOCATED: Cell<u64> = const { Cell::new(0) };
+    /// How many times it asked.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
     static COUNTING: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -45,6 +48,7 @@ fn record(bytes: usize) {
     let _ = COUNTING.try_with(|on| {
         if on.get() {
             let _ = ALLOCATED.try_with(|a| a.set(a.get() + bytes as u64));
+            let _ = CALLS.try_with(|c| c.set(c.get() + 1));
         }
     });
 }
@@ -98,4 +102,35 @@ fn sync_allocation_does_not_grow_with_the_stream() {
         large <= 2 * small,
         "one-entry sync allocated {small} B at 100 known entries, {large} B at 10 000"
     );
+}
+
+/// Allocator calls per entry of a cold reader's `sync` and drain of a
+/// 1 024-entry stream — the in-process storage nodes' share of the walk's
+/// round trips included. 6.64 with 32-entry replies and a header cloned per
+/// stride (PR 20); 5.69 now, five of them the decoded entry itself (its
+/// page, headers, backpointers, payload and `Arc`).
+#[test]
+fn a_cold_replay_allocates_a_fixed_number_of_times_per_entry() {
+    const STREAM: u32 = 7;
+    const ENTRIES: u64 = 1_024;
+    let cluster = LocalCluster::new(ClusterConfig::tiny());
+    let writer = StreamClient::new(cluster.client().unwrap());
+    for _ in 0..ENTRIES {
+        writer.multiappend(&[STREAM], Bytes::from_static(b"entry")).unwrap();
+    }
+    let reader = StreamClient::new(cluster.client().unwrap());
+    reader.open(STREAM);
+    CALLS.with(|c| c.set(0));
+    COUNTING.with(|on| on.set(true));
+    let synced = reader.sync(&[STREAM]);
+    let mut drained = 0;
+    while let Ok(Some(_)) = reader.readnext(STREAM) {
+        drained += 1;
+    }
+    COUNTING.with(|on| on.set(false));
+    synced.unwrap();
+    assert_eq!(drained, ENTRIES);
+    let per_entry = CALLS.with(|c| c.get()) as f64 / ENTRIES as f64;
+    println!("cold sync + drain: {per_entry:.2} allocator calls per entry");
+    assert!(per_entry <= 5.75, "a replayed entry cost {per_entry:.2} allocator calls");
 }
