@@ -63,12 +63,9 @@ struct RuntimeMetrics {
     /// Sampled (see `sampler`): an apply is the per-entry step of a replay.
     apply_latency_ns: Histogram,
     sampler: Sampler,
-    conflict_check_latency_ns: Histogram,
-    tx_begin: Counter,
     tx_commit: Counter,
     tx_abort: Counter,
     checkpoints: Counter,
-    trims: Counter,
     /// Backing registry for the lazily bound per-log applied gauges.
     registry: Registry,
     /// Per-log playback watermark gauges (`tango.applied_offset`,
@@ -83,12 +80,9 @@ impl RuntimeMetrics {
         Self {
             apply_latency_ns: registry.histogram("tango.apply_latency_ns"),
             sampler: Sampler::default(),
-            conflict_check_latency_ns: registry.histogram("tango.conflict_check_latency_ns"),
-            tx_begin: registry.counter("tango.tx_begin"),
             tx_commit: registry.counter("tango.tx_commit"),
             tx_abort: registry.counter("tango.tx_abort"),
             checkpoints: registry.counter("tango.checkpoints"),
-            trims: registry.counter("tango.trims"),
             registry: registry.clone(),
             applied: Arc::new(Mutex::new(HashMap::new())),
         }
@@ -843,9 +837,7 @@ impl TangoRuntime {
 
     /// Begins a transaction with options.
     pub fn begin_tx_with(&self, options: TxOptions) -> Result<()> {
-        tx::begin(TxContext::new(self.runtime_id(), options))?;
-        self.metrics.tx_begin.inc();
-        Ok(())
+        tx::begin(TxContext::new(self.runtime_id(), options))
     }
 
     /// Abandons the current transaction without touching the log.
@@ -953,7 +945,6 @@ impl TangoRuntime {
         let committed = {
             let mut play = self.play.lock();
             self.play_to_locked(&mut play, commit_off)?;
-            let timer = self.metrics.conflict_check_latency_ns.start();
             let committed = match commit_link.as_ref() {
                 None => ctx.reads.iter().all(|r| !play.versions.is_stale(r)),
                 Some(link) => {
@@ -976,7 +967,6 @@ impl TangoRuntime {
                     ok
                 }
             };
-            timer.stop();
             play.decided.insert(txid, committed);
             committed
         };
@@ -1001,10 +991,7 @@ impl TangoRuntime {
             self.sync()?;
         }
         let play = self.play.lock();
-        let ok = self
-            .metrics
-            .conflict_check_latency_ns
-            .time(|| ctx.reads.iter().all(|r| !play.versions.is_stale(r)));
+        let ok = ctx.reads.iter().all(|r| !play.versions.is_stale(r));
         Ok(self.count_outcome(ok))
     }
 
@@ -1092,7 +1079,6 @@ impl TangoRuntime {
         let horizon = self.dir_state.lock().trim_horizon();
         if horizon > 0 {
             self.corfu().trim_prefix(horizon)?;
-            self.metrics.trims.inc();
             for oid in self.hosted_streams() {
                 self.stream.forget_below(oid, horizon);
             }
@@ -1145,7 +1131,6 @@ impl TangoRuntime {
         };
         if horizon > 0 {
             self.corfu().trim_prefix(horizon)?;
-            self.metrics.trims.inc();
             for oid in self.hosted_streams() {
                 self.stream.forget_below(oid, horizon);
             }

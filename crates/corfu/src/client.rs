@@ -27,8 +27,8 @@ use crate::proto::{
     WriteRef, WRITE_HEAD_MAX,
 };
 use crate::{
-    compose, log_of_offset, raw_of_offset, CorfuError, Epoch, LogOffset, NodeId, NodeInfo,
-    Projection, Result, StreamId,
+    compose, log_of_offset, CorfuError, Epoch, LogOffset, NodeId, NodeInfo, Projection, Result,
+    StreamId,
 };
 
 /// Creates connections to nodes named by the projection's address book.
@@ -312,14 +312,13 @@ impl CorfuClient {
         groups
     }
 
-    /// Makes one sampling decision for a client operation and spends it on
-    /// both observations: the latency timer and a root trace span. Misses
-    /// (and disabled metrics) get inert handles that cost nothing.
-    fn sampled_root(&self, kind: SpanKind, latency: &tango_metrics::Histogram) -> (Timer, Span) {
+    /// A root trace span for the client operations the sampler selects.
+    /// Misses (and disabled metrics) get an inert span that costs nothing.
+    fn sampled_root(&self, kind: SpanKind) -> Span {
         if self.metrics.sampler.hit() {
-            (latency.start(), self.metrics.tracer.root_forced(kind))
+            self.metrics.tracer.root_forced(kind)
         } else {
-            (Timer::inert(), Span::inert())
+            Span::inert()
         }
     }
 
@@ -513,13 +512,7 @@ impl CorfuClient {
             let (_, local) = proj.map(offset);
             let request = WriteRef::stamp(framed, epoch, local, WriteKind::Data);
             for (pos, &node) in proj.chain_for(offset).iter().enumerate() {
-                let hop = self.metrics.chain_hop_latency_ns.start_sampled(&self.metrics.sampler);
-                let resp = self.call_raw(view, node, request);
-                match resp.is_ok() {
-                    true => hop.stop(),
-                    false => hop.discard(),
-                }
-                match resp? {
+                match self.call_raw(view, node, request)? {
                     StorageResponse::Ok => {}
                     StorageResponse::ErrAlreadyWritten if pos == 0 => {
                         // The head arbitrates: someone else (a hole filler)
@@ -581,8 +574,14 @@ impl CorfuClient {
     /// span whose context rides in every RPC it makes (token grant, chain
     /// writes), so the servers' child spans land in the same trace.
     fn timed_append<T>(&self, append: impl FnOnce() -> Result<T>) -> Result<T> {
-        let (timer, _span) =
-            self.sampled_root(SpanKind::ClientAppend, &self.metrics.append_latency_ns);
+        // One sampling decision, spent on both observations: the latency
+        // timer and the root trace span.
+        let (timer, _span) = if self.metrics.sampler.hit() {
+            let span = self.metrics.tracer.root_forced(SpanKind::ClientAppend);
+            (self.metrics.append_latency_ns.start(), span)
+        } else {
+            (Timer::inert(), Span::inert())
+        };
         let result = append();
         match result.is_ok() {
             true => timer.stop(),
@@ -657,10 +656,7 @@ impl CorfuClient {
                     view.log_metrics[log as usize].appends.inc();
                     return Ok((offset, envelope, observed));
                 }
-                Err(CorfuError::TokenLost { .. }) => {
-                    self.metrics.tokens_lost.inc();
-                    continue;
-                }
+                Err(CorfuError::TokenLost { .. }) => continue,
                 Err(e) => return Err(e),
             }
         }
@@ -737,7 +733,6 @@ impl CorfuClient {
                             // slot will hold junk or a foreign entry, so any
                             // bodies already written resolve aborted. Start
                             // over with fresh tokens in every log.
-                            self.metrics.tokens_lost.inc();
                             self.metrics.events.emit(
                                 tango_metrics::EventKind::CrossLogDecision,
                                 view.proj.epoch_of_log(home_log),
@@ -765,15 +760,10 @@ impl CorfuClient {
     /// Reads the value at `offset` from the chain tail, repairing
     /// half-completed chain writes by propagating the head's value forward.
     pub fn read(&self, offset: LogOffset) -> Result<ReadOutcome> {
-        let (timer, _span) = self.sampled_root(SpanKind::ClientRead, &self.metrics.read_latency_ns);
-        let result = self.with_retry("read", false, &mut self.view(), |view| {
+        let _span = self.sampled_root(SpanKind::ClientRead);
+        self.with_retry("read", false, &mut self.view(), |view| {
             self.read_with(view, &view.proj, offset)
-        });
-        match result.is_ok() {
-            true => timer.stop(),
-            false => timer.discard(),
-        }
-        result
+        })
     }
 
     /// Reads `offset` over `view`'s connections using an explicit projection
@@ -893,7 +883,6 @@ impl CorfuClient {
             });
             match self.call_raw(view, head, &request)? {
                 StorageResponse::Ok => {
-                    view.log_metrics[log as usize].hole_fills.inc();
                     self.metrics.junk_forced.inc();
                     self.metrics.events.emit(
                         tango_metrics::EventKind::JunkForced,
@@ -956,15 +945,10 @@ impl CorfuClient {
         if offsets.is_empty() {
             return Ok(Default::default());
         }
-        let (timer, _span) = self.sampled_root(SpanKind::ClientRead, &self.metrics.read_latency_ns);
-        let result = self.with_retry("read_many", false, &mut self.view(), |view| {
+        let _span = self.sampled_root(SpanKind::ClientRead);
+        self.with_retry("read_many", false, &mut self.view(), |view| {
             self.read_many_with(view, offsets, chase)
-        });
-        match result.is_ok() {
-            true => timer.stop(),
-            false => timer.discard(),
-        }
-        result
+        })
     }
 
     /// The bulk read itself. With a `chase` each group's request is a
@@ -1122,12 +1106,10 @@ impl CorfuClient {
     ///
     /// Random (per-address) trims are the expensive kind for flash — they
     /// punch holes that only a later sequential prefix trim reclaims — so
-    /// they are counted separately (`corfu.client.random_trims`) from the
-    /// [`CorfuClient::trim_prefix`] path.
+    /// the storage nodes count them apart (`corfu.storage.random_trims`)
+    /// from the [`CorfuClient::trim_prefix`] path.
     pub fn trim(&self, offset: LogOffset) -> Result<()> {
-        let mut view = self.view();
-        view.log_metrics[log_of_offset(offset) as usize].random_trims.inc();
-        self.with_retry("trim", false, &mut view, |view| {
+        self.with_retry("trim", false, &mut self.view(), |view| {
             let proj = &view.proj;
             let epoch = proj.epoch_of_log(log_of_offset(offset));
             let (_, local) = proj.map(offset);
@@ -1147,9 +1129,7 @@ impl CorfuClient {
     /// horizons — callers garbage-collect per log.
     pub fn trim_prefix(&self, horizon: LogOffset) -> Result<()> {
         let log = log_of_offset(horizon);
-        let mut view = self.view();
-        view.log_metrics[log as usize].prefix_trim.set(raw_of_offset(horizon) as i64);
-        self.with_retry("trim_prefix", false, &mut view, |view| {
+        self.with_retry("trim_prefix", false, &mut self.view(), |view| {
             let proj = &view.proj;
             let layout = proj.log(log);
             let epoch = layout.epoch;

@@ -32,7 +32,7 @@ use crate::storage::StorageServer;
 use crate::{NodeId, NodeInfo, Projection, Result};
 
 mod transport;
-pub use transport::{HandlerRegistry, InProcess, Tcp, TcpEndpoint, Transport};
+pub use transport::{HandlerRegistry, InProcess, Tcp, Transport};
 
 /// Geometry and tuning for a cluster.
 #[derive(Debug, Clone)]
@@ -201,8 +201,8 @@ pub struct Cluster<T: Transport> {
 /// A deployment in one address space: no sockets, one shared registry.
 pub type LocalCluster = Cluster<InProcess>;
 
-/// A deployment over real TCP sockets on localhost, every node with its
-/// own registry behind an HTTP scrape endpoint.
+/// A deployment over real TCP sockets on localhost, every node with a
+/// registry of its own, served on the node's one port.
 pub type TcpCluster = Cluster<Tcp>;
 
 impl Cluster<InProcess> {
@@ -221,16 +221,17 @@ impl Cluster<InProcess> {
 
 impl Cluster<Tcp> {
     /// Spawns the cluster on ephemeral localhost ports, each node with a
-    /// private registry and a scrape endpoint.
+    /// private registry.
     pub fn spawn(config: ClusterConfig) -> Result<Self> {
         Self::start(Tcp, config)
     }
 
-    /// The live scrape endpoints, as sorted `(node_name, http_addr)` pairs.
-    /// The client-side registry is not listed — it has no HTTP endpoint.
+    /// The live nodes, as sorted `(node_name, addr)` pairs: the addresses
+    /// clients dial are the addresses a monitor asks for snapshots. The
+    /// client-side registry is not listed — no server holds it.
     pub fn scrape_targets(&self) -> Vec<(String, String)> {
-        let http = |n: &Node<Tcp>| (n.name.clone(), n.endpoint.scrape_addr());
-        let mut targets: Vec<_> = self.nodes.lock().values().map(http).collect();
+        let target = |n: &Node<Tcp>| (n.name.clone(), n.endpoint.local_addr().to_string());
+        let mut targets: Vec<_> = self.nodes.lock().values().map(target).collect();
         targets.sort();
         targets
     }
@@ -347,8 +348,8 @@ impl<T: Transport> Cluster<T> {
     }
 
     fn spawn_meta(&self, id: NodeId) -> Result<(ReplicaInfo, Arc<MetaNode>)> {
-        let (info, node) = self.spawn_node(id, "meta", format!("layout-{id}"), |registry| {
-            let node = Arc::new(MetaNode::new().with_metrics(registry));
+        let (info, node) = self.spawn_node(id, "meta", format!("layout-{id}"), |_registry| {
+            let node = Arc::new(MetaNode::new());
             (Arc::clone(&node), Role::Meta(node))
         })?;
         Ok((ReplicaInfo { id, addr: info.addr }, node))

@@ -1,6 +1,6 @@
 //! The [`Transport`] seam of the deployment harness and its two
 //! implementors: [`InProcess`] (a [`HandlerRegistry`], no sockets) and
-//! [`Tcp`] (a [`TcpServer`] plus an [`HttpScrapeServer`] per node).
+//! [`Tcp`] (one [`TcpServer`] per node, answering the snapshot request too).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -9,7 +9,7 @@ use std::time::Duration;
 use parking_lot::RwLock;
 use tango_metrics::{Registry, Snapshot};
 use tango_rpc::{
-    fetch_snapshot, ClientConn, ConnMetrics, HttpScrapeServer, RpcError, RpcHandler, TcpConn,
+    fetch_snapshot, serve_snapshot, ClientConn, ConnMetrics, RpcError, RpcHandler, TcpConn,
     TcpServer,
 };
 
@@ -127,26 +127,15 @@ impl Transport for InProcess {
     }
 }
 
-/// The TCP transport: every node is a [`TcpServer`] on an ephemeral
-/// localhost port plus an [`HttpScrapeServer`] exposing its registry.
+/// The TCP transport: every node is one [`TcpServer`] on an ephemeral
+/// localhost port, serving its handler and — on the same port — its
+/// registry's snapshot ([`serve_snapshot`]).
 #[derive(Clone, Copy, Default)]
 pub struct Tcp;
 
-/// A TCP node's listener and scrape endpoint; dropping it shuts both down.
-pub struct TcpEndpoint {
-    _server: TcpServer,
-    scrape: HttpScrapeServer,
-}
-
-impl TcpEndpoint {
-    /// Where the node's registry is served over HTTP.
-    pub(super) fn scrape_addr(&self) -> String {
-        self.scrape.local_addr().to_string()
-    }
-}
-
 impl Transport for Tcp {
-    type Endpoint = TcpEndpoint;
+    /// The node's server; dropping it shuts the node down.
+    type Endpoint = TcpServer;
     const SHARED_REGISTRY: bool = false;
 
     fn serve(
@@ -154,16 +143,16 @@ impl Transport for Tcp {
         _label: &str,
         handler: Arc<dyn RpcHandler>,
         registry: &Registry,
-    ) -> Result<(String, TcpEndpoint)> {
+    ) -> Result<(String, TcpServer)> {
         // Surface the node's reactor health (connection gauge, dropped
         // accepts) in its own registry so scrapes see transport pressure.
         let options = tango_rpc::ServerOptions {
             metrics: tango_rpc::ServerMetrics::from_registry(registry),
             ..Default::default()
         };
+        let handler = serve_snapshot(registry.clone(), handler);
         let server = TcpServer::spawn_with("127.0.0.1:0", handler, options)?;
-        let scrape = HttpScrapeServer::spawn("127.0.0.1:0", registry.clone())?;
-        Ok((server.local_addr().to_string(), TcpEndpoint { _server: server, scrape }))
+        Ok((server.local_addr().to_string(), server))
     }
 
     fn conn_factory(&self, metrics: &Registry) -> Arc<dyn ConnFactory> {
@@ -173,11 +162,11 @@ impl Transport for Tcp {
         })
     }
 
-    fn kill(&self, endpoint: TcpEndpoint) {
-        drop(endpoint);
+    fn kill(&self, server: TcpServer) {
+        drop(server);
     }
 
-    fn scrape(&self, endpoint: &TcpEndpoint) -> tango_rpc::Result<Snapshot> {
-        fetch_snapshot(&endpoint.scrape_addr(), Duration::from_secs(2))
+    fn scrape(&self, server: &TcpServer) -> tango_rpc::Result<Snapshot> {
+        fetch_snapshot(&server.local_addr().to_string(), Duration::from_secs(2))
     }
 }

@@ -11,9 +11,9 @@ use tango_metrics::{log_scoped, Counter, Events, Gauge, Histogram, Registry, Sam
 
 /// Client-side instruments (`corfu.client.*`).
 ///
-/// The latency histograms on the append/read hot paths are paced by a
-/// shared 1-in-16 [`Sampler`]: the counters stay exact, but only sampled
-/// operations pay the timer's clock reads.
+/// The append latency histogram is paced by a 1-in-16 [`Sampler`]: the
+/// counters stay exact, but only sampled operations pay the timer's clock
+/// reads.
 #[derive(Clone, Default)]
 pub struct ClientMetrics {
     /// Sequencer tokens successfully acquired.
@@ -23,13 +23,6 @@ pub struct ClientMetrics {
     /// End-to-end latency of successful `append_streams` calls, ns
     /// (sampled).
     pub append_latency_ns: Histogram,
-    /// End-to-end latency of successful `read` calls, ns (sampled).
-    pub read_latency_ns: Histogram,
-    /// Latency of one storage write in a chain-replicated append, ns
-    /// (sampled).
-    pub chain_hop_latency_ns: Histogram,
-    /// Holes this client patched with junk.
-    pub hole_fills: Counter,
     /// Polls — one bulk re-read of whatever is still unwritten — spent in
     /// `wait_read_many` before every offset resolved (or was filled).
     pub hole_polls: Counter,
@@ -37,8 +30,6 @@ pub struct ClientMetrics {
     pub read_batches: Counter,
     /// Operations retried because a server reported a newer epoch.
     pub seal_retries: Counter,
-    /// Append tokens lost to a racing hole-filler.
-    pub tokens_lost: Counter,
     /// Holes currently being chased by this client (raised when a fill
     /// starts, lowered when it resolves). The health plane reads this as
     /// `corfu.client.hole_backlog`.
@@ -46,7 +37,7 @@ pub struct ClientMetrics {
     /// Fills that actually forced junk into the log (as opposed to
     /// discovering the slow writer won).
     pub junk_forced: Counter,
-    /// Gate pacing the latency histograms above. The client's root trace
+    /// Gate pacing the latency histogram above. The client's root trace
     /// spans share the same gate, so one sampling decision covers both
     /// the latency timer and the span (see `CorfuClient::append_streams`).
     pub sampler: Sampler,
@@ -63,13 +54,9 @@ impl ClientMetrics {
             tokens: registry.counter("corfu.client.tokens"),
             tail_queries: registry.counter("corfu.client.tail_queries"),
             append_latency_ns: registry.histogram("corfu.client.append_latency_ns"),
-            read_latency_ns: registry.histogram("corfu.client.read_latency_ns"),
-            chain_hop_latency_ns: registry.histogram("corfu.client.chain_hop_latency_ns"),
-            hole_fills: registry.counter("corfu.client.hole_fills"),
             hole_polls: registry.counter("corfu.hole_polls"),
             read_batches: registry.counter("corfu.client.read_batches"),
             seal_retries: registry.counter("corfu.client.seal_retries"),
-            tokens_lost: registry.counter("corfu.client.tokens_lost"),
             hole_backlog: registry.gauge(tango_metrics::health::GAUGE_HOLE_BACKLOG),
             junk_forced: registry.counter(tango_metrics::health::COUNTER_JUNK_FORCED),
             sampler: Sampler::default(),
@@ -79,36 +66,19 @@ impl ClientMetrics {
     }
 }
 
-/// Per-log client instruments for a sharded deployment: the hot counters
-/// that are worth telling apart by shard. Log 0 keeps the historical
-/// bare names (see [`log_scoped`]) — `corfu.client.hole_fills` for log 0
-/// is the *same cell* as [`ClientMetrics::hole_fills`] — so single-log
-/// snapshots stay byte-identical to pre-sharding output.
+/// Per-log client instruments for a sharded deployment: what is worth
+/// telling apart by shard. Log 0 keeps the bare name (see [`log_scoped`]).
 #[derive(Clone, Default)]
 pub struct ClientLogMetrics {
     /// Appends committed to this log (counting each part of a cross-log
     /// multiappend against the log it landed in).
     pub appends: Counter,
-    /// Holes this client patched in this log.
-    pub hole_fills: Counter,
-    /// Per-address trims this client issued against this log (hole
-    /// handling and explicit `trim` calls) — random trims, the kind that
-    /// wears flash (§2.2).
-    pub random_trims: Counter,
-    /// The highest prefix-trim horizon (raw, within-log offset) this
-    /// client has driven for this log.
-    pub prefix_trim: Gauge,
 }
 
 impl ClientLogMetrics {
     /// Binds the log-scoped `corfu.client.*` names in `registry`.
     pub fn for_log(registry: &Registry, log: u64) -> Self {
-        Self {
-            appends: registry.counter(&log_scoped("corfu.client.appends", log)),
-            hole_fills: registry.counter(&log_scoped("corfu.client.hole_fills", log)),
-            random_trims: registry.counter(&log_scoped("corfu.client.random_trims", log)),
-            prefix_trim: registry.gauge(&log_scoped("corfu.client.prefix_trim", log)),
-        }
+        Self { appends: registry.counter(&log_scoped("corfu.client.appends", log)) }
     }
 }
 
@@ -122,12 +92,6 @@ impl ClientLogMetrics {
 pub struct SequencerMetrics {
     /// Tokens granted (`Next` and `NextObserve` requests that succeeded).
     pub tokens_granted: Counter,
-    /// Backpointer lookups served (`Query` requests that succeeded).
-    pub backpointer_lookups: Counter,
-    /// Seals accepted.
-    pub seals: Counter,
-    /// Remapped-stream windows adopted from another log.
-    pub adoptions: Counter,
     /// The highest raw offset granted (`corfu.seq.tail`, log-scoped).
     /// The health plane compares it against the runtime applied
     /// watermark to compute apply lag.
@@ -152,10 +116,6 @@ impl SequencerMetrics {
     pub fn for_log(registry: &Registry, log: u64) -> Self {
         Self {
             tokens_granted: registry.counter(&log_scoped("corfu.seq.tokens_granted", log)),
-            backpointer_lookups: registry
-                .counter(&log_scoped("corfu.seq.backpointer_lookups", log)),
-            seals: registry.counter(&log_scoped("corfu.seq.seals", log)),
-            adoptions: registry.counter(&log_scoped("corfu.seq.adoptions", log)),
             tail: registry.gauge(&log_scoped(tango_metrics::health::GAUGE_SEQ_TAIL, log)),
             epoch: registry.gauge(&log_scoped(tango_metrics::health::GAUGE_EPOCH, log)),
             tracer: registry.tracer(),
@@ -170,7 +130,7 @@ impl SequencerMetrics {
 /// The request counters keep their historical bare names even in sharded
 /// deployments (every node bound to one registry aggregates); the trim
 /// accounting and the occupancy/tiering family added for the reclamation
-/// loop are log-scoped via [`log_scoped`] so `/metrics` tells the shards
+/// loop are log-scoped via [`log_scoped`] so a snapshot tells the shards
 /// apart (log 0 keeps bare names).
 #[derive(Clone, Default)]
 pub struct StorageMetrics {
@@ -178,14 +138,6 @@ pub struct StorageMetrics {
     pub reads: Counter,
     /// Successful data writes.
     pub writes: Counter,
-    /// Successful junk fills.
-    pub fills: Counter,
-    /// Seals accepted.
-    pub seals: Counter,
-    /// Trim operations accepted (single-offset and prefix).
-    pub trims: Counter,
-    /// `CopyRange` chunks served to a rebuild coordinator.
-    pub copy_chunks: Counter,
     /// Sizes of the `ReadBatch` requests this node served (pages per
     /// batch).
     pub read_batch: Histogram,
@@ -197,8 +149,6 @@ pub struct StorageMetrics {
     /// Per-address trims accepted (`corfu.storage.random_trims`,
     /// log-scoped) — the expensive kind of reclamation on flash (§2.2).
     pub random_trims: Counter,
-    /// `TrimPrefix` requests accepted (log-scoped).
-    pub prefix_trims: Counter,
     /// Pages released by sequential prefix trims
     /// (`corfu.storage.prefix_trimmed_pages`, log-scoped).
     pub prefix_trimmed_pages: Counter,
@@ -218,8 +168,6 @@ pub struct StorageMetrics {
     pub migrated_pages: Counter,
     /// Live pages released by tiered reclamation (log-scoped).
     pub reclaimed_pages: Counter,
-    /// Whole segment files reclaimed below the horizon (log-scoped).
-    pub reclaimed_segments: Counter,
     /// Pages whose checksums the scrub pass verified (log-scoped).
     pub scrubbed_pages: Counter,
     /// Scrub checksum failures, plus one per background pass that hit a
@@ -246,14 +194,9 @@ impl StorageMetrics {
         Self {
             reads: registry.counter("corfu.storage.reads"),
             writes: registry.counter("corfu.storage.writes"),
-            fills: registry.counter("corfu.storage.fills"),
-            seals: registry.counter("corfu.storage.seals"),
-            trims: registry.counter("corfu.storage.trims"),
-            copy_chunks: registry.counter("corfu.storage.copy_chunks"),
             read_batch: registry.histogram("corfu.storage.read_batch"),
             queue_wait_ns: registry.histogram("flash.queue_wait_ns"),
             random_trims: registry.counter(&log_scoped("corfu.storage.random_trims", log)),
-            prefix_trims: registry.counter(&log_scoped("corfu.storage.prefix_trims", log)),
             prefix_trimmed_pages: registry
                 .counter(&log_scoped("corfu.storage.prefix_trimmed_pages", log)),
             occupancy: registry.gauge(&log_scoped(GAUGE_OCCUPANCY, log)),
@@ -263,8 +206,6 @@ impl StorageMetrics {
             migrations: registry.counter(&log_scoped("corfu.storage.migrations", log)),
             migrated_pages: registry.counter(&log_scoped("corfu.storage.migrated_pages", log)),
             reclaimed_pages: registry.counter(&log_scoped("corfu.storage.reclaimed_pages", log)),
-            reclaimed_segments: registry
-                .counter(&log_scoped("corfu.storage.reclaimed_segments", log)),
             scrubbed_pages: registry.counter(&log_scoped("corfu.storage.scrubbed_pages", log)),
             scrub_errors: registry.counter(&log_scoped("corfu.storage.scrub_errors", log)),
             sampler: Sampler::default(),
@@ -280,22 +221,9 @@ impl StorageMetrics {
 /// acceptable there.
 #[derive(Clone, Default)]
 pub struct ReconfigMetrics {
-    /// Completed sequencer replacements.
-    pub seq_replacements: Counter,
-    /// Completed storage-node replacements (chain rebuilds).
-    pub storage_replacements: Counter,
-    /// Completed membership-preserving epoch bumps.
-    pub epoch_bumps: Counter,
     /// Completed stream remaps (stream moved to another log of a sharded
     /// deployment).
     pub stream_remaps: Counter,
-    /// Reconfigurations abandoned because a concurrent reconfigurer won
-    /// (seal race or layout CAS conflict).
-    pub races_lost: Counter,
-    /// Pages copied to a replacement node per rebuild.
-    pub rebuild_pages: Histogram,
-    /// Payload bytes copied to a replacement node per rebuild.
-    pub rebuild_bytes: Histogram,
     /// Control-plane event journal (seals, projection installs, remaps,
     /// replica replacements) — the flight recorder of the coordinating
     /// client.
@@ -306,13 +234,7 @@ impl ReconfigMetrics {
     /// Binds the `corfu.reconfig.*` names in `registry`.
     pub fn from_registry(registry: &Registry) -> Self {
         Self {
-            seq_replacements: registry.counter("corfu.reconfig.seq_replacements"),
-            storage_replacements: registry.counter("corfu.reconfig.storage_replacements"),
-            epoch_bumps: registry.counter("corfu.reconfig.epoch_bumps"),
             stream_remaps: registry.counter("corfu.reconfig.stream_remaps"),
-            races_lost: registry.counter("corfu.reconfig.races_lost"),
-            rebuild_pages: registry.histogram("corfu.reconfig.rebuild_pages"),
-            rebuild_bytes: registry.histogram("corfu.reconfig.rebuild_bytes"),
             events: registry.events(),
         }
     }

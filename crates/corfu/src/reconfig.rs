@@ -137,7 +137,6 @@ pub fn replace_sequencer_in_log(
                 StorageResponse::ErrSealed { epoch } if epoch >= log_epoch => {
                     // Another reconfigurer got here first; bail out and let
                     // the layout CAS pick the winner.
-                    metrics.races_lost.inc();
                     return Err(CorfuError::RaceLost { winner: epoch });
                 }
                 other => {
@@ -179,13 +178,9 @@ pub fn replace_sequencer_in_log(
     // 5. Publish the projection.
     match client.layout().propose(new_proj.clone())? {
         None => {}
-        Some(winner) => {
-            metrics.races_lost.inc();
-            return Err(CorfuError::RaceLost { winner: winner.epoch });
-        }
+        Some(winner) => return Err(CorfuError::RaceLost { winner: winner.epoch }),
     }
     client.refresh_layout()?;
-    metrics.seq_replacements.inc();
     metrics.events.emit(
         tango_metrics::EventKind::ProjectionInstalled,
         new_proj.epoch,
@@ -254,7 +249,6 @@ pub fn replace_storage_node(
         // The node is in no chain: a concurrent replacement already spliced
         // it out (it may even have started after ours and still won the
         // CAS first). Converge instead of failing.
-        metrics.races_lost.inc();
         return Err(CorfuError::RaceLost { winner: old.epoch });
     }
     if owning.len() > 1 {
@@ -301,8 +295,7 @@ pub fn replace_storage_node(
             StorageResponse::Tail(_) => {}
             StorageResponse::ErrSealed { epoch } if epoch == new_epoch => {}
             StorageResponse::ErrSealed { epoch } => {
-                metrics.races_lost.inc();
-                return Err(CorfuError::RaceLost { winner: epoch });
+                return Err(CorfuError::RaceLost { winner: epoch })
             }
             other => return Err(CorfuError::Storage(format!("seal of node {node}: {other:?}"))),
         }
@@ -323,8 +316,7 @@ pub fn replace_storage_node(
         SequencerResponse::Ok => {}
         SequencerResponse::ErrSealed { epoch } if epoch == new_epoch => {}
         SequencerResponse::ErrSealed { epoch } => {
-            metrics.races_lost.inc();
-            return Err(CorfuError::RaceLost { winner: epoch });
+            return Err(CorfuError::RaceLost { winner: epoch })
         }
         other => return Err(CorfuError::Layout(format!("sequencer seal failed: {other:?}"))),
     }
@@ -335,10 +327,7 @@ pub fn replace_storage_node(
     match raw_storage_call(&repl_conn, &StorageRequest::Seal { epoch: new_epoch })? {
         StorageResponse::Tail(_) => {}
         StorageResponse::ErrSealed { epoch } if epoch == new_epoch => {}
-        StorageResponse::ErrSealed { epoch } => {
-            metrics.races_lost.inc();
-            return Err(CorfuError::RaceLost { winner: epoch });
-        }
+        StorageResponse::ErrSealed { epoch } => return Err(CorfuError::RaceLost { winner: epoch }),
         other => return Err(CorfuError::Storage(format!("replacement seal: {other:?}"))),
     }
 
@@ -364,15 +353,9 @@ pub fn replace_storage_node(
     debug_assert_eq!(new_proj.epoch_of_log(log), new_epoch);
     match client.layout().propose(new_proj.clone())? {
         None => {}
-        Some(winner) => {
-            metrics.races_lost.inc();
-            return Err(CorfuError::RaceLost { winner: winner.epoch });
-        }
+        Some(winner) => return Err(CorfuError::RaceLost { winner: winner.epoch }),
     }
     client.refresh_layout()?;
-    metrics.storage_replacements.inc();
-    metrics.rebuild_pages.record(pages_copied);
-    metrics.rebuild_bytes.record(bytes_copied);
     metrics.events.emit(
         tango_metrics::EventKind::ReplicaReplaced,
         new_proj.epoch,
@@ -643,11 +626,9 @@ pub fn bump_epoch(client: &CorfuClient) -> Result<(Epoch, LogOffset)> {
         nodes: old.nodes.clone(),
     };
     if let Some(winner) = client.layout().propose(new_proj)? {
-        metrics.races_lost.inc();
         return Err(CorfuError::RaceLost { winner: winner.epoch });
     }
     client.refresh_layout()?;
-    metrics.epoch_bumps.inc();
     metrics.events.emit(tango_metrics::EventKind::ProjectionInstalled, old.epoch + 1, 0, tail);
     Ok((old.epoch + 1, tail))
 }
@@ -667,8 +648,7 @@ pub fn seal_log(client: &CorfuClient, log: u32) -> Result<(Epoch, LogOffset)> {
             match client.storage_call(node, &StorageRequest::Seal { epoch: new_epoch })? {
                 StorageResponse::Tail(t) => local_tails[set_idx] = local_tails[set_idx].max(t),
                 StorageResponse::ErrSealed { epoch } => {
-                    metrics.races_lost.inc();
-                    return Err(CorfuError::RaceLost { winner: epoch });
+                    return Err(CorfuError::RaceLost { winner: epoch })
                 }
                 other => {
                     return Err(CorfuError::Storage(format!("seal of node {node}: {other:?}")))
@@ -684,8 +664,7 @@ pub fn seal_log(client: &CorfuClient, log: u32) -> Result<(Epoch, LogOffset)> {
     match decode_from_slice::<SequencerResponse>(&resp)? {
         SequencerResponse::Ok => {}
         SequencerResponse::ErrSealed { epoch } => {
-            metrics.races_lost.inc();
-            return Err(CorfuError::RaceLost { winner: epoch });
+            return Err(CorfuError::RaceLost { winner: epoch })
         }
         other => return Err(CorfuError::Layout(format!("sequencer seal failed: {other:?}"))),
     }
@@ -698,11 +677,9 @@ pub fn seal_log(client: &CorfuClient, log: u32) -> Result<(Epoch, LogOffset)> {
         nodes: old.nodes.clone(),
     };
     if let Some(winner) = client.layout().propose(new_proj)? {
-        metrics.races_lost.inc();
         return Err(CorfuError::RaceLost { winner: winner.epoch });
     }
     client.refresh_layout()?;
-    metrics.epoch_bumps.inc();
     let sealed_tail = layout.tail_from_local(&local_tails);
     metrics.events.emit(tango_metrics::EventKind::Sealed, new_epoch, log as u64, sealed_tail);
     metrics.events.emit(
@@ -762,8 +739,7 @@ pub fn remap_stream(client: &CorfuClient, stream: StreamId, to_log: u32) -> Resu
                 StorageResponse::Tail(_) => {}
                 StorageResponse::ErrSealed { epoch: e } if e == epoch => {}
                 StorageResponse::ErrSealed { epoch: e } => {
-                    metrics.races_lost.inc();
-                    return Err(CorfuError::RaceLost { winner: e });
+                    return Err(CorfuError::RaceLost { winner: e })
                 }
                 other => {
                     return Err(CorfuError::Storage(format!("seal of node {node}: {other:?}")))
@@ -774,8 +750,7 @@ pub fn remap_stream(client: &CorfuClient, stream: StreamId, to_log: u32) -> Resu
             SequencerResponse::Ok => {}
             SequencerResponse::ErrSealed { epoch: e } if e == epoch => {}
             SequencerResponse::ErrSealed { epoch: e } => {
-                metrics.races_lost.inc();
-                return Err(CorfuError::RaceLost { winner: e });
+                return Err(CorfuError::RaceLost { winner: e })
             }
             other => return Err(CorfuError::Layout(format!("sequencer seal failed: {other:?}"))),
         }
@@ -792,8 +767,7 @@ pub fn remap_stream(client: &CorfuClient, stream: StreamId, to_log: u32) -> Resu
             backpointers.into_iter().next().unwrap_or_default()
         }
         SequencerResponse::ErrSealed { epoch } => {
-            metrics.races_lost.inc();
-            return Err(CorfuError::RaceLost { winner: epoch });
+            return Err(CorfuError::RaceLost { winner: epoch })
         }
         other => return Err(CorfuError::Codec(format!("unexpected query response {other:?}"))),
     };
@@ -807,8 +781,7 @@ pub fn remap_stream(client: &CorfuClient, stream: StreamId, to_log: u32) -> Resu
     )? {
         SequencerResponse::Ok => {}
         SequencerResponse::ErrSealed { epoch } => {
-            metrics.races_lost.inc();
-            return Err(CorfuError::RaceLost { winner: epoch });
+            return Err(CorfuError::RaceLost { winner: epoch })
         }
         other => return Err(CorfuError::Codec(format!("unexpected adopt response {other:?}"))),
     }
@@ -825,10 +798,7 @@ pub fn remap_stream(client: &CorfuClient, stream: StreamId, to_log: u32) -> Resu
     };
     match client.layout().propose(new_proj.clone())? {
         None => {}
-        Some(winner) => {
-            metrics.races_lost.inc();
-            return Err(CorfuError::RaceLost { winner: winner.epoch });
-        }
+        Some(winner) => return Err(CorfuError::RaceLost { winner: winner.epoch }),
     }
     client.refresh_layout()?;
     metrics.stream_remaps.inc();

@@ -161,7 +161,6 @@ impl SequencerServer {
                     return SequencerResponse::ErrSealed { epoch: inner.epoch };
                 }
                 let backpointers = inner.last_k(&streams);
-                self.metrics.backpointer_lookups.inc();
                 SequencerResponse::TailInfo { tail: inner.tail, backpointers }
             }
             SequencerRequest::Seal { epoch } => {
@@ -169,7 +168,6 @@ impl SequencerServer {
                     return SequencerResponse::ErrSealed { epoch: inner.epoch };
                 }
                 inner.epoch = epoch;
-                self.metrics.seals.inc();
                 self.metrics.epoch.set(epoch as i64);
                 self.metrics.events.emit(
                     tango_metrics::EventKind::Sealed,
@@ -224,7 +222,6 @@ impl SequencerServer {
                 }
                 merged.truncate(self.k);
                 *entry = merged;
-                self.metrics.adoptions.inc();
                 self.metrics.events.emit(
                     tango_metrics::EventKind::StreamAdopted,
                     epoch,

@@ -196,7 +196,6 @@ impl StorageServer {
         self.metrics.migrated_pages.add(tier.migrated_pages - base.migrated_pages);
         self.metrics.reclaimed_pages.add(tier.reclaimed_pages - base.reclaimed_pages);
         let reclaimed_segments = tier.reclaimed_segments - base.reclaimed_segments;
-        self.metrics.reclaimed_segments.add(reclaimed_segments);
 
         if tier.migrated_pages > base.migrated_pages {
             self.metrics.events.emit(
@@ -249,15 +248,14 @@ impl StorageServer {
         if let Err(resp) = inner.check_epoch(write.epoch) {
             return resp;
         }
-        let (result, served) = match write.kind {
-            WriteKind::Data => (inner.unit.write(write.addr, write.payload), &self.metrics.writes),
-            WriteKind::Junk => (inner.unit.fill(write.addr), &self.metrics.fills),
+        let result = match write.kind {
+            WriteKind::Data => {
+                inner.unit.write(write.addr, write.payload).map(|()| self.metrics.writes.inc())
+            }
+            WriteKind::Junk => inner.unit.fill(write.addr),
         };
         match result {
-            Ok(()) => {
-                served.inc();
-                StorageResponse::Ok
-            }
+            Ok(()) => StorageResponse::Ok,
             Err(e) => Inner::flash_error(e),
         }
     }
@@ -344,7 +342,6 @@ impl StorageServer {
                 }
                 match inner.unit.trim(addr) {
                     Ok(()) => {
-                        self.metrics.trims.inc();
                         self.publish(&mut inner);
                         StorageResponse::Ok
                     }
@@ -357,8 +354,6 @@ impl StorageServer {
                 }
                 match inner.unit.trim_prefix(horizon) {
                     Ok(()) => {
-                        self.metrics.trims.inc();
-                        self.metrics.prefix_trims.inc();
                         self.publish(&mut inner);
                         StorageResponse::Ok
                     }
@@ -367,10 +362,7 @@ impl StorageServer {
             }
             // The unit refuses an epoch at or below its own as `Sealed`.
             StorageRequest::Seal { epoch } => match inner.unit.seal(epoch) {
-                Ok(tail) => {
-                    self.metrics.seals.inc();
-                    StorageResponse::Tail(tail)
-                }
+                Ok(tail) => StorageResponse::Tail(tail),
                 Err(e) => Inner::flash_error(e),
             },
             StorageRequest::LocalTail { epoch } => {
@@ -401,7 +393,6 @@ impl StorageServer {
                         Err(e) => return Inner::flash_error(e),
                     }
                 }
-                self.metrics.copy_chunks.inc();
                 StorageResponse::PageChunk { local_tail, prefix_trim, next, pages }
             }
         }

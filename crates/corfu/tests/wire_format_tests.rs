@@ -220,3 +220,17 @@ proptest! {
         }
     }
 }
+
+/// The snapshot request shares a port with every service, so it must not be
+/// a request of any of them: a node without the wrapper refuses it rather
+/// than acting on it.
+#[test]
+fn no_service_decoder_accepts_the_snapshot_request() {
+    use corfu::proto::SequencerRequest;
+    use tango_meta::proto::MetaRequest;
+    use tango_rpc::SNAPSHOT_REQUEST;
+
+    assert!(decode_from_slice::<StorageRequest>(SNAPSHOT_REQUEST).is_err());
+    assert!(decode_from_slice::<SequencerRequest>(SNAPSHOT_REQUEST).is_err());
+    assert!(decode_from_slice::<MetaRequest>(SNAPSHOT_REQUEST).is_err());
+}

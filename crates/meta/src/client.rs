@@ -160,7 +160,6 @@ impl MetaClient {
     /// One replica round trip. Transport failures drop the cached
     /// connection (the next attempt re-dials) and count as a failover.
     fn call_replica(&self, replica: &ReplicaInfo, req: &MetaRequest) -> Result<MetaResponse> {
-        self.metrics.quorum_rtts.inc();
         let conn = self.conn(replica);
         match conn.call(&encode_to_vec(req)) {
             Ok(bytes) => match decode_from_slice::<MetaResponse>(&bytes)? {
@@ -212,10 +211,7 @@ impl MetaClient {
     /// installed; `Ok(Some(winner))` means write-once arbitration picked a
     /// different record (read your own winner back from it).
     pub fn propose_at(&self, pos: Position, record: Bytes) -> Result<Option<Bytes>> {
-        self.metrics.proposals.inc();
-        let rtts_before = self.metrics.quorum_rtts.get();
         let outcome = self.with_quorum_retry(|| self.propose_round(pos, &record))?;
-        self.metrics.round_trips_per_op.record(self.metrics.quorum_rtts.get() - rtts_before);
         // The journal records what the quorum decided at this position:
         // detail 1 = our record installed, 0 = an incumbent won arbitration.
         match &outcome {
@@ -224,7 +220,6 @@ impl MetaClient {
                 self.metrics.events.emit(tango_metrics::EventKind::ProjectionInstalled, pos, 0, 1);
             }
             Some(_) => {
-                self.metrics.conflicts.inc();
                 self.metrics.events.emit(tango_metrics::EventKind::ProjectionInstalled, pos, 0, 0);
             }
         }
@@ -284,10 +279,7 @@ impl MetaClient {
     /// lowest-indexed written replica is copied to unwritten ones until a
     /// majority holds it.
     pub fn read_decided(&self, pos: Position) -> Result<Option<Bytes>> {
-        let rtts_before = self.metrics.quorum_rtts.get();
-        let decided = self.with_quorum_retry(|| self.read_round(pos))?;
-        self.metrics.round_trips_per_op.record(self.metrics.quorum_rtts.get() - rtts_before);
-        Ok(decided)
+        self.with_quorum_retry(|| self.read_round(pos))
     }
 
     fn read_round(&self, pos: Position) -> Result<Round<Option<Bytes>>> {
@@ -313,7 +305,6 @@ impl MetaClient {
         // Decided already?
         for (_, candidate) in &written {
             if written.iter().filter(|(_, r)| r == candidate).count() >= needed {
-                self.metrics.reads.inc();
                 return Ok(Round::Done(Some(candidate.clone())));
             }
         }
@@ -351,7 +342,6 @@ impl MetaClient {
             self.metrics.events.emit(tango_metrics::EventKind::QuorumRepair, pos, 0, repaired);
         }
         if acks >= needed {
-            self.metrics.reads.inc();
             Ok(Round::Done(Some(value)))
         } else {
             Ok(Round::NoQuorum { reachable, needed })

@@ -1,21 +1,13 @@
 //! Instrument bundles for the metalog (`meta.*`).
 
-use tango_metrics::{Counter, Events, Histogram, Registry};
+use tango_metrics::{Counter, Events, Registry};
 
 /// Client-side metalog instruments (`meta.*`). Control-plane traffic is
 /// cold, so every observation is exact (no sampling).
 #[derive(Clone, Default)]
 pub struct MetaMetrics {
-    /// Proposals attempted (one per `propose_at` call, not per retry).
-    pub proposals: Counter,
     /// Proposals that installed this client's record.
     pub installs: Counter,
-    /// Proposals that lost write-once arbitration to another record.
-    pub conflicts: Counter,
-    /// Decided quorum reads served (including those inside `latest`).
-    pub reads: Counter,
-    /// Replica round trips issued by quorum operations.
-    pub quorum_rtts: Counter,
     /// Replica calls that failed and were skipped (the quorum carried on
     /// without that replica).
     pub failovers: Counter,
@@ -25,8 +17,6 @@ pub struct MetaMetrics {
     /// Records copied to lagging or fresh replicas (position repair and
     /// replacement catch-up).
     pub catchup_reads: Counter,
-    /// Replica round trips needed per quorum operation.
-    pub round_trips_per_op: Histogram,
     /// Control-plane event journal (quorum repairs, decided proposals).
     pub events: Events,
 }
@@ -35,45 +25,11 @@ impl MetaMetrics {
     /// Binds the `meta.*` names in `registry`.
     pub fn from_registry(registry: &Registry) -> Self {
         Self {
-            proposals: registry.counter("meta.proposals"),
             installs: registry.counter("meta.installs"),
-            conflicts: registry.counter("meta.conflicts"),
-            reads: registry.counter("meta.reads"),
-            quorum_rtts: registry.counter("meta.quorum_rtts"),
             failovers: registry.counter("meta.failovers"),
             retries: registry.counter("meta.retries"),
             catchup_reads: registry.counter("meta.catchup_reads"),
-            round_trips_per_op: registry.histogram("meta.round_trips_per_op"),
             events: registry.events(),
-        }
-    }
-}
-
-/// Replica-side metalog instruments (`meta.node.*`), exposed through each
-/// layout node's scrape endpoint in the TCP harness.
-#[derive(Clone, Default)]
-pub struct MetaNodeMetrics {
-    /// Records accepted (fresh write-once installs).
-    pub writes: Counter,
-    /// Write-once conflicts answered with the incumbent.
-    pub write_conflicts: Counter,
-    /// Record reads served (any outcome).
-    pub reads: Counter,
-    /// Tail queries served.
-    pub tails: Counter,
-    /// Requests rejected as malformed.
-    pub malformed: Counter,
-}
-
-impl MetaNodeMetrics {
-    /// Binds the `meta.node.*` names in `registry`.
-    pub fn from_registry(registry: &Registry) -> Self {
-        Self {
-            writes: registry.counter("meta.node.writes"),
-            write_conflicts: registry.counter("meta.node.write_conflicts"),
-            reads: registry.counter("meta.node.reads"),
-            tails: registry.counter("meta.node.tails"),
-            malformed: registry.counter("meta.node.malformed"),
         }
     }
 }

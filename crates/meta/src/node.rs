@@ -5,11 +5,9 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use tango_flash::{FlashUnit, PageRead};
-use tango_metrics::Registry;
 use tango_rpc::RpcHandler;
 use tango_wire::{decode_from_slice, encode_to_vec};
 
-use crate::metrics::MetaNodeMetrics;
 use crate::proto::{MetaRequest, MetaResponse, ReplicaInfo};
 use crate::Position;
 
@@ -30,7 +28,6 @@ pub struct MetaNode {
     /// Durable backing store; writes go here before the RAM index.
     storage: Option<Mutex<FlashUnit>>,
     peers: Mutex<Vec<ReplicaInfo>>,
-    metrics: MetaNodeMetrics,
 }
 
 impl Default for MetaNode {
@@ -40,14 +37,9 @@ impl Default for MetaNode {
 }
 
 impl MetaNode {
-    /// An empty replica with disabled (no-op) instruments.
+    /// An empty replica.
     pub fn new() -> Self {
-        Self {
-            records: Mutex::new(BTreeMap::new()),
-            storage: None,
-            peers: Mutex::new(Vec::new()),
-            metrics: MetaNodeMetrics::default(),
-        }
+        Self { records: Mutex::new(BTreeMap::new()), storage: None, peers: Mutex::new(Vec::new()) }
     }
 
     /// A replica persisting records onto `unit`, recovering every record
@@ -66,14 +58,7 @@ impl MetaNode {
             records: Mutex::new(records),
             storage: Some(Mutex::new(unit)),
             peers: Mutex::new(Vec::new()),
-            metrics: MetaNodeMetrics::default(),
         })
-    }
-
-    /// Binds this replica's `meta.node.*` instruments in `registry`.
-    pub fn with_metrics(mut self, registry: &Registry) -> Self {
-        self.metrics = MetaNodeMetrics::from_registry(registry);
-        self
     }
 
     /// Installs `record` at position 0 directly (deployment bootstrap; not
@@ -111,13 +96,10 @@ impl MetaNode {
     /// Processes a decoded request.
     pub fn process(&self, req: MetaRequest) -> MetaResponse {
         match req {
-            MetaRequest::Read { pos } => {
-                self.metrics.reads.inc();
-                match self.records.lock().get(&pos) {
-                    Some(rec) => MetaResponse::Record(rec.clone()),
-                    None => MetaResponse::Unwritten,
-                }
-            }
+            MetaRequest::Read { pos } => match self.records.lock().get(&pos) {
+                Some(rec) => MetaResponse::Record(rec.clone()),
+                None => MetaResponse::Unwritten,
+            },
             MetaRequest::Write { pos, record } => {
                 let mut records = self.records.lock();
                 match records.get(&pos) {
@@ -130,22 +112,15 @@ impl MetaNode {
                             }
                         }
                         records.insert(pos, record);
-                        self.metrics.writes.inc();
                         MetaResponse::Ok
                     }
                     // Re-writing the incumbent is an idempotent success, so
                     // helpers and retries converge without special cases.
                     Some(existing) if *existing == record => MetaResponse::Ok,
-                    Some(existing) => {
-                        self.metrics.write_conflicts.inc();
-                        MetaResponse::AlreadyWritten(existing.clone())
-                    }
+                    Some(existing) => MetaResponse::AlreadyWritten(existing.clone()),
                 }
             }
-            MetaRequest::Tail => {
-                self.metrics.tails.inc();
-                MetaResponse::Tail(self.tail())
-            }
+            MetaRequest::Tail => MetaResponse::Tail(self.tail()),
             MetaRequest::Peers => MetaResponse::Peers(self.peers()),
             MetaRequest::SetPeers(peers) => {
                 self.set_peers(peers);
@@ -159,10 +134,7 @@ impl RpcHandler for MetaNode {
     fn handle(&self, request: &[u8]) -> Vec<u8> {
         let response = match decode_from_slice::<MetaRequest>(request) {
             Ok(req) => self.process(req),
-            Err(e) => {
-                self.metrics.malformed.inc();
-                MetaResponse::ErrMalformed { reason: e.to_string() }
-            }
+            Err(e) => MetaResponse::ErrMalformed { reason: e.to_string() },
         };
         encode_to_vec(&response)
     }

@@ -9,7 +9,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::snapshot::json_string;
 use crate::{EventRecord, Snapshot};
 
 /// One event in the merged cluster timeline: a node name plus the event
@@ -133,23 +132,6 @@ impl ClusterSnapshot {
         }
         out
     }
-
-    /// JSON rendering: the merged view plus the per-node breakdown.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"merged\":");
-        out.push_str(&self.merged().to_json());
-        out.push_str(",\"nodes\":{");
-        for (i, (name, snap)) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_string(name));
-            out.push(':');
-            out.push_str(&snap.to_json());
-        }
-        out.push_str("}}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -256,15 +238,5 @@ mod tests {
         again.insert("seq-0", cs.node("seq-0").unwrap().clone());
         again.insert("clients", cs.node("clients").unwrap().clone());
         assert_eq!(again.timeline_text(), cs.timeline_text());
-    }
-
-    #[test]
-    fn json_has_merged_and_per_node_sections() {
-        let mut cs = ClusterSnapshot::new();
-        cs.insert("storage-0", snap(1, 10));
-        let json = cs.to_json();
-        assert!(json.starts_with("{\"merged\":{"), "{json}");
-        assert!(json.contains("\"storage-0\""), "{json}");
-        assert!(json.contains("\"ops\":1"), "{json}");
     }
 }

@@ -68,7 +68,7 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Stable display name (used by the JSON and timeline renderings).
+    /// Stable display name (used by the timeline rendering).
     pub fn name(self) -> &'static str {
         match self {
             EventKind::Sealed => "sealed",
@@ -245,32 +245,6 @@ impl Events {
     }
 }
 
-/// Renders events as a JSON array (hand-rolled like the snapshot JSON).
-pub fn events_to_json(events: &[EventRecord]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"node_seq\":{},\"kind\":\"{}\",\"wall_us\":{},\"mono_ns\":{},\
-             \"epoch\":{},\"log\":{},\"detail\":{},\"trace_id\":{}}}",
-            e.node_seq,
-            e.kind.name(),
-            e.wall_us,
-            e.mono_ns,
-            e.epoch,
-            e.log,
-            e.detail,
-            e.trace_id,
-        );
-    }
-    out.push(']');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,23 +337,5 @@ mod tests {
         seqs.dedup();
         // node_seq values are unique and the snapshot is sorted.
         assert_eq!(seqs, sorted);
-    }
-
-    #[test]
-    fn events_json_renders() {
-        let events = vec![EventRecord {
-            node_seq: 1,
-            kind: EventKind::ShardRemapped,
-            wall_us: 10,
-            mono_ns: 20,
-            epoch: 2,
-            log: 1,
-            detail: 77,
-            trace_id: 0,
-        }];
-        let json = events_to_json(&events);
-        assert!(json.contains("\"kind\":\"shard_remapped\""), "{json}");
-        assert!(json.contains("\"epoch\":2"), "{json}");
-        assert!(json.contains("\"detail\":77"), "{json}");
     }
 }

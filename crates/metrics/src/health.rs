@@ -9,17 +9,16 @@
 //! scrape targets, adding the cross-node signals: sealed-epoch
 //! divergence, per-log apply lag across registries, and metalog quorum
 //! membership. Both surface `ok` / `degraded` / `unhealthy` with a list
-//! of typed reasons, rendered as JSON by the `/healthz` endpoint.
+//! of typed reasons; `tangoctl health` renders them and exits with the
+//! verdict.
 //!
 //! The evaluators read well-known instrument names (the `GAUGE_*` /
 //! `COUNTER_*` constants below); emitters use [`crate::log_scoped`] to
 //! scope the per-log ones, so log 0 keeps its historical bare names.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 
-use crate::snapshot::json_string;
-use crate::{log_scoped, ClusterSnapshot, Snapshot};
+use crate::{log_scoped, scoped_log, ClusterSnapshot, Snapshot};
 
 /// Sequencer tail gauge (log-scoped): the highest raw offset granted.
 pub const GAUGE_SEQ_TAIL: &str = "corfu.seq.tail";
@@ -56,7 +55,7 @@ pub enum HealthStatus {
 }
 
 impl HealthStatus {
-    /// Stable display name (used in JSON).
+    /// Stable display name.
     pub fn name(self) -> &'static str {
         match self {
             HealthStatus::Ok => "ok",
@@ -75,17 +74,6 @@ pub struct HealthReason {
     pub status: HealthStatus,
     /// Human-readable specifics (values, thresholds, node names).
     pub detail: String,
-}
-
-impl HealthReason {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"code\":{},\"status\":\"{}\",\"detail\":{}}}",
-            json_string(&self.code),
-            self.status.name(),
-            json_string(&self.detail),
-        )
-    }
 }
 
 /// Thresholds for the health checks. All checks are inclusive-pass: a
@@ -117,15 +105,6 @@ impl Default for HealthPolicy {
             max_occupancy: 1 << 20,
         }
     }
-}
-
-/// `name` is `base` scoped to some log (see [`log_scoped`]): returns the
-/// log, with the bare `base` meaning log 0.
-fn scoped_log(name: &str, base: &str) -> Option<u64> {
-    if name == base {
-        return Some(0);
-    }
-    name.strip_prefix(base)?.strip_prefix(".log")?.parse().ok()
 }
 
 /// A node-local health verdict with its tripped checks.
@@ -205,19 +184,6 @@ impl HealthReport {
         }
 
         HealthReport::from_reasons(reasons)
-    }
-
-    /// JSON rendering served by `/healthz`.
-    pub fn to_json(&self) -> String {
-        let mut out = format!("{{\"status\":\"{}\",\"reasons\":[", self.status.name());
-        for (i, r) in self.reasons.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&r.to_json());
-        }
-        out.push_str("]}");
-        out
     }
 }
 
@@ -338,27 +304,6 @@ impl ClusterHealth {
             .unwrap_or(HealthStatus::Ok);
         ClusterHealth { status, reasons, nodes }
     }
-
-    /// JSON rendering: the cluster verdict, its reasons, and the
-    /// per-node reports.
-    pub fn to_json(&self) -> String {
-        let mut out = format!("{{\"status\":\"{}\",\"reasons\":[", self.status.name());
-        for (i, r) in self.reasons.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&r.to_json());
-        }
-        out.push_str("],\"nodes\":{");
-        for (i, (name, report)) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", json_string(name), report.to_json());
-        }
-        out.push_str("}}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -373,7 +318,6 @@ mod tests {
         let report = HealthReport::evaluate(&r.snapshot(), &HealthPolicy::default());
         assert_eq!(report.status, HealthStatus::Ok);
         assert!(report.reasons.is_empty());
-        assert!(report.to_json().contains("\"status\":\"ok\""));
     }
 
     #[test]
@@ -443,7 +387,6 @@ mod tests {
         );
         assert_eq!(health.status, HealthStatus::Unhealthy);
         assert!(health.reasons.iter().any(|r| r.code == "meta_quorum"));
-        assert!(health.to_json().contains("\"meta_quorum\""));
     }
 
     #[test]
@@ -501,6 +444,9 @@ mod tests {
 
     #[test]
     fn scoped_log_parses_suffixes() {
+        for log in [0, 1, 17] {
+            assert_eq!(scoped_log(&log_scoped(GAUGE_SEQ_TAIL, log), GAUGE_SEQ_TAIL), Some(log));
+        }
         assert_eq!(scoped_log("corfu.seq.tail", GAUGE_SEQ_TAIL), Some(0));
         assert_eq!(scoped_log("corfu.seq.tail.log3", GAUGE_SEQ_TAIL), Some(3));
         assert_eq!(scoped_log("corfu.seq.tail.logx", GAUGE_SEQ_TAIL), None);

@@ -20,7 +20,11 @@
 //!
 //! [`Registry::snapshot`] reads every atomic with relaxed loads while writers
 //! keep going: the result is consistent-enough for monitoring (each value is
-//! individually atomic; cross-metric skew is bounded by the scan time).
+//! individually atomic; cross-metric skew is bounded by the scan time). A
+//! [`Snapshot`] carries the registry's event journal too, has one wire
+//! encoding ([`Snapshot::to_bytes`], what a node answers a scrape with) and
+//! one human rendering ([`Snapshot::to_text`]); [`ClusterSnapshot`] merges
+//! the nodes' and [`HealthReport`]/[`ClusterHealth`] judge them.
 //!
 //! ```
 //! use tango_metrics::Registry;
@@ -45,10 +49,10 @@ mod snapshot;
 pub mod trace;
 
 pub use cluster::{ClusterSnapshot, TimelineEntry};
-pub use events::{events_to_json, EventKind, EventRecord, Events};
+pub use events::{EventKind, EventRecord, Events};
 pub use health::{ClusterHealth, HealthPolicy, HealthReason, HealthReport, HealthStatus};
 pub use snapshot::{HistogramSnapshot, Snapshot, SnapshotDecodeError};
-pub use trace::{spans_to_json, Span, SpanKind, SpanRecord, TraceConfig, TraceContext, Tracer};
+pub use trace::{Span, SpanKind, SpanRecord, TraceConfig, TraceContext, Tracer};
 
 /// Scopes an instrument name to a log (shard): log 0 keeps the bare name
 /// so single-log clusters stay byte-compatible with historical output,
@@ -64,6 +68,20 @@ pub fn log_scoped(name: &str, log: u64) -> String {
     } else {
         format!("{name}.log{log}")
     }
+}
+
+/// The inverse of [`log_scoped`]: the log `name` scopes `base` to (the bare
+/// `base` is log 0), or `None` when `name` is some other instrument.
+///
+/// ```
+/// assert_eq!(tango_metrics::scoped_log("corfu.seq.tail.log2", "corfu.seq.tail"), Some(2));
+/// assert_eq!(tango_metrics::scoped_log("corfu.seq.tails", "corfu.seq.tail"), None);
+/// ```
+pub fn scoped_log(name: &str, base: &str) -> Option<u64> {
+    if name == base {
+        return Some(0);
+    }
+    name.strip_prefix(base)?.strip_prefix(".log")?.parse().ok()
 }
 
 use std::collections::BTreeMap;
@@ -455,10 +473,6 @@ impl Registry {
         counters.push((
             "trace.slow_requests".to_string(),
             inner.tracer.slow_requests.load(Ordering::Relaxed),
-        ));
-        counters.push((
-            "trace.spans_recorded".to_string(),
-            inner.tracer.spans_recorded.load(Ordering::Relaxed),
         ));
         counters.push((
             "events.recorded".to_string(),

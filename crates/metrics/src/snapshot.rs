@@ -1,9 +1,10 @@
-//! Point-in-time registry captures and their text/JSON rendering.
+//! Point-in-time registry captures: their text rendering and the one
+//! binary encoding they travel in.
 
 use std::fmt::Write as _;
 
-use crate::bucket_upper_bound;
-use crate::events::{events_to_json, EventRecord, EVENT_WORDS};
+use crate::events::{EventRecord, EVENT_WORDS};
+use crate::{bucket_upper_bound, HISTOGRAM_BUCKETS};
 
 /// The state of one histogram at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,9 +18,10 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Total number of recorded samples.
+    /// Total number of recorded samples (saturating: the buckets of a
+    /// decoded snapshot are whatever the wire said).
     pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
+        self.buckets.iter().fold(0, |n, &b| n.saturating_add(b))
     }
 
     /// Mean sample value, or 0 with no samples.
@@ -38,7 +40,7 @@ impl HistogramSnapshot {
         let rank = (q.clamp(0.0, 1.0) * count as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
+            seen = seen.saturating_add(n);
             if seen >= rank {
                 return bucket_upper_bound(i);
             }
@@ -73,8 +75,8 @@ impl HistogramSnapshot {
         let len = self.buckets.len().max(other.buckets.len());
         let mut buckets = vec![0u64; len];
         for (i, slot) in buckets.iter_mut().enumerate() {
-            *slot = self.buckets.get(i).copied().unwrap_or(0)
-                + other.buckets.get(i).copied().unwrap_or(0);
+            let side = |h: &HistogramSnapshot| h.buckets.get(i).copied().unwrap_or(0);
+            *slot = side(self).saturating_add(side(other));
         }
         HistogramSnapshot {
             name: self.name.clone(),
@@ -94,7 +96,7 @@ pub struct Snapshot {
     /// Histograms, sorted by name.
     pub histograms: Vec<HistogramSnapshot>,
     /// Control-plane events from the node's journal, in node-sequence
-    /// order (empty when decoded from a v1 body).
+    /// order.
     pub events: Vec<EventRecord>,
 }
 
@@ -154,60 +156,6 @@ impl Snapshot {
                 fmt(h.max_bound()),
             );
         }
-        out
-    }
-
-    /// JSON rendering (hand-rolled; instrument names are code-controlled
-    /// but escaped anyway). Histograms carry count/sum/mean/quantiles and
-    /// the non-empty buckets as `[upper_bound, count]` pairs.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{v}", json_string(name));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{v}", json_string(name));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{}:{{\"count\":{},\"sum\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{},\
-                 \"buckets\":[",
-                json_string(&h.name),
-                h.count(),
-                h.sum,
-                h.mean(),
-                h.p50(),
-                h.p95(),
-                h.p99(),
-            );
-            let mut first = true;
-            for (b, &n) in h.buckets.iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(out, "[{},{n}]", bucket_upper_bound(b));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("},\"events\":");
-        out.push_str(&events_to_json(&self.events));
-        out.push('}');
         out
     }
 
@@ -298,10 +246,10 @@ impl Snapshot {
         Snapshot { counters, gauges, histograms, events }
     }
 
-    /// Encodes the snapshot into the self-describing binary form served
-    /// at `/snapshot.bin` and consumed by the cluster aggregator. The
-    /// format is versioned and hand-rolled so the metrics crate stays
-    /// dependency-free (no JSON parser needed anywhere).
+    /// Encodes the snapshot into the self-describing binary form a node
+    /// answers the snapshot request with and the cluster aggregator
+    /// consumes. The format is versioned and hand-rolled so the metrics
+    /// crate stays dependency-free.
     pub fn to_bytes(&self) -> Vec<u8> {
         fn put_str(out: &mut Vec<u8>, s: &str) {
             out.extend_from_slice(&(s.len() as u32).to_le_bytes());
@@ -329,7 +277,7 @@ impl Snapshot {
                 out.extend_from_slice(&b.to_le_bytes());
             }
         }
-        // v2: the event journal rides along as fixed-width word records.
+        // The event journal rides along as fixed-width word records.
         out.extend_from_slice(&(self.events.len() as u32).to_le_bytes());
         for e in &self.events {
             for w in e.to_words() {
@@ -339,8 +287,10 @@ impl Snapshot {
         out
     }
 
-    /// Decodes [`Snapshot::to_bytes`]. Every length is bounds-checked so
-    /// a truncated or corrupt body fails cleanly instead of panicking.
+    /// Decodes [`Snapshot::to_bytes`]. The body comes off a socket: every
+    /// length is bounds-checked, a bucket vector longer than a histogram
+    /// has buckets is refused, and so are bytes after the last section, so
+    /// a truncated, corrupt or padded body is an error, never a panic.
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotDecodeError> {
         struct Cursor<'a> {
             buf: &'a [u8],
@@ -373,7 +323,7 @@ impl Snapshot {
             return Err(SnapshotDecodeError::BadMagic);
         }
         let version = c.take(1)?[0];
-        if version == 0 || version > SNAPSHOT_VERSION {
+        if version != SNAPSHOT_VERSION {
             return Err(SnapshotDecodeError::BadVersion);
         }
 
@@ -395,8 +345,8 @@ impl Snapshot {
             let name = c.str()?;
             let sum = c.u64()?;
             let blen = c.u32()? as usize;
-            if blen > 1024 {
-                return Err(SnapshotDecodeError::Truncated);
+            if blen > HISTOGRAM_BUCKETS {
+                return Err(SnapshotDecodeError::TooManyBuckets);
             }
             let mut buckets = Vec::with_capacity(blen);
             for _ in 0..blen {
@@ -404,18 +354,17 @@ impl Snapshot {
             }
             histograms.push(HistogramSnapshot { name, sum, buckets });
         }
-        // v1 bodies (from older nodes) simply have no event section.
-        let mut events = Vec::new();
-        if version >= 2 {
-            let n = c.u32()? as usize;
-            events.reserve(n.min(4096));
-            for _ in 0..n {
-                let mut words = [0u64; EVENT_WORDS];
-                for w in words.iter_mut() {
-                    *w = c.u64()?;
-                }
-                events.push(EventRecord::from_words(&words));
+        let n = c.u32()? as usize;
+        let mut events = Vec::with_capacity(n.min(4096));
+        for _ in 0..n {
+            let mut words = [0u64; EVENT_WORDS];
+            for w in words.iter_mut() {
+                *w = c.u64()?;
             }
+            events.push(EventRecord::from_words(&words));
+        }
+        if c.pos != bytes.len() {
+            return Err(SnapshotDecodeError::TrailingBytes);
         }
         Ok(Snapshot { counters, gauges, histograms, events })
     }
@@ -435,6 +384,10 @@ pub enum SnapshotDecodeError {
     Truncated,
     /// A name was not valid UTF-8.
     BadString,
+    /// A histogram declared more buckets than [`HISTOGRAM_BUCKETS`].
+    TooManyBuckets,
+    /// Bytes follow the last section.
+    TrailingBytes,
 }
 
 impl std::fmt::Display for SnapshotDecodeError {
@@ -444,31 +397,17 @@ impl std::fmt::Display for SnapshotDecodeError {
             SnapshotDecodeError::BadVersion => write!(f, "snapshot: unsupported version"),
             SnapshotDecodeError::Truncated => write!(f, "snapshot: truncated body"),
             SnapshotDecodeError::BadString => write!(f, "snapshot: non-UTF-8 name"),
+            SnapshotDecodeError::TooManyBuckets => {
+                write!(f, "snapshot: a histogram with more than {HISTOGRAM_BUCKETS} buckets")
+            }
+            SnapshotDecodeError::TrailingBytes => {
+                write!(f, "snapshot: bytes after the event section")
+            }
         }
     }
 }
 
 impl std::error::Error for SnapshotDecodeError {}
-
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 #[cfg(test)]
 mod tests {
@@ -497,7 +436,7 @@ mod tests {
     }
 
     #[test]
-    fn text_and_json_render() {
+    fn text_renders() {
         let r = Registry::new();
         r.counter("ops.total").add(3);
         r.gauge("queue.depth").set(-1);
@@ -507,18 +446,9 @@ mod tests {
         let text = snap.to_text();
         assert!(text.contains("ops.total"), "{text}");
         assert!(text.contains("count=1"), "{text}");
+        assert!(text.contains("p95="), "{text}");
         // _ns histograms render in microseconds.
         assert!(text.contains("us"), "{text}");
-
-        let json = snap.to_json();
-        assert!(json.contains("\"ops.total\":3"), "{json}");
-        assert!(json.contains("\"queue.depth\":-1"), "{json}");
-        assert!(json.contains("\"count\":1"), "{json}");
-    }
-
-    #[test]
-    fn json_escapes_names() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
     }
 
     #[test]
@@ -571,15 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn p95_renders_in_text_and_json() {
-        let r = Registry::new();
-        r.histogram("lat_ns").record(1000);
-        let snap = r.snapshot();
-        assert!(snap.to_text().contains("p95="), "{}", snap.to_text());
-        assert!(snap.to_json().contains("\"p95\":"), "{}", snap.to_json());
-    }
-
-    #[test]
     fn binary_roundtrip_preserves_everything() {
         let r = Registry::new();
         r.counter("ops.total").add(7);
@@ -598,27 +519,14 @@ mod tests {
     }
 
     #[test]
-    fn binary_decode_accepts_v1_bodies_without_events() {
-        let r = Registry::new();
-        r.counter("ops.total").add(7);
-        let snap = r.snapshot();
-        // A v1 body is the v2 encoding minus the trailing event section,
-        // with the version byte set back to 1.
-        let mut bytes = snap.to_bytes();
-        bytes.truncate(bytes.len() - 4); // empty event section = one u32 count
-        bytes[4] = 1;
-        let back = Snapshot::from_bytes(&bytes).unwrap();
-        assert!(back.events.is_empty());
-        assert_eq!(back.counter("ops.total"), 7);
-    }
-
-    #[test]
     fn binary_decode_rejects_garbage() {
         assert_eq!(Snapshot::from_bytes(&[]), Err(SnapshotDecodeError::Truncated));
         assert_eq!(Snapshot::from_bytes(&[0xFF; 16]), Err(SnapshotDecodeError::BadMagic));
         let mut bytes = Snapshot::default().to_bytes();
-        bytes[4] = 99; // version byte
-        assert_eq!(Snapshot::from_bytes(&bytes), Err(SnapshotDecodeError::BadVersion));
+        for version in [0, 1, 99] {
+            bytes[4] = version;
+            assert_eq!(Snapshot::from_bytes(&bytes), Err(SnapshotDecodeError::BadVersion));
+        }
         let good = {
             let r = Registry::new();
             r.counter("a").inc();
@@ -629,6 +537,38 @@ mod tests {
             assert!(Snapshot::from_bytes(&good[..cut]).is_err(), "cut={cut}");
         }
         assert!(Snapshot::from_bytes(&good).is_ok());
+
+        // A clean body with anything after it is not a clean body.
+        let padded = [&good[..], &[0u8]].concat();
+        assert_eq!(Snapshot::from_bytes(&padded), Err(SnapshotDecodeError::TrailingBytes));
+
+        // One histogram `h` with `buckets`, hand-encoded.
+        let body = |buckets: &[u64]| {
+            let mut b = Snapshot::default().to_bytes();
+            b.truncate(5 + 4 + 4); // magic, version, no counters, no gauges
+            b.extend(1u32.to_le_bytes());
+            b.extend(1u32.to_le_bytes());
+            b.push(b'h');
+            b.extend(0u64.to_le_bytes()); // sum
+            b.extend((buckets.len() as u32).to_le_bytes());
+            buckets.iter().for_each(|n| b.extend(n.to_le_bytes()));
+            b.extend(0u32.to_le_bytes()); // no events
+            b
+        };
+        // More buckets than a histogram has: refused as such, all present.
+        let long = body(&[1; HISTOGRAM_BUCKETS + 1]);
+        assert_eq!(Snapshot::from_bytes(&long), Err(SnapshotDecodeError::TooManyBuckets));
+        assert!(Snapshot::from_bytes(&body(&[1; HISTOGRAM_BUCKETS])).is_ok());
+
+        // Bucket counts that overflow a u64 when summed decode, and every
+        // sum over them saturates instead of panicking.
+        let huge = Snapshot::from_bytes(&body(&[u64::MAX, u64::MAX])).unwrap();
+        let h = huge.histogram("h").unwrap();
+        assert_eq!(h.count(), u64::MAX);
+        assert_eq!(h.p99(), bucket_upper_bound(0));
+        assert_eq!(h.merged_with(h).buckets, vec![u64::MAX, u64::MAX]);
+        assert_eq!(huge.merged_with(&huge).histogram("h").unwrap().count(), u64::MAX);
+        assert!(huge.to_text().contains("count=18446744073709551615"));
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! Recording is sampled with the same 1-in-N discipline as the latency
 //! histograms (default 1-in-16; the first request always hits, which
 //! keeps single-shot tests deterministic). Sampled root spans that exceed
-//! a configurable threshold are additionally copied into a dedicated
+//! [`TraceConfig::slow_threshold`] are additionally copied into a dedicated
 //! slow-request ring and counted in `trace.slow_requests`, so slow
-//! requests are never evicted by fast ones.
+//! requests are never evicted by fast ones. Spans are read in-process
+//! ([`Tracer::spans`], [`Tracer::slow_spans`]); they are not part of a
+//! snapshot.
 //!
 //! The rings are bounded and lock-free: each slot is a seqlock made of
 //! plain `AtomicU64`s. Writers claim a slot with one `fetch_add` on the
@@ -36,20 +38,6 @@ use std::time::{Duration, Instant};
 
 use crate::ring::SeqlockRing;
 use crate::Sampler;
-
-/// Environment variable that overrides the slow-request threshold, in
-/// milliseconds. Read at registry construction and by
-/// [`Tracer::refresh_slow_threshold_from_env`] on live registries (the
-/// scrape server calls the latter per request, so exporting the variable
-/// and re-scraping reconfigures a running node).
-pub const SLOW_MS_ENV: &str = "TANGO_SLOW_MS";
-
-fn slow_threshold_from_env() -> Option<Duration> {
-    std::env::var(SLOW_MS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map(Duration::from_millis)
-}
 
 /// The identity a request carries across component and process
 /// boundaries: which trace it belongs to and which span is the caller.
@@ -115,7 +103,7 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    /// Stable display name (used by the JSON rendering).
+    /// Stable display name.
     pub fn name(self) -> &'static str {
         match self {
             SpanKind::ClientAppend => "client.append",
@@ -241,7 +229,7 @@ impl Default for TraceConfig {
     fn default() -> Self {
         Self {
             sample_one_in: 16,
-            slow_threshold: slow_threshold_from_env().unwrap_or(Duration::from_millis(10)),
+            slow_threshold: Duration::from_millis(10),
             ring_capacity: 1024,
             slow_capacity: 128,
             event_capacity: 1024,
@@ -255,7 +243,6 @@ pub(crate) struct TracerInner {
     sampler: Sampler,
     slow_threshold_ns: AtomicU64,
     pub(crate) slow_requests: AtomicU64,
-    pub(crate) spans_recorded: AtomicU64,
     epoch: Instant,
 }
 
@@ -269,7 +256,6 @@ impl TracerInner {
                 cfg.slow_threshold.as_nanos().min(u64::MAX as u128) as u64
             ),
             slow_requests: AtomicU64::new(0),
-            spans_recorded: AtomicU64::new(0),
             epoch: Instant::now(),
         }
     }
@@ -384,23 +370,6 @@ impl Tracer {
         }
     }
 
-    /// The currently effective slow-request threshold (`None` when the
-    /// tracer is disabled).
-    pub fn slow_threshold(&self) -> Option<Duration> {
-        self.inner
-            .as_ref()
-            .map(|i| Duration::from_nanos(i.slow_threshold_ns.load(Ordering::Relaxed)))
-    }
-
-    /// Re-reads [`SLOW_MS_ENV`] and applies it to this live tracer.
-    /// Returns the applied threshold, or `None` when the variable is
-    /// unset/unparsable (the current threshold is then left unchanged).
-    pub fn refresh_slow_threshold_from_env(&self) -> Option<Duration> {
-        let threshold = slow_threshold_from_env()?;
-        self.set_slow_threshold(threshold);
-        Some(threshold)
-    }
-
     /// All stable spans currently in the ring, oldest first.
     pub fn spans(&self) -> Vec<SpanRecord> {
         self.inner.as_ref().map(|i| i.spans()).unwrap_or_default()
@@ -458,7 +427,6 @@ impl Drop for Span {
             duration_ns: s.start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
         };
         s.inner.ring.push(&rec);
-        s.inner.spans_recorded.fetch_add(1, Ordering::Relaxed);
         if rec.parent_span_id == 0
             && rec.duration_ns >= s.inner.slow_threshold_ns.load(Ordering::Relaxed)
         {
@@ -466,30 +434,6 @@ impl Drop for Span {
             s.inner.slow_requests.fetch_add(1, Ordering::Relaxed);
         }
     }
-}
-
-/// Renders spans as a JSON array (hand-rolled like the snapshot JSON).
-pub fn spans_to_json(spans: &[SpanRecord]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("[");
-    for (i, s) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"trace_id\":{},\"span_id\":{},\"parent_span_id\":{},\"kind\":\"{}\",\
-             \"start_ns\":{},\"duration_ns\":{}}}",
-            s.trace_id,
-            s.span_id,
-            s.parent_span_id,
-            s.kind.name(),
-            s.start_ns,
-            s.duration_ns,
-        );
-    }
-    out.push(']');
-    out
 }
 
 #[cfg(test)]
@@ -651,49 +595,5 @@ mod tests {
             t.root(SpanKind::ClientRead).finish();
         }
         assert_eq!(t.spans().len(), 4);
-    }
-
-    #[test]
-    fn slow_threshold_env_applies_to_live_registry() {
-        // This test sets TANGO_SLOW_MS briefly; every other test that
-        // cares about the threshold passes an explicit value, so the
-        // transient override is harmless.
-        let r = Registry::with_trace(TraceConfig {
-            slow_threshold: Duration::from_millis(250),
-            ..TraceConfig::default()
-        });
-        let t = r.tracer();
-        assert_eq!(t.slow_threshold(), Some(Duration::from_millis(250)));
-
-        std::env::set_var(SLOW_MS_ENV, "0");
-        let applied = t.refresh_slow_threshold_from_env();
-        std::env::remove_var(SLOW_MS_ENV);
-        assert_eq!(applied, Some(Duration::from_millis(0)));
-        assert_eq!(t.slow_threshold(), Some(Duration::from_millis(0)));
-
-        // The changed threshold takes effect on the live registry: with a
-        // zero threshold every sampled root is a slow request.
-        t.root_forced(SpanKind::ClientAppend).finish();
-        assert_eq!(t.slow_spans().len(), 1);
-        assert_eq!(r.snapshot().counter("trace.slow_requests"), 1);
-
-        // Unset variable leaves the threshold unchanged.
-        assert_eq!(t.refresh_slow_threshold_from_env(), None);
-        assert_eq!(t.slow_threshold(), Some(Duration::from_millis(0)));
-    }
-
-    #[test]
-    fn spans_json_renders() {
-        let spans = vec![SpanRecord {
-            trace_id: 3,
-            span_id: 4,
-            parent_span_id: 0,
-            kind: SpanKind::ClientSync,
-            start_ns: 10,
-            duration_ns: 20,
-        }];
-        let json = spans_to_json(&spans);
-        assert!(json.contains("\"kind\":\"client.sync\""), "{json}");
-        assert!(json.contains("\"trace_id\":3"), "{json}");
     }
 }

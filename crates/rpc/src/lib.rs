@@ -27,25 +27,25 @@
 //!   costs two wake-ups and the client side owns no thread. Clients
 //!   reconnect transparently with a dial bounded by the per-call timeout.
 //!   Traced calls carry their `TraceContext` in the frame header.
-//! * [`HttpScrapeServer`] / [`http_get`] / [`fetch_snapshot`] — a minimal
-//!   hand-rolled HTTP endpoint serving metric snapshots and trace spans,
-//!   run next to each RPC server so a real deployment is observable from
-//!   outside the process.
+//! * [`serve_snapshot`] / [`fetch_snapshot`] — the one reserved request
+//!   ([`SNAPSHOT_REQUEST`]) a node answers with its metrics registry's
+//!   binary snapshot, on the port its service listens on: a deployment is
+//!   observable from outside the process without a second server.
 //!
 //! The framing is still deliberately minimal — request/response only, no
 //! streaming — because CORFU's protocol needs nothing more.
 
 mod error;
 pub mod frame;
-mod http;
 mod local;
 mod reactor;
+mod snapshot;
 mod tcp;
 mod traits;
 
 pub use error::RpcError;
-pub use http::{fetch_snapshot, http_get, HttpScrapeServer, SCRAPE_WORKERS};
 pub use local::LocalConn;
+pub use snapshot::{fetch_snapshot, serve_snapshot, SNAPSHOT_REQUEST};
 pub use tcp::{
     ConnMetrics, ServerMetrics, ServerOptions, TcpConn, TcpServer, DEFAULT_MAX_CONNS,
     SERVER_WORKERS,

@@ -3,8 +3,8 @@
 use std::time::{Duration, Instant};
 
 /// Live threads of this process whose name starts with `prefix`, read from
-/// `/proc/self/task/*/comm`. Servers name their threads `rpc<port>-…` /
-/// `http<port>-…`, so this counts one server's own threads no matter what
+/// `/proc/self/task/*/comm`. A server names its threads `rpc<port>-w<i>`,
+/// so this counts one server's own threads no matter what
 /// sibling tests are doing in the same process (an unnamed thread inherits
 /// its spawner's name, so a per-connection thread would be counted too).
 pub fn threads_named(prefix: &str) -> usize {

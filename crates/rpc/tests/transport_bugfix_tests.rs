@@ -9,18 +9,20 @@
 //!    and reactor registration failures) must be counted.
 //! 3. `TcpServer::shutdown` used to self-poke via
 //!    `TcpStream::connect(self.addr)`, a no-op for wildcard binds.
-//! 4. The HTTP scrape endpoint used to spawn one unbounded thread per
-//!    request.
+//! 4. The scrape endpoint used to spawn one unbounded thread per request.
+//!    It is now a request to the RPC server itself, which must answer a
+//!    burst of them on its fixed pool.
 
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tango_metrics::Registry;
+use tango_metrics::{Registry, Snapshot};
+use tango_rpc::frame::{read_frame, write_frame};
 use tango_rpc::{
-    ClientConn, HttpScrapeServer, RpcHandler, ServerMetrics, ServerOptions, TcpConn, TcpServer,
-    SCRAPE_WORKERS, SERVER_WORKERS,
+    serve_snapshot, ClientConn, RpcHandler, ServerMetrics, ServerOptions, TcpConn, TcpServer,
+    SERVER_WORKERS, SNAPSHOT_REQUEST,
 };
 
 mod support;
@@ -170,55 +172,41 @@ fn wildcard_bound_server_shuts_down_promptly() {
     );
 }
 
-/// Bug 3 (scrape plane): the HTTP endpoint had the same self-poke flaw.
-#[test]
-fn wildcard_bound_scrape_server_shuts_down_promptly() {
-    let mut server = HttpScrapeServer::spawn("0.0.0.0:0", Registry::new()).unwrap();
-    let start = Instant::now();
-    server.shutdown();
-    assert!(
-        start.elapsed() < Duration::from_secs(2),
-        "wildcard scrape server shutdown took {:?}",
-        start.elapsed()
-    );
-}
-
-/// Bug 4: a burst of concurrent scrapes is served by the fixed pool; the
-/// server spawns no per-request threads no matter how many connections
-/// pile up.
+/// Bug 4: a burst of concurrent scrapes is served by the node's one fixed
+/// pool: 24 snapshot requests piled onto one node are all answered, and the
+/// node owns exactly its `SERVER_WORKERS` threads — and no second server's —
+/// throughout.
 #[test]
 fn scrape_burst_is_served_without_thread_growth() {
     let registry = Registry::new();
     registry.counter("burst.probe").add(7);
-    let server = HttpScrapeServer::spawn("127.0.0.1:0", registry).unwrap();
-    let addr = server.local_addr().to_string();
-    // The server's own threads: the accept thread plus the fixed pool.
-    let own = format!("http{}-", server.local_addr().port());
-    let budget = SCRAPE_WORKERS + 1;
-    wait_until("the scrape pool is up", || threads_named(&own) == budget);
+    let handler = serve_snapshot(registry, Arc::new(Echo));
+    let server = TcpServer::spawn("127.0.0.1:0", handler).unwrap();
+    let addr = server.local_addr();
+    let own = format!("rpc{}-w", addr.port());
+    let budget = SERVER_WORKERS;
+    wait_until("the server pool is up", || threads_named(&own) == budget);
 
     // Pile up 24 connections, each with its request already sent. The old
     // endpoint spawned a thread per accepted connection right here.
     let streams: Vec<TcpStream> = (0..24)
-        .map(|_| {
-            let mut s = TcpStream::connect(&addr).unwrap();
+        .map(|i| {
+            let mut s = TcpStream::connect(addr).unwrap();
             s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-            s.write_all(b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+            write_frame(&mut s, i, SNAPSHOT_REQUEST).unwrap();
             s
         })
         .collect();
 
-    // Every queued connection is served, and at no point while the burst
-    // drains does the server own more threads than its budget.
-    let mut served = 0;
-    for mut s in streams {
+    // Every queued request is answered, and at no point while the burst
+    // drains does the node own a thread beyond its pool.
+    for (i, mut s) in streams.into_iter().enumerate() {
         assert_eq!(threads_named(&own), budget, "server grew threads under connection burst");
-        let mut response = String::new();
-        if s.read_to_string(&mut response).is_ok() && response.contains("burst.probe") {
-            served += 1;
-        }
+        assert_eq!(threads_named("http"), 0, "a node is one server");
+        let frame = read_frame(&mut s).unwrap();
+        assert_eq!(frame.id, i as u64);
+        assert_eq!(Snapshot::from_bytes(&frame.payload).unwrap().counter("burst.probe"), 7);
     }
-    assert_eq!(served, 24, "queued scrapes must all be answered by the pool");
     assert_eq!(threads_named(&own), budget);
 }
 

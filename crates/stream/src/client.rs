@@ -31,7 +31,6 @@ const PREFETCH_WINDOW: usize = 32;
 #[derive(Clone)]
 struct StreamMetrics {
     sync_latency_ns: Histogram,
-    backpointer_walk: Histogram,
     read_batch_size: Histogram,
     cache_hits: Counter,
     cache_misses: Counter,
@@ -43,7 +42,6 @@ impl StreamMetrics {
     fn from_registry(registry: &Registry) -> Self {
         Self {
             sync_latency_ns: registry.histogram("stream.sync_latency_ns"),
-            backpointer_walk: registry.histogram("stream.backpointer_walk"),
             read_batch_size: registry.histogram("stream.read_batch_size"),
             cache_hits: registry.counter("stream.cache_hits"),
             cache_misses: registry.counter("stream.cache_misses"),
@@ -597,9 +595,6 @@ impl StreamClient {
                 );
             }
         }
-        // Entries fetched while striding/scanning backward (the walk).
-        let mut walked = 0u64;
-
         if !discovered.is_empty() && !reconnected_at_seq {
             // Windows are most-recent-first in *stream order*, so each
             // stride anchors on the window's last element — its
@@ -615,7 +610,6 @@ impl StreamClient {
                 }
                 // NOTE: the bulk fetch may block while writers finish.
                 let fetched = self.fetch_many(&window, true, Some(stream))?;
-                walked += window.len() as u64;
                 let oldest_entry = fetched.last().expect("one result per offset").as_ref();
                 // Junk broke the chain — and a member entry written without
                 // its header cannot happen with our client, but be
@@ -623,7 +617,7 @@ impl StreamClient {
                 // anchor's own log segment.
                 let Some(header) = oldest_entry.and_then(|entry| entry.header_for(stream)) else {
                     let lo = self.unwalked_floor(stream, oldest);
-                    walked += self.scan_backward(stream, lo, oldest, &mut discovered)?;
+                    self.scan_backward(stream, lo, oldest, &mut discovered)?;
                     break;
                 };
                 let (mut older, reconnected) =
@@ -640,7 +634,6 @@ impl StreamClient {
         // A concurrent sync of the same stream may have integrated part of
         // the walk already; `extend` sorts and drops duplicates.
         self.with_cursor(stream, |c| c.extend(discovered, tail));
-        self.metrics.backpointer_walk.record(walked);
         Ok(())
     }
 
@@ -652,22 +645,20 @@ impl StreamClient {
     }
 
     /// Batched linear backward scan of `(lo..hi)`, pushing the offsets
-    /// whose entries carry `stream`'s header. Returns entries walked.
+    /// whose entries carry `stream`'s header.
     fn scan_backward(
         &self,
         stream: StreamId,
         lo: LogOffset,
         hi: LogOffset,
         discovered: &mut Vec<LogOffset>,
-    ) -> corfu::Result<u64> {
-        let mut walked = 0u64;
+    ) -> corfu::Result<()> {
         let step = READ_BATCH as u64;
         let mut end = hi;
         while end > lo {
             let start = end.saturating_sub(step).max(lo);
             let range: Vec<LogOffset> = (start..end).collect();
             let fetched = self.fetch_many(&range, true, None)?;
-            walked += range.len() as u64;
             for (&off, entry) in range.iter().zip(fetched.iter()) {
                 if entry.as_ref().map(|e| e.belongs_to(stream)).unwrap_or(false) {
                     discovered.push(off);
@@ -675,7 +666,7 @@ impl StreamClient {
             }
             end = start;
         }
-        Ok(walked)
+        Ok(())
     }
 }
 

@@ -7,8 +7,14 @@ and exits 1 if one is worse than its bound allows. With `--layers`, also the
 per-layer metrics that moved by more than 2 % (no bounds: they explain, they
 do not gate). One run per side is a trajectory point, not a claim: a gain is
 claimed from alternated pairs (ledger/README.md).
+
+`scripts/bench_diff.py --counts ledger-quick.json` checks one traced run
+against the counts that repeat exactly for a seed, which is what CI holds a
+commit to: a saving that drops a hop, writes a page twice or re-reads one
+fails here, not in a later benchmark.
 """
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -17,9 +23,60 @@ def load(path):
     return json.loads(Path(path).read_text())["workloads"]
 
 
+def require(holds, otherwise):
+    if not holds:
+        sys.exit(f"count check failed: {otherwise}")
+
+
+def check_counts(path):
+    workloads = load(path)
+    layer = lambda workload, name: workloads[workload]["per_layer"][name]["value"]
+
+    # An append is a token and a two-hop chain write that puts one page on
+    # each replica.
+    for name in ("append_local", "append_tcp"):
+        calls, pages = layer(name, "rpc.calls_per_op"), layer(name, "flash.pages_written_per_op")
+        print(f"{name}: rpc.calls_per_op {calls}, flash.pages_written_per_op {pages}")
+        require(calls == 3, f"{name}: an append made {calls} RPCs, not 3")
+        require(pages == 2, f"{name}: an append wrote {pages} pages, not 2")
+
+    # A commit is one sequencer call: the token grant is its stream sync (the
+    # ratio was 2 while `end_tx` followed its append with a tail query).
+    calls = layer("tx_mix_tcp", "corfu.seq.calls_per_op")
+    attempts = layer("tx_mix_tcp", "core.tx_attempts_per_commit")
+    print(f"corfu.seq.calls_per_op {calls:.4f}, core.tx_attempts_per_commit {attempts:.4f}")
+    require(attempts > 0, "tx_mix_tcp reported no transaction attempts")
+    require(calls <= attempts + 0.01, "more than one sequencer call per transaction attempt")
+
+    # A cold replay walks its stream up to 256 entries to the round trip and
+    # reads each of the stream's pages once: replies back at 32 entries read
+    # 0.032 calls per entry and a batch mean of 31.6; a chase that reads the
+    # other stream's pages, or a page twice, more than one page per entry.
+    calls = layer("catchup_tcp", "corfu.storage.calls_per_op")
+    reads = layer("catchup_tcp", "flash.reads_per_op")
+    batch = layer("catchup_tcp", "stream.read_batch_mean")
+    print(f"catchup_tcp: corfu.storage.calls_per_op {calls:.4f}, flash.reads_per_op {reads:.5f}, stream.read_batch_mean {batch:.1f}")
+    require(calls <= 0.008, f"a replayed entry cost {calls} storage calls, more than 1 in 125")
+    require(reads <= 1.01, f"a replayed entry cost {reads} page reads")
+    require(batch >= 150, f"a read round trip brought {batch} entries")
+
+    # Metrics, tracing and the journal have a budget of 5 % of an in-process
+    # append (a metered client against a `Registry::disabled()` one, paired
+    # blocks). Every workload's traced run measures that rung again, so the
+    # file holds five readings; one quick-mode reading spreads over several
+    # points, their median over about one, which is the slack allowed here.
+    name = "metrics.append_overhead_pct"
+    readings = {w: layer(w, name) for w in workloads}
+    overhead = statistics.median(readings.values())
+    print(f"{name}: median {overhead:.2f} of", {w: round(v, 2) for w, v in readings.items()})
+    require(len(readings) == 5 and overhead <= 6.5, f"metering an append costs {overhead:.2f} %")
+
+
 def main(argv):
     layers = "--layers" in argv
     paths = [a for a in argv if not a.startswith("--")]
+    if "--counts" in argv and len(paths) == 1:
+        return check_counts(paths[0])
     if len(paths) != 2:
         sys.exit(__doc__)
     base, new = load(paths[0]), load(paths[1])

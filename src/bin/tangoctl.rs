@@ -1,14 +1,15 @@
-//! `tangoctl` — inspect a live Tango/CORFU deployment through its
-//! per-node HTTP scrape endpoints.
+//! `tangoctl` — inspect a live Tango/CORFU deployment by asking each node
+//! for its snapshot, on the port the node serves its clients on.
 //!
 //! ```text
 //! tangoctl status   [name=]host:port ...   shard table + per-node summary
 //! tangoctl health   [name=]host:port ...   verdict; exit 0=ok 1=degraded 2=unhealthy
 //! tangoctl timeline [name=]host:port ...   merged causal control-plane timeline
 //! tangoctl storage  [name=]host:port ...   occupancy, trim horizon, tier split, scrub
+//! tangoctl metrics  [name=]host:port ...   every instrument, per node and summed
 //! ```
 //!
-//! Targets are scrape addresses (`HttpScrapeServer`), one per node; a
+//! Targets are node addresses (`TcpCluster::scrape_targets`), one per node; a
 //! `name=` prefix sets the node name used in output (defaults to the
 //! address). Unreachable targets are reported, never fatal — an
 //! inspector that wedges on the dead node you are debugging is useless.
@@ -19,7 +20,7 @@ use std::time::Duration;
 use tango_metrics::{HealthPolicy, HealthStatus};
 use tango_repro::inspector;
 
-const USAGE: &str = "usage: tangoctl <status|health|timeline|storage> [name=]host:port ...";
+const USAGE: &str = "usage: tangoctl <status|health|timeline|storage|metrics> [name=]host:port ...";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -54,6 +55,10 @@ fn main() -> ExitCode {
         }
         "storage" => {
             print!("{}", inspector::render_storage(&cluster, &unreachable));
+            ExitCode::SUCCESS
+        }
+        "metrics" => {
+            print!("{}", inspector::render_metrics(&cluster, &unreachable));
             ExitCode::SUCCESS
         }
         other => {

@@ -1,5 +1,5 @@
-//! The `tangoctl` inspector: scrape live nodes, render cluster status,
-//! health, and the merged control-plane timeline.
+//! The `tangoctl` inspector: ask live nodes for their snapshots, render
+//! cluster status, health, metrics, and the merged control-plane timeline.
 //!
 //! Everything here is pure rendering over [`ClusterSnapshot`] /
 //! [`ClusterHealth`] so tests can drive it without sockets; the binary in
@@ -15,15 +15,17 @@ use std::time::Duration;
 use tango_metrics::health::{
     GAUGE_APPLIED, GAUGE_EPOCH, GAUGE_OCCUPANCY, GAUGE_SEQ_TAIL, GAUGE_TRIM_HORIZON,
 };
-use tango_metrics::{log_scoped, ClusterHealth, ClusterSnapshot, HealthPolicy, HealthStatus};
+use tango_metrics::{
+    log_scoped, scoped_log, ClusterHealth, ClusterSnapshot, HealthPolicy, HealthStatus,
+};
 use tango_rpc::fetch_snapshot;
 
-/// One node to scrape: a display name plus its HTTP scrape address.
+/// One node to scrape: a display name plus the address it serves on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScrapeTarget {
     /// Display name used in renderings (`name=` prefix, or the address).
     pub name: String,
-    /// `host:port` of the node's scrape endpoint.
+    /// `host:port` the node listens on — the address its clients dial.
     pub addr: String,
 }
 
@@ -38,9 +40,9 @@ pub fn parse_targets(args: &[String]) -> Vec<ScrapeTarget> {
         .collect()
 }
 
-/// Scrapes every target's `/snapshot.bin`. Nodes that do not answer
-/// within `timeout` land in the returned unreachable list instead of
-/// wedging the scrape.
+/// Asks every target for its snapshot ([`fetch_snapshot`]). Nodes that do
+/// not answer within `timeout` land in the returned unreachable list
+/// instead of wedging the scrape.
 pub fn scrape(targets: &[ScrapeTarget], timeout: Duration) -> (ClusterSnapshot, Vec<String>) {
     let mut cluster = ClusterSnapshot::new();
     let mut unreachable = Vec::new();
@@ -51,15 +53,6 @@ pub fn scrape(targets: &[ScrapeTarget], timeout: Duration) -> (ClusterSnapshot, 
         }
     }
     (cluster, unreachable)
-}
-
-/// `name` is `base` scoped to some log (see [`log_scoped`]): returns the
-/// log, with the bare `base` meaning log 0.
-fn scoped_log(name: &str, base: &str) -> Option<u64> {
-    if name == base {
-        return Some(0);
-    }
-    name.strip_prefix(base)?.strip_prefix(".log")?.parse().ok()
 }
 
 /// `tangoctl status`: a per-log shard table (epoch, sequencer tail,
@@ -149,6 +142,20 @@ pub fn render_health(
 /// timeline. Replay-stable by construction (no timestamps).
 pub fn render_timeline(cluster: &ClusterSnapshot) -> String {
     cluster.timeline_text()
+}
+
+/// `tangoctl metrics`: every node's instruments as text
+/// ([`tango_metrics::Snapshot::to_text`]), then the cluster-wide sums.
+pub fn render_metrics(cluster: &ClusterSnapshot, unreachable: &[String]) -> String {
+    let mut out = String::new();
+    for (name, snap) in cluster.nodes() {
+        out.push_str(&format!("# {name}\n{}\n", snap.to_text()));
+    }
+    for name in unreachable {
+        out.push_str(&format!("# {name}: unreachable\n\n"));
+    }
+    out.push_str(&format!("# merged\n{}", cluster.merged().to_text()));
+    out
 }
 
 /// `tangoctl storage`: the reclamation loop per storage node — occupancy,
@@ -273,6 +280,23 @@ mod tests {
         // The sequencer publishes no occupancy gauge: no row.
         assert!(!text.contains("sequencer"), "{text}");
         assert!(text.contains("storage-9            unreachable"), "{text}");
+    }
+
+    #[test]
+    fn metrics_renders_each_node_then_the_merged_sums() {
+        let node = |n: u64| {
+            let r = Registry::new();
+            r.counter("corfu.storage.writes").add(n);
+            r.snapshot()
+        };
+        let mut cs = ClusterSnapshot::new();
+        cs.insert("storage-0", node(2));
+        cs.insert("storage-1", node(3));
+        let text = render_metrics(&cs, &["storage-9".to_string()]);
+        let merged = text.split("# merged\n").nth(1).expect("a merged section");
+        assert!(text.starts_with("# storage-0\n"), "{text}");
+        assert!(text.contains("# storage-9: unreachable"), "{text}");
+        assert!(merged.lines().any(|l| l.starts_with("corfu.storage.writes") && l.ends_with(" 5")));
     }
 
     #[test]

@@ -94,9 +94,8 @@ fn observability_covers_the_whole_stack() {
     assert!(snap.counter("tango.checkpoints") > 0);
     assert!(snap.histogram("tango.apply_latency_ns").is_some_and(|h| h.count() > 0));
 
-    // The same snapshot renders as JSON for scrapers.
-    let json = snap.to_json();
-    assert!(json.contains("\"tango.tx_commit\""));
+    // The same snapshot survives the encoding a node answers scrapes with.
+    assert_eq!(tango_metrics::Snapshot::from_bytes(&snap.to_bytes()).as_ref(), Ok(&snap));
 }
 
 #[test]

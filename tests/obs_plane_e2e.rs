@@ -1,17 +1,19 @@
 //! The health/lag plane and flight recorder end to end over real
-//! sockets: `/healthz` and `/events.json` on every node, cluster health
-//! riding through a fault window, the sharded cluster snapshot, the
-//! cross-log trace tree, and the `tangoctl` inspector against live
-//! endpoints.
+//! sockets: a health verdict and the event journal out of every node's
+//! snapshot, cluster health riding through a fault window, the sharded
+//! cluster snapshot, the cross-log trace tree, and the `tangoctl`
+//! inspector and binary against live nodes.
 
 use std::time::Duration;
 
 use bytes::Bytes;
 use corfu::cluster::{ClusterConfig, TcpCluster, LAYOUT_BASE_ID, SEQUENCER_BASE_ID};
 use corfu::{log_of_offset, Projection, StreamId};
-use tango_metrics::{log_scoped, HealthStatus, Sampler, SpanKind};
+use tango_metrics::{
+    log_scoped, EventKind, HealthPolicy, HealthReport, HealthStatus, Sampler, SpanKind,
+};
 use tango_repro::inspector;
-use tango_rpc::http_get;
+use tango_rpc::fetch_snapshot;
 
 const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
 
@@ -20,7 +22,7 @@ fn stream_in_log(proj: &Projection, log: u32, from: StreamId) -> StreamId {
 }
 
 #[test]
-fn every_node_serves_healthz_and_events() {
+fn every_node_reads_healthy_and_carries_its_journal() {
     let cluster =
         TcpCluster::spawn(ClusterConfig { num_sets: 1, replication: 2, ..Default::default() })
             .unwrap();
@@ -30,16 +32,12 @@ fn every_node_serves_healthz_and_events() {
     }
 
     for (name, addr) in &cluster.scrape_targets() {
-        let (status, body) = http_get(addr, "/healthz", SCRAPE_TIMEOUT).unwrap();
-        assert_eq!(status, 200, "{name} must be healthy");
-        let text = String::from_utf8_lossy(&body);
-        assert!(text.starts_with("{\"status\":\"ok\""), "{name}: {text}");
-        assert!(text.contains("\"reasons\":[]"), "{name}: {text}");
-
-        let (status, body) = http_get(addr, "/events.json", SCRAPE_TIMEOUT).unwrap();
-        assert_eq!(status, 200, "{name}");
-        let text = String::from_utf8_lossy(&body);
-        assert!(text.starts_with("{\"events\":["), "{name}: {text}");
+        let snap = fetch_snapshot(addr, SCRAPE_TIMEOUT).unwrap();
+        let report = HealthReport::evaluate(&snap, &HealthPolicy::default());
+        assert_eq!(report.status, HealthStatus::Ok, "{name} must be healthy");
+        assert!(report.reasons.is_empty(), "{name}: {:?}", report.reasons);
+        // The journal rides the snapshot, whole.
+        assert_eq!(snap.events.len() as u64, snap.counter("events.recorded"), "{name}");
     }
 }
 
@@ -55,13 +53,11 @@ fn sequencer_journal_is_scrapeable_after_a_seal() {
     corfu::reconfig::seal_log(&client, 0).unwrap();
 
     // The sealed sequencer journalled the event in its own registry; it
-    // rides out through /events.json and /snapshot.bin alike.
+    // rides out inside the node's snapshot.
     let targets = cluster.scrape_targets();
     let (_, addr) = targets.iter().find(|(name, _)| name == "sequencer").unwrap();
-    let (status, body) = http_get(addr, "/events.json", SCRAPE_TIMEOUT).unwrap();
-    assert_eq!(status, 200);
-    let text = String::from_utf8_lossy(&body);
-    assert!(text.contains("\"kind\":\"sealed\""), "{text}");
+    let snap = fetch_snapshot(addr, SCRAPE_TIMEOUT).unwrap();
+    assert!(snap.events.iter().any(|e| e.kind == EventKind::Sealed), "{:?}", snap.events);
 
     let snapshot = cluster.cluster_snapshot();
     let timeline = snapshot.timeline_text();
@@ -207,4 +203,41 @@ fn tangoctl_inspector_reads_a_live_cluster() {
     // contains no clocks, so re-scraping quiescent nodes is stable.
     let (again, _) = inspector::scrape(&targets, SCRAPE_TIMEOUT);
     assert_eq!(inspector::render_timeline(&again), timeline);
+
+    let metrics = inspector::render_metrics(&snapshot, &unreachable);
+    assert!(metrics.contains("# storage-0\n") && metrics.contains("# merged\n"), "{metrics}");
+    assert!(metrics.contains("corfu.seq.tokens_granted"), "{metrics}");
+}
+
+/// The binary itself, every subcommand, against a cluster with one node
+/// killed: the dead target is reported, never fatal, and only `health`
+/// exits non-zero (1 = degraded).
+#[test]
+fn tangoctl_binary_reports_a_killed_node() {
+    let cluster =
+        TcpCluster::spawn(ClusterConfig { num_sets: 1, replication: 2, ..Default::default() })
+            .unwrap();
+    let client = cluster.client().unwrap();
+    client.append(Bytes::from_static(b"ctl")).unwrap();
+    corfu::reconfig::seal_log(&client, 0).unwrap();
+    let args: Vec<String> =
+        cluster.scrape_targets().iter().map(|(name, addr)| format!("{name}={addr}")).collect();
+    cluster.kill_storage_node(1);
+
+    for (command, code, shows) in [
+        ("status", 0, "storage-1            unreachable"),
+        ("health", 1, "[degraded] unreachable: scrape target storage-1"),
+        ("timeline", 0, "node=sequencer seq=1 kind=sealed"),
+        ("storage", 0, "storage-1            unreachable"),
+        ("metrics", 0, "# storage-1: unreachable"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_tangoctl"))
+            .arg(command)
+            .args(&args)
+            .output()
+            .unwrap();
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(code), "tangoctl {command}: {text}");
+        assert!(text.contains(shows), "tangoctl {command}: {text}");
+    }
 }

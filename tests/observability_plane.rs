@@ -1,15 +1,28 @@
-//! The cluster-wide observability plane over real sockets: per-node HTTP
-//! scrape endpoints, the merged cluster snapshot, and trace propagation
-//! through TCP frames into per-node span rings.
+//! The cluster-wide observability plane over real sockets: the snapshot
+//! request every node answers on its one port, the merged cluster
+//! snapshot, and trace propagation through TCP frames into per-node span
+//! rings.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use corfu::cluster::{ClusterConfig, TcpCluster, SEQUENCER_BASE_ID};
+use corfu::proto::{StorageRequest, StorageResponse};
 use tango_metrics::{Sampler, SpanKind};
-use tango_rpc::http_get;
+use tango_repro::inspector;
+use tango_rpc::{fetch_snapshot, ClientConn, TcpConn, SERVER_WORKERS};
+use tango_wire::{decode_from_slice, encode_to_vec};
 
 const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Live threads of this process whose name starts with `prefix`.
+fn threads_named(prefix: &str) -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with(prefix))
+        .count()
+}
 
 #[test]
 fn every_node_serves_scrape_endpoints() {
@@ -27,24 +40,47 @@ fn every_node_serves_scrape_endpoints() {
     assert!(targets.iter().any(|(name, _)| name == "sequencer"));
     assert_eq!(targets.iter().filter(|(name, _)| name.starts_with("layout-")).count(), 3);
 
+    // A node is one server: the address a monitor asks is the address
+    // clients dial, and the node's threads are its RPC pool's.
+    let mut dialled: Vec<String> =
+        client.projection().nodes.iter().map(|n| n.addr.clone()).collect();
+    dialled.extend(cluster.layout_replicas().into_iter().map(|r| r.addr));
     for (name, addr) in &targets {
-        let (status, body) = http_get(addr, "/metrics", SCRAPE_TIMEOUT).unwrap();
-        assert_eq!(status, 200, "{name}");
-        assert!(!body.is_empty(), "{name} text snapshot must not be empty");
-        let (status, body) = http_get(addr, "/metrics.json", SCRAPE_TIMEOUT).unwrap();
-        assert_eq!(status, 200, "{name}");
-        let text = String::from_utf8_lossy(&body);
-        assert!(text.starts_with('{'), "{name}: {text}");
-        let (status, _) = http_get(addr, "/spans.json", SCRAPE_TIMEOUT).unwrap();
-        assert_eq!(status, 200, "{name}");
+        let snap = fetch_snapshot(addr, SCRAPE_TIMEOUT).unwrap();
+        assert!(!snap.counters.is_empty(), "{name} snapshot must not be empty");
+        assert!(dialled.contains(addr), "{name} at {addr}");
+        let port = addr.rsplit(':').next().unwrap();
+        assert_eq!(threads_named(&format!("rpc{port}-w")), SERVER_WORKERS, "{name}");
     }
+    assert_eq!(threads_named("http"), 0, "no node runs a second server");
 
     // Storage nodes expose populated service-time histograms.
     let storage = targets.iter().find(|(name, _)| name == "storage-0").unwrap();
-    let (_, body) = http_get(&storage.1, "/metrics.json", SCRAPE_TIMEOUT).unwrap();
-    let text = String::from_utf8_lossy(&body);
-    assert!(text.contains("flash.write.service_ns"), "{text}");
-    assert!(text.contains("flash.queue_wait_ns"), "{text}");
+    let snap = fetch_snapshot(&storage.1, SCRAPE_TIMEOUT).unwrap();
+    assert!(snap.histogram("flash.write.service_ns").is_some_and(|h| h.count() > 0));
+    assert!(snap.histogram("flash.queue_wait_ns").is_some_and(|h| h.count() > 0));
+}
+
+/// The request is answered before the service sees it: a node sealed past
+/// every epoch a client could hold refuses that client and still reports.
+#[test]
+fn a_sealed_storage_node_still_answers() {
+    let cluster = TcpCluster::spawn(ClusterConfig::tiny()).unwrap();
+    let client = cluster.client().unwrap();
+    client.append(Bytes::from_static(b"before the seal")).unwrap();
+    let (_, addr) =
+        cluster.scrape_targets().into_iter().find(|(name, _)| name == "storage-0").unwrap();
+
+    let conn = TcpConn::new(addr.clone());
+    let call = |req: &StorageRequest| -> StorageResponse {
+        decode_from_slice(&conn.call(&encode_to_vec(req)).unwrap()).unwrap()
+    };
+    assert!(matches!(call(&StorageRequest::Seal { epoch: 9 }), StorageResponse::Tail(_)));
+    let refused = call(&StorageRequest::Read { epoch: 0, addr: 0 });
+    assert_eq!(refused, StorageResponse::ErrSealed { epoch: 9 });
+
+    let snap = fetch_snapshot(&addr, SCRAPE_TIMEOUT).unwrap();
+    assert_eq!(snap.counter("corfu.storage.writes"), 1);
 }
 
 #[test]
@@ -102,11 +138,22 @@ fn scrape_survives_killed_nodes() {
         client.append(Bytes::from(format!("pre-{i}"))).unwrap();
     }
 
+    let args: Vec<String> =
+        cluster.scrape_targets().iter().map(|(name, addr)| format!("{name}={addr}")).collect();
     cluster.kill_storage_node(3);
     let snapshot = cluster.cluster_snapshot();
     assert!(snapshot.node("storage-3").is_none(), "killed node drops out of the scrape");
     assert!(snapshot.node("storage-0").is_some());
     assert!(snapshot.merged().counter("corfu.storage.writes") > 0);
+
+    // A monitor still holding the dead node's address: it lands in
+    // `unreachable` within the timeout and the other seven are read.
+    let begun = Instant::now();
+    let (snapshot, unreachable) =
+        inspector::scrape(&inspector::parse_targets(&args), SCRAPE_TIMEOUT);
+    assert!(begun.elapsed() < SCRAPE_TIMEOUT * 2, "scrape took {:?}", begun.elapsed());
+    assert_eq!(unreachable, ["storage-3"]);
+    assert_eq!(snapshot.len(), 7);
 }
 
 #[test]
