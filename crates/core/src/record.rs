@@ -1,7 +1,7 @@
 //! The Tango log-record vocabulary stored in entry payloads.
 
 use bytes::Bytes;
-use tango_wire::{Decode, Encode, Reader, WireError, Writer};
+use tango_wire::{decode_all, decode_seq, Decode, Encode, Reader, WireError, Writer};
 
 use crate::{KeyHash, LogOffset, Oid};
 
@@ -116,7 +116,124 @@ impl Encode for UpdateRecord {
 
 impl Decode for UpdateRecord {
     fn decode(r: &mut Reader<'_>) -> tango_wire::Result<Self> {
-        Ok(Self { oid: r.get_u32()?, key: Option::<u64>::decode(r)?, data: Bytes::decode(r)? })
+        UpdateRef::decode(r).map(|update| update.to_owned())
+    }
+}
+
+/// An [`UpdateRecord`] whose buffer is a view into the entry payload it was
+/// decoded from: what playback hands to `apply`, which only reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct UpdateRef<'a> {
+    pub oid: Oid,
+    pub key: Option<KeyHash>,
+    pub data: &'a [u8],
+}
+
+impl<'a> UpdateRef<'a> {
+    fn decode(r: &mut Reader<'a>) -> tango_wire::Result<Self> {
+        Ok(Self { oid: r.get_u32()?, key: Option::<u64>::decode(r)?, data: r.get_bytes()? })
+    }
+
+    /// The update with a copy of its buffer, for whoever keeps it.
+    pub fn to_owned(self) -> UpdateRecord {
+        UpdateRecord { oid: self.oid, key: self.key, data: Bytes::copy_from_slice(self.data) }
+    }
+}
+
+impl UpdateRecord {
+    /// The update with its buffer lent.
+    pub(crate) fn as_ref(&self) -> UpdateRef<'_> {
+        UpdateRef { oid: self.oid, key: self.key, data: &self.data }
+    }
+}
+
+/// A [`LogRecord`] decoded where it lies: update and checkpoint buffers are
+/// views into the payload. The one parser of the record format — the owned
+/// [`Decode`] is this plus a copy of each buffer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum LogRecordRef<'a> {
+    /// [`LogRecord::Update`].
+    Update(UpdateRef<'a>),
+    /// [`LogRecord::Speculative`].
+    Speculative { txid: TxId, updates: Vec<UpdateRef<'a>> },
+    /// [`LogRecord::Commit`].
+    Commit {
+        txid: TxId,
+        reads: Vec<ReadKey>,
+        updates: Vec<UpdateRef<'a>>,
+        speculative: Vec<LogOffset>,
+        needs_decision: bool,
+    },
+    /// [`LogRecord::Decision`].
+    Decision { txid: TxId, commit_pos: LogOffset, committed: bool },
+    /// [`LogRecord::Checkpoint`].
+    Checkpoint { oid: Oid, data: &'a [u8], as_of: LogOffset },
+}
+
+impl<'a> LogRecordRef<'a> {
+    /// Decodes the record that is the whole of `payload`.
+    pub fn decode(payload: &'a [u8]) -> tango_wire::Result<Self> {
+        decode_all(payload, Self::decode_from)
+    }
+
+    fn decode_from(r: &mut Reader<'a>) -> tango_wire::Result<Self> {
+        match r.get_u8()? {
+            0 => Ok(Self::Update(UpdateRef::decode(r)?)),
+            1 => Ok(Self::Speculative {
+                txid: TxId::decode(r)?,
+                updates: decode_seq(r, UpdateRef::decode)?,
+            }),
+            2 => {
+                let txid = TxId::decode(r)?;
+                let reads = Vec::<ReadKey>::decode(r)?;
+                let updates = decode_seq(r, UpdateRef::decode)?;
+                let n = r.get_len(1 << 20)?;
+                let mut speculative = Vec::with_capacity(n);
+                for _ in 0..n {
+                    speculative.push(r.get_u64()?);
+                }
+                let needs_decision = r.get_bool()?;
+                Ok(Self::Commit { txid, reads, updates, speculative, needs_decision })
+            }
+            3 => Ok(Self::Decision {
+                txid: TxId::decode(r)?,
+                commit_pos: r.get_u64()?,
+                committed: r.get_bool()?,
+            }),
+            4 => Ok(Self::Checkpoint {
+                oid: r.get_u32()?,
+                data: r.get_bytes()?,
+                as_of: r.get_u64()?,
+            }),
+            tag => Err(WireError::InvalidTag { what: "LogRecord", tag: tag as u64 }),
+        }
+    }
+
+    /// The record with a copy of every buffer.
+    fn into_owned(self) -> LogRecord {
+        let owned =
+            |updates: Vec<UpdateRef<'_>>| updates.into_iter().map(UpdateRef::to_owned).collect();
+        match self {
+            Self::Update(update) => LogRecord::Update(update.to_owned()),
+            Self::Speculative { txid, updates } => {
+                LogRecord::Speculative { txid, updates: owned(updates) }
+            }
+            Self::Commit { txid, reads, updates, speculative, needs_decision } => {
+                LogRecord::Commit {
+                    txid,
+                    reads,
+                    updates: owned(updates),
+                    speculative,
+                    needs_decision,
+                }
+            }
+            Self::Decision { txid, commit_pos, committed } => {
+                LogRecord::Decision { txid, commit_pos, committed }
+            }
+            Self::Checkpoint { oid, data, as_of } => {
+                LogRecord::Checkpoint { oid, data: Bytes::copy_from_slice(data), as_of }
+            }
+        }
     }
 }
 
@@ -175,36 +292,7 @@ impl Encode for LogRecord {
 
 impl Decode for LogRecord {
     fn decode(r: &mut Reader<'_>) -> tango_wire::Result<Self> {
-        match r.get_u8()? {
-            0 => Ok(LogRecord::Update(UpdateRecord::decode(r)?)),
-            1 => Ok(LogRecord::Speculative {
-                txid: TxId::decode(r)?,
-                updates: Vec::<UpdateRecord>::decode(r)?,
-            }),
-            2 => {
-                let txid = TxId::decode(r)?;
-                let reads = Vec::<ReadKey>::decode(r)?;
-                let updates = Vec::<UpdateRecord>::decode(r)?;
-                let n = r.get_len(1 << 20)?;
-                let mut speculative = Vec::with_capacity(n);
-                for _ in 0..n {
-                    speculative.push(r.get_u64()?);
-                }
-                let needs_decision = r.get_bool()?;
-                Ok(LogRecord::Commit { txid, reads, updates, speculative, needs_decision })
-            }
-            3 => Ok(LogRecord::Decision {
-                txid: TxId::decode(r)?,
-                commit_pos: r.get_u64()?,
-                committed: r.get_bool()?,
-            }),
-            4 => Ok(LogRecord::Checkpoint {
-                oid: r.get_u32()?,
-                data: Bytes::decode(r)?,
-                as_of: r.get_u64()?,
-            }),
-            tag => Err(WireError::InvalidTag { what: "LogRecord", tag: tag as u64 }),
-        }
+        LogRecordRef::decode_from(r).map(LogRecordRef::into_owned)
     }
 }
 

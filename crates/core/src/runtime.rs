@@ -15,7 +15,7 @@ use tango_wire::{decode_from_slice, encode_to_vec};
 
 use crate::directory::{DirectoryOp, DirectoryState};
 use crate::object::{ApplyMeta, ApplySink, ObjectOptions, ObjectView, SinkFor, StateMachine};
-use crate::record::{LogRecord, ReadKey, TxId, UpdateRecord};
+use crate::record::{LogRecord, LogRecordRef, ReadKey, TxId, UpdateRecord, UpdateRef};
 use crate::tx::{self, TxContext, TxOptions, TxStatus};
 use crate::versions::ConflictTable;
 use crate::{KeyHash, LogOffset, Oid, Result, TangoError, DIRECTORY_OID};
@@ -455,7 +455,7 @@ impl TangoRuntime {
                 // A payload this runtime cannot parse (foreign writer) is
                 // skipped rather than wedging playback.
                 let payload = delivery.entry.map(|entry| &entry.payload[..]);
-                if let Some(Ok(record)) = payload.map(decode_from_slice::<LogRecord>) {
+                if let Some(Ok(record)) = payload.map(LogRecordRef::decode) {
                     outcome = self.process_record(play, record, &delivery);
                     if outcome.is_err() {
                         break;
@@ -490,37 +490,47 @@ impl TangoRuntime {
         Ok(())
     }
 
-    /// Applies `data` to the hosted view of `meta.oid`, if there is one.
-    fn apply(&self, play: &Playback, data: &[u8], meta: &ApplyMeta) {
-        if let Some(obj) = play.objects.get(&meta.oid) {
+    /// Applies `update`, found in the entry being delivered, to the hosted
+    /// view of its object — if this object's cursor is delivering the entry
+    /// now (idempotence across late registrations) — as the doing of `txid`.
+    fn apply(
+        &self,
+        play: &mut Playback,
+        update: UpdateRef<'_>,
+        delivery: &Delivery<'_>,
+        txid: Option<TxId>,
+    ) {
+        let UpdateRef { oid, key, data } = update;
+        if !delivery.is_to(oid) {
+            return;
+        }
+        play.versions.record_write(oid, key, delivery.offset);
+        if let Some(obj) = play.objects.get(&oid) {
+            let meta = ApplyMeta { offset: delivery.offset, oid, key, txid };
             let timer = self.metrics.apply_latency_ns.start_sampled(&self.metrics.sampler);
-            obj.sink.apply(data, meta);
+            obj.sink.apply(data, &meta);
             timer.stop();
         }
     }
 
+    /// Plays one record. Its buffers are views into the delivered entry's
+    /// payload: an update is applied from there, and copied only where it
+    /// has to outlive the run (a speculative write waiting for its commit).
     fn process_record(
         &self,
         play: &mut Playback,
-        record: LogRecord,
+        record: LogRecordRef<'_>,
         delivery: &Delivery<'_>,
     ) -> Result<()> {
         let off = delivery.offset;
         let link = delivery.entry.and_then(|entry| entry.link.as_ref());
         match record {
-            LogRecord::Update(u) => {
-                // Apply only if this object's cursor is delivering this
-                // entry now (idempotence across late registrations).
-                if delivery.is_to(u.oid) {
-                    play.versions.record_write(u.oid, u.key, off);
-                    let meta = ApplyMeta { offset: off, oid: u.oid, key: u.key, txid: None };
-                    self.apply(play, &u.data, &meta);
-                }
-            }
-            LogRecord::Speculative { txid, updates } => {
+            LogRecordRef::Update(update) => self.apply(play, update, delivery, None),
+            LogRecordRef::Speculative { txid, updates } => {
+                let updates = updates.into_iter().map(UpdateRef::to_owned).collect();
                 play.speculative.entry(txid).or_default().insert(off, updates);
             }
-            LogRecord::Checkpoint { oid, as_of, .. } => {
+            LogRecordRef::Checkpoint { oid, as_of, .. } => {
                 let slot = play.last_checkpoint.entry(oid).or_insert(0);
                 if off >= *slot {
                     *slot = off;
@@ -528,10 +538,10 @@ impl TangoRuntime {
                     *floor = (*floor).max(as_of);
                 }
             }
-            LogRecord::Decision { txid, committed, .. } => {
+            LogRecordRef::Decision { txid, committed, .. } => {
                 play.decided.entry(txid).or_insert(committed);
             }
-            LogRecord::Commit { txid, reads, updates, speculative, needs_decision } => {
+            LogRecordRef::Commit { txid, reads, updates, speculative, needs_decision } => {
                 let committed = match self.eval_commit(play, txid, &reads, link) {
                     Some(c) => c,
                     None => self.await_decision(play, txid, off, &reads, needs_decision, link)?,
@@ -649,44 +659,35 @@ impl TangoRuntime {
         play: &mut Playback,
         txid: TxId,
         delivery: &Delivery<'_>,
-        inline: &[UpdateRecord],
+        inline: &[UpdateRef<'_>],
         spec_offsets: &[LogOffset],
         committed: bool,
     ) -> Result<()> {
-        let off = delivery.offset;
         play.decided.insert(txid, committed);
-        let buffered = play.speculative.remove(&txid).unwrap_or_default();
+        let mut buffered = play.speculative.remove(&txid).unwrap_or_default();
         if !committed {
             return Ok(());
         }
         // Spilled write-set entries we did not buffer (late registration)
-        // are resolved with one bulk read instead of one RPC each.
+        // are resolved with one bulk read instead of one RPC each — all of
+        // them before the first update is applied, so a failed read leaves
+        // the commit wholly unapplied for the next sync to deliver again.
         let unbuffered: Vec<LogOffset> =
             spec_offsets.iter().copied().filter(|off| !buffered.contains_key(off)).collect();
         self.stream.fetch_into_cache(&unbuffered)?;
-        let mut all_updates: Vec<UpdateRecord> = Vec::new();
-        for &spec_off in spec_offsets {
-            if let Some(updates) = buffered.get(&spec_off) {
-                all_updates.extend(updates.iter().cloned());
-                continue;
-            }
-            // Not buffered (e.g. we registered this object late): fetch.
+        for spec_off in unbuffered {
             let Some(entry) = self.stream.read_at(spec_off)? else { continue };
             if let Ok(LogRecord::Speculative { txid: t, updates }) =
                 decode_from_slice::<LogRecord>(&entry.payload)
             {
                 if t == txid {
-                    all_updates.extend(updates);
+                    buffered.insert(spec_off, updates);
                 }
             }
         }
-        all_updates.extend(inline.iter().cloned());
-        for u in all_updates {
-            if delivery.is_to(u.oid) {
-                play.versions.record_write(u.oid, u.key, off);
-                let meta = ApplyMeta { offset: off, oid: u.oid, key: u.key, txid: Some(txid) };
-                self.apply(play, &u.data, &meta);
-            }
+        let spilled = spec_offsets.iter().filter_map(|off| buffered.get(off)).flatten();
+        for update in spilled.map(UpdateRecord::as_ref).chain(inline.iter().copied()) {
+            self.apply(play, update, delivery, Some(txid));
         }
         Ok(())
     }

@@ -11,7 +11,7 @@
 //! model, so measured goodput in `simcluster` uses exactly the semantics
 //! the real system implements.
 
-use std::collections::HashMap;
+use tango_wire::IdMap;
 
 use crate::record::ReadKey;
 use crate::{KeyHash, LogOffset, Oid};
@@ -20,11 +20,11 @@ use crate::{KeyHash, LogOffset, Oid};
 #[derive(Debug, Default, Clone)]
 pub struct ConflictTable {
     /// Last modification of any part of the object.
-    whole: HashMap<Oid, u64>,
+    whole: IdMap<Oid, u64>,
     /// Last whole-object (key-less) write, which conflicts with every key.
-    whole_writes: HashMap<Oid, u64>,
+    whole_writes: IdMap<Oid, u64>,
     /// Last modification per fine-grained key.
-    keys: HashMap<(Oid, KeyHash), u64>,
+    keys: IdMap<(Oid, KeyHash), u64>,
 }
 
 impl ConflictTable {

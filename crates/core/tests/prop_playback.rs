@@ -1,6 +1,7 @@
 //! Playback differential: whatever is written to 1–4 streams — plain
-//! updates, commit records on two streams at once, commits the reader can
-//! only decide by reading another stream, junk-filled holes — and however
+//! updates, commit records on two streams at once, commits whose write set
+//! was spilled ahead of them, commits the reader can only decide by reading
+//! another stream, junk-filled holes — and however
 //! the reader's syncs fall between the writes, with objects registered late,
 //! a play limit, and storage reads failing under a sync, the `(offset, oid)`
 //! sequence of `apply` upcalls is the one an independent model derives from
@@ -9,6 +10,7 @@
 
 mod support;
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -102,6 +104,15 @@ enum Op {
     /// the reader decides it by reading that object's stream — and whether
     /// the read is stale (the commit aborts and applies nothing).
     RemoteReadCommit(u32, u32, bool),
+    /// A transaction's write set spilled ahead of its commit: a speculative
+    /// record on two streams with this many updates, alternating between the
+    /// two objects. Nothing applies until [`Op::CommitSpilled`].
+    Spill(u32, u32, usize),
+    /// The commit record of the oldest spill not yet committed (nothing, if
+    /// there is none), with one inline update more. The spilled updates
+    /// apply first, at the commit's offset — whatever writes and syncs fell
+    /// in between, so what the reader buffered outlives the run it read.
+    CommitSpilled,
     /// A token for the object's stream that is never written: filled.
     Hole(u32),
     /// The reader starts hosting the object.
@@ -118,6 +129,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         6 => object().prop_map(Op::Update),
         3 => (object(), object(), 1usize..4).prop_map(|(a, b, n)| Op::Commit(a, b, n)),
         3 => (object(), object(), any::<bool>()).prop_map(|(a, b, s)| Op::RemoteReadCommit(a, b, s)),
+        2 => (object(), object(), 1usize..4).prop_map(|(a, b, n)| Op::Spill(a, b, n)),
+        2 => Just(Op::CommitSpilled),
         1 => object().prop_map(Op::Hole),
         1 => object().prop_map(Op::Register),
         1 => Just(Op::Sync(None)),
@@ -136,6 +149,17 @@ struct Writer {
     /// The next stream a remote-read commit reads: each reads a fresh one,
     /// so each costs the reader a storage read to decide.
     next_read_stream: StreamId,
+    /// Spills awaiting their commit.
+    spilled: VecDeque<Spill>,
+}
+
+/// A speculative record written and not yet committed.
+struct Spill {
+    objects: (u32, u32),
+    txid: TxId,
+    offset: u64,
+    /// What its updates apply once the commit is delivered.
+    applies: Vec<(u32, u8)>,
 }
 
 impl Writer {
@@ -148,18 +172,21 @@ impl Writer {
         self.stream.multiappend(streams, Bytes::from(encode_to_vec(record))).unwrap()
     }
 
+    fn next_tx(&mut self) -> TxId {
+        self.txs += 1;
+        TxId { client: 77, seq: self.txs }
+    }
+
     fn commit(
         &mut self,
         (a, b): (u32, u32),
         reads: Vec<ReadKey>,
         updates: Vec<UpdateRecord>,
     ) -> u64 {
-        self.txs += 1;
-        let txid = TxId { client: 77, seq: self.txs };
+        let txid = self.next_tx();
         let record =
             LogRecord::Commit { txid, reads, updates, speculative: vec![], needs_decision: false };
-        let streams = if a == b { vec![a] } else { vec![a, b] };
-        self.append(&streams, &record)
+        self.append(&streams_of(a, b), &record)
     }
 
     fn write(&mut self, op: &Op) {
@@ -192,6 +219,30 @@ impl Writer {
                     self.model.wrote(offset, applies);
                 }
             }
+            Op::Spill(a, b, n) => {
+                let updates: Vec<_> =
+                    (0..n).map(|i| self.update(if i % 2 == 0 { a } else { b })).collect();
+                let applies = updates.iter().map(|u| (u.oid, u.data[0])).collect();
+                let txid = self.next_tx();
+                let record = LogRecord::Speculative { txid, updates };
+                let offset = self.append(&streams_of(a, b), &record);
+                self.spilled.push_back(Spill { objects: (a, b), txid, offset, applies });
+            }
+            Op::CommitSpilled => {
+                let Some(spill) = self.spilled.pop_front() else { return };
+                let Spill { objects: (a, b), txid, offset: spill, mut applies } = spill;
+                let inline = self.update(a);
+                applies.push((a, inline.data[0]));
+                let record = LogRecord::Commit {
+                    txid,
+                    reads: vec![],
+                    updates: vec![inline],
+                    speculative: vec![spill],
+                    needs_decision: false,
+                };
+                let offset = self.append(&streams_of(a, b), &record);
+                self.model.wrote(offset, applies);
+            }
             Op::Hole(oid) => {
                 let corfu = self.stream.corfu();
                 let hole = corfu.token(&[oid]).unwrap().offset;
@@ -199,6 +250,15 @@ impl Writer {
             }
             Op::Register(_) | Op::Sync(_) => unreachable!("not a write"),
         }
+    }
+}
+
+/// The streams a record of objects `a` and `b` goes to.
+fn streams_of(a: u32, b: u32) -> Vec<StreamId> {
+    if a == b {
+        vec![a]
+    } else {
+        vec![a, b]
     }
 }
 
@@ -219,6 +279,7 @@ proptest! {
             tag: 0,
             txs: 0,
             next_read_stream: 100,
+            spilled: VecDeque::new(),
         };
         let faults = Arc::new(Faults::default());
         let factory =

@@ -23,8 +23,8 @@ use crate::entry::{CrossLogLink, EntryEnvelope, StreamHeader};
 use crate::layout::LayoutClient;
 use crate::metrics::{ClientLogMetrics, ClientMetrics};
 use crate::proto::{
-    PageOutcome, SequencerRequest, SequencerResponse, StorageRequest, StorageResponse, WriteKind,
-    WriteRef, WRITE_HEAD_MAX,
+    PageOutcome, PageRef, Pages, SequencerRequest, SequencerResponse, StorageRequest,
+    StorageResponse, WriteKind, WriteRef, WRITE_HEAD_MAX,
 };
 use crate::{
     compose, log_of_offset, CorfuError, Epoch, LogOffset, NodeId, NodeInfo, Projection, Result,
@@ -114,6 +114,18 @@ impl From<PageOutcome> for ReadOutcome {
     }
 }
 
+impl ReadOutcome {
+    /// The outcome with its data lent, as a bulk read's visitor is shown it.
+    fn as_page(&self) -> PageRef<'_> {
+        match self {
+            ReadOutcome::Data(b) => PageRef::Data(b),
+            ReadOutcome::Junk => PageRef::Junk,
+            ReadOutcome::Unwritten => PageRef::Unwritten,
+            ReadOutcome::Trimmed => PageRef::Trimmed,
+        }
+    }
+}
+
 /// What a reader walking a stream backward lets the storage nodes read
 /// beyond the offsets it names (see [`StorageRequest::ReadChase`]).
 pub struct Chase<'a> {
@@ -125,9 +137,22 @@ pub struct Chase<'a> {
     pub limit: usize,
 }
 
-/// The entries a [`Chase`] brought along: offsets nobody named, with what
-/// they hold.
-pub type Chased = Vec<(LogOffset, Bytes)>;
+/// What [`CorfuClient::visit_many`] shows a page to: the page's position
+/// among the offsets asked for (`None`: a page a [`Chase`] brought along,
+/// which nobody named), its offset, and what it holds, lent from the reply
+/// it arrived in.
+pub type PageVisitor<'v> = dyn FnMut(Option<usize>, LogOffset, PageRef<'_>) -> Result<()> + 'v;
+
+/// One storage node's answer to its share of a bulk read.
+struct BulkReply {
+    /// The replica set that answered.
+    set: usize,
+    /// What it was asked: input positions and local addresses, in request
+    /// order.
+    asked: Vec<(usize, u64)>,
+    /// The encoded `BatchOutcomes` or `Chased` response.
+    reply: Vec<u8>,
+}
 
 /// One operation's view of the cluster: a layout and, beside it, what is
 /// only good for that layout. An operation takes one `Arc` of it and every
@@ -933,34 +958,163 @@ impl CorfuClient {
     /// chain is resolved through chain repair before being reported, so an
     /// `Unwritten` result really means no writer has reached the head.
     pub fn read_many(&self, offsets: &[LogOffset]) -> Result<Vec<ReadOutcome>> {
-        Ok(self.read_bulk(offsets, None)?.0)
+        self.collect_many(offsets, false)
+    }
+
+    /// [`CorfuClient::read_many`] that waits for in-flight writers and
+    /// finally patches what is still a hole after `hole_fill_timeout` with
+    /// junk (§3.2), so the result never contains `Unwritten`. The offsets
+    /// that come back `Unwritten` share one deadline: they are re-read
+    /// together, and a reader behind K abandoned tokens waits one timeout,
+    /// not K.
+    ///
+    /// Each poll is a bulk read of what is still unwritten, so polling
+    /// backs off exponentially (1 ms doubling to 16 ms) instead of hammering
+    /// the tails at a fixed interval.
+    pub fn wait_read_many(&self, offsets: &[LogOffset]) -> Result<Vec<ReadOutcome>> {
+        self.collect_many(offsets, true)
+    }
+
+    /// [`CorfuClient::visit_many`] with a copy of every page kept.
+    fn collect_many(&self, offsets: &[LogOffset], wait: bool) -> Result<Vec<ReadOutcome>> {
+        let mut out = vec![ReadOutcome::Unwritten; offsets.len()];
+        self.visit_many(offsets, wait, None, &mut |index, _, page| {
+            out[index.expect("no chase, so only what was asked for")] = page.to_owned().into();
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// The bulk read every other one is made of: reads `offsets` as
+    /// [`CorfuClient::read_many`] does — or, with `wait`, as
+    /// [`CorfuClient::wait_read_many`] does — and shows `visit` each page
+    /// where it lies in the storage node's reply, so a reader that decodes
+    /// what it reads copies nothing it does not keep. Every offset is
+    /// visited exactly once, in no particular order; an error from `visit`
+    /// ends the read and is returned.
+    ///
+    /// With a `chase` the reader is walking `chase.stream` backward from
+    /// `offsets`: the storage nodes go on reading where the stream's
+    /// backpointers lead on their own pages, and the entries they find are
+    /// visited too — the reader's next strides, in this round trip. Only
+    /// `offsets` are waited for, repaired or filled; of the rest, an offset
+    /// that holds no data is simply not mentioned.
+    pub fn visit_many(
+        &self,
+        offsets: &[LogOffset],
+        wait: bool,
+        chase: Option<&Chase<'_>>,
+        visit: &mut PageVisitor<'_>,
+    ) -> Result<()> {
+        if !wait {
+            return self.visit_bulk(offsets, chase, visit);
+        }
+        // Input positions of the offsets still unwritten.
+        let mut holes: Vec<usize> = Vec::new();
+        self.visit_bulk(offsets, chase, &mut |index, offset, page| match (index, page) {
+            (Some(i), PageRef::Unwritten) => {
+                holes.push(i);
+                Ok(())
+            }
+            _ => visit(index, offset, page),
+        })?;
+        if holes.is_empty() {
+            return Ok(());
+        }
+        let deadline = Instant::now() + self.opts.hole_fill_timeout;
+        let mut backoff = HOLE_POLL_INTERVAL;
+        while !holes.is_empty() {
+            let now = Instant::now();
+            if now >= deadline {
+                for &i in &holes {
+                    visit(Some(i), offsets[i], self.fill(offsets[i])?.as_page())?;
+                }
+                break;
+            }
+            self.metrics.hole_polls.inc();
+            std::thread::sleep(backoff.min(deadline - now));
+            backoff = (backoff * 2).min(HOLE_POLL_MAX);
+            let unwritten: Vec<LogOffset> = holes.iter().map(|&i| offsets[i]).collect();
+            let mut still = Vec::new();
+            self.visit_bulk(&unwritten, None, &mut |index, offset, page| {
+                let i = holes[index.expect("no chase, so only what was asked for")];
+                match page {
+                    PageRef::Unwritten => still.push(i),
+                    page => visit(Some(i), offset, page)?,
+                }
+                Ok(())
+            })?;
+            holes = still;
+        }
+        Ok(())
     }
 
     /// One bulk read as an operation: sampled, and retried across a seal.
-    fn read_bulk(
+    /// A retry repeats round trips, never a visit: the replies are all in
+    /// hand before the first page is shown.
+    fn visit_bulk(
         &self,
         offsets: &[LogOffset],
         chase: Option<&Chase<'_>>,
-    ) -> Result<(Vec<ReadOutcome>, Chased)> {
+        visit: &mut PageVisitor<'_>,
+    ) -> Result<()> {
         if offsets.is_empty() {
-            return Ok(Default::default());
+            return Ok(());
         }
         let _span = self.sampled_root(SpanKind::ClientRead);
-        self.with_retry("read_many", false, &mut self.view(), |view| {
-            self.read_many_with(view, offsets, chase)
-        })
+        let mut view = self.view();
+        let replies = self.with_retry("read_many", false, &mut view, |view| {
+            self.bulk_replies(view, offsets, chase)
+        })?;
+        // The layout the replies were asked under.
+        let proj = Arc::clone(&view.proj);
+        // A tail that answered Unwritten on a replicated chain may be
+        // lagging a half-finished chain write; those few stragglers are
+        // resolved through the repair path before they are reported.
+        let mut stragglers: Vec<usize> = Vec::new();
+        for BulkReply { set, asked, reply } in &replies {
+            let mut pages = Pages::peek(reply).expect("bulk_replies keeps nothing else")?;
+            if pages.len() < asked.len() || (!pages.addressed() && pages.len() > asked.len()) {
+                return Err(CorfuError::Codec(format!(
+                    "batch answered {} of {} addrs",
+                    pages.len(),
+                    asked.len()
+                )));
+            }
+            for (&(idx, _), page) in asked.iter().zip(pages.by_ref()) {
+                match page?.1 {
+                    PageRef::Unwritten if proj.chain_for(offsets[idx]).len() > 1 => {
+                        stragglers.push(idx)
+                    }
+                    page => visit(Some(idx), offsets[idx], page)?,
+                }
+            }
+            // Only what a page the node chose to read holds is of use; what
+            // it does not hold is the business of whoever asks for it.
+            for page in pages {
+                if let (Some(local), PageRef::Data(bytes)) = page? {
+                    visit(None, proj.unmap(*set, local), PageRef::Data(bytes))?;
+                }
+            }
+        }
+        for idx in stragglers {
+            let repaired = self.with_retry("read_many", false, &mut view, |view| {
+                self.repair_chain(view, &view.proj, offsets[idx])
+            })?;
+            visit(Some(idx), offsets[idx], repaired.as_page())?;
+        }
+        Ok(())
     }
 
-    /// The bulk read itself. With a `chase` each group's request is a
-    /// `ReadChase`, and the data pages the tails read beyond `offsets` come
-    /// back beside the outcomes; grouping, stitching and repair do not know
-    /// the difference.
-    fn read_many_with(
+    /// The round trips of a bulk read. With a `chase` each group's request
+    /// is a `ReadChase`, whose reply also holds the data pages the tail read
+    /// beyond `offsets`; grouping does not know the difference.
+    fn bulk_replies(
         &self,
         view: &View,
         offsets: &[LogOffset],
         chase: Option<&Chase<'_>>,
-    ) -> Result<(Vec<ReadOutcome>, Chased)> {
+    ) -> Result<Vec<BulkReply>> {
         let proj = &*view.proj;
         // Group offsets by (global) replica set, remembering where each one
         // sits in the input so outcomes can be stitched back in order.
@@ -978,9 +1132,9 @@ impl CorfuClient {
             let log = proj.log_of_set(set);
             let layout = proj.log(log);
             let epoch = layout.epoch;
-            for entries in group.chunks(crate::storage::MAX_READ_BATCH) {
+            for asked in group.chunks(crate::storage::MAX_READ_BATCH) {
                 self.metrics.read_batches.inc();
-                let addrs = entries.iter().map(|&(_, local)| local).collect();
+                let addrs = asked.iter().map(|&(_, local)| local).collect();
                 let request = encode_to_vec(&match chase {
                     None => StorageRequest::ReadBatch { epoch, addrs },
                     Some(chase) => StorageRequest::ReadChase {
@@ -996,110 +1150,19 @@ impl CorfuClient {
                         limit: chase.limit as u32,
                     },
                 });
-                started.push((set, conn, conn.start(&request), entries));
+                started.push((set, conn, conn.start(&request), asked));
             }
         }
         // An error drops the tickets behind it, which abandons their calls.
-        let mut stitched = vec![ReadOutcome::Unwritten; offsets.len()];
-        let mut chased = Chased::new();
-        for (set, conn, ticket, entries) in started {
-            let (outcomes, followed) = match decode_from_slice(&conn.finish(ticket)?)? {
-                StorageResponse::BatchOutcomes(outcomes) => (outcomes, Vec::new().into_iter()),
-                StorageResponse::Chased(pages) => {
-                    let mut pages = pages.into_iter();
-                    let asked = pages.by_ref().take(entries.len());
-                    (asked.map(|(_, outcome)| outcome).collect(), pages)
-                }
-                other => return Err(storage_refusal("batch read", other)),
-            };
-            if outcomes.len() != entries.len() {
-                return Err(CorfuError::Codec(format!(
-                    "batch answered {} of {} addrs",
-                    outcomes.len(),
-                    entries.len()
-                )));
+        let mut replies = Vec::with_capacity(started.len());
+        for (set, conn, ticket, asked) in started {
+            let reply = conn.finish(ticket)?;
+            if Pages::peek(&reply).is_none() {
+                return Err(storage_refusal("batch read", decode_from_slice(&reply)?));
             }
-            for (&(idx, _), outcome) in entries.iter().zip(outcomes) {
-                stitched[idx] = outcome.into();
-            }
-            // Only what a page the node chose to read holds is of use; what
-            // it does not hold is the business of whoever asks for it.
-            chased.extend(followed.filter_map(|(local, outcome)| match outcome {
-                PageOutcome::Data(bytes) => Some((proj.unmap(set, local), bytes)),
-                _ => None,
-            }));
+            replies.push(BulkReply { set, asked: asked.to_vec(), reply });
         }
-        // A tail that answered Unwritten on a replicated chain may be
-        // lagging a half-finished chain write; resolve those few stragglers
-        // through the repair path before reporting.
-        for (idx, &off) in offsets.iter().enumerate() {
-            if stitched[idx] == ReadOutcome::Unwritten && proj.chain_for(off).len() > 1 {
-                stitched[idx] = self.repair_chain(view, proj, off)?;
-            }
-        }
-        Ok((stitched, chased))
-    }
-
-    /// [`CorfuClient::read_many`] that waits for in-flight writers and
-    /// finally patches what is still a hole after `hole_fill_timeout` with
-    /// junk (§3.2), so the result never contains `Unwritten`. The offsets
-    /// that come back `Unwritten` share one deadline: they are re-read
-    /// together, and a reader behind K abandoned tokens waits one timeout,
-    /// not K.
-    ///
-    /// Each poll is a bulk read of what is still unwritten, so polling
-    /// backs off exponentially (1 ms doubling to 16 ms) instead of hammering
-    /// the tails at a fixed interval.
-    pub fn wait_read_many(&self, offsets: &[LogOffset]) -> Result<Vec<ReadOutcome>> {
-        Ok(self.wait_read_bulk(offsets, None)?.0)
-    }
-
-    /// [`CorfuClient::wait_read_many`] for a reader walking `chase.stream`
-    /// backward from `offsets`: the storage nodes go on reading where the
-    /// stream's backpointers lead on their own pages, and the entries they
-    /// find come back too — the reader's next strides, in this round trip.
-    /// Only `offsets` are waited for, repaired or filled; of the rest, an
-    /// offset that holds no data is simply not mentioned.
-    pub fn wait_read_chase(
-        &self,
-        offsets: &[LogOffset],
-        chase: &Chase<'_>,
-    ) -> Result<(Vec<ReadOutcome>, Chased)> {
-        self.wait_read_bulk(offsets, Some(chase))
-    }
-
-    fn wait_read_bulk(
-        &self,
-        offsets: &[LogOffset],
-        chase: Option<&Chase<'_>>,
-    ) -> Result<(Vec<ReadOutcome>, Chased)> {
-        let (mut out, chased) = self.read_bulk(offsets, chase)?;
-        // Input positions of the offsets still unwritten.
-        let mut holes: Vec<usize> =
-            (0..out.len()).filter(|&i| out[i] == ReadOutcome::Unwritten).collect();
-        if holes.is_empty() {
-            return Ok((out, chased));
-        }
-        let deadline = Instant::now() + self.opts.hole_fill_timeout;
-        let mut backoff = HOLE_POLL_INTERVAL;
-        while !holes.is_empty() {
-            let now = Instant::now();
-            if now >= deadline {
-                for &i in &holes {
-                    out[i] = self.fill(offsets[i])?;
-                }
-                break;
-            }
-            self.metrics.hole_polls.inc();
-            std::thread::sleep(backoff.min(deadline - now));
-            backoff = (backoff * 2).min(HOLE_POLL_MAX);
-            let unwritten: Vec<LogOffset> = holes.iter().map(|&i| offsets[i]).collect();
-            for (&i, outcome) in holes.iter().zip(self.read_many(&unwritten)?) {
-                out[i] = outcome;
-            }
-            holes.retain(|&i| out[i] == ReadOutcome::Unwritten);
-        }
-        Ok((out, chased))
+        Ok(replies)
     }
 
     /// Trims a single offset, marking it garbage-collectable.

@@ -46,13 +46,14 @@ mod sequencer;
 mod storage;
 
 pub use client::{
-    Chase, Chased, ClientOptions, ConnFactory, CorfuClient, ReadOutcome, StreamWindows, Token,
+    Chase, ClientOptions, ConnFactory, CorfuClient, PageVisitor, ReadOutcome, StreamWindows, Token,
 };
 pub use compactor::{Compactor, CompactorConfig};
 pub use entry::{CrossLogLink, EntryEnvelope, StreamHeader};
 pub use error::CorfuError;
 pub use layout::LayoutClient;
 pub use projection::{LogLayout, NodeInfo, Projection, ShardMap};
+pub use proto::PageRef;
 pub use sequencer::{SequencerServer, SequencerState};
 pub use storage::{CompactionReport, StorageServer, CHASE_REPLY_BYTES, MAX_READ_BATCH};
 

@@ -192,6 +192,108 @@ pub enum PageOutcome {
     Trimmed,
 }
 
+/// A [`PageOutcome`] whose data is lent from the reply it was decoded from,
+/// so a reader copies a page once: into the entry it decodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PageRef<'a> {
+    /// The page holds this payload.
+    Data(&'a [u8]),
+    /// The page holds junk (a patched hole).
+    Junk,
+    /// The page has never been written.
+    Unwritten,
+    /// The page is trimmed.
+    Trimmed,
+}
+
+impl<'a> PageRef<'a> {
+    /// One outcome of a bulk reply: the one place that knows its layout on
+    /// the decode side.
+    fn decode(r: &mut Reader<'a>) -> tango_wire::Result<Self> {
+        match r.get_u8()? {
+            0 => Ok(PageRef::Data(r.get_bytes()?)),
+            1 => Ok(PageRef::Junk),
+            2 => Ok(PageRef::Unwritten),
+            3 => Ok(PageRef::Trimmed),
+            tag => Err(WireError::InvalidTag { what: "PageOutcome", tag: tag as u64 }),
+        }
+    }
+
+    /// The outcome with a copy of its data.
+    pub fn to_owned(self) -> PageOutcome {
+        match self {
+            PageRef::Data(bytes) => PageOutcome::Data(Bytes::copy_from_slice(bytes)),
+            PageRef::Junk => PageOutcome::Junk,
+            PageRef::Unwritten => PageOutcome::Unwritten,
+            PageRef::Trimmed => PageOutcome::Trimmed,
+        }
+    }
+}
+
+/// The pages of a [`StorageResponse::BatchOutcomes`] or
+/// [`StorageResponse::Chased`] reply, decoded one at a time where they lie:
+/// each with its local address if the reply names one, and — exactly as
+/// `decode_from_slice::<StorageResponse>` would on the same bytes — an error
+/// in place of the page that is malformed, or behind the last page when
+/// bytes are left over.
+pub(crate) struct Pages<'a> {
+    r: Reader<'a>,
+    remaining: usize,
+    /// Whether an address precedes each outcome (`Chased`).
+    addressed: bool,
+}
+
+impl<'a> Pages<'a> {
+    /// `reply` as a bulk-read reply, when that is what its tag says. `None`:
+    /// some other response (or none at all).
+    pub fn peek(reply: &'a [u8]) -> Option<tango_wire::Result<Self>> {
+        let addressed = match reply.first() {
+            Some(12) => false,
+            Some(13) => true,
+            _ => return None,
+        };
+        let mut r = Reader::new(reply);
+        let len = r.get_u8().and_then(|_| r.get_len(1 << 20));
+        Some(len.map(|remaining| Self { r, remaining, addressed }))
+    }
+
+    /// Pages not yet yielded.
+    pub fn len(&self) -> usize {
+        self.remaining
+    }
+
+    /// Whether the reply names each page's address: a `Chased` reply, which
+    /// may hold more pages than were asked for.
+    pub fn addressed(&self) -> bool {
+        self.addressed
+    }
+
+    fn page(&mut self) -> tango_wire::Result<(Option<u64>, PageRef<'a>)> {
+        let addr = if self.addressed { Some(self.r.get_u64()?) } else { None };
+        Ok((addr, PageRef::decode(&mut self.r)?))
+    }
+}
+
+impl<'a> Iterator for Pages<'a> {
+    type Item = tango_wire::Result<(Option<u64>, PageRef<'a>)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self.remaining.checked_sub(1) {
+            Some(remaining) => {
+                self.remaining = remaining;
+                Some(self.page())
+            }
+            None if self.r.is_empty() => None,
+            None => {
+                // As `decode_all` reports it — once: the reader is emptied.
+                let (read, left) = (self.r.position() as u64, self.r.remaining() as u64);
+                self.r = Reader::new(&[]);
+                Some(Err(WireError::LengthOutOfRange { declared: read + left, max: read }))
+            }
+        }
+    }
+}
+
 /// One consumed page streamed by [`StorageRequest::CopyRange`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PageCopy {
@@ -398,13 +500,7 @@ impl Encode for PageOutcome {
 
 impl Decode for PageOutcome {
     fn decode(r: &mut Reader<'_>) -> tango_wire::Result<Self> {
-        match r.get_u8()? {
-            0 => Ok(PageOutcome::Data(Bytes::decode(r)?)),
-            1 => Ok(PageOutcome::Junk),
-            2 => Ok(PageOutcome::Unwritten),
-            3 => Ok(PageOutcome::Trimmed),
-            tag => Err(WireError::InvalidTag { what: "PageOutcome", tag: tag as u64 }),
-        }
+        PageRef::decode(r).map(PageRef::to_owned)
     }
 }
 
@@ -920,6 +1016,50 @@ mod tests {
         assert_eq!(encode_to_vec(&chase), expected.concat());
         let chased = StorageResponse::Chased(vec![(2, PageOutcome::Junk)]);
         assert_eq!(encode_to_vec(&chased), [&[13u8, 1][..], &2u64.to_le_bytes(), &[1]].concat());
+    }
+
+    /// The borrowed walk over a bulk reply is the owned decode of the same
+    /// bytes: the same pages, and an error exactly where the owned decode
+    /// has one — cut short anywhere, or with a byte left over.
+    #[test]
+    fn borrowed_pages_agree_with_the_owned_decode() {
+        let data = |bytes: &'static [u8]| PageOutcome::Data(Bytes::from_static(bytes));
+        let batch = vec![data(b"entry"), PageOutcome::Junk, PageOutcome::Unwritten, data(b"")];
+        let chased = vec![(40, data(b"asked")), (u64::MAX, PageOutcome::Trimmed), (39, data(b"x"))];
+        type Walked = Vec<(Option<u64>, PageOutcome)>;
+        let walk = |reply: &[u8]| -> Option<tango_wire::Result<Walked>> {
+            let pages = Pages::peek(reply)?;
+            Some(pages.and_then(|pages| {
+                pages.map(|page| page.map(|(addr, page)| (addr, page.to_owned()))).collect()
+            }))
+        };
+        for response in [
+            StorageResponse::BatchOutcomes(batch),
+            StorageResponse::BatchOutcomes(vec![]),
+            StorageResponse::Chased(chased),
+            StorageResponse::Chased(vec![]),
+        ] {
+            let expected: Walked = match &response {
+                StorageResponse::BatchOutcomes(pages) => {
+                    pages.iter().map(|page| (None, page.clone())).collect()
+                }
+                StorageResponse::Chased(pages) => {
+                    pages.iter().map(|(addr, page)| (Some(*addr), page.clone())).collect()
+                }
+                _ => unreachable!(),
+            };
+            let mut bytes = encode_to_vec(&response);
+            assert_eq!(walk(&bytes), Some(Ok(expected)));
+            for cut in 1..bytes.len() {
+                let owned = decode_from_slice::<StorageResponse>(&bytes[..cut]);
+                assert_eq!(walk(&bytes[..cut]).unwrap().err(), owned.err(), "cut at {cut}");
+            }
+            bytes.push(0);
+            let owned = decode_from_slice::<StorageResponse>(&bytes);
+            assert_eq!(walk(&bytes).unwrap().err(), owned.err(), "a byte left over");
+        }
+        assert!(walk(&encode_to_vec(&StorageResponse::Junk)).is_none());
+        assert!(walk(&[]).is_none());
     }
 
     #[test]

@@ -15,14 +15,13 @@
 //! sized `slot_size * pages_per_segment` (the filesystem keeps them sparse
 //! until slots are written).
 
-use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
-use tango_wire::crc32c;
+use tango_wire::{crc32c, IdMap};
 
 use crate::store::{PageKind, ScannedPage, ScannedState, ScrubReport};
 use crate::{FlashError, PageAddr, Result};
@@ -47,7 +46,7 @@ pub struct FileStore {
     dir: PathBuf,
     page_size: usize,
     pages_per_segment: u64,
-    segments: HashMap<u64, File>,
+    segments: IdMap<u64, File>,
 }
 
 impl FileStore {
@@ -58,7 +57,7 @@ impl FileStore {
     pub fn open(dir: impl AsRef<Path>, page_size: usize, pages_per_segment: u64) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        let store = Self { dir, page_size, pages_per_segment, segments: HashMap::new() };
+        let store = Self { dir, page_size, pages_per_segment, segments: IdMap::default() };
         if let Some((stored_page_size, stored_pps)) = store.read_geometry()? {
             if stored_page_size != page_size as u64 || stored_pps != pages_per_segment {
                 return Err(FlashError::Corrupt(format!(

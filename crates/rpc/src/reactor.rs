@@ -33,7 +33,6 @@
 //! dependencies**: the four epoll calls are declared directly against the
 //! libc that `std` already links, mio-style, in [`sys`].
 
-use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -46,6 +45,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 use tango_metrics::{trace, EventKind};
+use tango_wire::IdMap;
 
 use crate::frame::{encode_frame, Frame, FrameAssembler};
 use crate::{Result, RpcError, RpcHandler, ServerOptions};
@@ -302,7 +302,7 @@ struct Inner {
     /// the thread holding its event touches this.
     accept_errors: AtomicU32,
     handler: Arc<dyn RpcHandler>,
-    conns: Mutex<HashMap<u64, Arc<Conn>>>,
+    conns: Mutex<IdMap<u64, Arc<Conn>>>,
     next_token: AtomicU64,
 }
 
@@ -345,7 +345,7 @@ impl Reactor {
             options,
             accept_errors: AtomicU32::new(0),
             handler,
-            conns: Mutex::new(HashMap::new()),
+            conns: Mutex::new(IdMap::default()),
             next_token: AtomicU64::new(FIRST_CONN_TOKEN),
         });
         // From here on `inner` owns the epoll fd, and dropping `reactor`

@@ -29,7 +29,6 @@
 //! timeout. Transparent reconnect (one retry per call) covers a restarted
 //! server.
 
-use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -39,6 +38,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use tango_metrics::{trace, Counter, Events, Gauge, Histogram, Registry};
+use tango_wire::IdMap;
 
 use crate::frame::{encode_frame, Frame, FrameAssembler, HEADER_LEN};
 use crate::reactor::Reactor;
@@ -204,7 +204,7 @@ const DEADLINE_SLACK: Duration = Duration::from_millis(1);
 
 /// What callers sharing a connection coordinate through.
 struct Routing {
-    slots: HashMap<u64, Slot>,
+    slots: IdMap<u64, Slot>,
     /// `None` while some caller is reading the socket.
     read_half: Option<ReadHalf>,
     /// `rpc.in_flight`: the slots registered and not yet retired.
@@ -395,7 +395,7 @@ impl TcpConn {
             timeout: self.timeout,
             write_turn: Mutex::new(()),
             routing: Mutex::new(Routing {
-                slots: HashMap::new(),
+                slots: IdMap::default(),
                 read_half: Some(read_half),
                 in_flight: self.metrics.in_flight.clone(),
             }),

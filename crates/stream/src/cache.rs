@@ -1,7 +1,9 @@
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use corfu::{EntryEnvelope, LogOffset};
+use tango_wire::IdMap;
 
 /// A bounded FIFO cache of decoded log entries.
 ///
@@ -10,7 +12,7 @@ use corfu::{EntryEnvelope, LogOffset};
 /// once. The generating client also seeds the cache on append, so it usually
 /// replays its own writes without any log reads.
 pub struct EntryCache {
-    map: HashMap<LogOffset, Arc<EntryEnvelope>>,
+    map: IdMap<LogOffset, Arc<EntryEnvelope>>,
     order: VecDeque<LogOffset>,
     capacity: usize,
 }
@@ -19,7 +21,7 @@ impl EntryCache {
     /// Creates a cache holding at most `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
-        Self { map: HashMap::new(), order: VecDeque::new(), capacity }
+        Self { map: IdMap::default(), order: VecDeque::new(), capacity }
     }
 
     /// Looks up the entry at `offset`. Hit/miss accounting lives in the
@@ -30,16 +32,14 @@ impl EntryCache {
 
     /// Inserts an entry, evicting the oldest if full.
     pub fn insert(&mut self, offset: LogOffset, entry: Arc<EntryEnvelope>) {
-        if self.map.contains_key(&offset) {
-            return;
-        }
-        if self.map.len() >= self.capacity {
+        let Entry::Vacant(slot) = self.map.entry(offset) else { return };
+        slot.insert(entry);
+        self.order.push_back(offset);
+        if self.map.len() > self.capacity {
             if let Some(old) = self.order.pop_front() {
                 self.map.remove(&old);
             }
         }
-        self.map.insert(offset, entry);
-        self.order.push_back(offset);
     }
 
     /// Drops every cached entry below `horizon` (after a prefix trim).

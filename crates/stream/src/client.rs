@@ -1,13 +1,13 @@
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use corfu::{
-    compose, log_of_offset, Chase, CorfuClient, CorfuError, EntryEnvelope, LogOffset, ReadOutcome,
-    StreamId, LOG_OFFSET_MASK,
+    compose, log_of_offset, Chase, CorfuClient, CorfuError, EntryEnvelope, LogOffset, PageRef,
+    ReadOutcome, StreamId, LOG_OFFSET_MASK,
 };
 use parking_lot::Mutex;
 use tango_metrics::{Counter, Events, Histogram, Registry, SpanKind, Tracer};
+use tango_wire::{IdMap, IdSet};
 
 use crate::cache::EntryCache;
 use crate::cursor::{Run, StreamCursor};
@@ -61,7 +61,7 @@ pub struct StreamClient {
     corfu: CorfuClient,
     /// Cursor table. `learn` asks the live cursor what is known (short
     /// lock, binary search) and integrates its discoveries under it.
-    cursors: Mutex<HashMap<StreamId, StreamCursor>>,
+    cursors: Mutex<IdMap<StreamId, StreamCursor>>,
     /// Decoded-entry cache. Lookups and inserts bracket the (lock-free)
     /// network fetches.
     cache: Mutex<EntryCache>,
@@ -69,7 +69,7 @@ pub struct StreamClient {
     /// [`StreamClient::forget_below`] after checkpoint-driven trims.
     /// Backpointer walks and linear-scan fallbacks never descend below it:
     /// everything underneath is reclaimed and would read as `Trimmed`.
-    trim_floor: Mutex<HashMap<u32, LogOffset>>,
+    trim_floor: Mutex<IdMap<u32, LogOffset>>,
     metrics: StreamMetrics,
 }
 
@@ -80,9 +80,9 @@ impl StreamClient {
         let metrics = StreamMetrics::from_registry(corfu.metrics());
         Self {
             corfu,
-            cursors: Mutex::new(HashMap::new()),
+            cursors: Mutex::new(IdMap::default()),
             cache: Mutex::new(EntryCache::new(CACHE_CAPACITY)),
-            trim_floor: Mutex::new(HashMap::new()),
+            trim_floor: Mutex::new(IdMap::default()),
             metrics,
         }
     }
@@ -106,8 +106,24 @@ impl StreamClient {
     /// Appends `payload` to one or more streams atomically: the entry
     /// occupies a single position in the global total order (§4.1).
     /// A client does *not* need to play a stream to append to it.
+    ///
+    /// One that does play it learns the entry as a member here when that
+    /// costs nothing — the entry's own header names the cursor's newest
+    /// member as its predecessor, so nothing was missed in between. Without
+    /// this a reader's own appends look unknown to its next sync, whose walk
+    /// then has the storage nodes read them back. Where something was missed
+    /// the sync finds out, as for any other writer's entry.
     pub fn multiappend(&self, streams: &[StreamId], payload: Bytes) -> corfu::Result<LogOffset> {
         let (offset, envelope) = self.corfu.append_streams(streams, payload)?;
+        {
+            let mut cursors = self.cursors.lock();
+            for header in &envelope.headers {
+                if let Some(cursor) = cursors.get_mut(&header.stream) {
+                    let previous = header.backpointers.first().filter(|&&back| back != u64::MAX);
+                    cursor.extend_by_own(previous.copied(), offset);
+                }
+            }
+        }
         self.cache.lock().insert(offset, Arc::new(envelope));
         Ok(offset)
     }
@@ -379,8 +395,7 @@ impl StreamClient {
             self.metrics.cache_hits.inc();
             return Ok(Some(hit));
         }
-        self.metrics.cache_misses.inc();
-        self.admit(offset, self.corfu.wait_read(offset)?, true)
+        Ok(self.fetch_many(&[offset], true, None)?.pop().expect("one result per offset"))
     }
 
     /// Bulk cache-through fetch. Cached offsets are answered from the
@@ -433,27 +448,27 @@ impl StreamClient {
         }
         self.metrics.cache_hits.add((offsets.len() - misses.len()) as u64);
         self.metrics.cache_misses.add(misses.len() as u64);
+        let floor = |log| match walking {
+            Some(stream) => self.unwalked_floor(stream, compose(log, LOG_OFFSET_MASK)),
+            None => 0,
+        };
+        let chase = walking.map(|stream| Chase { stream, floor: &floor, limit: CHASE_PAGES });
         for chunk in misses.chunks(READ_BATCH) {
             let addrs: Vec<LogOffset> = chunk.iter().map(|&(_, off)| off).collect();
-            let (outcomes, chased) = match walking {
-                Some(stream) => {
-                    let floor = |log| self.unwalked_floor(stream, compose(log, LOG_OFFSET_MASK));
-                    let chase = Chase { stream, floor: &floor, limit: CHASE_PAGES };
-                    self.corfu.wait_read_chase(&addrs, &chase)?
+            let mut pages = 0;
+            // Each page is decoded out of the reply it arrived in.
+            self.corfu.visit_many(&addrs, wait, chase.as_ref(), &mut |asked, off, page| {
+                pages += 1;
+                match asked {
+                    Some(i) => out[chunk[i].0] = self.admit(off, page, wait)?,
+                    // Nobody asked for this entry yet, so nobody is told
+                    // what is wrong with it: it stays uncached and the walk,
+                    // when it gets there, reads it for itself.
+                    None => drop(self.admit(off, page, false)),
                 }
-                None if wait => (self.corfu.wait_read_many(&addrs)?, Vec::new()),
-                None => (self.corfu.read_many(&addrs)?, Vec::new()),
-            };
-            self.metrics.read_batch_size.record((addrs.len() + chased.len()) as u64);
-            for (&(idx, off), outcome) in chunk.iter().zip(outcomes) {
-                out[idx] = self.admit(off, outcome, wait)?;
-            }
-            for (off, bytes) in chased {
-                // Nobody asked for this entry yet, so nobody is told what is
-                // wrong with it: it stays uncached and the walk, when it
-                // gets there, reads it for itself.
-                let _ = self.admit(off, ReadOutcome::Data(bytes), false);
-            }
+                Ok(())
+            })?;
+            self.metrics.read_batch_size.record(pages);
         }
         Ok(())
     }
@@ -478,12 +493,12 @@ impl StreamClient {
     fn admit(
         &self,
         offset: LogOffset,
-        outcome: ReadOutcome,
+        page: PageRef<'_>,
         wait: bool,
     ) -> corfu::Result<Option<Arc<EntryEnvelope>>> {
-        match outcome {
-            ReadOutcome::Data(bytes) => {
-                let entry = Arc::new(EntryEnvelope::decode(&bytes, offset)?);
+        match page {
+            PageRef::Data(bytes) => {
+                let entry = Arc::new(EntryEnvelope::decode(bytes, offset)?);
                 if entry.link.as_ref().is_none_or(|l| l.home == offset) {
                     self.cache.lock().insert(offset, Arc::clone(&entry));
                     Ok(Some(entry))
@@ -491,9 +506,9 @@ impl StreamClient {
                     self.resolve_link(offset, entry, wait)
                 }
             }
-            ReadOutcome::Junk | ReadOutcome::Trimmed => Ok(None),
-            ReadOutcome::Unwritten if !wait => Ok(None),
-            ReadOutcome::Unwritten => Err(CorfuError::Unwritten { offset }),
+            PageRef::Junk | PageRef::Trimmed => Ok(None),
+            PageRef::Unwritten if !wait => Ok(None),
+            PageRef::Unwritten => Err(CorfuError::Unwritten { offset }),
         }
     }
 
@@ -577,8 +592,14 @@ impl StreamClient {
         });
         // Offsets below a log's trim floor are reclaimed — a stale
         // sequencer backpointer landing there must not seed a walk into
-        // trimmed territory.
-        let above_floor = |off: &LogOffset| *off >= self.trim_floor(log_of_offset(*off));
+        // trimmed territory. The floors are read once for the whole walk,
+        // and not at all by a sync that discovers nothing.
+        let floors = match discovered.is_empty() {
+            true => IdMap::default(),
+            false => self.trim_floor.lock().clone(),
+        };
+        let above_floor =
+            |off: &LogOffset| floors.get(&log_of_offset(*off)).is_none_or(|floor| off >= floor);
         discovered.retain(above_floor);
         // The playback side of a remap: fresh discoveries landing in a
         // different log than anything the cursor knew means this stream's
@@ -601,7 +622,7 @@ impl StreamClient {
             // stream-oldest entry. The anchor set guards termination (a
             // monotonically decreasing offset cannot, across a remap).
             let mut window: Vec<LogOffset> = discovered.clone();
-            let mut anchors: HashSet<LogOffset> = HashSet::new();
+            let mut anchors: IdSet<LogOffset> = IdSet::default();
             loop {
                 let oldest = *window.last().expect("window is non-empty");
                 if !anchors.insert(oldest) {

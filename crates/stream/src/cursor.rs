@@ -107,6 +107,17 @@ impl StreamCursor {
         self.synced_tail = self.synced_tail.max(tail);
     }
 
+    /// Adds `offset`, an entry this client appended itself, when its own
+    /// header shows the cursor missed nothing before it: `previous`, the
+    /// stream's entry before `offset` by that header, is the newest member
+    /// known (or there is neither). Otherwise nothing changes. The synced
+    /// tail stays either way: the header speaks for this stream alone.
+    pub fn extend_by_own(&mut self, previous: Option<LogOffset>, offset: LogOffset) {
+        if self.max_known() == previous && previous.is_none_or(|p| p < offset) {
+            self.offsets.push(offset);
+        }
+    }
+
     /// Merges `below` (sorted, unique, nothing above the known maximum)
     /// into the membership list, keeping the iterator at its watermark.
     fn merge_below(&mut self, below: &[LogOffset]) {

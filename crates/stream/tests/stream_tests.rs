@@ -411,3 +411,54 @@ fn observing_append_syncs_without_a_tail_query() {
     assert_eq!(drain(&reader, 2), vec![(later, payload(100))]);
     assert_eq!(drain(&reader, 3), vec![(later, payload(100))]);
 }
+
+/// A reader's cursor learns the reader's own blind appends as they are
+/// made, where their headers show it missed nothing: the next sync finds
+/// them known, and when others' entries send it walking, the storage nodes
+/// are not chased back through pages the reader wrote itself.
+#[test]
+fn a_readers_own_appends_are_known_to_its_cursor_without_a_read() {
+    const STREAM: StreamId = 1;
+    let (cluster, writer) = cluster_with_client();
+    let reader = StreamClient::new(cluster.client().unwrap());
+    reader.open(STREAM);
+    let pages_read = || cluster.storage().iter().map(|node| node.stats().reads).sum::<u64>();
+    let mut truth = Vec::new();
+    // Own and foreign appends in turn, runs of each shorter and longer than
+    // the K = 4 backpointers: after every sync the membership is the truth.
+    for round in 0..6 {
+        for i in 0..2 + round {
+            truth.push(reader.multiappend(&[STREAM, 9], payload(i)).unwrap());
+        }
+        for i in 0..7 - round {
+            truth.push(writer.multiappend(&[STREAM], payload(i)).unwrap());
+        }
+        reader.sync(&[STREAM]).unwrap();
+        assert_eq!(reader.known_offsets(STREAM), truth, "round {round}");
+    }
+    // Only own appends between two syncs: they are members before the
+    // second one, which sends no storage node to a page.
+    let before = pages_read();
+    let synced = reader.synced_tail(STREAM);
+    for i in 0..10 {
+        truth.push(reader.multiappend(&[STREAM], payload(i)).unwrap());
+    }
+    assert_eq!(reader.known_offsets(STREAM), truth);
+    assert_eq!(reader.synced_tail(STREAM), synced, "an append is not a sync");
+    reader.sync(&[STREAM]).unwrap();
+    assert_eq!(pages_read(), before);
+    // More of its own and six foreign entries behind them — none of the
+    // sequencer's last K is known, so the sync walks: the nodes read those
+    // six and stop at the reader's own.
+    for i in 0..5 {
+        truth.push(reader.multiappend(&[STREAM], payload(i)).unwrap());
+    }
+    for i in 0..6 {
+        truth.push(writer.multiappend(&[STREAM], payload(i)).unwrap());
+    }
+    reader.sync(&[STREAM]).unwrap();
+    assert_eq!(pages_read(), before + 6);
+    assert_eq!(reader.known_offsets(STREAM), truth);
+    let delivered: Vec<u64> = drain(&reader, STREAM).into_iter().map(|(off, _)| off).collect();
+    assert_eq!(delivered, truth);
+}

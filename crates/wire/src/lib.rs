@@ -11,6 +11,8 @@
 //!   and log-record type in the workspace.
 //! * [`crc32c`] — the Castagnoli CRC used to checksum flash pages and TCP
 //!   frames.
+//! * [`IdHasher`] (with [`IdMap`] / [`IdSet`]) — one-multiply hashing for the
+//!   tables keyed by integers this system mints (offsets, ids, tokens).
 //!
 //! All decoding is fallible and total: malformed input yields a [`WireError`]
 //! rather than a panic, because log entries and frames can be corrupted or
@@ -18,14 +20,16 @@
 
 mod crc;
 mod error;
+mod hash;
 mod reader;
 mod traits;
 mod writer;
 
 pub use crc::crc32c;
 pub use error::WireError;
+pub use hash::{IdHasher, IdMap, IdSet};
 pub use reader::Reader;
-pub use traits::{decode_all, decode_from_slice, encode_to_vec, Decode, Encode};
+pub use traits::{decode_all, decode_from_slice, decode_seq, encode_to_vec, Decode, Encode};
 pub use writer::Writer;
 
 /// Convenience alias for results produced by decoding.

@@ -136,13 +136,23 @@ impl<T: Encode> Encode for Vec<T> {
 
 impl<T: Decode> Decode for Vec<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        let len = r.get_len(MAX_SEQ_LEN)?;
-        let mut out = Vec::with_capacity(len.min(1024));
-        for _ in 0..len {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
+        decode_seq(r, T::decode)
     }
+}
+
+/// Decodes a length-prefixed sequence (what `Vec<T>` encodes to) with
+/// `item` decoding each element — [`Decode`] for `Vec<T>` when the elements
+/// borrow from the buffer (the closure gets the reader's `'a`).
+pub fn decode_seq<'a, T>(
+    r: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T>,
+) -> Result<Vec<T>> {
+    let len = r.get_len(MAX_SEQ_LEN)?;
+    let mut out = Vec::with_capacity(len.min(1024));
+    for _ in 0..len {
+        out.push(item(r)?);
+    }
+    Ok(out)
 }
 
 impl<T: Encode> Encode for Option<T> {
