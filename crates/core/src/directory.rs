@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use tango_wire::{Decode, Encode, Reader, WireError, Writer};
 
 use crate::object::{ApplyMeta, StateMachine};
-use crate::{LogOffset, Oid};
+use crate::{LogOffset, Oid, DIRECTORY_OID};
 
 /// Directory mutations, encoded as its update records.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,18 +91,13 @@ impl DirectoryState {
     }
 
     /// The log prefix that may be trimmed: the minimum forget offset across
-    /// all registered objects (§3.2). Objects that never called `forget`
-    /// pin the horizon at 0.
+    /// every object the directory knows (§3.2) — each named one, each that
+    /// ever recorded an offset, and the directory itself, whose records are
+    /// log entries like any other's. An object that never forgot anything
+    /// pins the horizon at 0.
     pub fn trim_horizon(&self) -> LogOffset {
-        let mut horizon = LogOffset::MAX;
-        for &oid in self.names.values() {
-            horizon = horizon.min(self.forget_offset(oid));
-        }
-        if self.names.is_empty() {
-            0
-        } else {
-            horizon
-        }
+        let known = self.names.values().chain(self.forget.keys()).chain([&DIRECTORY_OID]);
+        known.map(|&oid| self.forget_offset(oid)).min().unwrap_or(0)
     }
 }
 
@@ -210,7 +205,13 @@ mod tests {
         // Object b never forgot anything: horizon pinned at 0.
         assert_eq!(d.trim_horizon(), 0);
         apply(&mut d, DirectoryOp::SetForget { oid: 2, offset: 60 });
+        // Nor has the directory, whose own records sit in the same prefix.
+        assert_eq!(d.trim_horizon(), 0);
+        apply(&mut d, DirectoryOp::SetForget { oid: DIRECTORY_OID, offset: 80 });
         assert_eq!(d.trim_horizon(), 60);
+        // An object nobody named counts once it has recorded an offset.
+        apply(&mut d, DirectoryOp::SetForget { oid: 9, offset: 50 });
+        assert_eq!(d.trim_horizon(), 50);
         // Forget offsets are monotone.
         apply(&mut d, DirectoryOp::SetForget { oid: 2, offset: 40 });
         assert_eq!(d.forget_offset(2), 60);

@@ -26,9 +26,6 @@ pub struct RuntimeOptions {
     /// This runtime's client id (half of every [`TxId`] it generates).
     /// Defaults to a process-unique value.
     pub client_id: u64,
-    /// How long to wait for a decision record before resolving a remote-read
-    /// transaction offline (§4.1 failure handling).
-    pub decision_timeout: Duration,
     /// Write sets up to this many bytes ride inline in the commit record;
     /// larger ones spill into speculative entries first (§3.2).
     pub inline_update_limit: usize,
@@ -42,14 +39,13 @@ impl Default for RuntimeOptions {
         static NEXT: AtomicU64 = AtomicU64::new(1);
         let pid = std::process::id() as u64;
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        Self {
-            client_id: (pid << 32) | n,
-            decision_timeout: Duration::from_millis(100),
-            inline_update_limit: 3 * 1024,
-            play_limit: None,
-        }
+        Self { client_id: (pid << 32) | n, inline_update_limit: 3 * 1024, play_limit: None }
     }
 }
+
+/// How long playback waits for a decision record before resolving a
+/// remote-read transaction offline (§4.1 failure handling).
+const DECISION_TIMEOUT: Duration = Duration::from_millis(100);
 
 struct RegisteredObject {
     sink: Box<dyn ApplySink>,
@@ -119,12 +115,6 @@ struct Playback {
     speculative: HashMap<TxId, BTreeMap<LogOffset, Vec<UpdateRecord>>>,
     /// All entries with offset < position have been processed.
     position: LogOffset,
-    /// Latest checkpoint record seen per object.
-    last_checkpoint: HashMap<Oid, LogOffset>,
-    /// The `as_of` position of each object's latest checkpoint: everything
-    /// below it is captured by that checkpoint, so the log prefix under
-    /// `min` of these floors is safe to reclaim (§3.2 garbage collection).
-    checkpoint_floor: HashMap<Oid, LogOffset>,
 }
 
 /// A checkpoint record found in a stream: its offset, the state it holds
@@ -174,8 +164,6 @@ impl TangoRuntime {
                 decided: HashMap::new(),
                 speculative: HashMap::new(),
                 position: 0,
-                last_checkpoint: HashMap::new(),
-                checkpoint_floor: HashMap::new(),
             }),
             dir_state,
             metrics,
@@ -192,10 +180,7 @@ impl TangoRuntime {
         if let Some((off, data, as_of)) = self.find_latest_checkpoint(DIRECTORY_OID)? {
             self.dir_state.lock().restore(&data)?;
             self.stream.seek(DIRECTORY_OID, as_of);
-            let mut play = self.play.lock();
-            play.versions.record_write(DIRECTORY_OID, None, off);
-            play.last_checkpoint.insert(DIRECTORY_OID, off);
-            play.checkpoint_floor.insert(DIRECTORY_OID, as_of);
+            self.play.lock().versions.record_write(DIRECTORY_OID, None, off);
         }
         Ok(())
     }
@@ -327,12 +312,9 @@ impl TangoRuntime {
         if let Some((ckpt_off, as_of)) = restore_point {
             // Skip everything the checkpoint already captured.
             self.stream.seek(oid, as_of);
-            let mut play = self.play.lock();
             // Conservative versioning: anything restored counts as modified
             // at the checkpoint record's position.
-            play.versions.record_write(oid, None, ckpt_off);
-            play.last_checkpoint.insert(oid, ckpt_off);
-            play.checkpoint_floor.insert(oid, as_of);
+            self.play.lock().versions.record_write(oid, None, ckpt_off);
         }
         Ok(view)
     }
@@ -530,14 +512,9 @@ impl TangoRuntime {
                 let updates = updates.into_iter().map(UpdateRef::to_owned).collect();
                 play.speculative.entry(txid).or_default().insert(off, updates);
             }
-            LogRecordRef::Checkpoint { oid, as_of, .. } => {
-                let slot = play.last_checkpoint.entry(oid).or_insert(0);
-                if off >= *slot {
-                    *slot = off;
-                    let floor = play.checkpoint_floor.entry(oid).or_insert(0);
-                    *floor = (*floor).max(as_of);
-                }
-            }
+            // Only a restore reads checkpoints; what one allows to be
+            // trimmed is in the directory (`SetForget`).
+            LogRecordRef::Checkpoint { .. } => {}
             LogRecordRef::Decision { txid, committed, .. } => {
                 play.decided.entry(txid).or_insert(committed);
             }
@@ -583,7 +560,7 @@ impl TangoRuntime {
     }
 
     /// Blocks until the generating client's decision record for `txid`
-    /// arrives on one of our hosted streams; after `decision_timeout`,
+    /// arrives on one of our hosted streams; after [`DECISION_TIMEOUT`],
     /// resolves the transaction offline from the log (§4.1 failure
     /// handling) and publishes a decision record for everyone else.
     fn await_decision(
@@ -597,11 +574,8 @@ impl TangoRuntime {
     ) -> Result<bool> {
         // If the generator did not mark the transaction, no decision record
         // will ever arrive; resolve offline immediately.
-        let deadline = if needs_decision {
-            Instant::now() + self.opts.decision_timeout
-        } else {
-            Instant::now()
-        };
+        let deadline =
+            if needs_decision { Instant::now() + DECISION_TIMEOUT } else { Instant::now() };
         let hosted: Vec<StreamId> = play.objects.keys().copied().collect();
         loop {
             // Scan ahead on hosted streams for the decision record,
@@ -629,7 +603,7 @@ impl TangoRuntime {
         // Offline resolution: reconstruct read-set versions from the log.
         let committed = self.decide_offline(play, reads, commit_off, link)?;
         // Publish so other consumers stop waiting (any client may do this).
-        let streams = self.commit_streams_hint(reads, commit_off)?;
+        let streams = self.commit_streams_hint(commit_off)?;
         if !streams.is_empty() {
             let record = LogRecord::Decision { txid, commit_pos: commit_off, committed };
             let _ = self.stream.multiappend(&streams, Bytes::from(encode_to_vec(&record)));
@@ -640,11 +614,7 @@ impl TangoRuntime {
 
     /// The streams a substitute decision record should go to: the streams
     /// of the original commit entry.
-    fn commit_streams_hint(
-        &self,
-        _reads: &[ReadKey],
-        commit_off: LogOffset,
-    ) -> Result<Vec<StreamId>> {
+    fn commit_streams_hint(&self, commit_off: LogOffset) -> Result<Vec<StreamId>> {
         match self.stream.read_at(commit_off)? {
             Some(entry) => Ok(entry.headers.iter().map(|h| h.stream).collect()),
             None => Ok(Vec::new()),
@@ -1036,7 +1006,7 @@ impl TangoRuntime {
     /// first record in the log wins, and decisions are idempotent via the
     /// `decided` map.
     pub fn abort_orphan(&self, txid: TxId, commit_pos: LogOffset) -> Result<()> {
-        let streams = self.commit_streams_hint(&[], commit_pos)?;
+        let streams = self.commit_streams_hint(commit_pos)?;
         let record = LogRecord::Decision { txid, commit_pos, committed: false };
         let target: Vec<StreamId> = if streams.is_empty() { vec![DIRECTORY_OID] } else { streams };
         self.stream.multiappend(&target, Bytes::from(encode_to_vec(&record)))?;
@@ -1047,7 +1017,11 @@ impl TangoRuntime {
     // Checkpoints, history, garbage collection (§3.1, §3.2)
     // ------------------------------------------------------------------
 
-    /// Writes a checkpoint record for `oid` capturing its current view.
+    /// Writes a checkpoint record for `oid` capturing its current view, and
+    /// records in the directory that `oid` no longer needs the history the
+    /// checkpoint captures: everything below the position it is as of — not
+    /// the record's own offset, which lies above updates of other clients
+    /// that the snapshot does not hold.
     pub fn checkpoint(&self, oid: Oid) -> Result<LogOffset> {
         let play = self.play.lock();
         let obj = play.objects.get(&oid).ok_or(TangoError::UnknownObject { oid })?;
@@ -1057,24 +1031,25 @@ impl TangoRuntime {
         let off = self.stream.multiappend(&[oid], Bytes::from(encode_to_vec(&record)))?;
         drop(play);
         self.metrics.checkpoints.inc();
-        let mut play = self.play.lock();
-        play.last_checkpoint.insert(oid, off);
-        let floor = play.checkpoint_floor.entry(oid).or_insert(0);
-        *floor = (*floor).max(as_of);
+        self.forget(oid, as_of)?;
         Ok(off)
     }
 
-    /// Declares that `oid` no longer needs its history below `offset`
-    /// (typically the offset returned by [`TangoRuntime::checkpoint`]).
-    /// The log is only physically reclaimed once *every* object has
-    /// forgotten a prefix — see [`TangoRuntime::compact`].
+    /// Declares that `oid` no longer needs its history below `offset`.
+    /// [`TangoRuntime::checkpoint`] does this itself; the log is only
+    /// physically reclaimed once *every* object has forgotten a prefix — see
+    /// [`TangoRuntime::compact`].
     pub fn forget(&self, oid: Oid, offset: LogOffset) -> Result<()> {
         let op = DirectoryOp::SetForget { oid, offset };
         self.update_helper(DIRECTORY_OID, None, encode_to_vec(&op))
     }
 
     /// Trims the shared log below the minimum forget offset across all
-    /// objects in the directory, returning the horizon used.
+    /// objects the directory knows — whichever runtime hosts them, the
+    /// directory itself included — returning the horizon used. This is the
+    /// one rule that decides what may be trimmed (§3.2). In a sharded
+    /// deployment the minimum is a composite offset, so one call trims only
+    /// the oldest log's prefix; repeated calls converge.
     pub fn compact(&self) -> Result<LogOffset> {
         self.sync()?;
         let horizon = self.dir_state.lock().trim_horizon();
@@ -1088,55 +1063,21 @@ impl TangoRuntime {
     }
 
     /// The checkpoint-driven trim driver (§3.2): checkpoints every hosted
-    /// object that supports it (the directory included), then prefix-trims
-    /// the log below the oldest checkpoint floor via
-    /// [`TangoRuntime::trim_to_checkpoints`]. This is the one call a
-    /// steady-state writer needs to keep storage occupancy bounded.
+    /// object (the directory included), then [`TangoRuntime::compact`]s.
+    /// This is the one call a steady-state writer needs to keep storage
+    /// occupancy bounded.
     pub fn checkpoint_and_trim(&self) -> Result<LogOffset> {
         self.sync()?;
         for oid in self.hosted_streams() {
             match self.checkpoint(oid) {
                 Ok(_) => {}
-                // An object with no checkpoint support simply pins the
-                // horizon (trim_to_checkpoints returns 0 below).
-                Err(TangoError::CheckpointUnsupported { .. }) => {}
+                // An object with no checkpoint support has only its whole
+                // history to restore from: it pins the horizon.
+                Err(TangoError::CheckpointUnsupported { .. }) => self.forget(oid, 0)?,
                 Err(e) => return Err(e),
             }
         }
-        self.trim_to_checkpoints()
-    }
-
-    /// Prefix-trims the shared log below the minimum checkpoint floor
-    /// across every hosted object, returning the horizon used. Returns 0
-    /// (and trims nothing) while any hosted object has never checkpointed:
-    /// the prefix only becomes garbage once *everyone* has a restore point.
-    ///
-    /// Unlike [`TangoRuntime::compact`] this needs no directory `forget`
-    /// bookkeeping — the checkpoints themselves prove the prefix is dead.
-    /// In a sharded deployment the minimum is a composite offset, so one
-    /// call trims only the oldest log's prefix; repeated calls converge.
-    pub fn trim_to_checkpoints(&self) -> Result<LogOffset> {
-        let horizon = {
-            let play = self.play.lock();
-            let mut horizon = LogOffset::MAX;
-            for oid in play.objects.keys() {
-                match play.checkpoint_floor.get(oid) {
-                    Some(&floor) => horizon = horizon.min(floor),
-                    None => return Ok(0),
-                }
-            }
-            if horizon == LogOffset::MAX {
-                return Ok(0);
-            }
-            horizon
-        };
-        if horizon > 0 {
-            self.corfu().trim_prefix(horizon)?;
-            for oid in self.hosted_streams() {
-                self.stream.forget_below(oid, horizon);
-            }
-        }
-        Ok(horizon)
+        self.compact()
     }
 
     // ------------------------------------------------------------------

@@ -338,7 +338,7 @@ fn checkpoint_restore_and_compact() {
         reg.update(None, v.to_le_bytes().to_vec()).unwrap();
     }
     reg.query(None, |_| ()).unwrap();
-    let ckpt_off = rt.checkpoint(oid).unwrap();
+    rt.checkpoint(oid).unwrap();
     reg.update(None, 11i64.to_le_bytes().to_vec()).unwrap();
     reg.query(None, |_| ()).unwrap();
 
@@ -349,12 +349,10 @@ fn checkpoint_restore_and_compact() {
         .unwrap();
     assert_eq!(reg2.query(None, |r| r.0).unwrap(), 11);
 
-    // Forget + compact: the checkpointed prefix is physically trimmed once
-    // every object (here: the directory too) has forgotten it.
-    rt.forget(oid, ckpt_off).unwrap();
+    // Compact: the checkpointed prefix is physically trimmed once every
+    // object (here: the directory too) has a checkpoint to forget it by.
+    assert_eq!(rt.compact().unwrap(), 0, "the directory still needs its history");
     rt.checkpoint(tango::DIRECTORY_OID).unwrap();
-    let dir_pos = rt.position();
-    rt.forget(tango::DIRECTORY_OID, dir_pos.min(ckpt_off)).unwrap();
     let horizon = rt.compact().unwrap();
     assert!(horizon > 0, "expected a positive trim horizon");
     // Trimmed prefix is gone at the log level.
@@ -403,6 +401,45 @@ fn checkpoint_and_trim_driver_bounds_the_log() {
         .register_object_from_checkpoint(oid, Register::default(), ObjectOptions::default())
         .unwrap();
     assert_eq!(reg2.query(None, |r| r.0).unwrap(), value);
+}
+
+#[test]
+fn a_runtimes_trim_spares_what_another_runtime_hosts() {
+    let cluster = cluster();
+    let (rt_a, rt_b) = (runtime(&cluster), runtime(&cluster));
+    let oid_a = rt_a.create_or_open("a").unwrap();
+    let oid_b = rt_b.create_or_open("b").unwrap();
+    let reg_a = rt_a.register_object(oid_a, Register::default(), ObjectOptions::default()).unwrap();
+    let reg_b = rt_b.register_object(oid_b, Register::default(), ObjectOptions::default()).unwrap();
+    for v in 1..=10i64 {
+        reg_a.update(None, v.to_le_bytes().to_vec()).unwrap();
+        reg_b.update(None, (100 + v).to_le_bytes().to_vec()).unwrap();
+    }
+
+    // B has never checkpointed: nothing of its history may go, whoever asks.
+    assert_eq!(rt_a.checkpoint_and_trim().unwrap(), 0);
+    let client = cluster.client().unwrap();
+    assert_ne!(client.read(0).unwrap(), corfu::ReadOutcome::Trimmed);
+    let replayed = runtime(&cluster)
+        .register_object(oid_b, Register::default(), ObjectOptions::default())
+        .unwrap();
+    assert_eq!(replayed.query(None, |r| r.0).unwrap(), 110);
+
+    // Once B has a restore point the prefix goes — and the directory, which
+    // the driver checkpointed like any hosted object, still resolves names.
+    reg_b.query(None, |_| ()).unwrap();
+    rt_b.checkpoint(oid_b).unwrap();
+    assert!(rt_a.checkpoint_and_trim().unwrap() > 0);
+    assert_eq!(client.read(0).unwrap(), corfu::ReadOutcome::Trimmed);
+    let fresh = runtime(&cluster);
+    assert_eq!(fresh.resolve("a").unwrap(), Some(oid_a));
+    assert_eq!(fresh.resolve("b").unwrap(), Some(oid_b));
+    for (oid, value) in [(oid_a, 10), (oid_b, 110)] {
+        let restored = fresh
+            .register_object_from_checkpoint(oid, Register::default(), ObjectOptions::default())
+            .unwrap();
+        assert_eq!(restored.query(None, |r| r.0).unwrap(), value);
+    }
 }
 
 #[test]
@@ -514,6 +551,10 @@ fn restore_distrusts_a_checkpoint_found_below_what_a_trim_took() {
         if rt.checkpoint(oid).unwrap().is_multiple_of(3) {
             break;
         }
+        // A round is three entries (update, checkpoint, the directory's
+        // forget record): a fourth moves the next checkpoint to another set.
+        v += 1;
+        write(v);
     }
     for _ in 0..3 {
         v += 1;
@@ -617,4 +658,42 @@ fn orphaned_commit_is_aborted_by_peer() {
     assert_eq!(reg_b.query(None, |r| r.0).unwrap(), 777);
     // A sees the same outcome (deterministic decisions).
     assert_eq!(reg_a.query(None, |r| r.0).unwrap(), 777);
+}
+
+#[test]
+fn abort_orphan_decides_a_commit_its_generator_never_will() {
+    let cluster = cluster();
+    let (rt_a, rt_b) = (runtime(&cluster), runtime(&cluster));
+    let oid = rt_a.create_or_open("orphan").unwrap();
+    let reg_a = rt_a.register_object(oid, Register::default(), ObjectOptions::default()).unwrap();
+    let reg_b = rt_b.register_object(oid, Register::default(), ObjectOptions::default()).unwrap();
+    reg_a.update(None, 1i64.to_le_bytes().to_vec()).unwrap();
+
+    // The orphan of `orphaned_commit_is_aborted_by_peer`: left alone, a
+    // consumer waits out the decision timeout and resolves it offline to
+    // COMMIT (the object it read was never modified).
+    use tango::{LogRecord, ReadKey, TxId, UpdateRecord};
+    let txid = TxId { client: 424242, seq: 1 };
+    let record = LogRecord::Commit {
+        txid,
+        reads: vec![ReadKey { oid: 9999, key: None, version: 0 }],
+        updates: vec![UpdateRecord {
+            oid,
+            key: None,
+            data: bytes::Bytes::copy_from_slice(&777i64.to_le_bytes()),
+        }],
+        speculative: vec![],
+        needs_decision: true,
+    };
+    let commit_pos = rt_b
+        .stream()
+        .multiappend(&[oid], bytes::Bytes::from(tango_wire::encode_to_vec(&record)))
+        .unwrap();
+
+    // A peer that knows the generator is gone says ABORT first. Consumers
+    // find that decision behind the commit and take its word — so what they
+    // see is the abort, not what the timeout's offline path would decide.
+    rt_a.abort_orphan(txid, commit_pos).unwrap();
+    assert_eq!(reg_b.query(None, |r| r.0).unwrap(), 1);
+    assert_eq!(reg_a.query(None, |r| r.0).unwrap(), 1);
 }

@@ -187,7 +187,7 @@ impl View {
 /// The error for a storage response `what` has no use for. A sealed
 /// server's answer becomes [`CorfuError::Sealed`], the one `with_retry`
 /// refreshes on; anything else is reported as it came.
-fn storage_refusal(what: impl std::fmt::Display, resp: StorageResponse) -> CorfuError {
+pub(crate) fn storage_refusal(what: impl std::fmt::Display, resp: StorageResponse) -> CorfuError {
     match resp {
         StorageResponse::ErrSealed { epoch } => CorfuError::Sealed { server_epoch: epoch },
         other => CorfuError::Storage(format!("{what} failed: {other:?}")),
@@ -195,7 +195,7 @@ fn storage_refusal(what: impl std::fmt::Display, resp: StorageResponse) -> Corfu
 }
 
 /// [`storage_refusal`] for the sequencer's answers.
-fn sequencer_refusal(what: &str, resp: SequencerResponse) -> CorfuError {
+pub(crate) fn sequencer_refusal(what: &str, resp: SequencerResponse) -> CorfuError {
     match resp {
         SequencerResponse::ErrSealed { epoch } => CorfuError::Sealed { server_epoch: epoch },
         other => CorfuError::Codec(format!("unexpected {what} response {other:?}")),
@@ -294,15 +294,6 @@ impl CorfuClient {
 
     fn call<Resp: Decode>(&self, view: &View, node: NodeId, req: &impl Encode) -> Result<Resp> {
         self.call_raw(view, node, &encode_to_vec(req))
-    }
-
-    /// A storage request outside any operation (reconfiguration tooling).
-    pub(crate) fn storage_call(
-        &self,
-        node: NodeId,
-        req: &StorageRequest,
-    ) -> Result<StorageResponse> {
-        self.call(&self.view(), node, req)
     }
 
     /// A request to log `log`'s sequencer.
@@ -888,59 +879,70 @@ impl CorfuClient {
     /// Patches the hole at `offset` with junk (§3.2). If a writer got there
     /// first, completes and returns the existing value instead.
     pub fn fill(&self, offset: LogOffset) -> Result<ReadOutcome> {
-        let log = log_of_offset(offset);
         // The backlog gauge brackets the whole chase, retries included —
         // the health plane reads a sustained non-zero value as readers
         // stuck behind slow or dead writers.
         self.metrics.hole_backlog.add(1);
         let result = self.with_retry("fill", false, &mut self.view(), |view| {
-            let proj = &view.proj;
-            let epoch = proj.epoch_of_log(log);
-            let (_, local) = proj.map(offset);
-            let chain = proj.chain_for(offset);
-            let head = chain[0];
-            // One request, head to tail, as for a data write.
-            let request = encode_to_vec(&StorageRequest::Write {
-                epoch,
-                addr: local,
-                kind: WriteKind::Junk,
-                payload: Bytes::new(),
-            });
-            match self.call_raw(view, head, &request)? {
-                StorageResponse::Ok => {
-                    self.metrics.junk_forced.inc();
-                    self.metrics.events.emit(
-                        tango_metrics::EventKind::JunkForced,
-                        epoch,
-                        log as u64,
-                        local,
-                    );
-                    let what = format_args!("fill at {offset}");
-                    Ok(match self.write_past_head(view, chain, &request, what)? {
-                        true => ReadOutcome::Junk,
-                        false => ReadOutcome::Trimmed,
-                    })
-                }
-                StorageResponse::ErrAlreadyWritten => {
-                    // A writer won; complete its chain and return the value.
-                    self.metrics.events.emit(
-                        tango_metrics::EventKind::HoleFilled,
-                        epoch,
-                        log as u64,
-                        local,
-                    );
-                    if chain.len() == 1 {
-                        self.read(offset)
-                    } else {
-                        self.repair_chain(view, proj, offset)
-                    }
-                }
-                StorageResponse::ErrTrimmed => Ok(ReadOutcome::Trimmed),
-                other => Err(storage_refusal(format_args!("fill at {offset}"), other)),
-            }
+            self.fill_with(view, &view.proj, offset)
         });
         self.metrics.hole_backlog.add(-1);
         result
+    }
+
+    /// [`CorfuClient::fill`] over `view`'s connections at an explicit
+    /// projection's epoch, the way [`CorfuClient::read_with`] reads: the
+    /// recovery scan patches the holes it meets at the epoch it is about to
+    /// install (a client crashed mid-append; the scan cannot wait).
+    pub(crate) fn fill_with(
+        &self,
+        view: &View,
+        proj: &Projection,
+        offset: LogOffset,
+    ) -> Result<ReadOutcome> {
+        let log = log_of_offset(offset);
+        let epoch = proj.epoch_of_log(log);
+        let (_, local) = proj.map(offset);
+        let chain = proj.chain_for(offset);
+        // One request, head to tail, as for a data write.
+        let request = encode_to_vec(&StorageRequest::Write {
+            epoch,
+            addr: local,
+            kind: WriteKind::Junk,
+            payload: Bytes::new(),
+        });
+        match self.call_raw(view, chain[0], &request)? {
+            StorageResponse::Ok => {
+                self.metrics.junk_forced.inc();
+                self.metrics.events.emit(
+                    tango_metrics::EventKind::JunkForced,
+                    epoch,
+                    log as u64,
+                    local,
+                );
+                let what = format_args!("fill at {offset}");
+                Ok(match self.write_past_head(view, chain, &request, what)? {
+                    true => ReadOutcome::Junk,
+                    false => ReadOutcome::Trimmed,
+                })
+            }
+            StorageResponse::ErrAlreadyWritten => {
+                // A writer won; complete its chain and return the value.
+                self.metrics.events.emit(
+                    tango_metrics::EventKind::HoleFilled,
+                    epoch,
+                    log as u64,
+                    local,
+                );
+                if chain.len() == 1 {
+                    self.read_with(view, proj, offset)
+                } else {
+                    self.repair_chain(view, proj, offset)
+                }
+            }
+            StorageResponse::ErrTrimmed => Ok(ReadOutcome::Trimmed),
+            other => Err(storage_refusal(format_args!("fill at {offset}"), other)),
+        }
     }
 
     /// [`CorfuClient::wait_read_many`] of one offset.

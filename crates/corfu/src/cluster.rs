@@ -19,7 +19,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use tango_flash::{FlashUnit, TieredStore};
 use tango_meta::{Dial, MetaClient, MetaNode, ReplicaInfo};
-use tango_metrics::{ClusterHealth, ClusterSnapshot, HealthPolicy, Registry};
+use tango_metrics::{ClusterHealth, ClusterSnapshot, Registry};
 use tango_rpc::RpcHandler;
 use tango_wire::encode_to_vec;
 
@@ -416,13 +416,8 @@ impl<T: Transport> Cluster<T> {
     /// once a metalog majority is gone) until repair *and* target-list
     /// cleanup bring it back to `ok`.
     pub fn cluster_health(&self) -> ClusterHealth {
-        self.cluster_health_with(&HealthPolicy::default())
-    }
-
-    /// [`Cluster::cluster_health`] under an explicit policy.
-    pub fn cluster_health_with(&self, policy: &HealthPolicy) -> ClusterHealth {
         let (cluster, unreachable) = self.scrape();
-        ClusterHealth::evaluate(&cluster, &unreachable, policy)
+        ClusterHealth::evaluate(&cluster, &unreachable)
     }
 
     /// Drops `name` from the dead-target list after its replacement is in

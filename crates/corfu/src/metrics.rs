@@ -154,7 +154,7 @@ pub struct StorageMetrics {
     pub prefix_trimmed_pages: Counter,
     /// Live (untrimmed) pages on the unit ([`GAUGE_OCCUPANCY`],
     /// log-scoped). The health plane compares this against
-    /// `HealthPolicy::max_occupancy`.
+    /// `tango_metrics::health::MAX_OCCUPANCY`.
     pub occupancy: Gauge,
     /// The unit's prefix-trim horizon ([`GAUGE_TRIM_HORIZON`], log-scoped).
     pub trim_horizon: Gauge,

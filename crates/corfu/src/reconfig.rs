@@ -2,72 +2,212 @@
 //!
 //! The streaming extension makes the sequencer a first-class member of the
 //! projection: because it is the single source of backpointers for its log,
-//! the system can no longer tolerate multiple live sequencers per log, so a
-//! failed sequencer is replaced by moving *that log* to a new epoch:
+//! the system can no longer tolerate multiple live sequencers per log, so
+//! every membership change — and every fencing barrier — moves *that log* to
+//! a new epoch, by one procedure:
 //!
-//! 1. seal the log's storage nodes at its new epoch (this fences all tokens
-//!    issued by the old sequencer: stale-epoch writes are rejected) and
-//!    collect local tails;
-//! 2. invert the mapping to recover the log's tail (the slow check);
-//! 3. rebuild the per-stream backpointer state by scanning the log backward
-//!    from the tail, decoding entry envelopes (junk entries contribute
-//!    nothing, exactly as in the paper);
-//! 4. bootstrap the replacement sequencer with the recovered state;
-//! 5. propose the new projection to the layout service (epoch CAS — a
-//!    concurrent reconfigurer loses cleanly).
+//! 1. **seal** ([`seal`]): move every storage node of the log, any node about
+//!    to join it, and its sequencer to the log's next epoch. This fences
+//!    every operation stamped with the old epoch (stale-epoch writes are
+//!    rejected) and yields the per-replica-set local tails, which invert to
+//!    the log's tail (the slow check);
+//! 2. **change the projection**: whatever the caller is there to do, at the
+//!    new epoch, against nodes no client can reach yet;
+//! 3. **install** ([`install`]): propose the new projection to the layout
+//!    service (epoch CAS — a concurrent reconfigurer loses cleanly).
 //!
-//! With a sharded projection only the affected log is sealed: other logs
+//! The five public procedures differ only in step 2:
+//!
+//! | procedure | changes |
+//! |---|---|
+//! | [`replace_sequencer_in_log`] | the sequencer: backward scan of the log for each stream's last `k` offsets, `Bootstrap` of the replacement |
+//! | [`replace_storage_node`] | one replica: `CopyRange` stream from the head-most survivor of each chain onto the replacement, spliced in |
+//! | [`seal_log`] | nothing (a fencing barrier for one log) |
+//! | [`bump_epoch`] | nothing, for every log, under one install |
+//! | [`remap_stream`] | the shard map: source and target log sealed, the stream's backpointer window handed over by `AdoptStream` |
+//!
+//! With a sharded projection only the affected logs are sealed: other logs
 //! keep their epochs and their sequencers stay live. Clients racing the
-//! reconfiguration of the sealed log observe `ErrSealed`, refresh their
+//! reconfiguration of a sealed log observe `ErrSealed`, refresh their
 //! projection, and retry.
 //!
-//! Storage-node replacement ([`replace_storage_node`]) follows the same
-//! seal-based recipe to rebuild a dead flash node's chain position:
-//!
-//! 1. seal the surviving storage nodes of the dead node's log (and that
-//!    log's sequencer, which keeps its soft state) at the new epoch,
-//!    fencing all old-epoch operations;
-//! 2. copy the dead node's local pages to a fresh replacement by streaming
-//!    `CopyRange` chunks from the head-most surviving replica of each chain
-//!    the dead node served — data pages, junk fills, random trim marks, and
-//!    the prefix-trim horizon are all reproduced, so the replacement's
-//!    write-once arbitration is exactly as strict as the original's;
-//! 3. CAS-propose a projection with the replacement spliced into the dead
-//!    node's chain positions (the striping function is unchanged);
-//! 4. let racing clients observe `ErrSealed`, refresh, and retry.
-//!
-//! [`remap_stream`] moves one stream to a different log: both logs are
-//! sealed, the source sequencer's backpointer window for the stream is
-//! adopted by the target sequencer, and a projection carrying a shard-map
-//! override is proposed. The stream's existing entries stay where they are
-//! — backpointers are composite offsets, so playback follows them across
-//! logs transparently.
-//!
-//! Concurrent reconfigurations converge: sealing a node that is already at
-//! the target epoch is treated as that step being done (two replacements of
-//! the same node do identical work and write-once arbitration makes the
-//! copy idempotent), and the layout CAS picks exactly one winner. The loser
-//! gets [`CorfuError::RaceLost`] carrying the winning epoch, distinguishing
-//! "someone else finished the job" from a real layout failure.
+//! Concurrent reconfigurations converge, and one that died half-way does not
+//! wedge the log: a node that answers `ErrSealed` at *exactly* the target
+//! epoch has had that step done — by a twin, or by a predecessor that sealed
+//! and never installed — so the step counts as done and the procedure goes
+//! on (the work in step 2 is idempotent: write-once arbitration makes a
+//! second copy harmless, a sequencer is bootstrapped into an epoch once).
+//! The layout CAS picks exactly one winner. A node *beyond* the target, or a
+//! lost CAS, is [`CorfuError::RaceLost`] carrying the winning epoch,
+//! distinguishing "someone else finished the job" from a real layout
+//! failure.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use tango_metrics::EventKind;
 use tango_rpc::ClientConn;
-use tango_wire::{decode_from_slice, encode_to_vec};
+use tango_wire::{decode_from_slice, encode_to_vec, Decode, Encode};
 
-use crate::client::{CorfuClient, ReadOutcome};
+use crate::client::{sequencer_refusal, storage_refusal, CorfuClient, ReadOutcome};
 use crate::entry::EntryEnvelope;
 use crate::metrics::ReconfigMetrics;
-use crate::projection::LogLayout;
 use crate::proto::{
     PageCopy, SequencerRequest, SequencerResponse, StorageRequest, StorageResponse, WriteKind,
 };
 use crate::sequencer::SequencerState;
 use crate::{
-    compose, log_of_offset, CorfuError, Epoch, LogOffset, NodeId, NodeInfo, Projection, Result,
-    StreamId,
+    compose, CorfuError, Epoch, LogOffset, NodeId, NodeInfo, Projection, Result, StreamId,
 };
+
+/// A node called by address. Reconfiguration talks to nodes the installed
+/// projection does not carry yet (a replacement before its install) and to
+/// ones it is about to drop (a dead sequencer), so it dials every node by
+/// its [`NodeInfo`] rather than through a client's view of one projection.
+struct Node {
+    id: NodeId,
+    conn: Arc<dyn ClientConn>,
+}
+
+impl Node {
+    fn dial(client: &CorfuClient, info: &NodeInfo) -> Self {
+        Self { id: info.id, conn: client.factory().connect(info) }
+    }
+
+    /// Dials `id`, a member of `proj`.
+    fn member(client: &CorfuClient, proj: &Projection, id: NodeId) -> Result<Self> {
+        let addr = proj
+            .addr_of(id)
+            .ok_or_else(|| CorfuError::Layout(format!("node {id} missing from projection")))?;
+        Ok(Self::dial(client, &NodeInfo { id, addr: addr.to_owned() }))
+    }
+
+    fn call<Resp: Decode>(&self, req: &impl Encode) -> Result<Resp> {
+        Ok(decode_from_slice(&self.conn.call(&encode_to_vec(req))?)?)
+    }
+}
+
+/// The one answer to "this node is already sealed". At exactly `target` the
+/// step has been done — by a twin running the same step, or by a
+/// predecessor that sealed and died before its install — and the caller goes
+/// on; the layout CAS arbitrates at the end. Beyond `target` a
+/// farther-ahead reconfiguration has won outright.
+fn already_at(target: Epoch, sealed_at: Epoch) -> Result<()> {
+    if sealed_at == target {
+        Ok(())
+    } else {
+        Err(CorfuError::RaceLost { winner: sealed_at })
+    }
+}
+
+/// A refusal as a reconfigurer reports it: every request after the seal
+/// carries the target epoch, so a node that calls it stale has been moved
+/// past it by someone else.
+fn lost(e: CorfuError) -> CorfuError {
+    match e {
+        CorfuError::Sealed { server_epoch } => CorfuError::RaceLost { winner: server_epoch },
+        e => e,
+    }
+}
+
+/// Step one of every reconfiguration: moves log `log` of `old` to its next
+/// epoch on every storage node serving it, on every node `joining` it, and
+/// then on its sequencer (which keeps its tail and backpointer state; the
+/// seal only fences tokens issued under the old epoch). Returns the log's
+/// raw tail, inverted from the per-replica-set local tails (max across
+/// replicas).
+///
+/// `dead` names the one member that need not answer — the node being
+/// replaced, storage or sequencer. Its seal is still attempted: if it is
+/// actually alive (a decommission) this fences it; if it is down the call
+/// just fails.
+fn seal(
+    client: &CorfuClient,
+    metrics: &ReconfigMetrics,
+    old: &Projection,
+    log: u32,
+    dead: Option<NodeId>,
+    joining: &[&Node],
+) -> Result<LogOffset> {
+    let layout = old.log(log);
+    let target = layout.epoch + 1;
+    let mut members = Vec::new();
+    for (set, chain) in layout.replica_sets.iter().enumerate() {
+        for &id in chain {
+            members.push((Node::member(client, old, id)?, set));
+        }
+    }
+    let members = members.iter().map(|(node, set)| (node, Some(*set)));
+    let mut local_tails = vec![0u64; layout.replica_sets.len()];
+    for (node, set) in members.chain(joining.iter().map(|&node| (node, None))) {
+        let sealed: Result<StorageResponse> = node.call(&StorageRequest::Seal { epoch: target });
+        if Some(node.id) == dead {
+            continue;
+        }
+        let mut answer = sealed?;
+        if let StorageResponse::ErrSealed { epoch } = answer {
+            already_at(target, epoch)?;
+            answer = node.call(&StorageRequest::LocalTail { epoch: target })?;
+        }
+        let StorageResponse::Tail(tail) = answer else {
+            return Err(lost(storage_refusal(format_args!("seal of node {}", node.id), answer)));
+        };
+        if let Some(set) = set {
+            local_tails[set] = local_tails[set].max(tail);
+        }
+    }
+
+    let sequencer = Node::member(client, old, layout.sequencer)?;
+    let sealed: Result<SequencerResponse> =
+        sequencer.call(&SequencerRequest::Seal { epoch: target });
+    if Some(sequencer.id) != dead {
+        match sealed? {
+            SequencerResponse::Ok => {}
+            SequencerResponse::ErrSealed { epoch } => already_at(target, epoch)?,
+            other => return Err(sequencer_refusal("seal", other)),
+        }
+    }
+
+    let tail = layout.tail_from_local(&local_tails);
+    // The coordinator journals the seal: a sequencer being replaced is
+    // usually dead, so its own journal never records this epoch's seal.
+    metrics.events.emit(EventKind::Sealed, target, log as u64, tail);
+    Ok(tail)
+}
+
+/// `old` at the next global epoch — the next metalog position — with each
+/// of `logs` at its next epoch: what sealing those logs commits a
+/// reconfigurer to proposing, before whatever else it changes.
+fn successor(old: &Projection, logs: impl IntoIterator<Item = u32>) -> Projection {
+    let mut next = old.clone();
+    next.epoch += 1;
+    for log in logs {
+        next.logs[log as usize].epoch += 1;
+    }
+    next
+}
+
+/// The last step of every reconfiguration: CAS-proposes `new_proj` and
+/// moves the coordinating client onto it. Losing the CAS to the very
+/// projection proposed is convergence (a twin did identical work); losing
+/// it to anything else is [`CorfuError::RaceLost`] with the winner's epoch.
+fn install(
+    client: &CorfuClient,
+    metrics: &ReconfigMetrics,
+    new_proj: Projection,
+    log: u32,
+    detail: u64,
+) -> Result<Projection> {
+    match client.layout().propose(new_proj.clone())? {
+        Some(winner) if winner != new_proj => {
+            return Err(CorfuError::RaceLost { winner: winner.epoch })
+        }
+        _ => {}
+    }
+    client.refresh_layout()?;
+    metrics.events.emit(EventKind::ProjectionInstalled, new_proj.epoch, log as u64, detail);
+    Ok(new_proj)
+}
 
 /// What a completed reconfiguration produced.
 #[derive(Debug, Clone)]
@@ -108,90 +248,33 @@ pub fn replace_sequencer_in_log(
 ) -> Result<ReconfigOutcome> {
     let metrics = ReconfigMetrics::from_registry(client.metrics());
     let old = client.layout().get()?;
-    let layout = old.log(log).clone();
-    let old_seq = layout.sequencer;
-    let log_epoch = layout.epoch + 1;
+    let old_seq = old.sequencer_of(log);
+    let tail = seal(client, &metrics, &old, log, Some(old_seq), &[])?;
 
-    // Build the new projection: same replica sets, new sequencer, this
-    // log's epoch bumped; the global epoch advances to the next metalog
-    // position.
-    let mut nodes: Vec<NodeInfo> = old.nodes.iter().filter(|n| n.id != old_seq).cloned().collect();
-    if nodes.iter().all(|n| n.id != new_seq.id) {
-        nodes.push(new_seq.clone());
+    // Same replica sets, new sequencer.
+    let mut new_proj = successor(&old, [log]);
+    new_proj.logs[log as usize].sequencer = new_seq.id;
+    new_proj.nodes.retain(|n| n.id != old_seq);
+    if new_proj.nodes.iter().all(|n| n.id != new_seq.id) {
+        new_proj.nodes.push(new_seq.clone());
     }
-    let mut logs = old.logs.clone();
-    logs[log as usize] = LogLayout {
-        epoch: log_epoch,
-        replica_sets: layout.replica_sets.clone(),
-        sequencer: new_seq.id,
-    };
-    let new_proj = Projection { epoch: old.epoch + 1, logs, shard: old.shard.clone(), nodes };
+    let target = new_proj.epoch_of_log(log);
 
-    // 1. Seal this log's storage nodes, collecting local tails (max across
-    // replicas).
-    let mut local_tails = vec![0u64; layout.replica_sets.len()];
-    for (set_idx, set) in layout.replica_sets.iter().enumerate() {
-        for &node in set {
-            match client.storage_call(node, &StorageRequest::Seal { epoch: log_epoch })? {
-                StorageResponse::Tail(t) => local_tails[set_idx] = local_tails[set_idx].max(t),
-                StorageResponse::ErrSealed { epoch } if epoch >= log_epoch => {
-                    // Another reconfigurer got here first; bail out and let
-                    // the layout CAS pick the winner.
-                    return Err(CorfuError::RaceLost { winner: epoch });
-                }
-                other => {
-                    return Err(CorfuError::Storage(format!("seal of node {node}: {other:?}")))
-                }
-            }
-        }
-    }
-
-    // 2. Seal the old sequencer, best effort (it may be the failed node).
-    if let Some(addr) = old.addr_of(old_seq) {
-        let conn = client.factory().connect(&NodeInfo { id: old_seq, addr: addr.to_owned() });
-        let _ = conn.call(&encode_to_vec(&SequencerRequest::Seal { epoch: log_epoch }));
-    }
-
-    let recovered_tail = layout.tail_from_local(&local_tails);
-    // The coordinator journals the seal: the old sequencer is usually dead
-    // (that is why it is being replaced), so its own journal never records
-    // this epoch's seal.
-    metrics.events.emit(tango_metrics::EventKind::Sealed, log_epoch, log as u64, recovered_tail);
-
-    // 3. Rebuild backpointer state by backward scan at the new epoch.
-    let (stream_state, entries_scanned) =
-        rebuild_stream_state(client, &new_proj, log, recovered_tail, k)?;
-
-    // 4. Bootstrap the replacement sequencer.
-    let conn = client.factory().connect(&new_seq);
-    let req = SequencerRequest::Bootstrap {
-        epoch: log_epoch,
-        tail: recovered_tail,
-        streams: stream_state.streams,
-    };
-    let resp = conn.call(&encode_to_vec(&req))?;
-    match decode_from_slice::<SequencerResponse>(&resp)? {
+    // Rebuild backpointer state by backward scan at the new epoch (junk
+    // entries contribute nothing, exactly as in the paper), and bootstrap
+    // the replacement with it.
+    let (state, entries_scanned) = rebuild_stream_state(client, &new_proj, log, tail, k)?;
+    let bootstrap = SequencerRequest::Bootstrap { epoch: target, tail, streams: state.streams };
+    match Node::dial(client, &new_seq).call(&bootstrap)? {
         SequencerResponse::Ok => {}
+        // A sequencer is bootstrapped into an epoch once: a twin got here
+        // first, from the same sealed log, and the node may be serving.
+        SequencerResponse::ErrSealed { epoch } => already_at(target, epoch)?,
         other => return Err(CorfuError::Layout(format!("sequencer bootstrap failed: {other:?}"))),
     }
 
-    // 5. Publish the projection.
-    match client.layout().propose(new_proj.clone())? {
-        None => {}
-        Some(winner) => return Err(CorfuError::RaceLost { winner: winner.epoch }),
-    }
-    client.refresh_layout()?;
-    metrics.events.emit(
-        tango_metrics::EventKind::ProjectionInstalled,
-        new_proj.epoch,
-        log as u64,
-        new_seq.id as u64,
-    );
-    Ok(ReconfigOutcome {
-        projection: new_proj,
-        recovered_tail: compose(log, recovered_tail),
-        entries_scanned,
-    })
+    let projection = install(client, &metrics, new_proj, log, new_seq.id as u64)?;
+    Ok(ReconfigOutcome { projection, recovered_tail: compose(log, tail), entries_scanned })
 }
 
 /// What a completed storage-node replacement produced.
@@ -217,9 +300,9 @@ pub const COPY_CHUNK_PAGES: u32 = 256;
 /// client's connection factory: seals the dead node's log into a new epoch,
 /// copies the dead node's chain positions from the head-most surviving
 /// replica of each chain, and CAS-installs a projection with the
-/// replacement spliced in. Other logs of a sharded projection are
-/// untouched. Clients racing the replacement observe `ErrSealed`, refresh,
-/// and retry transparently.
+/// replacement spliced in (the striping function is unchanged). Other logs
+/// of a sharded projection are untouched. Clients racing the replacement
+/// observe `ErrSealed`, refresh, and retry transparently.
 ///
 /// The node being replaced does not have to be down — replacing a live
 /// node decommissions it cleanly (its seal is attempted best-effort).
@@ -257,160 +340,81 @@ pub fn replace_storage_node(
         )));
     }
     let log = owning[0];
-    let layout = old.log(log).clone();
-    let new_epoch = layout.epoch + 1;
-    let affected: Vec<usize> = layout
-        .replica_sets
-        .iter()
-        .enumerate()
-        .filter(|(_, set)| set.contains(&dead))
-        .map(|(idx, _)| idx)
-        .collect();
-    if old.logs.iter().any(|l| l.sequencer == replacement.id)
-        || old.logs.iter().any(|l| l.replica_sets.iter().any(|set| set.contains(&replacement.id)))
-    {
+    let layout = old.log(log);
+    if old.addr_of(replacement.id).is_some() {
         return Err(CorfuError::Layout(format!(
             "replacement id {} is already in the projection",
             replacement.id
         )));
     }
-    for &set_idx in &affected {
-        if layout.replica_sets[set_idx].iter().all(|&n| n == dead) {
-            return Err(CorfuError::Storage(format!(
-                "replica set {set_idx} has no surviving replica to copy from"
-            )));
+    // The copy source of each chain the dead node served is its head-most
+    // surviving replica: the head arbitrates write-once races, so its pages
+    // are a superset of every acked entry in the chain. Pages it lacks were
+    // never acked and surface as holes.
+    let mut sources = Vec::new();
+    for (set_idx, set) in layout.replica_sets.iter().enumerate() {
+        if set.contains(&dead) {
+            let survivor = set.iter().find(|&&n| n != dead).ok_or_else(|| {
+                CorfuError::Storage(format!(
+                    "replica set {set_idx} has no surviving replica to copy from"
+                ))
+            })?;
+            sources.push(Node::member(client, &old, *survivor)?);
         }
     }
 
-    // 1. Seal the log's survivors. A node already at exactly the target
-    // epoch was sealed by a concurrent replacement doing the same job —
-    // that step is done, keep going; the layout CAS arbitrates at the end.
-    // A node beyond the target means a farther-ahead reconfiguration won
-    // outright.
-    for node in old.storage_nodes_of(log) {
-        if node == dead {
-            continue;
-        }
-        match client.storage_call(node, &StorageRequest::Seal { epoch: new_epoch })? {
-            StorageResponse::Tail(_) => {}
-            StorageResponse::ErrSealed { epoch } if epoch == new_epoch => {}
-            StorageResponse::ErrSealed { epoch } => {
-                return Err(CorfuError::RaceLost { winner: epoch })
-            }
-            other => return Err(CorfuError::Storage(format!("seal of node {node}: {other:?}"))),
-        }
-    }
-    // Best-effort seal of the dead node: if it is actually alive (a
-    // decommission), this fences it; if it is down, the call just fails.
-    let _ = client.storage_call(dead, &StorageRequest::Seal { epoch: new_epoch });
+    // The replacement is sealed with the log, so it serves the new epoch
+    // from birth: no old-epoch straggler can ever write to it.
+    let repl = Node::dial(client, &replacement);
+    seal(client, &metrics, &old, log, Some(dead), &[&repl])?;
+    let new_proj = old.with_replaced_node(dead, &replacement);
+    debug_assert_eq!(new_proj.epoch_of_log(log), layout.epoch + 1, "the epoch sealed");
 
-    // 2. Seal the log's sequencer. It keeps its tail and backpointer state;
-    // the seal only fences tokens issued under the old epoch.
-    let seq_addr = old
-        .addr_of(layout.sequencer)
-        .ok_or_else(|| CorfuError::Layout("sequencer missing from projection".into()))?;
-    let seq_conn =
-        client.factory().connect(&NodeInfo { id: layout.sequencer, addr: seq_addr.to_owned() });
-    let resp = seq_conn.call(&encode_to_vec(&SequencerRequest::Seal { epoch: new_epoch }))?;
-    match decode_from_slice::<SequencerResponse>(&resp)? {
-        SequencerResponse::Ok => {}
-        SequencerResponse::ErrSealed { epoch } if epoch == new_epoch => {}
-        SequencerResponse::ErrSealed { epoch } => {
-            return Err(CorfuError::RaceLost { winner: epoch })
-        }
-        other => return Err(CorfuError::Layout(format!("sequencer seal failed: {other:?}"))),
-    }
-
-    // 3. Seal the replacement so it serves the new epoch from birth: no
-    // old-epoch straggler can ever write to it.
-    let repl_conn = client.factory().connect(&replacement);
-    match raw_storage_call(&repl_conn, &StorageRequest::Seal { epoch: new_epoch })? {
-        StorageResponse::Tail(_) => {}
-        StorageResponse::ErrSealed { epoch } if epoch == new_epoch => {}
-        StorageResponse::ErrSealed { epoch } => return Err(CorfuError::RaceLost { winner: epoch }),
-        other => return Err(CorfuError::Storage(format!("replacement seal: {other:?}"))),
-    }
-
-    // 4. Rebuild the dead node's chain positions onto the replacement. The
-    // copy source is the head-most surviving replica: the head arbitrates
-    // write-once races, so its pages are a superset of every acked entry in
-    // the chain. Pages it lacks were never acked and surface as holes.
+    // Rebuild the dead node's chain positions onto the replacement.
     let mut pages_copied = 0u64;
     let mut bytes_copied = 0u64;
-    for &set_idx in &affected {
-        let source = *layout.replica_sets[set_idx]
-            .iter()
-            .find(|&&n| n != dead)
-            .expect("validated: a survivor exists");
-        let (pages, bytes) = copy_chain_position(client, &repl_conn, source, new_epoch)?;
+    for source in &sources {
+        let (pages, bytes) = copy_chain_position(source, &repl, new_proj.epoch_of_log(log))?;
         pages_copied += pages;
         bytes_copied += bytes;
     }
 
-    // 5. Publish the spliced projection; the CAS picks one winner.
-    let new_proj = old.with_replaced_node(dead, &replacement);
-    debug_assert_eq!(new_proj.epoch, old.epoch + 1);
-    debug_assert_eq!(new_proj.epoch_of_log(log), new_epoch);
-    match client.layout().propose(new_proj.clone())? {
-        None => {}
-        Some(winner) => return Err(CorfuError::RaceLost { winner: winner.epoch }),
-    }
-    client.refresh_layout()?;
+    let projection = install(client, &metrics, new_proj, log, dead as u64)?;
     metrics.events.emit(
-        tango_metrics::EventKind::ReplicaReplaced,
-        new_proj.epoch,
+        EventKind::ReplicaReplaced,
+        projection.epoch,
         log as u64,
         replacement.id as u64,
     );
-    metrics.events.emit(
-        tango_metrics::EventKind::ProjectionInstalled,
-        new_proj.epoch,
-        log as u64,
-        dead as u64,
-    );
-    Ok(RebuildOutcome {
-        projection: new_proj,
-        pages_copied,
-        bytes_copied,
-        chains_rebuilt: affected.len(),
-    })
+    Ok(RebuildOutcome { projection, pages_copied, bytes_copied, chains_rebuilt: sources.len() })
 }
 
-/// Streams every consumed page of `source` onto the replacement behind
-/// `repl_conn`, reproducing data, junk fills, random trim marks, and the
-/// prefix-trim horizon. Returns (pages, payload bytes) copied. Write-once
-/// arbitration makes the copy idempotent, so two racing rebuilds of the
-/// same node are safe.
-fn copy_chain_position(
-    client: &CorfuClient,
-    repl_conn: &Arc<dyn ClientConn>,
-    source: NodeId,
-    epoch: Epoch,
-) -> Result<(u64, u64)> {
+/// Streams every consumed page of `source` onto the replacement `repl`,
+/// reproducing data, junk fills, random trim marks, and the prefix-trim
+/// horizon, so the replacement's write-once arbitration is exactly as
+/// strict as the original's. Returns (pages, payload bytes) copied.
+/// Write-once arbitration makes the copy idempotent, so two racing rebuilds
+/// of the same node are safe.
+fn copy_chain_position(source: &Node, repl: &Node, epoch: Epoch) -> Result<(u64, u64)> {
     let mut pages_copied = 0u64;
     let mut bytes_copied = 0u64;
     let mut start = 0u64;
     let mut horizon_installed = false;
     loop {
         let req = StorageRequest::CopyRange { epoch, start, count: COPY_CHUNK_PAGES };
-        let (local_tail, prefix_trim, next, pages) = match client.storage_call(source, &req)? {
+        let (local_tail, prefix_trim, next, pages) = match source.call(&req)? {
             StorageResponse::PageChunk { local_tail, prefix_trim, next, pages } => {
                 (local_tail, prefix_trim, next, pages)
             }
-            StorageResponse::ErrSealed { epoch } => {
-                return Err(CorfuError::RaceLost { winner: epoch })
-            }
             other => {
-                return Err(CorfuError::Storage(format!("copy from node {source}: {other:?}")))
+                let what = format_args!("copy from node {}", source.id);
+                return Err(lost(storage_refusal(what, other)));
             }
         };
         if !horizon_installed && prefix_trim > 0 {
-            let req = StorageRequest::TrimPrefix { epoch, horizon: prefix_trim };
-            match raw_storage_call(repl_conn, &req)? {
+            match repl.call(&StorageRequest::TrimPrefix { epoch, horizon: prefix_trim })? {
                 StorageResponse::Ok => {}
-                other => {
-                    return Err(CorfuError::Storage(format!("replacement trim_prefix: {other:?}")))
-                }
+                other => return Err(lost(storage_refusal("replacement trim_prefix", other))),
             }
         }
         horizon_installed = true;
@@ -428,18 +432,14 @@ fn copy_chain_position(
                 },
                 PageCopy::Trimmed => StorageRequest::Trim { epoch, addr },
             };
-            match raw_storage_call(repl_conn, &req)? {
+            match repl.call(&req)? {
                 // AlreadyWritten: a racing rebuild (or a new-epoch client
                 // write that beat us here) owns the slot; either way the
                 // slot is consumed with an arbitrated value.
-                StorageResponse::Ok | StorageResponse::ErrAlreadyWritten => pages_copied += 1,
-                StorageResponse::ErrTrimmed => pages_copied += 1,
-                StorageResponse::ErrSealed { epoch } => {
-                    return Err(CorfuError::RaceLost { winner: epoch })
-                }
-                other => {
-                    return Err(CorfuError::Storage(format!("replacement install: {other:?}")))
-                }
+                StorageResponse::Ok
+                | StorageResponse::ErrAlreadyWritten
+                | StorageResponse::ErrTrimmed => pages_copied += 1,
+                other => return Err(lost(storage_refusal("replacement install", other))),
             }
         }
         if next >= local_tail {
@@ -447,13 +447,6 @@ fn copy_chain_position(
         }
         start = next;
     }
-}
-
-/// A storage call on a connection to a node that is not (yet) in the
-/// installed projection.
-fn raw_storage_call(conn: &Arc<dyn ClientConn>, req: &StorageRequest) -> Result<StorageResponse> {
-    let resp = conn.call(&encode_to_vec(req))?;
-    Ok(decode_from_slice(&resp)?)
 }
 
 /// Scans log `log` backward from its raw `tail`, decoding entry envelopes
@@ -485,9 +478,7 @@ fn rebuild_stream_state(
                 scanned += 1;
                 if let Ok(envelope) = EntryEnvelope::decode(&bytes, composite) {
                     if seed.is_none() && envelope.belongs_to(crate::SEQUENCER_CHECKPOINT_STREAM) {
-                        if let Ok(state) =
-                            tango_wire::decode_from_slice::<SequencerState>(&envelope.payload)
-                        {
+                        if let Ok(state) = decode_from_slice::<SequencerState>(&envelope.payload) {
                             // Everything below the checkpoint's captured
                             // tail is already in it.
                             floor = state.tail;
@@ -509,7 +500,7 @@ fn rebuild_stream_state(
             ReadOutcome::Unwritten => {
                 // A hole below the tail: a client crashed mid-append. The
                 // scan cannot wait; patch it so playback never stalls on it.
-                let _ = client_fill_at(client, proj, composite);
+                let _ = client.fill_with(&view, proj, composite);
                 scanned += 1;
             }
             ReadOutcome::Trimmed => break,
@@ -554,83 +545,28 @@ pub fn checkpoint_sequencer_state_in_log(client: &CorfuClient, log: u32) -> Resu
         }
         other => return Err(CorfuError::Codec(format!("unexpected dump response {other:?}"))),
     };
-    let payload = bytes::Bytes::from(tango_wire::encode_to_vec(&state));
+    let payload = bytes::Bytes::from(encode_to_vec(&state));
     let (offset, _) =
         client.append_streams_in_log(log, &[crate::SEQUENCER_CHECKPOINT_STREAM], payload)?;
     Ok(offset)
 }
 
-/// Fills a hole found during recovery, at the recovery epoch of the
-/// offset's log.
-fn client_fill_at(client: &CorfuClient, proj: &Projection, offset: LogOffset) -> Result<()> {
-    use crate::proto::WriteKind;
-    let epoch = proj.epoch_of_log(log_of_offset(offset));
-    let (_, local) = proj.map(offset);
-    for &node in proj.chain_for(offset) {
-        let req = StorageRequest::Write {
-            epoch,
-            addr: local,
-            kind: WriteKind::Junk,
-            payload: bytes::Bytes::new(),
-        };
-        match client.storage_call(node, &req)? {
-            StorageResponse::Ok | StorageResponse::ErrAlreadyWritten => {}
-            other => return Err(CorfuError::Storage(format!("recovery fill: {other:?}"))),
-        }
-    }
-    Ok(())
-}
-
 /// Moves the whole cluster — every log's storage nodes and sequencer, and
-/// the projection — to the next epoch without changing membership. Live
-/// sequencers keep their tail and backpointer state across the seal.
-/// Useful as a fencing barrier: after `bump_epoch` returns, no operation
-/// stamped with an old epoch can take effect anywhere. Returns the new
-/// global epoch and the highest composite tail recovered from the seals.
+/// the projection — to the next epoch without changing membership: the
+/// per-log seal over every log, under one install. Live sequencers keep
+/// their tail and backpointer state across the seal. Useful as a fencing
+/// barrier: after `bump_epoch` returns, no operation stamped with an old
+/// epoch can take effect anywhere. Returns the new global epoch and the
+/// highest composite tail recovered from the seals.
 pub fn bump_epoch(client: &CorfuClient) -> Result<(Epoch, LogOffset)> {
     let metrics = ReconfigMetrics::from_registry(client.metrics());
     let old = client.layout().get()?;
     let mut tail = 0;
-    let mut logs = old.logs.clone();
-    for (log, layout) in old.logs.iter().enumerate() {
-        let new_epoch = layout.epoch + 1;
-        let mut local_tails = vec![0u64; layout.replica_sets.len()];
-        for (set_idx, set) in layout.replica_sets.iter().enumerate() {
-            for &node in set {
-                match client.storage_call(node, &StorageRequest::Seal { epoch: new_epoch })? {
-                    StorageResponse::Tail(t) => local_tails[set_idx] = local_tails[set_idx].max(t),
-                    other => {
-                        return Err(CorfuError::Storage(format!("seal of node {node}: {other:?}")))
-                    }
-                }
-            }
-        }
-        // The sequencer keeps its soft state; sealing only bumps its epoch.
-        let addr = old
-            .addr_of(layout.sequencer)
-            .ok_or_else(|| CorfuError::Layout("sequencer missing from projection".into()))?;
-        let conn =
-            client.factory().connect(&NodeInfo { id: layout.sequencer, addr: addr.to_owned() });
-        let resp = conn.call(&encode_to_vec(&SequencerRequest::Seal { epoch: new_epoch }))?;
-        match decode_from_slice::<SequencerResponse>(&resp)? {
-            SequencerResponse::Ok => {}
-            other => return Err(CorfuError::Layout(format!("sequencer seal failed: {other:?}"))),
-        }
-        tail = tail.max(compose(log as u32, layout.tail_from_local(&local_tails)));
-        logs[log].epoch = new_epoch;
+    for log in 0..old.num_logs() {
+        tail = tail.max(compose(log, seal(client, &metrics, &old, log, None, &[])?));
     }
-    let new_proj = Projection {
-        epoch: old.epoch + 1,
-        logs,
-        shard: old.shard.clone(),
-        nodes: old.nodes.clone(),
-    };
-    if let Some(winner) = client.layout().propose(new_proj)? {
-        return Err(CorfuError::RaceLost { winner: winner.epoch });
-    }
-    client.refresh_layout()?;
-    metrics.events.emit(tango_metrics::EventKind::ProjectionInstalled, old.epoch + 1, 0, tail);
-    Ok((old.epoch + 1, tail))
+    let installed = install(client, &metrics, successor(&old, 0..old.num_logs()), 0, tail)?;
+    Ok((installed.epoch, tail))
 }
 
 /// Seals *one log* of a sharded projection into its next epoch without
@@ -640,55 +576,9 @@ pub fn bump_epoch(client: &CorfuClient) -> Result<(Epoch, LogOffset)> {
 pub fn seal_log(client: &CorfuClient, log: u32) -> Result<(Epoch, LogOffset)> {
     let metrics = ReconfigMetrics::from_registry(client.metrics());
     let old = client.layout().get()?;
-    let layout = old.log(log).clone();
-    let new_epoch = layout.epoch + 1;
-    let mut local_tails = vec![0u64; layout.replica_sets.len()];
-    for (set_idx, set) in layout.replica_sets.iter().enumerate() {
-        for &node in set {
-            match client.storage_call(node, &StorageRequest::Seal { epoch: new_epoch })? {
-                StorageResponse::Tail(t) => local_tails[set_idx] = local_tails[set_idx].max(t),
-                StorageResponse::ErrSealed { epoch } => {
-                    return Err(CorfuError::RaceLost { winner: epoch })
-                }
-                other => {
-                    return Err(CorfuError::Storage(format!("seal of node {node}: {other:?}")))
-                }
-            }
-        }
-    }
-    let addr = old
-        .addr_of(layout.sequencer)
-        .ok_or_else(|| CorfuError::Layout("sequencer missing from projection".into()))?;
-    let conn = client.factory().connect(&NodeInfo { id: layout.sequencer, addr: addr.to_owned() });
-    let resp = conn.call(&encode_to_vec(&SequencerRequest::Seal { epoch: new_epoch }))?;
-    match decode_from_slice::<SequencerResponse>(&resp)? {
-        SequencerResponse::Ok => {}
-        SequencerResponse::ErrSealed { epoch } => {
-            return Err(CorfuError::RaceLost { winner: epoch })
-        }
-        other => return Err(CorfuError::Layout(format!("sequencer seal failed: {other:?}"))),
-    }
-    let mut logs = old.logs.clone();
-    logs[log as usize].epoch = new_epoch;
-    let new_proj = Projection {
-        epoch: old.epoch + 1,
-        logs,
-        shard: old.shard.clone(),
-        nodes: old.nodes.clone(),
-    };
-    if let Some(winner) = client.layout().propose(new_proj)? {
-        return Err(CorfuError::RaceLost { winner: winner.epoch });
-    }
-    client.refresh_layout()?;
-    let sealed_tail = layout.tail_from_local(&local_tails);
-    metrics.events.emit(tango_metrics::EventKind::Sealed, new_epoch, log as u64, sealed_tail);
-    metrics.events.emit(
-        tango_metrics::EventKind::ProjectionInstalled,
-        old.epoch + 1,
-        log as u64,
-        sealed_tail,
-    );
-    Ok((old.epoch + 1, compose(log, sealed_tail)))
+    let tail = seal(client, &metrics, &old, log, None, &[])?;
+    let installed = install(client, &metrics, successor(&old, [log]), log, tail)?;
+    Ok((installed.epoch, compose(log, tail)))
 }
 
 /// Moves `stream` to `to_log`: seals the source and target logs, hands the
@@ -699,10 +589,9 @@ pub fn seal_log(client: &CorfuClient, log: u32) -> Result<(Epoch, LogOffset)> {
 /// logs transparently; no entry is lost or duplicated by the remap.
 ///
 /// Appends racing the remap either land in the source log before its seal
-/// (and are then behind the adopted window via the sealed sequencer's
-/// state... see below) or observe `ErrSealed`, refresh, and route to the
-/// target log. The window handed over is read *after* the source seal, so
-/// it reflects every append the old epoch admitted.
+/// or observe `ErrSealed`, refresh, and route to the target log. The window
+/// handed over is read *after* the source seal, so it reflects every append
+/// the old epoch admitted.
 pub fn remap_stream(client: &CorfuClient, stream: StreamId, to_log: u32) -> Result<Projection> {
     let metrics = ReconfigMetrics::from_registry(client.metrics());
     let old = client.layout().get()?;
@@ -716,97 +605,41 @@ pub fn remap_stream(client: &CorfuClient, stream: StreamId, to_log: u32) -> Resu
     if from_log == to_log {
         return Ok(old);
     }
-    let from_epoch = old.epoch_of_log(from_log) + 1;
-    let to_epoch = old.epoch_of_log(to_log) + 1;
-
-    let seq_conn = |log: u32| -> Result<Arc<dyn ClientConn>> {
-        let id = old.sequencer_of(log);
-        let addr = old
-            .addr_of(id)
-            .ok_or_else(|| CorfuError::Layout("sequencer missing from projection".into()))?;
-        Ok(client.factory().connect(&NodeInfo { id, addr: addr.to_owned() }))
-    };
-    let seq_call = |log: u32, req: &SequencerRequest| -> Result<SequencerResponse> {
-        let resp = seq_conn(log)?.call(&encode_to_vec(req))?;
-        Ok(decode_from_slice(&resp)?)
-    };
-
-    // 1. Seal both logs (storage + sequencer) at their next epochs. This
-    // fences every in-flight append of the stream under the old epochs.
-    for (log, epoch) in [(from_log, from_epoch), (to_log, to_epoch)] {
-        for node in old.storage_nodes_of(log) {
-            match client.storage_call(node, &StorageRequest::Seal { epoch })? {
-                StorageResponse::Tail(_) => {}
-                StorageResponse::ErrSealed { epoch: e } if e == epoch => {}
-                StorageResponse::ErrSealed { epoch: e } => {
-                    return Err(CorfuError::RaceLost { winner: e })
-                }
-                other => {
-                    return Err(CorfuError::Storage(format!("seal of node {node}: {other:?}")))
-                }
-            }
-        }
-        match seq_call(log, &SequencerRequest::Seal { epoch })? {
-            SequencerResponse::Ok => {}
-            SequencerResponse::ErrSealed { epoch: e } if e == epoch => {}
-            SequencerResponse::ErrSealed { epoch: e } => {
-                return Err(CorfuError::RaceLost { winner: e })
-            }
-            other => return Err(CorfuError::Layout(format!("sequencer seal failed: {other:?}"))),
-        }
+    // Both logs: this fences every in-flight append of the stream under the
+    // old epochs.
+    for log in [from_log, to_log] {
+        seal(client, &metrics, &old, log, None, &[])?;
     }
+    let mut new_proj = successor(&old, [from_log, to_log]);
+    new_proj.shard = old.shard.with_override(stream, to_log);
 
-    // 2. Read the stream's backpointer window from the *sealed* source
-    // sequencer (soft state survives a seal), so it covers every append
-    // the old epoch admitted.
-    let window = match seq_call(
-        from_log,
-        &SequencerRequest::Query { epoch: from_epoch, streams: vec![stream] },
-    )? {
+    // Read the stream's backpointer window from the *sealed* source
+    // sequencer (soft state survives a seal), so it covers every append the
+    // old epoch admitted.
+    let query =
+        SequencerRequest::Query { epoch: new_proj.epoch_of_log(from_log), streams: vec![stream] };
+    let window = match Node::member(client, &old, old.sequencer_of(from_log))?.call(&query)? {
         SequencerResponse::TailInfo { backpointers, .. } => {
             backpointers.into_iter().next().unwrap_or_default()
         }
-        SequencerResponse::ErrSealed { epoch } => {
-            return Err(CorfuError::RaceLost { winner: epoch })
-        }
-        other => return Err(CorfuError::Codec(format!("unexpected query response {other:?}"))),
+        other => return Err(lost(sequencer_refusal("query", other))),
     };
     let window: Vec<LogOffset> = window.into_iter().filter(|&b| b != u64::MAX).collect();
 
-    // 3. Hand the window to the target sequencer. The composite offsets
-    // keep pointing into the source log, where the entries live.
-    match seq_call(
-        to_log,
-        &SequencerRequest::AdoptStream { epoch: to_epoch, stream, backpointers: window },
-    )? {
+    // Hand the window to the target sequencer. The composite offsets keep
+    // pointing into the source log, where the entries live.
+    let adopt = SequencerRequest::AdoptStream {
+        epoch: new_proj.epoch_of_log(to_log),
+        stream,
+        backpointers: window,
+    };
+    match Node::member(client, &old, old.sequencer_of(to_log))?.call(&adopt)? {
         SequencerResponse::Ok => {}
-        SequencerResponse::ErrSealed { epoch } => {
-            return Err(CorfuError::RaceLost { winner: epoch })
-        }
-        other => return Err(CorfuError::Codec(format!("unexpected adopt response {other:?}"))),
+        other => return Err(lost(sequencer_refusal("adopt", other))),
     }
 
-    // 4. Publish the projection with the override installed.
-    let mut logs = old.logs.clone();
-    logs[from_log as usize].epoch = from_epoch;
-    logs[to_log as usize].epoch = to_epoch;
-    let new_proj = Projection {
-        epoch: old.epoch + 1,
-        logs,
-        shard: old.shard.with_override(stream, to_log),
-        nodes: old.nodes.clone(),
-    };
-    match client.layout().propose(new_proj.clone())? {
-        None => {}
-        Some(winner) => return Err(CorfuError::RaceLost { winner: winner.epoch }),
-    }
-    client.refresh_layout()?;
+    let installed = install(client, &metrics, new_proj, to_log, stream as u64)?;
     metrics.stream_remaps.inc();
-    metrics.events.emit(
-        tango_metrics::EventKind::ShardRemapped,
-        new_proj.epoch,
-        to_log as u64,
-        stream as u64,
-    );
-    Ok(new_proj)
+    metrics.events.emit(EventKind::ShardRemapped, installed.epoch, to_log as u64, stream as u64);
+    Ok(installed)
 }

@@ -190,7 +190,10 @@ impl SequencerServer {
                 SequencerResponse::State { tail: inner.tail, streams }
             }
             SequencerRequest::Bootstrap { epoch, tail, streams } => {
-                if epoch < inner.epoch {
+                // Into an epoch once, like a seal: a second reconfigurer's
+                // state for the same epoch may be older than the tokens
+                // this node has issued since the first one's install.
+                if epoch <= inner.epoch {
                     return SequencerResponse::ErrSealed { epoch: inner.epoch };
                 }
                 inner.epoch = epoch;
@@ -478,5 +481,9 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        // A twin's bootstrap into the same epoch must not rewind the tail.
+        let again = SequencerRequest::Bootstrap { epoch: 2, tail: 100, streams: vec![] };
+        assert_eq!(s.process(again), SequencerResponse::ErrSealed { epoch: 2 });
+        assert_eq!(s.state().tail, 101);
     }
 }

@@ -1,32 +1,28 @@
 //! One metalog replica: a write-once `position → record` store.
 
-use std::collections::BTreeMap;
-
 use bytes::Bytes;
 use parking_lot::Mutex;
-use tango_flash::{FlashUnit, PageRead};
+use tango_flash::{FlashError, FlashUnit, PageRead};
 use tango_rpc::RpcHandler;
 use tango_wire::{decode_from_slice, encode_to_vec};
 
 use crate::proto::{MetaRequest, MetaResponse, ReplicaInfo};
 use crate::Position;
 
+/// The largest record an in-memory replica accepts: the page size of the
+/// unit under [`MetaNode::new`].
+const MAX_RECORD_BYTES: usize = 1 << 20;
+
 /// A metalog replica. Positions are write-once: the first record installed
 /// at a position is permanent, and a conflicting rewrite is answered with
 /// the incumbent — the same arbitration rule the data plane's flash units
-/// enforce, which is what lets the layout service dogfood the CORFU
-/// discipline.
-///
-/// By default records live only in RAM (tests, in-process clusters). A
-/// replica built with [`MetaNode::with_storage`] writes every record
-/// through to a [`FlashUnit`] before acknowledging, and recovers its full
-/// history from that unit on restart — the flash discipline is literally
-/// the same one the data plane uses, metalog positions mapping one-to-one
-/// onto page addresses.
+/// enforce, and enforced by the same code: a replica *is* a [`FlashUnit`],
+/// metalog positions mapping one-to-one onto page addresses. The unit is the
+/// only record of a position; over a file-backed one every record is on the
+/// device before it is acknowledged, and a restart finds the full history
+/// there.
 pub struct MetaNode {
-    records: Mutex<BTreeMap<Position, Bytes>>,
-    /// Durable backing store; writes go here before the RAM index.
-    storage: Option<Mutex<FlashUnit>>,
+    unit: Mutex<FlashUnit>,
     peers: Mutex<Vec<ReplicaInfo>>,
 }
 
@@ -37,28 +33,16 @@ impl Default for MetaNode {
 }
 
 impl MetaNode {
-    /// An empty replica.
+    /// An empty replica holding its records in RAM (tests, in-process
+    /// clusters).
     pub fn new() -> Self {
-        Self { records: Mutex::new(BTreeMap::new()), storage: None, peers: Mutex::new(Vec::new()) }
+        Self::with_storage(FlashUnit::in_memory(MAX_RECORD_BYTES))
     }
 
-    /// A replica persisting records onto `unit`, recovering every record
-    /// already on it. Positions map directly to page addresses, so the
-    /// unit's page size bounds the record size. Junk and trimmed pages are
-    /// skipped: a metalog never trims, but a unit recycled from the data
-    /// plane may carry them.
-    pub fn with_storage(mut unit: FlashUnit) -> tango_flash::Result<Self> {
-        let mut records = BTreeMap::new();
-        for addr in 0..unit.local_tail() {
-            if let PageRead::Data(bytes) = unit.read(addr)? {
-                records.insert(addr, bytes);
-            }
-        }
-        Ok(Self {
-            records: Mutex::new(records),
-            storage: Some(Mutex::new(unit)),
-            peers: Mutex::new(Vec::new()),
-        })
+    /// A replica over `unit`, serving every record already on it. The
+    /// unit's page size bounds the record size.
+    pub fn with_storage(unit: FlashUnit) -> Self {
+        Self { unit: Mutex::new(unit), peers: Mutex::new(Vec::new()) }
     }
 
     /// Installs `record` at position 0 directly (deployment bootstrap; not
@@ -66,15 +50,10 @@ impl MetaNode {
     /// different record — a deployment must not be bootstrapped twice with
     /// diverging genesis records.
     pub fn bootstrap(&self, record: Bytes) {
-        let mut records = self.records.lock();
-        match records.get(&0) {
-            None => {
-                if let Some(storage) = &self.storage {
-                    storage.lock().write(0, &record).expect("persist genesis record");
-                }
-                records.insert(0, record);
-            }
-            Some(existing) => assert_eq!(existing, &record, "conflicting bootstrap record"),
+        match self.process(MetaRequest::Write { pos: 0, record }) {
+            MetaResponse::Ok => {}
+            MetaResponse::AlreadyWritten(_) => panic!("conflicting bootstrap record"),
+            other => panic!("persist genesis record: {other:?}"),
         }
     }
 
@@ -90,34 +69,37 @@ impl MetaNode {
 
     /// Highest written position + 1 (0 when empty).
     pub fn tail(&self) -> Position {
-        self.records.lock().last_key_value().map(|(p, _)| p + 1).unwrap_or(0)
+        self.unit.lock().local_tail()
     }
 
     /// Processes a decoded request.
     pub fn process(&self, req: MetaRequest) -> MetaResponse {
+        let storage_error = |e: FlashError| MetaResponse::ErrStorage { reason: e.to_string() };
         match req {
-            MetaRequest::Read { pos } => match self.records.lock().get(&pos) {
-                Some(rec) => MetaResponse::Record(rec.clone()),
-                None => MetaResponse::Unwritten,
+            MetaRequest::Read { pos } => match self.unit.lock().read(pos) {
+                Ok(PageRead::Data(record)) => MetaResponse::Record(record),
+                Ok(_) => MetaResponse::Unwritten,
+                Err(e) => storage_error(e),
             },
             MetaRequest::Write { pos, record } => {
-                let mut records = self.records.lock();
-                match records.get(&pos) {
-                    None => {
-                        // Durability before acknowledgement: the record
-                        // must be on flash before any quorum counts it.
-                        if let Some(storage) = &self.storage {
-                            if let Err(e) = storage.lock().write(pos, &record) {
-                                return MetaResponse::ErrStorage { reason: e.to_string() };
-                            }
-                        }
-                        records.insert(pos, record);
-                        MetaResponse::Ok
-                    }
-                    // Re-writing the incumbent is an idempotent success, so
-                    // helpers and retries converge without special cases.
-                    Some(existing) if *existing == record => MetaResponse::Ok,
-                    Some(existing) => MetaResponse::AlreadyWritten(existing.clone()),
+                let mut unit = self.unit.lock();
+                // Durability before acknowledgement: the unit returns once
+                // the record is where it keeps records, so no quorum counts
+                // one a restart would lose.
+                match unit.write(pos, &record) {
+                    Ok(()) => MetaResponse::Ok,
+                    Err(FlashError::AlreadyWritten { .. }) => match unit.read(pos) {
+                        // Re-writing the incumbent is an idempotent success,
+                        // so helpers and retries converge without special
+                        // cases.
+                        Ok(PageRead::Data(existing)) if existing == record => MetaResponse::Ok,
+                        Ok(PageRead::Data(existing)) => MetaResponse::AlreadyWritten(existing),
+                        Ok(other) => MetaResponse::ErrStorage {
+                            reason: format!("position {pos} holds no record: {other:?}"),
+                        },
+                        Err(e) => storage_error(e),
+                    },
+                    Err(e) => storage_error(e),
                 }
             }
             MetaRequest::Tail => MetaResponse::Tail(self.tail()),
@@ -195,7 +177,7 @@ mod tests {
             FlashUnit::open(Box::new(store), 1024).unwrap()
         };
         {
-            let node = MetaNode::with_storage(open_unit()).unwrap();
+            let node = MetaNode::with_storage(open_unit());
             node.bootstrap(Bytes::from_static(b"genesis"));
             for pos in 1..5u64 {
                 let record = Bytes::from(format!("projection-{pos}"));
@@ -205,7 +187,7 @@ mod tests {
         }
         // "Restart": a fresh node over the same files sees the full
         // history, and write-once arbitration still holds across it.
-        let node = MetaNode::with_storage(open_unit()).unwrap();
+        let node = MetaNode::with_storage(open_unit());
         assert_eq!(node.tail(), 5);
         node.bootstrap(Bytes::from_static(b"genesis")); // idempotent, not a rewrite
         for pos in 1..5u64 {

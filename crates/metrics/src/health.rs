@@ -1,8 +1,8 @@
 //! The health/lag plane: machine-readable health verdicts derived from
 //! snapshots.
 //!
-//! A [`HealthReport`] evaluates one node's [`Snapshot`] against a
-//! [`HealthPolicy`] (node-local signals: hole-fill backlog, forced-junk
+//! A [`HealthReport`] evaluates one node's [`Snapshot`] against the
+//! `MAX_*` thresholds below (node-local signals: hole-fill backlog, forced-junk
 //! pressure, transport accept drops, apply lag when the sequencer tail
 //! and applied watermark live in the same registry). [`ClusterHealth`]
 //! evaluates a whole [`ClusterSnapshot`] plus the set of unreachable
@@ -37,7 +37,7 @@ pub const COUNTER_JUNK_FORCED: &str = "corfu.client.junk_forced";
 pub const COUNTER_ACCEPT_DROPS: &str = "rpc.accepts_dropped";
 /// Storage occupancy gauge (log-scoped): live (untrimmed) pages on a
 /// storage node. Published by the node's compactor; a node whose log keeps
-/// growing past the policy bound has a broken checkpoint/trim loop.
+/// growing past [`MAX_OCCUPANCY`] has a broken checkpoint/trim loop.
 pub const GAUGE_OCCUPANCY: &str = "corfu.storage.occupancy";
 /// Storage prefix-trim horizon gauge (log-scoped).
 pub const GAUGE_TRIM_HORIZON: &str = "corfu.storage.trim_horizon";
@@ -46,7 +46,7 @@ pub const GAUGE_TRIM_HORIZON: &str = "corfu.storage.trim_horizon";
 /// status of a report is the max of its reasons' statuses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum HealthStatus {
-    /// All signals within policy.
+    /// All signals within their thresholds.
     Ok,
     /// Service continues but something needs attention.
     Degraded,
@@ -76,36 +76,21 @@ pub struct HealthReason {
     pub detail: String,
 }
 
-/// Thresholds for the health checks. All checks are inclusive-pass: a
-/// value must *exceed* its threshold to trip.
-#[derive(Debug, Clone)]
-pub struct HealthPolicy {
-    /// Offsets the applied watermark may trail the sequencer tail.
-    pub max_apply_lag: i64,
-    /// Concurrent hole-fills in flight before the client is degraded
-    /// (4x this is unhealthy).
-    pub max_hole_backlog: i64,
-    /// Epochs two nodes' views of one log may differ.
-    pub max_epoch_divergence: i64,
-    /// Lifetime accept drops before the transport is degraded.
-    pub max_accept_drops: u64,
-    /// Live pages a storage node may hold before it is degraded — an
-    /// occupancy still climbing past this means checkpoints are not
-    /// trimming the log.
-    pub max_occupancy: i64,
-}
+// Thresholds for the health checks. All checks are inclusive-pass: a value
+// must *exceed* its threshold to trip.
 
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        Self {
-            max_apply_lag: 4096,
-            max_hole_backlog: 8,
-            max_epoch_divergence: 1,
-            max_accept_drops: 128,
-            max_occupancy: 1 << 20,
-        }
-    }
-}
+/// Offsets the applied watermark may trail the sequencer tail.
+pub const MAX_APPLY_LAG: i64 = 4096;
+/// Concurrent hole-fills in flight before the client is degraded (4x this
+/// is unhealthy).
+pub const MAX_HOLE_BACKLOG: i64 = 8;
+/// Epochs two nodes' views of one log may differ.
+pub const MAX_EPOCH_DIVERGENCE: i64 = 1;
+/// Lifetime accept drops before the transport is degraded.
+pub const MAX_ACCEPT_DROPS: u64 = 128;
+/// Live pages a storage node may hold before it is degraded — an occupancy
+/// still climbing past this means checkpoints are not trimming the log.
+pub const MAX_OCCUPANCY: i64 = 1 << 20;
 
 /// A node-local health verdict with its tripped checks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,13 +107,13 @@ impl HealthReport {
         Self { status, reasons }
     }
 
-    /// Evaluates one node's snapshot against `policy`.
-    pub fn evaluate(snap: &Snapshot, policy: &HealthPolicy) -> HealthReport {
+    /// Evaluates one node's snapshot.
+    pub fn evaluate(snap: &Snapshot) -> HealthReport {
         let mut reasons = Vec::new();
 
         let backlog = snap.gauge(GAUGE_HOLE_BACKLOG);
-        if backlog > policy.max_hole_backlog {
-            let status = if backlog > policy.max_hole_backlog * 4 {
+        if backlog > MAX_HOLE_BACKLOG {
+            let status = if backlog > MAX_HOLE_BACKLOG * 4 {
                 HealthStatus::Unhealthy
             } else {
                 HealthStatus::Degraded
@@ -136,27 +121,27 @@ impl HealthReport {
             reasons.push(HealthReason {
                 code: "hole_backlog".into(),
                 status,
-                detail: format!("{backlog} holes in flight (max {})", policy.max_hole_backlog),
+                detail: format!("{backlog} holes in flight (max {})", MAX_HOLE_BACKLOG),
             });
         }
 
         let drops = snap.counter(COUNTER_ACCEPT_DROPS);
-        if drops > policy.max_accept_drops {
+        if drops > MAX_ACCEPT_DROPS {
             reasons.push(HealthReason {
                 code: "accept_drops".into(),
                 status: HealthStatus::Degraded,
-                detail: format!("{drops} connections dropped (max {})", policy.max_accept_drops),
+                detail: format!("{drops} connections dropped (max {})", MAX_ACCEPT_DROPS),
             });
         }
 
         // Storage occupancy: published per log by the node's compactor.
         for (name, pages) in &snap.gauges {
             let Some(log) = scoped_log(name, GAUGE_OCCUPANCY) else { continue };
-            if *pages > policy.max_occupancy {
+            if *pages > MAX_OCCUPANCY {
                 reasons.push(HealthReason {
                     code: "occupancy".into(),
                     status: HealthStatus::Degraded,
-                    detail: format!("log {log}: {pages} live pages (max {})", policy.max_occupancy),
+                    detail: format!("log {log}: {pages} live pages (max {})", MAX_OCCUPANCY),
                 });
             }
         }
@@ -171,13 +156,13 @@ impl HealthReport {
                 continue;
             }
             let lag = tail - snap.gauge(&applied_name);
-            if lag > policy.max_apply_lag {
+            if lag > MAX_APPLY_LAG {
                 reasons.push(HealthReason {
                     code: "apply_lag".into(),
                     status: HealthStatus::Degraded,
                     detail: format!(
                         "log {log}: applied trails tail by {lag} (max {})",
-                        policy.max_apply_lag
+                        MAX_APPLY_LAG
                     ),
                 });
             }
@@ -205,11 +190,7 @@ impl ClusterHealth {
     /// targets that did not answer; they degrade the cluster (and, for
     /// metalog members — nodes named `layout*` — losing a majority makes
     /// it unhealthy).
-    pub fn evaluate(
-        cluster: &ClusterSnapshot,
-        unreachable: &[String],
-        policy: &HealthPolicy,
-    ) -> ClusterHealth {
+    pub fn evaluate(cluster: &ClusterSnapshot, unreachable: &[String]) -> ClusterHealth {
         let mut reasons = Vec::new();
 
         for name in unreachable {
@@ -233,7 +214,7 @@ impl ClusterHealth {
         }
 
         // Sealed-epoch divergence: every node publishing a view of one
-        // log's epoch should agree within the policy bound.
+        // log's epoch should agree within the bound.
         let mut epochs: BTreeMap<String, Vec<(String, i64)>> = BTreeMap::new();
         // Per-log maxima for the cross-node apply-lag check.
         let mut tails: BTreeMap<u64, i64> = BTreeMap::new();
@@ -259,7 +240,7 @@ impl ClusterHealth {
         for (name, views) in &epochs {
             let min = views.iter().map(|(_, v)| *v).min().unwrap_or(0);
             let max = views.iter().map(|(_, v)| *v).max().unwrap_or(0);
-            if max - min > policy.max_epoch_divergence {
+            if max - min > MAX_EPOCH_DIVERGENCE {
                 let lagging: Vec<&str> =
                     views.iter().filter(|(_, v)| *v == min).map(|(n, _)| n.as_str()).collect();
                 reasons.push(HealthReason {
@@ -267,7 +248,7 @@ impl ClusterHealth {
                     status: HealthStatus::Degraded,
                     detail: format!(
                         "{name}: views span {min}..{max} (max divergence {}), behind: {}",
-                        policy.max_epoch_divergence,
+                        MAX_EPOCH_DIVERGENCE,
                         lagging.join(",")
                     ),
                 });
@@ -279,13 +260,13 @@ impl ClusterHealth {
                 continue;
             };
             let lag = tail - done;
-            if lag > policy.max_apply_lag {
+            if lag > MAX_APPLY_LAG {
                 reasons.push(HealthReason {
                     code: "apply_lag".into(),
                     status: HealthStatus::Degraded,
                     detail: format!(
                         "log {log}: applied trails tail by {lag} (max {})",
-                        policy.max_apply_lag
+                        MAX_APPLY_LAG
                     ),
                 });
             }
@@ -293,7 +274,7 @@ impl ClusterHealth {
 
         let nodes: BTreeMap<String, HealthReport> = cluster
             .nodes()
-            .map(|(name, snap)| (name.to_string(), HealthReport::evaluate(snap, policy)))
+            .map(|(name, snap)| (name.to_string(), HealthReport::evaluate(snap)))
             .collect();
 
         let status = reasons
@@ -315,37 +296,35 @@ mod tests {
     fn clean_snapshot_is_ok() {
         let r = Registry::new();
         r.counter("corfu.client.tokens").add(5);
-        let report = HealthReport::evaluate(&r.snapshot(), &HealthPolicy::default());
+        let report = HealthReport::evaluate(&r.snapshot());
         assert_eq!(report.status, HealthStatus::Ok);
         assert!(report.reasons.is_empty());
     }
 
     #[test]
     fn hole_backlog_degrades_then_unhealthies() {
-        let policy = HealthPolicy::default();
         let r = Registry::new();
         let backlog = r.gauge(GAUGE_HOLE_BACKLOG);
 
-        backlog.set(policy.max_hole_backlog + 1);
-        let report = HealthReport::evaluate(&r.snapshot(), &policy);
+        backlog.set(MAX_HOLE_BACKLOG + 1);
+        let report = HealthReport::evaluate(&r.snapshot());
         assert_eq!(report.status, HealthStatus::Degraded);
         assert_eq!(report.reasons[0].code, "hole_backlog");
 
-        backlog.set(policy.max_hole_backlog * 4 + 1);
-        let report = HealthReport::evaluate(&r.snapshot(), &policy);
+        backlog.set(MAX_HOLE_BACKLOG * 4 + 1);
+        let report = HealthReport::evaluate(&r.snapshot());
         assert_eq!(report.status, HealthStatus::Unhealthy);
     }
 
     #[test]
     fn storage_occupancy_past_policy_degrades() {
-        let policy = HealthPolicy { max_occupancy: 1000, ..HealthPolicy::default() };
         let r = Registry::new();
-        r.gauge(&log_scoped(GAUGE_OCCUPANCY, 1)).set(999);
-        let report = HealthReport::evaluate(&r.snapshot(), &policy);
+        r.gauge(&log_scoped(GAUGE_OCCUPANCY, 1)).set(MAX_OCCUPANCY);
+        let report = HealthReport::evaluate(&r.snapshot());
         assert_eq!(report.status, HealthStatus::Ok);
 
-        r.gauge(&log_scoped(GAUGE_OCCUPANCY, 1)).set(1001);
-        let report = HealthReport::evaluate(&r.snapshot(), &policy);
+        r.gauge(&log_scoped(GAUGE_OCCUPANCY, 1)).set(MAX_OCCUPANCY + 1);
+        let report = HealthReport::evaluate(&r.snapshot());
         assert_eq!(report.status, HealthStatus::Degraded);
         assert_eq!(report.reasons[0].code, "occupancy");
         assert!(report.reasons[0].detail.contains("log 1"), "{:?}", report.reasons);
@@ -353,13 +332,12 @@ mod tests {
 
     #[test]
     fn node_local_apply_lag_checks_each_log() {
-        let policy = HealthPolicy { max_apply_lag: 100, ..HealthPolicy::default() };
         let r = Registry::new();
-        r.gauge(&log_scoped(GAUGE_SEQ_TAIL, 0)).set(1000);
-        r.gauge(&log_scoped(GAUGE_APPLIED, 0)).set(950);
-        r.gauge(&log_scoped(GAUGE_SEQ_TAIL, 2)).set(5000);
+        r.gauge(&log_scoped(GAUGE_SEQ_TAIL, 0)).set(MAX_APPLY_LAG * 10);
+        r.gauge(&log_scoped(GAUGE_APPLIED, 0)).set(MAX_APPLY_LAG * 10 - 50);
+        r.gauge(&log_scoped(GAUGE_SEQ_TAIL, 2)).set(MAX_APPLY_LAG * 50);
         r.gauge(&log_scoped(GAUGE_APPLIED, 2)).set(100);
-        let report = HealthReport::evaluate(&r.snapshot(), &policy);
+        let report = HealthReport::evaluate(&r.snapshot());
         assert_eq!(report.status, HealthStatus::Degraded);
         assert_eq!(report.reasons.len(), 1);
         assert!(report.reasons[0].detail.contains("log 2"), "{:?}", report.reasons);
@@ -370,28 +348,23 @@ mod tests {
         let mut cs = ClusterSnapshot::new();
         cs.insert("layout-0", Registry::new().snapshot());
         cs.insert("seq-0", Registry::new().snapshot());
-        let policy = HealthPolicy::default();
 
-        let health = ClusterHealth::evaluate(&cs, &[], &policy);
+        let health = ClusterHealth::evaluate(&cs, &[]);
         assert_eq!(health.status, HealthStatus::Ok);
 
-        let health = ClusterHealth::evaluate(&cs, &["storage-1".to_string()], &policy);
+        let health = ClusterHealth::evaluate(&cs, &["storage-1".to_string()]);
         assert_eq!(health.status, HealthStatus::Degraded);
         assert_eq!(health.reasons[0].code, "unreachable");
 
         // 2 of 3 metalog replicas down: no quorum.
-        let health = ClusterHealth::evaluate(
-            &cs,
-            &["layout-1".to_string(), "layout-2".to_string()],
-            &policy,
-        );
+        let health =
+            ClusterHealth::evaluate(&cs, &["layout-1".to_string(), "layout-2".to_string()]);
         assert_eq!(health.status, HealthStatus::Unhealthy);
         assert!(health.reasons.iter().any(|r| r.code == "meta_quorum"));
     }
 
     #[test]
     fn epoch_divergence_across_nodes_degrades() {
-        let policy = HealthPolicy::default();
         let ahead = {
             let r = Registry::new();
             r.gauge(&log_scoped(GAUGE_EPOCH, 1)).set(7);
@@ -405,7 +378,7 @@ mod tests {
         let mut cs = ClusterSnapshot::new();
         cs.insert("seq-1", ahead);
         cs.insert("clients", behind);
-        let health = ClusterHealth::evaluate(&cs, &[], &policy);
+        let health = ClusterHealth::evaluate(&cs, &[]);
         assert_eq!(health.status, HealthStatus::Degraded);
         let reason = health.reasons.iter().find(|r| r.code == "epoch_divergence").unwrap();
         assert!(reason.detail.contains("clients"), "{}", reason.detail);
@@ -413,10 +386,9 @@ mod tests {
 
     #[test]
     fn cross_node_apply_lag_uses_per_log_maxima() {
-        let policy = HealthPolicy { max_apply_lag: 10, ..HealthPolicy::default() };
         let seq = {
             let r = Registry::new();
-            r.gauge(&log_scoped(GAUGE_SEQ_TAIL, 1)).set(500);
+            r.gauge(&log_scoped(GAUGE_SEQ_TAIL, 1)).set(MAX_APPLY_LAG + 490);
             r.snapshot()
         };
         let client = {
@@ -427,7 +399,7 @@ mod tests {
         let mut cs = ClusterSnapshot::new();
         cs.insert("seq-1", seq);
         cs.insert("clients", client.clone());
-        let health = ClusterHealth::evaluate(&cs, &[], &policy);
+        let health = ClusterHealth::evaluate(&cs, &[]);
         assert_eq!(health.status, HealthStatus::Degraded);
         assert!(health.reasons.iter().any(|r| r.code == "apply_lag"));
 
@@ -438,7 +410,7 @@ mod tests {
             r.snapshot()
         };
         cs.insert("clients-2", caught_up);
-        let health = ClusterHealth::evaluate(&cs, &[], &policy);
+        let health = ClusterHealth::evaluate(&cs, &[]);
         assert_eq!(health.status, HealthStatus::Ok);
     }
 

@@ -50,7 +50,7 @@ pub mod trace;
 
 pub use cluster::{ClusterSnapshot, TimelineEntry};
 pub use events::{EventKind, EventRecord, Events};
-pub use health::{ClusterHealth, HealthPolicy, HealthReason, HealthReport, HealthStatus};
+pub use health::{ClusterHealth, HealthReason, HealthReport, HealthStatus};
 pub use snapshot::{HistogramSnapshot, Snapshot, SnapshotDecodeError};
 pub use trace::{Span, SpanKind, SpanRecord, TraceConfig, TraceContext, Tracer};
 

@@ -216,10 +216,6 @@ pub struct TraceConfig {
     /// Sampled root spans at least this slow are copied to the slow ring
     /// and counted in `trace.slow_requests`.
     pub slow_threshold: Duration,
-    /// Capacity of the main span ring (rounded up to a power of two).
-    pub ring_capacity: usize,
-    /// Capacity of the slow-request ring.
-    pub slow_capacity: usize,
     /// Capacity of the control-plane event journal (see
     /// [`crate::events`]).
     pub event_capacity: usize,
@@ -227,15 +223,14 @@ pub struct TraceConfig {
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        Self {
-            sample_one_in: 16,
-            slow_threshold: Duration::from_millis(10),
-            ring_capacity: 1024,
-            slow_capacity: 128,
-            event_capacity: 1024,
-        }
+        Self { sample_one_in: 16, slow_threshold: Duration::from_millis(10), event_capacity: 1024 }
     }
 }
+
+/// Capacity of the main span ring.
+const RING_CAPACITY: usize = 1024;
+/// Capacity of the slow-request ring.
+const SLOW_CAPACITY: usize = 128;
 
 pub(crate) struct TracerInner {
     ring: SpanRing,
@@ -249,8 +244,8 @@ pub(crate) struct TracerInner {
 impl TracerInner {
     pub(crate) fn new(cfg: &TraceConfig) -> Self {
         Self {
-            ring: SpanRing::new(cfg.ring_capacity),
-            slow: SpanRing::new(cfg.slow_capacity),
+            ring: SpanRing::new(RING_CAPACITY),
+            slow: SpanRing::new(SLOW_CAPACITY),
             sampler: Sampler::one_in(cfg.sample_one_in),
             slow_threshold_ns: AtomicU64::new(
                 cfg.slow_threshold.as_nanos().min(u64::MAX as u128) as u64

@@ -38,7 +38,8 @@ pub fn fetch_snapshot(addr: &str, timeout: Duration) -> Result<Snapshot> {
 mod tests {
     use super::*;
     use crate::TcpServer;
-    use tango_metrics::{EventKind, HealthPolicy, HealthReport, HealthStatus};
+    use tango_metrics::health::MAX_HOLE_BACKLOG;
+    use tango_metrics::{EventKind, HealthReport, HealthStatus};
 
     const T: Duration = Duration::from_secs(2);
 
@@ -60,10 +61,7 @@ mod tests {
         assert_eq!(snap.histogram("lat_ns").unwrap().count(), 1);
         assert_eq!(snap.events.len(), 1);
         assert_eq!(snap.events[0].kind, EventKind::Sealed);
-        assert_eq!(
-            HealthReport::evaluate(&snap, &HealthPolicy::default()).status,
-            HealthStatus::Ok
-        );
+        assert_eq!(HealthReport::evaluate(&snap).status, HealthStatus::Ok);
     }
 
     #[test]
@@ -79,14 +77,11 @@ mod tests {
     #[test]
     fn an_unhealthy_registry_reads_unhealthy_through_the_request() {
         let registry = Registry::new();
-        let policy = HealthPolicy::default();
-        registry
-            .gauge(tango_metrics::health::GAUGE_HOLE_BACKLOG)
-            .set(policy.max_hole_backlog * 4 + 1);
+        registry.gauge(tango_metrics::health::GAUGE_HOLE_BACKLOG).set(MAX_HOLE_BACKLOG * 4 + 1);
         let server = node(&registry);
 
         let snap = fetch_snapshot(&server.local_addr().to_string(), T).unwrap();
-        let report = HealthReport::evaluate(&snap, &policy);
+        let report = HealthReport::evaluate(&snap);
         assert_eq!(report.status, HealthStatus::Unhealthy);
         assert_eq!(report.reasons[0].code, "hole_backlog");
     }

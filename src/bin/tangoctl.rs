@@ -17,7 +17,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use tango_metrics::{HealthPolicy, HealthStatus};
+use tango_metrics::HealthStatus;
 use tango_repro::inspector;
 
 const USAGE: &str = "usage: tangoctl <status|health|timeline|storage|metrics> [name=]host:port ...";
@@ -40,8 +40,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "health" => {
-            let (text, status) =
-                inspector::render_health(&cluster, &unreachable, &HealthPolicy::default());
+            let (text, status) = inspector::render_health(&cluster, &unreachable);
             print!("{text}");
             match status {
                 HealthStatus::Ok => ExitCode::SUCCESS,

@@ -15,9 +15,7 @@ use std::time::Duration;
 use tango_metrics::health::{
     GAUGE_APPLIED, GAUGE_EPOCH, GAUGE_OCCUPANCY, GAUGE_SEQ_TAIL, GAUGE_TRIM_HORIZON,
 };
-use tango_metrics::{
-    log_scoped, scoped_log, ClusterHealth, ClusterSnapshot, HealthPolicy, HealthStatus,
-};
+use tango_metrics::{log_scoped, scoped_log, ClusterHealth, ClusterSnapshot, HealthStatus};
 use tango_rpc::fetch_snapshot;
 
 /// One node to scrape: a display name plus the address it serves on.
@@ -114,12 +112,8 @@ pub fn render_status(cluster: &ClusterSnapshot, unreachable: &[String]) -> Strin
 /// `tangoctl health`: the cluster verdict, each tripped reason, and a
 /// per-node status line. Returns the rendering plus the verdict (the
 /// binary maps it to an exit code: ok=0, degraded=1, unhealthy=2).
-pub fn render_health(
-    cluster: &ClusterSnapshot,
-    unreachable: &[String],
-    policy: &HealthPolicy,
-) -> (String, HealthStatus) {
-    let health = ClusterHealth::evaluate(cluster, unreachable, policy);
+pub fn render_health(cluster: &ClusterSnapshot, unreachable: &[String]) -> (String, HealthStatus) {
+    let health = ClusterHealth::evaluate(cluster, unreachable);
     let mut out = format!("cluster: {}\n", health.status.name());
     for reason in &health.reasons {
         out.push_str(&format!("  [{}] {}: {}\n", reason.status.name(), reason.code, reason.detail));
@@ -245,12 +239,11 @@ mod tests {
     #[test]
     fn health_maps_verdicts_and_lists_reasons() {
         let cs = ClusterSnapshot::new();
-        let (text, status) = render_health(&cs, &[], &HealthPolicy::default());
+        let (text, status) = render_health(&cs, &[]);
         assert_eq!(status, HealthStatus::Ok);
         assert!(text.starts_with("cluster: ok"), "{text}");
 
-        let (text, status) =
-            render_health(&cs, &["storage-1".to_string()], &HealthPolicy::default());
+        let (text, status) = render_health(&cs, &["storage-1".to_string()]);
         assert_eq!(status, HealthStatus::Degraded);
         assert!(text.contains("[degraded] unreachable"), "{text}");
     }

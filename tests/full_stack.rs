@@ -134,11 +134,9 @@ fn compaction_with_active_namespaces() {
     for i in 0..10 {
         zk.create(&format!("/apps/app-{i}"), b"cfg", CreateMode::Persistent).unwrap();
     }
-    // Checkpoint everything, forget the history, compact.
-    let zk_ckpt = rt.checkpoint(zk.oid()).unwrap();
-    rt.forget(zk.oid(), zk_ckpt).unwrap();
-    let dir_ckpt = rt.checkpoint(tango::DIRECTORY_OID).unwrap();
-    rt.forget(tango::DIRECTORY_OID, dir_ckpt.min(zk_ckpt)).unwrap();
+    // Checkpoint everything (which forgets the history), compact.
+    rt.checkpoint(zk.oid()).unwrap();
+    rt.checkpoint(tango::DIRECTORY_OID).unwrap();
     let horizon = rt.compact().unwrap();
     assert!(horizon > 0);
 

@@ -9,9 +9,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use corfu::cluster::{ClusterConfig, TcpCluster, LAYOUT_BASE_ID, SEQUENCER_BASE_ID};
 use corfu::{log_of_offset, Projection, StreamId};
-use tango_metrics::{
-    log_scoped, EventKind, HealthPolicy, HealthReport, HealthStatus, Sampler, SpanKind,
-};
+use tango_metrics::{log_scoped, EventKind, HealthReport, HealthStatus, Sampler, SpanKind};
 use tango_repro::inspector;
 use tango_rpc::fetch_snapshot;
 
@@ -33,7 +31,7 @@ fn every_node_reads_healthy_and_carries_its_journal() {
 
     for (name, addr) in &cluster.scrape_targets() {
         let snap = fetch_snapshot(addr, SCRAPE_TIMEOUT).unwrap();
-        let report = HealthReport::evaluate(&snap, &HealthPolicy::default());
+        let report = HealthReport::evaluate(&snap);
         assert_eq!(report.status, HealthStatus::Ok, "{name} must be healthy");
         assert!(report.reasons.is_empty(), "{name}: {:?}", report.reasons);
         // The journal rides the snapshot, whole.
@@ -189,8 +187,7 @@ fn tangoctl_inspector_reads_a_live_cluster() {
     assert!(status.contains("sequencer"), "{status}");
     assert!(status.contains("LOG  EPOCH  SEQ-TAIL"), "{status}");
 
-    let (health_text, verdict) =
-        inspector::render_health(&snapshot, &unreachable, &Default::default());
+    let (health_text, verdict) = inspector::render_health(&snapshot, &unreachable);
     assert_eq!(verdict, HealthStatus::Ok, "{health_text}");
 
     let timeline = inspector::render_timeline(&snapshot);
