@@ -403,9 +403,14 @@ impl StorageServer {
 /// to `pages` (the requested ones, already read) until they are `limit` or
 /// one page more could take their data past [`CHASE_REPLY_BYTES`], the
 /// pages that `stream`'s backpointers lead to on this unit, none below
-/// `floor`. Only a page that holds an entry of `stream` with a
-/// relative-format header leads anywhere; whatever else a page holds, it is
-/// a page read and nothing more.
+/// `floor`, highest address first. Only a page that holds an entry of
+/// `stream` with a relative-format header leads anywhere; whatever else a
+/// page holds, it is a page read and nothing more.
+///
+/// The pages are read in waves: every address the pages read so far lead to
+/// that the limit and the cap leave room for — in a walk down one stream,
+/// the K predecessors one entry names, which sit next to each other on the
+/// device — goes to the unit in one call.
 fn chase(
     unit: &mut FlashUnit,
     pages: &mut Vec<(u64, PageOutcome)>,
@@ -414,42 +419,61 @@ fn chase(
     stripe: u32,
     floor: u64,
 ) {
-    let mut asked: Vec<u64> = pages.iter().map(|&(addr, _)| addr).collect();
-    asked.sort_unstable();
-    // The addresses that pages read so far point to and that are still to
-    // read, ascending: a handful (an entry points at its stream's previous
-    // few), so a sorted `Vec`. An entry points below itself, so with the
-    // highest taken first no address comes up twice.
+    let asked = pages.len();
+    // Every address read or to read, descending, so that a walk down the
+    // stream appends to it: each goes in once, and no page is read twice.
+    let mut known: Vec<u64> = pages.iter().map(|&(addr, _)| addr).collect();
+    known.sort_unstable_by(|a, b| b.cmp(a));
+    // The known addresses still to read, ascending: a handful (an entry
+    // points at its stream's previous few), so a sorted `Vec`.
     let mut ahead: Vec<u64> = Vec::new();
-    let follow = |ahead: &mut Vec<u64>, (addr, outcome): &(u64, PageOutcome)| {
-        if let PageOutcome::Data(bytes) = outcome {
+    let follow = |known: &mut Vec<u64>, ahead: &mut Vec<u64>, page: &(u64, PageOutcome)| {
+        if let (addr, PageOutcome::Data(bytes)) = page {
             deltas_of(bytes, stream)
                 .filter_map(|delta| local_step(delta, stripe))
                 .filter_map(|step| addr.checked_sub(step))
-                .filter(|to| *to >= floor && asked.binary_search(to).is_err())
+                .filter(|to| *to >= floor)
                 .for_each(|to| {
-                    if let Err(at) = ahead.binary_search(&to) {
-                        ahead.insert(at, to);
+                    if let Err(at) = known.binary_search_by(|probe| to.cmp(probe)) {
+                        known.insert(at, to);
+                        ahead.insert(ahead.partition_point(|&a| a < to), to);
                     }
                 });
         }
     };
-    pages.iter().for_each(|page| follow(&mut ahead, page));
+    pages.iter().for_each(|page| follow(&mut known, &mut ahead, page));
     let data_len = |(_, outcome): &(u64, PageOutcome)| match outcome {
         PageOutcome::Data(bytes) => bytes.len(),
         _ => 0,
     };
     let mut gathered: usize = pages.iter().map(data_len).sum();
-    while pages.len() < limit && gathered + unit.page_size() <= CHASE_REPLY_BYTES {
-        let Some(addr) = ahead.pop() else { break };
+    let mut wave = Vec::new();
+    loop {
+        // Room for as many pages as the limit allows and the cap would if
+        // each held a full page: the bound a page at a time kept.
+        let room = (limit.saturating_sub(pages.len()))
+            .min(CHASE_REPLY_BYTES.saturating_sub(gathered) / unit.page_size().max(1));
+        if room == 0 || ahead.is_empty() {
+            break;
+        }
+        wave.clear();
+        wave.extend(ahead.drain(ahead.len().saturating_sub(room)..).rev());
+        let read = pages.len();
         // A page nobody asked for that cannot be read is not this request's
         // to report: whoever asks for it will hear.
-        let Ok(read) = unit.read(addr) else { continue };
-        let page = (addr, read.into());
-        follow(&mut ahead, &page);
-        gathered += data_len(&page);
-        pages.push(page);
+        unit.read_each(&wave, |at, outcome| {
+            if let Ok(outcome) = outcome {
+                pages.push((wave[at], outcome.into()));
+            }
+        });
+        for page in &pages[read..] {
+            follow(&mut known, &mut ahead, page);
+            gathered += data_len(page);
+        }
     }
+    // A wave can hold a page below one the next wave leads to (pointers
+    // that skip past each other); the reply is in address order regardless.
+    pages[asked..].sort_unstable_by_key(|&(addr, _)| std::cmp::Reverse(addr));
 }
 
 /// How many local addresses below its own an entry's backpointer `delta`
@@ -860,15 +884,95 @@ mod tests {
         assert_eq!(outcome_at(4), (4, PageOutcome::Trimmed));
     }
 
+    /// Stream 1's entry at `offset`, pointing at `backpointers`.
+    fn entry(offset: u64, backpointers: Vec<u64>) -> Vec<u8> {
+        let headers = vec![StreamHeader { stream: 1, backpointers }];
+        EntryEnvelope { headers, payload: Bytes::from_static(b"e"), link: None }
+            .encode(offset)
+            .unwrap()
+    }
+
+    #[test]
+    fn chase_replies_in_address_order_and_reads_each_page_once() {
+        // Pointers that skip past each other: 12 leads to 11 and 5, and 11
+        // (by way of 10) back to 5, so the wave after [11, 5] is [10, 4],
+        // with 10 above a page already read.
+        let node = server();
+        let pages =
+            [(12, vec![11, 5]), (11, vec![10]), (10, vec![9, 5]), (9, vec![]), (5, vec![4])];
+        for (addr, backpointers) in pages.into_iter().chain([(4, vec![])]) {
+            assert_eq!(node.process(data(addr, entry(addr, backpointers))), StorageResponse::Ok);
+        }
+        assert_eq!(chased(&node, &[12], 1, (1, 0, 32)), all_data([12, 11, 10, 9, 5, 4]));
+        assert_eq!(node.stats().reads, 6);
+        // The limit takes whole waves while they fit, then the top of one.
+        assert_eq!(chased(&node, &[12], 1, (1, 0, 4)), all_data([12, 11, 10, 5]));
+        assert_eq!(chased(&node, &[12], 1, (1, 0, 2)), all_data([12, 11]));
+    }
+
+    #[test]
+    fn chase_stops_where_one_more_full_page_could_pass_the_cap() {
+        let node = server();
+        for addr in 0..48u64 {
+            let backpointers = (addr.saturating_sub(4)..addr).rev().collect();
+            let headers = vec![StreamHeader { stream: 1, backpointers }];
+            let payload = Bytes::from(vec![7u8; 4000]);
+            let page = EntryEnvelope { headers, payload, link: None }.encode(addr).unwrap();
+            assert_eq!(node.process(data(addr, page)), StorageResponse::Ok);
+        }
+        let StorageResponse::Chased(pages) = node.process(StorageRequest::ReadChase {
+            epoch: 0,
+            addrs: vec![47],
+            stream: 1,
+            stripe: 1,
+            floor: 0,
+            limit: 256,
+        }) else {
+            panic!("expected Chased")
+        };
+        let bytes: usize = pages
+            .iter()
+            .map(|(_, outcome)| match outcome {
+                PageOutcome::Data(bytes) => bytes.len(),
+                other => panic!("{other:?}"),
+            })
+            .sum();
+        assert!(bytes <= CHASE_REPLY_BYTES && bytes + 4096 > CHASE_REPLY_BYTES, "{bytes}");
+        let addrs: Vec<u64> = pages.iter().map(|&(addr, _)| addr).collect();
+        assert_eq!(addrs, (16..48).rev().collect::<Vec<_>>());
+        assert_eq!(node.stats().reads, 32);
+    }
+
+    #[test]
+    fn chase_skips_a_followed_page_it_cannot_read() {
+        use std::os::unix::fs::FileExt;
+        let dir = tmpdir("chase-rot");
+        let store = tango_flash::FileStore::open(&dir, 4096, 64).unwrap();
+        let node = StorageServer::new(FlashUnit::open(Box::new(store), 4096).unwrap());
+        // Each page is written through: records back to back from offset 0.
+        let mut record_at = Vec::new();
+        let mut end = 0;
+        for addr in 0..6u64 {
+            let page = entry(addr, (addr.saturating_sub(4)..addr).rev().collect());
+            record_at.push(end);
+            end += 32 + page.len() as u64;
+            assert_eq!(node.process(data(addr, page)), StorageResponse::Ok);
+        }
+        // Rot the last payload byte of page 3's record.
+        let seg = std::fs::OpenOptions::new().write(true).open(dir.join("seg-0.dat")).unwrap();
+        seg.write_all_at(b"\xFF", record_at[4] - 1).unwrap();
+        assert_eq!(chased(&node, &[5], 1, (1, 0, 32)), all_data([5, 4, 2, 1, 0]));
+        // Asked for, it is the request's error.
+        assert!(matches!(
+            node.process(StorageRequest::ReadBatch { epoch: 0, addrs: vec![4, 3] }),
+            StorageResponse::ErrStorage(_)
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn chase_never_judges_a_page() {
         let node = server();
-        let entry = |offset: u64, backpointers: Vec<u64>| {
-            let headers = vec![StreamHeader { stream: 1, backpointers }];
-            EntryEnvelope { headers, payload: Bytes::from_static(b"e"), link: None }
-                .encode(offset)
-                .unwrap()
-        };
         let mut cut_short = entry(9, vec![8, 7, 6, 5]);
         cut_short.truncate(8);
         let pages = [

@@ -1,22 +1,32 @@
-//! Segmented slot-file page store.
+//! Segmented, append-only record files.
 //!
 //! Layout:
 //!
 //! * `<dir>/meta` — unit metadata (magic, geometry, epoch, prefix-trim),
-//!   rewritten atomically via a temp file + rename.
-//! * `<dir>/seg-<n>.dat` — `pages_per_segment` fixed-size slots. Each slot is
-//!   a 32-byte header followed by `page_size` payload bytes. The header
-//!   carries a magic, the slot state, the payload length, a CRC-32C of the
-//!   payload, and the page address (as a torn-write guard: a slot whose
-//!   header or CRC fails validation is treated as unwritten, which is safe
-//!   because CORFU clients retry or fill incomplete writes).
+//!   rewritten atomically via a temp file + rename. A store is given one when
+//!   it is created, before any segment, so segment files without a meta are
+//!   not a store of this layout.
+//! * `<dir>/seg-<n>.dat` — the records of pages `n * pages_per_segment ..
+//!   (n + 1) * pages_per_segment`, back to back in the order they were
+//!   written. A record is a 32-byte header — magic, kind (data, junk or
+//!   trimmed), payload length, CRC-32C of the payload, the page address, and a
+//!   CRC-32C of those — followed by the payload: a page occupies the bytes it
+//!   holds. Each record is one `pwrite` at the end of its segment.
 //!
-//! The address space is sparse; segment files are created on demand and
-//! sized `slot_size * pages_per_segment` (the filesystem keeps them sparse
-//! until slots are written).
+//! Nothing is rewritten in place. A trim appends a tombstone, and the newest
+//! record of an address is the one that counts. Each segment keeps a table of
+//! where every page's newest record sits, built by the appends and, when a
+//! store is opened, by parsing the file in order: a header that fails its
+//! checks costs that record only (the parse resynchronises on the next header
+//! whose magic, checksum and address check), a record cut short by the end of
+//! the file ends the segment, and a data record whose payload fails its CRC
+//! stays in the table but not in [`FileStore::scan`]'s answer. A torn or
+//! corrupt record is therefore never a page to the unit above: it reads as
+//! unwritten, which is safe because CORFU clients retry or fill incomplete
+//! writes. Appends resume at the end of the last whole record.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::Write as _;
+use std::io::{self, Write as _};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
@@ -26,57 +36,92 @@ use tango_wire::{crc32c, IdMap};
 use crate::store::{PageKind, ScannedPage, ScannedState, ScrubReport};
 use crate::{FlashError, PageAddr, Result};
 
-const SLOT_MAGIC: u32 = 0xC0_4F_5E_01;
-const META_MAGIC: u32 = 0xC0_4F_5E_02;
+const RECORD_MAGIC: u32 = 0xC0_4F_5E_03;
+const META_MAGIC: u32 = 0xC0_4F_5E_04;
 const HEADER_LEN: usize = 32;
-/// Payload bytes `get` reads together with the slot header: a payload up
-/// to this long costs one `pread`, a longer one a second for the rest.
-const INLINE_READ: usize = 480;
 
 const STATE_DATA: u8 = 1;
 const STATE_JUNK: u8 = 2;
 const STATE_TRIMMED: u8 = 3;
+/// In a segment's table only: a data record whose payload failed its CRC
+/// when the segment was parsed.
+const STATE_TORN: u8 = 4;
 
-/// The cold device under a [`crate::FlashUnit`]: segmented slot files.
+/// Where a page's newest record sits in its segment file. A `state` of 0
+/// means the page has none.
+#[derive(Debug, Default, Clone, Copy)]
+struct Loc {
+    off: u64,
+    len: u32,
+    state: u8,
+}
+
+impl Loc {
+    fn end(&self) -> u64 {
+        self.off + self.len as u64
+    }
+}
+
+/// One open segment file and the table of its records.
+struct Segment {
+    file: File,
+    /// Each page's newest record, by the page's place in the segment.
+    locs: Vec<Loc>,
+    /// The end of the last whole record: where the next one is written.
+    end: u64,
+}
+
+/// A record header's fields, once its magic, checksum and shape checked.
+struct Header {
+    state: u8,
+    len: usize,
+    crc: u32,
+    addr: PageAddr,
+}
+
+/// The cold device under a [`crate::FlashUnit`]: segmented record files.
 ///
-/// A dumb slot device — write-once enforcement, sealing and trim bookkeeping
+/// A dumb page device — write-once enforcement, sealing and trim bookkeeping
 /// live in the unit. It persists page payloads, trim markers and the unit
 /// metadata (epoch, prefix-trim horizon).
 pub struct FileStore {
     dir: PathBuf,
     page_size: usize,
     pages_per_segment: u64,
-    segments: IdMap<u64, File>,
+    segments: IdMap<u64, Segment>,
 }
 
 impl FileStore {
-    /// Opens (or creates) a store rooted at `dir` with the given geometry.
+    /// Opens (or creates) a store rooted at `dir` with the given geometry,
+    /// reading each segment file once to learn where its records are.
     ///
     /// Opening an existing store validates that the geometry matches what it
-    /// was created with.
+    /// was created with. A store in another layout is refused as `Corrupt`;
+    /// a segment that cannot be read fails the open.
     pub fn open(dir: impl AsRef<Path>, page_size: usize, pages_per_segment: u64) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        let store = Self { dir, page_size, pages_per_segment, segments: IdMap::default() };
-        if let Some((stored_page_size, stored_pps)) = store.read_geometry()? {
-            if stored_page_size != page_size as u64 || stored_pps != pages_per_segment {
-                return Err(FlashError::Corrupt(format!(
-                    "geometry mismatch: store has page_size={stored_page_size}, \
-                     pages_per_segment={stored_pps}"
-                )));
+        let mut store = Self { dir, page_size, pages_per_segment, segments: IdMap::default() };
+        let seg_ids = store.segment_files()?;
+        match store.read_meta()? {
+            Some((stored_page_size, stored_pps, _, _)) => {
+                if stored_page_size != page_size as u64 || stored_pps != pages_per_segment {
+                    return Err(FlashError::Corrupt(format!(
+                        "geometry mismatch: store has page_size={stored_page_size}, \
+                         pages_per_segment={stored_pps}"
+                    )));
+                }
             }
+            None if !seg_ids.is_empty() => {
+                return Err(FlashError::Corrupt("segment files without a meta".into()));
+            }
+            None => store.put_meta(0, 0)?,
+        }
+        for seg in seg_ids {
+            let segment = store.open_segment(seg)?;
+            store.segments.insert(seg, segment);
         }
         Ok(store)
-    }
-
-    fn slot_size(&self) -> u64 {
-        HEADER_LEN as u64 + self.page_size as u64
-    }
-
-    fn locate(&self, addr: PageAddr) -> (u64, u64) {
-        let seg = addr / self.pages_per_segment;
-        let slot = addr % self.pages_per_segment;
-        (seg, slot * self.slot_size())
     }
 
     fn segment_path(&self, seg: u64) -> PathBuf {
@@ -87,85 +132,8 @@ impl FileStore {
         self.dir.join("meta")
     }
 
-    fn segment(&mut self, seg: u64) -> Result<&File> {
-        if !self.segments.contains_key(&seg) {
-            let path = self.segment_path(seg);
-            // Segments are reopened across restarts; never truncate.
-            let file = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(false)
-                .open(path)?;
-            file.set_len(self.slot_size() * self.pages_per_segment)?;
-            self.segments.insert(seg, file);
-        }
-        Ok(self.segments.get(&seg).expect("just inserted"))
-    }
-
-    fn segment_readonly(&self, seg: u64) -> Result<Option<File>> {
-        match File::open(self.segment_path(seg)) {
-            Ok(f) => Ok(Some(f)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn encode_header(state: u8, len: u32, crc: u32, addr: PageAddr) -> [u8; HEADER_LEN] {
-        let mut h = [0u8; HEADER_LEN];
-        h[0..4].copy_from_slice(&SLOT_MAGIC.to_le_bytes());
-        h[4] = state;
-        h[5..9].copy_from_slice(&len.to_le_bytes());
-        h[9..13].copy_from_slice(&crc.to_le_bytes());
-        h[13..21].copy_from_slice(&addr.to_le_bytes());
-        // Header self-checksum over the first 21 bytes.
-        let hcrc = crc32c(&h[..21]);
-        h[21..25].copy_from_slice(&hcrc.to_le_bytes());
-        h
-    }
-
-    fn decode_header(h: &[u8], expect_addr: Option<PageAddr>) -> Option<(u8, u32, u32, PageAddr)> {
-        if h.len() < HEADER_LEN {
-            return None;
-        }
-        let magic = u32::from_le_bytes(h[0..4].try_into().ok()?);
-        if magic != SLOT_MAGIC {
-            return None;
-        }
-        let hcrc = u32::from_le_bytes(h[21..25].try_into().ok()?);
-        if crc32c(&h[..21]) != hcrc {
-            return None;
-        }
-        let state = h[4];
-        let len = u32::from_le_bytes(h[5..9].try_into().ok()?);
-        let crc = u32::from_le_bytes(h[9..13].try_into().ok()?);
-        let addr = u64::from_le_bytes(h[13..21].try_into().ok()?);
-        if let Some(expect) = expect_addr {
-            if addr != expect {
-                return None;
-            }
-        }
-        Some((state, len, crc, addr))
-    }
-
-    fn read_geometry(&self) -> Result<Option<(u64, u64)>> {
-        match fs::read(self.meta_path()) {
-            Ok(bytes) => {
-                let meta = Self::decode_meta(&bytes)?;
-                Ok(Some((meta.1, meta.2)))
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// The number of page slots per segment file.
-    pub fn pages_per_segment(&self) -> u64 {
-        self.pages_per_segment
-    }
-
-    /// Lists the ids of segment files currently on disk, ascending.
-    pub fn segment_ids(&self) -> Result<Vec<u64>> {
+    /// The ids of the segment files in the directory.
+    fn segment_files(&self) -> Result<Vec<u64>> {
         let mut seg_ids = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
             let name = entry?.file_name();
@@ -176,32 +144,126 @@ impl FileStore {
                 }
             }
         }
-        seg_ids.sort_unstable();
         Ok(seg_ids)
+    }
+
+    /// Opens an existing segment file and parses it: one read of the whole
+    /// file.
+    fn open_segment(&self, seg: u64) -> Result<Segment> {
+        let file = OpenOptions::new().read(true).write(true).open(self.segment_path(seg))?;
+        let mut bytes = vec![0u8; file.metadata()?.len() as usize];
+        let got = pread(&file, &mut bytes, 0)?;
+        let mut segment = Segment { file, locs: self.empty_table(), end: 0 };
+        self.parse(seg, &bytes[..got], &mut segment);
+        Ok(segment)
+    }
+
+    fn empty_table(&self) -> Vec<Loc> {
+        vec![Loc::default(); self.pages_per_segment as usize]
+    }
+
+    /// Fills `segment`'s table from the file's bytes, in the order they were
+    /// written: a later record of an address supersedes an earlier one.
+    fn parse(&self, seg: u64, bytes: &[u8], segment: &mut Segment) {
+        let first = seg * self.pages_per_segment;
+        let mut at = 0;
+        while let Some(head) = bytes.get(at..at + HEADER_LEN) {
+            let header = decode_header(head, self.page_size)
+                .filter(|h| h.addr.wrapping_sub(first) < self.pages_per_segment);
+            let Some(h) = header else {
+                // Not a header: the next one may start a byte further on.
+                at += 1;
+                continue;
+            };
+            let len = HEADER_LEN + h.len;
+            // A record the file ends inside is the torn last write.
+            let Some(payload) = bytes.get(at + HEADER_LEN..at + len) else { break };
+            let state = match h.state {
+                STATE_DATA if crc32c(payload) != h.crc => STATE_TORN,
+                state => state,
+            };
+            segment.locs[(h.addr - first) as usize] =
+                Loc { off: at as u64, len: len as u32, state };
+            at += len;
+            segment.end = at as u64;
+        }
+    }
+
+    /// The segment `addr` is in and where its newest record sits, if it has
+    /// one.
+    fn locate(&self, addr: PageAddr) -> Option<(u64, &Segment, Loc)> {
+        let seg_id = addr / self.pages_per_segment;
+        let seg = self.segments.get(&seg_id)?;
+        let loc = seg.locs[(addr % self.pages_per_segment) as usize];
+        (loc.state != 0).then_some((seg_id, seg, loc))
+    }
+
+    /// Checks the record `bytes`, read where `addr`'s newest one sits, and
+    /// returns its kind and payload: `None` if its header does not check or is
+    /// another page's, `Corrupt` if a data payload fails its CRC.
+    fn check<'a>(&self, bytes: &'a [u8], addr: PageAddr) -> Result<Option<(u8, &'a [u8])>> {
+        let Some(h) = decode_header(bytes, self.page_size).filter(|h| h.addr == addr) else {
+            return Ok(None);
+        };
+        let Some(payload) = bytes.get(HEADER_LEN..HEADER_LEN + h.len) else { return Ok(None) };
+        if h.state == STATE_DATA && crc32c(payload) != h.crc {
+            return Err(FlashError::Corrupt(format!("payload CRC mismatch at {addr}")));
+        }
+        Ok(Some((h.state, payload)))
+    }
+
+    /// What the checked record `bytes` of `addr` holds, its payload copied
+    /// out; a tombstone holds no page.
+    fn decode(&self, bytes: &[u8], addr: PageAddr) -> Result<Option<(PageKind, Bytes)>> {
+        Ok(match self.check(bytes, addr)? {
+            Some((STATE_DATA, payload)) => Some((PageKind::Data, Bytes::copy_from_slice(payload))),
+            Some((STATE_JUNK, _)) => Some((PageKind::Junk, Bytes::new())),
+            _ => None,
+        })
+    }
+
+    fn read_meta(&self) -> Result<Option<(u64, u64, u64, u64)>> {
+        match fs::read(self.meta_path()) {
+            Ok(bytes) => Self::decode_meta(&bytes).map(Some),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// The number of pages each segment file holds the records of.
+    pub fn pages_per_segment(&self) -> u64 {
+        self.pages_per_segment
+    }
+
+    /// The number of segment files the store has.
+    pub fn segment_count(&self) -> usize {
+        self.segments.len()
     }
 
     /// Deletes every segment file whose entire address range falls strictly
     /// below `horizon`, returning the reclaimed segment ids. The caller must
     /// have persisted a prefix-trim horizon at or above `horizon` first, so
     /// a crash between the meta write and the unlinks recovers cleanly (the
-    /// scan ignores addresses below the horizon either way).
+    /// unit ignores addresses below the horizon either way).
     pub fn remove_segments_below(&mut self, horizon: PageAddr) -> Result<Vec<u64>> {
-        let mut removed = Vec::new();
-        for seg in self.segment_ids()? {
-            let seg_end = (seg + 1).saturating_mul(self.pages_per_segment);
-            if seg_end <= horizon {
-                self.segments.remove(&seg);
-                fs::remove_file(self.segment_path(seg))?;
-                removed.push(seg);
-            }
+        let pps = self.pages_per_segment;
+        let mut removed: Vec<u64> = (self.segments.keys().copied())
+            .filter(|seg| (seg + 1).saturating_mul(pps) <= horizon)
+            .collect();
+        removed.sort_unstable();
+        for &seg in &removed {
+            self.segments.remove(&seg);
+            fs::remove_file(self.segment_path(seg))?;
         }
         Ok(removed)
     }
 
-    fn decode_meta(bytes: &[u8]) -> Result<(u32, u64, u64, u64, u64)> {
+    /// Page size, pages per segment, epoch and prefix-trim horizon.
+    fn decode_meta(bytes: &[u8]) -> Result<(u64, u64, u64, u64)> {
         if bytes.len() != 40 {
             return Err(FlashError::Corrupt("bad meta length".into()));
         }
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
         let magic = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
         if magic != META_MAGIC {
             return Err(FlashError::Corrupt("bad meta magic".into()));
@@ -210,96 +272,114 @@ impl FileStore {
         if crc32c(&bytes[..36]) != crc {
             return Err(FlashError::Corrupt("meta checksum mismatch".into()));
         }
-        let page_size = u64::from_le_bytes(bytes[4..12].try_into().unwrap());
-        let pps = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-        let epoch = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
-        let prefix_trim = u64::from_le_bytes(bytes[28..36].try_into().unwrap());
-        Ok((magic, page_size, pps, epoch, prefix_trim))
+        Ok((word(4), word(12), word(20), word(28)))
     }
 
-    /// Persists a page payload (data or junk) at `addr`. The unit calls this
-    /// at most once per live address, so the slot is overwritten
-    /// unconditionally.
+    /// Appends a page payload (data or junk) for `addr`. The unit calls this
+    /// at most once per live address.
     pub(crate) fn put(&mut self, addr: PageAddr, kind: PageKind, data: &[u8]) -> Result<()> {
         if data.len() > self.page_size {
             return Err(FlashError::PageTooLarge { len: data.len(), page_size: self.page_size });
         }
-        let (seg, off) = self.locate(addr);
         let state = match kind {
             PageKind::Data => STATE_DATA,
             PageKind::Junk => STATE_JUNK,
         };
-        let header = Self::encode_header(state, data.len() as u32, crc32c(data), addr);
-        let file = self.segment(seg)?;
-        // Payload first, header last: a torn write leaves an invalid header
-        // and the slot reads as unwritten.
-        file.write_all_at(data, off + HEADER_LEN as u64)?;
-        file.write_all_at(&header, off)?;
+        self.append(addr, state, data)
+    }
+
+    /// Writes one record — header and payload in one `pwrite` — at the end
+    /// of `addr`'s segment, and points the segment's table at it. A write
+    /// that fails leaves the end where it was, so the next one overwrites
+    /// whatever part of it landed.
+    fn append(&mut self, addr: PageAddr, state: u8, payload: &[u8]) -> Result<()> {
+        let header = encode_header(state, payload.len() as u32, crc32c(payload), addr);
+        let record = [&header[..], payload].concat();
+        let slot = (addr % self.pages_per_segment) as usize;
+        let seg = self.segment_mut(addr / self.pages_per_segment)?;
+        seg.file.write_all_at(&record, seg.end)?;
+        seg.locs[slot] = Loc { off: seg.end, len: record.len() as u32, state };
+        seg.end += record.len() as u64;
         Ok(())
     }
 
-    /// Reads the slot at `addr`, or `None` if it holds no page.
+    /// The segment `seg`, its file created if this is its first record.
+    fn segment_mut(&mut self, seg: u64) -> Result<&mut Segment> {
+        if !self.segments.contains_key(&seg) {
+            let file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create_new(true)
+                .open(self.segment_path(seg))?;
+            let segment = Segment { file, locs: self.empty_table(), end: 0 };
+            self.segments.insert(seg, segment);
+        }
+        Ok(self.segments.get_mut(&seg).expect("just inserted"))
+    }
+
+    /// Reads `addr`'s newest record with one `pread`, or `None` if it holds
+    /// no page.
     pub(crate) fn get(&self, addr: PageAddr) -> Result<Option<(PageKind, Bytes)>> {
-        let (seg, off) = self.locate(addr);
-        // Read through the handle this process wrote the segment with; only
-        // a segment it has not touched (reopened store) costs an open.
-        let opened;
-        let file = match self.segments.get(&seg) {
-            Some(file) => file,
-            None => match self.segment_readonly(seg)? {
-                Some(file) => {
-                    opened = file;
-                    &opened
-                }
-                None => return Ok(None),
-            },
-        };
-        // Header and the head of the payload in one read; a slot never
-        // extends past its file (segments are sized at creation).
-        let mut first = [0u8; HEADER_LEN + INLINE_READ];
-        let first = &mut first[..HEADER_LEN + self.page_size.min(INLINE_READ)];
-        if let Err(e) = file.read_exact_at(first, off) {
-            return no_page(e);
-        }
-        let (header, head) = first.split_at(HEADER_LEN);
-        let Some((state, len, crc, _)) = Self::decode_header(header, Some(addr)) else {
+        let Some((_, seg, loc)) = self.locate(addr) else { return Ok(None) };
+        let mut bytes = vec![0u8; loc.len as usize];
+        // A record past the end of its file — a segment truncated behind the
+        // store's back — holds no page.
+        if pread(&seg.file, &mut bytes, loc.off)? < bytes.len() {
             return Ok(None);
-        };
-        match state {
-            STATE_DATA => {
-                let len = len as usize;
-                if len > self.page_size {
-                    return Err(FlashError::Corrupt(format!("payload length {len} at {addr}")));
-                }
-                let payload = match head.get(..len) {
-                    Some(whole) => Bytes::copy_from_slice(whole),
-                    None => {
-                        let mut payload = vec![0u8; len];
-                        let (inline, rest) = payload.split_at_mut(head.len());
-                        inline.copy_from_slice(head);
-                        file.read_exact_at(rest, off + (HEADER_LEN + head.len()) as u64)?;
-                        Bytes::from(payload)
-                    }
-                };
-                if crc32c(&payload) != crc {
-                    return Err(FlashError::Corrupt(format!("payload CRC mismatch at {addr}")));
-                }
-                Ok(Some((PageKind::Data, payload)))
+        }
+        self.decode(&bytes, addr)
+    }
+
+    /// Reads the newest records of `addrs` with one `pread` per run of them
+    /// that sit back to back in a file, and hands `visit` each address's
+    /// position in `addrs` and what its record holds, in file order. Every
+    /// record is checked as [`FileStore::get`] checks it, and a run the device
+    /// fails to read fails each of its records.
+    pub(crate) fn get_many(
+        &self,
+        addrs: impl IntoIterator<Item = PageAddr>,
+        mut visit: impl FnMut(usize, Result<Option<(PageKind, Bytes)>>),
+    ) {
+        let mut found = Vec::new();
+        for (at, addr) in addrs.into_iter().enumerate() {
+            match self.locate(addr) {
+                Some((seg_id, _, loc)) => found.push((seg_id, loc, at, addr)),
+                None => visit(at, Ok(None)),
             }
-            STATE_JUNK => Ok(Some((PageKind::Junk, Bytes::new()))),
-            // Trimmed slots are reported as absent; the unit tracks trims.
-            STATE_TRIMMED => Ok(None),
-            _ => Ok(None),
+        }
+        found.sort_unstable_by_key(|&(seg_id, loc, ..)| (seg_id, loc.off));
+        let mut bytes = Vec::new();
+        for run in
+            found.chunk_by(|(a_seg, a, ..), (b_seg, b, ..)| a_seg == b_seg && a.end() == b.off)
+        {
+            let (seg_id, first) = (run[0].0, run[0].1.off);
+            bytes.clear();
+            bytes.resize((run[run.len() - 1].1.end() - first) as usize, 0);
+            let got = match pread(&self.segments[&seg_id].file, &mut bytes, first) {
+                Ok(got) => got,
+                Err(e) => {
+                    let e = FlashError::from(e);
+                    run.iter().for_each(|&(.., at, _)| visit(at, Err(e.clone())));
+                    continue;
+                }
+            };
+            for &(_, loc, at, addr) in run {
+                let off = (loc.off - first) as usize;
+                let read = bytes[..got]
+                    .get(off..off + loc.len as usize)
+                    .map_or(Ok(None), |record| self.decode(record, addr));
+                visit(at, read);
+            }
         }
     }
 
-    /// Persists a trim marker at `addr`, releasing the payload.
+    /// Appends a tombstone for `addr`, releasing its payload; an address
+    /// whose newest record is one already costs nothing.
     pub(crate) fn mark_trimmed(&mut self, addr: PageAddr) -> Result<()> {
-        let (seg, off) = self.locate(addr);
-        let header = Self::encode_header(STATE_TRIMMED, 0, 0, addr);
-        let file = self.segment(seg)?;
-        file.write_all_at(&header, off)?;
-        Ok(())
+        match self.locate(addr) {
+            Some((.., loc)) if loc.state == STATE_TRIMMED => Ok(()),
+            _ => self.append(addr, STATE_TRIMMED, &[]),
+        }
     }
 
     /// Persists unit metadata: the seal epoch and the prefix-trim horizon.
@@ -320,121 +400,167 @@ impl FileStore {
         Ok(())
     }
 
-    /// Loads unit metadata, or `None` on a fresh store.
+    /// Loads unit metadata: the epoch and the prefix-trim horizon.
     pub(crate) fn get_meta(&self) -> Result<Option<(u64, PageAddr)>> {
-        match fs::read(self.meta_path()) {
-            Ok(bytes) => {
-                let (_, _, _, epoch, prefix_trim) = Self::decode_meta(&bytes)?;
-                Ok(Some((epoch, prefix_trim)))
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e.into()),
-        }
+        Ok(self.read_meta()?.map(|(_, _, epoch, prefix_trim)| (epoch, prefix_trim)))
     }
 
-    /// Enumerates every persisted slot for crash recovery.
-    pub(crate) fn scan(&self) -> Result<Vec<ScannedPage>> {
+    /// Every page whose newest record holds data, junk or a trim marker, by
+    /// address, for crash recovery: what the open found, and what was
+    /// appended since.
+    pub(crate) fn scan(&self) -> Vec<ScannedPage> {
+        let mut seg_ids: Vec<u64> = self.segments.keys().copied().collect();
+        seg_ids.sort_unstable();
         let mut out = Vec::new();
-        for seg in self.segment_ids()? {
-            let Some(file) = self.segment_readonly(seg)? else { continue };
-            for slot in 0..self.pages_per_segment {
-                let addr = seg * self.pages_per_segment + slot;
-                let off = slot * self.slot_size();
-                let mut header = [0u8; HEADER_LEN];
-                if file.read_exact_at(&mut header, off).is_err() {
-                    continue;
-                }
-                let Some((state, len, crc, _)) = Self::decode_header(&header, Some(addr)) else {
-                    continue;
-                };
-                let scanned = match state {
-                    STATE_DATA => {
-                        // Validate the payload; a torn data write is unwritten.
-                        let mut payload = vec![0u8; len as usize];
-                        if file.read_exact_at(&mut payload, off + HEADER_LEN as u64).is_err()
-                            || crc32c(&payload) != crc
-                        {
-                            continue;
-                        }
-                        ScannedState::Data
-                    }
+        for seg in seg_ids {
+            for (slot, loc) in (0..).zip(&self.segments[&seg].locs) {
+                let state = match loc.state {
+                    STATE_DATA => ScannedState::Data,
                     STATE_JUNK => ScannedState::Junk,
                     STATE_TRIMMED => ScannedState::Trimmed,
                     _ => continue,
                 };
-                out.push(ScannedPage { addr, state: scanned });
+                out.push(ScannedPage { addr: seg * self.pages_per_segment + slot, state });
             }
         }
-        Ok(out)
+        out
     }
 
-    /// Flushes written segments to stable storage.
+    /// Flushes the segment files to stable storage.
     pub(crate) fn sync(&mut self) -> Result<()> {
-        for file in self.segments.values() {
-            file.sync_data()?;
+        for seg in self.segments.values() {
+            seg.file.sync_data()?;
         }
         Ok(())
     }
 
-    /// Verifies every data slot's payload against its CRC.
+    /// Re-reads each segment file once and verifies every data record its
+    /// table points at: header, address and payload CRC.
     pub(crate) fn scrub(&self) -> Result<ScrubReport> {
         let mut report = ScrubReport::default();
-        for seg in self.segment_ids()? {
-            let Some(file) = self.segment_readonly(seg)? else { continue };
-            for slot in 0..self.pages_per_segment {
-                let addr = seg * self.pages_per_segment + slot;
-                let off = slot * self.slot_size();
-                let mut header = [0u8; HEADER_LEN];
-                if file.read_exact_at(&mut header, off).is_err() {
-                    continue;
-                }
-                let Some((state, len, crc, _)) = Self::decode_header(&header, Some(addr)) else {
-                    // Torn write: header never committed, slot is unwritten.
-                    continue;
-                };
-                if state != STATE_DATA {
+        for (&seg_id, seg) in &self.segments {
+            let mut bytes = vec![0u8; seg.end as usize];
+            let got = pread(&seg.file, &mut bytes, 0)?;
+            for (slot, loc) in (0..).zip(&seg.locs) {
+                if !matches!(loc.state, STATE_DATA | STATE_TORN) {
                     continue;
                 }
                 report.pages_checked += 1;
-                let mut payload = vec![0u8; len as usize];
-                if file.read_exact_at(&mut payload, off + HEADER_LEN as u64).is_err()
-                    || crc32c(&payload) != crc
-                {
-                    // The header committed (written after the payload), so a
-                    // failing payload CRC is bit rot, not an in-flight write.
-                    report.errors += 1;
-                }
+                let addr = seg_id * self.pages_per_segment + slot;
+                let record = bytes[..got].get(loc.off as usize..loc.end() as usize);
+                let intact = record
+                    .is_some_and(|r| matches!(self.check(r, addr), Ok(Some((STATE_DATA, _)))));
+                report.errors += !intact as u64;
             }
         }
         Ok(report)
     }
 }
 
-/// What a failed read of a slot means. A slot beyond the end of its file —
-/// a truncated segment of a reopened store — holds no page; any other
-/// failure is the device's, and the reader hears it as one.
-fn no_page<T>(e: std::io::Error) -> Result<Option<T>> {
-    match e.kind() {
-        std::io::ErrorKind::UnexpectedEof => Ok(None),
-        _ => Err(e.into()),
+fn encode_header(state: u8, len: u32, crc: u32, addr: PageAddr) -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
+    h[0..4].copy_from_slice(&RECORD_MAGIC.to_le_bytes());
+    h[4] = state;
+    h[5..9].copy_from_slice(&len.to_le_bytes());
+    h[9..13].copy_from_slice(&crc.to_le_bytes());
+    h[13..21].copy_from_slice(&addr.to_le_bytes());
+    // Header self-checksum over the first 21 bytes.
+    let hcrc = crc32c(&h[..21]);
+    h[21..25].copy_from_slice(&hcrc.to_le_bytes());
+    h
+}
+
+/// The header at the start of `bytes`, if it is one: the magic, its own
+/// checksum, a known kind, and a length that kind can have on a page of
+/// `page_size` bytes.
+fn decode_header(bytes: &[u8], page_size: usize) -> Option<Header> {
+    let h = bytes.get(..HEADER_LEN)?;
+    let word = |at: usize| u32::from_le_bytes(h[at..at + 4].try_into().expect("four bytes"));
+    if word(0) != RECORD_MAGIC || crc32c(&h[..21]) != word(21) {
+        return None;
     }
+    let (state, len) = (h[4], word(5) as usize);
+    let shaped = match state {
+        STATE_DATA => len <= page_size,
+        STATE_JUNK | STATE_TRIMMED => len == 0,
+        _ => false,
+    };
+    let addr = u64::from_le_bytes(h[13..21].try_into().expect("eight bytes"));
+    shaped.then_some(Header { state, len, crc: word(9), addr })
+}
+
+/// Reads into `buf` from `off` until it is full or the file ends, returning
+/// how much it read: a short count is the end of the file, and any other
+/// failure is the device's, which the reader hears as one.
+fn pread(file: &File, buf: &mut [u8], off: u64) -> io::Result<usize> {
+    let mut got = 0;
+    while got < buf.len() {
+        #[cfg(test)]
+        tests::DEVICE_READS.with(|reads| reads.set(reads.get() + 1));
+        match file.read_at(&mut buf[got..], off + got as u64) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(got)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::tmpdir;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// How many `pread`s this thread issued to segment files.
+        pub(crate) static DEVICE_READS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The `pread`s `f` issues.
+    pub(crate) fn device_reads<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = DEVICE_READS.with(Cell::get);
+        let out = f();
+        (out, DEVICE_READS.with(Cell::get) - before)
+    }
+
+    fn seg0(dir: &Path) -> PathBuf {
+        dir.join("seg-0.dat")
+    }
+
+    fn seg0_len(dir: &Path) -> u64 {
+        fs::metadata(seg0(dir)).unwrap().len()
+    }
+
+    /// Overwrites bytes of segment 0 behind the store's back.
+    fn poke(dir: &Path, off: u64, bytes: &[u8]) {
+        let file = OpenOptions::new().write(true).open(seg0(dir)).unwrap();
+        file.write_all_at(bytes, off).unwrap();
+    }
+
+    fn data(bytes: &'static [u8]) -> Option<(PageKind, Bytes)> {
+        Some((PageKind::Data, Bytes::from_static(bytes)))
+    }
+
+    fn scanned(store: &FileStore) -> Vec<(PageAddr, ScannedState)> {
+        store.scan().iter().map(|p| (p.addr, p.state)).collect()
+    }
 
     #[test]
     fn only_a_read_past_the_end_of_a_segment_means_no_page() {
-        use std::io::{Error, ErrorKind};
-        assert_eq!(no_page::<()>(Error::from(ErrorKind::UnexpectedEof)), Ok(None));
-        // EIO, as the kernel reports a failing device.
-        let eio = no_page::<()>(Error::from_raw_os_error(5));
-        assert!(matches!(eio, Err(FlashError::Io(_))), "{eio:?}");
-        for kind in [ErrorKind::PermissionDenied, ErrorKind::InvalidInput, ErrorKind::Other] {
-            assert!(matches!(no_page::<()>(Error::from(kind)), Err(FlashError::Io(_))));
-        }
+        let dir = tmpdir("pread");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("ten"), [7u8; 10]).unwrap();
+        let file = File::open(dir.join("ten")).unwrap();
+        let mut buf = [0u8; 16];
+        assert_eq!(pread(&file, &mut buf, 4).unwrap(), 6);
+        assert_eq!(pread(&file, &mut buf, 40).unwrap(), 0);
+        // Reading a directory fails with EISDIR, as a failing disk with EIO:
+        // an error, not a short read.
+        let not_a_file = File::open(&dir).unwrap();
+        assert!(pread(&not_a_file, &mut buf, 0).is_err());
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -445,16 +571,18 @@ mod tests {
             store.put(1, PageKind::Data, b"kept").unwrap();
             store.put(3, PageKind::Data, b"cut off").unwrap();
         }
-        let slot = (HEADER_LEN + 64) as u64;
-        let seg = OpenOptions::new().write(true).open(dir.join("seg-0.dat")).unwrap();
-        seg.set_len(3 * slot + 8).unwrap();
+        // Cut the segment inside the second record's payload.
+        let file = OpenOptions::new().write(true).open(seg0(&dir)).unwrap();
+        file.set_len((HEADER_LEN + 4 + HEADER_LEN + 3) as u64).unwrap();
         let store = FileStore::open(&dir, 64, 4).unwrap();
-        assert_eq!(store.get(1).unwrap(), Some((PageKind::Data, Bytes::from_static(b"kept"))));
+        assert_eq!(store.get(1).unwrap(), data(b"kept"));
         assert_eq!(store.get(3).unwrap(), None);
-        // Reading a directory fails with EISDIR: not a page that is absent.
-        fs::remove_file(dir.join("seg-0.dat")).unwrap();
-        fs::create_dir(dir.join("seg-0.dat")).unwrap();
-        assert!(matches!(store.get(1), Err(FlashError::Io(_))), "{:?}", store.get(1));
+        assert_eq!(scanned(&store), vec![(1, ScannedState::Data)]);
+        // A segment the open cannot read fails it: the page it holds is not
+        // absent, and its address would take a second write.
+        fs::remove_file(seg0(&dir)).unwrap();
+        fs::create_dir(seg0(&dir)).unwrap();
+        assert!(matches!(FileStore::open(&dir, 64, 4), Err(FlashError::Io(_))));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -470,13 +598,12 @@ mod tests {
             store.sync().unwrap();
         }
         let store = FileStore::open(&dir, 256, 16).unwrap();
-        assert_eq!(store.get(0).unwrap(), Some((PageKind::Data, Bytes::from_static(b"hello"))));
-        assert_eq!(store.get(17).unwrap(), Some((PageKind::Data, Bytes::from_static(b"world"))));
+        assert_eq!(store.get(0).unwrap(), data(b"hello"));
+        assert_eq!(store.get(17).unwrap(), data(b"world"));
         assert_eq!(store.get(5).unwrap(), Some((PageKind::Junk, Bytes::new())));
         assert_eq!(store.get(1).unwrap(), None);
         assert_eq!(store.get_meta().unwrap(), Some((3, 1)));
-        let scanned = store.scan().unwrap();
-        assert_eq!(scanned.len(), 3);
+        assert_eq!(store.scan().len(), 3);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -484,8 +611,8 @@ mod tests {
     fn get_reads_any_length_through_the_open_handle() {
         let dir = tmpdir("inline");
         let mut store = FileStore::open(&dir, 1024, 4).unwrap();
-        // Around the one-read limit, and in a segment's last slot (3, 7).
-        let lens = [(0u64, 0usize), (1, 1), (2, INLINE_READ), (3, INLINE_READ + 1), (7, 1024)];
+        // Empty to full, and in a segment's last place (3, 7).
+        let lens = [(0u64, 0usize), (1, 1), (2, 480), (3, 481), (7, 1024)];
         let page = |len: usize| -> Vec<u8> { (0..len).map(|i| (i % 251) as u8).collect() };
         for &(addr, len) in &lens {
             store.put(addr, PageKind::Data, &page(len)).unwrap();
@@ -501,14 +628,23 @@ mod tests {
             assert_eq!(store.get(4).unwrap(), None);
         };
         check(&store);
-        // A store that has not touched the segments falls back to an open.
         check(&FileStore::open(&dir, 1024, 4).unwrap());
-        // The writing store reads through its own handles: unlinking the
-        // files behind its back does not take the pages away.
-        fs::remove_file(dir.join("seg-0.dat")).unwrap();
+        // The store reads through the handles it holds: unlinking the files
+        // behind its back does not take the pages away.
+        fs::remove_file(seg0(&dir)).unwrap();
         fs::remove_file(dir.join("seg-1.dat")).unwrap();
         check(&store);
         assert_eq!(FileStore::open(&dir, 1024, 4).unwrap().get(0).unwrap(), None);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_page_occupies_its_header_and_payload() {
+        let dir = tmpdir("packed");
+        let mut store = FileStore::open(&dir, 4096, 64).unwrap();
+        store.put(0, PageKind::Data, &[1u8; 48]).unwrap();
+        store.put(1, PageKind::Junk, &[]).unwrap();
+        assert_eq!(seg0_len(&dir), (HEADER_LEN + 48 + HEADER_LEN) as u64);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -520,6 +656,26 @@ mod tests {
             store.put_meta(0, 0).unwrap();
         }
         assert!(matches!(FileStore::open(&dir, 512, 16), Err(FlashError::Corrupt(_))));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_store_in_the_slot_layout_is_refused() {
+        // The slot layout's meta: its magic, then what this one holds.
+        let dir = tmpdir("old-meta");
+        fs::create_dir_all(&dir).unwrap();
+        let mut meta = 0xC0_4F_5E_02u32.to_le_bytes().to_vec();
+        [64u64, 4, 0, 0].iter().for_each(|word| meta.extend_from_slice(&word.to_le_bytes()));
+        meta.extend_from_slice(&crc32c(&meta).to_le_bytes());
+        fs::write(dir.join("meta"), &meta).unwrap();
+        assert!(matches!(FileStore::open(&dir, 64, 4), Err(FlashError::Corrupt(_))));
+        // Segment files and no meta: a slot-layout store never sealed or
+        // trimmed.
+        fs::remove_file(dir.join("meta")).unwrap();
+        let mut slot = [0u8; HEADER_LEN + 64];
+        slot[..4].copy_from_slice(&0xC0_4F_5E_01u32.to_le_bytes());
+        fs::write(seg0(&dir), slot).unwrap();
+        assert!(matches!(FileStore::open(&dir, 64, 4), Err(FlashError::Corrupt(_))));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -537,22 +693,23 @@ mod tests {
     #[test]
     fn corrupted_payload_detected() {
         let dir = tmpdir("corrupt");
-        {
-            let mut store = FileStore::open(&dir, 64, 16).unwrap();
-            store.put(3, PageKind::Data, b"payload-bytes").unwrap();
-            store.sync().unwrap();
-        }
+        let mut store = FileStore::open(&dir, 64, 16).unwrap();
+        store.put(3, PageKind::Data, b"payload-bytes").unwrap();
+        store.put(4, PageKind::Data, b"after").unwrap();
+        store.sync().unwrap();
         // Flip a payload byte behind the store's back.
-        {
-            let path = dir.join("seg-0.dat");
-            let file = OpenOptions::new().write(true).open(&path).unwrap();
-            let slot_size = (HEADER_LEN + 64) as u64;
-            file.write_all_at(b"X", 3 * slot_size + HEADER_LEN as u64).unwrap();
-        }
-        let store = FileStore::open(&dir, 64, 16).unwrap();
+        poke(&dir, HEADER_LEN as u64, b"X");
         assert!(matches!(store.get(3), Err(FlashError::Corrupt(_))));
-        // Scan treats it as a torn write and skips it.
-        assert!(store.scan().unwrap().is_empty());
+        let report = store.scrub().unwrap();
+        assert_eq!((report.pages_checked, report.errors), (2, 1));
+        // Reopened: the scan skips it as a torn write, a read still says
+        // what it is, and so does a scrub.
+        let store = FileStore::open(&dir, 64, 16).unwrap();
+        assert_eq!(scanned(&store), vec![(4, ScannedState::Data)]);
+        assert!(matches!(store.get(3), Err(FlashError::Corrupt(_))));
+        assert_eq!(store.get(4).unwrap(), data(b"after"));
+        let report = store.scrub().unwrap();
+        assert_eq!((report.pages_checked, report.errors), (2, 1));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -563,12 +720,165 @@ mod tests {
             let mut store = FileStore::open(&dir, 64, 16).unwrap();
             store.put(2, PageKind::Data, b"x").unwrap();
             store.mark_trimmed(2).unwrap();
+            assert_eq!(store.get(2).unwrap(), None);
         }
+        // The data record is still in the file; the tombstone after it wins.
         let store = FileStore::open(&dir, 64, 16).unwrap();
         assert_eq!(store.get(2).unwrap(), None);
-        let scanned = store.scan().unwrap();
-        assert_eq!(scanned.len(), 1);
-        assert_eq!(scanned[0].state, ScannedState::Trimmed);
+        assert_eq!(scanned(&store), vec![(2, ScannedState::Trimmed)]);
+        assert_eq!(store.scrub().unwrap().pages_checked, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_trimmed_address_takes_one_tombstone_however_often_it_is_trimmed() {
+        let dir = tmpdir("retrim");
+        let mut store = FileStore::open(&dir, 64, 16).unwrap();
+        store.put(2, PageKind::Data, b"x").unwrap();
+        let before = seg0_len(&dir);
+        for _ in 0..100 {
+            store.mark_trimmed(2).unwrap();
+        }
+        assert_eq!(seg0_len(&dir), before + HEADER_LEN as u64);
+        // Nor after a reopen.
+        let mut store = FileStore::open(&dir, 64, 16).unwrap();
+        store.mark_trimmed(2).unwrap();
+        assert_eq!(seg0_len(&dir), before + HEADER_LEN as u64);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Records of 4 + `addr` bytes at addresses `0..n`, all in segment 0.
+    fn store_of(dir: &Path, n: u64) -> FileStore {
+        let mut store = FileStore::open(dir, 64, 16).unwrap();
+        for addr in 0..n {
+            store.put(addr, PageKind::Data, &vec![addr as u8; 4 + addr as usize]).unwrap();
+        }
+        store
+    }
+
+    /// Where record `addr` of [`store_of`] starts.
+    fn offset_of(addr: u64) -> u64 {
+        (0..addr).map(|a| (HEADER_LEN + 4 + a as usize) as u64).sum()
+    }
+
+    fn page_of(addr: u64) -> Option<(PageKind, Bytes)> {
+        Some((PageKind::Data, Bytes::from(vec![addr as u8; 4 + addr as usize])))
+    }
+
+    #[test]
+    fn a_segment_cut_mid_record_keeps_every_record_before_the_cut() {
+        let dir = tmpdir("cut");
+        drop(store_of(&dir, 6));
+        // Inside record 4's payload, then inside its header.
+        for cut in [offset_of(4) + HEADER_LEN as u64 + 2, offset_of(4) + 3] {
+            let file = OpenOptions::new().write(true).open(seg0(&dir)).unwrap();
+            file.set_len(cut).unwrap();
+            let store = FileStore::open(&dir, 64, 16).unwrap();
+            let addrs: Vec<_> = store.scan().iter().map(|p| p.addr).collect();
+            assert_eq!(addrs, vec![0, 1, 2, 3], "cut at {cut}");
+            for addr in 0..4 {
+                assert_eq!(store.get(addr).unwrap(), page_of(addr));
+            }
+            assert_eq!(store.get(4).unwrap(), None);
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_torn_last_record_reads_as_unwritten_and_what_replaces_it_survives() {
+        use crate::{FlashUnit, PageRead};
+        let dir = tmpdir("torn");
+        drop(store_of(&dir, 3));
+        // Record 2's header landed, not all of its payload did; and after it
+        // a header the file ends inside.
+        poke(&dir, offset_of(2) + HEADER_LEN as u64, &[0, 0]);
+        let mut seg = OpenOptions::new().append(true).open(seg0(&dir)).unwrap();
+        seg.write_all(&encode_header(STATE_DATA, 9, 0, 3)[..20]).unwrap();
+        let open = || FlashUnit::open(Box::new(FileStore::open(&dir, 64, 16).unwrap()), 64);
+        let mut unit = open().unwrap();
+        assert_eq!(unit.read(1).unwrap(), PageRead::Data(Bytes::from(vec![1u8; 5])));
+        assert_eq!(unit.read(2).unwrap(), PageRead::Unwritten);
+        assert_eq!(unit.read(3).unwrap(), PageRead::Unwritten);
+        unit.write(2, b"again").unwrap();
+        unit.write(3, b"three").unwrap();
+        let mut unit = open().unwrap();
+        assert_eq!(unit.read(2).unwrap(), PageRead::Data(Bytes::from_static(b"again")));
+        assert_eq!(unit.read(3).unwrap(), PageRead::Data(Bytes::from_static(b"three")));
+        assert_eq!((unit.local_tail(), unit.live_pages()), (4, 4));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_corrupt_header_in_the_middle_loses_that_record_only() {
+        let dir = tmpdir("resync");
+        drop(store_of(&dir, 6));
+        // Flip a byte of record 2's address: its header checksum fails.
+        poke(&dir, offset_of(2) + 14, b"\xFF");
+        let mut store = FileStore::open(&dir, 64, 16).unwrap();
+        let addrs: Vec<_> = store.scan().iter().map(|p| p.addr).collect();
+        assert_eq!(addrs, vec![0, 1, 3, 4, 5]);
+        for addr in [0, 1, 3, 4, 5] {
+            assert_eq!(store.get(addr).unwrap(), page_of(addr));
+        }
+        assert_eq!(store.get(2).unwrap(), None);
+        // Appends go on after the last record, not over the lost one.
+        store.put(2, PageKind::Data, b"two").unwrap();
+        assert_eq!(FileStore::open(&dir, 64, 16).unwrap().get(5).unwrap(), page_of(5));
+        assert_eq!(FileStore::open(&dir, 64, 16).unwrap().get(2).unwrap(), data(b"two"));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn data_then_tombstone_reads_trimmed_after_reopen() {
+        let dir = tmpdir("tombstone");
+        {
+            let mut store = store_of(&dir, 3);
+            store.mark_trimmed(1).unwrap();
+            store.mark_trimmed(9).unwrap();
+        }
+        let store = FileStore::open(&dir, 64, 16).unwrap();
+        assert_eq!(
+            scanned(&store),
+            vec![
+                (0, ScannedState::Data),
+                (1, ScannedState::Trimmed),
+                (2, ScannedState::Data),
+                (9, ScannedState::Trimmed)
+            ]
+        );
+        assert_eq!(store.get(1).unwrap(), None);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_run_ends_at_a_segment_boundary_and_at_a_record_out_of_place() {
+        let dir = tmpdir("runs");
+        let mut store = FileStore::open(&dir, 64, 64).unwrap();
+        for addr in 0..128u64 {
+            store.put(addr, PageKind::Data, &[addr as u8; 48]).unwrap();
+        }
+        // Records 100..=103's run is cut by 101's tombstone at the file end.
+        store.mark_trimmed(101).unwrap();
+        let mut got = Vec::new();
+        let addrs = [103, 102, 101, 100, 65, 64, 63, 62];
+        let ((), reads) =
+            device_reads(|| store.get_many(addrs, |at, read| got.push((addrs[at], read.unwrap()))));
+        assert_eq!(reads, 5, "62..=63, 64..=65, 100, 102..=103, the tombstone");
+        got.sort_unstable_by_key(|&(addr, _)| addr);
+        let page = |addr: u64| Some((PageKind::Data, Bytes::from(vec![addr as u8; 48])));
+        let want = [62, 63, 64, 65, 100, 101, 102, 103]
+            .map(|a| (a, if a == 101 { None } else { page(a) }));
+        assert_eq!(got, want);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_single_read_is_one_exact_pread() {
+        let dir = tmpdir("one-read");
+        let mut store = FileStore::open(&dir, 4096, 64).unwrap();
+        store.put(5, PageKind::Data, &[9u8; 560]).unwrap();
+        let (page, reads) = device_reads(|| store.get(5).unwrap());
+        assert_eq!((page.map(|(_, bytes)| bytes.len()), reads), (Some(560), 1));
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -12,8 +12,9 @@
 //!   clients). Its one ordered index is the only record of a page: a slot is
 //!   hot (the payload is in the slot), cold (the payload is in a segment
 //!   file) or trimmed, and a page changes tier by changing slot.
-//! * [`FileStore`] — the optional cold device: segmented slot files with
-//!   CRC-checked headers, crash recovery by scanning, and whole-segment
+//! * [`FileStore`] — the optional cold device: segment files of packed,
+//!   append-only, CRC-checked records, crash recovery by parsing them, reads
+//!   of records that sit next to each other in one `pread`, and whole-segment
 //!   reclamation below the prefix-trim horizon. [`FlashUnit::in_memory`] has
 //!   none; a unit opened over a `FileStore` writes every page through; a
 //!   unit opened over a [`TieredStore`] (a `FileStore` plus a hot capacity)

@@ -38,18 +38,18 @@ impl PageRead {
 pub struct ScannedPage {
     /// The page address.
     pub addr: PageAddr,
-    /// Whether the slot holds data, junk, or a trim marker.
+    /// Whether the page's newest record holds data, junk, or a trim marker.
     pub state: ScannedState,
 }
 
-/// The state of a scanned slot.
+/// What a scanned page's newest record holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScannedState {
-    /// Slot holds a valid data payload.
+    /// A data payload that passed its CRC.
     Data,
-    /// Slot holds a junk fill.
+    /// A junk fill.
     Junk,
-    /// Slot was explicitly trimmed.
+    /// A tombstone: the page was explicitly trimmed.
     Trimmed,
 }
 
@@ -77,9 +77,9 @@ pub struct TierStats {
 /// The outcome of a CRC scrub pass over a store.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ScrubReport {
-    /// Slots whose checksums were verified.
+    /// Data records whose checksums were verified.
     pub pages_checked: u64,
-    /// Slots whose header validated but whose payload failed its CRC —
-    /// bit rot, not a torn write (headers are written after payloads).
+    /// Data records that failed: a payload CRC, or a header that no longer
+    /// checks where the segment's table says the record is.
     pub errors: u64,
 }

@@ -69,7 +69,7 @@ mod tests {
         let stats = unit.tier_stats();
         assert_eq!((stats.hot_pages, stats.cold_pages, stats.cold_segments), (2, 0, 0));
         // Nothing reached the device: the hot tail is RAM only.
-        assert!(FileStore::open(&dir, 64, 8).unwrap().scan().unwrap().is_empty());
+        assert!(FileStore::open(&dir, 64, 8).unwrap().scan().is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -89,13 +89,8 @@ mod tests {
             assert_eq!(stats.migrated_pages, 6);
             assert_eq!(stats.migrations, 2);
             // Oldest first: 0..6 are on the device, 6..10 are not.
-            let on_device: Vec<u64> = FileStore::open(&dir, 64, 8)
-                .unwrap()
-                .scan()
-                .unwrap()
-                .iter()
-                .map(|p| p.addr)
-                .collect();
+            let device = FileStore::open(&dir, 64, 8).unwrap();
+            let on_device: Vec<u64> = device.scan().iter().map(|p| p.addr).collect();
             assert_eq!(on_device, (0..6).collect::<Vec<u64>>());
             // Reads hit whichever tier holds the page.
             assert_eq!(unit.read(0).unwrap(), data(b"p0"));
@@ -171,7 +166,7 @@ mod tests {
         // The straddling slot got a durable marker, the survivor reads back,
         // and the horizon is on the device with the epoch.
         let device = FileStore::open(&dir, 64, 4).unwrap();
-        let slots: Vec<_> = device.scan().unwrap().iter().map(|p| (p.addr, p.state)).collect();
+        let slots: Vec<_> = device.scan().iter().map(|p| (p.addr, p.state)).collect();
         assert_eq!(slots, vec![(8, ScannedState::Trimmed), (9, ScannedState::Data)]);
         assert_eq!(device.get(9).unwrap(), Some((PageKind::Data, Bytes::from_static(b"x"))));
         assert_eq!(device.get_meta().unwrap(), Some((1, 9)));
@@ -195,7 +190,7 @@ mod tests {
         assert_eq!(unit.read(1).unwrap(), PageRead::Trimmed);
         assert_eq!(unit.read(5).unwrap(), data(b"x"));
         // Hot pages just evaporate: no slot was ever written for them.
-        assert!(FileStore::open(&dir, 64, 4).unwrap().scan().unwrap().is_empty());
+        assert!(FileStore::open(&dir, 64, 4).unwrap().scan().is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -210,7 +205,8 @@ mod tests {
         assert_eq!(unit.tier_stats().hot_pages, 1);
         let report = unit.scrub().unwrap();
         assert_eq!((report.pages_checked, report.errors), (2, 0));
-        // Bit rot behind the unit's back is found.
+        // Bit rot behind the unit's back is found: the first byte of the
+        // first record's payload, right after its 32-byte header.
         use std::os::unix::fs::FileExt;
         let file = fs::OpenOptions::new().write(true).open(dir.join("seg-0.dat")).unwrap();
         file.write_all_at(b"X", 32).unwrap();

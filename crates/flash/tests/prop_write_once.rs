@@ -57,6 +57,9 @@ enum DiffOp {
     Fill(u64),
     Read(u64),
     ReadMany(Vec<u64>),
+    /// `len` adjacent addresses from `top` down, as a chase asks for them:
+    /// the reads a cold device coalesces.
+    ReadRun(u64, u64),
     Trim(u64),
     TrimPrefix(u64),
     AdvanceHorizon,
@@ -74,6 +77,7 @@ fn diff_op_strategy() -> impl Strategy<Value = DiffOp> {
         2 => (0..DIFF_ADDRS).prop_map(DiffOp::Fill),
         3 => (0..DIFF_ADDRS).prop_map(DiffOp::Read),
         1 => proptest::collection::vec(0..DIFF_ADDRS, 0..8).prop_map(DiffOp::ReadMany),
+        2 => (0..DIFF_ADDRS, 1..DIFF_ADDRS).prop_map(|(top, len)| DiffOp::ReadRun(top, len)),
         3 => (0..DIFF_ADDRS).prop_map(DiffOp::Trim),
         1 => (0..DIFF_ADDRS).prop_map(DiffOp::TrimPrefix),
         1 => Just(DiffOp::AdvanceHorizon),
@@ -112,6 +116,10 @@ fn apply(unit: &mut FlashUnit, op: &DiffOp) -> String {
         DiffOp::Fill(addr) => format!("{:?}", unit.fill(*addr)),
         DiffOp::Read(addr) => format!("{:?}", unit.read(*addr)),
         DiffOp::ReadMany(addrs) => format!("{:?}", unit.read_many(addrs)),
+        DiffOp::ReadRun(top, len) => {
+            let addrs: Vec<u64> = (top.saturating_sub(len - 1)..=*top).rev().collect();
+            format!("{:?}", unit.read_many(&addrs))
+        }
         DiffOp::Trim(addr) => format!("{:?}", unit.trim(*addr)),
         DiffOp::TrimPrefix(horizon) => format!("{:?}", unit.trim_prefix(*horizon)),
         DiffOp::AdvanceHorizon => format!("{:?}", unit.advance_trim_horizon()),
