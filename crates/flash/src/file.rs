@@ -24,21 +24,31 @@
 //! corrupt record is therefore never a page to the unit above: it reads as
 //! unwritten, which is safe because CORFU clients retry or fill incomplete
 //! writes. Appends resume at the end of the last whole record.
+//!
+//! Durability: a record is durable once a `sync` follows its append, and a
+//! `sync` also syncs the directory if a segment file was created since it
+//! was last synced — a create, rename or unlink is durable only after that.
+//! The meta is written to a temp file, synced, renamed over the old one, and
+//! the directory synced, so the epoch and the horizon it holds are durable
+//! when [`FileStore`] reports them written; a store's first meta is durable
+//! before its first segment exists. Unlinking the segments below a horizon
+//! needs no directory sync: one that comes back lies below a durable horizon.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write as _};
-use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
 use bytes::Bytes;
 use tango_wire::{crc32c, IdMap};
 
+use crate::disk::{Disk, DiskFile, StdDisk};
 use crate::store::{PageKind, ScannedPage, ScannedState, ScrubReport};
 use crate::{FlashError, PageAddr, Result};
 
 const RECORD_MAGIC: u32 = 0xC0_4F_5E_03;
 const META_MAGIC: u32 = 0xC0_4F_5E_04;
 const HEADER_LEN: usize = 32;
+const META: &str = "meta";
+const META_TMP: &str = "meta.tmp";
 
 const STATE_DATA: u8 = 1;
 const STATE_JUNK: u8 = 2;
@@ -64,7 +74,7 @@ impl Loc {
 
 /// One open segment file and the table of its records.
 struct Segment {
-    file: File,
+    file: Box<dyn DiskFile>,
     /// Each page's newest record, by the page's place in the segment.
     locs: Vec<Loc>,
     /// The end of the last whole record: where the next one is written.
@@ -85,10 +95,12 @@ struct Header {
 /// live in the unit. It persists page payloads, trim markers and the unit
 /// metadata (epoch, prefix-trim horizon).
 pub struct FileStore {
-    dir: PathBuf,
+    disk: Box<dyn Disk>,
     page_size: usize,
     pages_per_segment: u64,
     segments: IdMap<u64, Segment>,
+    /// A segment file was created since the directory was last synced.
+    created: bool,
 }
 
 impl FileStore {
@@ -99,9 +111,18 @@ impl FileStore {
     /// was created with. A store in another layout is refused as `Corrupt`;
     /// a segment that cannot be read fails the open.
     pub fn open(dir: impl AsRef<Path>, page_size: usize, pages_per_segment: u64) -> Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir)?;
-        let mut store = Self { dir, page_size, pages_per_segment, segments: IdMap::default() };
+        let disk = StdDisk::open(dir.as_ref().to_path_buf())?;
+        Self::with_disk(Box::new(disk), page_size, pages_per_segment)
+    }
+
+    /// [`FileStore::open`] over any disk.
+    pub(crate) fn with_disk(
+        disk: Box<dyn Disk>,
+        page_size: usize,
+        pages_per_segment: u64,
+    ) -> Result<Self> {
+        let segments = IdMap::default();
+        let mut store = Self { disk, page_size, pages_per_segment, segments, created: false };
         let seg_ids = store.segment_files()?;
         match store.read_meta()? {
             Some((stored_page_size, stored_pps, _, _)) => {
@@ -124,20 +145,10 @@ impl FileStore {
         Ok(store)
     }
 
-    fn segment_path(&self, seg: u64) -> PathBuf {
-        self.dir.join(format!("seg-{seg}.dat"))
-    }
-
-    fn meta_path(&self) -> PathBuf {
-        self.dir.join("meta")
-    }
-
     /// The ids of the segment files in the directory.
     fn segment_files(&self) -> Result<Vec<u64>> {
         let mut seg_ids = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
-            let name = name.to_string_lossy();
+        for name in self.disk.list()? {
             if let Some(rest) = name.strip_prefix("seg-").and_then(|r| r.strip_suffix(".dat")) {
                 if let Ok(id) = rest.parse::<u64>() {
                     seg_ids.push(id);
@@ -150,9 +161,9 @@ impl FileStore {
     /// Opens an existing segment file and parses it: one read of the whole
     /// file.
     fn open_segment(&self, seg: u64) -> Result<Segment> {
-        let file = OpenOptions::new().read(true).write(true).open(self.segment_path(seg))?;
-        let mut bytes = vec![0u8; file.metadata()?.len() as usize];
-        let got = pread(&file, &mut bytes, 0)?;
+        let file = self.disk.open(&segment_name(seg), false)?;
+        let mut bytes = vec![0u8; file.size()? as usize];
+        let got = file.pread(&mut bytes, 0)?;
         let mut segment = Segment { file, locs: self.empty_table(), end: 0 };
         self.parse(seg, &bytes[..got], &mut segment);
         Ok(segment)
@@ -223,7 +234,7 @@ impl FileStore {
     }
 
     fn read_meta(&self) -> Result<Option<(u64, u64, u64, u64)>> {
-        match fs::read(self.meta_path()) {
+        match self.disk.read(META) {
             Ok(bytes) => Self::decode_meta(&bytes).map(Some),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e.into()),
@@ -253,7 +264,7 @@ impl FileStore {
         removed.sort_unstable();
         for &seg in &removed {
             self.segments.remove(&seg);
-            fs::remove_file(self.segment_path(seg))?;
+            self.disk.unlink(&segment_name(seg))?;
         }
         Ok(removed)
     }
@@ -297,7 +308,7 @@ impl FileStore {
         let record = [&header[..], payload].concat();
         let slot = (addr % self.pages_per_segment) as usize;
         let seg = self.segment_mut(addr / self.pages_per_segment)?;
-        seg.file.write_all_at(&record, seg.end)?;
+        seg.file.pwrite(&record, seg.end)?;
         seg.locs[slot] = Loc { off: seg.end, len: record.len() as u32, state };
         seg.end += record.len() as u64;
         Ok(())
@@ -306,11 +317,8 @@ impl FileStore {
     /// The segment `seg`, its file created if this is its first record.
     fn segment_mut(&mut self, seg: u64) -> Result<&mut Segment> {
         if !self.segments.contains_key(&seg) {
-            let file = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create_new(true)
-                .open(self.segment_path(seg))?;
+            let file = self.disk.open(&segment_name(seg), true)?;
+            self.created = true;
             let segment = Segment { file, locs: self.empty_table(), end: 0 };
             self.segments.insert(seg, segment);
         }
@@ -324,7 +332,7 @@ impl FileStore {
         let mut bytes = vec![0u8; loc.len as usize];
         // A record past the end of its file — a segment truncated behind the
         // store's back — holds no page.
-        if pread(&seg.file, &mut bytes, loc.off)? < bytes.len() {
+        if seg.file.pread(&mut bytes, loc.off)? < bytes.len() {
             return Ok(None);
         }
         self.decode(&bytes, addr)
@@ -355,7 +363,7 @@ impl FileStore {
             let (seg_id, first) = (run[0].0, run[0].1.off);
             bytes.clear();
             bytes.resize((run[run.len() - 1].1.end() - first) as usize, 0);
-            let got = match pread(&self.segments[&seg_id].file, &mut bytes, first) {
+            let got = match self.segments[&seg_id].file.pread(&mut bytes, first) {
                 Ok(got) => got,
                 Err(e) => {
                     let e = FlashError::from(e);
@@ -382,7 +390,8 @@ impl FileStore {
         }
     }
 
-    /// Persists unit metadata: the seal epoch and the prefix-trim horizon.
+    /// Persists unit metadata, the seal epoch and the prefix-trim horizon,
+    /// durably: the directory is synced after the rename.
     pub(crate) fn put_meta(&mut self, epoch: u64, prefix_trim: PageAddr) -> Result<()> {
         let mut bytes = Vec::with_capacity(40);
         bytes.extend_from_slice(&META_MAGIC.to_le_bytes());
@@ -392,12 +401,9 @@ impl FileStore {
         bytes.extend_from_slice(&prefix_trim.to_le_bytes());
         let crc = crc32c(&bytes);
         bytes.extend_from_slice(&crc.to_le_bytes());
-        let tmp = self.dir.join("meta.tmp");
-        let mut f = File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-        fs::rename(&tmp, self.meta_path())?;
-        Ok(())
+        self.disk.write_synced(META_TMP, &bytes)?;
+        self.disk.rename(META_TMP, META)?;
+        self.sync_dir()
     }
 
     /// Loads unit metadata: the epoch and the prefix-trim horizon.
@@ -426,11 +432,21 @@ impl FileStore {
         out
     }
 
-    /// Flushes the segment files to stable storage.
+    /// Flushes the segment files to stable storage, and the directory if a
+    /// segment file was created since it was last synced.
     pub(crate) fn sync(&mut self) -> Result<()> {
         for seg in self.segments.values() {
             seg.file.sync_data()?;
         }
+        if self.created {
+            self.sync_dir()?;
+        }
+        Ok(())
+    }
+
+    fn sync_dir(&mut self) -> Result<()> {
+        self.disk.sync_dir()?;
+        self.created = false;
         Ok(())
     }
 
@@ -440,7 +456,7 @@ impl FileStore {
         let mut report = ScrubReport::default();
         for (&seg_id, seg) in &self.segments {
             let mut bytes = vec![0u8; seg.end as usize];
-            let got = pread(&seg.file, &mut bytes, 0)?;
+            let got = seg.file.pread(&mut bytes, 0)?;
             for (slot, loc) in (0..).zip(&seg.locs) {
                 if !matches!(loc.state, STATE_DATA | STATE_TORN) {
                     continue;
@@ -455,6 +471,10 @@ impl FileStore {
         }
         Ok(report)
     }
+}
+
+fn segment_name(seg: u64) -> String {
+    format!("seg-{seg}.dat")
 }
 
 fn encode_header(state: u8, len: u32, crc: u32, addr: PageAddr) -> [u8; HEADER_LEN] {
@@ -489,54 +509,15 @@ fn decode_header(bytes: &[u8], page_size: usize) -> Option<Header> {
     shaped.then_some(Header { state, len, crc: word(9), addr })
 }
 
-/// Reads into `buf` from `off` until it is full or the file ends, returning
-/// how much it read: a short count is the end of the file, and any other
-/// failure is the device's, which the reader hears as one.
-fn pread(file: &File, buf: &mut [u8], off: u64) -> io::Result<usize> {
-    let mut got = 0;
-    while got < buf.len() {
-        #[cfg(test)]
-        tests::DEVICE_READS.with(|reads| reads.set(reads.get() + 1));
-        match file.read_at(&mut buf[got..], off + got as u64) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(got)
-}
-
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-    use crate::tmpdir;
-    use std::cell::Cell;
+    use crate::crash::MemDisk;
 
-    thread_local! {
-        /// How many `pread`s this thread issued to segment files.
-        pub(crate) static DEVICE_READS: Cell<u64> = const { Cell::new(0) };
-    }
+    const SEG0: &str = "seg-0.dat";
 
-    /// The `pread`s `f` issues.
-    pub(crate) fn device_reads<T>(f: impl FnOnce() -> T) -> (T, u64) {
-        let before = DEVICE_READS.with(Cell::get);
-        let out = f();
-        (out, DEVICE_READS.with(Cell::get) - before)
-    }
-
-    fn seg0(dir: &Path) -> PathBuf {
-        dir.join("seg-0.dat")
-    }
-
-    fn seg0_len(dir: &Path) -> u64 {
-        fs::metadata(seg0(dir)).unwrap().len()
-    }
-
-    /// Overwrites bytes of segment 0 behind the store's back.
-    fn poke(dir: &Path, off: u64, bytes: &[u8]) {
-        let file = OpenOptions::new().write(true).open(seg0(dir)).unwrap();
-        file.write_all_at(bytes, off).unwrap();
+    fn on(disk: &MemDisk, page_size: usize, pages_per_segment: u64) -> FileStore {
+        FileStore::with_disk(Box::new(disk.clone()), page_size, pages_per_segment).unwrap()
     }
 
     fn data(bytes: &'static [u8]) -> Option<(PageKind, Bytes)> {
@@ -548,69 +529,9 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn only_a_read_past_the_end_of_a_segment_means_no_page() {
-        let dir = tmpdir("pread");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("ten"), [7u8; 10]).unwrap();
-        let file = File::open(dir.join("ten")).unwrap();
-        let mut buf = [0u8; 16];
-        assert_eq!(pread(&file, &mut buf, 4).unwrap(), 6);
-        assert_eq!(pread(&file, &mut buf, 40).unwrap(), 0);
-        // Reading a directory fails with EISDIR, as a failing disk with EIO:
-        // an error, not a short read.
-        let not_a_file = File::open(&dir).unwrap();
-        assert!(pread(&not_a_file, &mut buf, 0).is_err());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn a_truncated_segment_reads_as_no_page_and_a_directory_in_its_place_as_an_error() {
-        let dir = tmpdir("truncated");
-        {
-            let mut store = FileStore::open(&dir, 64, 4).unwrap();
-            store.put(1, PageKind::Data, b"kept").unwrap();
-            store.put(3, PageKind::Data, b"cut off").unwrap();
-        }
-        // Cut the segment inside the second record's payload.
-        let file = OpenOptions::new().write(true).open(seg0(&dir)).unwrap();
-        file.set_len((HEADER_LEN + 4 + HEADER_LEN + 3) as u64).unwrap();
-        let store = FileStore::open(&dir, 64, 4).unwrap();
-        assert_eq!(store.get(1).unwrap(), data(b"kept"));
-        assert_eq!(store.get(3).unwrap(), None);
-        assert_eq!(scanned(&store), vec![(1, ScannedState::Data)]);
-        // A segment the open cannot read fails it: the page it holds is not
-        // absent, and its address would take a second write.
-        fs::remove_file(seg0(&dir)).unwrap();
-        fs::create_dir(seg0(&dir)).unwrap();
-        assert!(matches!(FileStore::open(&dir, 64, 4), Err(FlashError::Io(_))));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn put_get_roundtrip_across_reopen() {
-        let dir = tmpdir("reopen");
-        {
-            let mut store = FileStore::open(&dir, 256, 16).unwrap();
-            store.put(0, PageKind::Data, b"hello").unwrap();
-            store.put(17, PageKind::Data, b"world").unwrap();
-            store.put(5, PageKind::Junk, &[]).unwrap();
-            store.put_meta(3, 1).unwrap();
-            store.sync().unwrap();
-        }
-        let store = FileStore::open(&dir, 256, 16).unwrap();
-        assert_eq!(store.get(0).unwrap(), data(b"hello"));
-        assert_eq!(store.get(17).unwrap(), data(b"world"));
-        assert_eq!(store.get(5).unwrap(), Some((PageKind::Junk, Bytes::new())));
-        assert_eq!(store.get(1).unwrap(), None);
-        assert_eq!(store.get_meta().unwrap(), Some((3, 1)));
-        assert_eq!(store.scan().len(), 3);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn get_reads_any_length_through_the_open_handle() {
-        let dir = tmpdir("inline");
-        let mut store = FileStore::open(&dir, 1024, 4).unwrap();
+        let disk = MemDisk::default();
+        let mut store = on(&disk, 1024, 4);
         // Empty to full, and in a segment's last place (3, 7).
         let lens = [(0u64, 0usize), (1, 1), (2, 480), (3, 481), (7, 1024)];
         let page = |len: usize| -> Vec<u8> { (0..len).map(|i| (i % 251) as u8).collect() };
@@ -628,232 +549,126 @@ pub(crate) mod tests {
             assert_eq!(store.get(4).unwrap(), None);
         };
         check(&store);
-        check(&FileStore::open(&dir, 1024, 4).unwrap());
+        check(&on(&disk, 1024, 4));
         // The store reads through the handles it holds: unlinking the files
         // behind its back does not take the pages away.
-        fs::remove_file(seg0(&dir)).unwrap();
-        fs::remove_file(dir.join("seg-1.dat")).unwrap();
+        disk.unlink(SEG0).unwrap();
+        disk.unlink("seg-1.dat").unwrap();
         check(&store);
-        assert_eq!(FileStore::open(&dir, 1024, 4).unwrap().get(0).unwrap(), None);
-        fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(on(&disk, 1024, 4).get(0).unwrap(), None);
     }
 
     #[test]
     fn a_page_occupies_its_header_and_payload() {
-        let dir = tmpdir("packed");
-        let mut store = FileStore::open(&dir, 4096, 64).unwrap();
+        let disk = MemDisk::default();
+        let mut store = on(&disk, 4096, 64);
         store.put(0, PageKind::Data, &[1u8; 48]).unwrap();
         store.put(1, PageKind::Junk, &[]).unwrap();
-        assert_eq!(seg0_len(&dir), (HEADER_LEN + 48 + HEADER_LEN) as u64);
-        fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(disk.read(SEG0).unwrap().len(), HEADER_LEN + 48 + HEADER_LEN);
     }
 
     #[test]
     fn geometry_mismatch_rejected() {
-        let dir = tmpdir("geom");
-        {
-            let mut store = FileStore::open(&dir, 256, 16).unwrap();
-            store.put_meta(0, 0).unwrap();
-        }
-        assert!(matches!(FileStore::open(&dir, 512, 16), Err(FlashError::Corrupt(_))));
-        fs::remove_dir_all(&dir).unwrap();
+        let disk = MemDisk::default();
+        on(&disk, 256, 16);
+        let reopened = FileStore::with_disk(Box::new(disk), 512, 16);
+        assert!(matches!(reopened, Err(FlashError::Corrupt(_))));
     }
 
     #[test]
     fn a_store_in_the_slot_layout_is_refused() {
         // The slot layout's meta: its magic, then what this one holds.
-        let dir = tmpdir("old-meta");
-        fs::create_dir_all(&dir).unwrap();
+        let disk = MemDisk::default();
         let mut meta = 0xC0_4F_5E_02u32.to_le_bytes().to_vec();
         [64u64, 4, 0, 0].iter().for_each(|word| meta.extend_from_slice(&word.to_le_bytes()));
         meta.extend_from_slice(&crc32c(&meta).to_le_bytes());
-        fs::write(dir.join("meta"), &meta).unwrap();
-        assert!(matches!(FileStore::open(&dir, 64, 4), Err(FlashError::Corrupt(_))));
+        disk.write_synced(META, &meta).unwrap();
+        let open = || FileStore::with_disk(Box::new(disk.clone()), 64, 4);
+        assert!(matches!(open(), Err(FlashError::Corrupt(_))));
         // Segment files and no meta: a slot-layout store never sealed or
         // trimmed.
-        fs::remove_file(dir.join("meta")).unwrap();
+        disk.unlink(META).unwrap();
         let mut slot = [0u8; HEADER_LEN + 64];
         slot[..4].copy_from_slice(&0xC0_4F_5E_01u32.to_le_bytes());
-        fs::write(seg0(&dir), slot).unwrap();
-        assert!(matches!(FileStore::open(&dir, 64, 4), Err(FlashError::Corrupt(_))));
-        fs::remove_dir_all(&dir).unwrap();
+        disk.write_synced(SEG0, &slot).unwrap();
+        assert!(matches!(open(), Err(FlashError::Corrupt(_))));
     }
 
     #[test]
     fn oversized_page_rejected() {
-        let dir = tmpdir("oversize");
-        let mut store = FileStore::open(&dir, 8, 16).unwrap();
+        let mut store = on(&MemDisk::default(), 8, 16);
         assert!(matches!(
             store.put(0, PageKind::Data, &[0u8; 9]),
             Err(FlashError::PageTooLarge { .. })
         ));
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn corrupted_payload_detected() {
-        let dir = tmpdir("corrupt");
-        let mut store = FileStore::open(&dir, 64, 16).unwrap();
+        let disk = MemDisk::default();
+        let mut store = on(&disk, 64, 16);
         store.put(3, PageKind::Data, b"payload-bytes").unwrap();
         store.put(4, PageKind::Data, b"after").unwrap();
         store.sync().unwrap();
-        // Flip a payload byte behind the store's back.
-        poke(&dir, HEADER_LEN as u64, b"X");
+        disk.corrupt(SEG0, HEADER_LEN, b"X");
         assert!(matches!(store.get(3), Err(FlashError::Corrupt(_))));
         let report = store.scrub().unwrap();
         assert_eq!((report.pages_checked, report.errors), (2, 1));
         // Reopened: the scan skips it as a torn write, a read still says
         // what it is, and so does a scrub.
-        let store = FileStore::open(&dir, 64, 16).unwrap();
+        let store = on(&disk, 64, 16);
         assert_eq!(scanned(&store), vec![(4, ScannedState::Data)]);
         assert!(matches!(store.get(3), Err(FlashError::Corrupt(_))));
         assert_eq!(store.get(4).unwrap(), data(b"after"));
         let report = store.scrub().unwrap();
         assert_eq!((report.pages_checked, report.errors), (2, 1));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn trim_marker_persists() {
-        let dir = tmpdir("trim");
-        {
-            let mut store = FileStore::open(&dir, 64, 16).unwrap();
-            store.put(2, PageKind::Data, b"x").unwrap();
-            store.mark_trimmed(2).unwrap();
-            assert_eq!(store.get(2).unwrap(), None);
-        }
-        // The data record is still in the file; the tombstone after it wins.
-        let store = FileStore::open(&dir, 64, 16).unwrap();
-        assert_eq!(store.get(2).unwrap(), None);
-        assert_eq!(scanned(&store), vec![(2, ScannedState::Trimmed)]);
-        assert_eq!(store.scrub().unwrap().pages_checked, 0);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn a_trimmed_address_takes_one_tombstone_however_often_it_is_trimmed() {
-        let dir = tmpdir("retrim");
-        let mut store = FileStore::open(&dir, 64, 16).unwrap();
+        let disk = MemDisk::default();
+        let mut store = on(&disk, 64, 16);
         store.put(2, PageKind::Data, b"x").unwrap();
-        let before = seg0_len(&dir);
+        let len = || disk.read(SEG0).unwrap().len();
+        let before = len();
         for _ in 0..100 {
             store.mark_trimmed(2).unwrap();
         }
-        assert_eq!(seg0_len(&dir), before + HEADER_LEN as u64);
+        assert_eq!(len(), before + HEADER_LEN);
         // Nor after a reopen.
-        let mut store = FileStore::open(&dir, 64, 16).unwrap();
-        store.mark_trimmed(2).unwrap();
-        assert_eq!(seg0_len(&dir), before + HEADER_LEN as u64);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Records of 4 + `addr` bytes at addresses `0..n`, all in segment 0.
-    fn store_of(dir: &Path, n: u64) -> FileStore {
-        let mut store = FileStore::open(dir, 64, 16).unwrap();
-        for addr in 0..n {
-            store.put(addr, PageKind::Data, &vec![addr as u8; 4 + addr as usize]).unwrap();
-        }
-        store
-    }
-
-    /// Where record `addr` of [`store_of`] starts.
-    fn offset_of(addr: u64) -> u64 {
-        (0..addr).map(|a| (HEADER_LEN + 4 + a as usize) as u64).sum()
-    }
-
-    fn page_of(addr: u64) -> Option<(PageKind, Bytes)> {
-        Some((PageKind::Data, Bytes::from(vec![addr as u8; 4 + addr as usize])))
-    }
-
-    #[test]
-    fn a_segment_cut_mid_record_keeps_every_record_before_the_cut() {
-        let dir = tmpdir("cut");
-        drop(store_of(&dir, 6));
-        // Inside record 4's payload, then inside its header.
-        for cut in [offset_of(4) + HEADER_LEN as u64 + 2, offset_of(4) + 3] {
-            let file = OpenOptions::new().write(true).open(seg0(&dir)).unwrap();
-            file.set_len(cut).unwrap();
-            let store = FileStore::open(&dir, 64, 16).unwrap();
-            let addrs: Vec<_> = store.scan().iter().map(|p| p.addr).collect();
-            assert_eq!(addrs, vec![0, 1, 2, 3], "cut at {cut}");
-            for addr in 0..4 {
-                assert_eq!(store.get(addr).unwrap(), page_of(addr));
-            }
-            assert_eq!(store.get(4).unwrap(), None);
-        }
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn a_torn_last_record_reads_as_unwritten_and_what_replaces_it_survives() {
-        use crate::{FlashUnit, PageRead};
-        let dir = tmpdir("torn");
-        drop(store_of(&dir, 3));
-        // Record 2's header landed, not all of its payload did; and after it
-        // a header the file ends inside.
-        poke(&dir, offset_of(2) + HEADER_LEN as u64, &[0, 0]);
-        let mut seg = OpenOptions::new().append(true).open(seg0(&dir)).unwrap();
-        seg.write_all(&encode_header(STATE_DATA, 9, 0, 3)[..20]).unwrap();
-        let open = || FlashUnit::open(Box::new(FileStore::open(&dir, 64, 16).unwrap()), 64);
-        let mut unit = open().unwrap();
-        assert_eq!(unit.read(1).unwrap(), PageRead::Data(Bytes::from(vec![1u8; 5])));
-        assert_eq!(unit.read(2).unwrap(), PageRead::Unwritten);
-        assert_eq!(unit.read(3).unwrap(), PageRead::Unwritten);
-        unit.write(2, b"again").unwrap();
-        unit.write(3, b"three").unwrap();
-        let mut unit = open().unwrap();
-        assert_eq!(unit.read(2).unwrap(), PageRead::Data(Bytes::from_static(b"again")));
-        assert_eq!(unit.read(3).unwrap(), PageRead::Data(Bytes::from_static(b"three")));
-        assert_eq!((unit.local_tail(), unit.live_pages()), (4, 4));
-        fs::remove_dir_all(&dir).unwrap();
+        on(&disk, 64, 16).mark_trimmed(2).unwrap();
+        assert_eq!(len(), before + HEADER_LEN);
     }
 
     #[test]
     fn a_corrupt_header_in_the_middle_loses_that_record_only() {
-        let dir = tmpdir("resync");
-        drop(store_of(&dir, 6));
-        // Flip a byte of record 2's address: its header checksum fails.
-        poke(&dir, offset_of(2) + 14, b"\xFF");
-        let mut store = FileStore::open(&dir, 64, 16).unwrap();
+        let disk = MemDisk::default();
+        let page =
+            |addr: u64| Some((PageKind::Data, Bytes::from(vec![addr as u8; 4 + addr as usize])));
+        let mut store = on(&disk, 64, 16);
+        for addr in 0..6 {
+            store.put(addr, PageKind::Data, &page(addr).unwrap().1).unwrap();
+        }
+        // Flip a byte of record 2's address, after records of 36 and 37
+        // bytes: its header checksum fails.
+        disk.corrupt(SEG0, 36 + 37 + 14, b"\xFF");
+        let mut store = on(&disk, 64, 16);
         let addrs: Vec<_> = store.scan().iter().map(|p| p.addr).collect();
         assert_eq!(addrs, vec![0, 1, 3, 4, 5]);
         for addr in [0, 1, 3, 4, 5] {
-            assert_eq!(store.get(addr).unwrap(), page_of(addr));
+            assert_eq!(store.get(addr).unwrap(), page(addr));
         }
         assert_eq!(store.get(2).unwrap(), None);
         // Appends go on after the last record, not over the lost one.
         store.put(2, PageKind::Data, b"two").unwrap();
-        assert_eq!(FileStore::open(&dir, 64, 16).unwrap().get(5).unwrap(), page_of(5));
-        assert_eq!(FileStore::open(&dir, 64, 16).unwrap().get(2).unwrap(), data(b"two"));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn data_then_tombstone_reads_trimmed_after_reopen() {
-        let dir = tmpdir("tombstone");
-        {
-            let mut store = store_of(&dir, 3);
-            store.mark_trimmed(1).unwrap();
-            store.mark_trimmed(9).unwrap();
-        }
-        let store = FileStore::open(&dir, 64, 16).unwrap();
-        assert_eq!(
-            scanned(&store),
-            vec![
-                (0, ScannedState::Data),
-                (1, ScannedState::Trimmed),
-                (2, ScannedState::Data),
-                (9, ScannedState::Trimmed)
-            ]
-        );
-        assert_eq!(store.get(1).unwrap(), None);
-        fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(on(&disk, 64, 16).get(5).unwrap(), page(5));
+        assert_eq!(on(&disk, 64, 16).get(2).unwrap(), data(b"two"));
     }
 
     #[test]
     fn a_run_ends_at_a_segment_boundary_and_at_a_record_out_of_place() {
-        let dir = tmpdir("runs");
-        let mut store = FileStore::open(&dir, 64, 64).unwrap();
+        let disk = MemDisk::default();
+        let mut store = on(&disk, 64, 64);
         for addr in 0..128u64 {
             store.put(addr, PageKind::Data, &[addr as u8; 48]).unwrap();
         }
@@ -861,24 +676,22 @@ pub(crate) mod tests {
         store.mark_trimmed(101).unwrap();
         let mut got = Vec::new();
         let addrs = [103, 102, 101, 100, 65, 64, 63, 62];
-        let ((), reads) =
-            device_reads(|| store.get_many(addrs, |at, read| got.push((addrs[at], read.unwrap()))));
+        let ((), reads) = disk
+            .reads_in(|| store.get_many(addrs, |at, read| got.push((addrs[at], read.unwrap()))));
         assert_eq!(reads, 5, "62..=63, 64..=65, 100, 102..=103, the tombstone");
         got.sort_unstable_by_key(|&(addr, _)| addr);
         let page = |addr: u64| Some((PageKind::Data, Bytes::from(vec![addr as u8; 48])));
         let want = [62, 63, 64, 65, 100, 101, 102, 103]
             .map(|a| (a, if a == 101 { None } else { page(a) }));
         assert_eq!(got, want);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn a_single_read_is_one_exact_pread() {
-        let dir = tmpdir("one-read");
-        let mut store = FileStore::open(&dir, 4096, 64).unwrap();
+        let disk = MemDisk::default();
+        let mut store = on(&disk, 4096, 64);
         store.put(5, PageKind::Data, &[9u8; 560]).unwrap();
-        let (page, reads) = device_reads(|| store.get(5).unwrap());
+        let (page, reads) = disk.reads_in(|| store.get(5).unwrap());
         assert_eq!((page.map(|(_, bytes)| bytes.len()), reads), (Some(560), 1));
-        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -26,6 +26,9 @@
 //! restarts — while the performance characteristics of the original cluster
 //! are modeled separately in `simcluster` (see DESIGN.md).
 
+#[cfg(test)]
+mod crash;
+mod disk;
 mod error;
 mod file;
 mod metrics;
@@ -45,11 +48,3 @@ pub type PageAddr = u64;
 
 /// Convenience alias for flash results.
 pub type Result<T> = std::result::Result<T, FlashError>;
-
-/// A scratch directory that does not exist yet, for one unit test.
-#[cfg(test)]
-pub(crate) fn tmpdir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("tango-flash-test-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}

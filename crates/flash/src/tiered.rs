@@ -44,14 +44,19 @@ impl From<FileStore> for TieredStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crash::{unit_on, MemDisk};
+    use crate::disk::Disk;
     use crate::store::{PageKind, ScannedState};
-    use crate::{tmpdir, FlashError, FlashUnit, PageRead};
+    use crate::{FlashUnit, PageRead};
     use bytes::Bytes;
-    use std::fs;
 
-    fn open(dir: &Path, pages_per_segment: u64, hot_capacity: usize) -> FlashUnit {
-        let store = TieredStore::open(dir, 64, pages_per_segment, hot_capacity).unwrap();
-        FlashUnit::open(Box::new(store), 64).unwrap()
+    fn open(disk: &MemDisk, pages_per_segment: u64, hot_capacity: usize) -> FlashUnit {
+        unit_on(disk, 64, pages_per_segment, hot_capacity).unwrap()
+    }
+
+    /// The cold device under a unit, opened again beside it.
+    fn device(disk: &MemDisk, pages_per_segment: u64) -> FileStore {
+        FileStore::with_disk(Box::new(disk.clone()), 64, pages_per_segment).unwrap()
     }
 
     fn data(bytes: &'static [u8]) -> PageRead {
@@ -60,8 +65,8 @@ mod tests {
 
     #[test]
     fn hot_tail_serves_reads_before_migration() {
-        let dir = tmpdir("hot");
-        let mut unit = open(&dir, 8, 16);
+        let disk = MemDisk::default();
+        let mut unit = open(&disk, 8, 16);
         unit.write(0, b"zero").unwrap();
         unit.fill(1).unwrap();
         assert_eq!(unit.read(0).unwrap(), data(b"zero"));
@@ -69,56 +74,36 @@ mod tests {
         let stats = unit.tier_stats();
         assert_eq!((stats.hot_pages, stats.cold_pages, stats.cold_segments), (2, 0, 0));
         // Nothing reached the device: the hot tail is RAM only.
-        assert!(FileStore::open(&dir, 64, 8).unwrap().scan().is_empty());
-        fs::remove_dir_all(&dir).unwrap();
+        assert!(device(&disk, 8).scan().is_empty());
     }
 
     #[test]
-    fn migration_moves_oldest_pages_cold_and_survives_reopen() {
-        let dir = tmpdir("migrate");
-        {
-            let mut unit = open(&dir, 8, 4);
-            for addr in 0..10u64 {
-                unit.write(addr, format!("p{addr}").as_bytes()).unwrap();
-            }
-            // The burst guard already spilled 5 pages when the hot pages hit
-            // twice the capacity; the explicit pass drains the remainder.
-            assert_eq!(unit.migrate_cold().unwrap(), 1);
-            let stats = unit.tier_stats();
-            assert_eq!((stats.hot_pages, stats.cold_pages), (4, 6));
-            assert_eq!(stats.migrated_pages, 6);
-            assert_eq!(stats.migrations, 2);
-            // Oldest first: 0..6 are on the device, 6..10 are not.
-            let device = FileStore::open(&dir, 64, 8).unwrap();
-            let on_device: Vec<u64> = device.scan().iter().map(|p| p.addr).collect();
-            assert_eq!(on_device, (0..6).collect::<Vec<u64>>());
-            // Reads hit whichever tier holds the page.
-            assert_eq!(unit.read(0).unwrap(), data(b"p0"));
-            assert_eq!(unit.read(9).unwrap(), data(b"p9"));
+    fn migration_moves_oldest_pages_cold() {
+        let disk = MemDisk::default();
+        let mut unit = open(&disk, 8, 4);
+        for addr in 0..10u64 {
+            unit.write(addr, format!("p{addr}").as_bytes()).unwrap();
         }
-        // Reopened without a sync: the migrated pages survive, the hot tail
-        // is gone and its addresses are free again.
-        {
-            let mut unit = open(&dir, 8, 4);
-            assert_eq!(unit.read(5).unwrap(), data(b"p5"));
-            assert_eq!(unit.read(6).unwrap(), PageRead::Unwritten);
-            assert_eq!((unit.local_tail(), unit.live_pages()), (6, 6));
-            for addr in 6..10u64 {
-                unit.write(addr, format!("p{addr}").as_bytes()).unwrap();
-            }
-            unit.sync().unwrap(); // the durability point drains the tail
-            assert_eq!(unit.tier_stats().hot_pages, 0);
-        }
-        let mut unit = open(&dir, 8, 4);
+        // The burst guard already spilled 5 pages when the hot pages hit
+        // twice the capacity; the explicit pass drains the remainder.
+        assert_eq!(unit.migrate_cold().unwrap(), 1);
+        let stats = unit.tier_stats();
+        assert_eq!((stats.hot_pages, stats.cold_pages), (4, 6));
+        assert_eq!(stats.migrated_pages, 6);
+        assert_eq!(stats.migrations, 2);
+        // Oldest first: 0..6 are on the device, 6..10 are not.
+        let on_device: Vec<u64> = device(&disk, 8).scan().iter().map(|p| p.addr).collect();
+        assert_eq!(on_device, (0..6).collect::<Vec<u64>>());
+        // Reads hit whichever tier holds the page.
+        assert_eq!(unit.read(0).unwrap(), data(b"p0"));
         assert_eq!(unit.read(9).unwrap(), data(b"p9"));
-        assert_eq!(unit.tier_stats().cold_pages, 10);
-        fs::remove_dir_all(&dir).unwrap();
+        unit.sync().unwrap(); // the durability point drains the tail
+        assert_eq!(unit.tier_stats().hot_pages, 0);
     }
 
     #[test]
     fn overflow_spills_without_explicit_migration() {
-        let dir = tmpdir("spill");
-        let mut unit = open(&dir, 8, 2);
+        let mut unit = open(&MemDisk::default(), 8, 2);
         for addr in 0..5u64 {
             unit.write(addr, b"x").unwrap();
         }
@@ -127,8 +112,7 @@ mod tests {
         assert_eq!(stats.hot_pages, 2);
         assert_eq!(stats.cold_pages, 3);
         // A late write below the migrated range is found by the next pass.
-        let sparse = tmpdir("spill-sparse");
-        let mut unit = open(&sparse, 8, 1);
+        let mut unit = open(&MemDisk::default(), 8, 1);
         for addr in [10u64, 11, 12, 3] {
             unit.write(addr, b"x").unwrap();
         }
@@ -137,14 +121,12 @@ mod tests {
         unit.trim(12).unwrap();
         assert_eq!(unit.tier_stats().hot_pages, 0);
         assert_eq!(unit.tier_stats().cold_pages, 3);
-        fs::remove_dir_all(&dir).unwrap();
-        fs::remove_dir_all(&sparse).unwrap();
     }
 
     #[test]
     fn prefix_trim_reclaims_whole_segments() {
-        let dir = tmpdir("reclaim");
-        let mut unit = open(&dir, 4, 0);
+        let disk = MemDisk::default();
+        let mut unit = open(&disk, 4, 0);
         for addr in 0..10u64 {
             unit.write(addr, b"x").unwrap();
         }
@@ -160,25 +142,22 @@ mod tests {
         assert_eq!(stats.reclaimed_pages, 9);
         assert_eq!(stats.cold_pages, 1);
         assert_eq!(unit.stats().prefix_trimmed_pages, 9);
-        assert!(!dir.join("seg-0.dat").exists());
-        assert!(!dir.join("seg-1.dat").exists());
-        assert!(dir.join("seg-2.dat").exists());
+        assert_eq!(disk.list().unwrap(), ["meta", "seg-2.dat"]);
         // The straddling slot got a durable marker, the survivor reads back,
         // and the horizon is on the device with the epoch.
-        let device = FileStore::open(&dir, 64, 4).unwrap();
+        let device = device(&disk, 4);
         let slots: Vec<_> = device.scan().iter().map(|p| (p.addr, p.state)).collect();
         assert_eq!(slots, vec![(8, ScannedState::Trimmed), (9, ScannedState::Data)]);
         assert_eq!(device.get(9).unwrap(), Some((PageKind::Data, Bytes::from_static(b"x"))));
         assert_eq!(device.get_meta().unwrap(), Some((1, 9)));
         assert_eq!(unit.read(8).unwrap(), PageRead::Trimmed);
         assert_eq!(unit.read(9).unwrap(), data(b"x"));
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn reclaim_drops_hot_pages_below_horizon() {
-        let dir = tmpdir("hot-reclaim");
-        let mut unit = open(&dir, 4, 16);
+        let disk = MemDisk::default();
+        let mut unit = open(&disk, 4, 16);
         for addr in 0..6u64 {
             unit.write(addr, b"x").unwrap();
         }
@@ -190,14 +169,13 @@ mod tests {
         assert_eq!(unit.read(1).unwrap(), PageRead::Trimmed);
         assert_eq!(unit.read(5).unwrap(), data(b"x"));
         // Hot pages just evaporate: no slot was ever written for them.
-        assert!(FileStore::open(&dir, 64, 4).unwrap().scan().is_empty());
-        fs::remove_dir_all(&dir).unwrap();
+        assert!(device(&disk, 4).scan().is_empty());
     }
 
     #[test]
     fn scrub_checks_cold_payloads() {
-        let dir = tmpdir("scrub");
-        let mut unit = open(&dir, 8, 1);
+        let disk = MemDisk::default();
+        let mut unit = open(&disk, 8, 1);
         unit.write(0, b"checked").unwrap();
         unit.write(1, b"also").unwrap();
         unit.write(2, b"hot").unwrap();
@@ -207,32 +185,8 @@ mod tests {
         assert_eq!((report.pages_checked, report.errors), (2, 0));
         // Bit rot behind the unit's back is found: the first byte of the
         // first record's payload, right after its 32-byte header.
-        use std::os::unix::fs::FileExt;
-        let file = fs::OpenOptions::new().write(true).open(dir.join("seg-0.dat")).unwrap();
-        file.write_all_at(b"X", 32).unwrap();
+        disk.corrupt("seg-0.dat", 32, b"X");
         let report = unit.scrub().unwrap();
         assert_eq!((report.pages_checked, report.errors), (2, 1));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn reopen_after_crash_mid_reclaim_ignores_stale_slots() {
-        let dir = tmpdir("crash");
-        {
-            let mut unit = open(&dir, 4, 0);
-            for addr in 0..8u64 {
-                unit.write(addr, b"x").unwrap();
-            }
-            // Simulate the crash window: horizon persisted, unlinks lost.
-            FileStore::open(&dir, 64, 4).unwrap().put_meta(0, 8).unwrap();
-        }
-        // Segment files still exist, but recovery honors the horizon.
-        assert!(dir.join("seg-0.dat").exists());
-        let mut unit = open(&dir, 4, 0);
-        assert_eq!(unit.tier_stats().cold_pages, 0);
-        assert_eq!((unit.prefix_trim(), unit.local_tail(), unit.live_pages()), (8, 8, 0));
-        assert_eq!(unit.read(3).unwrap(), PageRead::Trimmed);
-        assert_eq!(unit.write(3, b"y"), Err(FlashError::Trimmed { addr: 3 }));
-        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -512,7 +512,7 @@ impl FlashUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tmpdir;
+    use crate::crash::{unit_on, MemDisk};
 
     fn unit() -> FlashUnit {
         FlashUnit::in_memory(4096)
@@ -648,108 +648,78 @@ mod tests {
 
     #[test]
     fn seal_adopts_the_epoch_only_once_persisted() {
-        let dir = tmpdir("seal");
-        let store = FileStore::open(&dir, 64, 8).unwrap();
-        let mut u = FlashUnit::open(Box::new(store), 64).unwrap();
-        u.write(0, b"a").unwrap();
-        // The suite runs as root, so permissions cannot fail the meta
-        // write; a directory squatting on its temp-file path can.
-        std::fs::create_dir(dir.join("meta.tmp")).unwrap();
-        assert!(matches!(u.seal(3), Err(FlashError::Io(_))));
-        assert_eq!(u.epoch(), 0);
-        std::fs::remove_dir(dir.join("meta.tmp")).unwrap();
-        assert_eq!(u.seal(3).unwrap(), 1);
-        assert_eq!(u.epoch(), 3);
-        drop(u);
-        let store = FileStore::open(&dir, 64, 8).unwrap();
-        assert_eq!(FlashUnit::open(Box::new(store), 64).unwrap().epoch(), 3);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn recovery_from_store_scan() {
-        let dir = tmpdir("recovery");
-        let mut store = FileStore::open(&dir, 64, 8).unwrap();
-        store.put(0, PageKind::Data, b"zero").unwrap();
-        store.put(4, PageKind::Junk, &[]).unwrap();
-        store.mark_trimmed(2).unwrap();
-        store.put_meta(9, 0).unwrap();
-        let mut u = FlashUnit::open(Box::new(store), 64).unwrap();
-        assert_eq!(u.epoch(), 9);
-        assert_eq!(u.local_tail(), 5);
-        assert_eq!(u.live_pages(), 2);
-        assert_eq!(u.read(0).unwrap(), PageRead::Data(bytes::Bytes::from_static(b"zero")));
-        assert_eq!(u.read(4).unwrap(), PageRead::Junk);
-        assert_eq!(u.read(2).unwrap(), PageRead::Trimmed);
-        assert_eq!(u.write(2, b"no"), Err(FlashError::AlreadyWritten { addr: 2 }));
-        std::fs::remove_dir_all(&dir).unwrap();
+        // Each call of the meta write fails in turn: the temp file's create,
+        // write and sync, the rename, the directory's sync.
+        for call in 1..=5 {
+            let disk = MemDisk::default();
+            let mut u = unit_on(&disk, 64, 8, 0).unwrap();
+            u.write(0, b"a").unwrap();
+            disk.fail_in(call);
+            assert!(matches!(u.seal(3), Err(FlashError::Io(_))), "call {call}");
+            assert_eq!(u.epoch(), 0);
+            assert_eq!(u.seal(3).unwrap(), 1);
+            assert_eq!(unit_on(&disk, 64, 8, 0).unwrap().epoch(), 3);
+        }
     }
 
     #[test]
     fn cold_reads_coalesce_and_an_open_reads_each_segment_once() {
-        use crate::file::tests::device_reads;
-        let dir = tmpdir("coalesce");
+        let disk = MemDisk::default();
         let page = |addr: u64| vec![addr as u8; 48];
-        {
-            let mut u =
-                FlashUnit::open(Box::new(FileStore::open(&dir, 4096, 64).unwrap()), 4096).unwrap();
-            for addr in 0..256 {
-                u.write(addr, &page(addr)).unwrap();
-            }
+        let mut u = unit_on(&disk, 4096, 64, 0).unwrap();
+        for addr in 0..256 {
+            u.write(addr, &page(addr)).unwrap();
         }
-        let open = || FlashUnit::open(Box::new(FileStore::open(&dir, 4096, 64).unwrap()), 4096);
-        let (u, reads) = device_reads(open);
+        let (u, reads) = disk.reads_in(|| unit_on(&disk, 4096, 64, 0));
         assert_eq!(reads, 4, "one read per segment");
         let mut u = u.unwrap();
         let addrs: Vec<u64> = (0..256).rev().collect();
-        let (got, reads) = device_reads(|| u.read_many(&addrs).unwrap());
+        let (got, reads) = disk.reads_in(|| u.read_many(&addrs).unwrap());
         assert!(reads <= 64, "{reads} preads for 256 pages");
         let want: Vec<_> = addrs.iter().map(|&a| PageRead::Data(page(a).into())).collect();
         assert_eq!(got, want);
         // A batch the index answers alone costs the device nothing.
         u.fill(300).unwrap();
-        let (got, reads) = device_reads(|| u.read_many(&[1000, 300]).unwrap());
+        let (got, reads) = disk.reads_in(|| u.read_many(&[1000, 300]).unwrap());
         assert_eq!((got, reads), (vec![PageRead::Unwritten, PageRead::Junk], 0));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn read_each_skips_only_the_page_that_fails() {
-        let dir = tmpdir("read-each");
-        let mut u = FlashUnit::open(Box::new(FileStore::open(&dir, 64, 8).unwrap()), 64).unwrap();
+        let disk = MemDisk::default();
+        let mut u = unit_on(&disk, 64, 8, 0).unwrap();
         for addr in 0..4 {
             u.write(addr, b"page").unwrap();
         }
         // Rot record 1's payload behind the unit's back.
-        use std::os::unix::fs::FileExt;
-        let seg = std::fs::OpenOptions::new().write(true).open(dir.join("seg-0.dat")).unwrap();
-        seg.write_all_at(b"X", 32 + 4 + 32).unwrap();
+        disk.corrupt("seg-0.dat", 32 + 4 + 32, b"X");
         let mut outcomes = Vec::new();
         u.read_each(&[3, 2, 1, 0, 9], |at, read| outcomes.push((at, read.is_ok())));
         outcomes.sort_unstable();
         assert_eq!(outcomes, [(0, true), (1, true), (2, false), (3, true), (4, true)]);
         assert!(matches!(u.read_many(&[0, 1]), Err(FlashError::Corrupt(_))));
         assert_eq!(u.stats().reads, 7);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn reopening_over_an_unreadable_segment_fails() {
-        let dir = tmpdir("unreadable");
-        {
-            let store = FileStore::open(&dir, 64, 8).unwrap();
-            let mut u = FlashUnit::open(Box::new(store), 64).unwrap();
-            u.write(1, b"synced").unwrap();
-            u.sync().unwrap();
+        let disk = MemDisk::default();
+        let mut u = unit_on(&disk, 64, 8, 0).unwrap();
+        u.write(1, b"synced").unwrap();
+        u.sync().unwrap();
+        // Whichever call of the open fails — the listing, a meta read, the
+        // segment's open, length or read — the open fails: the page is not
+        // absent, and its address must not take a second write.
+        for call in 1.. {
+            disk.fail_in(call);
+            match unit_on(&disk, 64, 8, 0) {
+                Err(e) => assert!(matches!(e, FlashError::Io(_)), "call {call}: {e}"),
+                Ok(_) => {
+                    assert_eq!(call, 7, "an open makes six calls");
+                    break;
+                }
+            }
         }
-        // A directory in the segment's place reads EISDIR, as a failing disk
-        // reads EIO: the page is not absent, and its address must not take a
-        // second write.
-        std::fs::remove_file(dir.join("seg-0.dat")).unwrap();
-        std::fs::create_dir(dir.join("seg-0.dat")).unwrap();
-        let reopened = FileStore::open(&dir, 64, 8).and_then(|s| FlashUnit::open(Box::new(s), 64));
-        assert!(matches!(reopened, Err(FlashError::Io(_))));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

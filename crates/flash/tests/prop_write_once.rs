@@ -1,6 +1,6 @@
 //! Property tests for the write-once invariant under arbitrary operation
-//! interleavings, for recovery equivalence, and for the equivalence of a
-//! unit with no cold device, a write-through one and tiered ones.
+//! interleavings, and for the equivalence of a unit with no cold device, a
+//! write-through one and tiered ones, across reopens, on the real disk.
 
 use proptest::prelude::*;
 use tango_flash::{FileStore, FlashError, FlashUnit, PageRead, TieredStore, WearStats};
@@ -267,84 +267,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn file_store_recovery_preserves_state(
-        writes in proptest::collection::vec((0u64..64, proptest::collection::vec(any::<u8>(), 0..32)), 1..24),
-        fills in proptest::collection::vec(0u64..64, 0..8),
-        trims in proptest::collection::vec(0u64..64, 0..8),
-    ) {
-        let dir = std::env::temp_dir().join(format!(
-            "tango-flash-prop-{}-{:x}",
-            std::process::id(),
-            std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
-        ));
-        let mut expectations = Vec::new();
-        {
-            let store = FileStore::open(&dir, 64, 8).unwrap();
-            let mut unit = FlashUnit::open(Box::new(store), 64).unwrap();
-            for (addr, data) in &writes {
-                let _ = unit.write(*addr, data);
-            }
-            for addr in &fills {
-                let _ = unit.fill(*addr);
-            }
-            for addr in &trims {
-                let _ = unit.trim(*addr);
-            }
-            for addr in 0u64..64 {
-                expectations.push(unit.read(addr).unwrap());
-            }
-            unit.sync().unwrap();
-        }
-        // Reopen and compare every address.
-        let store = FileStore::open(&dir, 64, 8).unwrap();
-        let mut unit = FlashUnit::open(Box::new(store), 64).unwrap();
-        for (addr, expected) in (0u64..64).zip(expectations) {
-            prop_assert_eq!(unit.read(addr).unwrap(), expected);
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn tiered_store_recovery_preserves_state(
-        writes in proptest::collection::vec((0u64..64, proptest::collection::vec(any::<u8>(), 0..32)), 1..24),
-        fills in proptest::collection::vec(0u64..64, 0..8),
-        trims in proptest::collection::vec(0u64..64, 0..8),
-        horizon in 0u64..48,
-        hot_capacity in 0usize..12,
-    ) {
-        let dir = std::env::temp_dir().join(format!(
-            "tango-tiered-prop-{}-{:x}",
-            std::process::id(),
-            std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
-        ));
-        let mut expectations = Vec::new();
-        {
-            let store = TieredStore::open(&dir, 64, 8, hot_capacity).unwrap();
-            let mut unit = FlashUnit::open(Box::new(store), 64).unwrap();
-            for (addr, data) in &writes {
-                let _ = unit.write(*addr, data);
-            }
-            for addr in &fills {
-                let _ = unit.fill(*addr);
-            }
-            for addr in &trims {
-                let _ = unit.trim(*addr);
-            }
-            unit.trim_prefix(horizon).unwrap();
-            let _ = unit.migrate_cold().unwrap();
-            for addr in 0u64..64 {
-                expectations.push(unit.read(addr).unwrap());
-            }
-            // The hot tail is volatile by design; sync is the durability
-            // point that drains it cold before the "restart".
-            unit.sync().unwrap();
-        }
-        let store = TieredStore::open(&dir, 64, 8, hot_capacity).unwrap();
-        let mut unit = FlashUnit::open(Box::new(store), 64).unwrap();
-        for (addr, expected) in (0u64..64).zip(expectations) {
-            prop_assert_eq!(unit.read(addr).unwrap(), expected, "addr {}", addr);
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 }

@@ -18,9 +18,9 @@ const MAX_RECORD_BYTES: usize = 1 << 20;
 /// the incumbent — the same arbitration rule the data plane's flash units
 /// enforce, and enforced by the same code: a replica *is* a [`FlashUnit`],
 /// metalog positions mapping one-to-one onto page addresses. The unit is the
-/// only record of a position; over a file-backed one every record is on the
-/// device before it is acknowledged, and a restart finds the full history
-/// there.
+/// only record of a position, and a write is acknowledged only after the
+/// unit's `sync`: over a file-backed unit every acknowledged record is
+/// durable, and a restart finds the full history there.
 pub struct MetaNode {
     unit: Mutex<FlashUnit>,
     peers: Mutex<Vec<ReplicaInfo>>,
@@ -83,10 +83,7 @@ impl MetaNode {
             },
             MetaRequest::Write { pos, record } => {
                 let mut unit = self.unit.lock();
-                // Durability before acknowledgement: the unit returns once
-                // the record is where it keeps records, so no quorum counts
-                // one a restart would lose.
-                match unit.write(pos, &record) {
+                let written = match unit.write(pos, &record) {
                     Ok(()) => MetaResponse::Ok,
                     Err(FlashError::AlreadyWritten { .. }) => match unit.read(pos) {
                         // Re-writing the incumbent is an idempotent success,
@@ -100,6 +97,12 @@ impl MetaNode {
                         Err(e) => storage_error(e),
                     },
                     Err(e) => storage_error(e),
+                };
+                // Durability before acknowledgement, a retry's included: no
+                // quorum counts a record a restart would lose.
+                match written {
+                    MetaResponse::Ok => unit.sync().map_or_else(storage_error, |()| written),
+                    other => other,
                 }
             }
             MetaRequest::Tail => MetaResponse::Tail(self.tail()),
