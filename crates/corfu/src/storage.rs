@@ -516,6 +516,7 @@ impl Inner {
                 StorageResponse::ErrTooLarge { max: page_size as u64 }
             }
             FlashError::Io(msg) | FlashError::Corrupt(msg) => StorageResponse::ErrStorage(msg),
+            e @ FlashError::OutOfRange { .. } => StorageResponse::ErrStorage(e.to_string()),
         }
     }
 }

@@ -221,6 +221,27 @@ proptest! {
     }
 }
 
+/// The last address takes no page: a write or fill there is refused the
+/// same on either decode, and the tail a seal reports to a recovering
+/// sequencer does not wrap.
+#[test]
+fn a_write_at_the_last_address_is_refused() {
+    let server = StorageServer::in_memory(64);
+    let frame = |addr, kind| encode_to_vec(&write(0, addr, kind, b"x"));
+    let answer =
+        |frame: &[u8]| decode_from_slice::<StorageResponse>(&server.handle(frame)).unwrap();
+    assert_eq!(answer(&frame(u64::MAX - 1, WriteKind::Data)), StorageResponse::Ok);
+    for kind in [WriteKind::Data, WriteKind::Junk] {
+        let frame = frame(u64::MAX, kind);
+        let answered = answer(&frame);
+        assert!(matches!(answered, StorageResponse::ErrStorage(_)), "{answered:?}");
+        assert_eq!(answered, owned_path(&server, &frame));
+    }
+    let read = StorageRequest::Read { epoch: 0, addr: u64::MAX };
+    assert_eq!(server.process(read), StorageResponse::Unwritten);
+    assert_eq!(server.process(StorageRequest::Seal { epoch: 1 }), StorageResponse::Tail(u64::MAX));
+}
+
 /// The snapshot request shares a port with every service, so it must not be
 /// a request of any of them: a node without the wrapper refuses it rather
 /// than acting on it.

@@ -15,6 +15,12 @@ pub enum FlashError {
         /// The offending page address.
         addr: PageAddr,
     },
+    /// The address is the last one, which no page may take: the local tail,
+    /// one past the highest consumed address, must fit in a [`PageAddr`].
+    OutOfRange {
+        /// The offending page address.
+        addr: PageAddr,
+    },
     /// The unit was sealed at a higher epoch than the request's.
     Sealed {
         /// The unit's current epoch.
@@ -38,6 +44,9 @@ impl fmt::Display for FlashError {
         match self {
             FlashError::AlreadyWritten { addr } => write!(f, "page {addr} already written"),
             FlashError::Trimmed { addr } => write!(f, "page {addr} is trimmed"),
+            FlashError::OutOfRange { addr } => {
+                write!(f, "page {addr} is the last address, which takes no page")
+            }
             FlashError::Sealed { current_epoch } => {
                 write!(f, "unit sealed at epoch {current_epoch}")
             }

@@ -9,9 +9,10 @@
 //! * [`FlashUnit`] — the write-once 64-bit page address space with
 //!   `write`/`read`/`trim`/`trim_prefix`/`seal` and wear accounting. Pages can
 //!   hold data or *junk* (the fill value used to patch holes left by crashed
-//!   clients). Its one ordered index is the only record of a page: a slot is
-//!   hot (the payload is in the slot), cold (the payload is in a segment
-//!   file) or trimmed, and a page changes tier by changing slot.
+//!   clients). Its slot table — chunks of 1 024 consecutive addresses,
+//!   allocated only where pages are — is the only record of a page: a slot
+//!   is unwritten, hot (the payload is in the slot), cold (the payload is in
+//!   a segment file) or trimmed, and a page changes tier by changing slot.
 //! * [`FileStore`] — the optional cold device: segment files of packed,
 //!   append-only, CRC-checked records, crash recovery by parsing them, reads
 //!   of records that sit next to each other in one `pread`, and whole-segment

@@ -1,4 +1,4 @@
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use tango_metrics::Timer;
@@ -29,10 +29,12 @@ pub struct WearStats {
     pub rejected_writes: u64,
 }
 
-/// What the index holds for one consumed address at or above the horizon.
-/// A page changes tier by changing variant; nothing else records where it is.
+/// What the table holds for one address at or above the horizon. A page
+/// changes tier by changing variant; nothing else records where it is.
 #[derive(Debug)]
 enum Slot {
+    /// Never consumed: the address takes its one write here.
+    Unwritten,
     /// Data held in RAM only, not yet written to the cold device.
     HotData(Bytes),
     /// A junk fill not yet written to the cold device.
@@ -45,15 +47,93 @@ enum Slot {
     Trimmed,
 }
 
+/// The table's chunks are `1 << CHUNK_BITS` consecutive addresses.
+const CHUNK_BITS: u32 = 10;
+const CHUNK: usize = 1 << CHUNK_BITS;
+
+/// The slot of every address in a chunk the table has not allocated.
+const UNWRITTEN: &Slot = &Slot::Unwritten;
+
+/// Address -> slot, in chunks of `CHUNK` consecutive addresses keyed by
+/// `addr >> CHUNK_BITS`. The projection stripes a log round-robin, so a
+/// unit's addresses are dense and a chunk fills up; a chunk is allocated
+/// only where a page is, so pages at far-apart addresses cost a chunk each,
+/// never the span between them.
+#[derive(Default)]
+struct SlotTable {
+    chunks: BTreeMap<u64, Box<[Slot; CHUNK]>>,
+}
+
+/// `addr`'s chunk key and its place in the chunk.
+fn chunk_of(addr: PageAddr) -> (u64, usize) {
+    (addr >> CHUNK_BITS, addr as usize & (CHUNK - 1))
+}
+
+impl SlotTable {
+    fn get(&self, addr: PageAddr) -> &Slot {
+        let (key, at) = chunk_of(addr);
+        self.chunks.get(&key).map_or(UNWRITTEN, |chunk| &chunk[at])
+    }
+
+    /// `addr`'s slot, its chunk allocated if it has none.
+    fn get_mut(&mut self, addr: PageAddr) -> &mut Slot {
+        let (key, at) = chunk_of(addr);
+        let chunk = self.chunks.entry(key).or_insert_with(|| {
+            let slots: Box<[Slot]> = (0..CHUNK).map(|_| Slot::Unwritten).collect();
+            slots.try_into().expect("CHUNK slots")
+        });
+        &mut chunk[at]
+    }
+
+    /// Every slot of an allocated chunk from `from` up, with its address, in
+    /// address order.
+    fn slots_from(&mut self, from: PageAddr) -> impl Iterator<Item = (PageAddr, &mut Slot)> {
+        let (first, skip) = chunk_of(from);
+        self.chunks.range_mut(first..).flat_map(move |(&key, chunk)| {
+            let base = key << CHUNK_BITS;
+            let skip = if key == first { skip } else { 0 };
+            (chunk.iter_mut().enumerate().skip(skip))
+                .map(move |(at, slot)| (base + at as u64, slot))
+        })
+    }
+
+    /// Empties every slot below `horizon`, showing `each` what it held: the
+    /// chunks wholly below go, the one straddling `horizon` keeps its upper
+    /// slots.
+    fn clear_below(&mut self, horizon: PageAddr, mut each: impl FnMut(&Slot)) {
+        let (key, at) = chunk_of(horizon);
+        let keep = self.chunks.split_off(&key);
+        let below = std::mem::replace(&mut self.chunks, keep);
+        below.values().flat_map(|chunk| chunk.iter()).for_each(&mut each);
+        if let Some(chunk) = self.chunks.get_mut(&key) {
+            for slot in &mut chunk[..at] {
+                each(&std::mem::replace(slot, Slot::Unwritten));
+            }
+        }
+    }
+
+    #[cfg(test)]
+    fn chunk_count(&self) -> usize {
+        self.chunks.len()
+    }
+}
+
+/// One past `addr`: what the local tail becomes when `addr` is consumed. The
+/// last address has none, so it takes no page.
+fn after(addr: PageAddr) -> Result<PageAddr> {
+    addr.checked_add(1).ok_or(FlashError::OutOfRange { addr })
+}
+
 /// A write-once, 64-bit page address space: the storage device under a CORFU
 /// storage server (§2.2).
 ///
-/// One ordered index is the only record of a page. A write lands hot (in
-/// RAM); over a cold device, migration writes the lowest hot pages into
-/// segment files and flips their slots to cold. Hot pages are volatile until
-/// then, which is safe under CORFU's client-driven chain replication: an
-/// acked append is durable across replicas, not across one unit's power
-/// cycle, and a replacement rebuilds from the surviving chain.
+/// One slot table is the only record of a page: a write is one test-and-set
+/// of its slot, a read one load. A write lands hot (in RAM); over a cold
+/// device, migration writes the lowest hot pages into segment files and
+/// flips their slots to cold. Hot pages are volatile until then, which is
+/// safe under CORFU's client-driven chain replication: an acked append is
+/// durable across replicas, not across one unit's power cycle, and a
+/// replacement rebuilds from the surviving chain.
 ///
 /// Invariants:
 ///
@@ -63,8 +143,8 @@ enum Slot {
 /// * `seal` is monotone: the epoch only increases.
 pub struct FlashUnit {
     /// Address -> slot. Addresses below `prefix_trim` are implicitly trimmed
-    /// and absent.
-    index: BTreeMap<PageAddr, Slot>,
+    /// and their slots unwritten.
+    table: SlotTable,
     /// The segment files cold pages, trim markers, the epoch and the horizon
     /// are persisted in; `None` for an in-memory unit.
     cold: Option<FileStore>,
@@ -110,7 +190,7 @@ fn cold_data(addr: PageAddr, got: Result<Option<(PageKind, Bytes)>>) -> Result<P
 impl FlashUnit {
     fn new(cold: Option<FileStore>, hot_capacity: usize, page_size: usize) -> Self {
         Self {
-            index: BTreeMap::new(),
+            table: SlotTable::default(),
             cold,
             hot_capacity,
             hot_floor: 0,
@@ -142,7 +222,7 @@ impl FlashUnit {
         (unit.epoch, unit.prefix_trim) = meta.unwrap_or((0, 0));
         unit.local_tail = unit.prefix_trim;
         for page in scanned {
-            unit.local_tail = unit.local_tail.max(page.addr + 1);
+            unit.local_tail = unit.local_tail.max(after(page.addr)?);
             // A crash between persisting a horizon and unlinking the
             // segments below it leaves stale records: the horizon wins.
             if page.addr < unit.prefix_trim {
@@ -154,7 +234,7 @@ impl FlashUnit {
                 ScannedState::Trimmed => Slot::Trimmed,
             };
             unit.tier.cold_pages += !matches!(slot, Slot::Trimmed) as u64;
-            unit.index.insert(page.addr, slot);
+            *unit.table.get_mut(page.addr) = slot;
         }
         Ok(unit)
     }
@@ -219,7 +299,7 @@ impl FlashUnit {
         let Some(cold) = &mut self.cold else { return Ok(0) };
         let mut moved = 0;
         let mut result = Ok(());
-        for (&addr, slot) in self.index.range_mut(self.hot_floor..) {
+        for (addr, slot) in self.table.slots_from(self.hot_floor) {
             self.hot_floor = addr;
             if self.tier.hot_pages <= target as u64 {
                 break;
@@ -227,7 +307,7 @@ impl FlashUnit {
             let (put, flipped) = match slot {
                 Slot::HotData(bytes) => (cold.put(addr, PageKind::Data, bytes), Slot::ColdData),
                 Slot::HotJunk => (cold.put(addr, PageKind::Junk, &[]), Slot::ColdJunk),
-                Slot::ColdData | Slot::ColdJunk | Slot::Trimmed => continue,
+                Slot::Unwritten | Slot::ColdData | Slot::ColdJunk | Slot::Trimmed => continue,
             };
             if let Err(e) = put {
                 result = Err(e);
@@ -257,7 +337,11 @@ impl FlashUnit {
     /// Returns the horizon after the pass.
     pub fn advance_trim_horizon(&mut self) -> Result<PageAddr> {
         let mut horizon = self.prefix_trim;
-        while matches!(self.index.get(&horizon), Some(Slot::Trimmed)) {
+        for (addr, slot) in self.table.slots_from(horizon) {
+            // The last address is never trimmed, so `horizon` cannot wrap.
+            if addr != horizon || !matches!(slot, Slot::Trimmed) {
+                break;
+            }
             horizon += 1;
         }
         if horizon > self.prefix_trim {
@@ -288,16 +372,18 @@ impl FlashUnit {
         self.put(addr, PageKind::Junk, &[])
     }
 
-    /// Write-once arbitration, then the one index insert and the one payload
-    /// copy a write costs.
+    /// Write-once arbitration — one test-and-set of the address's slot — and
+    /// the one payload copy a write costs.
     fn put(&mut self, addr: PageAddr, kind: PageKind, data: &[u8]) -> Result<()> {
         if addr < self.prefix_trim {
             return Err(FlashError::Trimmed { addr });
         }
-        let Entry::Vacant(vacant) = self.index.entry(addr) else {
+        let end = after(addr)?;
+        let slot = self.table.get_mut(addr);
+        if !matches!(slot, Slot::Unwritten) {
             self.stats.rejected_writes += 1;
             return Err(FlashError::AlreadyWritten { addr });
-        };
+        }
         // The timer starts after arbitration so rejected writes (a
         // protocol outcome, not device work) never pollute service time.
         let timer = match kind {
@@ -307,18 +393,18 @@ impl FlashUnit {
         .start_sampled(&self.metrics.sampler);
         match kind {
             PageKind::Data => {
-                vacant.insert(Slot::HotData(Bytes::copy_from_slice(data)));
+                *slot = Slot::HotData(Bytes::copy_from_slice(data));
                 self.stats.data_writes += 1;
                 self.stats.bytes_written += data.len() as u64;
             }
             PageKind::Junk => {
-                vacant.insert(Slot::HotJunk);
+                *slot = Slot::HotJunk;
                 self.stats.junk_writes += 1;
             }
         }
         self.tier.hot_pages += 1;
         self.hot_floor = self.hot_floor.min(addr);
-        self.local_tail = self.local_tail.max(addr + 1);
+        self.local_tail = self.local_tail.max(end);
         // Burst guard: if the compactor falls behind, spill eagerly rather
         // than letting the hot pages grow without bound. With a hot capacity
         // of 0 this is write-through. A page whose spill fails stays hot and
@@ -399,28 +485,28 @@ impl FlashUnit {
         self.cold.as_ref().expect("only a unit with a device has cold slots")
     }
 
-    /// What `addr` holds as far as the index can tell: `None` for a cold
+    /// What `addr` holds as far as the table can tell: `None` for a cold
     /// data page, whose payload only the device has.
     fn indexed(&self, addr: PageAddr) -> Option<PageRead> {
         if addr < self.prefix_trim {
             return Some(PageRead::Trimmed);
         }
-        Some(match self.index.get(&addr) {
-            None => PageRead::Unwritten,
-            Some(Slot::Trimmed) => PageRead::Trimmed,
-            Some(Slot::HotJunk | Slot::ColdJunk) => PageRead::Junk,
-            Some(Slot::HotData(bytes)) => PageRead::Data(bytes.clone()),
-            Some(Slot::ColdData) => return None,
+        Some(match self.table.get(addr) {
+            Slot::Unwritten => PageRead::Unwritten,
+            Slot::Trimmed => PageRead::Trimmed,
+            Slot::HotJunk | Slot::ColdJunk => PageRead::Junk,
+            Slot::HotData(bytes) => PageRead::Data(bytes.clone()),
+            Slot::ColdData => return None,
         })
     }
 
-    /// Takes a slot that is leaving the index out of the occupancy counts;
-    /// true if it held a live page.
+    /// Takes a slot that is being emptied or trimmed out of the occupancy
+    /// counts; true if it held a live page.
     fn release(tier: &mut TierStats, slot: &Slot) -> bool {
         match slot {
             Slot::HotData(_) | Slot::HotJunk => tier.hot_pages -= 1,
             Slot::ColdData | Slot::ColdJunk => tier.cold_pages -= 1,
-            Slot::Trimmed => return false,
+            Slot::Unwritten | Slot::Trimmed => return false,
         }
         true
     }
@@ -432,13 +518,13 @@ impl FlashUnit {
         if addr < self.prefix_trim {
             return Ok(());
         }
+        let end = after(addr)?;
         let timer = self.metrics.trim_service_ns.start_sampled(&self.metrics.sampler);
         let marked = self.cold.as_mut().map_or(Ok(()), |cold| cold.mark_trimmed(addr));
         if marked.is_ok() {
-            if let Some(old) = self.index.insert(addr, Slot::Trimmed) {
-                Self::release(&mut self.tier, &old);
-            }
-            self.local_tail = self.local_tail.max(addr + 1);
+            let old = std::mem::replace(self.table.get_mut(addr), Slot::Trimmed);
+            Self::release(&mut self.tier, &old);
+            self.local_tail = self.local_tail.max(end);
             self.stats.random_trims += 1;
         }
         timed(timer, marked)
@@ -465,19 +551,21 @@ impl FlashUnit {
     fn reclaim_below(&mut self, horizon: PageAddr) -> Result<()> {
         if let Some(cold) = &mut self.cold {
             let pps = cold.pages_per_segment();
-            for (&addr, slot) in self.index.range(horizon / pps * pps..horizon) {
+            for (addr, slot) in self.table.slots_from(horizon / pps * pps) {
+                if addr >= horizon {
+                    break;
+                }
                 if matches!(slot, Slot::ColdData | Slot::ColdJunk) {
                     cold.mark_trimmed(addr)?;
                 }
             }
             cold.put_meta(self.epoch, horizon)?;
         }
-        let keep = self.index.split_off(&horizon);
-        let dropped = std::mem::replace(&mut self.index, keep);
-        self.stats.prefix_trimmed_pages += dropped.len() as u64;
-        for slot in dropped.values() {
-            self.tier.reclaimed_pages += Self::release(&mut self.tier, slot) as u64;
-        }
+        let (tier, stats) = (&mut self.tier, &mut self.stats);
+        self.table.clear_below(horizon, |slot| {
+            stats.prefix_trimmed_pages += !matches!(slot, Slot::Unwritten) as u64;
+            tier.reclaimed_pages += Self::release(tier, slot) as u64;
+        });
         self.prefix_trim = horizon;
         self.local_tail = self.local_tail.max(horizon);
         if let Some(cold) = &mut self.cold {
@@ -634,6 +722,12 @@ mod tests {
         assert_eq!(u.advance_trim_horizon().unwrap(), 5);
         assert_eq!(u.read(4).unwrap(), PageRead::Trimmed);
         assert_eq!(u.read(5).unwrap(), PageRead::Data(bytes::Bytes::from_static(b"x")));
+        // A run that fills its chunk to the end does not go on in a chunk
+        // far above that begins with a trimmed slot.
+        for addr in (5..1024).chain([1 << 40]) {
+            u.trim(addr).unwrap();
+        }
+        assert_eq!(u.advance_trim_horizon().unwrap(), 1024);
     }
 
     #[test]
@@ -720,6 +814,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_last_address_takes_no_page() {
+        let last = PageAddr::MAX;
+        let mut u = unit();
+        u.write(last - 1, b"x").unwrap();
+        assert_eq!(u.write(last, b"y"), Err(FlashError::OutOfRange { addr: last }));
+        assert_eq!(u.fill(last), Err(FlashError::OutOfRange { addr: last }));
+        assert_eq!(u.trim(last), Err(FlashError::OutOfRange { addr: last }));
+        assert_eq!((u.read(last).unwrap(), u.local_tail()), (PageRead::Unwritten, last));
+        assert_eq!(u.stats().rejected_writes, 0);
+        u.trim(last - 1).unwrap();
+        assert_eq!((u.read(last - 1).unwrap(), u.local_tail()), (PageRead::Trimmed, last));
+        // Nor does a record a device holds for it.
+        let disk = MemDisk::default();
+        let mut store = FileStore::with_disk(Box::new(disk.clone()), 64, 8).unwrap();
+        store.put(last, PageKind::Data, b"z").unwrap();
+        assert!(matches!(unit_on(&disk, 64, 8, 0), Err(FlashError::OutOfRange { .. })));
+    }
+
+    #[test]
+    fn far_apart_pages_hold_a_chunk_each_until_trimmed() {
+        let mut u = unit();
+        // The last slot of 16 chunks far apart, and one page in the chunk
+        // after the last of them.
+        let far: Vec<PageAddr> = (0..16).map(|i| i << 40 | 1023).collect();
+        let near = far[15] + 5;
+        for &addr in far.iter().chain([&near]) {
+            u.write(addr, b"page").unwrap();
+        }
+        assert_eq!(u.table.chunk_count(), 17);
+        assert_eq!(u.read(far[15] + 1).unwrap(), PageRead::Unwritten);
+        // A horizon inside the near page's chunk: the far ones go whole.
+        u.trim_prefix(near - 2).unwrap();
+        assert_eq!((u.table.chunk_count(), u.live_pages()), (1, 1));
+        assert_eq!(u.stats().prefix_trimmed_pages, 16);
+        assert_eq!(u.read(near).unwrap(), PageRead::Data(Bytes::from_static(b"page")));
+        assert_eq!(u.advance_trim_horizon().unwrap(), near - 2);
+        u.write(near - 1, b"next").unwrap();
+        assert_eq!(u.table.chunk_count(), 1);
+        // A horizon past every page leaves no chunk below it.
+        u.trim_prefix(1 << 50).unwrap();
+        assert_eq!((u.table.chunk_count(), u.live_pages()), (0, 0));
     }
 
     #[test]
