@@ -4,7 +4,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use corfu::{log_of_offset, raw_of_offset, CorfuClient, CrossLogLink, StreamId};
@@ -574,8 +574,8 @@ impl TangoRuntime {
     ) -> Result<bool> {
         // If the generator did not mark the transaction, no decision record
         // will ever arrive; resolve offline immediately.
-        let deadline =
-            if needs_decision { Instant::now() + DECISION_TIMEOUT } else { Instant::now() };
+        let clock = self.corfu().clock();
+        let deadline = clock.now() + if needs_decision { DECISION_TIMEOUT } else { Duration::ZERO };
         let hosted: Vec<StreamId> = play.objects.keys().copied().collect();
         loop {
             // Scan ahead on hosted streams for the decision record,
@@ -594,11 +594,11 @@ impl TangoRuntime {
                     }
                 }
             }
-            if Instant::now() >= deadline {
+            if clock.now() >= deadline {
                 break;
             }
             self.stream.sync(&hosted)?;
-            std::thread::sleep(Duration::from_millis(1));
+            clock.sleep(Duration::from_millis(1));
         }
         // Offline resolution: reconstruct read-set versions from the log.
         let committed = self.decide_offline(play, reads, commit_off, link)?;

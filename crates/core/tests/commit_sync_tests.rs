@@ -9,10 +9,16 @@
 //! streams homed in another log than the commit).
 
 use std::sync::Arc;
+use std::time::Duration;
 
-use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, TcpCluster, Transport};
+use corfu::cluster::{
+    Cluster, ClusterConfig, LocalCluster, Outcome, SimCluster, TcpCluster, Transport,
+};
 use tango::{ApplyMeta, ObjectOptions, ObjectView, Oid, StateMachine, TangoRuntime, TxStatus};
 use tango_metrics::Registry;
+
+#[path = "../../corfu/tests/support/mod.rs"]
+mod support;
 
 /// A map of u64 counters. Update format: key u64 | value i64 (absolute).
 #[derive(Default)]
@@ -183,4 +189,59 @@ fn cross_log_commits_fall_back_to_a_tail_query() {
 fn read_set_in_another_log_falls_back_to_a_tail_query() {
     let cluster = LocalCluster::new(ClusterConfig::sharded(2));
     unwritten_read_set_decides_the_commit(&cluster, 0, &[1]);
+}
+
+/// A committer dies between its commit's token grant — the `NextObserve`
+/// that doubles as its stream sync — and the chain write: before the head
+/// write (nothing of the commit lands; readers wait the hole out and fill
+/// it) or between head and tail (the head's copy is the commit, and readers
+/// repair it onto the tail), as the seed picks. The survivor's view, a
+/// fresh runtime's view and the survivor's own next commit all agree on
+/// which it was.
+#[test]
+fn a_committer_crashing_between_grant_and_chain_write_is_all_or_nothing() {
+    support::sweep!(a_committer_crashing_between_grant_and_chain_write_is_all_or_nothing, |seed| {
+        let cluster = SimCluster::simulated(seed, ClusterConfig::default());
+        let sim = cluster.sim();
+        sim.delay_calls("", 25, Duration::from_micros(100));
+        let survivor = TangoRuntime::new(cluster.client().unwrap()).unwrap();
+        let (a, w) = (object_in_log(&survivor, 0, "read"), object_in_log(&survivor, 0, "written"));
+        let (a_seen, w_seen) = (host(&survivor, a), host(&survivor, w));
+        put(&a_seen, 1);
+        put(&w_seen, 1);
+
+        // The committer's writes from here on are its commit's: head, tail.
+        let writes = sim.trace().iter().filter(|d| d.point == "storage.write").count() as u64;
+        let crash_at = 1 + seed % 2;
+        sim.crash_thread_at("storage.write", writes + crash_at);
+        let client = cluster.client().unwrap();
+        let committer = sim.spawn("committer", move || {
+            let rt = TangoRuntime::new(client).unwrap();
+            let (a, w) = (host(&rt, a), host(&rt, w));
+            let v = get(&a) + get(&w);
+            rt.begin_tx().unwrap();
+            assert_eq!(get_unsynced(&a) + get_unsynced(&w), v);
+            put(&w, v + 10);
+            rt.end_tx()
+        });
+        assert!(committer.join().is_err(), "the committer must die in its chain write");
+        let trace = sim.trace();
+        let died = trace.iter().position(|d| d.outcome == Outcome::CallerCrashed).unwrap();
+        let grant = trace[..died].iter().rfind(|d| d.point.starts_with("seq."));
+        assert_eq!(grant.map(|d| d.point.as_str()), Some("seq.next_observe"));
+
+        // The commit applied iff its head write landed; everyone agrees.
+        let expected = if crash_at == 1 { 1 } else { 12 };
+        assert_eq!(get(&w_seen), expected);
+        let fresh = TangoRuntime::new(cluster.client().unwrap()).unwrap();
+        let w_fresh = host(&fresh, w);
+        assert_eq!(get(&w_fresh), expected);
+
+        // The survivor commits on top of whichever it was.
+        survivor.begin_tx().unwrap();
+        let v = get_unsynced(&w_seen);
+        put(&w_seen, v + 1);
+        assert_eq!(survivor.end_tx().unwrap(), TxStatus::Committed);
+        assert_eq!(get(&w_fresh), expected + 1);
+    });
 }

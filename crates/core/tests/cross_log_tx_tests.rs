@@ -5,7 +5,9 @@
 //! reads — each scenario is written once against `Cluster<T>` and run on
 //! the in-process transport and over real TCP.
 
-use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, TcpCluster, Transport};
+use corfu::cluster::{
+    Cluster, ClusterConfig, Delivery, LocalCluster, Outcome, SimCluster, TcpCluster, Transport,
+};
 use corfu::log_of_offset;
 use tango::{ApplyMeta, ObjectOptions, Oid, StateMachine, TangoRuntime, TxStatus};
 
@@ -273,24 +275,18 @@ fn cross_log_commit_records_carry_links_over_tcp() {
 }
 
 /// One seeded run of conflicting cross-log transactions under a fault
-/// schedule at the `shard1.seq.*` protocol points: drop-% on the log-1
-/// sequencer throughout, plus crash-at-nth with a reconfiguration to a
-/// replacement mid-run. Two runtimes interleave deterministically from one
-/// thread (A reads, B reads the same snapshot, A commits, B commits), so
-/// the fault plan's pure `(seed, point, nth)` decisions fully determine
-/// every outcome. Returns (per-step outcomes, fault trace, final counter).
-fn faulted_tx_scenario(seed: u64) -> (Vec<String>, Vec<support::fault::TraceEvent>, i64) {
+/// schedule at the `shard1.seq.*` protocol points of the simulated
+/// transport: drop-% on the log-1 sequencer throughout, plus crash-at-nth
+/// with a reconfiguration to a replacement mid-run. Two runtimes interleave
+/// deterministically from one thread (A reads, B reads the same snapshot, A
+/// commits, B commits). Returns (per-step outcomes, the simulation's trace,
+/// final counter).
+fn faulted_tx_scenario(seed: u64) -> (Vec<String>, Vec<Delivery>, i64) {
     const ROUNDS: usize = 24;
     const CRASH_NTH: u64 = 9;
-    let cluster = LocalCluster::new(ClusterConfig::sharded(2));
-    let plan = support::fault::FaultPlan::new(seed);
-    plan.drop_calls("shard1.seq.next", 25);
-    plan.crash_at("shard1.seq.next", CRASH_NTH);
-    let registry = cluster.registry().clone();
-    plan.on_crash(move |node| registry.kill(&format!("sequencer-{node}")));
+    let cluster = SimCluster::simulated(seed, ClusterConfig::sharded(2));
+    let sim = cluster.sim();
 
-    // Oid allocation and recovery go through clean clients so they do not
-    // perturb the plan's occurrence counters.
     let clean = cluster.client().unwrap();
     let proj = clean.projection();
     let bootstrap = TangoRuntime::new(cluster.client().unwrap()).unwrap();
@@ -298,13 +294,7 @@ fn faulted_tx_scenario(seed: u64) -> (Vec<String>, Vec<support::fault::TraceEven
     let q = object_in_log(&bootstrap, &proj, 1, "faulted-q");
 
     let faulted_rt = || {
-        let client = cluster
-            .client_with_factory(
-                plan.wrap(cluster.conn_factory()),
-                corfu::ClientOptions::default(),
-                cluster.metrics().clone(),
-            )
-            .unwrap();
+        let client = cluster.client().unwrap();
         let rt = TangoRuntime::new(client).unwrap();
         let vs = rt.register_object(s, Counters::default(), ObjectOptions::default()).unwrap();
         let vq = rt.register_object(q, Counters::default(), ObjectOptions::default()).unwrap();
@@ -312,6 +302,12 @@ fn faulted_tx_scenario(seed: u64) -> (Vec<String>, Vec<support::fault::TraceEven
     };
     let (rt_a, vs_a, vq_a) = faulted_rt();
     let (rt_b, vs_b, vq_b) = faulted_rt();
+
+    // The faults start with the transactions: the crash is the CRASH_NTH-th
+    // token grant from here on.
+    let setup = sim.trace().iter().filter(|d| d.point == "shard1.seq.next").count() as u64;
+    sim.drop_calls("shard1.seq.next", 25);
+    sim.crash_node_at("shard1.seq.next", setup + CRASH_NTH);
 
     let mut outcomes = Vec::new();
     let mut recovered = false;
@@ -338,10 +334,9 @@ fn faulted_tx_scenario(seed: u64) -> (Vec<String>, Vec<support::fault::TraceEven
             };
             outcomes.push(outcome);
         }
-        // The crash fires at a seeded call count; once the plan reports
-        // it, reconfigure log 1 to a replacement sequencer (through the
-        // clean client — recovery traffic is not part of the schedule).
-        if !recovered && plan.trace().iter().any(|e| e.action == "crash") {
+        // The crash fires at a seeded call count; once it has, reconfigure
+        // log 1 to a replacement sequencer.
+        if !recovered && !sim.crashed_nodes().is_empty() {
             let (info, _server) = cluster.spawn_replacement_sequencer_for(1).unwrap();
             corfu::reconfig::replace_sequencer_in_log(&clean, 1, info, 4).unwrap();
             recovered = true;
@@ -379,27 +374,18 @@ fn faulted_tx_scenario(seed: u64) -> (Vec<String>, Vec<support::fault::TraceEven
         committed + errs
     );
     assert!(committed > 0, "some transactions must get through the lossy schedule");
-
-    // The replay-compared slice of the trace: the scheduled protocol
-    // points. (The full trace also records timing-dependent polling —
-    // tail queries and hole-fill reads whose counts vary with wall-clock
-    // sleeps — so only the faulted points are occurrence-deterministic.)
-    let scheduled: Vec<support::fault::TraceEvent> =
-        plan.trace().into_iter().filter(|e| e.point == "shard1.seq.next").collect();
-    (outcomes, scheduled, final_s)
+    (outcomes, sim.trace(), final_s)
 }
 
 #[test]
 fn faulted_cross_log_transactions_replay_identically() {
-    let seed = support::seed_from_env(0xC0FF_EE00_0108);
-    let _guard = support::SeedGuard(seed);
-    let first = faulted_tx_scenario(seed);
-    let second = faulted_tx_scenario(seed);
-    assert_eq!(first.0, second.0, "per-transaction outcomes replay identically");
-    assert_eq!(first.1, second.1, "the scheduled-point trace replays byte-equal");
-    assert_eq!(first.2, second.2, "the effective commit count replays identically");
-    assert!(
-        first.1.iter().any(|e| e.action == "crash") && first.1.iter().any(|e| e.action == "drop"),
-        "the schedule exercised both crash-at-nth and drop-%"
-    );
+    let dropped = std::cell::Cell::new(false);
+    support::sweep!(faulted_cross_log_transactions_replay_identically, |seed| {
+        // Outcomes, the full trace (polling included: it runs on virtual
+        // time) and the effective commit count replay identically.
+        let (_, trace, _) = support::replayed(seed, faulted_tx_scenario);
+        assert!(trace.iter().any(|d| d.outcome == Outcome::NodeCrashed), "crash-at-nth fired");
+        dropped.set(dropped.get() || trace.iter().any(|d| d.outcome == Outcome::Dropped));
+    });
+    assert!(dropped.get(), "the schedules exercised drop-%");
 }

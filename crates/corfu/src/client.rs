@@ -11,12 +11,12 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use parking_lot::RwLock;
 use tango_metrics::{Registry, Span, SpanKind, Timer};
-use tango_rpc::ClientConn;
+use tango_rpc::{ClientConn, Clock};
 use tango_wire::{decode_from_slice, encode_to_vec, Decode, Encode};
 
 use crate::entry::{CrossLogLink, EntryEnvelope, StreamHeader};
@@ -35,6 +35,12 @@ use crate::{
 pub trait ConnFactory: Send + Sync {
     /// Opens (or reuses) a connection to `node`.
     fn connect(&self, node: &NodeInfo) -> Arc<dyn ClientConn>;
+
+    /// The clock the factory's connections run on: the wall clock unless
+    /// the transport simulates time.
+    fn clock(&self) -> Clock {
+        Clock::real()
+    }
 }
 
 impl<F> ConnFactory for F
@@ -242,6 +248,12 @@ impl CorfuClient {
         self.metrics.sampler = sampler;
     }
 
+    /// The clock the client's connections run on: its retry backoff and
+    /// hole-fill waits take their time from it, and so may its callers'.
+    pub fn clock(&self) -> Clock {
+        self.factory.clock()
+    }
+
     /// The layout the client is operating under: a shared handle, not a
     /// copy.
     pub fn projection(&self) -> Arc<Projection> {
@@ -365,7 +377,7 @@ impl CorfuClient {
             let before = view.proj.epoch;
             *view = self.refresh()?;
             if view.proj.epoch == before && attempt > 0 {
-                std::thread::sleep(Duration::from_millis(1 << attempt.min(6)));
+                self.clock().sleep(Duration::from_millis(1 << attempt.min(6)));
             }
         }
         Err(last_rpc_error.unwrap_or(CorfuError::RetriesExhausted { what }))
@@ -376,23 +388,47 @@ impl CorfuClient {
     /// same log (the offset returned is that log's next composite offset);
     /// an empty stream set targets log 0.
     pub fn token(&self, streams: &[StreamId]) -> Result<Token> {
-        let mut view = self.view();
-        let log = streams.first().map_or(0, |&s| view.proj.log_of_stream(s));
-        debug_assert_eq!(Self::single_log(&view.proj, streams), Some(log), "split per log first");
-        self.token_in_log(&mut view, log, streams, &[])
+        self.routed(|view| {
+            let log = streams.first().map_or(0, |&s| view.proj.log_of_stream(s));
+            debug_assert_eq!(Self::single_log(&view.proj, streams), Some(log), "split per log");
+            let routed = Some(view.proj.epoch);
+            self.token_in_log(view, log, routed, streams, &[])
+        })
+    }
+
+    /// Runs `op` on the installed view, and again on a fresh one each time
+    /// it reports [`CorfuError::Rerouted`].
+    fn routed<T>(&self, mut op: impl FnMut(&mut Arc<View>) -> Result<T>) -> Result<T> {
+        for _ in 0..MAX_EPOCH_RETRIES {
+            match op(&mut self.view()) {
+                Err(CorfuError::Rerouted) => continue,
+                other => return other,
+            }
+        }
+        Err(CorfuError::Rerouted)
     }
 
     /// [`CorfuClient::token`] targeting an explicit log. With a non-empty
     /// `observe` (streams of the same log) the grant also reports their
-    /// last-K offsets.
+    /// last-K offsets. `routed` is the epoch of the projection whose shard
+    /// map chose `log` (`None`: the log is pinned): a retry on a newer one
+    /// that homes `streams` or `observe` elsewhere is
+    /// [`CorfuError::Rerouted`] — a grant here would fork the stream.
     fn token_in_log(
         &self,
         view: &mut Arc<View>,
         log: u32,
+        routed: Option<Epoch>,
         streams: &[StreamId],
         observe: &[StreamId],
     ) -> Result<Token> {
         self.with_retry("token", true, view, |view| {
+            let proj = &view.proj;
+            if routed.is_some_and(|epoch| epoch != proj.epoch)
+                && streams.iter().chain(observe).any(|&s| proj.log_of_stream(s) != log)
+            {
+                return Err(CorfuError::Rerouted);
+            }
             let epoch = view.proj.epoch_of_log(log);
             let streams = streams.to_vec();
             let req = if observe.is_empty() {
@@ -572,16 +608,17 @@ impl CorfuClient {
         payload: Bytes,
     ) -> Result<(LogOffset, EntryEnvelope)> {
         self.timed_append(|| {
-            let mut view = self.view();
-            match Self::single_log(&view.proj, streams) {
-                Some(log) => self
-                    .append_in_log(&mut view, log, streams, &[], &payload)
-                    .map(|(off, envelope, _)| (off, envelope)),
+            self.routed(|view| match Self::single_log(&view.proj, streams) {
+                Some(log) => {
+                    let routed = Some(view.proj.epoch);
+                    self.append_in_log(view, log, routed, streams, &[], &payload)
+                        .map(|(off, envelope, _)| (off, envelope))
+                }
                 None => {
                     let groups = Self::group_by_log(&view.proj, streams);
-                    self.append_cross_log(&mut view, &groups, &payload)
+                    self.append_cross_log(view, &groups, &payload)
                 }
-            }
+            })
         })
     }
 
@@ -620,17 +657,21 @@ impl CorfuClient {
         observe: &[StreamId],
         payload: Bytes,
     ) -> Result<(LogOffset, EntryEnvelope, Option<StreamWindows>)> {
-        let mut view = self.view();
-        let proj = &view.proj;
-        let log = Self::single_log(proj, streams)
-            .filter(|&log| observe.iter().all(|&s| proj.log_of_stream(s) == log));
-        let Some(log) = log else {
-            return self
-                .append_streams(streams, payload)
-                .map(|(off, envelope)| (off, envelope, None));
-        };
-        self.timed_append(|| self.append_in_log(&mut view, log, streams, observe, &payload))
-            .map(|(off, envelope, observed)| (off, envelope, Some(observed)))
+        let routed = self.routed(|view| {
+            let proj = &view.proj;
+            let log = Self::single_log(proj, streams)
+                .filter(|&log| observe.iter().all(|&s| proj.log_of_stream(s) == log));
+            let Some(log) = log else { return Ok(None) };
+            let routed = Some(proj.epoch);
+            self.timed_append(|| self.append_in_log(view, log, routed, streams, observe, &payload))
+                .map(|(off, envelope, observed)| Some((off, envelope, Some(observed))))
+        })?;
+        match routed {
+            Some(appended) => Ok(appended),
+            None => {
+                self.append_streams(streams, payload).map(|(off, envelope)| (off, envelope, None))
+            }
+        }
     }
 
     /// Appends to `streams` forcing the entry into log `log`, bypassing the
@@ -642,7 +683,7 @@ impl CorfuClient {
         streams: &[StreamId],
         payload: Bytes,
     ) -> Result<(LogOffset, EntryEnvelope)> {
-        self.append_in_log(&mut self.view(), log, streams, &[], &payload)
+        self.append_in_log(&mut self.view(), log, None, streams, &[], &payload)
             .map(|(off, envelope, _)| (off, envelope))
     }
 
@@ -653,13 +694,14 @@ impl CorfuClient {
         &self,
         view: &mut Arc<View>,
         log: u32,
+        routed: Option<Epoch>,
         streams: &[StreamId],
         observe: &[StreamId],
         payload: &Bytes,
     ) -> Result<(LogOffset, EntryEnvelope, StreamWindows)> {
         for _ in 0..MAX_TOKEN_RETRIES {
             let Token { offset, backpointers, observed } =
-                self.token_in_log(view, log, streams, observe)?;
+                self.token_in_log(view, log, routed, streams, observe)?;
             let headers = streams
                 .iter()
                 .zip(backpointers)
@@ -699,11 +741,12 @@ impl CorfuClient {
         groups: &[(u32, Vec<StreamId>)],
         payload: &Bytes,
     ) -> Result<(LogOffset, EntryEnvelope)> {
+        let routed = Some(view.proj.epoch);
         'attempt: for _ in 0..MAX_TOKEN_RETRIES {
             // (1) One token per participating log, ascending log order.
             let mut tokens = Vec::with_capacity(groups.len());
             for (log, streams) in groups {
-                tokens.push(self.token_in_log(view, *log, streams, &[])?);
+                tokens.push(self.token_in_log(view, *log, routed, streams, &[])?);
             }
             // (2) The link every part carries.
             let mut parts: Vec<LogOffset> = tokens.iter().map(|t| t.offset).collect();
@@ -1023,10 +1066,11 @@ impl CorfuClient {
         if holes.is_empty() {
             return Ok(());
         }
-        let deadline = Instant::now() + self.opts.hole_fill_timeout;
+        let clock = self.clock();
+        let deadline = clock.now() + self.opts.hole_fill_timeout;
         let mut backoff = HOLE_POLL_INTERVAL;
         while !holes.is_empty() {
-            let now = Instant::now();
+            let now = clock.now();
             if now >= deadline {
                 for &i in &holes {
                     visit(Some(i), offsets[i], self.fill(offsets[i])?.as_page())?;
@@ -1034,7 +1078,7 @@ impl CorfuClient {
                 break;
             }
             self.metrics.hole_polls.inc();
-            std::thread::sleep(backoff.min(deadline - now));
+            clock.sleep(backoff.min(deadline - now));
             backoff = (backoff * 2).min(HOLE_POLL_MAX);
             let unwritten: Vec<LogOffset> = holes.iter().map(|&i| offsets[i]).collect();
             let mut still = Vec::new();

@@ -4,8 +4,9 @@
 //! benchmarks, generic over the [`Transport`] its nodes are served on.
 //!
 //! [`Transport`] hides exactly what differs between an in-process
-//! deployment ([`LocalCluster`]) and one over real sockets
-//! ([`TcpCluster`]). Everything else — the spawn routine, clients, failure
+//! deployment ([`LocalCluster`]), one over real sockets ([`TcpCluster`])
+//! and one on the simulated transport ([`SimCluster`]: virtual time, seeded
+//! scheduling and faults). Everything else — the spawn routine, clients, failure
 //! injection (any node can be killed and a replacement served for the
 //! [`crate::reconfig`] protocols), snapshots and health — exists once, so
 //! every capability exists on every transport.
@@ -20,7 +21,7 @@ use parking_lot::Mutex;
 use tango_flash::{FlashUnit, TieredStore};
 use tango_meta::{Dial, MetaClient, MetaNode, ReplicaInfo};
 use tango_metrics::{ClusterHealth, ClusterSnapshot, Registry};
-use tango_rpc::RpcHandler;
+use tango_rpc::{ClientConn, Clock, RpcHandler};
 use tango_wire::encode_to_vec;
 
 use crate::client::{ClientOptions, ConnFactory, CorfuClient};
@@ -31,7 +32,9 @@ use crate::sequencer::SequencerServer;
 use crate::storage::StorageServer;
 use crate::{NodeId, NodeInfo, Projection, Result};
 
+mod sim;
 mod transport;
+pub use sim::{Delivery, Outcome, Sim, SimJoin, ThreadCrashed};
 pub use transport::{HandlerRegistry, InProcess, Tcp, Transport};
 
 /// Geometry and tuning for a cluster.
@@ -205,6 +208,10 @@ pub type LocalCluster = Cluster<InProcess>;
 /// registry of its own, served on the node's one port.
 pub type TcpCluster = Cluster<Tcp>;
 
+/// A deployment on the simulated transport: virtual time, seeded
+/// scheduling and seeded faults, one shared registry.
+pub type SimCluster = Cluster<Sim>;
+
 impl Cluster<InProcess> {
     /// Builds and wires up an in-process cluster per `config`. Every server
     /// and every [`Cluster::client`] records into one shared metrics
@@ -216,6 +223,20 @@ impl Cluster<InProcess> {
     /// The handler registry (for failure injection).
     pub fn registry(&self) -> &HandlerRegistry {
         &self.transport.registry
+    }
+}
+
+impl Cluster<Sim> {
+    /// Builds the cluster on a fresh [`Sim`] seeded with `seed`; the calling
+    /// thread becomes the simulation's first scheduled thread.
+    pub fn simulated(seed: u64, config: ClusterConfig) -> Self {
+        Self::start(Sim::new(seed), config).expect("start simulated cluster")
+    }
+
+    /// The simulation the cluster runs on: its fault rules, its threads,
+    /// its trace.
+    pub fn sim(&self) -> &Sim {
+        &self.transport
     }
 }
 
@@ -238,10 +259,20 @@ impl Cluster<Tcp> {
 }
 
 /// Adapts a [`ConnFactory`] to the metalog client's [`Dial`].
+struct DialThrough(Arc<dyn ConnFactory>);
+
+impl Dial for DialThrough {
+    fn dial(&self, replica: &ReplicaInfo) -> Arc<dyn ClientConn> {
+        self.0.connect(&NodeInfo { id: replica.id, addr: replica.addr.clone() })
+    }
+
+    fn clock(&self) -> Clock {
+        self.0.clock()
+    }
+}
+
 fn dial_through(factory: Arc<dyn ConnFactory>) -> Arc<dyn Dial> {
-    Arc::new(move |replica: &ReplicaInfo| {
-        factory.connect(&NodeInfo { id: replica.id, addr: replica.addr.clone() })
-    })
+    Arc::new(DialThrough(factory))
 }
 
 impl<T: Transport> Cluster<T> {
@@ -329,8 +360,10 @@ impl<T: Transport> Cluster<T> {
                 Some(log) => StorageServer::new(unit).with_metrics_for_log(registry, log as u64),
                 None => StorageServer::new(unit).with_metrics(registry),
             });
+            let clock = self.transport.clock();
             let compactor = self.config.compaction.clone();
-            let compactor = compactor.map(|cfg| Compactor::spawn(Arc::clone(&server), cfg));
+            let compactor =
+                compactor.map(|cfg| Compactor::spawn_on(&clock, Arc::clone(&server), cfg));
             (Arc::clone(&server), Role::Storage(server, compactor))
         })
     }
@@ -444,15 +477,16 @@ impl<T: Transport> Cluster<T> {
         self.client_with_factory(factory, self.config.client_options.clone(), metrics)
     }
 
-    /// The cluster's plain connection factory. Fault-injection harnesses
-    /// wrap it and build clients via [`Cluster::client_with_factory`].
+    /// The cluster's plain connection factory. Wrappers (a span recorder,
+    /// an interposer) wrap it and build clients via
+    /// [`Cluster::client_with_factory`].
     pub fn conn_factory(&self) -> Arc<dyn ConnFactory> {
         self.transport.conn_factory(&self.metrics)
     }
 
     /// Creates a client routing node connections through an arbitrary
-    /// factory — the hook fault-injection harnesses use to interpose on
-    /// every client→server call, layout replicas included.
+    /// factory — the hook wrappers use to interpose on every client→server
+    /// call, layout replicas included.
     pub fn client_with_factory(
         &self,
         factory: Arc<dyn ConnFactory>,
@@ -469,8 +503,8 @@ impl<T: Transport> Cluster<T> {
     }
 
     /// A layout client dialing replicas through `factory` and recording
-    /// `meta.*` instruments into `metrics` — the hook fault-injection
-    /// harnesses use to interpose on layout traffic too.
+    /// `meta.*` instruments into `metrics` — the hook wrappers use to
+    /// interpose on layout traffic too.
     pub fn layout_client_with(
         &self,
         factory: Arc<dyn ConnFactory>,

@@ -1,6 +1,7 @@
-//! The [`Transport`] seam of the deployment harness and its two
-//! implementors: [`InProcess`] (a [`HandlerRegistry`], no sockets) and
-//! [`Tcp`] (one [`TcpServer`] per node, answering the snapshot request too).
+//! The [`Transport`] seam of the deployment harness and its implementors
+//! here: [`InProcess`] (a [`HandlerRegistry`], no sockets) and [`Tcp`] (one
+//! [`TcpServer`] per node, answering the snapshot request too). The third,
+//! [`super::Sim`], is in `sim.rs`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -9,7 +10,7 @@ use std::time::Duration;
 use parking_lot::RwLock;
 use tango_metrics::{Registry, Snapshot};
 use tango_rpc::{
-    fetch_snapshot, serve_snapshot, ClientConn, ConnMetrics, RpcError, RpcHandler, TcpConn,
+    fetch_snapshot, serve_snapshot, ClientConn, Clock, ConnMetrics, RpcError, RpcHandler, TcpConn,
     TcpServer,
 };
 
@@ -51,10 +52,11 @@ impl ClientConn for RegistryConn {
 }
 
 /// Everything that differs between deployment shapes, and nothing else:
-/// how a handler is served at an address, dialled, killed and scraped, and
-/// which registry a node records into. [`super::Cluster`] is written once against
-/// this trait; a new shape (e.g. a simulated network) is a third
-/// implementor, not a third harness.
+/// how a handler is served at an address, dialled, killed and scraped,
+/// which registry a node records into, and which clock its background
+/// threads keep. [`super::Cluster`] is written once against this trait; the
+/// simulated network ([`super::Sim`]) is its third implementor, not a third
+/// harness.
 pub trait Transport: Send + Sync + 'static {
     /// Handle to one served node; [`Transport::kill`] consumes it.
     type Endpoint: Send;
@@ -87,6 +89,12 @@ pub trait Transport: Send + Sync + 'static {
     /// The node's own registry as a monitor would read it: empty for a
     /// node on the shared registry, `Err` when the node does not answer.
     fn scrape(&self, endpoint: &Self::Endpoint) -> tango_rpc::Result<Snapshot>;
+
+    /// The clock the nodes' background threads (compactors) run on: the
+    /// wall clock unless the transport simulates time.
+    fn clock(&self) -> Clock {
+        Clock::real()
+    }
 }
 
 /// The in-process transport: handlers live in a [`HandlerRegistry`] and

@@ -16,8 +16,9 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
+
+use tango_rpc::{Clock, Joiner};
 
 use crate::storage::StorageServer;
 
@@ -39,33 +40,39 @@ impl Default for CompactorConfig {
 /// Handle to a running background compactor. Stops the thread on drop.
 pub struct Compactor {
     stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    handle: Option<Joiner>,
 }
 
 impl Compactor {
-    /// Spawns a compactor over `server` with the given cadence.
+    /// Spawns a compactor over `server` with the given cadence, on the wall
+    /// clock.
     pub fn spawn(server: Arc<StorageServer>, config: CompactorConfig) -> Self {
+        Self::spawn_on(&Clock::real(), server, config)
+    }
+
+    /// [`Compactor::spawn`] on `clock`: the cadence is its time, and on a
+    /// simulated transport's clock the thread is one the simulation
+    /// schedules.
+    pub fn spawn_on(clock: &Clock, server: Arc<StorageServer>, config: CompactorConfig) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("corfu-compactor".into())
-            .spawn(move || {
-                let mut pass: u32 = 0;
-                while !stop_flag.load(Ordering::Relaxed) {
-                    pass = pass.wrapping_add(1);
-                    let scrub = config.scrub_every != 0 && pass.is_multiple_of(config.scrub_every);
-                    let _ = server.compact_once(scrub);
-                    // Sleep in small slices so stop() returns promptly even
-                    // with a long interval.
-                    let mut remaining = config.interval;
-                    while !remaining.is_zero() && !stop_flag.load(Ordering::Relaxed) {
-                        let slice = remaining.min(Duration::from_millis(20));
-                        std::thread::sleep(slice);
-                        remaining = remaining.saturating_sub(slice);
-                    }
+        let sleeper = clock.clone();
+        let handle = clock.spawn("corfu-compactor", move || {
+            let mut pass: u32 = 0;
+            while !stop_flag.load(Ordering::Relaxed) {
+                pass = pass.wrapping_add(1);
+                let scrub = config.scrub_every != 0 && pass.is_multiple_of(config.scrub_every);
+                let _ = server.compact_once(scrub);
+                // Sleep in small slices so stop() returns promptly even
+                // with a long interval.
+                let mut remaining = config.interval;
+                while !remaining.is_zero() && !stop_flag.load(Ordering::Relaxed) {
+                    let slice = remaining.min(Duration::from_millis(20));
+                    sleeper.sleep(slice);
+                    remaining = remaining.saturating_sub(slice);
                 }
-            })
-            .expect("spawn compactor thread");
+            }
+        });
         Self { stop, handle: Some(handle) }
     }
 
@@ -73,7 +80,7 @@ impl Compactor {
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+            handle.join();
         }
     }
 }

@@ -54,6 +54,9 @@ pub enum CorfuError {
         /// The epoch the winning reconfiguration reached.
         winner: Epoch,
     },
+    /// A stream the operation was routed by moved to another log while the
+    /// operation retried (a remap installed); it starts over from routing.
+    Rerouted,
     /// Retries were exhausted without success.
     RetriesExhausted {
         /// What was being attempted.
@@ -83,6 +86,7 @@ impl fmt::Display for CorfuError {
             CorfuError::RaceLost { winner } => {
                 write!(f, "reconfiguration lost the race; cluster is at epoch {winner}")
             }
+            CorfuError::Rerouted => write!(f, "a stream moved to another log; route again"),
             CorfuError::RetriesExhausted { what } => write!(f, "retries exhausted: {what}"),
         }
     }

@@ -81,6 +81,8 @@ struct Inner {
     epoch: Epoch,
     tail: LogOffset,
     streams: HashMap<StreamId, VecDeque<LogOffset>>,
+    /// The epoch each stream was last adopted into.
+    adopted: HashMap<StreamId, Epoch>,
     tokens_issued: u64,
 }
 
@@ -110,6 +112,7 @@ impl SequencerServer {
                 epoch: 0,
                 tail: 0,
                 streams: HashMap::new(),
+                adopted: HashMap::new(),
                 tokens_issued: 0,
             }),
             k,
@@ -209,6 +212,12 @@ impl SequencerServer {
             SequencerRequest::AdoptStream { epoch, stream, backpointers } => {
                 if epoch != inner.epoch {
                     return SequencerResponse::ErrSealed { epoch: inner.epoch };
+                }
+                // Into an epoch once: a twin remap's adopt of the same
+                // window may arrive after the winner's install and after
+                // appends to the stream here, which it must not bury.
+                if inner.adopted.insert(stream, epoch) == Some(epoch) {
+                    return SequencerResponse::Ok;
                 }
                 // Merge: the adopted window is newest. Both logs are sealed
                 // while the override is installed, so everything issued for
@@ -442,16 +451,27 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        // A later adoption (the stream coming back from another log) is
-        // newer than any local leftover window: adopted offsets lead, the
-        // stale local ones fill in behind.
+        // A second adoption into the same epoch (a twin remap's, arriving
+        // late) changes nothing.
+        let twin = SequencerRequest::AdoptStream { epoch: 0, stream: 9, backpointers: vec![40] };
+        assert_eq!(s.process(twin), SequencerResponse::Ok);
+        match s.process(SequencerRequest::Query { epoch: 0, streams: vec![9] }) {
+            SequencerResponse::TailInfo { backpointers, .. } => {
+                assert_eq!(backpointers, vec![vec![compose(1, 0), 40, 30]]);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // A later adoption (the stream coming back from another log, under
+        // the next remap's epoch) is newer than any local leftover window:
+        // adopted offsets lead, the stale local ones fill in behind.
+        assert_eq!(s.process(SequencerRequest::Seal { epoch: 1 }), SequencerResponse::Ok);
         let resp = s.process(SequencerRequest::AdoptStream {
-            epoch: 0,
+            epoch: 1,
             stream: 9,
             backpointers: vec![99, 98],
         });
         assert_eq!(resp, SequencerResponse::Ok);
-        match s.process(SequencerRequest::Query { epoch: 0, streams: vec![9] }) {
+        match s.process(SequencerRequest::Query { epoch: 1, streams: vec![9] }) {
             SequencerResponse::TailInfo { backpointers, .. } => {
                 assert_eq!(backpointers, vec![vec![99, 98, compose(1, 0)]]);
             }
@@ -460,7 +480,7 @@ mod tests {
         // Wrong epoch is rejected.
         assert_eq!(
             s.process(SequencerRequest::AdoptStream { epoch: 5, stream: 9, backpointers: vec![] }),
-            SequencerResponse::ErrSealed { epoch: 0 }
+            SequencerResponse::ErrSealed { epoch: 1 }
         );
     }
 

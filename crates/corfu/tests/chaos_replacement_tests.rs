@@ -1,53 +1,41 @@
-//! Deterministic chaos: a storage node is killed mid-pipelined-append
-//! (sequencer token batching on) while a replacement runs concurrently.
-//! Every acked append must stay readable, no sealed-epoch write may leak
-//! into the rebuilt chain, and — because every fault decision is a pure
-//! function of the seed — the schedule replays identically. One scenario,
-//! run in-process and over real sockets.
+//! Deterministic chaos: a storage node is killed mid-pipelined-append while
+//! a replacement runs concurrently. Every acked append must stay readable,
+//! no sealed-epoch write may leak into the rebuilt chain, and — because the
+//! simulated transport makes every decision a function of the seed — a
+//! seed replays bit for bit.
 
 mod support;
 
-use std::sync::mpsc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, TcpCluster, Transport};
+use corfu::cluster::{ClusterConfig, Delivery, Outcome, SimCluster};
 use corfu::proto::{StorageRequest, StorageResponse};
 use corfu::reconfig::replace_storage_node;
-use corfu::{ClientOptions, LogOffset, NodeId};
-use support::fault::{FaultPlan, TraceEvent};
-use support::{seed_from_env, SeedGuard};
+use corfu::LogOffset;
 
 const TOTAL_APPENDS: u32 = 120;
 const CRASH_AT_WRITE: u64 = 25;
 
-/// One full run of the scenario on a fresh 2x2 cluster. Returns the fault
-/// plan's decision trace (for the determinism assertion) after verifying
-/// all safety properties.
-fn scenario<T: Transport>(cluster: &Cluster<T>, seed: u64) -> Vec<TraceEvent> {
-    let plan = FaultPlan::new(seed);
-    // Seeded jitter on the storage path perturbs interleavings, then the
-    // 25th storage write kills its target node outright.
-    plan.delay_calls("storage.", 20, 300);
-    plan.crash_at("storage.write", CRASH_AT_WRITE);
-    // The plan fails every later call to the victim itself; the hook
-    // hands the victim to the coordinator, which kills the node for real
-    // (so clients outside the plan observe the crash too) and replaces it.
-    let (tx, rx) = mpsc::channel::<NodeId>();
-    plan.on_crash(move |node| {
-        let _ = tx.send(node);
-    });
+/// One full run of the schedule on a fresh 2x2 cluster: an appender thread
+/// hammers the log while the 25th storage write crashes its node, and the
+/// main thread replaces the victim. Returns the simulation's trace after
+/// verifying every safety property.
+fn scenario(seed: u64) -> Vec<Delivery> {
+    let cluster = SimCluster::simulated(
+        seed,
+        ClusterConfig { num_sets: 2, replication: 2, ..Default::default() },
+    );
+    let sim = cluster.sim();
+    // Seeded jitter on the storage path reorders calls, then the 25th
+    // storage write kills its target node outright.
+    sim.delay_calls("storage.", 20, Duration::from_micros(300));
+    sim.crash_node_at("storage.write", CRASH_AT_WRITE);
 
     // The workload: appends retrying through the crash and the concurrent
     // reseal until all are acked.
-    let appender_client = cluster
-        .client_with_factory(
-            plan.wrap(cluster.conn_factory()),
-            ClientOptions::default(),
-            cluster.metrics().clone(),
-        )
-        .unwrap();
-    let appender = std::thread::spawn(move || {
+    let appender_client = cluster.client().unwrap();
+    let appender = sim.spawn("appender", move || {
         let mut acked: Vec<(LogOffset, Bytes)> = Vec::new();
         for i in 0..TOTAL_APPENDS {
             let payload = Bytes::from(format!("chaos-{i}").into_bytes());
@@ -60,7 +48,7 @@ fn scenario<T: Transport>(cluster: &Cluster<T>, seed: u64) -> Vec<TraceEvent> {
                     Err(_) => {
                         // The dead node (or the reseal) failed this append;
                         // refresh and try again until the rebuild lands.
-                        std::thread::sleep(Duration::from_millis(2));
+                        appender_client.clock().sleep(Duration::from_millis(2));
                         let _ = appender_client.refresh_layout();
                     }
                 }
@@ -70,7 +58,10 @@ fn scenario<T: Transport>(cluster: &Cluster<T>, seed: u64) -> Vec<TraceEvent> {
     });
 
     // Replace the victim while the appender is still hammering the log.
-    let dead = rx.recv_timeout(Duration::from_secs(10)).expect("the planned crash must fire");
+    support::wait_until(&sim.clock(), "the planned crash fires", || {
+        !sim.crashed_nodes().is_empty()
+    });
+    let dead = sim.crashed_nodes()[0];
     cluster.kill_storage_node(dead);
     let coordinator = cluster.client().unwrap();
     let (info, replacement) = cluster.spawn_replacement_storage().unwrap();
@@ -119,46 +110,19 @@ fn scenario<T: Transport>(cluster: &Cluster<T>, seed: u64) -> Vec<TraceEvent> {
         );
     }
 
-    plan.trace()
+    let trace = sim.trace();
+    let crash =
+        trace.iter().find(|d| d.outcome == Outcome::NodeCrashed).expect("crash in the trace");
+    assert_eq!((crash.point.as_str(), crash.nth), ("storage.write", CRASH_AT_WRITE));
+    trace
 }
 
-fn two_by_two() -> ClusterConfig {
-    ClusterConfig { num_sets: 2, replication: 2, ..Default::default() }
-}
-
-/// Runs the scenario twice on fresh clusters from `spawn` and checks the
-/// schedule replays.
-fn replays_deterministically<T: Transport>(spawn: impl Fn() -> Cluster<T>) {
-    let seed = seed_from_env(0xC0FF_EE00_0003);
-    let _guard = SeedGuard(seed);
-
-    let first = scenario(&spawn(), seed);
-    let second = scenario(&spawn(), seed);
-
-    // The pre-crash schedule is a pure function of the seed: both runs
-    // must agree decision-for-decision up to and including the crash.
-    // (After the crash, retry timing is wall-clock dependent, so only the
-    // prefix is compared.)
-    let crash_of = |trace: &[TraceEvent]| {
-        trace.iter().position(|e| e.action == "crash").expect("crash must be in the trace")
-    };
-    let (c1, c2) = (crash_of(&first), crash_of(&second));
-    assert_eq!(
-        &first[..=c1],
-        &second[..=c2],
-        "same seed must reproduce the same schedule through the crash"
-    );
-    let crash = &first[c1];
-    assert_eq!(crash.point, "storage.write");
-    assert_eq!(crash.nth, CRASH_AT_WRITE);
-}
-
+/// Each seed runs twice, and every delivery — its virtual time, its
+/// endpoints, its point and occurrence, its outcome — is the same, after
+/// the crash as much as before it.
 #[test]
 fn killed_node_under_pipelined_load_is_replaced_deterministically() {
-    replays_deterministically(|| LocalCluster::new(two_by_two()));
-}
-
-#[test]
-fn killed_node_under_pipelined_load_is_replaced_deterministically_over_tcp() {
-    replays_deterministically(|| TcpCluster::spawn(two_by_two()).unwrap());
+    support::sweep!(killed_node_under_pipelined_load_is_replaced_deterministically, |seed| {
+        support::replayed(seed, scenario);
+    });
 }

@@ -1,8 +1,10 @@
 //! End-to-end tests of the CORFU deployment: append/read, chain repair,
 //! hole filling, checks, trims, and sequencer failover.
 
+use std::time::Duration;
+
 use bytes::Bytes;
-use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, TcpCluster, Transport};
+use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, SimCluster, TcpCluster, Transport};
 use corfu::reconfig;
 use corfu::{CorfuError, ReadOutcome};
 
@@ -137,15 +139,21 @@ fn read_many_empty_and_oversized_batches() {
     assert!(outcomes.iter().all(|o| matches!(o, ReadOutcome::Data(_))));
 }
 
+/// On the simulated transport, so the wait is measured on the clock it
+/// runs on: exactly the hole-fill timeout, give or take the fill's round
+/// trips.
 #[test]
 fn wait_read_backs_off_while_polling_holes() {
-    let cluster = LocalCluster::new(ClusterConfig::default());
+    let cluster = SimCluster::simulated(1, ClusterConfig::default());
+    let clock = cluster.sim().clock();
     let client = cluster.client().unwrap();
     let token = client.token(&[]).unwrap();
     let polls_before = client.metrics().counter("corfu.hole_polls").get();
-    let start = std::time::Instant::now();
+    let start = clock.now();
     assert_eq!(client.wait_read(token.offset).unwrap(), ReadOutcome::Junk);
-    assert!(start.elapsed() >= std::time::Duration::from_millis(90));
+    let waited = clock.now() - start;
+    let timeout = client.options().hole_fill_timeout;
+    assert!(waited >= timeout && waited < timeout + Duration::from_millis(1), "{waited:?}");
     let polls = client.metrics().counter("corfu.hole_polls").get() - polls_before;
     // Exponential backoff (1ms doubling to a 16ms cap) crosses the 100ms
     // hole-fill window in ~10 polls; fixed-interval polling took ~100.
@@ -156,18 +164,20 @@ fn wait_read_backs_off_while_polling_holes() {
 /// hole-fill timeout, not K of them one after another.
 #[test]
 fn wait_read_many_gives_its_holes_one_deadline() {
-    let timeout = std::time::Duration::from_millis(200);
-    let cluster = LocalCluster::new(ClusterConfig {
+    let timeout = Duration::from_millis(200);
+    let config = ClusterConfig {
         client_options: corfu::ClientOptions { hole_fill_timeout: timeout },
         ..ClusterConfig::default()
-    });
+    };
+    let cluster = SimCluster::simulated(1, config);
+    let clock = cluster.sim().clock();
     let client = cluster.client().unwrap();
     let mut offsets: Vec<u64> = (0..3).map(|_| client.token(&[]).unwrap().offset).collect();
     offsets.push(client.append(payload(3)).unwrap());
     let polls_before = client.metrics().counter("corfu.hole_polls").get();
-    let start = std::time::Instant::now();
+    let start = clock.now();
     let outcomes = client.wait_read_many(&offsets).unwrap();
-    let waited = start.elapsed();
+    let waited = clock.now() - start;
     assert!(matches!(
         outcomes[..],
         [ReadOutcome::Junk, ReadOutcome::Junk, ReadOutcome::Junk, ReadOutcome::Data(_)]

@@ -1,20 +1,21 @@
 //! The deployment harness itself: behaviour every `Cluster<T>` must show
 //! whatever it is served on. Each scenario is one generic body run on the
-//! in-process transport and over TCP — the bugs pinned here were all cases
-//! of one harness copy drifting from the other.
+//! in-process transport, over TCP and on the simulated transport — the bugs
+//! pinned here were all cases of one harness copy drifting from another.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, TcpCluster, Transport};
+use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, SimCluster, TcpCluster, Transport};
 use corfu::reconfig::{replace_sequencer, replace_storage_node};
 use corfu::{ClientOptions, CompactorConfig, EntryEnvelope, NodeInfo};
 use tango_metrics::HealthStatus;
 
-/// Expands to `<scenario>::in_process` and `<scenario>::over_tcp`: the one
-/// generic body, on a fresh cluster per transport.
-macro_rules! on_both_transports {
+/// Expands to `<scenario>::in_process`, `<scenario>::over_tcp` and
+/// `<scenario>::simulated`: the one generic body, on a fresh cluster per
+/// transport.
+macro_rules! on_every_transport {
     ($scenario:ident, $config:expr) => {
         mod $scenario {
             use super::*;
@@ -27,6 +28,11 @@ macro_rules! on_both_transports {
             #[test]
             fn over_tcp() {
                 super::$scenario(&TcpCluster::spawn($config).unwrap());
+            }
+
+            #[test]
+            fn simulated() {
+                super::$scenario(&SimCluster::simulated(0x5EED, $config));
             }
         }
     };
@@ -44,7 +50,7 @@ fn killed_storage_node_stops_its_compactor<T: Transport>(cluster: &Cluster<T>) {
     assert!(cluster.storage_server(1).is_some());
 }
 
-on_both_transports!(
+on_every_transport!(
     killed_storage_node_stops_its_compactor,
     ClusterConfig {
         num_sets: 1,
@@ -64,7 +70,7 @@ fn client_honours_configured_options<T: Transport>(cluster: &Cluster<T>) {
     assert_eq!(overridden.options().hole_fill_timeout, Duration::from_millis(100));
 }
 
-on_both_transports!(
+on_every_transport!(
     client_honours_configured_options,
     ClusterConfig {
         client_options: ClientOptions { hole_fill_timeout: Duration::from_millis(250) },
@@ -99,7 +105,7 @@ fn killed_node_is_unreachable_until_retired<T: Transport>(cluster: &Cluster<T>) 
     assert_eq!(health.status, HealthStatus::Ok, "{:?}", health.reasons);
 }
 
-on_both_transports!(
+on_every_transport!(
     killed_node_is_unreachable_until_retired,
     ClusterConfig { num_sets: 1, replication: 2, ..Default::default() }
 );
@@ -132,7 +138,7 @@ fn single_replica_metalog_is_a_complete_layout_service<T: Transport>(cluster: &C
     assert_eq!(client.append(Bytes::from_static(b"after")).unwrap(), 6);
 }
 
-on_both_transports!(
+on_every_transport!(
     single_replica_metalog_is_a_complete_layout_service,
     ClusterConfig { layout_replicas: 1, ..ClusterConfig::tiny() }
 );
@@ -163,7 +169,7 @@ fn moved_node_is_dialled_at_its_new_address<T: Transport>(cluster: &Cluster<T>) 
     assert_eq!(cluster.sequencer().tokens_issued(), 1, "and not from the one that moved out");
 }
 
-on_both_transports!(moved_node_is_dialled_at_its_new_address, ClusterConfig::tiny());
+on_every_transport!(moved_node_is_dialled_at_its_new_address, ClusterConfig::tiny());
 
 /// An operation works from the snapshot it took. An appender that holds a
 /// pre-seal snapshot — and a token granted under it — across a storage
@@ -204,7 +210,7 @@ fn pre_seal_snapshot_is_swapped_and_the_entry_lands_once<T: Transport>(cluster: 
     assert_eq!(cluster.storage_server(replacement.id).unwrap().stats().data_writes, 3);
 }
 
-on_both_transports!(
+on_every_transport!(
     pre_seal_snapshot_is_swapped_and_the_entry_lands_once,
     ClusterConfig { num_sets: 1, replication: 2, ..Default::default() }
 );

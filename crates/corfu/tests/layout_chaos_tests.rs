@@ -1,56 +1,38 @@
 //! Deterministic chaos on the metadata plane: metalog (layout) replicas
-//! are crashed, their calls dropped, and their calls delayed under seeded
-//! [`FaultPlan`] schedules. The cluster must stay live — seal and
-//! reconfigure keep working through any single layout-replica crash,
+//! are crashed, their calls dropped, and their calls delayed by seeded
+//! schedules on the simulated transport. The cluster must stay live — seal
+//! and reconfigure keep working through any single layout-replica crash,
 //! including one fired mid-`replace_storage_node` — and because every
-//! fault decision is a pure function of the seed, each schedule replays
-//! identically under the same `TANGO_FAULT_SEED`.
+//! decision is a function of the seed, each schedule replays identically.
 
 mod support;
 
-use std::sync::mpsc;
+use std::cell::Cell;
 use std::time::Duration;
 
 use bytes::Bytes;
-use corfu::cluster::{ClusterConfig, LocalCluster, LAYOUT_BASE_ID};
+use corfu::cluster::{ClusterConfig, Delivery, Outcome, SimCluster, LAYOUT_BASE_ID};
 use corfu::reconfig::{bump_epoch, replace_storage_node};
-use corfu::{ClientOptions, LogOffset, NodeId};
-use support::fault::{FaultPlan, TraceEvent};
-use support::{seed_from_env, SeedGuard};
+use corfu::{LogOffset, NodeId};
 
-const SEED_DEFAULT: u64 = 0xC0FF_EE00_0006;
 const PRELOAD_APPENDS: u32 = 40;
 
 /// The acceptance scenario: a storage node dies and is replaced while the
 /// layout CAS's very first metalog write crashes its target replica — the
 /// reconfiguration must fail over to the surviving quorum and complete.
-/// Single-threaded, so the full decision trace is seed-deterministic.
-fn replacement_scenario(seed: u64) -> Vec<TraceEvent> {
-    let cluster =
-        LocalCluster::new(ClusterConfig { num_sets: 2, replication: 2, ..Default::default() });
-    let plan = FaultPlan::new(seed);
+fn replacement_scenario(seed: u64) -> Vec<Delivery> {
+    let cluster = SimCluster::simulated(
+        seed,
+        ClusterConfig { num_sets: 2, replication: 2, ..Default::default() },
+    );
+    let sim = cluster.sim();
     // Seeded jitter on the metadata plane, then the first metalog write of
     // the layout CAS kills the replica it lands on (the arbitrating,
-    // lowest-indexed one).
-    plan.delay_calls("meta.", 25, 200);
-    plan.crash_at("meta.write", 1);
-    let (tx, rx) = mpsc::channel::<NodeId>();
-    {
-        let registry = cluster.registry().clone();
-        plan.on_crash(move |node| {
-            // Kill the replica for real so every client observes the crash.
-            registry.kill(&format!("meta-{node}"));
-            let _ = tx.send(node);
-        });
-    }
+    // lowest-indexed one) for every client.
+    sim.delay_calls("meta.", 25, Duration::from_micros(200));
+    sim.crash_node_at("meta.write", 1);
 
-    let client = cluster
-        .client_with_factory(
-            plan.wrap(cluster.conn_factory()),
-            ClientOptions::default(),
-            cluster.metrics().clone(),
-        )
-        .unwrap();
+    let client = cluster.client().unwrap();
 
     // A fixed preload so the rebuild has a deterministic amount to copy.
     let mut acked: Vec<(LogOffset, Bytes)> = Vec::new();
@@ -70,7 +52,7 @@ fn replacement_scenario(seed: u64) -> Vec<TraceEvent> {
     assert!(outcome.pages_copied > 0, "the rebuild must move pages");
 
     // The planned crash fired, on a metalog replica.
-    let crashed = rx.recv_timeout(Duration::from_secs(10)).expect("the planned crash must fire");
+    let crashed: NodeId = *sim.crashed_nodes().first().expect("the planned crash must fire");
     assert!(crashed >= LAYOUT_BASE_ID, "the crash must hit a layout replica, got {crashed}");
 
     // Liveness after the crash: the same client can keep reconfiguring
@@ -91,42 +73,33 @@ fn replacement_scenario(seed: u64) -> Vec<TraceEvent> {
         assert_eq!(&reader.read_entry(*off).unwrap().payload, payload);
     }
 
-    plan.trace()
+    sim.trace()
 }
 
 #[test]
 fn layout_replica_crash_mid_replacement_is_survived_deterministically() {
-    let seed = seed_from_env(SEED_DEFAULT);
-    let _guard = SeedGuard(seed);
-
-    let first = replacement_scenario(seed);
-    let second = replacement_scenario(seed);
-
-    // Single-threaded scenario: the whole decision trace is a pure
-    // function of the seed, not just the pre-crash prefix.
-    assert_eq!(first, second, "same seed must reproduce the identical trace");
-
-    let crash = first.iter().find(|e| e.action == "crash").expect("crash must be in the trace");
-    assert_eq!(crash.point, "meta.write");
-    assert_eq!(crash.nth, 1);
+    support::sweep!(layout_replica_crash_mid_replacement_is_survived_deterministically, |seed| {
+        // The whole trace is a function of the seed.
+        let trace = support::replayed(seed, replacement_scenario);
+        let crash = trace.iter().find(|d| d.outcome == Outcome::NodeCrashed);
+        let crash = crash.expect("crash must be in the trace");
+        assert_eq!(crash.point, "meta.write");
+        assert_eq!(crash.nth, 1);
+    });
 }
 
 /// Drop/delay schedules on the metadata plane: a lossy, jittery network to
 /// the metalog must slow reconfiguration down, never wedge or corrupt it.
-fn lossy_meta_scenario(seed: u64) -> Vec<TraceEvent> {
-    let cluster =
-        LocalCluster::new(ClusterConfig { num_sets: 1, replication: 2, ..Default::default() });
-    let plan = FaultPlan::new(seed);
-    plan.drop_calls("meta.", 10);
-    plan.delay_calls("meta.", 30, 150);
+fn lossy_meta_scenario(seed: u64) -> Vec<Delivery> {
+    let cluster = SimCluster::simulated(
+        seed,
+        ClusterConfig { num_sets: 1, replication: 2, ..Default::default() },
+    );
+    let sim = cluster.sim();
+    sim.drop_calls("meta.", 10);
+    sim.delay_calls("meta.", 30, Duration::from_micros(150));
 
-    let client = cluster
-        .client_with_factory(
-            plan.wrap(cluster.conn_factory()),
-            ClientOptions::default(),
-            cluster.metrics().clone(),
-        )
-        .unwrap();
+    let client = cluster.client().unwrap();
 
     let mut acked: Vec<(LogOffset, Bytes)> = Vec::new();
     for i in 0..12u32 {
@@ -146,21 +119,19 @@ fn lossy_meta_scenario(seed: u64) -> Vec<TraceEvent> {
         assert_eq!(&cluster.client().unwrap().read_entry(*off).unwrap().payload, payload);
     }
 
-    plan.trace()
+    sim.trace()
 }
 
 #[test]
 fn lossy_metadata_plane_slows_but_never_wedges_reconfiguration() {
-    let seed = seed_from_env(SEED_DEFAULT ^ 0xA5A5);
-    let _guard = SeedGuard(seed);
-
-    let first = lossy_meta_scenario(seed);
-    let second = lossy_meta_scenario(seed);
-    assert_eq!(first, second, "same seed must reproduce the identical trace");
-    assert!(
-        first.iter().any(|e| e.action == "drop" && e.point.starts_with("meta.")),
-        "the schedule must actually drop metalog calls"
-    );
+    let dropped = Cell::new(false);
+    support::sweep!(lossy_metadata_plane_slows_but_never_wedges_reconfiguration, |seed| {
+        let trace = support::replayed(seed, lossy_meta_scenario);
+        let drops =
+            trace.iter().any(|d| d.outcome == Outcome::Dropped && d.point.starts_with("meta."));
+        dropped.set(dropped.get() || drops);
+    });
+    assert!(dropped.get(), "the schedules must actually drop metalog calls");
 }
 
 /// A layout replica crashes outright; a replacement is caught up from the
@@ -168,8 +139,17 @@ fn lossy_metadata_plane_slows_but_never_wedges_reconfiguration() {
 /// member: the cluster then survives losing a *second* original replica.
 #[test]
 fn crashed_layout_replica_is_replaced_and_carries_the_quorum() {
-    let cluster =
-        LocalCluster::new(ClusterConfig { num_sets: 1, replication: 2, ..Default::default() });
+    support::sweep!(crashed_layout_replica_is_replaced_and_carries_the_quorum, |seed| {
+        replaced_layout_replica_carries_the_quorum(seed)
+    });
+}
+
+fn replaced_layout_replica_carries_the_quorum(seed: u64) {
+    let cluster = SimCluster::simulated(
+        seed,
+        ClusterConfig { num_sets: 1, replication: 2, ..Default::default() },
+    );
+    cluster.sim().delay_calls("meta.", 25, Duration::from_micros(200));
     let client = cluster.client().unwrap();
     for i in 0..6u32 {
         client.append(Bytes::from(format!("pre-{i}"))).unwrap();

@@ -1,23 +1,20 @@
-//! The flight recorder under deterministic chaos: a seeded [`FaultPlan`]
-//! kills log 1's sequencer mid-append, the cluster recovers (seal →
-//! replacement sequencer → stream remap), and the merged control-plane
-//! timeline must (a) show the recovery in causal order and (b) render
-//! byte-identically when the same seed replays the schedule — the
-//! property that makes `tangoctl timeline` a usable postmortem artifact.
+//! The flight recorder under deterministic chaos: a seeded schedule on the
+//! simulated transport kills log 1's sequencer mid-append, the cluster
+//! recovers (seal → replacement sequencer → stream remap), and the merged
+//! control-plane timeline must (a) show the recovery in causal order and
+//! (b) render byte-identically when the same seed replays the schedule —
+//! the property that makes `tangoctl timeline` a usable postmortem
+//! artifact.
 
 mod support;
 
-use std::sync::mpsc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use corfu::cluster::{ClusterConfig, LocalCluster, SEQUENCER_BASE_ID};
+use corfu::cluster::{ClusterConfig, LocalCluster, SimCluster, SEQUENCER_BASE_ID};
 use corfu::reconfig::{remap_stream, replace_sequencer_in_log};
-use corfu::{NodeId, Projection, StreamId};
-use support::fault::FaultPlan;
-use support::{seed_from_env, SeedGuard};
+use corfu::{Projection, StreamId};
 
-const SEED_DEFAULT: u64 = 0x0B5E_7A11_0009;
 /// The 1-based `shard1.seq.next` grant that kills log 1's sequencer.
 const CRASH_NTH: u64 = 4;
 const APPENDS: u32 = 8;
@@ -27,29 +24,14 @@ fn stream_in_log(proj: &Projection, log: u32, from: StreamId) -> StreamId {
 }
 
 /// Runs the seeded kill/recover/remap schedule and returns the rendered
-/// cluster timeline. Single-threaded throughout, so the journal order is
-/// a pure function of the seed.
+/// cluster timeline.
 fn chaos_timeline(seed: u64) -> String {
-    let cluster = LocalCluster::new(ClusterConfig::sharded(2));
-    let plan = FaultPlan::new(seed);
-    plan.delay_calls("shard1.seq.", 25, 150);
-    plan.crash_at("shard1.seq.next", CRASH_NTH);
-    let (tx, rx) = mpsc::channel::<NodeId>();
-    {
-        let registry = cluster.registry().clone();
-        plan.on_crash(move |node| {
-            registry.kill(&format!("sequencer-{node}"));
-            let _ = tx.send(node);
-        });
-    }
+    let cluster = SimCluster::simulated(seed, ClusterConfig::sharded(2));
+    let sim = cluster.sim();
+    sim.delay_calls("shard1.seq.", 25, Duration::from_micros(150));
+    sim.crash_node_at("shard1.seq.next", CRASH_NTH);
 
-    let client = cluster
-        .client_with_factory(
-            plan.wrap(cluster.conn_factory()),
-            corfu::ClientOptions::default(),
-            cluster.metrics().clone(),
-        )
-        .unwrap();
+    let client = cluster.client().unwrap();
     let proj = client.projection();
     let s1 = stream_in_log(&proj, 1, 1);
 
@@ -63,7 +45,7 @@ fn chaos_timeline(seed: u64) -> String {
     }
     assert_eq!(acked as u64, CRASH_NTH - 1, "appends up to the planned crash commit");
     assert!(failed > 0, "the crash must fail at least one append");
-    let crashed = rx.recv_timeout(Duration::from_secs(10)).expect("the planned crash fires");
+    let crashed = *sim.crashed_nodes().first().expect("the planned crash fires");
     assert_eq!((crashed - SEQUENCER_BASE_ID) % 100, 1, "the crash hits log 1's sequencer");
 
     // Recovery, exactly as an operator (or auto-repair) would drive it:
@@ -85,13 +67,16 @@ fn chaos_timeline(seed: u64) -> String {
 
 #[test]
 fn chaos_timeline_shows_recovery_in_causal_order_and_replays_identically() {
-    let seed = seed_from_env(SEED_DEFAULT);
-    let _guard = SeedGuard(seed);
+    support::sweep!(
+        chaos_timeline_shows_recovery_in_causal_order_and_replays_identically,
+        |seed| {
+            // The same seed renders the byte-identical timeline.
+            causal_order(&support::replayed(seed, chaos_timeline));
+        }
+    );
+}
 
-    let first = chaos_timeline(seed);
-    let second = chaos_timeline(seed);
-    assert_eq!(first, second, "same seed must render the byte-identical timeline");
-
+fn causal_order(first: &str) {
     // The recovery chain, in causal order: the seal happens before the
     // new projection is installed, which happens before the remap hands
     // the stream's window to its new sequencer.

@@ -1,12 +1,16 @@
 //! Storage-node replacement (chain rebuild): end-to-end on both
-//! transports, the transparent `ErrSealed` retry path for racing clients,
-//! and convergence of concurrent replacements.
+//! transports, and — as schedules on the simulated transport — the
+//! transparent `ErrSealed` retry path for racing clients and convergence of
+//! concurrent replacements.
+
+mod support;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use bytes::Bytes;
-use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, TcpCluster, Transport};
+use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, SimCluster, TcpCluster, Transport};
 use corfu::proto::{StorageRequest, StorageResponse};
 use corfu::reconfig::replace_storage_node;
 use corfu::{CorfuError, LogOffset, NodeId, ReadOutcome};
@@ -112,128 +116,140 @@ fn replacement_preserves_log_contents_over_tcp() {
 /// Regression: clients racing a replacement only ever observe `ErrSealed`,
 /// which the retry path absorbs — no error may surface. The replaced node
 /// stays alive (a decommission), so there is no disconnect window and any
-/// surfaced error is a real retry-path bug.
+/// surfaced error is a real retry-path bug. A schedule on the simulated
+/// transport: the seed decides how the writer, the reader and the
+/// replacement interleave.
 #[test]
 fn sealed_epoch_retry_is_transparent_to_racing_clients() {
-    let cluster =
-        LocalCluster::new(ClusterConfig { num_sets: 2, replication: 2, ..Default::default() });
-    let setup = cluster.client().unwrap();
-    let acked: Arc<Mutex<Vec<(LogOffset, Bytes)>>> = Arc::new(Mutex::new(Vec::new()));
-    for i in 0..16u32 {
-        let payload = Bytes::from(format!("warmup-{i}").into_bytes());
-        let off = setup.append(payload.clone()).unwrap();
-        acked.lock().push((off, payload));
-    }
+    support::sweep!(sealed_epoch_retry_is_transparent_to_racing_clients, |seed| {
+        let config = ClusterConfig { num_sets: 2, replication: 2, ..Default::default() };
+        let cluster = SimCluster::simulated(seed, config);
+        let sim = cluster.sim();
+        sim.delay_calls("", 25, Duration::from_micros(100));
+        let setup = cluster.client().unwrap();
+        let acked: Arc<Mutex<Vec<(LogOffset, Bytes)>>> = Arc::new(Mutex::new(Vec::new()));
+        for i in 0..16u32 {
+            let payload = Bytes::from(format!("warmup-{i}").into_bytes());
+            let off = setup.append(payload.clone()).unwrap();
+            acked.lock().push((off, payload));
+        }
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let writer = {
-        let client = cluster.client().unwrap();
-        let acked = Arc::clone(&acked);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut i = 0u32;
-            while !stop.load(Ordering::Relaxed) {
-                let payload = Bytes::from(format!("race-{i}").into_bytes());
-                let off = client
-                    .append(payload.clone())
-                    .expect("writer must ride out the seal transparently");
-                acked.lock().push((off, payload));
-                i += 1;
-            }
-            i
-        })
-    };
-    let reader = {
-        let client = cluster.client().unwrap();
-        let acked = Arc::clone(&acked);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut reads = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                let (off, payload) = acked.lock().last().cloned().unwrap();
-                let entry =
-                    client.read_entry(off).expect("reader must ride out the seal transparently");
-                assert_eq!(entry.payload, payload);
-                reads += 1;
-            }
-            reads
-        })
-    };
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let client = cluster.client().unwrap();
+            let acked = Arc::clone(&acked);
+            let stop = Arc::clone(&stop);
+            sim.spawn("writer", move || {
+                let mut i = 0u32;
+                while !stop.load(Ordering::Relaxed) {
+                    let payload = Bytes::from(format!("race-{i}").into_bytes());
+                    let off = client
+                        .append(payload.clone())
+                        .expect("writer must ride out the seal transparently");
+                    acked.lock().push((off, payload));
+                    i += 1;
+                }
+                i
+            })
+        };
+        let reader = {
+            let client = cluster.client().unwrap();
+            let acked = Arc::clone(&acked);
+            let stop = Arc::clone(&stop);
+            sim.spawn("reader", move || {
+                let mut reads = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let (off, payload) = acked.lock().last().cloned().unwrap();
+                    let entry = client
+                        .read_entry(off)
+                        .expect("reader must ride out the seal transparently");
+                    assert_eq!(entry.payload, payload);
+                    reads += 1;
+                }
+                reads
+            })
+        };
 
-    // Decommission the live tail of replica set 0 mid-traffic.
-    std::thread::sleep(std::time::Duration::from_millis(10));
-    let coordinator = cluster.client().unwrap();
-    let (info, _server) = cluster.spawn_replacement_storage().unwrap();
-    let outcome = replace_storage_node(&coordinator, 1, info).unwrap();
-    assert_eq!(outcome.projection.epoch, 1);
+        // Decommission the live tail of replica set 0 mid-traffic.
+        let clock = sim.clock();
+        clock.sleep(Duration::from_millis(2));
+        let coordinator = cluster.client().unwrap();
+        let (info, _server) = cluster.spawn_replacement_storage().unwrap();
+        let outcome = replace_storage_node(&coordinator, 1, info).unwrap();
+        assert_eq!(outcome.projection.epoch, 1);
 
-    // Keep the race going briefly at the new epoch, then stop.
-    std::thread::sleep(std::time::Duration::from_millis(20));
-    stop.store(true, Ordering::Relaxed);
-    let appended = writer.join().unwrap();
-    let reads = reader.join().unwrap();
-    assert!(appended > 0, "writer made no progress");
-    assert!(reads > 0, "reader made no progress");
+        // Keep the race going briefly at the new epoch, then stop.
+        clock.sleep(Duration::from_millis(2));
+        stop.store(true, Ordering::Relaxed);
+        let appended = writer.join().unwrap();
+        let reads = reader.join().unwrap();
+        assert!(appended > 0, "writer made no progress");
+        assert!(reads > 0, "reader made no progress");
 
-    // Everything acked on either side of the epoch change is readable.
-    let check = cluster.client().unwrap();
-    for (off, payload) in acked.lock().iter() {
-        assert_eq!(&check.read_entry(*off).unwrap().payload, payload);
-    }
+        // Everything acked on either side of the epoch change is readable.
+        let check = cluster.client().unwrap();
+        for (off, payload) in acked.lock().iter() {
+            assert_eq!(&check.read_entry(*off).unwrap().payload, payload);
+        }
+    });
 }
 
 /// Two concurrent replacements of the same dead node converge: exactly one
 /// wins the layout CAS; the loser gets `RaceLost` carrying the winning
-/// epoch rather than an opaque layout error.
+/// epoch rather than an opaque layout error. A schedule on the simulated
+/// transport, swept over the seeds that interleave the two.
 #[test]
 fn concurrent_replacements_converge_on_one_winner() {
-    let cluster =
-        LocalCluster::new(ClusterConfig { num_sets: 1, replication: 2, ..Default::default() });
-    let setup = cluster.client().unwrap();
-    let mut entries = Vec::new();
-    for i in 0..10u32 {
-        let payload = Bytes::from(format!("pre-{i}").into_bytes());
-        let off = setup.append(payload.clone()).unwrap();
-        entries.push((off, payload));
-    }
-
-    cluster.kill_storage_node(0);
-    let (info_a, _server_a) = cluster.spawn_replacement_storage().unwrap();
-    let (info_b, _server_b) = cluster.spawn_replacement_storage().unwrap();
-    let candidates = [info_a.id, info_b.id];
-
-    let spawn_replacer = |info: corfu::NodeInfo| {
-        let client = cluster.client().unwrap();
-        std::thread::spawn(move || replace_storage_node(&client, 0, info))
-    };
-    let a = spawn_replacer(info_a);
-    let b = spawn_replacer(info_b);
-    let results = [a.join().unwrap(), b.join().unwrap()];
-
-    let winners = results.iter().filter(|r| r.is_ok()).count();
-    assert_eq!(winners, 1, "exactly one replacement must win: {results:?}");
-    let installed = cluster.layout_client().get().unwrap();
-    assert_eq!(installed.epoch, 1);
-    for result in &results {
-        match result {
-            Ok(outcome) => assert_eq!(outcome.projection, installed),
-            Err(CorfuError::RaceLost { winner }) => {
-                // The loser learns exactly how far the cluster moved.
-                assert_eq!(*winner, installed.epoch);
-            }
-            Err(other) => panic!("loser must surface RaceLost, got {other}"),
+    support::sweep!(concurrent_replacements_converge_on_one_winner, |seed| {
+        let config = ClusterConfig { num_sets: 1, replication: 2, ..Default::default() };
+        let cluster = SimCluster::simulated(seed, config);
+        cluster.sim().delay_calls("", 25, Duration::from_micros(100));
+        let setup = cluster.client().unwrap();
+        let mut entries = Vec::new();
+        for i in 0..10u32 {
+            let payload = Bytes::from(format!("pre-{i}").into_bytes());
+            let off = setup.append(payload.clone()).unwrap();
+            entries.push((off, payload));
         }
-    }
-    // The installed chain holds exactly one of the two candidates.
-    let chain = &installed.log(0).replica_sets[0];
-    assert_eq!(chain.iter().filter(|n| candidates.contains(n)).count(), 1);
-    assert!(!chain.contains(&0));
 
-    // The cluster is fully functional under the winner.
-    let client = cluster.client().unwrap();
-    let post = client.append(Bytes::from_static(b"post-race")).unwrap();
-    entries.push((post, Bytes::from_static(b"post-race")));
-    for (off, payload) in &entries {
-        assert_eq!(&client.read_entry(*off).unwrap().payload, payload);
-    }
+        cluster.kill_storage_node(0);
+        let (info_a, _server_a) = cluster.spawn_replacement_storage().unwrap();
+        let (info_b, _server_b) = cluster.spawn_replacement_storage().unwrap();
+        let candidates = [info_a.id, info_b.id];
+
+        let spawn_replacer = |info: corfu::NodeInfo| {
+            let client = cluster.client().unwrap();
+            cluster.sim().spawn("replacer", move || replace_storage_node(&client, 0, info))
+        };
+        let a = spawn_replacer(info_a);
+        let b = spawn_replacer(info_b);
+        let results = [a.join().unwrap(), b.join().unwrap()];
+
+        let winners = results.iter().filter(|r| r.is_ok()).count();
+        assert_eq!(winners, 1, "exactly one replacement must win: {results:?}");
+        let installed = cluster.layout_client().get().unwrap();
+        assert_eq!(installed.epoch, 1);
+        for result in &results {
+            match result {
+                Ok(outcome) => assert_eq!(outcome.projection, installed),
+                Err(CorfuError::RaceLost { winner }) => {
+                    // The loser learns exactly how far the cluster moved.
+                    assert_eq!(*winner, installed.epoch);
+                }
+                Err(other) => panic!("loser must surface RaceLost, got {other}"),
+            }
+        }
+        // The installed chain holds exactly one of the two candidates.
+        let chain = &installed.log(0).replica_sets[0];
+        assert_eq!(chain.iter().filter(|n| candidates.contains(n)).count(), 1);
+        assert!(!chain.contains(&0));
+
+        // The cluster is fully functional under the winner.
+        let client = cluster.client().unwrap();
+        let post = client.append(Bytes::from_static(b"post-race")).unwrap();
+        entries.push((post, Bytes::from_static(b"post-race")));
+        for (off, payload) in &entries {
+            assert_eq!(&client.read_entry(*off).unwrap().payload, payload);
+        }
+    });
 }

@@ -1,28 +1,24 @@
 //! Deterministic chaos on a sharded log: log 1's sequencer is killed
-//! mid-`multiappend` under a seeded [`FaultPlan`] schedule (the
+//! mid-`multiappend` by a seeded schedule on the simulated transport (the
 //! `shard1.seq.*` points). The cluster must recover — a replacement
 //! sequencer is rebuilt from a storage scan of its log only, log 0 never
 //! changes epoch — and the decision rule (home anchor) must resolve every
 //! speculative cross-log body as exactly committed or aborted. Because
-//! every fault decision is a pure function of the seed, each schedule
-//! replays an identical trace under the same `TANGO_FAULT_SEED`.
+//! every decision is a function of the seed, each schedule replays an
+//! identical trace.
 
 mod support;
 
-use std::sync::mpsc;
+use std::cell::Cell;
 use std::time::Duration;
 
 use bytes::Bytes;
-use corfu::cluster::{ClusterConfig, LocalCluster, SEQUENCER_BASE_ID};
+use corfu::cluster::{ClusterConfig, Delivery, Outcome, SimCluster, SEQUENCER_BASE_ID};
 use corfu::reconfig::replace_sequencer_in_log;
 use corfu::{
-    compose, log_of_offset, ClientOptions, CorfuClient, CrossLogLink, EntryEnvelope, LogOffset,
-    NodeId, Projection, ReadOutcome, StreamHeader, StreamId,
+    compose, log_of_offset, CorfuClient, CrossLogLink, EntryEnvelope, LogOffset, Projection,
+    ReadOutcome, StreamHeader, StreamId,
 };
-use support::fault::{FaultPlan, TraceEvent};
-use support::{seed_from_env, SeedGuard};
-
-const SEED_DEFAULT: u64 = 0xC0FF_EE00_0008;
 /// The 1-based `shard1.seq.next` call that kills log 1's sequencer. One
 /// call per cross-log append (single client, no token contention), so
 /// appends `CRASH_NTH..` fail until the replacement is installed.
@@ -91,30 +87,14 @@ fn assert_links_resolved(client: &CorfuClient) -> usize {
 /// appends fail until a replacement sequencer is rebuilt (log 1 sealed
 /// alone), then flow again. Every acked append stays readable, every
 /// speculative body resolves, and the decision trace is returned for the
-/// run-twice equality check. Single-threaded throughout so the trace is a
-/// pure function of the seed.
-fn sequencer_crash_scenario(seed: u64) -> Vec<TraceEvent> {
-    let cluster = LocalCluster::new(ClusterConfig::sharded(2));
-    let plan = FaultPlan::new(seed);
-    plan.delay_calls("shard1.seq.", 25, 150);
-    plan.crash_at("shard1.seq.next", CRASH_NTH);
-    let (tx, rx) = mpsc::channel::<NodeId>();
-    {
-        let registry = cluster.registry().clone();
-        plan.on_crash(move |node| {
-            // Kill the sequencer for real so unwrapped clients see it too.
-            registry.kill(&format!("sequencer-{node}"));
-            let _ = tx.send(node);
-        });
-    }
+/// run-twice equality check.
+fn sequencer_crash_scenario(seed: u64) -> Vec<Delivery> {
+    let cluster = SimCluster::simulated(seed, ClusterConfig::sharded(2));
+    let sim = cluster.sim();
+    sim.delay_calls("shard1.seq.", 25, Duration::from_micros(150));
+    sim.crash_node_at("shard1.seq.next", CRASH_NTH);
 
-    let client = cluster
-        .client_with_factory(
-            plan.wrap(cluster.conn_factory()),
-            ClientOptions::default(),
-            cluster.metrics().clone(),
-        )
-        .unwrap();
+    let client = cluster.client().unwrap();
     let proj = client.projection();
     let s0 = stream_in_log(&proj, 0, 1);
     let s1 = stream_in_log(&proj, 1, 1);
@@ -134,7 +114,7 @@ fn sequencer_crash_scenario(seed: u64) -> Vec<TraceEvent> {
         "appends up to the planned crash commit, everything after fails"
     );
     assert!(failed > 0, "the crash must fail at least one multiappend");
-    let crashed = rx.recv_timeout(Duration::from_secs(10)).expect("the planned crash must fire");
+    let crashed = *sim.crashed_nodes().first().expect("the planned crash must fire");
     assert_eq!((crashed - SEQUENCER_BASE_ID) % 100, 1, "the crash must hit log 1's sequencer");
 
     // Recover log 1 alone: seal it, rebuild stream state from its storage,
@@ -181,43 +161,39 @@ fn sequencer_crash_scenario(seed: u64) -> Vec<TraceEvent> {
         "each acked link is observed from both of its parts, and nothing else commits"
     );
 
-    plan.trace()
+    sim.trace()
 }
 
 #[test]
 fn sequencer_crash_mid_multiappend_resolves_every_body_deterministically() {
-    let seed = seed_from_env(SEED_DEFAULT);
-    let _guard = SeedGuard(seed);
-
-    let first = sequencer_crash_scenario(seed);
-    let second = sequencer_crash_scenario(seed);
-    assert_eq!(first, second, "same seed must reproduce the identical trace");
-
-    let crash = first.iter().find(|e| e.action == "crash").expect("crash must be in the trace");
-    assert_eq!(crash.point, "shard1.seq.next");
-    assert_eq!(crash.nth, CRASH_NTH);
-    assert!(
-        !first.iter().any(|e| e.action == "crash" && e.point.starts_with("seq.")),
-        "log 0's sequencer must never be touched"
+    support::sweep!(
+        sequencer_crash_mid_multiappend_resolves_every_body_deterministically,
+        |seed| {
+            let trace = support::replayed(seed, sequencer_crash_scenario);
+            let crash = trace.iter().find(|d| d.outcome == Outcome::NodeCrashed);
+            let crash = crash.expect("crash must be in the trace");
+            assert_eq!(crash.point, "shard1.seq.next");
+            assert_eq!(crash.nth, CRASH_NTH);
+            assert!(
+                !trace
+                    .iter()
+                    .any(|d| d.outcome == Outcome::NodeCrashed && d.point.starts_with("seq.")),
+                "log 0's sequencer must never be touched"
+            );
+        }
     );
 }
 
 /// A lossy, jittery network to log 1's sequencer only: multiappends slow
 /// down (token grants retry through drops) but never wedge, log 0 is
 /// untouched, and the schedule replays identically.
-fn lossy_shard_scenario(seed: u64) -> Vec<TraceEvent> {
-    let cluster = LocalCluster::new(ClusterConfig::sharded(2));
-    let plan = FaultPlan::new(seed);
-    plan.drop_calls("shard1.seq.next", 20);
-    plan.delay_calls("shard1.seq.", 30, 120);
+fn lossy_shard_scenario(seed: u64) -> Vec<Delivery> {
+    let cluster = SimCluster::simulated(seed, ClusterConfig::sharded(2));
+    let sim = cluster.sim();
+    sim.drop_calls("shard1.seq.next", 20);
+    sim.delay_calls("shard1.seq.", 30, Duration::from_micros(120));
 
-    let client = cluster
-        .client_with_factory(
-            plan.wrap(cluster.conn_factory()),
-            ClientOptions::default(),
-            cluster.metrics().clone(),
-        )
-        .unwrap();
+    let client = cluster.client().unwrap();
     let proj = client.projection();
     let s0 = stream_in_log(&proj, 0, 1);
     let s1 = stream_in_log(&proj, 1, 1);
@@ -240,23 +216,21 @@ fn lossy_shard_scenario(seed: u64) -> Vec<TraceEvent> {
         assert_eq!(&client.read_entry(*home).unwrap().payload, payload);
     }
     assert_eq!(assert_links_resolved(&client), acked.len() * 2);
-    plan.trace()
+    sim.trace()
 }
 
 #[test]
 fn lossy_shard_sequencer_slows_but_never_wedges_multiappends() {
-    let seed = seed_from_env(SEED_DEFAULT ^ 0x5A5A);
-    let _guard = SeedGuard(seed);
-
-    let first = lossy_shard_scenario(seed);
-    let second = lossy_shard_scenario(seed);
-    assert_eq!(first, second, "same seed must reproduce the identical trace");
-    assert!(
-        first.iter().any(|e| e.action == "drop" && e.point == "shard1.seq.next"),
-        "the schedule must actually drop shard-1 token grants"
-    );
-    assert!(
-        !first.iter().any(|e| e.point.starts_with("seq.") && e.action != "pass"),
-        "log 0's sequencer calls must pass untouched"
-    );
+    let dropped = Cell::new(false);
+    support::sweep!(lossy_shard_sequencer_slows_but_never_wedges_multiappends, |seed| {
+        let trace = support::replayed(seed, lossy_shard_scenario);
+        let drops =
+            trace.iter().any(|d| d.outcome == Outcome::Dropped && d.point == "shard1.seq.next");
+        dropped.set(dropped.get() || drops);
+        assert!(
+            !trace.iter().any(|d| d.point.starts_with("seq.") && d.outcome != Outcome::Passed),
+            "log 0's sequencer calls must pass untouched"
+        );
+    });
+    assert!(dropped.get(), "the schedules must actually drop shard-1 token grants");
 }

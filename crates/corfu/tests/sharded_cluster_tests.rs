@@ -5,8 +5,6 @@
 //! home-anchor protocol, per-log token-pool invalidation, and stream
 //! remaps that move a stream between logs without losing entries.
 
-mod support;
-
 use bytes::Bytes;
 use corfu::cluster::{ClusterConfig, LocalCluster};
 use corfu::reconfig::remap_stream;

@@ -1,22 +1,26 @@
-//! Shared test support: the deterministic fault-injection harness.
+//! Shared test support: seeded sweeps of schedules on the simulated
+//! transport ([`corfu::cluster::Sim`]).
 //!
 //! Integration test binaries pull this in with `mod support;`. Not every
 //! binary uses every helper, hence the crate-wide allowance below.
 #![allow(dead_code)]
 
-pub mod fault;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::time::Duration;
 
-/// The environment variable overriding a test's fault-injection seed, so a
-/// failing schedule reported by CI can be replayed locally:
-///
-/// ```sh
-/// TANGO_FAULT_SEED=0xdeadbeef cargo test -p corfu --test chaos_replacement_tests
-/// ```
+use tango_rpc::Clock;
+
+/// The environment variable setting the first seed of every sweep, so a
+/// failing schedule reported by CI replays locally with the one-line
+/// command the failure prints.
 pub const SEED_ENV: &str = "TANGO_FAULT_SEED";
 
-/// The seed for this run: `TANGO_FAULT_SEED` if set (decimal or `0x` hex),
-/// else `default`.
-pub fn seed_from_env(default: u64) -> u64 {
+/// Seeds each schedule is swept over: a handful in a debug build (the
+/// tier-1 suite), many in an optimised one (the CI sweep).
+pub const SEEDS: u64 = if cfg!(debug_assertions) { 4 } else { 600 };
+
+/// `TANGO_FAULT_SEED` if set (decimal or `0x` hex), else `default`.
+fn seed_from_env(default: u64) -> u64 {
     match std::env::var(SEED_ENV) {
         Ok(v) => {
             let v = v.trim();
@@ -31,23 +35,60 @@ pub fn seed_from_env(default: u64) -> u64 {
     }
 }
 
-/// Prints the active seed if the test panics, so any assertion failure in a
-/// seeded test is reproducible by exporting the printed value.
-pub struct SeedGuard(pub u64);
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
 
-impl Drop for SeedGuard {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            eprintln!("=== reproduce with {SEED_ENV}={:#x} ===", self.0);
+/// Runs `schedule` on [`SEEDS`] consecutive seeds, from `TANGO_FAULT_SEED`
+/// or else from a base drawn from `replay` — the command that re-runs the
+/// test. A failing seed prints that command with the seed in front, one
+/// line, and the failure goes on up.
+pub fn run_sweep(replay: &str, schedule: impl Fn(u64)) {
+    let base = seed_from_env(fnv1a(replay));
+    for seed in (0..SEEDS).map(|i| base.wrapping_add(i)) {
+        if let Err(failure) = catch_unwind(AssertUnwindSafe(|| schedule(seed))) {
+            eprintln!("reproduce: {SEED_ENV}={seed:#x} {replay}");
+            resume_unwind(failure);
         }
     }
 }
 
-/// SplitMix64: the mixing function behind the fault plan's deterministic
-/// decisions (same finalizer as `tango_workload::rng`).
-pub fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// `support::sweep!(test_name, |seed| ...)`: [`run_sweep`] with the
+/// command that replays `test_name` of this test binary.
+macro_rules! sweep {
+    ($test:ident, $schedule:expr) => {
+        $crate::support::run_sweep(
+            concat!(
+                "cargo test -p ",
+                env!("CARGO_PKG_NAME"),
+                " --test ",
+                env!("CARGO_CRATE_NAME"),
+                " -- --exact ",
+                stringify!($test)
+            ),
+            $schedule,
+        )
+    };
+}
+pub(crate) use sweep;
+
+/// Sleeps on `clock` in 1 ms steps until `cond` holds; panics with `what`
+/// after ten virtual seconds.
+pub fn wait_until(clock: &Clock, what: &str, mut cond: impl FnMut() -> bool) {
+    for _ in 0..10_000 {
+        if cond() {
+            return;
+        }
+        clock.sleep(Duration::from_millis(1));
+    }
+    panic!("timed out waiting until {what}");
+}
+
+/// Runs `run` twice on `seed` and demands the same result — a schedule's
+/// [`corfu::cluster::Sim::trace`], or whatever else it reports; returns it.
+pub fn replayed<T: PartialEq + std::fmt::Debug>(seed: u64, run: impl Fn(u64) -> T) -> T {
+    let first = run(seed);
+    let second = run(seed);
+    assert_eq!(first, second, "the same seed must replay bit for bit");
+    first
 }

@@ -1,113 +1,114 @@
 //! Races between trimming and everything else: readers polling a hole
-//! that gets trimmed out from under them, and a storage node crashing in
-//! the middle of background compaction whose seeded workload must replay
-//! to a byte-identical state.
+//! that gets trimmed out from under them (schedules on the simulated
+//! transport), and a storage node crashing in the middle of background
+//! compaction whose seeded workload must replay to a byte-identical state.
+
+mod support;
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
-use corfu::cluster::{ClusterConfig, LocalCluster};
+use corfu::cluster::{ClusterConfig, SimCluster};
 use corfu::proto::{StorageRequest, StorageResponse, WriteKind};
 use corfu::{
     ClientOptions, Compactor, CompactorConfig, ConnFactory, NodeInfo, ReadOutcome, StorageServer,
 };
 use tango_flash::{FlashUnit, TieredStore};
-use tango_rpc::ClientConn;
+use tango_wire::{decode_from_slice, encode_to_vec};
 
+/// The cap on a waiting reader's poll backoff.
+const HOLE_POLL_MAX: Duration = Duration::from_millis(16);
+
+/// A reader parked on an unwritten offset must surface a trim that lands
+/// mid-poll — at a seeded moment — within one poll: not spin until the
+/// hole-fill deadline and certainly not junk-fill a trimmed slot. The 30 s
+/// deadline makes the failure mode (waiting it out) unmistakable.
 #[test]
 fn wait_read_returns_trimmed_mid_poll() {
-    // A reader parked on an unwritten offset must surface a trim that
-    // lands mid-poll immediately — not spin until the hole-fill deadline
-    // and certainly not junk-fill a trimmed slot. The 30s deadline makes
-    // the failure mode (waiting it out) unmistakable.
-    let config = ClusterConfig {
-        client_options: ClientOptions { hole_fill_timeout: Duration::from_secs(30) },
-        ..ClusterConfig::default()
-    };
-    let cluster = LocalCluster::new(config);
-    let client = cluster.client().unwrap();
-    let token = client.token(&[]).unwrap();
-    let off = token.offset;
+    support::sweep!(wait_read_returns_trimmed_mid_poll, |seed| {
+        let config = ClusterConfig {
+            client_options: ClientOptions { hole_fill_timeout: Duration::from_secs(30) },
+            ..ClusterConfig::default()
+        };
+        let cluster = SimCluster::simulated(seed, config);
+        let sim = cluster.sim();
+        let client = cluster.client().unwrap();
+        let off = client.token(&[]).unwrap().offset;
 
-    let waiter = cluster.client().unwrap();
-    let start = Instant::now();
-    let handle = std::thread::spawn(move || waiter.wait_read(off).unwrap());
-    // Let the waiter establish its polling loop, then trim the offset.
-    std::thread::sleep(Duration::from_millis(30));
-    client.trim(off).unwrap();
+        let waiter = cluster.client().unwrap();
+        let handle = sim.spawn("waiter", move || waiter.wait_read(off).unwrap());
+        // Let the waiter establish its polling loop, then trim the offset.
+        let clock = sim.clock();
+        clock.sleep(Duration::from_micros(seed % 100_000));
+        client.trim(off).unwrap();
+        let trimmed = clock.now();
 
-    assert_eq!(handle.join().unwrap(), ReadOutcome::Trimmed);
-    // Poll backoff caps at 16ms, so the trim surfaces within a few polls.
-    assert!(
-        start.elapsed() < Duration::from_secs(5),
-        "waiter spun for {:?} instead of observing the trim",
-        start.elapsed()
-    );
+        assert_eq!(handle.join().unwrap(), ReadOutcome::Trimmed);
+        let waited = clock.now() - trimmed;
+        assert!(
+            waited <= HOLE_POLL_MAX + Duration::from_millis(1),
+            "waiter spun for {waited:?} after the trim instead of observing it"
+        );
+    });
 }
 
-/// What an [`Interposed`] connection does with a request before sending it.
-type Before = Arc<dyn Fn(&[u8]) + Send + Sync>;
-
-/// Connections to storage nodes that run `before` on every request they
-/// forward.
-struct Interposed {
-    inner: Arc<dyn ConnFactory>,
-    before: Before,
-}
-
-struct InterposedConn {
-    inner: Arc<dyn ClientConn>,
-    before: Before,
-}
-
-impl ConnFactory for Interposed {
-    fn connect(&self, node: &NodeInfo) -> Arc<dyn ClientConn> {
-        let inner = self.inner.connect(node);
-        if !node.addr.starts_with("storage") {
-            return inner;
-        }
-        Arc::new(InterposedConn { inner, before: Arc::clone(&self.before) })
-    }
-}
-
-impl ClientConn for InterposedConn {
-    fn call(&self, request: &[u8]) -> tango_rpc::Result<Vec<u8>> {
-        (self.before)(request);
-        self.inner.call(request)
-    }
-}
-
+/// An entry that reached the head only; the reader finds the tail empty,
+/// goes to the head for the value and brings it to the tail — while a
+/// prefix trim, sent to both replicas at once, passes the offset at every
+/// moment of that walk in turn. An offset trimmed before the reader's
+/// repair lands reads as trimmed, never as a storage failure; one trimmed
+/// after it reads as the data.
 #[test]
 fn a_trim_overtaking_a_chain_repair_reads_as_trimmed() {
-    // An entry that reached the head only; the reader finds the tail empty,
-    // goes to the head for the value — and by the time it brings it to the
-    // tail a prefix trim has passed the offset. That is an offset that was
-    // trimmed, not a storage failure.
-    let config = ClusterConfig { num_sets: 1, replication: 2, ..ClusterConfig::default() };
-    let cluster = LocalCluster::new(config);
-    let (head, tail) = (Arc::clone(&cluster.storage()[0]), Arc::clone(&cluster.storage()[1]));
-    let half_written = StorageRequest::Write {
-        epoch: 0,
-        addr: 0,
-        kind: WriteKind::Data,
-        payload: Bytes::from_static(b"head only"),
-    };
-    assert_eq!(head.process(half_written), StorageResponse::Ok);
-    // The only `Write` (tag 0) this reader sends is the repair's.
-    let trim_at_repair: Before = Arc::new(move |request| {
-        if request.first() == Some(&0) {
-            for node in [&head, &tail] {
-                let trim = StorageRequest::TrimPrefix { epoch: 0, horizon: 1 };
-                assert_eq!(node.process(trim), StorageResponse::Ok);
+    let overtaken = std::cell::Cell::new(0);
+    support::sweep!(a_trim_overtaking_a_chain_repair_reads_as_trimmed, |seed| {
+        for step in 0..16u64 {
+            let config = ClusterConfig { num_sets: 1, replication: 2, ..ClusterConfig::default() };
+            let cluster = SimCluster::simulated(seed, config);
+            let sim = cluster.sim();
+            sim.delay_calls("storage.", 30, Duration::from_micros(5));
+            let half_written = StorageRequest::Write {
+                epoch: 0,
+                addr: 0,
+                kind: WriteKind::Data,
+                payload: Bytes::from_static(b"head only"),
+            };
+            assert_eq!(cluster.storage()[0].process(half_written), StorageResponse::Ok);
+            let reader = cluster.client().unwrap();
+            let read = sim.spawn("reader", move || reader.read_many(&[0]));
+            sim.clock().sleep(Duration::from_micros(step * 10));
+            let trim = encode_to_vec(&StorageRequest::TrimPrefix { epoch: 0, horizon: 1 });
+            let replicas =
+                [0, 1].map(|id| sim.connect(&NodeInfo { id, addr: format!("storage-{id}") }));
+            let tickets = replicas.each_ref().map(|conn| conn.start(&trim));
+            for (conn, ticket) in replicas.iter().zip(tickets) {
+                let trimmed: StorageResponse =
+                    decode_from_slice(&conn.finish(ticket).unwrap()).unwrap();
+                assert_eq!(trimmed, StorageResponse::Ok);
             }
+            let outcome = read.join().unwrap().unwrap();
+
+            // Whether the repair write reached the tail after the trim did.
+            let trace = sim.trace();
+            let at_tail =
+                |point: &str| trace.iter().position(|d| d.to == "storage-1" && d.point == point);
+            if let (Some(repair), Some(trim)) =
+                (at_tail("storage.write"), at_tail("storage.trim_prefix"))
+            {
+                if trim < repair {
+                    overtaken.set(overtaken.get() + 1);
+                    assert_eq!(outcome, [ReadOutcome::Trimmed], "a trimmed repair is a trim");
+                }
+            }
+            assert!(
+                outcome == [ReadOutcome::Trimmed]
+                    || outcome == [ReadOutcome::Data(Bytes::from_static(b"head only"))],
+                "{outcome:?}"
+            );
         }
     });
-    let factory = Arc::new(Interposed { inner: cluster.conn_factory(), before: trim_at_repair });
-    let reader = cluster
-        .client_with_factory(factory, ClientOptions::default(), cluster.metrics().clone())
-        .unwrap();
-    assert_eq!(reader.read_many(&[0]).unwrap(), [ReadOutcome::Trimmed]);
+    assert!(overtaken.get() > 0, "some trim must land between the head read and the repair");
 }
 
 /// One deterministic storage operation of the seeded churn workload.

@@ -8,7 +8,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use tango_metrics::Registry;
-use tango_rpc::ClientConn;
+use tango_rpc::{ClientConn, Clock};
 use tango_wire::{decode_from_slice, encode_to_vec};
 
 use crate::metrics::MetaMetrics;
@@ -20,6 +20,12 @@ use crate::{quorum, MetaError, Position, Result};
 pub trait Dial: Send + Sync {
     /// Opens (or reuses) a connection to `replica`.
     fn dial(&self, replica: &ReplicaInfo) -> Arc<dyn ClientConn>;
+
+    /// The clock the dialled connections run on; the quorum backoff sleeps
+    /// on it.
+    fn clock(&self) -> Clock {
+        Clock::real()
+    }
 }
 
 impl<F> Dial for F
@@ -31,29 +37,15 @@ where
     }
 }
 
-/// Tuning knobs for the metalog client.
-#[derive(Debug, Clone)]
-pub struct MetaOptions {
-    /// Whole-quorum rounds retried (with exponential backoff) when fewer
-    /// than a majority of replicas answer. The first attempt is free; a
-    /// budget of 4 means up to 5 rounds.
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles per retry up to
-    /// [`MetaOptions::backoff_max`].
-    pub backoff_base: Duration,
-    /// Cap on the exponential backoff.
-    pub backoff_max: Duration,
-}
-
-impl Default for MetaOptions {
-    fn default() -> Self {
-        Self {
-            max_retries: 4,
-            backoff_base: Duration::from_millis(1),
-            backoff_max: Duration::from_millis(50),
-        }
-    }
-}
+/// Whole-quorum rounds retried (with exponential backoff) when fewer than a
+/// majority of replicas answer. The first attempt is free; a budget of 4
+/// means up to 5 rounds.
+pub const QUORUM_RETRIES: u32 = 4;
+/// Backoff before the first quorum retry; doubles per retry up to
+/// [`QUORUM_BACKOFF_MAX`].
+const QUORUM_BACKOFF_BASE: Duration = Duration::from_millis(1);
+/// Cap on the quorum retry backoff.
+const QUORUM_BACKOFF_MAX: Duration = Duration::from_millis(50);
 
 /// What one quorum round concluded, or that it must be retried.
 enum Round<T> {
@@ -74,29 +66,18 @@ pub struct MetaClient {
     replicas: RwLock<Vec<ReplicaInfo>>,
     dial: Arc<dyn Dial>,
     conns: Mutex<HashMap<u32, Arc<dyn ClientConn>>>,
-    opts: MetaOptions,
     metrics: MetaMetrics,
 }
 
 impl MetaClient {
     /// A client over `replicas` (in arbitration order), dialing through
-    /// `dial`, with default options and disabled instruments.
+    /// `dial`, with disabled instruments.
     pub fn new(replicas: Vec<ReplicaInfo>, dial: Arc<dyn Dial>) -> Self {
-        Self::with_options(replicas, dial, MetaOptions::default())
-    }
-
-    /// A client with explicit options.
-    pub fn with_options(
-        replicas: Vec<ReplicaInfo>,
-        dial: Arc<dyn Dial>,
-        opts: MetaOptions,
-    ) -> Self {
         assert!(!replicas.is_empty(), "a metalog needs at least one replica");
         Self {
             replicas: RwLock::new(replicas),
             dial,
             conns: Mutex::new(HashMap::new()),
-            opts,
             metrics: MetaMetrics::default(),
         }
     }
@@ -186,17 +167,17 @@ impl MetaClient {
     /// Runs `round` with bounded exponential-backoff retry on quorum loss,
     /// re-discovering the replica set between rounds.
     fn with_quorum_retry<T>(&self, mut round: impl FnMut() -> Result<Round<T>>) -> Result<T> {
-        let mut backoff = self.opts.backoff_base;
+        let mut backoff = QUORUM_BACKOFF_BASE;
         let mut last = (0usize, 0usize);
-        for attempt in 0..=self.opts.max_retries {
+        for attempt in 0..=QUORUM_RETRIES {
             match round()? {
                 Round::Done(v) => return Ok(v),
                 Round::NoQuorum { reachable, needed } => {
                     last = (reachable, needed);
-                    if attempt < self.opts.max_retries {
+                    if attempt < QUORUM_RETRIES {
                         self.metrics.retries.inc();
-                        std::thread::sleep(backoff);
-                        backoff = (backoff * 2).min(self.opts.backoff_max);
+                        self.dial.clock().sleep(backoff);
+                        backoff = (backoff * 2).min(QUORUM_BACKOFF_MAX);
                         // A replaced replica set is the common cause of a
                         // lost quorum; pick it up before trying again.
                         self.discover();

@@ -38,7 +38,7 @@ pub mod metrics;
 mod node;
 pub mod proto;
 
-pub use client::{Dial, MetaClient, MetaOptions};
+pub use client::{Dial, MetaClient, QUORUM_RETRIES};
 pub use error::MetaError;
 pub use node::MetaNode;
 pub use proto::ReplicaInfo;

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use tango_meta::proto::MetaRequest;
-use tango_meta::{MetaClient, MetaError, MetaNode, MetaOptions, ReplicaInfo};
+use tango_meta::{MetaClient, MetaError, MetaNode, ReplicaInfo, QUORUM_RETRIES};
 use tango_metrics::Registry;
 use tango_rpc::{ClientConn, RpcError};
 
@@ -61,15 +61,6 @@ impl TestSet {
         MetaClient::new(self.replicas.clone(), self.dial())
     }
 
-    fn fast_client(&self, max_retries: u32) -> MetaClient {
-        let opts = MetaOptions {
-            max_retries,
-            backoff_base: std::time::Duration::from_micros(10),
-            backoff_max: std::time::Duration::from_micros(100),
-        };
-        MetaClient::with_options(self.replicas.clone(), self.dial(), opts)
-    }
-
     fn kill(&self, idx: usize) {
         self.alive[idx].store(false, Ordering::SeqCst);
     }
@@ -109,7 +100,7 @@ fn propose_survives_one_dead_replica() {
 fn losing_quorum_surfaces_after_bounded_retries() {
     let set = TestSet::new(3);
     let registry = Registry::new();
-    let client = set.fast_client(2).with_metrics(&registry);
+    let client = set.client().with_metrics(&registry);
     set.kill(1);
     set.kill(2);
     match client.propose_at(1, Bytes::from_static(b"doomed")) {
@@ -119,7 +110,11 @@ fn losing_quorum_surfaces_after_bounded_retries() {
         }
         other => panic!("expected QuorumUnavailable, got {other:?}"),
     }
-    assert_eq!(client.metrics().retries.get(), 2, "one retry per budgeted round");
+    assert_eq!(
+        client.metrics().retries.get(),
+        QUORUM_RETRIES as u64,
+        "one retry per budgeted round"
+    );
 }
 
 #[test]
@@ -322,15 +317,7 @@ fn stale_client_rides_through_replacement_via_rediscovery() {
     // old view cannot reach a quorum without the replacement, and watch the
     // retry loop rediscover the new set.
     set.kill(1);
-    let stale = MetaClient::with_options(
-        set.replicas.clone(),
-        dial,
-        MetaOptions {
-            max_retries: 3,
-            backoff_base: std::time::Duration::from_micros(10),
-            backoff_max: std::time::Duration::from_micros(100),
-        },
-    );
+    let stale = MetaClient::new(set.replicas.clone(), dial);
     assert_eq!(stale.propose_at(1, Bytes::from_static(b"ride")).unwrap(), None);
     assert_eq!(stale.replicas(), new_set);
 }

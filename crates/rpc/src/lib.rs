@@ -27,6 +27,9 @@
 //!   costs two wake-ups and the client side owns no thread. Clients
 //!   reconnect transparently with a dial bounded by the per-call timeout.
 //!   Traced calls carry their `TraceContext` in the frame header.
+//! * [`Clock`] — the time protocol timing runs on: the wall clock, or the
+//!   [`Timeline`] of a simulated transport, reported where its connections
+//!   are dialled.
 //! * [`serve_snapshot`] / [`fetch_snapshot`] — the one reserved request
 //!   ([`SNAPSHOT_REQUEST`]) a node answers with its metrics registry's
 //!   binary snapshot, on the port its service listens on: a deployment is
@@ -35,6 +38,7 @@
 //! The framing is still deliberately minimal — request/response only, no
 //! streaming — because CORFU's protocol needs nothing more.
 
+mod clock;
 mod error;
 pub mod frame;
 mod local;
@@ -43,6 +47,7 @@ mod snapshot;
 mod tcp;
 mod traits;
 
+pub use clock::{Clock, Joiner, Timeline};
 pub use error::RpcError;
 pub use local::LocalConn;
 pub use snapshot::{fetch_snapshot, serve_snapshot, SNAPSHOT_REQUEST};

@@ -506,6 +506,11 @@ impl ClientConn for TcpConn {
         let mut started = match ticket.0 {
             TicketKind::Tcp(started) => started,
             TicketKind::Called(outcome) => return outcome,
+            TicketKind::Numbered(_) => {
+                return Err(RpcError::Io(
+                    "ticket finished on a connection that did not start it".into(),
+                ))
+            }
         };
         let id = started.id;
         let attempt = started.attempt.take().expect("a ticket is finished once");

@@ -30,6 +30,24 @@ pub(crate) enum TicketKind {
     Called(Result<Vec<u8>>),
     /// The request is on a [`TcpConn`](crate::TcpConn)'s socket.
     Tcp(crate::tcp::Started),
+    /// A transport outside this crate numbered the call.
+    Numbered(u64),
+}
+
+impl Ticket {
+    /// A ticket for call `id` of a transport that keeps its own table of
+    /// calls in flight.
+    pub fn numbered(id: u64) -> Self {
+        Self(TicketKind::Numbered(id))
+    }
+
+    /// The number [`Ticket::numbered`] gave this ticket, if it has one.
+    pub fn number(&self) -> Option<u64> {
+        match self.0 {
+            TicketKind::Numbered(id) => Some(id),
+            _ => None,
+        }
+    }
 }
 
 /// The client side of a service: a blocking request/response call, which a
@@ -55,7 +73,7 @@ pub trait ClientConn: Send + Sync {
     fn finish(&self, ticket: Ticket) -> Result<Vec<u8>> {
         match ticket.0 {
             TicketKind::Called(outcome) => outcome,
-            TicketKind::Tcp(_) => Err(crate::RpcError::Io(
+            TicketKind::Tcp(_) | TicketKind::Numbered(_) => Err(crate::RpcError::Io(
                 "ticket finished on a connection that did not start it".into(),
             )),
         }

@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bytes::Bytes;
-use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, TcpCluster, Transport};
+use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, SimCluster, TcpCluster, Transport};
 use corfu::proto::{PageOutcome, StorageResponse};
 use corfu::reconfig::replace_storage_node;
 use corfu::{
@@ -20,6 +20,9 @@ use corfu::{
 use corfu_stream::StreamClient;
 use tango_metrics::Registry;
 use tango_rpc::ClientConn;
+
+#[path = "../../corfu/tests/support/mod.rs"]
+mod support;
 
 /// Expands to `<scenario>::in_process` and `<scenario>::over_tcp`: the one
 /// generic body, on a fresh cluster per transport.
@@ -408,3 +411,40 @@ on_both_transports!(
     a_cross_log_body_brought_along_is_delivered_only_if_it_committed,
     ClusterConfig::sharded(2)
 );
+
+/// A prefix trim of half the stream lands while a cold reader walks it, at
+/// a moment that steps from before the walk's first `ReadChase` to after its
+/// last: the replay delivers, in order, every member at or above the trim
+/// horizon and — of those below — what the walk read before the trim took
+/// it; never an error, never a member twice.
+#[test]
+fn a_trim_racing_a_chase_loses_only_what_it_took() {
+    let cut_short = std::cell::Cell::new(0);
+    support::sweep!(a_trim_racing_a_chase_loses_only_what_it_took, |seed| {
+        for step in 0..4u64 {
+            let cluster = SimCluster::simulated(seed, two_by_two());
+            let sim = cluster.sim();
+            sim.delay_calls("storage.", 25, Duration::from_micros(30));
+            let writer = StreamClient::new(cluster.client().unwrap());
+            write_turns(&writer, (0..600).map(|turn| 1 + turn % 2));
+            let members = members_by_scan(writer.corfu(), 1);
+            let horizon = members[members.len() / 2];
+
+            let reader = StreamClient::new(cluster.client().unwrap());
+            let replay = sim.spawn("reader", move || sync_and_drain(&reader, 1));
+            sim.clock().sleep(Duration::from_micros(step * 30));
+            writer.corfu().trim_prefix(horizon).unwrap();
+            let delivered = replay.join().unwrap();
+
+            assert!(delivered.windows(2).all(|w| w[0] < w[1]), "out of order: {delivered:?}");
+            assert!(delivered.iter().all(|off| members.contains(off)), "{delivered:?}");
+            let above: Vec<LogOffset> = members.iter().copied().filter(|&m| m >= horizon).collect();
+            assert!(delivered.ends_with(&above), "a member above the horizon is missing");
+            let below = delivered.len() - above.len();
+            if below > 0 && below < members.len() - above.len() {
+                cut_short.set(cut_short.get() + 1);
+            }
+        }
+    });
+    assert!(cut_short.get() > 0, "some trim must land in the middle of the walk");
+}
