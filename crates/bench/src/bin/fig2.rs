@@ -1,24 +1,23 @@
 //! Figure 2: sequencer throughput vs number of clients.
 //!
 //! Paper: "as we add clients to the system, sequencer throughput increases
-//! until it plateaus at around 570K requests/sec … with a batch size of 4
-//! the sequencer can run at over 2M requests/sec."
+//! until it plateaus at around 570K requests/sec". (Its batched series is
+//! gone: the sequencer grants one token a request.)
 
-use simcluster::experiments::fig2_sequencer;
+use tango_bench::figures::{fig2_sequencer, Interval};
 use tango_bench::FigureOutput;
 
 fn main() {
-    let quick = tango_bench::quick();
-    let mut out = FigureOutput::new("fig2_sequencer", "clients,ks_requests_per_sec,ks_batched4");
-    let client_counts: Vec<usize> = if quick {
+    let interval = Interval::for_main();
+    let mut out = FigureOutput::new("fig2_sequencer", "clients,ks_requests_per_sec");
+    let client_counts: Vec<usize> = if tango_bench::quick() {
         vec![1, 4, 16, 36]
     } else {
         vec![1, 2, 4, 6, 8, 10, 12, 16, 20, 24, 28, 32, 36, 40]
     };
     for &clients in &client_counts {
-        let plain = fig2_sequencer(clients, 8, 1, 42);
-        let batched = fig2_sequencer(clients, 8, 4, 42);
-        out.row(format!("{clients},{plain:.1},{batched:.1}"));
+        let tokens = fig2_sequencer(clients, 8, 42, interval);
+        out.row(format!("{clients},{tokens:.1}"));
     }
     out.save();
 }

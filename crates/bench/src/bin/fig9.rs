@@ -6,11 +6,12 @@
 //! (uniform) / 70% (zipf) of throughput at 10K+ keys; throughput plateaus
 //! at three nodes — the playback bottleneck.
 
-use simcluster::experiments::fig9;
+use tango_bench::figures::{fig9, Interval};
 use tango_bench::FigureOutput;
 
 fn main() {
     let quick = tango_bench::quick();
+    let interval = Interval::for_main();
     let mut out = FigureOutput::new(
         "fig9_tx_contention",
         "dist,total_keys,nodes,ks_txes_per_sec,ks_goodput_per_sec",
@@ -25,7 +26,7 @@ fn main() {
         let dist = if zipf { "zipf" } else { "uniform" };
         for &keys in &key_counts {
             for &nodes in &node_counts {
-                let (tput, goodput) = fig9(nodes, keys, zipf, 42);
+                let (tput, goodput) = fig9(nodes, keys, zipf, 42, interval);
                 out.row(format!("{dist},{keys},{nodes},{tput:.1},{goodput:.1}"));
             }
         }

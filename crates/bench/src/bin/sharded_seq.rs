@@ -10,9 +10,10 @@
 //! hides exactly the property under test — a real sequencer serves its
 //! port from one thread. The [`GatedSeqFactory`] restores it: calls to a
 //! sequencer node serialize behind that node's mutex and pay a fixed
-//! service time inside it, the same modeling choice as `simcluster`'s
-//! `SequencerActor` (fig. 2). Storage and layout traffic pass through
-//! ungated. With one gate (N=1) the appenders all queue on one mutex;
+//! service time inside it, the same modeling choice as the simulated
+//! testbed's sequencer queue (`corfu::cluster::Testbed`, fig. 2). Storage
+//! and layout traffic pass through ungated. With one gate (N=1) the
+//! appenders all queue on one mutex;
 //! with N logs the gates — like the real sequencers — are independent.
 //!
 //! Output: `results/sharded_seq.csv` with

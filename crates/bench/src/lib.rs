@@ -4,6 +4,9 @@ use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
 
+pub mod figures;
+mod twopl;
+
 /// Where figure outputs land (`results/` at the workspace root, or
 /// `TANGO_RESULTS_DIR`).
 pub fn results_dir() -> PathBuf {

@@ -3,6 +3,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use tango_rpc::Clock;
 
 use crate::record::TxId;
 use crate::runtime::TangoRuntime;
@@ -112,7 +113,7 @@ impl<S: StateMachine> ObjectView<S> {
     /// the sync and records `(oid, key, version)` in the read set instead.
     pub fn query<R>(&self, key: Option<KeyHash>, f: impl FnOnce(&S) -> R) -> Result<R> {
         self.runtime.query_helper(self.oid, key)?;
-        Ok(f(&self.state.lock()))
+        Ok(f(&self.runtime.clock().lock(&self.state)))
     }
 
     /// Direct access to the shared state cell, bypassing the runtime.
@@ -131,7 +132,7 @@ impl<S: StateMachine> ObjectView<S> {
     /// transaction is active.
     pub fn query_dirty<R>(&self, key: Option<KeyHash>, f: impl FnOnce(&S) -> R) -> Result<R> {
         self.runtime.record_tx_read_if_active(self.oid, key)?;
-        Ok(f(&self.state.lock()))
+        Ok(f(&self.runtime.clock().lock(&self.state)))
     }
 }
 
@@ -141,17 +142,20 @@ pub(crate) trait ApplySink: Send {
     fn checkpoint(&self) -> Option<Vec<u8>>;
 }
 
+/// An apply may sleep on the clock (a simulated CPU cost), so the state is
+/// taken through it.
 pub(crate) struct SinkFor<S: StateMachine> {
     pub state: Arc<Mutex<S>>,
+    pub clock: Clock,
 }
 
 impl<S: StateMachine> ApplySink for SinkFor<S> {
     fn apply(&self, data: &[u8], meta: &ApplyMeta) {
-        self.state.lock().apply(data, meta);
+        self.clock.lock(&self.state).apply(data, meta);
     }
 
     fn checkpoint(&self) -> Option<Vec<u8>> {
-        self.state.lock().checkpoint()
+        self.clock.lock(&self.state).checkpoint()
     }
 }
 

@@ -6,10 +6,9 @@
 //! only with writes to `k` or with whole-object writes, allowing
 //! transactions to concurrently modify unrelated parts of a map or tree.
 //!
-//! This module is deliberately free of any I/O: the same table drives the
-//! real runtime's conflict checks and the discrete-event simulator's OCC
-//! model, so measured goodput in `simcluster` uses exactly the semantics
-//! the real system implements.
+//! This module is deliberately free of any I/O. The evaluation's figures
+//! run the real runtime on the simulated testbed, so the goodput they
+//! report is this table's.
 
 use tango_wire::IdMap;
 

@@ -1,8 +1,17 @@
-//! Concurrency tests: optimistic transactions from many client runtimes
-//! must be serializable — no lost updates, and all views converge.
+//! Concurrency tests: optimistic transactions from many client runtimes —
+//! and from many threads sharing one — must be serializable: no lost
+//! updates, and all views converge.
 
-use corfu::cluster::{ClusterConfig, LocalCluster};
+use std::panic::resume_unwind;
+use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::sync::Arc;
+use std::time::Duration;
+
+use corfu::cluster::{ClusterConfig, LocalCluster, SimCluster};
 use tango::{ApplyMeta, ObjectOptions, StateMachine, TangoRuntime, TxStatus};
+
+#[path = "../../corfu/tests/support/mod.rs"]
+mod support;
 
 /// A map of u64 counters. Update format: key u64 | value i64 (absolute).
 #[derive(Default)]
@@ -165,4 +174,90 @@ fn cross_object_invariant_under_concurrency() {
     assert_eq!(sum, 1000, "atomicity violated: money created or destroyed");
     let moved: i64 = (1..=THREADS as i64).map(|amt| amt * TRANSFERS as i64).sum();
     assert_eq!(get(&vb, 0), moved);
+}
+
+/// Runs `body` on a thread of its own and fails once `limit` of wall-clock
+/// time passes without it ending: a schedule that deadlocks fails instead
+/// of hanging the suite.
+fn guarded(limit: Duration, body: impl FnOnce() + Send + 'static) {
+    let (done, ended) = channel();
+    let runner = std::thread::spawn(move || {
+        body();
+        let _ = done.send(());
+    });
+    match ended.recv_timeout(limit) {
+        Err(RecvTimeoutError::Timeout) => panic!("the schedule did not end within {limit:?}"),
+        _ => runner.join().unwrap_or_else(|failure| resume_unwind(failure)),
+    }
+}
+
+/// `partitions` runtimes, each shared by four scheduled threads — as an
+/// application server's threads share one — that run read-modify-write
+/// transactions on the runtime's own counter. Across partitions each
+/// transaction also writes a key of the next runtime's object, which that
+/// runtime applies only on the writer's decision record. Every counter ends
+/// at exactly the commits its threads were told of, and every runtime holds
+/// exactly the committed writes sent to it.
+fn shared_runtimes(seed: u64, partitions: u64) {
+    let cluster = SimCluster::simulated(seed, ClusterConfig::default());
+    cluster.sim().delay_calls("", 25, Duration::from_micros(100));
+    let views: Vec<_> = (1..=partitions)
+        .map(|oid| {
+            let rt = TangoRuntime::new(cluster.client().unwrap()).unwrap();
+            rt.register_object(oid as u32, Counters::default(), ObjectOptions::default()).unwrap()
+        })
+        .collect();
+    let threads: Vec<_> = (0..4 * partitions)
+        .map(|t| {
+            let (part, view) = (t % partitions, views[(t % partitions) as usize].clone());
+            let next = (partitions > 1).then_some((part + 1) % partitions + 1);
+            cluster.sim().spawn(&format!("tx{t}"), move || {
+                let rt = Arc::clone(view.runtime());
+                let mut committed = Vec::new();
+                for i in 0..5 {
+                    rt.begin_tx().unwrap();
+                    let v = get_in_tx(&view, 0);
+                    put(&view, 0, v + 1);
+                    let key = 100 + 10 * t + i;
+                    if let Some(oid) = next {
+                        let data = [key.to_le_bytes(), 1i64.to_le_bytes()].concat();
+                        rt.update_remote(oid as u32, Some(key), data).unwrap();
+                    }
+                    if rt.end_tx().unwrap() == TxStatus::Committed {
+                        committed.push(key);
+                    }
+                }
+                (part, committed)
+            })
+        })
+        .collect();
+    let mut told = vec![0; partitions as usize];
+    let mut sent = vec![std::collections::BTreeSet::new(); partitions as usize];
+    for thread in threads {
+        let (part, keys) = thread.join().unwrap();
+        told[part as usize] += keys.len() as i64;
+        if partitions > 1 {
+            sent[((part + 1) % partitions) as usize].extend(keys);
+        }
+    }
+    assert!(told.iter().all(|&n| n > 0), "a partition committed nothing: {told:?}");
+    for (part, view) in views.iter().enumerate() {
+        assert_eq!(get(view, 0), told[part], "a commit lost, or an abort applied");
+        let received = view.query(None, |m| {
+            m.0.keys().copied().filter(|&k| k >= 100).collect::<std::collections::BTreeSet<u64>>()
+        });
+        assert_eq!(received.unwrap(), sent[part], "a remote write lost, or an aborted one applied");
+    }
+}
+
+/// [`shared_runtimes`] on one runtime and across two. Playback holds its
+/// lock across reads, so a thread that blocked on it for real would stall
+/// the schedule; the guard turns that into a failure.
+#[test]
+fn scheduled_threads_share_a_runtime() {
+    support::sweep!(scheduled_threads_share_a_runtime, |seed| {
+        for partitions in [1, 2] {
+            guarded(Duration::from_secs(60), move || shared_runtimes(seed, partitions));
+        }
+    });
 }

@@ -33,8 +33,10 @@ use crate::storage::StorageServer;
 use crate::{NodeId, NodeInfo, Projection, Result};
 
 mod sim;
+mod testbed;
 mod transport;
-pub use sim::{Delivery, Outcome, Sim, SimJoin, ThreadCrashed};
+pub use sim::{Delivery, Outcome, Sim, SimJoin, SimTime, ThreadCrashed};
+pub use testbed::Testbed;
 pub use transport::{HandlerRegistry, InProcess, Tcp, Transport};
 
 /// Geometry and tuning for a cluster.

@@ -9,9 +9,11 @@
 //!   or [`SimJoin::join`] gives up the baton, and the seed picks which
 //!   runnable thread takes it.
 //! * **Virtual time.** A call is delivered a fixed latency after it is sent
-//!   and answered as long after that; time advances to the next event only
-//!   when every scheduled thread is parked, so a client's retry backoff or
-//!   hole-fill wait costs nothing on the wall clock.
+//!   and answered as long after that — or, on [`Sim::on_testbed`], after
+//!   the NICs, racks and service queues of [`super::Testbed`]; time advances
+//!   to the next event only when every scheduled thread is parked, so a
+//!   client's retry backoff or hole-fill wait costs nothing on the wall
+//!   clock.
 //! * **Faults.** Every decision — delay a call (which reorders it behind
 //!   later ones), drop it, crash the node it goes to, crash the thread that
 //!   sends it — is a pure function of `(seed, point, nth)`: the call's
@@ -21,26 +23,33 @@
 //! So a run is a function of its seed: two runs of one seed deliver the
 //! same calls at the same virtual times ([`Sim::trace`]).
 //!
-//! A scheduled thread must own the clients it calls through. A lock held
-//! across a call (a runtime's playback mutex) would block another scheduled
-//! thread for real while it holds the baton.
+//! A lock held across a call (a runtime's playback mutex) is taken through
+//! [`Clock::lock`]: a thread that finds it held parks until the holder's
+//! guard drops ([`Timeline::wait_unlock`]), where a plain `lock()` would
+//! block for real while holding the baton.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use simnet::{SimTime, MS, SEC, US};
 use tango_metrics::{Registry, Snapshot};
+use tango_rpc::frame::HEADER_LEN;
 use tango_rpc::{ClientConn, Clock, RpcError, RpcHandler, Ticket, Timeline};
 
+use super::testbed::{Machine, Testbed, US};
 use super::{Transport, SEQUENCER_BASE_ID};
 use crate::client::ConnFactory;
 use crate::{NodeId, NodeInfo, Result};
 
-/// One-way latency of every message.
+/// Virtual time in nanoseconds.
+pub type SimTime = u64;
+const MS: SimTime = 1_000 * US;
+const SEC: SimTime = 1_000 * MS;
+
+/// One-way latency of every message off the testbed.
 const LATENCY: SimTime = 20 * US;
 /// How long a caller waits on a dropped call before it times out.
 const DROP_TIMEOUT: SimTime = 10 * MS;
@@ -130,6 +139,8 @@ enum Status {
     Sleeping,
     Calling(u64),
     Joining(usize),
+    /// Waiting for the lock at this address ([`Timeline::wait_unlock`]).
+    Locking(usize),
     Done,
 }
 
@@ -147,9 +158,22 @@ struct State {
     draws: u64,
     running: Option<usize>,
     threads: Vec<Status>,
+    /// Each thread waits for its turn on its own condvar, so a handoff
+    /// wakes only the thread it hands to.
+    turns: Vec<Arc<Condvar>>,
+    /// The machine each thread runs on.
+    thread_machine: Vec<usize>,
+    /// The testbed's resources, if the sim charges for them.
+    testbed: Option<Testbed>,
+    /// Client machines first (0 is the one [`Sim::new`]'s thread runs on),
+    /// then one per served node.
+    machines: Vec<Machine>,
+    node_machine: HashMap<String, usize>,
     /// Pending events by `(time, sequence)`: ties go in insertion order.
     events: BTreeMap<(SimTime, u64), Event>,
     next_seq: u64,
+    /// The threads waiting for each lock, first come first served.
+    lock_waiters: HashMap<usize, VecDeque<usize>>,
     /// Calls in flight, with their answer once it has arrived.
     calls: HashMap<u64, Option<tango_rpc::Result<Vec<u8>>>>,
     nodes: HashMap<String, Arc<dyn RpcHandler>>,
@@ -172,6 +196,19 @@ impl State {
             *status = Status::Runnable;
         }
     }
+
+    /// When a message of `bytes` (a frame's payload) sent at `at` from
+    /// machine `from` to machine `to` is in: off the testbed, a fixed latency
+    /// later.
+    fn arrival(&mut self, from: usize, to: Option<usize>, bytes: usize, at: SimTime) -> SimTime {
+        match (&self.testbed, to) {
+            (Some(testbed), Some(to)) => {
+                let bytes = (HEADER_LEN + bytes) as u64;
+                testbed.transfer(&mut self.machines, from, to, bytes, at)
+            }
+            _ => at + LATENCY,
+        }
+    }
 }
 
 struct Inner {
@@ -181,7 +218,6 @@ struct Inner {
     /// Virtual time zero on the [`Instant`] scale [`Clock::now`] reports.
     origin: Instant,
     state: Mutex<State>,
-    turn: Condvar,
 }
 
 thread_local! {
@@ -190,10 +226,12 @@ thread_local! {
 }
 
 /// The simulated transport; see the module docs. Every clone is the same
-/// simulation.
+/// simulation; a handle from [`Sim::machine`] starts its threads on its own
+/// client machine.
 #[derive(Clone)]
 pub struct Sim {
     inner: Arc<Inner>,
+    machine: usize,
 }
 
 /// Waits for a thread [`Sim::spawn`] started.
@@ -238,9 +276,10 @@ fn classify(addr: &str, node: NodeId, request: &[u8]) -> String {
         let op = op(&SEQUENCER_OPS);
         return if log == 0 { format!("seq.{op}") } else { format!("shard{log}.seq.{op}") };
     }
-    match addr.starts_with("meta") {
-        true => format!("meta.{}", op(&META_OPS)),
-        false => format!("storage.{}", op(&STORAGE_OPS)),
+    match addr.split_once('-').map_or(addr, |(kind, _)| kind) {
+        "meta" => format!("meta.{}", op(&META_OPS)),
+        "storage" => format!("storage.{}", op(&STORAGE_OPS)),
+        kind => format!("{kind}.{tag}"),
     }
 }
 
@@ -251,9 +290,38 @@ impl Sim {
         static IDS: AtomicU64 = AtomicU64::new(1);
         let id = IDS.fetch_add(1, Ordering::Relaxed);
         CURRENT.set(Some((id, 0)));
-        let state = State { running: Some(0), threads: vec![Status::Runnable], ..State::default() };
-        let (origin, state, turn) = (Instant::now(), Mutex::new(state), Condvar::new());
-        Self { inner: Arc::new(Inner { id, seed, origin, state, turn }) }
+        let state = State {
+            running: Some(0),
+            threads: vec![Status::Runnable],
+            turns: vec![Arc::default()],
+            thread_machine: vec![0],
+            machines: vec![Machine::new(0, u64::MAX)],
+            ..State::default()
+        };
+        let (origin, state) = (Instant::now(), Mutex::new(state));
+        Self { inner: Arc::new(Inner { id, seed, origin, state }), machine: 0 }
+    }
+
+    /// [`Sim::new`] on the testbed's resources: NICs, rack latency and the
+    /// nodes' service queues (module [`super::testbed`]). The calling
+    /// thread runs on a client machine in rack 0.
+    pub fn on_testbed(seed: u64, testbed: Testbed) -> Self {
+        let sim = Self::new(seed);
+        {
+            let mut st = sim.lock();
+            st.machines[0] = Machine::new(0, testbed.nic);
+            st.testbed = Some(testbed);
+        }
+        sim
+    }
+
+    /// A handle on a new client machine in `rack`: the threads it spawns
+    /// run there, sending and receiving through its NIC.
+    pub fn machine(&self, rack: u8) -> Sim {
+        let mut st = self.lock();
+        let nic = st.testbed.as_ref().map_or(u64::MAX, |t| t.nic);
+        st.machines.push(Machine::new(rack, nic));
+        Sim { inner: Arc::clone(&self.inner), machine: st.machines.len() - 1 }
     }
 
     /// Every call so far, in the order it was delivered, dropped or crashed.
@@ -332,6 +400,8 @@ impl Sim {
         let thread = {
             let mut st = self.lock();
             st.threads.push(Status::Runnable);
+            st.turns.push(Arc::default());
+            st.thread_machine.push(self.machine);
             st.threads.len() - 1
         };
         let result = Arc::new(Mutex::new(None));
@@ -342,7 +412,7 @@ impl Sim {
                 CURRENT.set(Some((sim.inner.id, thread)));
                 let mut st = sim.lock();
                 while st.running != Some(thread) && st.stopped.is_none() {
-                    st = sim.wait_turn(st);
+                    st = sim.wait_turn(st, thread);
                 }
                 let started = st.stopped.is_none();
                 drop(st);
@@ -374,8 +444,9 @@ impl Sim {
         self.inner.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn wait_turn<'a>(&'a self, st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
-        self.inner.turn.wait(st).unwrap_or_else(|e| e.into_inner())
+    fn wait_turn<'a>(&'a self, st: MutexGuard<'a, State>, me: usize) -> MutexGuard<'a, State> {
+        let turn = Arc::clone(&st.turns[me]);
+        turn.wait(st).unwrap_or_else(|e| e.into_inner())
     }
 
     fn stop_reason(&self) -> String {
@@ -417,7 +488,10 @@ impl Sim {
                 }
             }
         }
-        self.inner.turn.notify_all();
+        match (st.running, &st.stopped) {
+            (Some(next), None) => st.turns[next].notify_one(),
+            _ => st.turns.iter().for_each(|turn| turn.notify_one()),
+        }
         st
     }
 
@@ -452,9 +526,18 @@ impl Sim {
                         Ok(response)
                     }
                 };
-                delivery.at = st.now;
+                let (now, caller) = (st.now, st.thread_machine[delivery.from]);
+                let at = match (st.node_machine.get(&delivery.to).copied(), &answer) {
+                    (Some(machine), Ok(response)) if st.testbed.is_some() => {
+                        let testbed = st.testbed.as_ref().expect("checked");
+                        let service = testbed.service(&delivery.to, &delivery.point, response);
+                        let done = st.machines[machine].serve(now, service);
+                        st.arrival(machine, Some(caller), response.len(), done)
+                    }
+                    _ => now + LATENCY,
+                };
+                delivery.at = now;
                 st.trace.push(delivery);
-                let at = st.now + LATENCY;
                 st.push(at, Event::Reply(call, answer));
             }
         }
@@ -467,7 +550,7 @@ impl Sim {
     fn park<'a>(&'a self, st: MutexGuard<'a, State>, me: usize) -> MutexGuard<'a, State> {
         let mut st = self.pass(st);
         while st.running != Some(me) && st.stopped.is_none() {
-            st = self.wait_turn(st);
+            st = self.wait_turn(st, me);
         }
         if st.stopped.is_some() && !std::thread::panicking() {
             drop(st);
@@ -514,8 +597,10 @@ impl Sim {
                     Some(Action::Delay(extra)) => extra,
                     _ => 0,
                 };
+                let (from, to) = (st.thread_machine[me], st.node_machine.get(addr).copied());
+                let arrival = st.arrival(from, to, request.len(), now);
                 let deliver = Event::Deliver(id, node, request.to_vec(), action, delivery);
-                st.push(now + LATENCY + extra, deliver);
+                st.push(arrival + extra, deliver);
             }
         }
         id
@@ -563,6 +648,28 @@ impl Timeline for Sim {
         let SimJoin { sim, thread, .. } = Sim::spawn(self, &name, body);
         Box::new(move || sim.join_thread(thread))
     }
+
+    fn wait_unlock(&self, lock: usize) {
+        let me = self.me();
+        let mut st = self.lock();
+        st.threads[me] = Status::Locking(lock);
+        st.lock_waiters.entry(lock).or_default().push_back(me);
+        drop(self.park(st, me));
+    }
+
+    /// Wakes the longest waiter, if any: it takes the lock unless a thread
+    /// that runs first does, and then waits again.
+    fn unlocked(&self, lock: usize) {
+        let mut st = self.lock();
+        let Some(waiters) = st.lock_waiters.get_mut(&lock) else { return };
+        let next = waiters.pop_front();
+        if waiters.is_empty() {
+            st.lock_waiters.remove(&lock);
+        }
+        if let Some(thread) = next {
+            st.threads[thread] = Status::Runnable;
+        }
+    }
 }
 
 /// A connection whose calls are the simulation's events.
@@ -609,7 +716,13 @@ impl Transport for Sim {
         handler: Arc<dyn RpcHandler>,
         _: &Registry,
     ) -> Result<(String, String)> {
-        self.lock().nodes.insert(label.to_owned(), handler);
+        let mut st = self.lock();
+        st.nodes.insert(label.to_owned(), handler);
+        if let Some(machine) = st.testbed.as_ref().map(|testbed| testbed.server(label)) {
+            st.machines.push(machine);
+            let index = st.machines.len() - 1;
+            st.node_machine.insert(label.to_owned(), index);
+        }
         Ok((label.to_owned(), label.to_owned()))
     }
 

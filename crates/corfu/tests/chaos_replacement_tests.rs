@@ -2,14 +2,14 @@
 //! a replacement runs concurrently. Every acked append must stay readable,
 //! no sealed-epoch write may leak into the rebuilt chain, and — because the
 //! simulated transport makes every decision a function of the seed — a
-//! seed replays bit for bit.
+//! seed replays bit for bit, on the testbed's resources as without them.
 
 mod support;
 
 use std::time::Duration;
 
 use bytes::Bytes;
-use corfu::cluster::{ClusterConfig, Delivery, Outcome, SimCluster};
+use corfu::cluster::{Cluster, ClusterConfig, Delivery, Outcome, Sim, Testbed};
 use corfu::proto::{StorageRequest, StorageResponse};
 use corfu::reconfig::replace_storage_node;
 use corfu::LogOffset;
@@ -17,15 +17,13 @@ use corfu::LogOffset;
 const TOTAL_APPENDS: u32 = 120;
 const CRASH_AT_WRITE: u64 = 25;
 
-/// One full run of the schedule on a fresh 2x2 cluster: an appender thread
-/// hammers the log while the 25th storage write crashes its node, and the
-/// main thread replaces the victim. Returns the simulation's trace after
-/// verifying every safety property.
-fn scenario(seed: u64) -> Vec<Delivery> {
-    let cluster = SimCluster::simulated(
-        seed,
-        ClusterConfig { num_sets: 2, replication: 2, ..Default::default() },
-    );
+/// One full run of the schedule on a fresh 2x2 cluster on `sim`: an
+/// appender thread hammers the log while the 25th storage write crashes its
+/// node, and the main thread replaces the victim. Returns the simulation's
+/// trace after verifying every safety property.
+fn scenario(sim: Sim) -> Vec<Delivery> {
+    let config = ClusterConfig { num_sets: 2, replication: 2, ..Default::default() };
+    let cluster = Cluster::start(sim, config).unwrap();
     let sim = cluster.sim();
     // Seeded jitter on the storage path reorders calls, then the 25th
     // storage write kills its target node outright.
@@ -119,10 +117,12 @@ fn scenario(seed: u64) -> Vec<Delivery> {
 
 /// Each seed runs twice, and every delivery — its virtual time, its
 /// endpoints, its point and occurrence, its outcome — is the same, after
-/// the crash as much as before it.
+/// the crash as much as before it: on the plain simulated transport, and
+/// with the testbed's NICs, racks and service queues charged.
 #[test]
 fn killed_node_under_pipelined_load_is_replaced_deterministically() {
     support::sweep!(killed_node_under_pipelined_load_is_replaced_deterministically, |seed| {
-        support::replayed(seed, scenario);
+        support::replayed(seed, |seed| scenario(Sim::new(seed)));
+        support::replayed(seed, |seed| scenario(Sim::on_testbed(seed, Testbed::paper())));
     });
 }

@@ -24,8 +24,9 @@
 //! We do not have the paper's Intel X25-V SSDs; `FileStore` over a local
 //! filesystem is the substitution. It preserves the semantics that matter to
 //! CORFU — write-once pages, explicit trim, sealing, persistence across
-//! restarts — while the performance characteristics of the original cluster
-//! are modeled separately in `simcluster` (see DESIGN.md).
+//! restarts — while the figures charge the original cluster's flash service
+//! times on the simulated transport (`corfu::cluster::Testbed`, see
+//! DESIGN.md).
 
 #[cfg(test)]
 mod crash;

@@ -1,6 +1,9 @@
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+use parking_lot::{Mutex, MutexGuard};
 
 /// A time source that is not the wall clock: what a simulated transport
 /// implements to run blocking clients under virtual time.
@@ -13,6 +16,10 @@ pub trait Timeline: Send + Sync {
     /// Runs `body` on a new thread this timeline schedules; the returned
     /// closure waits for it to end.
     fn spawn(&self, name: String, body: Box<dyn FnOnce() + Send>) -> Box<dyn FnOnce() + Send>;
+    /// Blocks the calling thread until [`Timeline::unlocked`] names `lock`.
+    fn wait_unlock(&self, lock: usize);
+    /// Lets the threads waiting for `lock` run again.
+    fn unlocked(&self, lock: usize);
 }
 
 /// The clock protocol timing runs on: the wall clock by default, or a
@@ -62,6 +69,57 @@ impl Clock {
                     .unwrap_or_else(|e| panic!("spawn {name}: {e}")),
             ),
             Some(timeline) => Joiner::Scheduled(timeline.spawn(name.into(), Box::new(body))),
+        }
+    }
+
+    /// Takes `mutex`, a lock that may be held across a call or a sleep on
+    /// this clock. On the wall clock that is `mutex.lock()` after one
+    /// `try_lock`; on a timeline a waiter blocks until the holder's guard
+    /// drops, so the holder gets to run meanwhile.
+    pub fn lock<'a, T>(&self, mutex: &'a Mutex<T>) -> ClockGuard<'a, T> {
+        let key = mutex as *const Mutex<T> as usize;
+        let wake = self.0.clone().map(|timeline| (timeline, key));
+        if let Some(guard) = mutex.try_lock() {
+            return ClockGuard { guard: Some(guard), wake };
+        }
+        let Some((timeline, _)) = &wake else {
+            return ClockGuard { guard: Some(mutex.lock()), wake };
+        };
+        loop {
+            timeline.wait_unlock(key);
+            if let Some(guard) = mutex.try_lock() {
+                return ClockGuard { guard: Some(guard), wake };
+            }
+        }
+    }
+}
+
+/// A lock [`Clock::lock`] took; dropping it wakes the threads a timeline
+/// parked waiting for it.
+pub struct ClockGuard<'a, T> {
+    guard: Option<MutexGuard<'a, T>>,
+    wake: Option<(Arc<dyn Timeline>, usize)>,
+}
+
+impl<T> Deref for ClockGuard<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        self.guard.as_deref().expect("held until dropped")
+    }
+}
+
+impl<T> DerefMut for ClockGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        self.guard.as_deref_mut().expect("held until dropped")
+    }
+}
+
+impl<T> Drop for ClockGuard<'_, T> {
+    fn drop(&mut self) {
+        self.guard = None;
+        if let Some((timeline, key)) = &self.wake {
+            timeline.unlocked(*key);
         }
     }
 }

@@ -47,7 +47,7 @@ mod snapshot;
 mod tcp;
 mod traits;
 
-pub use clock::{Clock, Joiner, Timeline};
+pub use clock::{Clock, ClockGuard, Joiner, Timeline};
 pub use error::RpcError;
 pub use local::LocalConn;
 pub use snapshot::{fetch_snapshot, serve_snapshot, SNAPSHOT_REQUEST};

@@ -1,12 +1,12 @@
 #![warn(missing_docs)]
-//! Deterministic workload generation for benchmarks and the simulator.
+//! Deterministic workload generation for benchmarks and simulated figures.
 //!
 //! The paper's transaction experiments (§6.2) choose keys either uniformly
 //! or with "a highly skewed zipf distribution (corresponding to workload 'a'
 //! of the Yahoo! Cloud Serving Benchmark)". This crate provides:
 //!
 //! * [`SplitMix64`] — a tiny, fast, seedable PRNG (deterministic runs are a
-//!   hard requirement for the discrete-event simulator).
+//!   hard requirement for the simulated figures).
 //! * [`Zipf`] — a YCSB-style zipf sampler over `0..n` with parameter
 //!   `theta` (YCSB uses 0.99), using the precomputed-zeta formulation from
 //!   Gray et al., "Quickly Generating Billion-Record Synthetic Databases".

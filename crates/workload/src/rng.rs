@@ -1,7 +1,7 @@
 /// SplitMix64: a tiny, high-quality, seedable PRNG (Steele, Lea & Flood,
 /// "Fast Splittable Pseudorandom Number Generators", OOPSLA 2014).
 ///
-/// Used everywhere determinism matters: the simulator must produce
+/// Used everywhere determinism matters: a simulated figure must produce
 /// identical results for identical seeds.
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
