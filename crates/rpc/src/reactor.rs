@@ -354,13 +354,25 @@ impl Reactor {
         let listener_fd = inner.listener.as_raw_fd();
         sys::add(epfd, listener_fd, EPOLLIN | EPOLLONESHOT, LISTENER_TOKEN)?;
         let mut reactor = Reactor { inner, threads: Vec::with_capacity(threads) };
+        // A thread names itself once it runs, so each reports in before
+        // `spawn` returns: from then on every pool thread is up and named.
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
         for i in 0..threads {
             let inner = Arc::clone(&reactor.inner);
+            let started = started_tx.clone();
             let thread = std::thread::Builder::new()
                 .name(format!("{name}{i}"))
-                .spawn(move || serve(&inner))
+                .spawn(move || {
+                    let _ = started.send(());
+                    serve(&inner)
+                })
                 .map_err(|e| RpcError::Io(e.to_string()))?;
             reactor.threads.push(thread);
+        }
+        drop(started_tx);
+        for _ in 0..threads {
+            // Err only if a thread died before reporting; `Drop` joins it.
+            let _ = started_rx.recv();
         }
         Ok(reactor)
     }
