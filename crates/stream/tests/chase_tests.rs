@@ -267,6 +267,43 @@ fn an_abandoned_token_is_waited_out_once_and_filled<T: Transport>(cluster: &Clus
 
 on_both_transports!(an_abandoned_token_is_waited_out_once_and_filled, two_by_two());
 
+/// A stream dense in a log of six replica sets, where no node holds any of
+/// an entry's four backpointers, so none can chase the walk: a reader 200
+/// entries behind reads the log down to what it knows instead, 32 offsets a
+/// round trip. A slow writer of another stream holds a token in the middle;
+/// that read neither waits for it nor fills it, and the walk, which learns
+/// members from backpointers alone, never reads it.
+fn a_dense_stream_past_the_chase_is_read_around_a_slow_writer<T: Transport>(cluster: &Cluster<T>) {
+    const ENTRIES: usize = 200;
+    let writer = StreamClient::new(cluster.client().unwrap());
+    let registry = Registry::new();
+    let options = ClientOptions { hole_fill_timeout: Duration::from_secs(5) };
+    let corfu =
+        cluster.client_with_factory(cluster.conn_factory(), options, registry.clone()).unwrap();
+    let reader = StreamClient::new(corfu);
+    write_turns(&writer, (0..10).map(|_| 1));
+    assert_eq!(sync_and_drain(&reader, 1).len(), 10);
+
+    write_turns(&writer, (0..ENTRIES / 2).map(|_| 1));
+    let slow = writer.corfu().token(&[2]).unwrap().offset;
+    write_turns(&writer, (0..ENTRIES / 2).map(|_| 1));
+    let calls_before = registry.counter("corfu.client.read_batches").get();
+    let delivered = sync_and_drain(&reader, 1);
+    assert_eq!(delivered, members_by_scan(writer.corfu(), 1)[10..]);
+    assert_eq!(delivered.len(), ENTRIES);
+    assert_eq!(registry.counter("corfu.client.junk_forced").get(), 0);
+    assert_eq!(writer.corfu().read(slow).unwrap(), ReadOutcome::Unwritten);
+    // Walking four entries a round trip asks four nodes each time: 200
+    // requests. The read asks each of six nodes once per 32 offsets.
+    let calls = registry.counter("corfu.client.read_batches").get() - calls_before;
+    assert!(calls <= (ENTRIES / 32 + 2) as u64 * 6, "{calls} storage calls for {ENTRIES} entries");
+}
+
+on_both_transports!(
+    a_dense_stream_past_the_chase_is_read_around_a_slow_writer,
+    ClusterConfig { num_sets: 6, replication: 1, ..Default::default() }
+);
+
 /// Tells the test "stopped", then waits to be told "go on". Taken by the
 /// one connection that uses it.
 type Pause = Arc<Mutex<Option<(Sender<()>, Receiver<()>)>>>;
