@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use corfu::{log_of_offset, raw_of_offset, CorfuClient, CrossLogLink, StreamId};
+use corfu::{log_of_offset, raw_of_offset, CorfuClient, LinkRef, StreamId};
 use corfu_stream::{Delivery, Run, StreamClient};
 use parking_lot::Mutex;
 use tango_metrics::{log_scoped, Counter, Gauge, Histogram, Registry, Sampler};
@@ -258,7 +258,7 @@ impl TangoRuntime {
                     continue;
                 };
                 if let Ok(LogRecord::Checkpoint { oid: o, data, as_of }) =
-                    decode_from_slice::<LogRecord>(&entry.payload)
+                    decode_from_slice::<LogRecord>(entry.payload())
                 {
                     if o == oid {
                         return Ok((Some((off, data, as_of)), overtaken));
@@ -486,7 +486,7 @@ impl TangoRuntime {
             for delivery in run.iter() {
                 // A payload this runtime cannot parse (foreign writer) is
                 // skipped rather than wedging playback.
-                let payload = delivery.entry.map(|entry| &entry.payload[..]);
+                let payload = delivery.entry.map(|entry| entry.payload());
                 if let Some(Ok(record)) = payload.map(LogRecordRef::decode) {
                     outcome = self.process_record(play, record, &delivery);
                     if outcome.is_err() {
@@ -555,7 +555,7 @@ impl TangoRuntime {
         delivery: &Delivery<'_>,
     ) -> Result<()> {
         let off = delivery.offset;
-        let link = delivery.entry.and_then(|entry| entry.link.as_ref());
+        let link = delivery.entry.and_then(|entry| entry.link());
         match record {
             LogRecordRef::Update(update) => self.apply(play, update, delivery, None),
             LogRecordRef::Speculative { txid, updates } => {
@@ -583,7 +583,7 @@ impl TangoRuntime {
     /// outcome, or we host every object in the read set and can validate
     /// versions directly.
     ///
-    /// A cross-log commit (the entry carries a [`CrossLogLink`]) is never
+    /// A cross-log commit (the entry carries a [`corfu::CrossLogLink`]) is never
     /// validated against the live version tables: playback reaches the
     /// entry's parts at different points of the composite merge order, so a
     /// read stream in another log may not be played to its pin yet. Those
@@ -594,7 +594,7 @@ impl TangoRuntime {
         play: &Playback,
         txid: TxId,
         reads: &[ReadKey],
-        link: Option<&CrossLogLink>,
+        link: Option<LinkRef<'_>>,
     ) -> Option<bool> {
         if let Some(&d) = play.decided.get(&txid) {
             return Some(d);
@@ -620,7 +620,7 @@ impl TangoRuntime {
         commit_off: LogOffset,
         reads: &[ReadKey],
         needs_decision: bool,
-        link: Option<&CrossLogLink>,
+        link: Option<LinkRef<'_>>,
     ) -> Result<bool> {
         // If the generator did not mark the transaction, no decision record
         // will ever arrive; resolve offline immediately.
@@ -637,7 +637,7 @@ impl TangoRuntime {
                 for off in ahead {
                     let Some(entry) = self.stream.read_at(off)? else { continue };
                     if let Ok(LogRecord::Decision { txid: t, committed, .. }) =
-                        decode_from_slice::<LogRecord>(&entry.payload)
+                        decode_from_slice::<LogRecord>(entry.payload())
                     {
                         if t == txid {
                             return Ok(committed);
@@ -697,7 +697,7 @@ impl TangoRuntime {
         let mut writes: Vec<(LogOffset, MayWrite)> = Vec::new();
         for off in between {
             let Some(entry) = self.stream.read_at(off)? else { continue };
-            let updates = match decode_from_slice::<LogRecord>(&entry.payload) {
+            let updates = match decode_from_slice::<LogRecord>(entry.payload()) {
                 Ok(LogRecord::Update(u)) => vec![u],
                 Ok(LogRecord::Commit { updates, speculative, .. }) if speculative.is_empty() => {
                     updates
@@ -746,7 +746,7 @@ impl TangoRuntime {
     /// of the original commit entry.
     fn commit_streams_hint(&self, commit_off: LogOffset) -> Result<Vec<StreamId>> {
         match self.stream.read_at(commit_off)? {
-            Some(entry) => Ok(entry.headers.iter().map(|h| h.stream).collect()),
+            Some(entry) => Ok(entry.streams().collect()),
             None => Ok(Vec::new()),
         }
     }
@@ -778,7 +778,7 @@ impl TangoRuntime {
         for spec_off in unbuffered {
             let Some(entry) = self.stream.read_at(spec_off)? else { continue };
             if let Ok(LogRecord::Speculative { txid: t, updates }) =
-                decode_from_slice::<LogRecord>(&entry.payload)
+                decode_from_slice::<LogRecord>(entry.payload())
             {
                 if t == txid {
                     buffered.insert(spec_off, updates);
@@ -805,7 +805,7 @@ impl TangoRuntime {
         play: &mut Playback,
         reads: &[ReadKey],
         commit_off: LogOffset,
-        link: Option<&CrossLogLink>,
+        link: Option<LinkRef<'_>>,
     ) -> Result<bool> {
         let mut memo = play.decided.clone();
         for r in reads {
@@ -838,10 +838,10 @@ impl TangoRuntime {
     /// current tail: cross-log write skew is not prevented (see
     /// DESIGN.md), but the outcome is the same deterministic function of
     /// the log contents on every client.
-    fn read_pin(&self, link: Option<&CrossLogLink>, oid: Oid, commit_off: LogOffset) -> LogOffset {
+    fn read_pin(&self, link: Option<LinkRef<'_>>, oid: Oid, commit_off: LogOffset) -> LogOffset {
         let Some(link) = link else { return commit_off };
         let log = self.stream.corfu().projection().log_of_stream(oid);
-        link.parts.iter().copied().find(|&p| log_of_offset(p) == log).unwrap_or(u64::MAX)
+        link.parts().find(|&p| log_of_offset(p) == log).unwrap_or(u64::MAX)
     }
 
     /// Computes the version of `(oid, key)` as of log position `upto`
@@ -870,7 +870,7 @@ impl TangoRuntime {
         for &off in &offsets {
             let Some(entry) = self.stream.read_at(off)? else { continue };
             if let Ok(LogRecord::Decision { txid, committed, .. }) =
-                decode_from_slice::<LogRecord>(&entry.payload)
+                decode_from_slice::<LogRecord>(entry.payload())
             {
                 memo.entry(txid).or_insert(committed);
             }
@@ -880,7 +880,7 @@ impl TangoRuntime {
         let mut spec: HashMap<TxId, Vec<UpdateRecord>> = HashMap::new();
         for &off in below {
             let Some(entry) = self.stream.read_at(off)? else { continue };
-            let Ok(record) = decode_from_slice::<LogRecord>(&entry.payload) else { continue };
+            let Ok(record) = decode_from_slice::<LogRecord>(entry.payload()) else { continue };
             match record {
                 LogRecord::Update(u) if u.oid == oid => {
                     table.record_write(oid, u.key, off);
@@ -1037,7 +1037,8 @@ impl TangoRuntime {
         )?;
         // A cross-log commit's anchor envelope carries the part offsets
         // (cached by the append, so this is a local lookup).
-        let commit_link = self.stream.read_at(commit_off)?.and_then(|e| e.link.clone());
+        let commit_entry = self.stream.read_at(commit_off)?;
+        let commit_link = commit_entry.as_ref().and_then(|e| e.link());
 
         // Play the conflict window, then validate. `commit_off` is the
         // home (lowest-log) part, so the play covers exactly the home
@@ -1052,7 +1053,7 @@ impl TangoRuntime {
         }
         let mut play = self.playback();
         self.play_to_locked(&mut play, commit_off)?;
-        let committed = match (play.decided.get(&txid), commit_link.as_ref()) {
+        let committed = match (play.decided.get(&txid), commit_link) {
             (Some(&decided), _) => decided,
             (None, None) => ctx.reads.iter().all(|r| !play.versions.is_stale(r)),
             (None, Some(link)) => {
@@ -1083,7 +1084,7 @@ impl TangoRuntime {
         // views through the uniform path) — every part of it, so hosted
         // objects in every written log observe the outcome. Own commits
         // of other threads waiting behind it may be decidable from there.
-        let last_part = commit_link.as_ref().and_then(|l| l.parts.last().copied());
+        let last_part = commit_link.and_then(|l| l.parts().next_back());
         let mut play = self.playback();
         self.play_to_locked(&mut play, last_part.unwrap_or(commit_off) + 1)?;
         let position = play.position;
@@ -1271,7 +1272,7 @@ impl TangoRuntime {
         let Some(entry) = self.stream.read_at(offset)? else {
             return Ok(Vec::new());
         };
-        match decode_from_slice::<LogRecord>(&entry.payload) {
+        match decode_from_slice::<LogRecord>(entry.payload()) {
             Ok(LogRecord::Update(u)) => Ok(vec![u]),
             Ok(LogRecord::Commit { updates, speculative, .. }) => {
                 // The spilled write set is fetched in bulk, then decoded.
@@ -1280,7 +1281,7 @@ impl TangoRuntime {
                 for off in speculative {
                     if let Some(e) = self.stream.read_at(off)? {
                         if let Ok(LogRecord::Speculative { updates, .. }) =
-                            decode_from_slice::<LogRecord>(&e.payload)
+                            decode_from_slice::<LogRecord>(e.payload())
                         {
                             all.extend(updates);
                         }

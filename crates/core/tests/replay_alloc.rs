@@ -1,9 +1,9 @@
 //! What a replayed entry costs a runtime, in allocator calls: a fresh
 //! runtime opens one of two maps whose updates alternate in the log and
 //! reads it — a cold walk of the stream, the decode of every entry and its
-//! `apply`. Counted with a counting allocator instead of a clock, so the
-//! check repeats exactly. Its own test binary: the allocator is
-//! process-wide.
+//! `apply` — and what dropping that runtime gives back. Counted with a
+//! counting allocator instead of a clock, so the check repeats exactly. Its
+//! own test binary: the allocator is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,6 +15,8 @@ use tango::{ApplyMeta, ObjectOptions, ObjectView, StateMachine, TangoRuntime};
 thread_local! {
     /// How many times this thread asked the allocator while `COUNTING`.
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    /// How many times it gave memory back.
+    static FREES: Cell<u64> = const { Cell::new(0) };
     static COUNTING: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -30,6 +32,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = COUNTING.try_with(|on| {
+            if on.get() {
+                let _ = FREES.try_with(|f| f.set(f.get() + 1));
+            }
+        });
         // SAFETY: `ptr` came from `System` with this layout.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -80,9 +87,11 @@ fn put(map: &ObjectView<Map>, key: u64, value: u64) {
 /// Allocator calls per entry of a fresh runtime's first read of a map of
 /// 1 024 puts, a second map's puts between them — the in-process nodes'
 /// share of the walk's round trips included. 6.74 when every entry was
-/// copied out of its reply as a page and every update out of its entry;
-/// 4.71 now, four of them the cached entry itself (its headers, their
-/// backpointers, its payload and the `Arc`).
+/// copied out of its reply as a page and every update out of its entry,
+/// 4.71–4.76 while four of them were the cached entry itself (its headers,
+/// their backpointers, its payload and the `Arc`); 0.77 now that a cached
+/// entry is a handle on its reply and a range of it. Dropping the runtime
+/// afterwards freed those four, 4.07 calls to free per update; now 0.08.
 #[test]
 fn a_replayed_update_allocates_a_fixed_number_of_times() {
     let cluster = LocalCluster::new(ClusterConfig::default());
@@ -110,6 +119,15 @@ fn a_replayed_update_allocates_a_fixed_number_of_times() {
     assert_eq!(replayed.unwrap().unwrap() as u64, PUTS);
     let per_entry = CALLS.with(|c| c.get()) as f64 / PUTS as f64;
     println!("open + first read: {per_entry:.2} allocator calls per replayed update");
-    assert!(per_entry <= 4.9, "a replayed update cost {per_entry:.2} allocator calls");
-    assert_eq!(view.unwrap().query(None, |map| map.0.clone()).unwrap(), written);
+    assert!(per_entry <= 0.95, "a replayed update cost {per_entry:.2} allocator calls");
+    let view = view.unwrap();
+    assert_eq!(view.query(None, |map| map.0.clone()).unwrap(), written);
+
+    FREES.with(|f| f.set(0));
+    COUNTING.with(|on| on.set(true));
+    drop((view, reader));
+    COUNTING.with(|on| on.set(false));
+    let per_entry = FREES.with(|f| f.get()) as f64 / PUTS as f64;
+    println!("dropping the runtime: {per_entry:.3} calls to free per replayed update");
+    assert!(per_entry <= 0.15, "dropping a replayed update cost {per_entry:.3} calls to free");
 }

@@ -120,14 +120,18 @@ impl From<PageOutcome> for ReadOutcome {
     }
 }
 
+/// What a visitor is shown as the reply of a page that holds no data.
+static NO_REPLY: Bytes = Bytes::new();
+
 impl ReadOutcome {
-    /// The outcome with its data lent, as a bulk read's visitor is shown it.
-    fn as_page(&self) -> PageRef<'_> {
+    /// The outcome with its data lent, and the buffer the data lies in, as a
+    /// bulk read's visitor is shown them.
+    fn as_page(&self) -> (PageRef<'_>, &Bytes) {
         match self {
-            ReadOutcome::Data(b) => PageRef::Data(b),
-            ReadOutcome::Junk => PageRef::Junk,
-            ReadOutcome::Unwritten => PageRef::Unwritten,
-            ReadOutcome::Trimmed => PageRef::Trimmed,
+            ReadOutcome::Data(b) => (PageRef::Data(b), b),
+            ReadOutcome::Junk => (PageRef::Junk, &NO_REPLY),
+            ReadOutcome::Unwritten => (PageRef::Unwritten, &NO_REPLY),
+            ReadOutcome::Trimmed => (PageRef::Trimmed, &NO_REPLY),
         }
     }
 }
@@ -145,9 +149,11 @@ pub struct Chase<'a> {
 
 /// What [`CorfuClient::visit_many`] shows a page to: the page's position
 /// among the offsets asked for (`None`: a page a [`Chase`] brought along,
-/// which nobody named), its offset, and what it holds, lent from the reply
-/// it arrived in.
-pub type PageVisitor<'v> = dyn FnMut(Option<usize>, LogOffset, PageRef<'_>) -> Result<()> + 'v;
+/// which nobody named), its offset, what it holds, lent from the reply it
+/// arrived in, and that reply — which a visitor that keeps the page keeps a
+/// handle on instead of a copy (see [`crate::Entry::in_reply`]).
+pub type PageVisitor<'v> =
+    dyn FnMut(Option<usize>, LogOffset, PageRef<'_>, &Bytes) -> Result<()> + 'v;
 
 /// One storage node's answer to its share of a bulk read.
 struct BulkReply {
@@ -157,7 +163,7 @@ struct BulkReply {
     /// order.
     asked: Vec<(usize, u64)>,
     /// The encoded `BatchOutcomes` or `Chased` response.
-    reply: Vec<u8>,
+    reply: Bytes,
 }
 
 /// One operation's view of the cluster: a layout and, beside it, what is
@@ -1023,7 +1029,7 @@ impl CorfuClient {
     /// [`CorfuClient::visit_many`] with a copy of every page kept.
     fn collect_many(&self, offsets: &[LogOffset], wait: bool) -> Result<Vec<ReadOutcome>> {
         let mut out = vec![ReadOutcome::Unwritten; offsets.len()];
-        self.visit_many(offsets, wait, None, &mut |index, _, page| {
+        self.visit_many(offsets, wait, None, &mut |index, _, page, _| {
             out[index.expect("no chase, so only what was asked for")] = page.to_owned().into();
             Ok(())
         })?;
@@ -1056,12 +1062,12 @@ impl CorfuClient {
         }
         // Input positions of the offsets still unwritten.
         let mut holes: Vec<usize> = Vec::new();
-        self.visit_bulk(offsets, chase, &mut |index, offset, page| match (index, page) {
+        self.visit_bulk(offsets, chase, &mut |index, offset, page, reply| match (index, page) {
             (Some(i), PageRef::Unwritten) => {
                 holes.push(i);
                 Ok(())
             }
-            _ => visit(index, offset, page),
+            _ => visit(index, offset, page, reply),
         })?;
         if holes.is_empty() {
             return Ok(());
@@ -1073,7 +1079,9 @@ impl CorfuClient {
             let now = clock.now();
             if now >= deadline {
                 for &i in &holes {
-                    visit(Some(i), offsets[i], self.fill(offsets[i])?.as_page())?;
+                    let filled = self.fill(offsets[i])?;
+                    let (page, reply) = filled.as_page();
+                    visit(Some(i), offsets[i], page, reply)?;
                 }
                 break;
             }
@@ -1082,11 +1090,11 @@ impl CorfuClient {
             backoff = (backoff * 2).min(HOLE_POLL_MAX);
             let unwritten: Vec<LogOffset> = holes.iter().map(|&i| offsets[i]).collect();
             let mut still = Vec::new();
-            self.visit_bulk(&unwritten, None, &mut |index, offset, page| {
+            self.visit_bulk(&unwritten, None, &mut |index, offset, page, reply| {
                 let i = holes[index.expect("no chase, so only what was asked for")];
                 match page {
                     PageRef::Unwritten => still.push(i),
-                    page => visit(Some(i), offset, page)?,
+                    page => visit(Some(i), offset, page, reply)?,
                 }
                 Ok(())
             })?;
@@ -1132,14 +1140,14 @@ impl CorfuClient {
                     PageRef::Unwritten if proj.chain_for(offsets[idx]).len() > 1 => {
                         stragglers.push(idx)
                     }
-                    page => visit(Some(idx), offsets[idx], page)?,
+                    page => visit(Some(idx), offsets[idx], page, reply)?,
                 }
             }
             // Only what a page the node chose to read holds is of use; what
             // it does not hold is the business of whoever asks for it.
             for page in pages {
                 if let (Some(local), PageRef::Data(bytes)) = page? {
-                    visit(None, proj.unmap(*set, local), PageRef::Data(bytes))?;
+                    visit(None, proj.unmap(*set, local), PageRef::Data(bytes), reply)?;
                 }
             }
         }
@@ -1147,7 +1155,8 @@ impl CorfuClient {
             let repaired = self.with_retry("read_many", false, &mut view, |view| {
                 self.repair_chain(view, &view.proj, offsets[idx])
             })?;
-            visit(Some(idx), offsets[idx], repaired.as_page())?;
+            let (page, reply) = repaired.as_page();
+            visit(Some(idx), offsets[idx], page, reply)?;
         }
         Ok(())
     }
@@ -1202,7 +1211,9 @@ impl CorfuClient {
         // An error drops the tickets behind it, which abandons their calls.
         let mut replies = Vec::with_capacity(started.len());
         for (set, conn, ticket, asked) in started {
-            let reply = conn.finish(ticket)?;
+            // Bytes once per round trip: the entries a reader keeps of the
+            // reply share it.
+            let reply = Bytes::from(conn.finish(ticket)?);
             if Pages::peek(&reply).is_none() {
                 return Err(storage_refusal("batch read", decode_from_slice(&reply)?));
             }

@@ -49,7 +49,9 @@ pub use client::{
     Chase, ClientOptions, ConnFactory, CorfuClient, PageVisitor, ReadOutcome, StreamWindows, Token,
 };
 pub use compactor::{Compactor, CompactorConfig};
-pub use entry::{CrossLogLink, EntryEnvelope, StreamHeader};
+pub use entry::{
+    Backpointers, CrossLogLink, Entry, EntryEnvelope, HeaderRef, LinkRef, StreamHeader,
+};
 pub use error::CorfuError;
 pub use layout::LayoutClient;
 pub use projection::{LogLayout, NodeInfo, Projection, ShardMap};

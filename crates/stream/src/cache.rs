@@ -1,18 +1,21 @@
-use std::collections::hash_map::Entry;
+use std::collections::hash_map;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use corfu::{EntryEnvelope, LogOffset};
+use corfu::{Entry, LogOffset};
 use tango_wire::IdMap;
 
-/// A bounded FIFO cache of decoded log entries.
+/// A bounded FIFO cache of log entries, each held as the page it arrived
+/// in: a handle on the storage node's reply and a range of it, not a
+/// decoded copy (see [`Entry`]). Caching an entry allocates nothing, and a
+/// reply's buffer lives exactly as long as the last of its entries the
+/// cache (or a reader) still holds.
 ///
 /// A commit record appended to multiple streams is encountered once per
 /// stream during playback; the cache ensures it is fetched from the log only
 /// once. The generating client also seeds the cache on append, so it usually
 /// replays its own writes without any log reads.
 pub struct EntryCache {
-    map: IdMap<LogOffset, Arc<EntryEnvelope>>,
+    map: IdMap<LogOffset, Entry>,
     order: VecDeque<LogOffset>,
     capacity: usize,
 }
@@ -26,13 +29,13 @@ impl EntryCache {
 
     /// Looks up the entry at `offset`. Hit/miss accounting lives in the
     /// stream client's `stream.cache_hits/misses` counters, not here.
-    pub fn get(&self, offset: LogOffset) -> Option<Arc<EntryEnvelope>> {
-        self.map.get(&offset).map(Arc::clone)
+    pub fn get(&self, offset: LogOffset) -> Option<Entry> {
+        self.map.get(&offset).cloned()
     }
 
     /// Inserts an entry, evicting the oldest if full.
-    pub fn insert(&mut self, offset: LogOffset, entry: Arc<EntryEnvelope>) {
-        let Entry::Vacant(slot) = self.map.entry(offset) else { return };
+    pub fn insert(&mut self, offset: LogOffset, entry: Entry) {
+        let hash_map::Entry::Vacant(slot) = self.map.entry(offset) else { return };
         slot.insert(entry);
         self.order.push_back(offset);
         if self.map.len() > self.capacity {
@@ -63,9 +66,10 @@ impl EntryCache {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use corfu::EntryEnvelope;
 
-    fn entry(tag: u8) -> Arc<EntryEnvelope> {
-        Arc::new(EntryEnvelope::raw(Bytes::from(vec![tag])))
+    fn entry(tag: u8) -> Entry {
+        Entry::encode(&EntryEnvelope::raw(Bytes::from(vec![tag])), tag as LogOffset).unwrap()
     }
 
     #[test]
@@ -85,7 +89,7 @@ mod tests {
         let mut c = EntryCache::new(2);
         c.insert(1, entry(1));
         c.insert(1, entry(9));
-        assert_eq!(c.get(1).unwrap().payload, Bytes::from(vec![1]));
+        assert_eq!(c.get(1).unwrap().payload(), [1]);
     }
 
     #[test]

@@ -2,8 +2,8 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use corfu::{
-    compose, log_of_offset, Chase, CorfuClient, CorfuError, EntryEnvelope, LogOffset, PageRef,
-    ReadOutcome, StreamId, LOG_OFFSET_MASK,
+    compose, log_of_offset, Chase, CorfuClient, CorfuError, Entry, LogOffset, PageRef, ReadOutcome,
+    StreamId, LOG_OFFSET_MASK,
 };
 use parking_lot::Mutex;
 use tango_metrics::{Counter, Events, Histogram, Registry, SpanKind, Tracer};
@@ -12,7 +12,7 @@ use tango_wire::{IdMap, IdSet};
 use crate::cache::EntryCache;
 use crate::cursor::{Run, StreamCursor};
 
-/// Capacity of the decoded-entry cache.
+/// Capacity of the entry cache, in entries.
 const CACHE_CAPACITY: usize = 65_536;
 /// Entries asked for per bulk-read round trip (linear scans, readahead,
 /// playback).
@@ -65,8 +65,8 @@ pub struct StreamClient {
     /// One gate per stream, held across that stream's `learn` and so taken
     /// through the clock.
     learning: Mutex<IdMap<StreamId, Arc<Mutex<()>>>>,
-    /// Decoded-entry cache. Lookups and inserts bracket the (lock-free)
-    /// network fetches.
+    /// Entry cache. Lookups and inserts bracket the (lock-free) network
+    /// fetches.
     cache: Mutex<EntryCache>,
     /// Lowest possibly-live composite offset per log, raised by
     /// [`StreamClient::forget_below`] after checkpoint-driven trims.
@@ -128,7 +128,7 @@ impl StreamClient {
                 }
             }
         }
-        self.cache.lock().insert(offset, Arc::new(envelope));
+        self.cache.lock().insert(offset, Entry::encode(&envelope, offset)?);
         Ok(offset)
     }
 
@@ -152,8 +152,7 @@ impl StreamClient {
             observe.iter().partition(|s| streams.contains(s));
         let (offset, envelope, observed) =
             self.corfu.append_streams_observing(streams, &unwritten, payload)?;
-        let envelope = Arc::new(envelope);
-        self.cache.lock().insert(offset, Arc::clone(&envelope));
+        self.cache.lock().insert(offset, Entry::encode(&envelope, offset)?);
         let tail = offset + 1;
         // Streams the append itself says nothing fresh about.
         let mut unsynced: Vec<StreamId> = Vec::new();
@@ -221,10 +220,7 @@ impl StreamClient {
     /// Returns the next entry of `stream`, or `None` when the cursor has
     /// delivered everything discovered by the last `sync`. Junk entries
     /// (patched holes) are skipped transparently.
-    pub fn readnext(
-        &self,
-        stream: StreamId,
-    ) -> corfu::Result<Option<(LogOffset, Arc<EntryEnvelope>)>> {
+    pub fn readnext(&self, stream: StreamId) -> corfu::Result<Option<(LogOffset, Entry)>> {
         loop {
             let offset = {
                 let cursors = self.cursors.lock();
@@ -343,25 +339,21 @@ impl StreamClient {
         }
     }
 
-    /// Reads and decodes the entry at `offset` (cache-through). Returns
-    /// `None` for junk or trimmed offsets; waits out and finally fills holes.
-    pub fn read_at(&self, offset: LogOffset) -> corfu::Result<Option<Arc<EntryEnvelope>>> {
+    /// Reads the entry at `offset` (cache-through). Returns `None` for junk
+    /// or trimmed offsets; waits out and finally fills holes.
+    pub fn read_at(&self, offset: LogOffset) -> corfu::Result<Option<Entry>> {
         self.fetch(offset)
     }
 
     /// Bulk cache-through read: like [`StreamClient::read_at`] for every
     /// offset, but misses travel in `ReadBatch` round trips. Results come
     /// back in input order.
-    pub fn read_many_at(
-        &self,
-        offsets: &[LogOffset],
-    ) -> corfu::Result<Vec<Option<Arc<EntryEnvelope>>>> {
+    pub fn read_many_at(&self, offsets: &[LogOffset]) -> corfu::Result<Vec<Option<Entry>>> {
         self.fetch_many(offsets, true, None)
     }
 
-    /// Bulk-fetches `offsets` into the entry cache and discards the
-    /// decoded entries, so that reading them one by one afterwards is a
-    /// cache hit each.
+    /// Bulk-fetches `offsets` into the entry cache, so that reading them one
+    /// by one afterwards is a cache hit each.
     pub fn fetch_into_cache(&self, offsets: &[LogOffset]) -> corfu::Result<()> {
         self.fetch_many(offsets, true, None).map(|_| ())
     }
@@ -394,7 +386,7 @@ impl StreamClient {
 
     /// The one cache-through fetch path (single-offset form). Waits out
     /// holes; `None` means junk or trimmed.
-    fn fetch(&self, offset: LogOffset) -> corfu::Result<Option<Arc<EntryEnvelope>>> {
+    fn fetch(&self, offset: LogOffset) -> corfu::Result<Option<Entry>> {
         if let Some(hit) = self.cache.lock().get(offset) {
             self.metrics.cache_hits.inc();
             return Ok(Some(hit));
@@ -421,7 +413,7 @@ impl StreamClient {
         offsets: &[LogOffset],
         wait: bool,
         walking: Option<StreamId>,
-    ) -> corfu::Result<Vec<Option<Arc<EntryEnvelope>>>> {
+    ) -> corfu::Result<Vec<Option<Entry>>> {
         let mut out = Vec::new();
         self.fetch_many_into(offsets, wait, walking, &mut out)?;
         Ok(out)
@@ -433,7 +425,7 @@ impl StreamClient {
         offsets: &[LogOffset],
         wait: bool,
         walking: Option<StreamId>,
-        out: &mut Vec<Option<Arc<EntryEnvelope>>>,
+        out: &mut Vec<Option<Entry>>,
     ) -> corfu::Result<()> {
         out.clear();
         if offsets.is_empty() {
@@ -460,18 +452,23 @@ impl StreamClient {
         for chunk in misses.chunks(READ_BATCH) {
             let addrs: Vec<LogOffset> = chunk.iter().map(|&(_, off)| off).collect();
             let mut pages = 0;
-            // Each page is decoded out of the reply it arrived in.
-            self.corfu.visit_many(&addrs, wait, chase.as_ref(), &mut |asked, off, page| {
-                pages += 1;
-                match asked {
-                    Some(i) => out[chunk[i].0] = self.admit(off, page, wait)?,
-                    // Nobody asked for this entry yet, so nobody is told
-                    // what is wrong with it: it stays uncached and the walk,
-                    // when it gets there, reads it for itself.
-                    None => drop(self.admit(off, page, false)),
-                }
-                Ok(())
-            })?;
+            // Each entry stays in the reply it arrived in.
+            self.corfu.visit_many(
+                &addrs,
+                wait,
+                chase.as_ref(),
+                &mut |asked, off, page, reply| {
+                    pages += 1;
+                    match asked {
+                        Some(i) => out[chunk[i].0] = self.admit(off, page, reply, wait)?,
+                        // Nobody asked for this entry yet, so nobody is told
+                        // what is wrong with it: it stays uncached and the walk,
+                        // when it gets there, reads it for itself.
+                        None => drop(self.admit(off, page, reply, false)),
+                    }
+                    Ok(())
+                },
+            )?;
             self.metrics.read_batch_size.record(pages);
         }
         Ok(())
@@ -490,21 +487,22 @@ impl StreamClient {
     }
 
     /// What the log's answer for a missed `offset` means to a reader: the
-    /// decoded entry, cached, for data — a cross-log body only once its
-    /// anchor says it committed — and `None` for junk, trimmed or (without
-    /// `wait`) a slot still unwritten. No lock is held across the decode or
-    /// the anchor read.
+    /// entry — the page, checked, where it lies in `reply` — cached, for
+    /// data (a cross-log body only once its anchor says it committed), and
+    /// `None` for junk, trimmed or (without `wait`) a slot still unwritten.
+    /// No lock is held across the check or the anchor read.
     fn admit(
         &self,
         offset: LogOffset,
         page: PageRef<'_>,
+        reply: &Bytes,
         wait: bool,
-    ) -> corfu::Result<Option<Arc<EntryEnvelope>>> {
+    ) -> corfu::Result<Option<Entry>> {
         match page {
             PageRef::Data(bytes) => {
-                let entry = Arc::new(EntryEnvelope::decode(bytes, offset)?);
-                if entry.link.as_ref().is_none_or(|l| l.home == offset) {
-                    self.cache.lock().insert(offset, Arc::clone(&entry));
+                let entry = Entry::in_reply(reply, bytes, offset)?;
+                if entry.link().is_none_or(|l| l.home == offset) {
+                    self.cache.lock().insert(offset, entry.clone());
                     Ok(Some(entry))
                 } else {
                     self.resolve_link(offset, entry, wait)
@@ -530,19 +528,19 @@ impl StreamClient {
     fn resolve_link(
         &self,
         offset: LogOffset,
-        entry: Arc<EntryEnvelope>,
+        entry: Entry,
         wait: bool,
-    ) -> corfu::Result<Option<Arc<EntryEnvelope>>> {
-        let link = entry.link.as_ref().expect("caller checked the link");
+    ) -> corfu::Result<Option<Entry>> {
+        let link = entry.link().expect("caller checked the link");
         let outcome =
             if wait { self.corfu.wait_read(link.home)? } else { self.corfu.read(link.home)? };
         match outcome {
             ReadOutcome::Data(bytes) => {
-                let home = Arc::new(EntryEnvelope::decode(&bytes, link.home)?);
-                if home.link.as_ref() == Some(link) {
+                let home = Entry::new(bytes, link.home)?;
+                if home.link() == Some(link) {
                     let mut cache = self.cache.lock();
                     cache.insert(link.home, home);
-                    cache.insert(offset, Arc::clone(&entry));
+                    cache.insert(offset, entry.clone());
                     Ok(Some(entry))
                 } else {
                     // The home slot went to someone else: this body's
@@ -595,7 +593,7 @@ impl StreamClient {
         let gate = Arc::clone(self.learning.lock().entry(stream).or_default());
         let _learning = self.corfu.clock().lock(&gate);
         let (mut discovered, reconnected_at_seq, newest_known) = self.with_cursor(stream, |c| {
-            let (unknown, any_known) = split_known(c, seq_backs);
+            let (unknown, any_known) = split_known(c, seq_backs.iter().copied());
             (unknown, any_known, c.max_known())
         });
         // Offsets below a log's trim floor are reclaimed — a stale
@@ -651,9 +649,9 @@ impl StreamClient {
                     break;
                 };
                 let (mut older, reconnected) =
-                    self.with_cursor(stream, |c| split_known(c, &header.backpointers));
+                    self.with_cursor(stream, |c| split_known(c, header.backpointers()));
                 older.retain(above_floor);
-                let at_stream_start = header.backpointers.iter().all(|&o| o == u64::MAX);
+                let at_stream_start = header.backpointers().all(|o| o == u64::MAX);
                 discovered.extend(older.iter().copied());
                 if at_stream_start || reconnected || older.is_empty() {
                     break;
@@ -731,11 +729,12 @@ impl StreamClient {
 /// Splits a backpointer window (sentinels dropped) against what `cursor`
 /// knows: the offsets it does not know, in window order, and whether it
 /// knew any — the walk's reconnection test.
-fn split_known(cursor: &StreamCursor, window: &[LogOffset]) -> (Vec<LogOffset>, bool) {
+fn split_known(
+    cursor: &StreamCursor,
+    window: impl Iterator<Item = LogOffset>,
+) -> (Vec<LogOffset>, bool) {
     let mut any_known = false;
     let unknown = window
-        .iter()
-        .copied()
         .filter(|&o| o != u64::MAX)
         .filter(|&o| {
             let known = cursor.contains(o);

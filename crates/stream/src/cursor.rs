@@ -1,6 +1,4 @@
-use std::sync::Arc;
-
-use corfu::{EntryEnvelope, LogOffset, StreamId};
+use corfu::{Entry, LogOffset, StreamId};
 
 /// Client-side state for one stream: the reconstructed linked list of
 /// member offsets plus an iterator over it.
@@ -189,7 +187,7 @@ pub struct Delivery<'a> {
     /// The offset delivered.
     pub offset: LogOffset,
     /// The entry it holds; `None` for junk or trimmed.
-    pub entry: Option<&'a Arc<EntryEnvelope>>,
+    pub entry: Option<&'a Entry>,
     /// The run's `(offset, stream)` pairs of this offset.
     streams: &'a [(LogOffset, StreamId)],
 }
@@ -214,7 +212,7 @@ pub struct Run {
     /// The distinct offsets of `deliveries`, ascending.
     pub(crate) offsets: Vec<LogOffset>,
     /// Parallel to `offsets` (`None`: junk or trimmed).
-    pub(crate) entries: Vec<Option<Arc<EntryEnvelope>>>,
+    pub(crate) entries: Vec<Option<Entry>>,
 }
 
 impl Run {

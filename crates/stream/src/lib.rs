@@ -21,7 +21,10 @@
 //! client then falls back to a backward linear scan, exactly as described
 //! in the paper (also batched). After `sync`, a readahead prefetcher bulk-fetches
 //! the next window of member entries so steady-state `readnext` is served
-//! from the decoded-entry cache without touching the network.
+//! from the entry cache without touching the network. The cache holds each
+//! entry as the page it arrived in — a handle on the storage node's reply
+//! and a range of it ([`corfu::Entry`]) — so neither a replay nor dropping
+//! the client afterwards costs an allocator call per entry.
 //!
 //! [`StreamClient::sync`] brings a stream's linked list up to date and must
 //! be called before [`StreamClient::readnext`] for linearizable semantics;
@@ -36,4 +39,4 @@ pub use cache::EntryCache;
 pub use client::StreamClient;
 pub use cursor::{Delivery, Run, StreamCursor};
 
-pub use corfu::{EntryEnvelope, LogOffset, StreamId};
+pub use corfu::{Entry, LogOffset, StreamId};

@@ -72,7 +72,7 @@ proptest! {
             reader.sync(&[0, 1, 2, 3]).unwrap();
             for s in 0..4u32 {
                 while let Some((off, entry)) = reader.readnext(s).unwrap() {
-                    played[s as usize].push((off, entry.payload.clone()));
+                    played[s as usize].push((off, Bytes::copy_from_slice(entry.payload())));
                 }
             }
             synced += sync_every;

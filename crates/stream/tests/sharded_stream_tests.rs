@@ -24,7 +24,7 @@ fn replay(cluster: &LocalCluster, stream: StreamId) -> Vec<(u64, Bytes)> {
     client.sync(&[stream]).unwrap();
     let mut out = Vec::new();
     while let Some((off, entry)) = client.readnext(stream).unwrap() {
-        out.push((off, entry.payload.clone()));
+        out.push((off, Bytes::copy_from_slice(entry.payload())));
     }
     out
 }
@@ -86,12 +86,12 @@ fn committed_link_resolves_and_caches_both_sides() {
 
     let reader = StreamClient::new(cluster.client().unwrap());
     let got = reader.read_at(t1.offset).unwrap().expect("committed body must be delivered");
-    assert_eq!(got.payload, Bytes::from_static(b"linked"));
-    assert_eq!(got.link.as_ref(), Some(&link));
+    assert_eq!(got.payload(), b"linked");
+    assert_eq!(got.link().map(|l| l.to_owned()), Some(link));
     // Resolution cached both sides: the home read is now a cache hit.
     let (hits_before, misses_before) = reader.cache_stats();
     let anchor_read = reader.read_at(t0.offset).unwrap().expect("anchor is data");
-    assert_eq!(anchor_read.payload, Bytes::from_static(b"linked"));
+    assert_eq!(anchor_read.payload(), b"linked");
     let (hits_after, misses_after) = reader.cache_stats();
     assert_eq!(hits_after, hits_before + 1, "the home anchor was cached by link resolution");
     assert_eq!(misses_after, misses_before);
@@ -151,7 +151,7 @@ fn body_with_foreign_home_entry_resolves_aborted() {
     assert!(reader.read_at(t1.offset).unwrap().is_none(), "mismatched link must abort");
     // The foreign home entry itself is perfectly readable.
     let home = reader.read_at(t0.offset).unwrap().expect("the winner is data");
-    assert_eq!(home.payload, Bytes::from_static(b"winner"));
+    assert_eq!(home.payload(), b"winner");
 }
 
 #[test]

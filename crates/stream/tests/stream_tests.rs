@@ -25,7 +25,7 @@ fn cluster_with_client() -> (LocalCluster, StreamClient) {
 fn drain(client: &StreamClient, stream: StreamId) -> Vec<(u64, Bytes)> {
     let mut out = Vec::new();
     while let Some((off, entry)) = client.readnext(stream).unwrap() {
-        out.push((off, entry.payload.clone()));
+        out.push((off, Bytes::copy_from_slice(entry.payload())));
     }
     out
 }

@@ -3,7 +3,8 @@
 //! entry must not grow with the number of entries already known. Measured
 //! with a counting allocator instead of a clock, so the check repeats
 //! exactly. A cold replay is counted the same way, in allocator calls per
-//! entry. Its own test binary: the allocator is process-wide.
+//! entry, and so is dropping the reader afterwards, in calls to free. Its
+//! own test binary: the allocator is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,6 +18,8 @@ thread_local! {
     static ALLOCATED: Cell<u64> = const { Cell::new(0) };
     /// How many times it asked.
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    /// How many times it gave memory back.
+    static FREES: Cell<u64> = const { Cell::new(0) };
     static COUNTING: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -32,6 +35,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = COUNTING.try_with(|on| {
+            if on.get() {
+                let _ = FREES.try_with(|f| f.set(f.get() + 1));
+            }
+        });
         // SAFETY: `ptr` came from `System` with this layout.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -108,9 +116,12 @@ fn sync_allocation_does_not_grow_with_the_stream() {
 /// 1 024-entry stream — the in-process storage nodes' share of the walk's
 /// round trips included. 6.64 with 32-entry replies and a header cloned per
 /// stride (PR 20), 5.69 with every page copied out of its reply before it
-/// was decoded (PR 21); 4.66 now, four of them the decoded entry itself:
-/// its `headers`, their `backpointers`, its `payload` and the `Arc` the
-/// cache and the reader share.
+/// was decoded (PR 21), 4.66–4.69 while four of them were the decoded entry
+/// itself (its `headers`, their `backpointers`, its `payload` and the `Arc`
+/// the cache and the reader shared); 0.70 now that a cached entry is a
+/// handle on the reply it arrived in and a range of it. Dropping the reader
+/// afterwards gave those four back, 4.03 calls to free per entry; now it
+/// frees each reply once, 0.04.
 #[test]
 fn a_cold_replay_allocates_a_fixed_number_of_times_per_entry() {
     const STREAM: u32 = 7;
@@ -134,5 +145,13 @@ fn a_cold_replay_allocates_a_fixed_number_of_times_per_entry() {
     assert_eq!(drained, ENTRIES);
     let per_entry = CALLS.with(|c| c.get()) as f64 / ENTRIES as f64;
     println!("cold sync + drain: {per_entry:.2} allocator calls per entry");
-    assert!(per_entry <= 4.8, "a replayed entry cost {per_entry:.2} allocator calls");
+    assert!(per_entry <= 0.85, "a replayed entry cost {per_entry:.2} allocator calls");
+
+    FREES.with(|f| f.set(0));
+    COUNTING.with(|on| on.set(true));
+    drop(reader);
+    COUNTING.with(|on| on.set(false));
+    let per_entry = FREES.with(|f| f.get()) as f64 / ENTRIES as f64;
+    println!("dropping the reader: {per_entry:.3} calls to free per entry");
+    assert!(per_entry <= 0.1, "dropping a replayed entry cost {per_entry:.3} calls to free");
 }
