@@ -92,7 +92,10 @@ pub enum StorageRequest {
     /// `floor` are left alone. Any other page — another stream's entry, an
     /// absolute-format header, junk, a hole, bytes that are no entry —
     /// points nowhere: the node reports what it read and judges nothing.
-    /// Answered with [`StorageResponse::Chased`].
+    /// Each page followed is below all those followed before it, so a reply
+    /// that the limit or the node's byte cap
+    /// ([`crate::CHASE_REPLY_BYTES`]) cuts short holds the highest pages of
+    /// the chain. Answered with [`StorageResponse::Chased`].
     ReadChase {
         /// The client's epoch.
         epoch: Epoch,
@@ -249,7 +252,7 @@ impl<'a> Pages<'a> {
     pub fn peek(reply: &'a [u8]) -> Option<tango_wire::Result<Self>> {
         let addressed = match reply.first() {
             Some(12) => false,
-            Some(13) => true,
+            Some(&CHASED) => true,
             _ => return None,
         };
         let mut r = Reader::new(reply);
@@ -358,6 +361,10 @@ pub enum StorageResponse {
     /// node followed backpointers to, highest address first.
     Chased(Vec<(u64, PageOutcome)>),
 }
+
+/// The tag of a [`StorageResponse::Chased`] on the wire, which the storage
+/// node writes itself as its walk reads (`crate::storage`).
+pub(crate) const CHASED: u8 = 13;
 
 /// Requests accepted by the sequencer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -484,17 +491,29 @@ impl Decode for WriteKind {
     }
 }
 
-impl Encode for PageOutcome {
+impl Encode for PageRef<'_> {
     fn encode(&self, w: &mut Writer) {
         match self {
-            PageOutcome::Data(b) => {
+            PageRef::Data(b) => {
                 w.put_u8(0);
                 w.put_bytes(b);
             }
-            PageOutcome::Junk => w.put_u8(1),
-            PageOutcome::Unwritten => w.put_u8(2),
-            PageOutcome::Trimmed => w.put_u8(3),
+            PageRef::Junk => w.put_u8(1),
+            PageRef::Unwritten => w.put_u8(2),
+            PageRef::Trimmed => w.put_u8(3),
         }
+    }
+}
+
+impl Encode for PageOutcome {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            PageOutcome::Data(b) => PageRef::Data(b),
+            PageOutcome::Junk => PageRef::Junk,
+            PageOutcome::Unwritten => PageRef::Unwritten,
+            PageOutcome::Trimmed => PageRef::Trimmed,
+        }
+        .encode(w)
     }
 }
 
@@ -645,7 +664,7 @@ impl Encode for StorageResponse {
                 }
             }
             StorageResponse::Chased(pages) => {
-                w.put_u8(13);
+                w.put_u8(CHASED);
                 w.put_varint(pages.len() as u64);
                 for (addr, outcome) in pages {
                     w.put_u64(*addr);
@@ -698,7 +717,7 @@ impl Decode for StorageResponse {
                 }
                 Ok(StorageResponse::BatchOutcomes(outcomes))
             }
-            13 => {
+            CHASED => {
                 let len = r.get_len(1 << 20)?;
                 let mut pages = Vec::with_capacity(len);
                 for _ in 0..len {

@@ -1,14 +1,18 @@
 //! The storage server: an epoch gate in front of a [`FlashUnit`].
 
 use parking_lot::{Mutex, MutexGuard};
-use tango_flash::{FlashError, FlashMetrics, FlashUnit, PageRead, ScrubReport, TierStats};
+use tango_flash::{
+    FlashError, FlashMetrics, FlashUnit, LentPage, PageRead, Readahead, ScrubReport, TierStats,
+};
 use tango_metrics::{EventKind, Registry, Span, SpanKind};
 use tango_rpc::RpcHandler;
-use tango_wire::{decode_from_slice, encode_to_vec};
+use tango_wire::{decode_from_slice, encode_to_vec, Encode, Writer};
 
 use crate::entry::deltas_of;
 use crate::metrics::StorageMetrics;
-use crate::proto::{PageCopy, PageOutcome, StorageRequest, StorageResponse, WriteKind, WriteRef};
+use crate::proto::{
+    PageCopy, PageOutcome, PageRef, StorageRequest, StorageResponse, WriteKind, WriteRef, CHASED,
+};
 use crate::{Epoch, StreamId};
 
 /// Upper bound on addresses scanned per [`StorageRequest::CopyRange`] round
@@ -25,7 +29,9 @@ pub const MAX_READ_BATCH: usize = 1024;
 /// Data bytes a [`StorageRequest::ReadChase`] reply may come to hold before
 /// the node stops following backpointers: 32 full 4 KiB pages. The bound a
 /// reader states is in pages (`limit`); this one keeps a stream of large
-/// entries from turning a generous page limit into a megabyte reply.
+/// entries from turning a generous page limit into a megabyte reply. The
+/// walk stops where one full page more could pass it, so a reply it cuts
+/// short holds the chain's highest pages.
 pub const CHASE_REPLY_BYTES: usize = 128 * 1024;
 
 /// A CORFU storage node: a write-once flash unit behind an RPC interface,
@@ -271,15 +277,26 @@ impl StorageServer {
         addrs: &[u64],
     ) -> Result<Vec<PageOutcome>, StorageResponse> {
         inner.check_epoch(epoch)?;
-        if addrs.len() > MAX_READ_BATCH {
-            return Err(StorageResponse::ErrStorage(format!(
-                "read batch of {} exceeds {MAX_READ_BATCH}",
-                addrs.len()
-            )));
-        }
+        check_batch(addrs)?;
         match inner.unit.read_many(addrs) {
             Ok(reads) => Ok(reads.into_iter().map(PageOutcome::from).collect()),
             Err(e) => Err(Inner::flash_error(e)),
+        }
+    }
+
+    /// Serves a [`StorageRequest::ReadChase`] under the unit's lock and
+    /// returns its encoded reply, which the walk writes as it reads.
+    fn read_chase(&self, inner: &mut Inner, epoch: Epoch, addrs: &[u64], chase: Chase) -> Vec<u8> {
+        let walked = inner
+            .check_epoch(epoch)
+            .and_then(|()| check_batch(addrs))
+            .and_then(|()| chase.walk(&mut inner.unit, addrs).map_err(Inner::flash_error));
+        match walked {
+            Ok(reply) => {
+                self.count_reads(reply.pages);
+                reply.into_bytes()
+            }
+            Err(resp) => encode_to_vec(&resp),
         }
     }
 
@@ -325,16 +342,9 @@ impl StorageServer {
                 }
             }
             StorageRequest::ReadChase { epoch, addrs, stream, stripe, floor, limit } => {
-                match self.read_batch(&mut inner, epoch, &addrs) {
-                    Ok(outcomes) => {
-                        let mut pages: Vec<_> = addrs.into_iter().zip(outcomes).collect();
-                        let limit = (limit as usize).min(MAX_READ_BATCH);
-                        chase(&mut inner.unit, &mut pages, limit, stream, stripe, floor);
-                        self.count_reads(pages.len());
-                        StorageResponse::Chased(pages)
-                    }
-                    Err(resp) => resp,
-                }
+                let chase = Chase::new(stream, stripe, floor, limit);
+                let reply = self.read_chase(&mut inner, epoch, &addrs, chase);
+                decode_from_slice(&reply).expect("a reply the node wrote decodes")
             }
             StorageRequest::Trim { epoch, addr } => {
                 if let Err(resp) = inner.check_epoch(epoch) {
@@ -399,81 +409,176 @@ impl StorageServer {
     }
 }
 
-/// The following half of a [`StorageRequest::ReadChase`]: reads, and adds
-/// to `pages` (the requested ones, already read) until they are `limit` or
-/// one page more could take their data past [`CHASE_REPLY_BYTES`], the
-/// pages that `stream`'s backpointers lead to on this unit, none below
-/// `floor`, highest address first. Only a page that holds an entry of
-/// `stream` with a relative-format header leads anywhere; whatever else a
-/// page holds, it is a page read and nothing more.
-///
-/// The pages are read in waves: every address the pages read so far lead to
-/// that the limit and the cap leave room for — in a walk down one stream,
-/// the K predecessors one entry names, which sit next to each other on the
-/// device — goes to the unit in one call.
-fn chase(
-    unit: &mut FlashUnit,
-    pages: &mut Vec<(u64, PageOutcome)>,
-    limit: usize,
+/// A batch that is not too large to serve.
+fn check_batch(addrs: &[u64]) -> Result<(), StorageResponse> {
+    if addrs.len() > MAX_READ_BATCH {
+        return Err(StorageResponse::ErrStorage(format!(
+            "read batch of {} exceeds {MAX_READ_BATCH}",
+            addrs.len()
+        )));
+    }
+    Ok(())
+}
+
+/// Where a [`StorageRequest::ReadChase`] leads beyond the pages it names.
+#[derive(Debug, Clone, Copy)]
+struct Chase {
     stream: StreamId,
     stripe: u32,
     floor: u64,
-) {
-    let asked = pages.len();
-    // Every address read or to read, descending, so that a walk down the
-    // stream appends to it: each goes in once, and no page is read twice.
-    let mut known: Vec<u64> = pages.iter().map(|&(addr, _)| addr).collect();
-    known.sort_unstable_by(|a, b| b.cmp(a));
-    // The known addresses still to read, ascending: a handful (an entry
-    // points at its stream's previous few), so a sorted `Vec`.
-    let mut ahead: Vec<u64> = Vec::new();
-    let follow = |known: &mut Vec<u64>, ahead: &mut Vec<u64>, page: &(u64, PageOutcome)| {
-        if let (addr, PageOutcome::Data(bytes)) = page {
-            deltas_of(bytes, stream)
-                .filter_map(|delta| local_step(delta, stripe))
-                .filter_map(|step| addr.checked_sub(step))
-                .filter(|to| *to >= floor)
-                .for_each(|to| {
-                    if let Err(at) = known.binary_search_by(|probe| to.cmp(probe)) {
-                        known.insert(at, to);
-                        ahead.insert(ahead.partition_point(|&a| a < to), to);
-                    }
-                });
+    /// The request's limit, clamped to [`MAX_READ_BATCH`].
+    limit: usize,
+}
+
+impl Chase {
+    fn new(stream: StreamId, stripe: u32, floor: u64, limit: u32) -> Self {
+        Self { stream, stripe, floor, limit: (limit as usize).min(MAX_READ_BATCH) }
+    }
+
+    /// Reads the pages of a chase and writes them into its reply. First
+    /// `asked`, in request order: the first that fails to read fails the
+    /// request, as in a `ReadBatch`. Then, until the reply holds `limit`
+    /// pages or one page more could take its data past
+    /// [`CHASE_REPLY_BYTES`], the pages that `stream`'s backpointers lead to
+    /// on this unit, none below `floor`. Only a page that holds an entry of
+    /// `stream` with a relative-format header leads anywhere; whatever else a
+    /// page holds, it is a page read and nothing more.
+    ///
+    /// The walk reads the highest address the pages read so far lead to and
+    /// it has not read, so each page it reads is below all those it has: it
+    /// reads none twice, and a reply the limit cuts short holds the chain's
+    /// highest pages. Each page goes from where the unit lends it — its slot,
+    /// or the walk's readahead buffer — straight into the reply.
+    fn walk(self, unit: &mut FlashUnit, asked: &[u64]) -> tango_flash::Result<ChaseReply> {
+        let mut ahead = Readahead::down_to(self.floor);
+        let mut reply = ChaseReply::new(asked.len(), self.most_pages(asked));
+        // The addresses led to and not yet read, ascending: the walk pops
+        // the highest, and the few each page leads to go in near the top.
+        let mut pending = Vec::new();
+        for &addr in asked {
+            let page = unit.lend(addr, &mut ahead)?;
+            reply.push(addr, page);
+            self.follow(addr, page, &mut pending);
         }
-    };
-    pages.iter().for_each(|page| follow(&mut known, &mut ahead, page));
-    let data_len = |(_, outcome): &(u64, PageOutcome)| match outcome {
-        PageOutcome::Data(bytes) => bytes.len(),
-        _ => 0,
-    };
-    let mut gathered: usize = pages.iter().map(data_len).sum();
-    let mut wave = Vec::new();
-    loop {
-        // Room for as many pages as the limit allows and the cap would if
-        // each held a full page: the bound a page at a time kept.
-        let room = (limit.saturating_sub(pages.len()))
-            .min(CHASE_REPLY_BYTES.saturating_sub(gathered) / unit.page_size().max(1));
-        if room == 0 || ahead.is_empty() {
-            break;
-        }
-        wave.clear();
-        wave.extend(ahead.drain(ahead.len().saturating_sub(room)..).rev());
-        let read = pages.len();
-        // A page nobody asked for that cannot be read is not this request's
-        // to report: whoever asks for it will hear.
-        unit.read_each(&wave, |at, outcome| {
-            if let Ok(outcome) = outcome {
-                pages.push((wave[at], outcome.into()));
+        let Some(&top) = pending.last() else { return Ok(reply) };
+        let pages = (top - self.floor + 1).min(self.limit.saturating_sub(reply.pages) as u64);
+        reply.reserve_pages(pages as usize);
+        // The asked addresses at or below the walk, ascending: a page asked
+        // for is not read again as one led to.
+        let mut skip = asked.to_vec();
+        skip.sort_unstable();
+        let page_size = unit.page_size().max(1);
+        while reply.pages < self.limit && reply.data + page_size <= CHASE_REPLY_BYTES {
+            let Some(addr) = pending.pop() else { break };
+            while skip.pop_if(|&mut above| above > addr).is_some() {}
+            if skip.last() == Some(&addr) {
+                continue;
             }
-        });
-        for page in &pages[read..] {
-            follow(&mut known, &mut ahead, page);
-            gathered += data_len(page);
+            // A page nobody asked for that cannot be read is not this
+            // request's to report: whoever asks for it will hear.
+            if let Ok(page) = unit.lend(addr, &mut ahead) {
+                reply.push(addr, page);
+                self.follow(addr, page, &mut pending);
+            }
+        }
+        Ok(reply)
+    }
+
+    /// Adds to `pending` the addresses `page`, read at `addr`, leads to.
+    fn follow(&self, addr: u64, page: LentPage<'_>, pending: &mut Vec<u64>) {
+        let LentPage::Data(bytes) = page else { return };
+        let led = deltas_of(bytes, self.stream)
+            .filter_map(|delta| local_step(delta, self.stripe))
+            .filter_map(|step| addr.checked_sub(step))
+            .filter(|&to| to >= self.floor);
+        for to in led {
+            if let Err(at) = pending.binary_search(&to) {
+                pending.insert(at, to);
+            }
         }
     }
-    // A wave can hold a page below one the next wave leads to (pointers
-    // that skip past each other); the reply is in address order regardless.
-    pages[asked..].sort_unstable_by_key(|&(addr, _)| std::cmp::Reverse(addr));
+
+    /// The most pages a reply to `asked` can hold: the walk reads only
+    /// addresses from `floor` up to below the highest asked one.
+    fn most_pages(&self, asked: &[u64]) -> usize {
+        let below = asked.iter().max().map_or(0, |&top| top.saturating_sub(self.floor));
+        asked.len() + below.min(self.limit.saturating_sub(asked.len()) as u64) as usize
+    }
+}
+
+/// A [`StorageResponse::Chased`] written as the walk reads: exactly the
+/// bytes `encode_to_vec` makes of the same pages, each page's data copied
+/// once, from where the unit lends it.
+struct ChaseReply {
+    w: Writer,
+    /// Bytes kept behind the tag for the page count: as many as the most
+    /// pages the request can come to take.
+    width: usize,
+    pages: usize,
+    /// Data bytes of the pages written.
+    data: usize,
+}
+
+/// What a page costs a reply besides its data, at most: its address, the
+/// outcome's tag and the data's length.
+const PAGE_FRAMING: usize = 8 + 1 + 3;
+
+impl ChaseReply {
+    /// A reply with room for the framing of the `asked` pages, counting up
+    /// to `most` pages.
+    fn new(asked: usize, most: usize) -> Self {
+        let width = varint_len(most);
+        let mut w = Writer::with_capacity(1 + width + asked * PAGE_FRAMING);
+        w.put_u8(CHASED);
+        w.put_zeros(width);
+        Self { w, width, pages: 0, data: 0 }
+    }
+
+    /// Makes room for `pages` more pages the size of those written so far,
+    /// and no more data than the cap lets the walk add.
+    fn reserve_pages(&mut self, pages: usize) {
+        let per_page = (self.w.len() - 1 - self.width) / self.pages.max(1);
+        let cap = CHASE_REPLY_BYTES.saturating_sub(self.data) + pages * PAGE_FRAMING;
+        self.w.reserve((pages * per_page).min(cap));
+    }
+
+    fn push(&mut self, addr: u64, page: LentPage<'_>) {
+        let page = match page {
+            LentPage::Data(bytes) => {
+                self.data += bytes.len();
+                PageRef::Data(bytes)
+            }
+            LentPage::Junk => PageRef::Junk,
+            LentPage::Unwritten => PageRef::Unwritten,
+            LentPage::Trimmed => PageRef::Trimmed,
+        };
+        self.w.put_u64(addr);
+        page.encode(&mut self.w);
+        self.pages += 1;
+    }
+
+    /// The reply's bytes, its page count behind the tag. A count that
+    /// takes fewer bytes than were kept for it moves the pages down.
+    fn into_bytes(self) -> Vec<u8> {
+        let mut bytes = self.w.into_vec();
+        let width = varint_len(self.pages);
+        assert!(width <= self.width, "{} pages in a reply counted for fewer", self.pages);
+        if width < self.width {
+            bytes.copy_within(1 + self.width.., 1 + width);
+            bytes.truncate(bytes.len() - (self.width - width));
+        }
+        let mut count = self.pages;
+        for byte in &mut bytes[1..1 + width] {
+            *byte = (count & 0x7F) as u8 | if count > 0x7F { 0x80 } else { 0 };
+            count >>= 7;
+        }
+        bytes
+    }
+}
+
+/// The bytes a LEB128 varint of `n` takes.
+fn varint_len(n: usize) -> usize {
+    (usize::BITS - (n | 1).leading_zeros()).div_ceil(7) as usize
 }
 
 /// How many local addresses below its own an entry's backpointer `delta`
@@ -524,13 +629,21 @@ impl Inner {
 impl RpcHandler for StorageServer {
     fn handle(&self, request: &[u8]) -> Vec<u8> {
         // A write is served from the request bytes as they arrived; every
-        // other request is small and decodes into an owned value.
+        // other request is small and decodes into an owned value. A chase
+        // writes its reply itself, as it walks.
         let response = match WriteRef::peek(request) {
             Some(write) => write.map(|write| {
                 let (mut inner, _span) = self.enter(SpanKind::StorageWrite);
                 self.write(&mut inner, write)
             }),
-            None => decode_from_slice::<StorageRequest>(request).map(|req| self.process(req)),
+            None => match decode_from_slice::<StorageRequest>(request) {
+                Ok(StorageRequest::ReadChase { epoch, addrs, stream, stripe, floor, limit }) => {
+                    let (mut inner, _span) = self.enter(SpanKind::StorageRead);
+                    let chase = Chase::new(stream, stripe, floor, limit);
+                    return self.read_chase(&mut inner, epoch, &addrs, chase);
+                }
+                req => req.map(|req| self.process(req)),
+            },
         };
         let response =
             response.unwrap_or_else(|e| StorageResponse::ErrStorage(format!("bad request: {e}")));
@@ -896,8 +1009,7 @@ mod tests {
     #[test]
     fn chase_replies_in_address_order_and_reads_each_page_once() {
         // Pointers that skip past each other: 12 leads to 11 and 5, and 11
-        // (by way of 10) back to 5, so the wave after [11, 5] is [10, 4],
-        // with 10 above a page already read.
+        // (by way of 10) back to 5, so 11, 10 and 9 are read before 5.
         let node = server();
         let pages =
             [(12, vec![11, 5]), (11, vec![10]), (10, vec![9, 5]), (9, vec![]), (5, vec![4])];
@@ -906,8 +1018,8 @@ mod tests {
         }
         assert_eq!(chased(&node, &[12], 1, (1, 0, 32)), all_data([12, 11, 10, 9, 5, 4]));
         assert_eq!(node.stats().reads, 6);
-        // The limit takes whole waves while they fit, then the top of one.
-        assert_eq!(chased(&node, &[12], 1, (1, 0, 4)), all_data([12, 11, 10, 5]));
+        // The limit keeps the chain's highest pages.
+        assert_eq!(chased(&node, &[12], 1, (1, 0, 4)), all_data([12, 11, 10, 9]));
         assert_eq!(chased(&node, &[12], 1, (1, 0, 2)), all_data([12, 11]));
     }
 

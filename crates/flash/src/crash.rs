@@ -79,8 +79,9 @@ struct Recording {
     base: Fs,
     calls: Vec<Call>,
     now: Fs,
-    /// Reads of open files; calls made; the call that fails with `EIO`.
-    reads: u64,
+    /// The length of each read of an open file; calls made; the call that
+    /// fails with `EIO`.
+    preads: Vec<usize>,
     made: u64,
     fail_at: Option<u64>,
 }
@@ -132,9 +133,16 @@ impl MemDisk {
 
     /// What `f` returns, and how many reads of open files it made.
     pub(crate) fn reads_in<T>(&self, f: impl FnOnce() -> T) -> (T, u64) {
-        let before = self.0.lock().reads;
+        let (out, preads) = self.preads_in(f);
+        (out, preads.len() as u64)
+    }
+
+    /// What `f` returns, and the length of each read of an open file it
+    /// made.
+    pub(crate) fn preads_in<T>(&self, f: impl FnOnce() -> T) -> (T, Vec<usize>) {
+        let before = self.0.lock().preads.len();
         let out = f();
-        (out, self.0.lock().reads - before)
+        (out, self.0.lock().preads[before..].to_vec())
     }
 
     /// Overwrites bytes of `name` behind the store's back, as rot would.
@@ -238,7 +246,7 @@ struct MemFile(MemDisk, usize);
 impl DiskFile for MemFile {
     fn pread(&self, buf: &mut [u8], off: u64) -> io::Result<usize> {
         self.0.call(|disk| {
-            disk.reads += 1;
+            disk.preads.push(buf.len());
             let file = disk.now.bytes(self.1);
             let from = file.len().min(off as usize);
             let n = buf.len().min(file.len() - from);

@@ -81,6 +81,50 @@ struct Segment {
     end: u64,
 }
 
+/// The bytes one walk down the cold device read last: one `pread` of a
+/// segment file that ends with the record the walk asked for and reaches
+/// below it, where a walk down a stream lands next. A segment holds its
+/// records in the order they were written, which is address order for a log.
+///
+/// It lives for one walk under the unit's lock, so no write can change what
+/// it holds. Every record served from it is checked as a single read checks
+/// one: its header, its address and its payload's CRC.
+pub struct Readahead {
+    /// The lowest address the walk reads: the window reaches no record
+    /// below this one's in its segment.
+    floor: PageAddr,
+    /// The segment the buffer holds bytes of, the file offset of its first
+    /// byte, and how many of its bytes the last `pread` filled.
+    seg: u64,
+    start: u64,
+    held: usize,
+    buf: Vec<u8>,
+    /// How far below a missed record the next `pread` reaches, and the
+    /// records served from the buffer since it was filled.
+    window: usize,
+    served: usize,
+}
+
+/// A walk's first `pread` is four times as long as the record it missed, and
+/// at least this long; while the walk keeps landing in what it read, each
+/// next one is twice as long as the last, up to [`MAX_WINDOW`].
+const MIN_WINDOW: usize = 4 * 1024;
+const MAX_WINDOW: usize = 16 * 1024;
+
+impl Readahead {
+    /// A walk that reads no address below `floor`. It allocates its buffer
+    /// at its first `pread`.
+    pub fn down_to(floor: PageAddr) -> Self {
+        Self { floor, seg: 0, start: 0, held: 0, buf: Vec::new(), window: 0, served: 0 }
+    }
+
+    /// The record at `loc` of segment `seg`, if the buffer holds all of it.
+    fn record(&self, seg: u64, loc: Loc) -> Option<&[u8]> {
+        let off = loc.off.checked_sub(self.start).filter(|_| seg == self.seg)? as usize;
+        self.buf[..self.held].get(off..off + loc.len as usize)
+    }
+}
+
 /// A record header's fields, once its magic, checksum and shape checked.
 struct Header {
     state: u8,
@@ -379,6 +423,65 @@ impl FileStore {
                 visit(at, read);
             }
         }
+    }
+
+    /// Reads `addr`'s newest record as [`FileStore::get`] does, but lends
+    /// its payload from where it lies in `ahead`, which reads it first if it
+    /// does not hold all of it.
+    pub(crate) fn lend<'b>(
+        &self,
+        addr: PageAddr,
+        ahead: &'b mut Readahead,
+    ) -> Result<Option<(PageKind, &'b [u8])>> {
+        let Some((seg_id, seg, loc)) = self.locate(addr) else { return Ok(None) };
+        if ahead.record(seg_id, loc).is_none() {
+            self.read_ahead(seg_id, seg, loc, ahead)?;
+        }
+        ahead.served += 1;
+        let ahead: &'b Readahead = ahead;
+        // A record past the end of its file holds no page, as in `get`.
+        let Some(record) = ahead.record(seg_id, loc) else { return Ok(None) };
+        Ok(match self.check(record, addr)? {
+            Some((STATE_DATA, payload)) => Some((PageKind::Data, payload)),
+            Some((STATE_JUNK, _)) => Some((PageKind::Junk, &[])),
+            _ => None,
+        })
+    }
+
+    /// Fills `ahead` with one `pread` that ends with the record at `loc` and
+    /// reaches below it: four times the record or [`MIN_WINDOW`] at first,
+    /// twice the last one while the walk keeps landing in what it read, and
+    /// never past [`MAX_WINDOW`] (unless the record is longer), the start of
+    /// the segment or its lowest record of an address at or above the floor.
+    fn read_ahead(
+        &self,
+        seg_id: u64,
+        seg: &Segment,
+        loc: Loc,
+        ahead: &mut Readahead,
+    ) -> Result<()> {
+        ahead.window = if ahead.served > 1 {
+            (ahead.window * 2).min(MAX_WINDOW)
+        } else {
+            (4 * loc.len as usize).clamp(MIN_WINDOW, MAX_WINDOW)
+        };
+        let floor_off = match ahead.floor.checked_sub(seg_id * self.pages_per_segment) {
+            Some(slot) if slot < self.pages_per_segment => seg.locs[slot as usize..]
+                .iter()
+                .filter(|l| l.state != 0)
+                .map(|l| l.off)
+                .min()
+                .unwrap_or(loc.off),
+            _ => 0,
+        };
+        let start = loc.end().saturating_sub(ahead.window as u64).max(floor_off).min(loc.off);
+        let len = (loc.end() - start) as usize;
+        if ahead.buf.len() < len {
+            ahead.buf.resize(len, 0);
+        }
+        (ahead.seg, ahead.start, ahead.held, ahead.served) = (seg_id, start, 0, 0);
+        ahead.held = seg.file.pread(&mut ahead.buf[..len], start)?;
+        Ok(())
     }
 
     /// Appends a tombstone for `addr`, releasing its payload; an address

@@ -15,8 +15,9 @@
 //!   a segment file) or trimmed, and a page changes tier by changing slot.
 //! * [`FileStore`] — the optional cold device: segment files of packed,
 //!   append-only, CRC-checked records, crash recovery by parsing them, reads
-//!   of records that sit next to each other in one `pread`, and whole-segment
-//!   reclamation below the prefix-trim horizon. [`FlashUnit::in_memory`] has
+//!   of records that sit next to each other in one `pread`, a walk down the
+//!   records through one [`Readahead`] buffer, and whole-segment reclamation
+//!   below the prefix-trim horizon. [`FlashUnit::in_memory`] has
 //!   none; a unit opened over a `FileStore` writes every page through; a
 //!   unit opened over a [`TieredStore`] (a `FileStore` plus a hot capacity)
 //!   keeps a volatile hot tail and migrates older pages cold.
@@ -39,9 +40,9 @@ mod tiered;
 mod unit;
 
 pub use error::FlashError;
-pub use file::FileStore;
+pub use file::{FileStore, Readahead};
 pub use metrics::FlashMetrics;
-pub use store::{PageRead, ScrubReport, TierStats};
+pub use store::{LentPage, PageRead, ScrubReport, TierStats};
 pub use tiered::TieredStore;
 pub use unit::{FlashUnit, WearStats};
 

@@ -25,6 +25,32 @@ pub enum PageRead {
     Trimmed,
 }
 
+/// A [`PageRead`] whose data is lent, not copied: from a hot page's slot,
+/// or from where a cold page's record lies in a walk's [`crate::Readahead`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LentPage<'a> {
+    /// The page holds application data.
+    Data(&'a [u8]),
+    /// The page was filled with junk.
+    Junk,
+    /// The page has never been written.
+    Unwritten,
+    /// The page has been trimmed (garbage collected).
+    Trimmed,
+}
+
+impl From<LentPage<'_>> for PageRead {
+    /// The page with a copy of its data.
+    fn from(page: LentPage<'_>) -> Self {
+        match page {
+            LentPage::Data(bytes) => PageRead::Data(Bytes::copy_from_slice(bytes)),
+            LentPage::Junk => PageRead::Junk,
+            LentPage::Unwritten => PageRead::Unwritten,
+            LentPage::Trimmed => PageRead::Trimmed,
+        }
+    }
+}
+
 impl PageRead {
     /// Returns true if the address has been consumed (written, filled, or
     /// trimmed) and can never accept a write.

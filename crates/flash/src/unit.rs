@@ -3,8 +3,8 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 use tango_metrics::Timer;
 
-use crate::store::{PageKind, PageRead, ScannedState, ScrubReport, TierStats};
-use crate::{FileStore, FlashError, FlashMetrics, PageAddr, Result, TieredStore};
+use crate::store::{LentPage, PageKind, PageRead, ScannedState, ScrubReport, TierStats};
+use crate::{FileStore, FlashError, FlashMetrics, PageAddr, Readahead, Result, TieredStore};
 
 /// Wear and usage accounting for a flash unit.
 ///
@@ -53,6 +53,8 @@ const CHUNK: usize = 1 << CHUNK_BITS;
 
 /// The slot of every address in a chunk the table has not allocated.
 const UNWRITTEN: &Slot = &Slot::Unwritten;
+/// The slot of every address below the horizon.
+const TRIMMED: &Slot = &Slot::Trimmed;
 
 /// Address -> slot, in chunks of `CHUNK` consecutive addresses keyed by
 /// `addr >> CHUNK_BITS`. The projection stripes a log round-robin, so a
@@ -177,10 +179,10 @@ fn timed<T>(timer: Timer, result: Result<T>) -> Result<T> {
     result
 }
 
-/// The device's answer for a page the index holds as cold data.
-fn cold_data(addr: PageAddr, got: Result<Option<(PageKind, Bytes)>>) -> Result<PageRead> {
+/// The device's answer for a page the index holds as cold data: its payload.
+fn cold_data<T>(addr: PageAddr, got: Result<Option<(PageKind, T)>>) -> Result<T> {
     match got? {
-        Some((PageKind::Data, bytes)) => Ok(PageRead::Data(bytes)),
+        Some((PageKind::Data, bytes)) => Ok(bytes),
         // The index said data was here; the device losing it is corruption,
         // not a hole.
         _ => Err(FlashError::Corrupt(format!("indexed data page {addr} missing"))),
@@ -436,47 +438,54 @@ impl FlashUnit {
         let timer = self.metrics.read_service_ns.start_sampled(&self.metrics.sampler);
         let mut reads = vec![PageRead::Unwritten; addrs.len()];
         let mut failed = None;
-        self.visit_reads(addrs, |at, read| match read {
-            Ok(read) => reads[at] = read,
-            Err(e) => drop(failed.get_or_insert(e)),
-        });
-        timed(timer, failed.map_or(Ok(reads), Err))
-    }
-
-    /// Reads a batch like [`FlashUnit::read_many`], except that a page the
-    /// device fails to read fails alone. `visit` hears each address's
-    /// position in `addrs` and its outcome once: the pages the index answers
-    /// for first, in order, then the cold ones in the order the device read
-    /// them.
-    pub fn read_each(&mut self, addrs: &[PageAddr], visit: impl FnMut(usize, Result<PageRead>)) {
-        self.stats.reads += addrs.len() as u64;
-        let timer = self.metrics.read_service_ns.start_sampled(&self.metrics.sampler);
-        self.visit_reads(addrs, visit);
-        timer.stop();
-    }
-
-    /// The index answers for every page it holds; the cold data pages go to
-    /// the device in one call, and only if there are any.
-    fn visit_reads(&self, addrs: &[PageAddr], mut visit: impl FnMut(usize, Result<PageRead>)) {
         let mut cold = Vec::new();
+        // The index answers for every page it holds; the cold data pages go
+        // to the device in one call, and only if there are any.
         for (at, &addr) in addrs.iter().enumerate() {
             match self.indexed(addr) {
-                Some(read) => visit(at, Ok(read)),
+                Some(read) => reads[at] = read,
                 None => cold.push(at),
             }
         }
-        if cold.is_empty() {
-            return;
+        if !cold.is_empty() {
+            self.device().get_many(cold.iter().map(|&at| addrs[at]), |k, got| {
+                match cold_data(addrs[cold[k]], got) {
+                    Ok(bytes) => reads[cold[k]] = PageRead::Data(bytes),
+                    Err(e) => drop(failed.get_or_insert(e)),
+                }
+            });
         }
-        self.device().get_many(cold.iter().map(|&at| addrs[at]), |k, got| {
-            visit(cold[k], cold_data(addrs[cold[k]], got))
-        });
+        timed(timer, failed.map_or(Ok(reads), Err))
+    }
+
+    /// Reads the page at `addr` as [`FlashUnit::read`] does, and counts and
+    /// times it the same, but lends its data instead of copying it: a hot
+    /// page's from its slot, a cold one's from where its record lies in
+    /// `ahead`, the buffer of the walk this read is a step of. A walk that
+    /// reads down through the records of a segment reads most of them with
+    /// the `pread` of a record above them.
+    pub fn lend<'a>(
+        &'a mut self,
+        addr: PageAddr,
+        ahead: &'a mut Readahead,
+    ) -> Result<LentPage<'a>> {
+        self.stats.reads += 1;
+        let timer = self.metrics.read_service_ns.start_sampled(&self.metrics.sampler);
+        let this: &'a Self = self;
+        let lent = match this.slot(addr) {
+            Slot::Unwritten => Ok(LentPage::Unwritten),
+            Slot::Trimmed => Ok(LentPage::Trimmed),
+            Slot::HotJunk | Slot::ColdJunk => Ok(LentPage::Junk),
+            Slot::HotData(bytes) => Ok(LentPage::Data(bytes)),
+            Slot::ColdData => cold_data(addr, this.device().lend(addr, ahead)).map(LentPage::Data),
+        };
+        timed(timer, lent)
     }
 
     fn read_slot(&self, addr: PageAddr) -> Result<PageRead> {
         match self.indexed(addr) {
             Some(read) => Ok(read),
-            None => cold_data(addr, self.device().get(addr)),
+            None => cold_data(addr, self.device().get(addr)).map(PageRead::Data),
         }
     }
 
@@ -485,13 +494,18 @@ impl FlashUnit {
         self.cold.as_ref().expect("only a unit with a device has cold slots")
     }
 
+    /// `addr`'s slot; below the horizon, a trimmed one.
+    fn slot(&self, addr: PageAddr) -> &Slot {
+        if addr < self.prefix_trim {
+            return TRIMMED;
+        }
+        self.table.get(addr)
+    }
+
     /// What `addr` holds as far as the table can tell: `None` for a cold
     /// data page, whose payload only the device has.
     fn indexed(&self, addr: PageAddr) -> Option<PageRead> {
-        if addr < self.prefix_trim {
-            return Some(PageRead::Trimmed);
-        }
-        Some(match self.table.get(addr) {
+        Some(match self.slot(addr) {
             Slot::Unwritten => PageRead::Unwritten,
             Slot::Trimmed => PageRead::Trimmed,
             Slot::HotJunk | Slot::ColdJunk => PageRead::Junk,
@@ -778,21 +792,140 @@ mod tests {
         assert_eq!((got, reads), (vec![PageRead::Unwritten, PageRead::Junk], 0));
     }
 
+    /// A walk down a stream as a storage node walks one: each page of the
+    /// stream names the `stride`-apart four below it, the highest address
+    /// the pages read lead to is read next, none below `floor`, and a page
+    /// that is no data or fails to read leads nowhere. Every address walked,
+    /// with what it read as.
+    fn walk(u: &mut FlashUnit, top: PageAddr, stride: u64, floor: PageAddr) -> Walked {
+        let mut ahead = Readahead::down_to(floor);
+        let (mut pending, mut walked) = (vec![top], Vec::new());
+        while let Some(addr) = pending.pop() {
+            let read = u.lend(addr, &mut ahead).map(PageRead::from);
+            if let Ok(PageRead::Data(_)) = read {
+                let below = (1..=4).filter_map(|k| addr.checked_sub(k * stride));
+                for to in below.filter(|&to| to >= floor) {
+                    if let Err(at) = pending.binary_search(&to) {
+                        pending.insert(at, to);
+                    }
+                }
+            }
+            walked.push((addr, read));
+        }
+        walked
+    }
+
+    type Walked = Vec<(PageAddr, Result<PageRead>)>;
+
+    fn data(bytes: Vec<u8>) -> Result<PageRead> {
+        Ok(PageRead::Data(bytes.into()))
+    }
+
     #[test]
-    fn read_each_skips_only_the_page_that_fails() {
+    fn a_walk_skips_only_the_page_that_fails() {
         let disk = MemDisk::default();
         let mut u = unit_on(&disk, 64, 8, 0).unwrap();
-        for addr in 0..4 {
-            u.write(addr, b"page").unwrap();
+        for addr in 0..8 {
+            u.write(addr, &[addr as u8; 4]).unwrap();
         }
-        // Rot record 1's payload behind the unit's back.
-        disk.corrupt("seg-0.dat", 32 + 4 + 32, b"X");
-        let mut outcomes = Vec::new();
-        u.read_each(&[3, 2, 1, 0, 9], |at, read| outcomes.push((at, read.is_ok())));
-        outcomes.sort_unstable();
-        assert_eq!(outcomes, [(0, true), (1, true), (2, false), (3, true), (4, true)]);
-        assert!(matches!(u.read_many(&[0, 1]), Err(FlashError::Corrupt(_))));
-        assert_eq!(u.stats().reads, 7);
+        // Rot record 5's payload behind the unit's back.
+        disk.corrupt("seg-0.dat", 5 * 36 + 32, b"X");
+        let (walked, reads) = disk.reads_in(|| walk(&mut u, 7, 1, 0));
+        // The walk reaches the pages below 5 through 6's and 7's other
+        // pointers, and the one `pread` that served them all still serves
+        // them after the page that failed its CRC.
+        let addrs: Vec<PageAddr> = walked.iter().map(|&(addr, _)| addr).collect();
+        assert_eq!((addrs, reads), ((0..8).rev().collect(), 1));
+        for (addr, read) in walked {
+            match addr {
+                5 => assert!(matches!(read, Err(FlashError::Corrupt(_))), "{read:?}"),
+                _ => assert_eq!(read, data(vec![addr as u8; 4])),
+            }
+        }
+        assert!(matches!(u.read_many(&[4, 5]), Err(FlashError::Corrupt(_))));
+        assert_eq!(u.stats().reads, 10);
+    }
+
+    #[test]
+    fn a_walk_reads_its_stream_through_a_few_growing_preads() {
+        let disk = MemDisk::default();
+        let page = |addr: u64| vec![addr as u8; 48];
+        let mut u = unit_on(&disk, 4096, 64, 0).unwrap();
+        for addr in 0..256 {
+            u.write(addr, &page(addr)).unwrap();
+        }
+        // Four segments of 64 records of 80 bytes: a `pread` at the top of
+        // the first, one that reaches its start, and one for each of the
+        // others. Batches of the four pages an entry names read about one
+        // record in four.
+        let (walked, preads) = disk.preads_in(|| walk(&mut u, 255, 1, 0));
+        assert!(preads.len() <= 8, "{preads:?}");
+        let want: Walked = (0..256).rev().map(|addr| (addr, data(page(addr)))).collect();
+        assert_eq!(walked, want);
+        // A page walked is a page read, hot or cold.
+        assert_eq!(u.stats().reads, 256);
+        let mut u = unit_on(&disk, 4096, 64, 512).unwrap();
+        for addr in 256..300 {
+            u.write(addr, &page(addr)).unwrap();
+        }
+        let (walked, preads) = disk.preads_in(|| walk(&mut u, 299, 1, 200));
+        assert_eq!(walked.len(), 100);
+        assert!(walked.iter().all(|(addr, read)| *read == data(page(*addr))));
+        // The 44 hot pages cost none; the cold ones stop at the floor's.
+        assert_eq!((preads.len(), u.stats().reads), (2, 100), "{preads:?}");
+    }
+
+    #[test]
+    fn a_sparse_walk_reads_less_than_batches_do_and_at_most_16_kib_at_once() {
+        let disk = MemDisk::default();
+        let page = |addr: u64| vec![addr as u8; 200];
+        let mut u = unit_on(&disk, 4096, 256, 0).unwrap();
+        for addr in 0..1024 {
+            u.write(addr, &page(addr)).unwrap();
+        }
+        // The walked stream is every eighth page.
+        let (walked, preads) = disk.preads_in(|| walk(&mut u, 1023, 8, 0));
+        assert_eq!(walked.len(), 128);
+        assert!(walked.iter().all(|(addr, read)| *read == data(page(*addr))));
+        assert!(preads.iter().all(|&len| len <= 16 * 1024), "{preads:?}");
+        // Reading, as one batch at a time, every address the pages read so
+        // far led to: four records eight apart, four `pread`s.
+        let (mut batched, mut known) = (0, std::collections::BTreeSet::new());
+        let mut batch = vec![1023u64];
+        while !batch.is_empty() {
+            batched += disk.reads_in(|| u.read_many(&batch).unwrap()).1;
+            let led =
+                batch.iter().flat_map(|&addr| (1..=4).filter_map(move |k| addr.checked_sub(8 * k)));
+            let mut next: Vec<u64> = led.filter(|&to| known.insert(to)).collect();
+            next.sort_unstable_by(|a, b| b.cmp(a));
+            batch = next;
+        }
+        assert_eq!(batched, 128);
+        assert!(preads.len() as u64 <= batched / 4, "{} preads, {batched} batched", preads.len());
+    }
+
+    #[test]
+    fn a_walk_stops_at_a_trimmed_segment_below_its_floor_without_reading_it() {
+        let disk = MemDisk::default();
+        let page = |addr: u64| vec![addr as u8; 48];
+        let mut u = unit_on(&disk, 4096, 64, 0).unwrap();
+        for addr in 0..192 {
+            u.write(addr, &page(addr)).unwrap();
+        }
+        u.trim_prefix(64).unwrap();
+        // A floor below the horizon: the trimmed pages read as such from
+        // the index and lead nowhere, and segment 0 is gone.
+        let (walked, preads) = disk.preads_in(|| walk(&mut u, 191, 1, 40));
+        let trimmed: Vec<PageAddr> = (walked.iter())
+            .filter(|(_, read)| *read == Ok(PageRead::Trimmed))
+            .map(|&(addr, _)| addr)
+            .collect();
+        assert_eq!((walked.len(), trimmed), (132, vec![63, 62, 61, 60]));
+        assert!(preads.len() <= 4, "{preads:?}");
+        // A floor inside a segment: no byte below its record is read.
+        let (walked, preads) = disk.preads_in(|| walk(&mut u, 127, 1, 96));
+        assert_eq!(walked.len(), 32);
+        assert_eq!(preads, [32 * 80]);
     }
 
     #[test]

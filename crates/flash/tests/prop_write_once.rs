@@ -6,7 +6,7 @@
 use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
-use tango_flash::{FileStore, FlashError, FlashUnit, PageRead, TieredStore, WearStats};
+use tango_flash::{FileStore, FlashError, FlashUnit, PageRead, Readahead, TieredStore, WearStats};
 
 /// One step. `Reopen` syncs first, so it loses nothing; the lossy reopen is
 /// the end of every differential sequence.
@@ -17,7 +17,8 @@ enum Op {
     Read(u64),
     ReadMany(Vec<u64>),
     /// `len` adjacent addresses from `top` down, as a chase asks for them:
-    /// the reads a cold device coalesces.
+    /// the reads a cold device coalesces. Read as one batch, and lent one at
+    /// a time as a walk down them reads them, through one readahead.
     ReadRun(u64, u64),
     Trim(u64),
     TrimPrefix(u64),
@@ -152,7 +153,10 @@ impl Model {
             Op::Fill(addr) => format!("{:?}", self.put(*addr, None)),
             Op::Read(addr) => format!("{:?}", Ok::<_, FlashError>(self.read(*addr))),
             Op::ReadMany(addrs) => format!("{:?}", reads(addrs)),
-            Op::ReadRun(top, len) => format!("{:?}", reads(&run(*top, *len))),
+            Op::ReadRun(top, len) => {
+                let run = reads(&run(*top, *len));
+                format!("{run:?} {run:?}")
+            }
             Op::Trim(addr) => format!("{:?}", self.trim(*addr)),
             Op::TrimPrefix(horizon) => {
                 self.trim_prefix(*horizon);
@@ -200,7 +204,13 @@ fn apply(unit: &mut FlashUnit, op: &Op) -> String {
         Op::Fill(addr) => format!("{:?}", unit.fill(*addr)),
         Op::Read(addr) => format!("{:?}", unit.read(*addr)),
         Op::ReadMany(addrs) => format!("{:?}", unit.read_many(addrs)),
-        Op::ReadRun(top, len) => format!("{:?}", unit.read_many(&run(*top, *len))),
+        Op::ReadRun(top, len) => {
+            let addrs = run(*top, *len);
+            let mut ahead = Readahead::down_to(addrs[addrs.len() - 1]);
+            let lent: Result<Vec<PageRead>, FlashError> =
+                addrs.iter().map(|&addr| unit.lend(addr, &mut ahead).map(PageRead::from)).collect();
+            format!("{:?} {lent:?}", unit.read_many(&addrs))
+        }
         Op::Trim(addr) => format!("{:?}", unit.trim(*addr)),
         Op::TrimPrefix(horizon) => format!("{:?}", unit.trim_prefix(*horizon)),
         Op::AdvanceHorizon => format!("{:?}", unit.advance_trim_horizon()),

@@ -18,6 +18,11 @@ impl Writer {
         Self { buf: Vec::with_capacity(cap) }
     }
 
+    /// Makes room for at least `additional` more bytes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Consumes the writer, returning the encoded bytes.
     pub fn into_vec(self) -> Vec<u8> {
         self.buf
