@@ -1237,7 +1237,19 @@ impl TangoRuntime {
     /// Returns the oid bound to `name`, allocating a fresh one through a
     /// directory transaction if needed. Concurrent registrations of the
     /// same name converge on one oid.
+    ///
+    /// A binding is final (the directory keeps the first), so a name found
+    /// bound in what the runtime has already learned of the log is opened
+    /// without asking the sequencer for the tail: playback first goes as
+    /// far as every hosted stream's membership is known. Only a name not
+    /// bound there takes the sync-and-register loop.
     pub fn create_or_open(&self, name: &str) -> Result<Oid> {
+        let learned = self.hosted_streams().into_iter().map(|oid| self.stream.synced_tail(oid));
+        let learned = learned.min().unwrap_or(0);
+        self.play_to(self.opts.play_limit.map_or(learned, |limit| limit.min(learned)))?;
+        if let Some(oid) = self.dir_state.lock().resolve(name) {
+            return Ok(oid);
+        }
         for _ in 0..64 {
             self.sync()?;
             self.begin_tx()?;

@@ -697,3 +697,85 @@ fn abort_orphan_decides_a_commit_its_generator_never_will() {
     assert_eq!(reg_b.query(None, |r| r.0).unwrap(), 1);
     assert_eq!(reg_a.query(None, |r| r.0).unwrap(), 1);
 }
+
+/// Every call made: the node class it went to, the node, and the
+/// request's leading tag.
+type Calls = Arc<std::sync::Mutex<Vec<(&'static str, u32, u8)>>>;
+
+/// Connections that note each call in [`Calls`].
+struct Tally {
+    inner: Arc<dyn ConnFactory>,
+    calls: Calls,
+}
+
+struct TallyConn {
+    inner: Arc<dyn ClientConn>,
+    class: &'static str,
+    node: u32,
+    calls: Calls,
+}
+
+impl ConnFactory for Tally {
+    fn connect(&self, node: &NodeInfo) -> Arc<dyn ClientConn> {
+        let class = ["meta", "sequencer", "storage"]
+            .into_iter()
+            .find(|class| node.addr.starts_with(class))
+            .expect("a node of a known class");
+        let inner = self.inner.connect(node);
+        Arc::new(TallyConn { inner, class, node: node.id, calls: Arc::clone(&self.calls) })
+    }
+}
+
+impl ClientConn for TallyConn {
+    fn call(&self, request: &[u8]) -> tango_rpc::Result<Vec<u8>> {
+        let tag = request.first().copied().unwrap_or(u8::MAX);
+        self.calls.lock().unwrap().push((self.class, self.node, tag));
+        self.inner.call(request)
+    }
+}
+
+/// A fresh client that opens a map someone else wrote and reads it once,
+/// as the benchmark's catch-up does: it learns the layout from a majority
+/// of the layout replicas in one call each, asks the sequencer once for the
+/// directory (the runtime looks for its checkpoint) and once for the read,
+/// and every storage call it makes is a chase of up to `MAX_READ_BATCH`
+/// pages. Opening a name the directory already bound asks the sequencer
+/// nothing more.
+#[test]
+fn a_fresh_client_opens_a_known_map_and_reads_it_in_eight_round_trips() {
+    const PUTS: u64 = 1_500;
+    const READ_CHASE: u8 = 8;
+    let cluster = LocalCluster::new(ClusterConfig { num_sets: 2, ..ClusterConfig::default() });
+    let writer = runtime(&cluster);
+    let map = writer.create_or_open("written").unwrap();
+    let other = writer.create_or_open("other").unwrap();
+    let view = writer.register_object(map, MiniMap::default(), ObjectOptions::default()).unwrap();
+    let noise =
+        writer.register_object(other, MiniMap::default(), ObjectOptions::default()).unwrap();
+    for k in 0..PUTS {
+        mini_put(&view, k, k as i64).unwrap();
+        mini_put(&noise, k, -(k as i64)).unwrap();
+    }
+
+    let calls = Calls::default();
+    let tally = Arc::new(Tally { inner: cluster.conn_factory(), calls: Arc::clone(&calls) });
+    let client =
+        cluster.client_with_factory(tally, ClientOptions::default(), cluster.metrics().clone());
+    let reader = TangoRuntime::new(client.unwrap()).unwrap();
+    let oid = reader.create_or_open("written").unwrap();
+    assert_eq!(oid, map);
+    let read = reader.register_object(oid, MiniMap::default(), ObjectOptions::default()).unwrap();
+    assert_eq!(mini_get(&read, PUTS - 1).unwrap(), Some(PUTS as i64 - 1));
+
+    let calls = calls.lock().unwrap().clone();
+    let to = |class| calls.iter().filter(|c| c.0 == class).collect::<Vec<_>>();
+    let (meta, seq, storage) = (to("meta"), to("sequencer"), to("storage"));
+    let replicas: std::collections::BTreeSet<u32> = meta.iter().map(|c| c.1).collect();
+    assert_eq!((meta.len(), replicas.len()), (2, 2), "layout calls {meta:?}");
+    assert_eq!(seq.len(), 2, "sequencer calls {seq:?}");
+    assert!(storage.iter().all(|c| c.2 == READ_CHASE), "storage calls {storage:?}");
+    // The directory's two entries lie on the two replica sets: a chase to
+    // each. The map's 1 500 entries lie on one set: two chases.
+    assert_eq!(storage.len(), 4, "storage calls {storage:?}");
+    assert_eq!(calls.len(), 8);
+}

@@ -60,7 +60,7 @@ const HORIZON: SimTime = 3_600 * SEC;
 /// Request tags by node kind, as the wire protocols number them.
 const SEQUENCER_OPS: [&str; 8] =
     ["next", "query", "seal", "bootstrap", "dump", "other", "adopt_stream", "next_observe"];
-const META_OPS: [&str; 5] = ["read", "write", "tail", "peers", "set_peers"];
+const META_OPS: [&str; 6] = ["read", "write", "tail", "peers", "set_peers", "latest"];
 const STORAGE_OPS: [&str; 9] = [
     "write",
     "read",

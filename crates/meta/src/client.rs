@@ -1,5 +1,7 @@
 //! The metalog quorum client: client-driven replication with write-once
-//! arbitration, majority reads, repair, discovery, and failover.
+//! arbitration, majority reads, repair, discovery, and failover. The
+//! latest record is read from the first majority to answer when it agrees,
+//! and through a quorum tail round and repairing reads when it does not.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -61,7 +63,9 @@ enum Round<T> {
 /// helps copy it forward (exactly how data-plane readers repair
 /// half-written chains). An operation commits once a majority of replicas
 /// holds its record; reads likewise require a majority holding one value,
-/// completing half-written positions on the way.
+/// completing half-written positions on the way. [`MetaClient::latest`]
+/// asks only as many replicas as it needs: what a majority agrees on needs
+/// no repair, and a stray record outside that majority is not seen.
 pub struct MetaClient {
     replicas: RwLock<Vec<ReplicaInfo>>,
     dial: Arc<dyn Dial>,
@@ -329,10 +333,21 @@ impl MetaClient {
         }
     }
 
-    /// The highest decided position and its record. Tails are gathered from
-    /// a majority; positions below the maximum tail that turn out undecided
-    /// (a proposer died before any replica accepted) are skipped downward.
+    /// The highest decided position and its record, in one round when a
+    /// majority agrees: replicas are asked in list order for their tail and
+    /// the record below it until a majority has answered, and if all of
+    /// them report one tail `t` and one record, that record is decided at
+    /// `t - 1` — a majority holds it — and nothing above it is, since a
+    /// decided position's majority meets this one. Otherwise tails are
+    /// gathered from a majority and positions below the maximum tail that
+    /// turn out undecided (a proposer died before any replica accepted) are
+    /// skipped downward, half-written ones repaired on the way. So a stray
+    /// record held only by replicas outside the majority that answered
+    /// reads as undecided, as it does while its holders are unreachable.
     pub fn latest(&self) -> Result<(Position, Bytes)> {
+        if let Some(agreed) = self.agreed_latest() {
+            return Ok(agreed);
+        }
         let max_tail = self.with_quorum_retry(|| self.tail_round())?;
         if max_tail == 0 {
             return Err(MetaError::Empty);
@@ -343,6 +358,33 @@ impl MetaClient {
             }
         }
         Err(MetaError::Empty)
+    }
+
+    /// The one-round answer of [`MetaClient::latest`]: `None` unless the
+    /// first majority to answer agrees on a tail above 0 and its record.
+    fn agreed_latest(&self) -> Option<(Position, Bytes)> {
+        let replicas = self.replicas();
+        let needed = quorum(replicas.len());
+        let mut agreed: Option<(Position, Bytes)> = None;
+        let mut answered = 0;
+        for replica in &replicas {
+            match self.call_replica(replica, &MetaRequest::Latest) {
+                Ok(MetaResponse::Latest { tail, record }) if tail > 0 => {
+                    match &agreed {
+                        Some(first) if first.0 != tail || first.1 != record => return None,
+                        Some(_) => {}
+                        None => agreed = Some((tail, record)),
+                    }
+                    answered += 1;
+                    if answered == needed {
+                        return agreed.map(|(tail, record)| (tail - 1, record));
+                    }
+                }
+                Err(MetaError::Unreachable { .. }) => {}
+                _ => return None,
+            }
+        }
+        None
     }
 
     fn tail_round(&self) -> Result<Round<Position>> {

@@ -16,7 +16,8 @@
 //!   [`proto::MetaResponse::ErrMalformed`], never a fake conflict.
 //! * [`MetaClient`] — the quorum client: client-driven replication in
 //!   replica order (the lowest-indexed reachable replica arbitrates races),
-//!   majority-quorum commit and reads, repair of half-written positions,
+//!   majority-quorum commit and reads (the latest record in one round when
+//!   the first majority to answer agrees), repair of half-written positions,
 //!   replica discovery via peer lists, failover, and bounded
 //!   exponential-backoff retry. Instrumented under `meta.*`.
 //!

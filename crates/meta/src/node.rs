@@ -106,6 +106,18 @@ impl MetaNode {
                 }
             }
             MetaRequest::Tail => MetaResponse::Tail(self.tail()),
+            MetaRequest::Latest => {
+                let mut unit = self.unit.lock();
+                let tail = unit.local_tail();
+                match tail.checked_sub(1).map(|pos| unit.read(pos)) {
+                    None => MetaResponse::Latest { tail, record: Bytes::new() },
+                    Some(Ok(PageRead::Data(record))) => MetaResponse::Latest { tail, record },
+                    Some(Ok(other)) => MetaResponse::ErrStorage {
+                        reason: format!("position {} holds no record: {other:?}", tail - 1),
+                    },
+                    Some(Err(e)) => storage_error(e),
+                }
+            }
             MetaRequest::Peers => MetaResponse::Peers(self.peers()),
             MetaRequest::SetPeers(peers) => {
                 self.set_peers(peers);
@@ -151,6 +163,14 @@ mod tests {
         assert_eq!(node.process(MetaRequest::Read { pos: 3 }), MetaResponse::Record(v1));
         assert_eq!(node.process(MetaRequest::Read { pos: 0 }), MetaResponse::Unwritten);
         assert_eq!(node.process(MetaRequest::Tail), MetaResponse::Tail(4));
+        assert_eq!(
+            node.process(MetaRequest::Latest),
+            MetaResponse::Latest { tail: 4, record: Bytes::from_static(b"v1") }
+        );
+        assert_eq!(
+            MetaNode::new().process(MetaRequest::Latest),
+            MetaResponse::Latest { tail: 0, record: Bytes::new() }
+        );
     }
 
     #[test]

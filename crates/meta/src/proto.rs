@@ -54,6 +54,9 @@ pub enum MetaRequest {
     /// Install a new replica-set view (operations plane: used when a
     /// crashed replica is replaced).
     SetPeers(Vec<ReplicaInfo>),
+    /// Query the local tail and the record just below it, in one round
+    /// trip: answered with [`MetaResponse::Latest`].
+    Latest,
 }
 
 /// Responses from a metalog replica.
@@ -83,6 +86,14 @@ pub enum MetaResponse {
         /// What the store reported.
         reason: String,
     },
+    /// The local tail and the record at `tail - 1` (empty when the
+    /// replica holds nothing).
+    Latest {
+        /// Highest written position + 1.
+        tail: Position,
+        /// The record at `tail - 1`.
+        record: Bytes,
+    },
 }
 
 impl Encode for MetaRequest {
@@ -103,6 +114,7 @@ impl Encode for MetaRequest {
                 w.put_u8(4);
                 peers.encode(w);
             }
+            MetaRequest::Latest => w.put_u8(5),
         }
     }
 }
@@ -118,6 +130,7 @@ impl Decode for MetaRequest {
             2 => Ok(MetaRequest::Tail),
             3 => Ok(MetaRequest::Peers),
             4 => Ok(MetaRequest::SetPeers(Vec::<ReplicaInfo>::decode(r)?)),
+            5 => Ok(MetaRequest::Latest),
             tag => Err(WireError::InvalidTag { what: "MetaRequest", tag: tag as u64 }),
         }
     }
@@ -152,6 +165,11 @@ impl Encode for MetaResponse {
                 w.put_u8(7);
                 w.put_str(reason);
             }
+            MetaResponse::Latest { tail, record } => {
+                w.put_u8(8);
+                w.put_u64(*tail);
+                w.put_bytes(record);
+            }
         }
     }
 }
@@ -167,6 +185,10 @@ impl Decode for MetaResponse {
             5 => Ok(MetaResponse::Peers(Vec::<ReplicaInfo>::decode(r)?)),
             6 => Ok(MetaResponse::ErrMalformed { reason: r.get_str()?.to_owned() }),
             7 => Ok(MetaResponse::ErrStorage { reason: r.get_str()?.to_owned() }),
+            8 => Ok(MetaResponse::Latest {
+                tail: r.get_u64()?,
+                record: Bytes::copy_from_slice(r.get_bytes()?),
+            }),
             tag => Err(WireError::InvalidTag { what: "MetaResponse", tag: tag as u64 }),
         }
     }
@@ -190,6 +212,7 @@ mod tests {
                 ReplicaInfo { id: 30_001, addr: "127.0.0.1:9999".into() },
             ]),
             MetaRequest::SetPeers(vec![]),
+            MetaRequest::Latest,
         ];
         for m in reqs {
             let bytes = encode_to_vec(&m);
@@ -204,6 +227,8 @@ mod tests {
             MetaResponse::Peers(vec![ReplicaInfo { id: 1, addr: "a".into() }]),
             MetaResponse::ErrMalformed { reason: "invalid tag 9".into() },
             MetaResponse::ErrStorage { reason: "page 3 CRC mismatch".into() },
+            MetaResponse::Latest { tail: 5, record: Bytes::from_static(b"projection-4") },
+            MetaResponse::Latest { tail: 0, record: Bytes::new() },
         ];
         for m in resps {
             let bytes = encode_to_vec(&m);

@@ -1,6 +1,6 @@
 //! A backward walk whose strides the storage nodes extend (`ReadChase`): the
 //! walk finds what it would have found reading four entries at a time, in a
-//! sixty-fourth of the round trips (small entries) and without a page read
+//! 256th of the round trips (small entries) and without a page read
 //! twice — and whatever the nodes bring along that is not a plain entry is
 //! left for the walk to judge.
 //! Each scenario is one generic body run in-process and over TCP.
@@ -99,8 +99,8 @@ fn sync_and_drain(reader: &StreamClient, stream: StreamId) -> Vec<LogOffset> {
 
 /// Two streams taking turns, 2 000 entries each, as in the benchmark's
 /// catch-up: a cold reader of one of them reads that one's pages once each,
-/// 256 to the round trip.
-fn cold_replay_reads_each_member_once_256_to_the_round_trip<T: Transport>(cluster: &Cluster<T>) {
+/// up to 1 024 to the round trip.
+fn cold_replay_reads_each_member_once_1024_to_the_round_trip<T: Transport>(cluster: &Cluster<T>) {
     const ENTRIES: usize = 2_000;
     let writer = StreamClient::new(cluster.client().unwrap());
     write_turns(&writer, (0..2 * ENTRIES).map(|turn| 1 + turn as StreamId % 2));
@@ -116,13 +116,13 @@ fn cold_replay_reads_each_member_once_256_to_the_round_trip<T: Transport>(cluste
         "a page read twice, or one of stream 2"
     );
     assert!(
-        storage_calls() <= (ENTRIES / 256 + 4) as u64,
+        storage_calls() <= (ENTRIES / corfu::MAX_READ_BATCH + 4) as u64,
         "{} storage calls for {ENTRIES} entries",
         storage_calls()
     );
 }
 
-on_both_transports!(cold_replay_reads_each_member_once_256_to_the_round_trip, two_by_two());
+on_both_transports!(cold_replay_reads_each_member_once_1024_to_the_round_trip, two_by_two());
 
 /// Connections that note the data bytes of the largest `Chased` reply.
 struct WeighChased {
@@ -453,9 +453,12 @@ on_both_transports!(
 /// a moment that steps from before the walk's first `ReadChase` to after its
 /// last: the replay delivers, in order, every member at or above the trim
 /// horizon and — of those below — what the walk read before the trim took
-/// it; never an error, never a member twice.
+/// it; never an error, never a member twice. The stream is longer than one
+/// chase brings ([`corfu::MAX_READ_BATCH`] pages), so that a trim can land
+/// between two of them.
 #[test]
 fn a_trim_racing_a_chase_loses_only_what_it_took() {
+    const MEMBERS: usize = corfu::MAX_READ_BATCH + 256;
     let cut_short = std::cell::Cell::new(0);
     support::sweep!(a_trim_racing_a_chase_loses_only_what_it_took, |seed| {
         for step in 0..4u64 {
@@ -463,7 +466,7 @@ fn a_trim_racing_a_chase_loses_only_what_it_took() {
             let sim = cluster.sim();
             sim.delay_calls("storage.", 25, Duration::from_micros(30));
             let writer = StreamClient::new(cluster.client().unwrap());
-            write_turns(&writer, (0..600).map(|turn| 1 + turn % 2));
+            write_turns(&writer, (0..2 * MEMBERS as StreamId).map(|turn| 1 + turn % 2));
             let members = members_by_scan(writer.corfu(), 1);
             let horizon = members[members.len() / 2];
 

@@ -48,17 +48,26 @@ def check_counts(path):
     require(attempts > 0, "tx_mix_tcp reported no transaction attempts")
     require(calls <= attempts + 0.01, "more than one sequencer call per transaction attempt")
 
-    # A cold replay walks its stream up to 256 entries to the round trip and
-    # reads each of the stream's pages once: replies back at 32 entries read
-    # 0.032 calls per entry and a batch mean of 31.6; a chase that reads the
-    # other stream's pages, or a page twice, more than one page per entry.
+    # A cold replay walks its stream up to 1 024 entries to the round trip
+    # and reads each of the stream's pages once: chases of 256 pages read
+    # 0.0047 calls per entry and a batch mean of 233, replies back at 32
+    # entries 0.032 and 31.6; a chase that reads the other stream's pages,
+    # or a page twice, more than one page per entry. The whole replay of
+    # 2 560 entries is 9 round trips: 2 to a majority of the layout replicas
+    # (6 while the layout was read in a tail round and a read round to all
+    # three), 2 to the sequencer (3 while opening a known name checked the
+    # tail) and 5 to storage nodes (12 with 256-page chases).
     calls = layer("catchup_tcp", "corfu.storage.calls_per_op")
     reads = layer("catchup_tcp", "flash.reads_per_op")
     batch = layer("catchup_tcp", "stream.read_batch_mean")
-    print(f"catchup_tcp: corfu.storage.calls_per_op {calls:.4f}, flash.reads_per_op {reads:.5f}, stream.read_batch_mean {batch:.1f}")
-    require(calls <= 0.008, f"a replayed entry cost {calls} storage calls, more than 1 in 125")
+    replay_rpcs = round(layer("catchup_tcp", "rpc.calls_per_op") * 2560, 6)
+    replay_meta = round(layer("catchup_tcp", "meta.calls_per_op") * 2560, 6)
+    print(f"catchup_tcp: corfu.storage.calls_per_op {calls:.4f}, flash.reads_per_op {reads:.5f}, stream.read_batch_mean {batch:.1f}, per replay {replay_rpcs:g} RPCs, {replay_meta:g} to layout replicas")
+    require(calls <= 0.003, f"a replayed entry cost {calls} storage calls, more than 3 in 1 000")
     require(reads <= 1.01, f"a replayed entry cost {reads} page reads")
-    require(batch >= 150, f"a read round trip brought {batch} entries")
+    require(batch >= 500, f"a read round trip brought {batch} entries")
+    require(replay_rpcs <= 9, f"a replay made {replay_rpcs} RPCs, more than 9")
+    require(replay_meta <= 2, f"a replay made {replay_meta} layout calls, more than 2")
 
     # Every put of `read_mostly_tcp` is two pages written and one read, by the
     # other client; the reads beyond that are a reader's walk chased back
