@@ -7,8 +7,9 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, TcpCluster, Transport};
-use corfu::{ConnFactory, NodeInfo, StreamId};
+use corfu::{ClientOptions, ConnFactory, NodeInfo, StreamId};
 use corfu_stream::StreamClient;
+use tango_metrics::Registry;
 use tango_rpc::ClientConn;
 
 fn payload(i: u64) -> Bytes {
@@ -375,6 +376,37 @@ fn cache_avoids_refetching_multiappend_entries() {
     // Every playback fetch should hit the append-seeded cache.
     assert_eq!(misses, 0, "hits={hits} misses={misses}");
     assert!(hits >= 20);
+}
+
+/// A bulk read caches each reply before its next round trip: while one
+/// thread's read waits out a hole in its second batch, a thread sharing the
+/// client finds the first batch cached.
+#[test]
+fn a_bulk_read_caches_each_reply_before_waiting_on_the_next() {
+    let cluster = LocalCluster::new(ClusterConfig::default());
+    let writer = cluster.client().unwrap();
+    let mut offsets: Vec<u64> =
+        (0..35).map(|i| writer.append_streams(&[1], payload(i)).unwrap().0).collect();
+    offsets.push(writer.token(&[1]).unwrap().offset);
+    offsets.extend((0..4).map(|i| writer.append_streams(&[1], payload(40 + i)).unwrap().0));
+    let registry = Registry::new();
+    let options = ClientOptions { hole_fill_timeout: Duration::from_secs(1) };
+    let reader = StreamClient::new(
+        cluster.client_with_factory(cluster.conn_factory(), options, registry.clone()).unwrap(),
+    );
+    std::thread::scope(|scope| {
+        let bulk = scope.spawn(|| reader.read_many_at(&offsets).unwrap());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while registry.counter("corfu.hole_polls").get() == 0 {
+            assert!(Instant::now() < deadline, "the bulk read never reached the hole");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (hits, _) = reader.cache_stats();
+        assert!(reader.read_at(offsets[3]).unwrap().is_some());
+        assert_eq!(reader.cache_stats().0, hits + 1, "the first batch was not cached yet");
+        let read = bulk.join().unwrap();
+        assert_eq!(read.iter().filter(|entry| entry.is_some()).count(), 39);
+    });
 }
 
 /// An observing append leaves every observed stream — written or not —
