@@ -1,6 +1,7 @@
 //! One wire format, however a message is produced or consumed. Golden byte
-//! vectors pin the chain-write request and the entry envelope (so a faster
-//! encoder cannot quietly become a different one); the bytes `write_at`
+//! vectors pin the chain-write request, the entry envelope and the replies
+//! a node reads pages with (so a faster encoder, or a new type on either
+//! side, cannot quietly become a different format); the bytes `write_at`
 //! frames in place are the bytes the owned `Encode` impl gives; and the
 //! storage node's borrowed `Write` decode answers every input — malformed
 //! ones included — exactly as the owned decode would.
@@ -254,4 +255,131 @@ fn no_service_decoder_accepts_the_snapshot_request() {
     assert!(decode_from_slice::<StorageRequest>(SNAPSHOT_REQUEST).is_err());
     assert!(decode_from_slice::<SequencerRequest>(SNAPSHOT_REQUEST).is_err());
     assert!(decode_from_slice::<MetaRequest>(SNAPSHOT_REQUEST).is_err());
+}
+
+/// A node holding every page state: data at 0, junk at 1, a trimmed page at
+/// 2, nothing at 3, and at 4 and 5 entries of stream 7 whose backpointers
+/// lead 5 → 4 and 1, 4 → 2. The requests go in and the replies come out as
+/// bytes, so the golden vectors below pin what a node sends, whatever types
+/// either side decodes them into.
+fn node_of_every_state() -> StorageServer {
+    let server = StorageServer::in_memory(64);
+    let entry = |backpointers: Vec<u64>, payload: &'static [u8], offset: u64| {
+        let headers = vec![StreamHeader { stream: 7, backpointers }];
+        EntryEnvelope { headers, payload: Bytes::from_static(payload), link: None }
+            .encode(offset)
+            .unwrap()
+    };
+    let requests = [
+        write(0, 0, WriteKind::Data, b"ab"),
+        write(0, 1, WriteKind::Junk, b""),
+        write(0, 2, WriteKind::Data, b"gone"),
+        StorageRequest::Trim { epoch: 0, addr: 2 },
+        write(0, 4, WriteKind::Data, &entry(vec![2], b"e4", 4)),
+        write(0, 5, WriteKind::Data, &entry(vec![4, 1], b"e5", 5)),
+    ];
+    for request in requests {
+        assert_eq!(call(&server, request.clone()), [0u8], "{request:?}");
+    }
+    server
+}
+
+/// The bytes `server` answers `request` with.
+fn call(server: &StorageServer, request: StorageRequest) -> Vec<u8> {
+    server.handle(&encode_to_vec(&request))
+}
+
+/// The page at 4 and 5: magic and version, one header of stream 7 with its
+/// deltas, the payload.
+const ENTRY_4: [u8; 12] = [0xE7, 1, 7, 0, 0, 0, 1, 2, 0, 2, b'e', b'4'];
+const ENTRY_5: [u8; 14] = [0xE7, 1, 7, 0, 0, 0, 2, 1, 0, 4, 0, 2, b'e', b'5'];
+
+/// Whatever a reply's bytes decode into encodes back to the same bytes.
+fn assert_reencodes(reply: &[u8]) {
+    let decoded: StorageResponse = decode_from_slice(reply).unwrap();
+    assert_eq!(encode_to_vec(&decoded), reply, "{decoded:?}");
+}
+
+#[test]
+fn read_reply_golden_bytes() {
+    let server = node_of_every_state();
+    // One tag per state, 2 to 5; only data carries a varint length and bytes.
+    let read = |addr| call(&server, StorageRequest::Read { epoch: 0, addr });
+    let expected: [&[u8]; 4] = [&[2, 2, b'a', b'b'], &[3], &[5], &[4]];
+    for (addr, expected) in (0..4).zip(expected) {
+        let reply = read(addr);
+        assert_eq!(reply, expected, "read at {addr}");
+        assert_reencodes(&reply);
+    }
+}
+
+#[test]
+fn batch_outcomes_reply_golden_bytes() {
+    let server = node_of_every_state();
+    // Tag 12, a varint count, then per page its own tag, 0 to 3.
+    let reply = call(&server, StorageRequest::ReadBatch { epoch: 0, addrs: vec![3, 2, 1, 0] });
+    assert_eq!(reply, [12, 4, 2, 3, 1, 0, 2, b'a', b'b']);
+    assert_reencodes(&reply);
+}
+
+#[test]
+fn chased_reply_golden_bytes() {
+    let server = node_of_every_state();
+    // Tag 13, a varint count, then per page its address as a little-endian
+    // u64 and the page as in a batch: the asked pages in request order, then
+    // those the walk followed, highest first.
+    let chase = StorageRequest::ReadChase {
+        epoch: 0,
+        addrs: vec![5, 3],
+        stream: 7,
+        stripe: 1,
+        floor: 0,
+        limit: 16,
+    };
+    let reply = call(&server, chase);
+    let addr = |a: u8| [a, 0, 0, 0, 0, 0, 0, 0];
+    let expected = [
+        &[13, 5][..],
+        &addr(5),
+        &[0, ENTRY_5.len() as u8],
+        &ENTRY_5,
+        &addr(3),
+        &[2],
+        &addr(4),
+        &[0, ENTRY_4.len() as u8],
+        &ENTRY_4,
+        &addr(2),
+        &[3],
+        &addr(1),
+        &[1],
+    ]
+    .concat();
+    assert_eq!(reply, expected);
+    assert_reencodes(&reply);
+}
+
+#[test]
+fn page_chunk_reply_golden_bytes() {
+    let server = node_of_every_state();
+    // Tag 11, the local tail, the trim horizon and the next address as
+    // little-endian u64s, a varint count, then per consumed page its address
+    // and its own tag, 0 to 2: an unwritten address is left out.
+    let reply = call(&server, StorageRequest::CopyRange { epoch: 0, start: 0, count: 4 });
+    let u64_le = |n: u8| [n, 0, 0, 0, 0, 0, 0, 0];
+    let expected = [
+        &[11][..],
+        &u64_le(6),
+        &u64_le(0),
+        &u64_le(4),
+        &[3],
+        &u64_le(0),
+        &[0, 2, b'a', b'b'],
+        &u64_le(1),
+        &[1],
+        &u64_le(2),
+        &[2],
+    ]
+    .concat();
+    assert_eq!(reply, expected);
+    assert_reencodes(&reply);
 }
