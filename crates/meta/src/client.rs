@@ -147,19 +147,22 @@ impl MetaClient {
     fn call_replica(&self, replica: &ReplicaInfo, req: &MetaRequest) -> Result<MetaResponse> {
         let conn = self.conn(replica);
         match conn.call(&encode_to_vec(req)) {
-            Ok(bytes) => match decode_from_slice::<MetaResponse>(&bytes)? {
-                // Our encoder cannot emit a malformed request, so this
-                // means the frame was corrupted in transit: retriable, and
-                // counted as a failover like any other per-replica fault.
-                MetaResponse::ErrMalformed { reason } => {
-                    self.metrics.failovers.inc();
-                    Err(MetaError::Unreachable {
-                        replica: replica.id,
-                        detail: format!("request rejected as malformed: {reason}"),
-                    })
-                }
-                resp => Ok(resp),
-            },
+            Ok(bytes) => {
+                let detail = match decode_from_slice::<MetaResponse>(&bytes)? {
+                    // Our encoder cannot emit a malformed request, so this
+                    // means the frame was corrupted in transit.
+                    MetaResponse::ErrMalformed { reason } => {
+                        format!("request rejected as malformed: {reason}")
+                    }
+                    // One replica's disk, not the metalog, failed.
+                    MetaResponse::ErrStorage { reason } => format!("store failed: {reason}"),
+                    resp => return Ok(resp),
+                };
+                // Retriable, and counted as a failover like any other
+                // per-replica fault.
+                self.metrics.failovers.inc();
+                Err(MetaError::Unreachable { replica: replica.id, detail })
+            }
             Err(e) => {
                 self.conns.lock().remove(&replica.id);
                 self.metrics.failovers.inc();

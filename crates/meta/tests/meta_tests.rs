@@ -309,6 +309,40 @@ fn a_lagging_replica_0_sends_latest_through_the_fallback() {
     assert_eq!(calls, [3, 3, 2], "{calls:?}");
 }
 
+/// A replica whose store fails every operation: it answers each request,
+/// and each with `ErrStorage`.
+struct FailingStoreConn;
+
+impl ClientConn for FailingStoreConn {
+    fn call(&self, _request: &[u8]) -> tango_rpc::Result<Vec<u8>> {
+        let reason = "disk error".to_owned();
+        Ok(tango_wire::encode_to_vec(&tango_meta::proto::MetaResponse::ErrStorage { reason }))
+    }
+}
+
+/// A disk error on one replica is that replica's fault, as an unreachable
+/// replica is: every quorum operation fails over to the healthy majority.
+#[test]
+fn a_replica_whose_store_fails_is_failed_over_like_an_unreachable_one() {
+    let set = TestSet::new(3);
+    let healthy = set.dial();
+    let client = MetaClient::new(
+        set.replicas.clone(),
+        Arc::new(move |replica: &ReplicaInfo| -> Arc<dyn ClientConn> {
+            match replica.id {
+                0 => Arc::new(FailingStoreConn),
+                _ => healthy.dial(replica),
+            }
+        }),
+    )
+    .with_metrics(&Registry::new());
+    let rec = Bytes::from_static(b"epoch-1");
+    assert_eq!(client.propose_at(1, rec.clone()).unwrap(), None);
+    assert_eq!(client.read_decided(1).unwrap(), Some(rec.clone()));
+    assert_eq!(client.latest().unwrap(), (1, rec));
+    assert!(client.metrics().failovers.get() > 0, "a disk error counts as a failover");
+}
+
 #[test]
 fn replacement_catches_up_from_the_quorum() {
     let set = TestSet::new(3);
