@@ -1,7 +1,7 @@
 //! Bounded-occupancy churn over tiered storage, end to end.
 //!
 //! A Tango runtime hammers a counter over a real TCP cluster whose storage
-//! nodes run on [`TieredStore`] backends with background compactors. Two
+//! nodes run on `TieredStore` backends with background compactors. Two
 //! phases, fresh cluster each:
 //!
 //! - `baseline`: append-only churn, no reclamation — occupancy grows

@@ -495,7 +495,7 @@ pub fn fig10_middle_tango(clients: usize, cross_pct: f64, seed: u64, interval: I
 }
 
 /// One Figure 10 (middle) point for the 2PL baseline (module
-/// [`crate::twopl`]): the same clients and transactions, committed by
+/// `twopl`): the same clients and transactions, committed by
 /// locking instead of the log. Returns K committed tx/s.
 pub fn fig10_middle_2pl(clients: usize, cross_pct: f64, seed: u64, interval: Interval) -> f64 {
     let mut world = World::new(9, seed);

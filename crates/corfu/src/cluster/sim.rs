@@ -303,7 +303,7 @@ impl Sim {
     }
 
     /// [`Sim::new`] on the testbed's resources: NICs, rack latency and the
-    /// nodes' service queues (module [`super::testbed`]). The calling
+    /// nodes' service queues (module `testbed`). The calling
     /// thread runs on a client machine in rack 0.
     pub fn on_testbed(seed: u64, testbed: Testbed) -> Self {
         let sim = Self::new(seed);

@@ -5,7 +5,7 @@
 //! transitions — seals, projection installs, shard remaps, hole/junk
 //! fills, quorum repairs, replica replacements. The journal records each
 //! as a fixed-width [`EventRecord`] in a bounded seqlock ring (same
-//! discipline as the span ring, see [`crate::ring`]), so emitting an
+//! discipline as the span ring, see module `ring`), so emitting an
 //! event costs a handful of relaxed atomics and never blocks or
 //! allocates.
 //!
