@@ -356,7 +356,7 @@ fn checkpoint_restore_and_compact() {
     let horizon = rt.compact().unwrap();
     assert!(horizon > 0, "expected a positive trim horizon");
     // Trimmed prefix is gone at the log level.
-    assert_eq!(cluster.client().unwrap().read(0).unwrap(), corfu::ReadOutcome::Trimmed);
+    assert_eq!(cluster.client().unwrap().read(0).unwrap(), corfu::Page::Trimmed);
     // New runtimes still reconstruct from the checkpoint.
     let rt3 = runtime(&cluster);
     let reg3 = rt3
@@ -391,7 +391,7 @@ fn checkpoint_and_trim_driver_bounds_the_log() {
     // The trimmed prefix is physically gone, and the live window is small:
     // one burst plus the checkpoint records, not the whole history.
     let client = cluster.client().unwrap();
-    assert_eq!(client.read(0).unwrap(), corfu::ReadOutcome::Trimmed);
+    assert_eq!(client.read(0).unwrap(), corfu::Page::Trimmed);
     let tail = client.check_tail_slow().unwrap();
     assert!(tail - last < 40, "live window {} too wide (tail {tail}, horizon {last})", tail - last);
 
@@ -419,7 +419,7 @@ fn a_runtimes_trim_spares_what_another_runtime_hosts() {
     // B has never checkpointed: nothing of its history may go, whoever asks.
     assert_eq!(rt_a.checkpoint_and_trim().unwrap(), 0);
     let client = cluster.client().unwrap();
-    assert_ne!(client.read(0).unwrap(), corfu::ReadOutcome::Trimmed);
+    assert_ne!(client.read(0).unwrap(), corfu::Page::Trimmed);
     let replayed = runtime(&cluster)
         .register_object(oid_b, Register::default(), ObjectOptions::default())
         .unwrap();
@@ -430,7 +430,7 @@ fn a_runtimes_trim_spares_what_another_runtime_hosts() {
     reg_b.query(None, |_| ()).unwrap();
     rt_b.checkpoint(oid_b).unwrap();
     assert!(rt_a.checkpoint_and_trim().unwrap() > 0);
-    assert_eq!(client.read(0).unwrap(), corfu::ReadOutcome::Trimmed);
+    assert_eq!(client.read(0).unwrap(), corfu::Page::Trimmed);
     let fresh = runtime(&cluster);
     assert_eq!(fresh.resolve("a").unwrap(), Some(oid_a));
     assert_eq!(fresh.resolve("b").unwrap(), Some(oid_b));

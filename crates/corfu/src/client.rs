@@ -23,12 +23,12 @@ use crate::entry::{CrossLogLink, EntryEnvelope, StreamHeader};
 use crate::layout::LayoutClient;
 use crate::metrics::{ClientLogMetrics, ClientMetrics};
 use crate::proto::{
-    PageOutcome, PageRef, Pages, SequencerRequest, SequencerResponse, StorageRequest,
-    StorageResponse, WriteKind, WriteRef, WRITE_HEAD_MAX,
+    Pages, SequencerRequest, SequencerResponse, StorageRequest, StorageResponse, WriteKind,
+    WriteRef, WRITE_HEAD_MAX,
 };
 use crate::{
-    compose, log_of_offset, CorfuError, Epoch, LogOffset, NodeId, NodeInfo, Projection, Result,
-    StreamId,
+    compose, log_of_offset, CorfuError, Epoch, LogOffset, NodeId, NodeInfo, Page, Projection,
+    Result, StreamId,
 };
 
 /// Creates connections to nodes named by the projection's address book.
@@ -96,43 +96,15 @@ pub struct Token {
     pub observed: StreamWindows,
 }
 
-/// The value found at a log offset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReadOutcome {
-    /// A completed entry.
-    Data(Bytes),
-    /// A junk fill (hole patched by some client).
-    Junk,
-    /// Nothing written yet.
-    Unwritten,
-    /// Garbage collected.
-    Trimmed,
-}
-
-impl From<PageOutcome> for ReadOutcome {
-    fn from(outcome: PageOutcome) -> Self {
-        match outcome {
-            PageOutcome::Data(b) => ReadOutcome::Data(b),
-            PageOutcome::Junk => ReadOutcome::Junk,
-            PageOutcome::Unwritten => ReadOutcome::Unwritten,
-            PageOutcome::Trimmed => ReadOutcome::Trimmed,
-        }
-    }
-}
-
 /// What a visitor is shown as the reply of a page that holds no data.
 static NO_REPLY: Bytes = Bytes::new();
 
-impl ReadOutcome {
-    /// The outcome with its data lent, and the buffer the data lies in, as a
-    /// bulk read's visitor is shown them.
-    fn as_page(&self) -> (PageRef<'_>, &Bytes) {
-        match self {
-            ReadOutcome::Data(b) => (PageRef::Data(b), b),
-            ReadOutcome::Junk => (PageRef::Junk, &NO_REPLY),
-            ReadOutcome::Unwritten => (PageRef::Unwritten, &NO_REPLY),
-            ReadOutcome::Trimmed => (PageRef::Trimmed, &NO_REPLY),
-        }
+/// The buffer `page`'s data lies in, as a bulk read's visitor is shown it
+/// with the page.
+fn reply_of(page: &Page<Bytes>) -> &Bytes {
+    match page {
+        Page::Data(bytes) => bytes,
+        _ => &NO_REPLY,
     }
 }
 
@@ -153,7 +125,7 @@ pub struct Chase<'a> {
 /// arrived in, and that reply — which a visitor that keeps the page keeps a
 /// handle on instead of a copy (see [`crate::Entry::in_reply`]).
 pub type PageVisitor<'v> =
-    dyn FnMut(Option<usize>, LogOffset, PageRef<'_>, &Bytes) -> Result<()> + 'v;
+    dyn FnMut(Option<usize>, LogOffset, Page<&[u8]>, &Bytes) -> Result<()> + 'v;
 
 /// One storage node's answer to its share of a bulk read.
 struct BulkReply {
@@ -606,7 +578,7 @@ impl CorfuClient {
     /// append becomes a *cross-log multiappend*: one entry per participating
     /// log, all carrying the same [`CrossLogLink`], with the lowest log's
     /// entry written last as the atomic commit anchor (see
-    /// [`CorfuClient::append_cross_log`]). The returned offset is the
+    /// `CorfuClient::append_cross_log`). The returned offset is the
     /// anchor's.
     pub fn append_streams(
         &self,
@@ -824,7 +796,7 @@ impl CorfuClient {
 
     /// Reads the value at `offset` from the chain tail, repairing
     /// half-completed chain writes by propagating the head's value forward.
-    pub fn read(&self, offset: LogOffset) -> Result<ReadOutcome> {
+    pub fn read(&self, offset: LogOffset) -> Result<Page<Bytes>> {
         let _span = self.sampled_root(SpanKind::ClientRead);
         self.with_retry("read", false, &mut self.view(), |view| {
             self.read_with(view, &view.proj, offset)
@@ -840,22 +812,16 @@ impl CorfuClient {
         view: &View,
         proj: &Projection,
         offset: LogOffset,
-    ) -> Result<ReadOutcome> {
+    ) -> Result<Page<Bytes>> {
         let epoch = proj.epoch_of_log(log_of_offset(offset));
         let (_, local) = proj.map(offset);
         let chain = proj.chain_for(offset);
         let tail = *chain.last().expect("non-empty chain");
         match self.call(view, tail, &StorageRequest::Read { epoch, addr: local })? {
-            StorageResponse::Data(b) => Ok(ReadOutcome::Data(b)),
-            StorageResponse::Junk => Ok(ReadOutcome::Junk),
-            StorageResponse::Trimmed => Ok(ReadOutcome::Trimmed),
-            StorageResponse::Unwritten => {
-                if chain.len() == 1 {
-                    Ok(ReadOutcome::Unwritten)
-                } else {
-                    self.repair_chain(view, proj, offset)
-                }
+            StorageResponse::Page(Page::Unwritten) if chain.len() > 1 => {
+                self.repair_chain(view, proj, offset)
             }
+            StorageResponse::Page(page) => Ok(page),
             other => Err(storage_refusal(format_args!("read at {offset}"), other)),
         }
     }
@@ -863,10 +829,10 @@ impl CorfuClient {
     /// Reads and decodes the entry envelope at `offset`.
     pub fn read_entry(&self, offset: LogOffset) -> Result<EntryEnvelope> {
         match self.read(offset)? {
-            ReadOutcome::Data(bytes) => EntryEnvelope::decode(&bytes, offset),
-            ReadOutcome::Junk => Err(CorfuError::Storage(format!("offset {offset} holds junk"))),
-            ReadOutcome::Unwritten => Err(CorfuError::Unwritten { offset }),
-            ReadOutcome::Trimmed => Err(CorfuError::Trimmed { offset }),
+            Page::Data(bytes) => EntryEnvelope::decode(&bytes, offset),
+            Page::Junk => Err(CorfuError::Storage(format!("offset {offset} holds junk"))),
+            Page::Unwritten => Err(CorfuError::Unwritten { offset }),
+            Page::Trimmed => Err(CorfuError::Trimmed { offset }),
         }
     }
 
@@ -878,30 +844,26 @@ impl CorfuClient {
         view: &View,
         proj: &Projection,
         offset: LogOffset,
-    ) -> Result<ReadOutcome> {
+    ) -> Result<Page<Bytes>> {
         let epoch = proj.epoch_of_log(log_of_offset(offset));
         let (_, local) = proj.map(offset);
         let chain = proj.chain_for(offset);
         let head = chain[0];
-        let (kind, value) =
-            match self.call(view, head, &StorageRequest::Read { epoch, addr: local })? {
-                StorageResponse::Data(b) => (WriteKind::Data, b),
-                StorageResponse::Junk => (WriteKind::Junk, Bytes::new()),
-                StorageResponse::Unwritten => return Ok(ReadOutcome::Unwritten),
-                StorageResponse::Trimmed => return Ok(ReadOutcome::Trimmed),
-                other => {
-                    return Err(storage_refusal(format_args!("repair read at {offset}"), other))
-                }
-            };
-        let write = StorageRequest::Write { epoch, addr: local, kind, payload: value.clone() };
+        let page = match self.call(view, head, &StorageRequest::Read { epoch, addr: local })? {
+            StorageResponse::Page(page) => page,
+            other => return Err(storage_refusal(format_args!("repair read at {offset}"), other)),
+        };
+        let (kind, payload) = match &page {
+            Page::Data(bytes) => (WriteKind::Data, bytes.clone()),
+            Page::Junk => (WriteKind::Junk, Bytes::new()),
+            Page::Unwritten | Page::Trimmed => return Ok(page),
+        };
+        let write = StorageRequest::Write { epoch, addr: local, kind, payload };
         let what = format_args!("repair write at {offset}");
         if !self.write_past_head(view, chain, &encode_to_vec(&write), what)? {
-            return Ok(ReadOutcome::Trimmed);
+            return Ok(Page::Trimmed);
         }
-        Ok(match kind {
-            WriteKind::Data => ReadOutcome::Data(value),
-            WriteKind::Junk => ReadOutcome::Junk,
-        })
+        Ok(page)
     }
 
     /// Sends `request`, a write whose value `chain`'s head already holds, to
@@ -927,7 +889,7 @@ impl CorfuClient {
 
     /// Patches the hole at `offset` with junk (§3.2). If a writer got there
     /// first, completes and returns the existing value instead.
-    pub fn fill(&self, offset: LogOffset) -> Result<ReadOutcome> {
+    pub fn fill(&self, offset: LogOffset) -> Result<Page<Bytes>> {
         // The backlog gauge brackets the whole chase, retries included —
         // the health plane reads a sustained non-zero value as readers
         // stuck behind slow or dead writers.
@@ -948,7 +910,7 @@ impl CorfuClient {
         view: &View,
         proj: &Projection,
         offset: LogOffset,
-    ) -> Result<ReadOutcome> {
+    ) -> Result<Page<Bytes>> {
         let log = log_of_offset(offset);
         let epoch = proj.epoch_of_log(log);
         let (_, local) = proj.map(offset);
@@ -971,8 +933,8 @@ impl CorfuClient {
                 );
                 let what = format_args!("fill at {offset}");
                 Ok(match self.write_past_head(view, chain, &request, what)? {
-                    true => ReadOutcome::Junk,
-                    false => ReadOutcome::Trimmed,
+                    true => Page::Junk,
+                    false => Page::Trimmed,
                 })
             }
             StorageResponse::ErrAlreadyWritten => {
@@ -989,13 +951,13 @@ impl CorfuClient {
                     self.repair_chain(view, proj, offset)
                 }
             }
-            StorageResponse::ErrTrimmed => Ok(ReadOutcome::Trimmed),
+            StorageResponse::ErrTrimmed => Ok(Page::Trimmed),
             other => Err(storage_refusal(format_args!("fill at {offset}"), other)),
         }
     }
 
     /// [`CorfuClient::wait_read_many`] of one offset.
-    pub fn wait_read(&self, offset: LogOffset) -> Result<ReadOutcome> {
+    pub fn wait_read(&self, offset: LogOffset) -> Result<Page<Bytes>> {
         Ok(self.wait_read_many(&[offset])?.pop().expect("one outcome per offset"))
     }
 
@@ -1008,7 +970,7 @@ impl CorfuClient {
     /// Like [`CorfuClient::read`], a tail-side `Unwritten` on a replicated
     /// chain is resolved through chain repair before being reported, so an
     /// `Unwritten` result really means no writer has reached the head.
-    pub fn read_many(&self, offsets: &[LogOffset]) -> Result<Vec<ReadOutcome>> {
+    pub fn read_many(&self, offsets: &[LogOffset]) -> Result<Vec<Page<Bytes>>> {
         self.collect_many(offsets, false)
     }
 
@@ -1022,15 +984,15 @@ impl CorfuClient {
     /// Each poll is a bulk read of what is still unwritten, so polling
     /// backs off exponentially (1 ms doubling to 16 ms) instead of hammering
     /// the tails at a fixed interval.
-    pub fn wait_read_many(&self, offsets: &[LogOffset]) -> Result<Vec<ReadOutcome>> {
+    pub fn wait_read_many(&self, offsets: &[LogOffset]) -> Result<Vec<Page<Bytes>>> {
         self.collect_many(offsets, true)
     }
 
     /// [`CorfuClient::visit_many`] with a copy of every page kept.
-    fn collect_many(&self, offsets: &[LogOffset], wait: bool) -> Result<Vec<ReadOutcome>> {
-        let mut out = vec![ReadOutcome::Unwritten; offsets.len()];
+    fn collect_many(&self, offsets: &[LogOffset], wait: bool) -> Result<Vec<Page<Bytes>>> {
+        let mut out = vec![Page::Unwritten; offsets.len()];
         self.visit_many(offsets, wait, None, &mut |index, _, page, _| {
-            out[index.expect("no chase, so only what was asked for")] = page.to_owned().into();
+            out[index.expect("no chase, so only what was asked for")] = page.to_owned();
             Ok(())
         })?;
         Ok(out)
@@ -1063,7 +1025,7 @@ impl CorfuClient {
         // Input positions of the offsets still unwritten.
         let mut holes: Vec<usize> = Vec::new();
         self.visit_bulk(offsets, chase, &mut |index, offset, page, reply| match (index, page) {
-            (Some(i), PageRef::Unwritten) => {
+            (Some(i), Page::Unwritten) => {
                 holes.push(i);
                 Ok(())
             }
@@ -1080,8 +1042,7 @@ impl CorfuClient {
             if now >= deadline {
                 for &i in &holes {
                     let filled = self.fill(offsets[i])?;
-                    let (page, reply) = filled.as_page();
-                    visit(Some(i), offsets[i], page, reply)?;
+                    visit(Some(i), offsets[i], filled.lent(), reply_of(&filled))?;
                 }
                 break;
             }
@@ -1093,7 +1054,7 @@ impl CorfuClient {
             self.visit_bulk(&unwritten, None, &mut |index, offset, page, reply| {
                 let i = holes[index.expect("no chase, so only what was asked for")];
                 match page {
-                    PageRef::Unwritten => still.push(i),
+                    Page::Unwritten => still.push(i),
                     page => visit(Some(i), offset, page, reply)?,
                 }
                 Ok(())
@@ -1137,7 +1098,7 @@ impl CorfuClient {
             }
             for (&(idx, _), page) in asked.iter().zip(pages.by_ref()) {
                 match page?.1 {
-                    PageRef::Unwritten if proj.chain_for(offsets[idx]).len() > 1 => {
+                    Page::Unwritten if proj.chain_for(offsets[idx]).len() > 1 => {
                         stragglers.push(idx)
                     }
                     page => visit(Some(idx), offsets[idx], page, reply)?,
@@ -1146,8 +1107,8 @@ impl CorfuClient {
             // Only what a page the node chose to read holds is of use; what
             // it does not hold is the business of whoever asks for it.
             for page in pages {
-                if let (Some(local), PageRef::Data(bytes)) = page? {
-                    visit(None, proj.unmap(*set, local), PageRef::Data(bytes), reply)?;
+                if let (Some(local), Page::Data(bytes)) = page? {
+                    visit(None, proj.unmap(*set, local), Page::Data(bytes), reply)?;
                 }
             }
         }
@@ -1155,8 +1116,7 @@ impl CorfuClient {
             let repaired = self.with_retry("read_many", false, &mut view, |view| {
                 self.repair_chain(view, &view.proj, offsets[idx])
             })?;
-            let (page, reply) = repaired.as_page();
-            visit(Some(idx), offsets[idx], page, reply)?;
+            visit(Some(idx), offsets[idx], repaired.lent(), reply_of(&repaired))?;
         }
         Ok(())
     }

@@ -11,7 +11,8 @@
 //! it carries.
 
 use super::sim::SimTime;
-use crate::proto::{PageOutcome, StorageResponse};
+use crate::proto::StorageResponse;
+use crate::Page;
 
 /// One microsecond of virtual time.
 pub const US: SimTime = 1_000;
@@ -107,9 +108,9 @@ impl Testbed {
 /// The pages a storage reply carries: a read's data or junk page, or those
 /// of a batch or a chase. Holes and errors carry none.
 fn pages(response: &[u8]) -> u64 {
-    let page = |outcome: &PageOutcome| matches!(outcome, PageOutcome::Data(_) | PageOutcome::Junk);
+    let page = |page: &Page<bytes::Bytes>| matches!(page, Page::Data(_) | Page::Junk);
     match tango_wire::decode_from_slice::<StorageResponse>(response) {
-        Ok(StorageResponse::Data(_) | StorageResponse::Junk) => 1,
+        Ok(StorageResponse::Page(read)) => page(&read) as usize,
         Ok(StorageResponse::BatchOutcomes(outcomes)) => outcomes.iter().filter(|o| page(o)).count(),
         Ok(StorageResponse::Chased(pages)) => pages.iter().filter(|(_, o)| page(o)).count(),
         _ => 0,

@@ -22,7 +22,9 @@
 //!   replicas are the only layout servers there are.
 //! * [`CorfuClient`] — the client library: `append`, `read`, `check` (fast
 //!   and slow), `fill`, `trim`, plus the token/raw-write split used by the
-//!   streaming layer.
+//!   streaming layer. A read answers with a [`Page`], the flash unit's own
+//!   page type re-exported here: owned from `read` and `read_many`, lent
+//!   from the reply to a `visit_many` visitor.
 //! * [`EntryEnvelope`] — the on-log entry format, including the per-stream
 //!   backpointer headers of §5 (they live here because the sequencer issues
 //!   them and sequencer recovery must parse them).
@@ -46,7 +48,7 @@ mod sequencer;
 mod storage;
 
 pub use client::{
-    Chase, ClientOptions, ConnFactory, CorfuClient, PageVisitor, ReadOutcome, StreamWindows, Token,
+    Chase, ClientOptions, ConnFactory, CorfuClient, PageVisitor, StreamWindows, Token,
 };
 pub use compactor::{Compactor, CompactorConfig};
 pub use entry::{
@@ -55,9 +57,9 @@ pub use entry::{
 pub use error::CorfuError;
 pub use layout::LayoutClient;
 pub use projection::{LogLayout, NodeInfo, Projection, ShardMap};
-pub use proto::PageRef;
 pub use sequencer::{SequencerServer, SequencerState};
 pub use storage::{CompactionReport, StorageServer, CHASE_REPLY_BYTES, MAX_READ_BATCH};
+pub use tango_flash::Page;
 
 /// A reconfiguration epoch. All requests are epoch-stamped; sealed servers
 /// reject stale epochs.

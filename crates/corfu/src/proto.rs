@@ -5,8 +5,14 @@
 //! `ReadBatch` (the addresses named, under one lock acquisition) and
 //! `ReadChase` (those, and then the pages one stream's backpointers lead to
 //! on that node — the one request in which a node looks inside a page).
+//! Each page read is answered as the flash unit's own [`Page`]: owned
+//! (`Page<Bytes>`) in a decoded [`StorageResponse`], lent from the reply's
+//! bytes (`Page<&[u8]>`) when a client walks a bulk reply in place. A page
+//! is tagged 0–3 in a bulk reply and 2–5 as a `Read`'s whole reply;
+//! `put_page` and `get_page` are the only code that knows the tags.
 
 use bytes::Bytes;
+use tango_flash::Page;
 use tango_wire::{decode_all, Decode, Encode, Reader, WireError, Writer};
 
 use crate::{Epoch, LogOffset, StreamId};
@@ -69,7 +75,7 @@ pub enum StorageRequest {
     /// Read a batch of pages in one round trip (the bulk-read primitive
     /// behind `CorfuClient::read_many`). The node serves the whole batch
     /// under one lock acquisition and answers with a
-    /// [`StorageResponse::BatchOutcomes`] carrying one [`PageOutcome`] per
+    /// [`StorageResponse::BatchOutcomes`] carrying one [`Page`] per
     /// requested address, in request order. Batches larger than
     /// [`crate::MAX_READ_BATCH`] are rejected; the client chunks.
     ReadBatch {
@@ -179,59 +185,38 @@ impl<'a> WriteRef<'a> {
     }
 }
 
-/// The per-address outcome of a [`StorageRequest::ReadBatch`] or
-/// [`StorageRequest::ReadChase`] — the same four states a single `Read`
-/// distinguishes, minus the error cases (a batch either succeeds wholesale
-/// or fails with one error response).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PageOutcome {
-    /// The page holds this payload.
-    Data(Bytes),
-    /// The page holds junk (a patched hole).
-    Junk,
-    /// The page has never been written.
-    Unwritten,
-    /// The page is trimmed.
-    Trimmed,
-}
-
-/// A [`PageOutcome`] whose data is lent from the reply it was decoded from,
-/// so a reader copies a page once: into the entry it decodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PageRef<'a> {
-    /// The page holds this payload.
-    Data(&'a [u8]),
-    /// The page holds junk (a patched hole).
-    Junk,
-    /// The page has never been written.
-    Unwritten,
-    /// The page is trimmed.
-    Trimmed,
-}
-
-impl<'a> PageRef<'a> {
-    /// One outcome of a bulk reply: the one place that knows its layout on
-    /// the decode side.
-    fn decode(r: &mut Reader<'a>) -> tango_wire::Result<Self> {
-        match r.get_u8()? {
-            0 => Ok(PageRef::Data(r.get_bytes()?)),
-            1 => Ok(PageRef::Junk),
-            2 => Ok(PageRef::Unwritten),
-            3 => Ok(PageRef::Trimmed),
-            tag => Err(WireError::InvalidTag { what: "PageOutcome", tag: tag as u64 }),
+/// Writes `page` as a reply holds it: tag `base` and its data for data,
+/// `base + 1` junk, `base + 2` unwritten, `base + 3` trimmed. A page of a
+/// bulk reply is tagged from 0, a single `Read`'s reply from
+/// [`READ_PAGE`]. The one place that knows a page's layout on the encode
+/// side.
+pub(crate) fn put_page(w: &mut Writer, page: Page<&[u8]>, base: u8) {
+    match page {
+        Page::Data(bytes) => {
+            w.put_u8(base);
+            w.put_bytes(bytes);
         }
-    }
-
-    /// The outcome with a copy of its data.
-    pub fn to_owned(self) -> PageOutcome {
-        match self {
-            PageRef::Data(bytes) => PageOutcome::Data(Bytes::copy_from_slice(bytes)),
-            PageRef::Junk => PageOutcome::Junk,
-            PageRef::Unwritten => PageOutcome::Unwritten,
-            PageRef::Trimmed => PageOutcome::Trimmed,
-        }
+        Page::Junk => w.put_u8(base + 1),
+        Page::Unwritten => w.put_u8(base + 2),
+        Page::Trimmed => w.put_u8(base + 3),
     }
 }
+
+/// The page whose tag, less its reply's base, is `state`, its data lent
+/// from `r`: the one place that knows a page's layout on the decode side.
+fn get_page<'a>(r: &mut Reader<'a>, state: u8) -> tango_wire::Result<Page<&'a [u8]>> {
+    match state {
+        0 => Ok(Page::Data(r.get_bytes()?)),
+        1 => Ok(Page::Junk),
+        2 => Ok(Page::Unwritten),
+        3 => Ok(Page::Trimmed),
+        tag => Err(WireError::InvalidTag { what: "Page", tag: tag as u64 }),
+    }
+}
+
+/// The tag of a single `Read`'s reply when the page holds data; the other
+/// states follow it (see [`put_page`]).
+const READ_PAGE: u8 = 2;
 
 /// The pages of a [`StorageResponse::BatchOutcomes`] or
 /// [`StorageResponse::Chased`] reply, decoded one at a time where they lie:
@@ -271,14 +256,15 @@ impl<'a> Pages<'a> {
         self.addressed
     }
 
-    fn page(&mut self) -> tango_wire::Result<(Option<u64>, PageRef<'a>)> {
+    fn page(&mut self) -> tango_wire::Result<(Option<u64>, Page<&'a [u8]>)> {
         let addr = if self.addressed { Some(self.r.get_u64()?) } else { None };
-        Ok((addr, PageRef::decode(&mut self.r)?))
+        let state = self.r.get_u8()?;
+        Ok((addr, get_page(&mut self.r, state)?))
     }
 }
 
 impl<'a> Iterator for Pages<'a> {
-    type Item = tango_wire::Result<(Option<u64>, PageRef<'a>)>;
+    type Item = tango_wire::Result<(Option<u64>, Page<&'a [u8]>)>;
 
     fn next(&mut self) -> Option<Self::Item> {
         match self.remaining.checked_sub(1) {
@@ -315,14 +301,8 @@ pub enum StorageResponse {
     Ok,
     /// A tail or seal result.
     Tail(u64),
-    /// The page holds this payload.
-    Data(Bytes),
-    /// The page holds junk.
-    Junk,
-    /// The page has never been written.
-    Unwritten,
-    /// The page is trimmed.
-    Trimmed,
+    /// What the page a [`StorageRequest::Read`] names holds.
+    Page(Page<Bytes>),
     /// Write-once violation.
     ErrAlreadyWritten,
     /// Below the trim horizon.
@@ -355,11 +335,11 @@ pub enum StorageResponse {
     },
     /// Per-address outcomes of a [`StorageRequest::ReadBatch`], in request
     /// order (`outcomes[i]` answers `addrs[i]`).
-    BatchOutcomes(Vec<PageOutcome>),
+    BatchOutcomes(Vec<Page<Bytes>>),
     /// The pages a [`StorageRequest::ReadChase`] read, each with its local
     /// address: the requested ones first, in request order, then those the
     /// node followed backpointers to, highest address first.
-    Chased(Vec<(u64, PageOutcome)>),
+    Chased(Vec<(u64, Page<Bytes>)>),
 }
 
 /// The tag of a [`StorageResponse::Chased`] on the wire, which the storage
@@ -491,38 +471,6 @@ impl Decode for WriteKind {
     }
 }
 
-impl Encode for PageRef<'_> {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            PageRef::Data(b) => {
-                w.put_u8(0);
-                w.put_bytes(b);
-            }
-            PageRef::Junk => w.put_u8(1),
-            PageRef::Unwritten => w.put_u8(2),
-            PageRef::Trimmed => w.put_u8(3),
-        }
-    }
-}
-
-impl Encode for PageOutcome {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            PageOutcome::Data(b) => PageRef::Data(b),
-            PageOutcome::Junk => PageRef::Junk,
-            PageOutcome::Unwritten => PageRef::Unwritten,
-            PageOutcome::Trimmed => PageRef::Trimmed,
-        }
-        .encode(w)
-    }
-}
-
-impl Decode for PageOutcome {
-    fn decode(r: &mut Reader<'_>) -> tango_wire::Result<Self> {
-        PageRef::decode(r).map(PageRef::to_owned)
-    }
-}
-
 impl Encode for StorageRequest {
     fn encode(&self, w: &mut Writer) {
         match self {
@@ -617,13 +565,7 @@ impl Encode for StorageResponse {
                 w.put_u8(1);
                 w.put_u64(*t);
             }
-            StorageResponse::Data(b) => {
-                w.put_u8(2);
-                w.put_bytes(b);
-            }
-            StorageResponse::Junk => w.put_u8(3),
-            StorageResponse::Unwritten => w.put_u8(4),
-            StorageResponse::Trimmed => w.put_u8(5),
+            StorageResponse::Page(page) => put_page(w, page.lent(), READ_PAGE),
             StorageResponse::ErrAlreadyWritten => w.put_u8(6),
             StorageResponse::ErrTrimmed => w.put_u8(7),
             StorageResponse::ErrSealed { epoch } => {
@@ -659,16 +601,16 @@ impl Encode for StorageResponse {
             StorageResponse::BatchOutcomes(outcomes) => {
                 w.put_u8(12);
                 w.put_varint(outcomes.len() as u64);
-                for outcome in outcomes {
-                    outcome.encode(w);
+                for page in outcomes {
+                    put_page(w, page.lent(), 0);
                 }
             }
             StorageResponse::Chased(pages) => {
                 w.put_u8(CHASED);
                 w.put_varint(pages.len() as u64);
-                for (addr, outcome) in pages {
+                for (addr, page) in pages {
                     w.put_u64(*addr);
-                    outcome.encode(w);
+                    put_page(w, page.lent(), 0);
                 }
             }
         }
@@ -680,10 +622,9 @@ impl Decode for StorageResponse {
         match r.get_u8()? {
             0 => Ok(StorageResponse::Ok),
             1 => Ok(StorageResponse::Tail(r.get_u64()?)),
-            2 => Ok(StorageResponse::Data(Bytes::decode(r)?)),
-            3 => Ok(StorageResponse::Junk),
-            4 => Ok(StorageResponse::Unwritten),
-            5 => Ok(StorageResponse::Trimmed),
+            tag @ READ_PAGE..=5 => {
+                Ok(StorageResponse::Page(get_page(r, tag - READ_PAGE)?.to_owned()))
+            }
             6 => Ok(StorageResponse::ErrAlreadyWritten),
             7 => Ok(StorageResponse::ErrTrimmed),
             8 => Ok(StorageResponse::ErrSealed { epoch: r.get_u64()? }),
@@ -713,7 +654,8 @@ impl Decode for StorageResponse {
                 let len = r.get_len(1 << 20)?;
                 let mut outcomes = Vec::with_capacity(len);
                 for _ in 0..len {
-                    outcomes.push(PageOutcome::decode(r)?);
+                    let state = r.get_u8()?;
+                    outcomes.push(get_page(r, state)?.to_owned());
                 }
                 Ok(StorageResponse::BatchOutcomes(outcomes))
             }
@@ -721,7 +663,9 @@ impl Decode for StorageResponse {
                 let len = r.get_len(1 << 20)?;
                 let mut pages = Vec::with_capacity(len);
                 for _ in 0..len {
-                    pages.push((r.get_u64()?, PageOutcome::decode(r)?));
+                    let addr = r.get_u64()?;
+                    let state = r.get_u8()?;
+                    pages.push((addr, get_page(r, state)?.to_owned()));
                 }
                 Ok(StorageResponse::Chased(pages))
             }
@@ -973,10 +917,10 @@ mod tests {
         let resps = vec![
             StorageResponse::Ok,
             StorageResponse::Tail(55),
-            StorageResponse::Data(Bytes::from_static(b"xyz")),
-            StorageResponse::Junk,
-            StorageResponse::Unwritten,
-            StorageResponse::Trimmed,
+            StorageResponse::Page(Page::Data(Bytes::from_static(b"xyz"))),
+            StorageResponse::Page(Page::Junk),
+            StorageResponse::Page(Page::Unwritten),
+            StorageResponse::Page(Page::Trimmed),
             StorageResponse::ErrAlreadyWritten,
             StorageResponse::ErrTrimmed,
             StorageResponse::ErrSealed { epoch: 9 },
@@ -994,18 +938,18 @@ mod tests {
             },
             StorageResponse::PageChunk { local_tail: 0, prefix_trim: 0, next: 0, pages: vec![] },
             StorageResponse::BatchOutcomes(vec![
-                PageOutcome::Data(Bytes::from_static(b"entry")),
-                PageOutcome::Junk,
-                PageOutcome::Unwritten,
-                PageOutcome::Trimmed,
+                Page::Data(Bytes::from_static(b"entry")),
+                Page::Junk,
+                Page::Unwritten,
+                Page::Trimmed,
             ]),
             StorageResponse::BatchOutcomes(vec![]),
             StorageResponse::Chased(vec![
-                (40, PageOutcome::Data(Bytes::from_static(b"asked"))),
-                (u64::MAX, PageOutcome::Unwritten),
-                (39, PageOutcome::Data(Bytes::from_static(b"followed"))),
-                (36, PageOutcome::Junk),
-                (35, PageOutcome::Trimmed),
+                (40, Page::Data(Bytes::from_static(b"asked"))),
+                (u64::MAX, Page::Unwritten),
+                (39, Page::Data(Bytes::from_static(b"followed"))),
+                (36, Page::Junk),
+                (35, Page::Trimmed),
             ]),
             StorageResponse::Chased(vec![]),
         ];
@@ -1033,7 +977,7 @@ mod tests {
             &6u32.to_le_bytes(),
         ];
         assert_eq!(encode_to_vec(&chase), expected.concat());
-        let chased = StorageResponse::Chased(vec![(2, PageOutcome::Junk)]);
+        let chased = StorageResponse::Chased(vec![(2, Page::Junk)]);
         assert_eq!(encode_to_vec(&chased), [&[13u8, 1][..], &2u64.to_le_bytes(), &[1]].concat());
     }
 
@@ -1042,10 +986,10 @@ mod tests {
     /// has one — cut short anywhere, or with a byte left over.
     #[test]
     fn borrowed_pages_agree_with_the_owned_decode() {
-        let data = |bytes: &'static [u8]| PageOutcome::Data(Bytes::from_static(bytes));
-        let batch = vec![data(b"entry"), PageOutcome::Junk, PageOutcome::Unwritten, data(b"")];
-        let chased = vec![(40, data(b"asked")), (u64::MAX, PageOutcome::Trimmed), (39, data(b"x"))];
-        type Walked = Vec<(Option<u64>, PageOutcome)>;
+        let data = |bytes: &'static [u8]| Page::Data(Bytes::from_static(bytes));
+        let batch = vec![data(b"entry"), Page::Junk, Page::Unwritten, data(b"")];
+        let chased = vec![(40, data(b"asked")), (u64::MAX, Page::Trimmed), (39, data(b"x"))];
+        type Walked = Vec<(Option<u64>, Page<Bytes>)>;
         let walk = |reply: &[u8]| -> Option<tango_wire::Result<Walked>> {
             let pages = Pages::peek(reply)?;
             Some(pages.and_then(|pages| {
@@ -1077,7 +1021,7 @@ mod tests {
             let owned = decode_from_slice::<StorageResponse>(&bytes);
             assert_eq!(walk(&bytes).unwrap().err(), owned.err(), "a byte left over");
         }
-        assert!(walk(&encode_to_vec(&StorageResponse::Junk)).is_none());
+        assert!(walk(&encode_to_vec(&StorageResponse::Page(Page::Junk))).is_none());
         assert!(walk(&[]).is_none());
     }
 

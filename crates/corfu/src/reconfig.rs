@@ -6,14 +6,14 @@
 //! every membership change — and every fencing barrier — moves *that log* to
 //! a new epoch, by one procedure:
 //!
-//! 1. **seal** ([`seal`]): move every storage node of the log, any node about
+//! 1. **seal** (`seal`): move every storage node of the log, any node about
 //!    to join it, and its sequencer to the log's next epoch. This fences
 //!    every operation stamped with the old epoch (stale-epoch writes are
 //!    rejected) and yields the per-replica-set local tails, which invert to
 //!    the log's tail (the slow check);
 //! 2. **change the projection**: whatever the caller is there to do, at the
 //!    new epoch, against nodes no client can reach yet;
-//! 3. **install** ([`install`]): propose the new projection to the layout
+//! 3. **install** (`install`): propose the new projection to the layout
 //!    service (epoch CAS — a concurrent reconfigurer loses cleanly).
 //!
 //! The five public procedures differ only in step 2:
@@ -49,7 +49,7 @@ use tango_metrics::EventKind;
 use tango_rpc::ClientConn;
 use tango_wire::{decode_from_slice, encode_to_vec, Decode, Encode};
 
-use crate::client::{sequencer_refusal, storage_refusal, CorfuClient, ReadOutcome};
+use crate::client::{sequencer_refusal, storage_refusal, CorfuClient};
 use crate::entry::EntryEnvelope;
 use crate::metrics::ReconfigMetrics;
 use crate::proto::{
@@ -57,7 +57,7 @@ use crate::proto::{
 };
 use crate::sequencer::SequencerState;
 use crate::{
-    compose, CorfuError, Epoch, LogOffset, NodeId, NodeInfo, Projection, Result, StreamId,
+    compose, CorfuError, Epoch, LogOffset, NodeId, NodeInfo, Page, Projection, Result, StreamId,
 };
 
 /// A node called by address. Reconfiguration talks to nodes the installed
@@ -474,7 +474,7 @@ fn rebuild_stream_state(
         offset -= 1;
         let composite = compose(log, offset);
         match client.read_with(&view, proj, composite)? {
-            ReadOutcome::Data(bytes) => {
+            Page::Data(bytes) => {
                 scanned += 1;
                 if let Ok(envelope) = EntryEnvelope::decode(&bytes, composite) {
                     if seed.is_none() && envelope.belongs_to(crate::SEQUENCER_CHECKPOINT_STREAM) {
@@ -494,16 +494,16 @@ fn rebuild_stream_state(
                     }
                 }
             }
-            ReadOutcome::Junk => {
+            Page::Junk => {
                 scanned += 1;
             }
-            ReadOutcome::Unwritten => {
+            Page::Unwritten => {
                 // A hole below the tail: a client crashed mid-append. The
                 // scan cannot wait; patch it so playback never stalls on it.
                 let _ = client.fill_with(&view, proj, composite);
                 scanned += 1;
             }
-            ReadOutcome::Trimmed => break,
+            Page::Trimmed => break,
         }
     }
     // Merge the checkpoint underneath the scanned suffix: scanned offsets

@@ -1,17 +1,16 @@
 //! The storage server: an epoch gate in front of a [`FlashUnit`].
 
+use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard};
-use tango_flash::{
-    FlashError, FlashMetrics, FlashUnit, LentPage, PageRead, Readahead, ScrubReport, TierStats,
-};
+use tango_flash::{FlashError, FlashMetrics, FlashUnit, Page, Readahead, ScrubReport, TierStats};
 use tango_metrics::{EventKind, Registry, Span, SpanKind};
 use tango_rpc::RpcHandler;
-use tango_wire::{decode_from_slice, encode_to_vec, Encode, Writer};
+use tango_wire::{decode_from_slice, encode_to_vec, Writer};
 
 use crate::entry::deltas_of;
 use crate::metrics::StorageMetrics;
 use crate::proto::{
-    PageCopy, PageOutcome, PageRef, StorageRequest, StorageResponse, WriteKind, WriteRef, CHASED,
+    put_page, PageCopy, StorageRequest, StorageResponse, WriteKind, WriteRef, CHASED,
 };
 use crate::{Epoch, StreamId};
 
@@ -275,13 +274,10 @@ impl StorageServer {
         inner: &mut Inner,
         epoch: Epoch,
         addrs: &[u64],
-    ) -> Result<Vec<PageOutcome>, StorageResponse> {
+    ) -> Result<Vec<Page<Bytes>>, StorageResponse> {
         inner.check_epoch(epoch)?;
         check_batch(addrs)?;
-        match inner.unit.read_many(addrs) {
-            Ok(reads) => Ok(reads.into_iter().map(PageOutcome::from).collect()),
-            Err(e) => Err(Inner::flash_error(e)),
-        }
+        inner.unit.read_many(addrs).map_err(Inner::flash_error)
     }
 
     /// Serves a [`StorageRequest::ReadChase`] under the unit's lock and
@@ -324,13 +320,7 @@ impl StorageServer {
                     return resp;
                 }
                 self.metrics.reads.inc();
-                match inner.unit.read(addr) {
-                    Ok(PageRead::Data(bytes)) => StorageResponse::Data(bytes),
-                    Ok(PageRead::Junk) => StorageResponse::Junk,
-                    Ok(PageRead::Unwritten) => StorageResponse::Unwritten,
-                    Ok(PageRead::Trimmed) => StorageResponse::Trimmed,
-                    Err(e) => Inner::flash_error(e),
-                }
+                inner.unit.read(addr).map_or_else(Inner::flash_error, StorageResponse::Page)
             }
             StorageRequest::ReadBatch { epoch, addrs } => {
                 match self.read_batch(&mut inner, epoch, &addrs) {
@@ -396,10 +386,10 @@ impl StorageServer {
                 let mut pages = Vec::new();
                 for addr in from..next {
                     match inner.unit.read(addr) {
-                        Ok(PageRead::Data(bytes)) => pages.push((addr, PageCopy::Data(bytes))),
-                        Ok(PageRead::Junk) => pages.push((addr, PageCopy::Junk)),
-                        Ok(PageRead::Trimmed) => pages.push((addr, PageCopy::Trimmed)),
-                        Ok(PageRead::Unwritten) => {}
+                        Ok(Page::Data(bytes)) => pages.push((addr, PageCopy::Data(bytes))),
+                        Ok(Page::Junk) => pages.push((addr, PageCopy::Junk)),
+                        Ok(Page::Trimmed) => pages.push((addr, PageCopy::Trimmed)),
+                        Ok(Page::Unwritten) => {}
                         Err(e) => return Inner::flash_error(e),
                     }
                 }
@@ -485,8 +475,8 @@ impl Chase {
     }
 
     /// Adds to `pending` the addresses `page`, read at `addr`, leads to.
-    fn follow(&self, addr: u64, page: LentPage<'_>, pending: &mut Vec<u64>) {
-        let LentPage::Data(bytes) = page else { return };
+    fn follow(&self, addr: u64, page: Page<&[u8]>, pending: &mut Vec<u64>) {
+        let Page::Data(bytes) = page else { return };
         let led = deltas_of(bytes, self.stream)
             .filter_map(|delta| local_step(delta, self.stripe))
             .filter_map(|step| addr.checked_sub(step))
@@ -542,18 +532,12 @@ impl ChaseReply {
         self.w.reserve((pages * per_page).min(cap));
     }
 
-    fn push(&mut self, addr: u64, page: LentPage<'_>) {
-        let page = match page {
-            LentPage::Data(bytes) => {
-                self.data += bytes.len();
-                PageRef::Data(bytes)
-            }
-            LentPage::Junk => PageRef::Junk,
-            LentPage::Unwritten => PageRef::Unwritten,
-            LentPage::Trimmed => PageRef::Trimmed,
-        };
+    fn push(&mut self, addr: u64, page: Page<&[u8]>) {
+        if let Page::Data(bytes) = page {
+            self.data += bytes.len();
+        }
         self.w.put_u64(addr);
-        page.encode(&mut self.w);
+        put_page(&mut self.w, page, 0);
         self.pages += 1;
     }
 
@@ -588,17 +572,6 @@ fn varint_len(n: usize) -> usize {
 fn local_step(delta: u16, stripe: u32) -> Option<u64> {
     let delta = delta as u32;
     (delta != 0 && delta.checked_rem(stripe)? == 0).then(|| (delta / stripe) as u64)
-}
-
-impl From<PageRead> for PageOutcome {
-    fn from(read: PageRead) -> Self {
-        match read {
-            PageRead::Data(bytes) => PageOutcome::Data(bytes),
-            PageRead::Junk => PageOutcome::Junk,
-            PageRead::Unwritten => PageOutcome::Unwritten,
-            PageRead::Trimmed => PageOutcome::Trimmed,
-        }
-    }
 }
 
 impl Inner {
@@ -673,11 +646,11 @@ mod tests {
         assert_eq!(s.process(w), StorageResponse::Ok);
         assert_eq!(
             s.process(StorageRequest::Read { epoch: 0, addr: 3 }),
-            StorageResponse::Data(Bytes::from_static(b"entry"))
+            StorageResponse::Page(Page::Data(Bytes::from_static(b"entry")))
         );
         assert_eq!(
             s.process(StorageRequest::Read { epoch: 0, addr: 4 }),
-            StorageResponse::Unwritten
+            StorageResponse::Page(Page::Unwritten)
         );
     }
 
@@ -698,7 +671,7 @@ mod tests {
         // Current epoch accepted.
         assert_eq!(
             s.process(StorageRequest::Read { epoch: 2, addr: 0 }),
-            StorageResponse::Unwritten
+            StorageResponse::Page(Page::Unwritten)
         );
         // Re-sealing at the same epoch fails.
         assert_eq!(
@@ -832,10 +805,10 @@ mod tests {
         assert_eq!(
             s.process(StorageRequest::ReadBatch { epoch: 0, addrs: vec![5, 0, 2, 1] }),
             StorageResponse::BatchOutcomes(vec![
-                PageOutcome::Data(Bytes::from_static(b"five")),
-                PageOutcome::Unwritten,
-                PageOutcome::Junk,
-                PageOutcome::Trimmed,
+                Page::Data(Bytes::from_static(b"five")),
+                Page::Unwritten,
+                Page::Junk,
+                Page::Trimmed,
             ])
         );
         assert_eq!(
@@ -904,7 +877,7 @@ mod tests {
         }) {
             StorageResponse::Chased(pages) => pages
                 .into_iter()
-                .map(|(addr, outcome)| (addr, matches!(outcome, PageOutcome::Data(_))))
+                .map(|(addr, outcome)| (addr, matches!(outcome, Page::Data(_))))
                 .collect(),
             other => panic!("expected Chased, got {other:?}"),
         }
@@ -993,9 +966,9 @@ mod tests {
             StorageResponse::Chased(pages) => pages[1].clone(),
             other => panic!("expected Chased, got {other:?}"),
         };
-        assert_eq!(outcome_at(8), (8, PageOutcome::Junk));
-        assert_eq!(outcome_at(6), (6, PageOutcome::Unwritten));
-        assert_eq!(outcome_at(4), (4, PageOutcome::Trimmed));
+        assert_eq!(outcome_at(8), (8, Page::Junk));
+        assert_eq!(outcome_at(6), (6, Page::Unwritten));
+        assert_eq!(outcome_at(4), (4, Page::Trimmed));
     }
 
     /// Stream 1's entry at `offset`, pointing at `backpointers`.
@@ -1046,7 +1019,7 @@ mod tests {
         let bytes: usize = pages
             .iter()
             .map(|(_, outcome)| match outcome {
-                PageOutcome::Data(bytes) => bytes.len(),
+                Page::Data(bytes) => bytes.len(),
                 other => panic!("{other:?}"),
             })
             .sum();

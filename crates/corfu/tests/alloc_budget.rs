@@ -29,7 +29,7 @@ use std::cell::Cell;
 
 use bytes::Bytes;
 use corfu::cluster::{ClusterConfig, LocalCluster};
-use corfu::ReadOutcome;
+use corfu::Page;
 use tango_flash::FlashUnit;
 
 const PAYLOAD_LEN: usize = 512;
@@ -125,7 +125,7 @@ fn append_and_read_stay_within_their_allocation_budgets() {
         read_all.push(all);
         read_large.push(large);
         match read.unwrap() {
-            ReadOutcome::Data(stored) => assert_eq!(stored, envelope.encode(off).unwrap()),
+            Page::Data(stored) => assert_eq!(stored, envelope.encode(off).unwrap()),
             other => panic!("offset {off} read back {other:?}"),
         }
     }

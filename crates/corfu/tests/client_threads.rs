@@ -8,7 +8,7 @@
 
 use bytes::Bytes;
 use corfu::cluster::{ClusterConfig, TcpCluster};
-use corfu::{ReadOutcome, MAX_READ_BATCH};
+use corfu::{Page, MAX_READ_BATCH};
 
 fn threads() -> usize {
     std::fs::read_dir("/proc/self/task").expect("procfs").count()
@@ -29,8 +29,8 @@ fn a_tcp_client_spawns_no_thread_whatever_it_reads() {
     let before = threads();
     let batches = || client.metrics().counter("corfu.client.read_batches").get();
 
-    let all_data = |outcomes: Vec<ReadOutcome>| {
-        outcomes.iter().all(|outcome| matches!(outcome, ReadOutcome::Data(_)))
+    let all_data = |outcomes: Vec<Page<Bytes>>| {
+        outcomes.iter().all(|outcome| matches!(outcome, Page::Data(_)))
     };
     // Multi-set: three offsets, three tails, three requests in flight.
     assert!(all_data(client.read_many(&[0, 1, 2]).unwrap()));

@@ -6,7 +6,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, SimCluster, TcpCluster, Transport};
 use corfu::reconfig;
-use corfu::{CorfuError, ReadOutcome};
+use corfu::{CorfuError, Page};
 
 fn payload(i: u64) -> Bytes {
     Bytes::from(format!("entry-{i}").into_bytes())
@@ -69,10 +69,10 @@ fn unwritten_reads_and_wait_read_fill() {
     let mut cfg_client = cluster.client().unwrap();
     // Reserve a token but never write it: a hole.
     let token = cfg_client.token(&[]).unwrap();
-    assert_eq!(cfg_client.read(token.offset).unwrap(), ReadOutcome::Unwritten);
+    assert_eq!(cfg_client.read(token.offset).unwrap(), Page::Unwritten);
     // wait_read patches the hole with junk after the (default 100ms) wait.
     let start = std::time::Instant::now();
-    assert_eq!(cfg_client.wait_read(token.offset).unwrap(), ReadOutcome::Junk);
+    assert_eq!(cfg_client.wait_read(token.offset).unwrap(), Page::Junk);
     assert!(start.elapsed() >= std::time::Duration::from_millis(90));
     // The slot is consumed: the original holder's late write loses.
     let late = corfu::EntryEnvelope::raw(payload(9)).encode(token.offset).unwrap();
@@ -104,12 +104,12 @@ fn read_many_stitches_mixed_outcomes_in_input_order() {
     let offsets = vec![hole.offset, 4, trimmed, 0, tok.offset, 8, 1];
     let outcomes = client.read_many(&offsets).unwrap();
     assert_eq!(outcomes.len(), offsets.len());
-    assert_eq!(outcomes[0], ReadOutcome::Unwritten);
-    assert_eq!(outcomes[2], ReadOutcome::Trimmed);
-    assert_eq!(outcomes[4], ReadOutcome::Junk);
+    assert_eq!(outcomes[0], Page::Unwritten);
+    assert_eq!(outcomes[2], Page::Trimmed);
+    assert_eq!(outcomes[4], Page::Junk);
     for (slot, i) in [(1usize, 4u64), (3, 0), (5, 8), (6, 1)] {
         match &outcomes[slot] {
-            ReadOutcome::Data(bytes) => {
+            Page::Data(bytes) => {
                 let entry = corfu::EntryEnvelope::decode(bytes, offsets[slot]).unwrap();
                 assert_eq!(entry.payload, payload(i));
             }
@@ -136,7 +136,7 @@ fn read_many_empty_and_oversized_batches() {
     let offsets: Vec<u64> = (0..n).collect();
     let outcomes = client.read_many(&offsets).unwrap();
     assert_eq!(outcomes.len(), n as usize);
-    assert!(outcomes.iter().all(|o| matches!(o, ReadOutcome::Data(_))));
+    assert!(outcomes.iter().all(|o| matches!(o, Page::Data(_))));
 }
 
 /// On the simulated transport, so the wait is measured on the clock it
@@ -150,7 +150,7 @@ fn wait_read_backs_off_while_polling_holes() {
     let token = client.token(&[]).unwrap();
     let polls_before = client.metrics().counter("corfu.hole_polls").get();
     let start = clock.now();
-    assert_eq!(client.wait_read(token.offset).unwrap(), ReadOutcome::Junk);
+    assert_eq!(client.wait_read(token.offset).unwrap(), Page::Junk);
     let waited = clock.now() - start;
     let timeout = client.options().hole_fill_timeout;
     assert!(waited >= timeout && waited < timeout + Duration::from_millis(1), "{waited:?}");
@@ -178,10 +178,7 @@ fn wait_read_many_gives_its_holes_one_deadline() {
     let start = clock.now();
     let outcomes = client.wait_read_many(&offsets).unwrap();
     let waited = clock.now() - start;
-    assert!(matches!(
-        outcomes[..],
-        [ReadOutcome::Junk, ReadOutcome::Junk, ReadOutcome::Junk, ReadOutcome::Data(_)]
-    ));
+    assert!(matches!(outcomes[..], [Page::Junk, Page::Junk, Page::Junk, Page::Data(_)]));
     assert!(waited >= timeout, "the holes were filled {waited:?} in, before their deadline");
     assert!(waited < 2 * timeout, "three holes cost {waited:?}: a deadline each");
     // The three were polled as one: as many polls as one hole's backoff
@@ -197,7 +194,7 @@ fn fill_loses_to_completed_write() {
     let off = client.append(payload(7)).unwrap();
     // Filling a written offset returns the existing data.
     match client.fill(off).unwrap() {
-        ReadOutcome::Data(bytes) => {
+        Page::Data(bytes) => {
             let entry = corfu::EntryEnvelope::decode(&bytes, off).unwrap();
             assert_eq!(entry.payload, payload(7));
         }
@@ -227,7 +224,7 @@ fn half_written_chain_is_repaired_by_reader() {
     assert!(matches!(resp, StorageResponse::Ok));
     // Tail replica has nothing yet; the read repairs.
     match client.read(token.offset).unwrap() {
-        ReadOutcome::Data(bytes) => assert_eq!(bytes, Bytes::from(body)),
+        Page::Data(bytes) => assert_eq!(bytes, Bytes::from(body)),
         other => panic!("expected repaired data, got {other:?}"),
     }
     // Now all replicas hold it.
@@ -243,10 +240,10 @@ fn trim_prefix_reclaims_and_reports() {
     }
     client.trim_prefix(10).unwrap();
     for off in 0..10 {
-        assert_eq!(client.read(off).unwrap(), ReadOutcome::Trimmed);
+        assert_eq!(client.read(off).unwrap(), Page::Trimmed);
     }
     for off in 10..30 {
-        assert!(matches!(client.read(off).unwrap(), ReadOutcome::Data(_)));
+        assert!(matches!(client.read(off).unwrap(), Page::Data(_)));
     }
     // The tail is unaffected by trims.
     assert_eq!(client.check_tail_slow().unwrap(), 30);
@@ -260,9 +257,9 @@ fn random_trim_single_offset() {
         client.append(payload(i)).unwrap();
     }
     client.trim(2).unwrap();
-    assert_eq!(client.read(2).unwrap(), ReadOutcome::Trimmed);
-    assert!(matches!(client.read(1).unwrap(), ReadOutcome::Data(_)));
-    assert!(matches!(client.read(3).unwrap(), ReadOutcome::Data(_)));
+    assert_eq!(client.read(2).unwrap(), Page::Trimmed);
+    assert!(matches!(client.read(1).unwrap(), Page::Data(_)));
+    assert!(matches!(client.read(3).unwrap(), Page::Data(_)));
 }
 
 /// Kill the sequencer, reseal onto a replacement with

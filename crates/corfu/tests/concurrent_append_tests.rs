@@ -54,7 +54,7 @@ fn concurrent_appends_over_tcp_get_unique_offsets() {
     let reader = cluster.client().unwrap();
     for &off in &all {
         match reader.read(off).unwrap() {
-            corfu::ReadOutcome::Data(_) => {}
+            corfu::Page::Data(_) => {}
             other => panic!("offset {off} should hold data, got {other:?}"),
         }
     }

@@ -14,7 +14,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use corfu::cluster::{ClusterConfig, Outcome, SimCluster, Transport};
 use corfu::proto::{StorageRequest, WriteKind};
-use corfu::{CorfuError, EntryEnvelope, ReadOutcome};
+use corfu::{CorfuError, EntryEnvelope, Page};
 
 /// Many rounds: a writer and a filler race for the same offset from
 /// different threads; afterwards every offset must hold exactly one
@@ -52,14 +52,14 @@ fn concurrent_fill_vs_write_has_one_winner() {
             match (&write_result, &fill_result) {
                 (Ok(()), outcome) => {
                     // The writer won; the filler must have observed its data.
-                    assert_eq!(read, ReadOutcome::Data(Bytes::from(body.clone())));
+                    assert_eq!(read, Page::Data(Bytes::from(body.clone())));
                     assert!(
-                        matches!(outcome, ReadOutcome::Data(_)),
+                        matches!(outcome, Page::Data(_)),
                         "filler must surface the winner's data, got {outcome:?}"
                     );
                 }
-                (Err(CorfuError::TokenLost { .. }), ReadOutcome::Junk) => {
-                    assert_eq!(read, ReadOutcome::Junk);
+                (Err(CorfuError::TokenLost { .. }), Page::Junk) => {
+                    assert_eq!(read, Page::Junk);
                 }
                 other => panic!("inconsistent race outcome: {other:?}"),
             }
@@ -91,7 +91,7 @@ fn sequencer_outage_is_retried() {
         sim.serve(&seq_addr, handler_restore, cluster.metrics()).unwrap();
         // The append must have survived the outage via retries.
         let off = appender.join().unwrap().unwrap();
-        assert!(matches!(base.read(off).unwrap(), ReadOutcome::Data(_)));
+        assert!(matches!(base.read(off).unwrap(), Page::Data(_)));
     });
 }
 
@@ -121,7 +121,7 @@ fn readers_agree_after_repair_races() {
             })
             .collect();
         for reader in readers {
-            assert_eq!(reader.join().unwrap(), ReadOutcome::Data(Bytes::from(body.clone())));
+            assert_eq!(reader.join().unwrap(), Page::Data(Bytes::from(body.clone())));
         }
     });
 }

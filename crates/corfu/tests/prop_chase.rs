@@ -14,7 +14,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
-use corfu::proto::{PageOutcome, StorageRequest, StorageResponse, WriteKind};
+use corfu::proto::{StorageRequest, StorageResponse, WriteKind};
 use corfu::{EntryEnvelope, StorageServer, StreamHeader, CHASE_REPLY_BYTES, MAX_READ_BATCH};
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -220,9 +220,12 @@ fn rot(dir: &Path, seg: u64, page: &[u8]) -> bool {
     true
 }
 
+/// A `Chased` reply's pages.
+type Chased = Vec<(u64, corfu::Page<Bytes>)>;
+
 /// The model's answer: the reply, or that the request fails; and the pages
 /// the node reads to give it.
-fn model(case: &Case, pages: &HashMap<u64, Page>) -> (Option<Vec<(u64, PageOutcome)>>, u64) {
+fn model(case: &Case, pages: &HashMap<u64, Page>) -> (Option<Chased>, u64) {
     let at = |addr: u64| {
         pages.get(&addr).cloned().unwrap_or(if addr < case.horizon {
             Page::Trimmed
@@ -231,10 +234,10 @@ fn model(case: &Case, pages: &HashMap<u64, Page>) -> (Option<Vec<(u64, PageOutco
         })
     };
     let outcome = |page: &Page| match page {
-        Page::Data(bytes, _, _) => PageOutcome::Data(Bytes::copy_from_slice(bytes)),
-        Page::Junk => PageOutcome::Junk,
-        Page::Unwritten => PageOutcome::Unwritten,
-        Page::Trimmed => PageOutcome::Trimmed,
+        Page::Data(bytes, _, _) => corfu::Page::Data(Bytes::copy_from_slice(bytes)),
+        Page::Junk => corfu::Page::Junk,
+        Page::Unwritten => corfu::Page::Unwritten,
+        Page::Trimmed => corfu::Page::Trimmed,
     };
     // A readable page of the stream leads to its predecessors at or above
     // the floor.
@@ -266,7 +269,7 @@ fn model(case: &Case, pages: &HashMap<u64, Page>) -> (Option<Vec<(u64, PageOutco
     }
     let limit = (case.limit as usize).min(MAX_READ_BATCH);
     let mut data: usize =
-        (reply.iter()).map(|(_, o)| if let PageOutcome::Data(b) = o { b.len() } else { 0 }).sum();
+        (reply.iter()).map(|(_, o)| if let corfu::Page::Data(b) = o { b.len() } else { 0 }).sum();
     let mut reads = case.asked.len() as u64;
     for addr in reached.into_iter().rev() {
         if reply.len() >= limit || data + case.page_size > CHASE_REPLY_BYTES {

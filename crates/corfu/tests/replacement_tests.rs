@@ -13,7 +13,7 @@ use bytes::Bytes;
 use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, SimCluster, TcpCluster, Transport};
 use corfu::proto::{StorageRequest, StorageResponse};
 use corfu::reconfig::replace_storage_node;
-use corfu::{CorfuError, LogOffset, NodeId, ReadOutcome};
+use corfu::{CorfuError, LogOffset, NodeId, Page};
 use parking_lot::Mutex;
 
 /// The full rebuild, on any transport: data pages, a junk-filled hole, a
@@ -31,7 +31,7 @@ fn replacement_preserves_log_contents<T: Transport>(cluster: &Cluster<T>, victim
     }
     // A junk page: reserve a token, never write it, patch it explicitly.
     let hole = client.token(&[]).unwrap().offset;
-    assert_eq!(client.fill(hole).unwrap(), ReadOutcome::Junk);
+    assert_eq!(client.fill(hole).unwrap(), Page::Junk);
     // A random trim mark and a prefix trim.
     let trimmed = entries[20].0;
     client.trim(trimmed).unwrap();
@@ -66,14 +66,14 @@ fn replacement_preserves_log_contents<T: Transport>(cluster: &Cluster<T>, victim
                 Some(payload)
             };
             match (expect, reader.read(*off).unwrap()) {
-                (None, ReadOutcome::Trimmed) => {}
-                (Some(payload), ReadOutcome::Data(_)) => {
+                (None, Page::Trimmed) => {}
+                (Some(payload), Page::Data(_)) => {
                     assert_eq!(&reader.read_entry(*off).unwrap().payload, payload);
                 }
                 (want, got) => panic!("offset {off}: wanted {want:?}, got {got:?}"),
             }
         }
-        assert_eq!(reader.read(hole).unwrap(), ReadOutcome::Junk);
+        assert_eq!(reader.read(hole).unwrap(), Page::Junk);
     }
 
     // Page-for-page, the replacement matches the surviving replica (the

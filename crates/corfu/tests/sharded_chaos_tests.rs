@@ -16,8 +16,8 @@ use bytes::Bytes;
 use corfu::cluster::{ClusterConfig, Delivery, Outcome, SimCluster, SEQUENCER_BASE_ID};
 use corfu::reconfig::replace_sequencer_in_log;
 use corfu::{
-    compose, log_of_offset, CorfuClient, CrossLogLink, EntryEnvelope, LogOffset, Projection,
-    ReadOutcome, StreamHeader, StreamId,
+    compose, log_of_offset, CorfuClient, CrossLogLink, EntryEnvelope, LogOffset, Page, Projection,
+    StreamHeader, StreamId,
 };
 /// The 1-based `shard1.seq.next` call that kills log 1's sequencer. One
 /// call per cross-log append (single client, no token contention), so
@@ -45,17 +45,17 @@ fn assert_links_resolved(client: &CorfuClient) -> usize {
         for raw in 0..tail {
             let off = compose(log, raw);
             let outcome = match client.read(off).unwrap() {
-                ReadOutcome::Unwritten => {
+                Page::Unwritten => {
                     client.fill(off).unwrap();
                     client.read(off).unwrap()
                 }
                 other => other,
             };
-            let ReadOutcome::Data(bytes) = outcome else { continue };
+            let Page::Data(bytes) = outcome else { continue };
             let entry = EntryEnvelope::decode(&bytes, off).unwrap();
             let Some(link) = entry.link else { continue };
             let home_commits = match client.read(link.home).unwrap() {
-                ReadOutcome::Data(home_bytes) => {
+                Page::Data(home_bytes) => {
                     EntryEnvelope::decode(&home_bytes, link.home).unwrap().link.as_ref()
                         == Some(&link)
                 }
@@ -64,7 +64,7 @@ fn assert_links_resolved(client: &CorfuClient) -> usize {
             if home_commits {
                 committed += 1;
                 for &part in &link.parts {
-                    let ReadOutcome::Data(part_bytes) = client.read(part).unwrap() else {
+                    let Page::Data(part_bytes) = client.read(part).unwrap() else {
                         panic!("committed link {link:?} has an unwritten/junk part {part}");
                     };
                     let part_entry = EntryEnvelope::decode(&part_bytes, part).unwrap();

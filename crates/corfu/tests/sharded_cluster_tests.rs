@@ -8,9 +8,7 @@
 use bytes::Bytes;
 use corfu::cluster::{ClusterConfig, LocalCluster};
 use corfu::reconfig::remap_stream;
-use corfu::{
-    compose, log_of_offset, raw_of_offset, EntryEnvelope, Projection, ReadOutcome, StreamId,
-};
+use corfu::{compose, log_of_offset, raw_of_offset, EntryEnvelope, Page, Projection, StreamId};
 
 /// The first stream id at or above `from` that the shard map sends to
 /// `log`.
@@ -186,7 +184,7 @@ fn single_log_sharded_config_behaves_like_the_classic_cluster() {
     assert_eq!(off, 0);
     assert_eq!(
         client.read(off).unwrap(),
-        ReadOutcome::Data(Bytes::from(
+        Page::Data(Bytes::from(
             EntryEnvelope::raw(Bytes::from_static(b"plain")).encode(off).unwrap(),
         ))
     );

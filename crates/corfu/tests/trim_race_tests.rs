@@ -12,7 +12,7 @@ use bytes::Bytes;
 use corfu::cluster::{ClusterConfig, SimCluster};
 use corfu::proto::{StorageRequest, StorageResponse, WriteKind};
 use corfu::{
-    ClientOptions, Compactor, CompactorConfig, ConnFactory, NodeInfo, ReadOutcome, StorageServer,
+    ClientOptions, Compactor, CompactorConfig, ConnFactory, NodeInfo, Page, StorageServer,
 };
 use tango_flash::{FlashUnit, TieredStore};
 use tango_wire::{decode_from_slice, encode_to_vec};
@@ -44,7 +44,7 @@ fn wait_read_returns_trimmed_mid_poll() {
         client.trim(off).unwrap();
         let trimmed = clock.now();
 
-        assert_eq!(handle.join().unwrap(), ReadOutcome::Trimmed);
+        assert_eq!(handle.join().unwrap(), Page::Trimmed);
         let waited = clock.now() - trimmed;
         assert!(
             waited <= HOLE_POLL_MAX + Duration::from_millis(1),
@@ -98,12 +98,12 @@ fn a_trim_overtaking_a_chain_repair_reads_as_trimmed() {
             {
                 if trim < repair {
                     overtaken.set(overtaken.get() + 1);
-                    assert_eq!(outcome, [ReadOutcome::Trimmed], "a trimmed repair is a trim");
+                    assert_eq!(outcome, [Page::Trimmed], "a trimmed repair is a trim");
                 }
             }
             assert!(
-                outcome == [ReadOutcome::Trimmed]
-                    || outcome == [ReadOutcome::Data(Bytes::from_static(b"head only"))],
+                outcome == [Page::Trimmed]
+                    || outcome == [Page::Data(Bytes::from_static(b"head only"))],
                 "{outcome:?}"
             );
         }

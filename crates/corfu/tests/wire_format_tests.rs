@@ -239,7 +239,7 @@ fn a_write_at_the_last_address_is_refused() {
         assert_eq!(answered, owned_path(&server, &frame));
     }
     let read = StorageRequest::Read { epoch: 0, addr: u64::MAX };
-    assert_eq!(server.process(read), StorageResponse::Unwritten);
+    assert_eq!(server.process(read), StorageResponse::Page(corfu::Page::Unwritten));
     assert_eq!(server.process(StorageRequest::Seal { epoch: 1 }), StorageResponse::Tail(u64::MAX));
 }
 

@@ -22,7 +22,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use crate::disk::{Disk, DiskFile};
-use crate::{FileStore, FlashError, FlashUnit, PageAddr, PageRead, Result, TieredStore};
+use crate::{FileStore, FlashError, FlashUnit, Page, PageAddr, Result, TieredStore};
 
 /// A call that changed a disk. Files are named by inode, unique across disks.
 #[derive(Clone, Debug)]
@@ -346,7 +346,7 @@ impl Rng {
 
 /// What the model unit held after an operation: every page, the epoch and
 /// the horizon.
-struct Held(Vec<PageRead>, u64, PageAddr);
+struct Held(Vec<Page<Bytes>>, u64, PageAddr);
 
 impl Held {
     fn of(unit: &mut FlashUnit) -> Self {
@@ -371,9 +371,9 @@ fn check(disk: &MemDisk, since: &[Held], done: &Held, at: &str) {
         let again = held[0].is_consumed().then(|| unit.write(addr, b"again"));
         assert!(again.is_none_or(|again| again.is_err()), "{at}: {addr} written twice");
         // A page lost since the sync is written again, and must survive.
-        if page == PageRead::Unwritten && held.iter().any(|held| held.is_consumed()) {
+        if page == Page::Unwritten && held.iter().any(|held| held.is_consumed()) {
             unit.write(addr, &[addr as u8]).unwrap_or_else(|e| panic!("{at}: {addr}: {e}"));
-            page = PageRead::Data(Bytes::from(vec![addr as u8]));
+            page = Page::Data(Bytes::from(vec![addr as u8]));
         }
         pages.push(page);
     }
@@ -474,6 +474,6 @@ fn a_fresh_store_with_a_segment_and_no_meta_still_opens() {
 fn a_synced_page_in_a_fresh_segment_survives() {
     for (image, unit) in crashed_after(|unit| unit.write(0, b"x").and(unit.sync()).unwrap()) {
         let page = unit.unwrap().read(0).unwrap();
-        assert_eq!(page, PageRead::Data(Bytes::from_static(b"x")), "{image:?}");
+        assert_eq!(page, Page::Data(Bytes::from_static(b"x")), "{image:?}");
     }
 }

@@ -13,6 +13,11 @@
 //!   allocated only where pages are — is the only record of a page: a slot
 //!   is unwritten, hot (the payload is in the slot), cold (the payload is in
 //!   a segment file) or trimmed, and a page changes tier by changing slot.
+//! * [`Page`] — what an address holds as a reader sees it: data, junk,
+//!   unwritten or trimmed. `Page<Bytes>` owns the data (`read`,
+//!   `read_many`), `Page<&[u8]>` lends it (`lend`, from a hot slot or a
+//!   walk's readahead buffer). The storage node's replies and the CORFU
+//!   client use the same type, so no layer converts one page into another.
 //! * [`FileStore`] — the optional cold device: segment files of packed,
 //!   append-only, CRC-checked records, crash recovery by parsing them, reads
 //!   of records that sit next to each other in one `pread`, a walk down the
@@ -42,7 +47,7 @@ mod unit;
 pub use error::FlashError;
 pub use file::{FileStore, Readahead};
 pub use metrics::FlashMetrics;
-pub use store::{LentPage, PageRead, ScrubReport, TierStats};
+pub use store::{Page, ScrubReport, TierStats};
 pub use tiered::TieredStore;
 pub use unit::{FlashUnit, WearStats};
 

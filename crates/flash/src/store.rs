@@ -12,25 +12,14 @@ pub enum PageKind {
     Junk,
 }
 
-/// The outcome of reading a page address.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PageRead {
-    /// The page holds application data.
-    Data(Bytes),
-    /// The page was filled with junk.
-    Junk,
-    /// The page has never been written.
-    Unwritten,
-    /// The page has been trimmed (garbage collected).
-    Trimmed,
-}
-
-/// A [`PageRead`] whose data is lent, not copied: from a hot page's slot,
-/// or from where a cold page's record lies in a walk's [`crate::Readahead`].
+/// What a page address holds: one of the four states of a write-once page
+/// (§2.2, §3.2 of the paper). `D` is how the data is held — `Bytes` when it
+/// is owned, `&[u8]` when it is lent from a hot page's slot, a walk's
+/// [`crate::Readahead`] or the reply a client decodes it from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LentPage<'a> {
+pub enum Page<D> {
     /// The page holds application data.
-    Data(&'a [u8]),
+    Data(D),
     /// The page was filled with junk.
     Junk,
     /// The page has never been written.
@@ -39,23 +28,36 @@ pub enum LentPage<'a> {
     Trimmed,
 }
 
-impl From<LentPage<'_>> for PageRead {
-    /// The page with a copy of its data.
-    fn from(page: LentPage<'_>) -> Self {
-        match page {
-            LentPage::Data(bytes) => PageRead::Data(Bytes::copy_from_slice(bytes)),
-            LentPage::Junk => PageRead::Junk,
-            LentPage::Unwritten => PageRead::Unwritten,
-            LentPage::Trimmed => PageRead::Trimmed,
+impl<D> Page<D> {
+    /// Returns true if the address has been consumed (written, filled, or
+    /// trimmed) and can never accept a write.
+    pub fn is_consumed(&self) -> bool {
+        !matches!(self, Page::Unwritten)
+    }
+
+    /// The page with its data lent.
+    pub fn lent(&self) -> Page<&[u8]>
+    where
+        D: AsRef<[u8]>,
+    {
+        match self {
+            Page::Data(data) => Page::Data(data.as_ref()),
+            Page::Junk => Page::Junk,
+            Page::Unwritten => Page::Unwritten,
+            Page::Trimmed => Page::Trimmed,
         }
     }
 }
 
-impl PageRead {
-    /// Returns true if the address has been consumed (written, filled, or
-    /// trimmed) and can never accept a write.
-    pub fn is_consumed(&self) -> bool {
-        !matches!(self, PageRead::Unwritten)
+impl Page<&[u8]> {
+    /// The page with a copy of its data.
+    pub fn to_owned(self) -> Page<Bytes> {
+        match self {
+            Page::Data(data) => Page::Data(Bytes::copy_from_slice(data)),
+            Page::Junk => Page::Junk,
+            Page::Unwritten => Page::Unwritten,
+            Page::Trimmed => Page::Trimmed,
+        }
     }
 }
 

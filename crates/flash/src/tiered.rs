@@ -47,7 +47,7 @@ mod tests {
     use crate::crash::{unit_on, MemDisk};
     use crate::disk::Disk;
     use crate::store::{PageKind, ScannedState};
-    use crate::{FlashUnit, PageRead};
+    use crate::{FlashUnit, Page};
     use bytes::Bytes;
 
     fn open(disk: &MemDisk, pages_per_segment: u64, hot_capacity: usize) -> FlashUnit {
@@ -59,8 +59,8 @@ mod tests {
         FileStore::with_disk(Box::new(disk.clone()), 64, pages_per_segment).unwrap()
     }
 
-    fn data(bytes: &'static [u8]) -> PageRead {
-        PageRead::Data(Bytes::from_static(bytes))
+    fn data(bytes: &'static [u8]) -> Page<Bytes> {
+        Page::Data(Bytes::from_static(bytes))
     }
 
     #[test]
@@ -70,7 +70,7 @@ mod tests {
         unit.write(0, b"zero").unwrap();
         unit.fill(1).unwrap();
         assert_eq!(unit.read(0).unwrap(), data(b"zero"));
-        assert_eq!(unit.read(1).unwrap(), PageRead::Junk);
+        assert_eq!(unit.read(1).unwrap(), Page::Junk);
         let stats = unit.tier_stats();
         assert_eq!((stats.hot_pages, stats.cold_pages, stats.cold_segments), (2, 0, 0));
         // Nothing reached the device: the hot tail is RAM only.
@@ -150,7 +150,7 @@ mod tests {
         assert_eq!(slots, vec![(8, ScannedState::Trimmed), (9, ScannedState::Data)]);
         assert_eq!(device.get(9).unwrap(), Some((PageKind::Data, Bytes::from_static(b"x"))));
         assert_eq!(device.get_meta().unwrap(), Some((1, 9)));
-        assert_eq!(unit.read(8).unwrap(), PageRead::Trimmed);
+        assert_eq!(unit.read(8).unwrap(), Page::Trimmed);
         assert_eq!(unit.read(9).unwrap(), data(b"x"));
     }
 
@@ -166,7 +166,7 @@ mod tests {
         assert_eq!(stats.hot_pages, 2);
         assert_eq!(stats.reclaimed_pages, 4);
         assert_eq!(unit.live_pages(), 2);
-        assert_eq!(unit.read(1).unwrap(), PageRead::Trimmed);
+        assert_eq!(unit.read(1).unwrap(), Page::Trimmed);
         assert_eq!(unit.read(5).unwrap(), data(b"x"));
         // Hot pages just evaporate: no slot was ever written for them.
         assert!(device(&disk, 4).scan().is_empty());

@@ -3,7 +3,7 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 use tango_metrics::Timer;
 
-use crate::store::{LentPage, PageKind, PageRead, ScannedState, ScrubReport, TierStats};
+use crate::store::{Page, PageKind, ScannedState, ScrubReport, TierStats};
 use crate::{FileStore, FlashError, FlashMetrics, PageAddr, Readahead, Result, TieredStore};
 
 /// Wear and usage accounting for a flash unit.
@@ -420,12 +420,13 @@ impl FlashUnit {
     }
 
     /// Reads the page at `addr`.
-    pub fn read(&mut self, addr: PageAddr) -> Result<PageRead> {
+    pub fn read(&mut self, addr: PageAddr) -> Result<Page<Bytes>> {
         self.stats.reads += 1;
         let timer = self.metrics.read_service_ns.start_sampled(&self.metrics.sampler);
         // Every non-error outcome counts as service time: the device does
         // index work whether or not the page holds data.
-        timed(timer, self.read_slot(addr))
+        let read = self.page(addr, Bytes::clone, |device| cold_data(addr, device.get(addr)));
+        timed(timer, read)
     }
 
     /// Reads a batch of pages in one device operation: the cold ones are
@@ -433,24 +434,26 @@ impl FlashUnit {
     /// sits back to back in a segment file with one `pread`. Wear accounting
     /// still charges one read per page, but the sampled service timer covers
     /// the whole batch — that asymmetry is the point of batching.
-    pub fn read_many(&mut self, addrs: &[PageAddr]) -> Result<Vec<PageRead>> {
+    pub fn read_many(&mut self, addrs: &[PageAddr]) -> Result<Vec<Page<Bytes>>> {
         self.stats.reads += addrs.len() as u64;
         let timer = self.metrics.read_service_ns.start_sampled(&self.metrics.sampler);
-        let mut reads = vec![PageRead::Unwritten; addrs.len()];
+        let mut reads = Vec::with_capacity(addrs.len());
         let mut failed = None;
         let mut cold = Vec::new();
-        // The index answers for every page it holds; the cold data pages go
-        // to the device in one call, and only if there are any.
+        // The table answers for every page it holds; the cold data pages go
+        // to the device in one call, and only if there are any. Until then
+        // a cold page's data is empty.
         for (at, &addr) in addrs.iter().enumerate() {
-            match self.indexed(addr) {
-                Some(read) => reads[at] = read,
-                None => cold.push(at),
-            }
+            let read = self.page(addr, Bytes::clone, |_| {
+                cold.push(at);
+                Ok(Bytes::new())
+            });
+            reads.push(read?);
         }
         if !cold.is_empty() {
             self.device().get_many(cold.iter().map(|&at| addrs[at]), |k, got| {
                 match cold_data(addrs[cold[k]], got) {
-                    Ok(bytes) => reads[cold[k]] = PageRead::Data(bytes),
+                    Ok(bytes) => reads[cold[k]] = Page::Data(bytes),
                     Err(e) => drop(failed.get_or_insert(e)),
                 }
             });
@@ -468,25 +471,31 @@ impl FlashUnit {
         &'a mut self,
         addr: PageAddr,
         ahead: &'a mut Readahead,
-    ) -> Result<LentPage<'a>> {
+    ) -> Result<Page<&'a [u8]>> {
         self.stats.reads += 1;
         let timer = self.metrics.read_service_ns.start_sampled(&self.metrics.sampler);
         let this: &'a Self = self;
-        let lent = match this.slot(addr) {
-            Slot::Unwritten => Ok(LentPage::Unwritten),
-            Slot::Trimmed => Ok(LentPage::Trimmed),
-            Slot::HotJunk | Slot::ColdJunk => Ok(LentPage::Junk),
-            Slot::HotData(bytes) => Ok(LentPage::Data(bytes)),
-            Slot::ColdData => cold_data(addr, this.device().lend(addr, ahead)).map(LentPage::Data),
-        };
+        let lent =
+            this.page(addr, |bytes| &bytes[..], |device| cold_data(addr, device.lend(addr, ahead)));
         timed(timer, lent)
     }
 
-    fn read_slot(&self, addr: PageAddr) -> Result<PageRead> {
-        match self.indexed(addr) {
-            Some(read) => Ok(read),
-            None => cold_data(addr, self.device().get(addr)).map(PageRead::Data),
-        }
+    /// What `addr` holds, its data `hot` of a hot page's slot or `cold` of
+    /// the device that holds a cold one's record: the one place a read
+    /// looks at a slot.
+    fn page<'a, D>(
+        &'a self,
+        addr: PageAddr,
+        hot: impl FnOnce(&'a Bytes) -> D,
+        cold: impl FnOnce(&'a FileStore) -> Result<D>,
+    ) -> Result<Page<D>> {
+        Ok(match self.slot(addr) {
+            Slot::Unwritten => Page::Unwritten,
+            Slot::Trimmed => Page::Trimmed,
+            Slot::HotJunk | Slot::ColdJunk => Page::Junk,
+            Slot::HotData(bytes) => Page::Data(hot(bytes)),
+            Slot::ColdData => Page::Data(cold(self.device())?),
+        })
     }
 
     /// The cold device, for a page the index holds as cold.
@@ -500,18 +509,6 @@ impl FlashUnit {
             return TRIMMED;
         }
         self.table.get(addr)
-    }
-
-    /// What `addr` holds as far as the table can tell: `None` for a cold
-    /// data page, whose payload only the device has.
-    fn indexed(&self, addr: PageAddr) -> Option<PageRead> {
-        Some(match self.slot(addr) {
-            Slot::Unwritten => PageRead::Unwritten,
-            Slot::Trimmed => PageRead::Trimmed,
-            Slot::HotJunk | Slot::ColdJunk => PageRead::Junk,
-            Slot::HotData(bytes) => PageRead::Data(bytes.clone()),
-            Slot::ColdData => return None,
-        })
     }
 
     /// Takes a slot that is being emptied or trimmed out of the occupancy
@@ -626,7 +623,7 @@ mod tests {
         u.write(7, b"abc").unwrap();
         assert_eq!(u.write(7, b"xyz"), Err(FlashError::AlreadyWritten { addr: 7 }));
         assert_eq!(u.fill(7), Err(FlashError::AlreadyWritten { addr: 7 }));
-        assert_eq!(u.read(7).unwrap(), PageRead::Data(bytes::Bytes::from_static(b"abc")));
+        assert_eq!(u.read(7).unwrap(), Page::Data(bytes::Bytes::from_static(b"abc")));
     }
 
     #[test]
@@ -634,17 +631,17 @@ mod tests {
         let mut u = unit();
         u.fill(3).unwrap();
         assert_eq!(u.write(3, b"late"), Err(FlashError::AlreadyWritten { addr: 3 }));
-        assert_eq!(u.read(3).unwrap(), PageRead::Junk);
+        assert_eq!(u.read(3).unwrap(), Page::Junk);
     }
 
     #[test]
     fn unwritten_reads_and_tail() {
         let mut u = unit();
-        assert_eq!(u.read(0).unwrap(), PageRead::Unwritten);
+        assert_eq!(u.read(0).unwrap(), Page::Unwritten);
         assert_eq!(u.local_tail(), 0);
         u.write(5, b"sparse").unwrap();
         assert_eq!(u.local_tail(), 6);
-        assert_eq!(u.read(2).unwrap(), PageRead::Unwritten);
+        assert_eq!(u.read(2).unwrap(), Page::Unwritten);
     }
 
     #[test]
@@ -659,10 +656,10 @@ mod tests {
         assert_eq!(
             out,
             vec![
-                PageRead::Unwritten,
-                PageRead::Data(bytes::Bytes::from_static(b"one")),
-                PageRead::Junk,
-                PageRead::Trimmed,
+                Page::Unwritten,
+                Page::Data(bytes::Bytes::from_static(b"one")),
+                Page::Junk,
+                Page::Trimmed,
             ]
         );
         // Wear accounting charges one read per page even in a batch.
@@ -675,7 +672,7 @@ mod tests {
         let mut u = unit();
         u.write(1, b"v").unwrap();
         u.trim(1).unwrap();
-        assert_eq!(u.read(1).unwrap(), PageRead::Trimmed);
+        assert_eq!(u.read(1).unwrap(), Page::Trimmed);
         assert_eq!(u.write(1, b"again"), Err(FlashError::AlreadyWritten { addr: 1 }));
         assert_eq!(u.stats().random_trims, 1);
     }
@@ -688,10 +685,10 @@ mod tests {
         }
         u.trim_prefix(5).unwrap();
         for addr in 0..5 {
-            assert_eq!(u.read(addr).unwrap(), PageRead::Trimmed);
+            assert_eq!(u.read(addr).unwrap(), Page::Trimmed);
             assert_eq!(u.write(addr, b"y"), Err(FlashError::Trimmed { addr }));
         }
-        assert_eq!(u.read(5).unwrap(), PageRead::Data(bytes::Bytes::from_static(b"x")));
+        assert_eq!(u.read(5).unwrap(), Page::Data(bytes::Bytes::from_static(b"x")));
         assert_eq!(u.stats().prefix_trimmed_pages, 5);
         // Lower horizon is a no-op.
         u.trim_prefix(2).unwrap();
@@ -734,8 +731,8 @@ mod tests {
         u.trim(3).unwrap();
         // Now 2..=4 are all marked: the horizon jumps over the whole run.
         assert_eq!(u.advance_trim_horizon().unwrap(), 5);
-        assert_eq!(u.read(4).unwrap(), PageRead::Trimmed);
-        assert_eq!(u.read(5).unwrap(), PageRead::Data(bytes::Bytes::from_static(b"x")));
+        assert_eq!(u.read(4).unwrap(), Page::Trimmed);
+        assert_eq!(u.read(5).unwrap(), Page::Data(bytes::Bytes::from_static(b"x")));
         // A run that fills its chunk to the end does not go on in a chunk
         // far above that begins with a trimmed slot.
         for addr in (5..1024).chain([1 << 40]) {
@@ -784,12 +781,12 @@ mod tests {
         let addrs: Vec<u64> = (0..256).rev().collect();
         let (got, reads) = disk.reads_in(|| u.read_many(&addrs).unwrap());
         assert!(reads <= 64, "{reads} preads for 256 pages");
-        let want: Vec<_> = addrs.iter().map(|&a| PageRead::Data(page(a).into())).collect();
+        let want: Vec<_> = addrs.iter().map(|&a| Page::Data(page(a).into())).collect();
         assert_eq!(got, want);
         // A batch the index answers alone costs the device nothing.
         u.fill(300).unwrap();
         let (got, reads) = disk.reads_in(|| u.read_many(&[1000, 300]).unwrap());
-        assert_eq!((got, reads), (vec![PageRead::Unwritten, PageRead::Junk], 0));
+        assert_eq!((got, reads), (vec![Page::Unwritten, Page::Junk], 0));
     }
 
     /// A walk down a stream as a storage node walks one: each page of the
@@ -801,8 +798,8 @@ mod tests {
         let mut ahead = Readahead::down_to(floor);
         let (mut pending, mut walked) = (vec![top], Vec::new());
         while let Some(addr) = pending.pop() {
-            let read = u.lend(addr, &mut ahead).map(PageRead::from);
-            if let Ok(PageRead::Data(_)) = read {
+            let read = u.lend(addr, &mut ahead).map(Page::to_owned);
+            if let Ok(Page::Data(_)) = read {
                 let below = (1..=4).filter_map(|k| addr.checked_sub(k * stride));
                 for to in below.filter(|&to| to >= floor) {
                     if let Err(at) = pending.binary_search(&to) {
@@ -815,10 +812,10 @@ mod tests {
         walked
     }
 
-    type Walked = Vec<(PageAddr, Result<PageRead>)>;
+    type Walked = Vec<(PageAddr, Result<Page<Bytes>>)>;
 
-    fn data(bytes: Vec<u8>) -> Result<PageRead> {
-        Ok(PageRead::Data(bytes.into()))
+    fn data(bytes: Vec<u8>) -> Result<Page<Bytes>> {
+        Ok(Page::Data(bytes.into()))
     }
 
     #[test]
@@ -917,7 +914,7 @@ mod tests {
         // the index and lead nowhere, and segment 0 is gone.
         let (walked, preads) = disk.preads_in(|| walk(&mut u, 191, 1, 40));
         let trimmed: Vec<PageAddr> = (walked.iter())
-            .filter(|(_, read)| *read == Ok(PageRead::Trimmed))
+            .filter(|(_, read)| *read == Ok(Page::Trimmed))
             .map(|&(addr, _)| addr)
             .collect();
         assert_eq!((walked.len(), trimmed), (132, vec![63, 62, 61, 60]));
@@ -957,10 +954,10 @@ mod tests {
         assert_eq!(u.write(last, b"y"), Err(FlashError::OutOfRange { addr: last }));
         assert_eq!(u.fill(last), Err(FlashError::OutOfRange { addr: last }));
         assert_eq!(u.trim(last), Err(FlashError::OutOfRange { addr: last }));
-        assert_eq!((u.read(last).unwrap(), u.local_tail()), (PageRead::Unwritten, last));
+        assert_eq!((u.read(last).unwrap(), u.local_tail()), (Page::Unwritten, last));
         assert_eq!(u.stats().rejected_writes, 0);
         u.trim(last - 1).unwrap();
-        assert_eq!((u.read(last - 1).unwrap(), u.local_tail()), (PageRead::Trimmed, last));
+        assert_eq!((u.read(last - 1).unwrap(), u.local_tail()), (Page::Trimmed, last));
         // Nor does a record a device holds for it.
         let disk = MemDisk::default();
         let mut store = FileStore::with_disk(Box::new(disk.clone()), 64, 8).unwrap();
@@ -979,12 +976,12 @@ mod tests {
             u.write(addr, b"page").unwrap();
         }
         assert_eq!(u.table.chunk_count(), 17);
-        assert_eq!(u.read(far[15] + 1).unwrap(), PageRead::Unwritten);
+        assert_eq!(u.read(far[15] + 1).unwrap(), Page::Unwritten);
         // A horizon inside the near page's chunk: the far ones go whole.
         u.trim_prefix(near - 2).unwrap();
         assert_eq!((u.table.chunk_count(), u.live_pages()), (1, 1));
         assert_eq!(u.stats().prefix_trimmed_pages, 16);
-        assert_eq!(u.read(near).unwrap(), PageRead::Data(Bytes::from_static(b"page")));
+        assert_eq!(u.read(near).unwrap(), Page::Data(Bytes::from_static(b"page")));
         assert_eq!(u.advance_trim_horizon().unwrap(), near - 2);
         u.write(near - 1, b"next").unwrap();
         assert_eq!(u.table.chunk_count(), 1);

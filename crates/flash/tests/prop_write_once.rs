@@ -6,7 +6,7 @@
 use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
-use tango_flash::{FileStore, FlashError, FlashUnit, PageRead, Readahead, TieredStore, WearStats};
+use tango_flash::{FileStore, FlashError, FlashUnit, Page, Readahead, TieredStore, WearStats};
 
 /// One step. `Reopen` syncs first, so it loses nothing; the lossy reopen is
 /// the end of every differential sequence.
@@ -95,14 +95,14 @@ struct Model {
 }
 
 impl Model {
-    fn read(&self, addr: u64) -> PageRead {
+    fn read(&self, addr: u64) -> Page<bytes::Bytes> {
         if addr < self.prefix || self.trimmed.contains(&addr) {
-            return PageRead::Trimmed;
+            return Page::Trimmed;
         }
         match self.pages.get(&addr) {
-            Some(Some(d)) => PageRead::Data(bytes::Bytes::copy_from_slice(d)),
-            Some(None) => PageRead::Junk,
-            None => PageRead::Unwritten,
+            Some(Some(d)) => Page::Data(bytes::Bytes::copy_from_slice(d)),
+            Some(None) => Page::Junk,
+            None => Page::Unwritten,
         }
     }
 
@@ -145,7 +145,7 @@ impl Model {
 
     /// What `op` returns on a correct unit, as [`apply`] prints it.
     fn apply(&mut self, op: &Op) -> String {
-        let reads = |addrs: &[u64]| -> Result<Vec<PageRead>, FlashError> {
+        let reads = |addrs: &[u64]| -> Result<Vec<Page<bytes::Bytes>>, FlashError> {
             Ok(addrs.iter().map(|&a| self.read(a)).collect())
         };
         match op {
@@ -207,8 +207,8 @@ fn apply(unit: &mut FlashUnit, op: &Op) -> String {
         Op::ReadRun(top, len) => {
             let addrs = run(*top, *len);
             let mut ahead = Readahead::down_to(addrs[addrs.len() - 1]);
-            let lent: Result<Vec<PageRead>, FlashError> =
-                addrs.iter().map(|&addr| unit.lend(addr, &mut ahead).map(PageRead::from)).collect();
+            let lent: Result<Vec<Page<bytes::Bytes>>, FlashError> =
+                addrs.iter().map(|&addr| unit.lend(addr, &mut ahead).map(Page::to_owned)).collect();
             format!("{:?} {lent:?}", unit.read_many(&addrs))
         }
         Op::Trim(addr) => format!("{:?}", unit.trim(*addr)),
@@ -292,8 +292,8 @@ proptest! {
             for addr in (0..DIFF_ADDRS).map(diff_addr) {
                 let (was, is) = (mem.read(addr).unwrap(), b.unit.read(addr).unwrap());
                 if was != is {
-                    prop_assert!(matches!(was, PageRead::Data(_) | PageRead::Junk), "{:?}", was);
-                    prop_assert_eq!(is, PageRead::Unwritten, "addr {} on {:?}", addr, b.hot_capacity);
+                    prop_assert!(matches!(was, Page::Data(_) | Page::Junk), "{:?}", was);
+                    prop_assert_eq!(is, Page::Unwritten, "addr {} on {:?}", addr, b.hot_capacity);
                     lost += 1;
                 }
             }

@@ -2,7 +2,7 @@
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use tango_flash::{FlashError, FlashUnit, PageRead};
+use tango_flash::{FlashError, FlashUnit, Page};
 use tango_rpc::RpcHandler;
 use tango_wire::{decode_from_slice, encode_to_vec};
 
@@ -77,7 +77,7 @@ impl MetaNode {
         let storage_error = |e: FlashError| MetaResponse::ErrStorage { reason: e.to_string() };
         match req {
             MetaRequest::Read { pos } => match self.unit.lock().read(pos) {
-                Ok(PageRead::Data(record)) => MetaResponse::Record(record),
+                Ok(Page::Data(record)) => MetaResponse::Record(record),
                 Ok(_) => MetaResponse::Unwritten,
                 Err(e) => storage_error(e),
             },
@@ -89,8 +89,8 @@ impl MetaNode {
                         // Re-writing the incumbent is an idempotent success,
                         // so helpers and retries converge without special
                         // cases.
-                        Ok(PageRead::Data(existing)) if existing == record => MetaResponse::Ok,
-                        Ok(PageRead::Data(existing)) => MetaResponse::AlreadyWritten(existing),
+                        Ok(Page::Data(existing)) if existing == record => MetaResponse::Ok,
+                        Ok(Page::Data(existing)) => MetaResponse::AlreadyWritten(existing),
                         Ok(other) => MetaResponse::ErrStorage {
                             reason: format!("position {pos} holds no record: {other:?}"),
                         },
@@ -111,7 +111,7 @@ impl MetaNode {
                 let tail = unit.local_tail();
                 match tail.checked_sub(1).map(|pos| unit.read(pos)) {
                     None => MetaResponse::Latest { tail, record: Bytes::new() },
-                    Some(Ok(PageRead::Data(record))) => MetaResponse::Latest { tail, record },
+                    Some(Ok(Page::Data(record))) => MetaResponse::Latest { tail, record },
                     Some(Ok(other)) => MetaResponse::ErrStorage {
                         reason: format!("position {} holds no record: {other:?}", tail - 1),
                     },

@@ -158,7 +158,7 @@ fn offset_map_stores_offsets_not_values() {
     assert_eq!(map.get(&"missing".to_owned()).unwrap(), None);
     // The view genuinely holds an offset pointer into the log.
     let off = map.offset_of(&"k2".to_owned()).unwrap().unwrap();
-    assert!(matches!(cluster.client().unwrap().read(off).unwrap(), corfu::ReadOutcome::Data(_)));
+    assert!(matches!(cluster.client().unwrap().read(off).unwrap(), corfu::Page::Data(_)));
     // Overwrite moves the pointer forward.
     map.put(&"k2".to_owned(), &"value-two-b".to_owned()).unwrap();
     let off2 = map.offset_of(&"k2".to_owned()).unwrap().unwrap();

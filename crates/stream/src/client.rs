@@ -2,8 +2,8 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use corfu::{
-    compose, log_of_offset, Chase, CorfuClient, CorfuError, Entry, LogOffset, PageRef, ReadOutcome,
-    StreamId, LOG_OFFSET_MASK,
+    compose, log_of_offset, Chase, CorfuClient, CorfuError, Entry, LogOffset, Page, StreamId,
+    LOG_OFFSET_MASK,
 };
 use parking_lot::Mutex;
 use tango_metrics::{Counter, Events, Histogram, Registry, SpanKind, Tracer};
@@ -528,13 +528,13 @@ impl StreamClient {
     fn admit(
         &self,
         offset: LogOffset,
-        page: PageRef<'_>,
+        page: Page<&[u8]>,
         reply: &Bytes,
         wait: bool,
         admitted: &mut Vec<(LogOffset, Entry)>,
     ) -> corfu::Result<Option<Entry>> {
         match page {
-            PageRef::Data(bytes) => {
+            Page::Data(bytes) => {
                 let entry = Entry::in_reply(reply, bytes, offset)?;
                 if entry.link().is_none_or(|l| l.home == offset) {
                     Ok(Some(entry))
@@ -542,9 +542,9 @@ impl StreamClient {
                     self.resolve_link(entry, wait, admitted)
                 }
             }
-            PageRef::Junk | PageRef::Trimmed => Ok(None),
-            PageRef::Unwritten if !wait => Ok(None),
-            PageRef::Unwritten => Err(CorfuError::Unwritten { offset }),
+            Page::Junk | Page::Trimmed => Ok(None),
+            Page::Unwritten if !wait => Ok(None),
+            Page::Unwritten => Err(CorfuError::Unwritten { offset }),
         }
     }
 
@@ -570,7 +570,7 @@ impl StreamClient {
         let outcome =
             if wait { self.corfu.wait_read(link.home)? } else { self.corfu.read(link.home)? };
         match outcome {
-            ReadOutcome::Data(bytes) => {
+            Page::Data(bytes) => {
                 let home = Entry::new(bytes, link.home)?;
                 if home.link() == Some(link) {
                     admitted.push((link.home, home));
@@ -585,8 +585,8 @@ impl StreamClient {
             // was patched — aborted. Trimmed home: the decision is gone,
             // which can only happen after the whole append's prefix was
             // checkpointed; the body is below any live read.
-            ReadOutcome::Junk | ReadOutcome::Trimmed => Ok(None),
-            ReadOutcome::Unwritten => Ok(None),
+            Page::Junk | Page::Trimmed => Ok(None),
+            Page::Unwritten => Ok(None),
         }
     }
 

@@ -11,11 +11,11 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, SimCluster, TcpCluster, Transport};
-use corfu::proto::{PageOutcome, StorageResponse};
+use corfu::proto::StorageResponse;
 use corfu::reconfig::replace_storage_node;
 use corfu::{
     ClientOptions, ConnFactory, CorfuClient, CrossLogLink, EntryEnvelope, LogOffset, NodeInfo,
-    Projection, ReadOutcome, StreamHeader, StreamId, CHASE_REPLY_BYTES,
+    Page, Projection, StreamHeader, StreamId, CHASE_REPLY_BYTES,
 };
 use corfu_stream::StreamClient;
 use tango_metrics::Registry;
@@ -67,7 +67,7 @@ fn members_by_scan(corfu: &CorfuClient, stream: StreamId) -> Vec<LogOffset> {
     let mut members = Vec::new();
     for chunk in offsets.chunks(256) {
         for (&offset, outcome) in chunk.iter().zip(corfu.read_many(chunk).unwrap()) {
-            if let ReadOutcome::Data(bytes) = outcome {
+            if let Page::Data(bytes) = outcome {
                 if EntryEnvelope::decode(&bytes, offset).unwrap().belongs_to(stream) {
                     members.push(offset);
                 }
@@ -147,7 +147,7 @@ impl ClientConn for WeighingConn {
         let response = self.inner.call(request)?;
         if let Ok(StorageResponse::Chased(pages)) = tango_wire::decode_from_slice(&response) {
             let data = pages.iter().map(|(_, outcome)| match outcome {
-                PageOutcome::Data(bytes) => bytes.len(),
+                Page::Data(bytes) => bytes.len(),
                 _ => 0,
             });
             let mut heaviest = self.heaviest.lock().unwrap();
@@ -259,7 +259,7 @@ fn an_abandoned_token_is_waited_out_once_and_filled<T: Transport>(cluster: &Clus
     let reader = StreamClient::new(corfu);
     let delivered = sync_and_drain(&reader, 1);
     assert_eq!(registry.counter("corfu.client.junk_forced").get(), 1);
-    assert_eq!(writer.corfu().read(abandoned).unwrap(), ReadOutcome::Junk);
+    assert_eq!(writer.corfu().read(abandoned).unwrap(), Page::Junk);
     assert_eq!(delivered, members_by_scan(writer.corfu(), 1));
     assert_eq!(delivered.len(), 100);
     assert!(!delivered.contains(&abandoned));
@@ -292,7 +292,7 @@ fn a_dense_stream_past_the_chase_is_read_around_a_slow_writer<T: Transport>(clus
     assert_eq!(delivered, members_by_scan(writer.corfu(), 1)[10..]);
     assert_eq!(delivered.len(), ENTRIES);
     assert_eq!(registry.counter("corfu.client.junk_forced").get(), 0);
-    assert_eq!(writer.corfu().read(slow).unwrap(), ReadOutcome::Unwritten);
+    assert_eq!(writer.corfu().read(slow).unwrap(), Page::Unwritten);
     // Walking four entries a round trip asks four nodes each time: 200
     // requests. The read asks each of six nodes once per 32 offsets.
     let calls = registry.counter("corfu.client.read_batches").get() - calls_before;
@@ -401,7 +401,7 @@ fn cross_log_body(
         let encoded = part(home_stream, &home).encode(home.offset).unwrap();
         corfu.write_at(home.offset, &encoded).unwrap();
     } else {
-        assert_eq!(corfu.fill(home.offset).unwrap(), ReadOutcome::Junk);
+        assert_eq!(corfu.fill(home.offset).unwrap(), Page::Junk);
     }
     body.offset
 }

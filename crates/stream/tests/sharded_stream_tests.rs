@@ -182,7 +182,7 @@ fn waiting_reader_forces_the_decision_on_an_undecided_body() {
     // slot, so a re-read still aborts.
     assert_eq!(
         corfu.read(t0.offset).unwrap(),
-        corfu::ReadOutcome::Junk,
+        corfu::Page::Junk,
         "the home slot was junk-filled by the reader"
     );
 }

@@ -11,7 +11,7 @@
 //! Run with: `cargo run --example remote_mirror`
 
 use corfu::cluster::{ClusterConfig, LocalCluster};
-use corfu::ReadOutcome;
+use corfu::Page;
 use tango::{TangoRuntime, TxStatus};
 use tango_objects::{TangoCounter, TangoMap};
 
@@ -21,7 +21,7 @@ fn mirror_once(primary: &corfu::CorfuClient, mirror: &corfu::CorfuClient, from: 
     let tail = primary.check_tail_fast().unwrap();
     for off in from..tail {
         match primary.wait_read(off).unwrap() {
-            ReadOutcome::Data(bytes) => {
+            Page::Data(bytes) => {
                 let entry = corfu::EntryEnvelope::decode(&bytes, off).unwrap();
                 let streams: Vec<u32> = entry.headers.iter().map(|h| h.stream).collect();
                 mirror.append_streams(&streams, entry.payload).unwrap();
@@ -30,7 +30,7 @@ fn mirror_once(primary: &corfu::CorfuClient, mirror: &corfu::CorfuClient, from: 
             // offsets stay aligned (not required for correctness, since
             // streams re-link via backpointers, but keeps the logs
             // comparable).
-            ReadOutcome::Junk | ReadOutcome::Trimmed | ReadOutcome::Unwritten => {
+            Page::Junk | Page::Trimmed | Page::Unwritten => {
                 let token = mirror.token(&[]).unwrap();
                 let _ = mirror.fill(token.offset);
             }

@@ -188,7 +188,9 @@ fn durable_flash_survives_storage_restart() {
     assert_eq!(unit.epoch(), 3);
     let server = StorageServer::new(unit);
     match server.process(StorageRequest::Read { epoch: 3, addr: 17 }) {
-        StorageResponse::Data(b) => assert_eq!(b, bytes::Bytes::from(&b"entry-17"[..])),
+        StorageResponse::Page(corfu::Page::Data(b)) => {
+            assert_eq!(b, bytes::Bytes::from(&b"entry-17"[..]))
+        }
         other => panic!("unexpected {other:?}"),
     }
     // The epoch gate persisted too.

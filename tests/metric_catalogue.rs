@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use corfu::cluster::{ClusterConfig, StorageBackend, TcpCluster};
-use corfu::{reconfig, ClientOptions, ReadOutcome};
+use corfu::{reconfig, ClientOptions, Page};
 use tango::{TangoRuntime, TxStatus};
 use tango_metrics::Snapshot;
 use tango_objects::TangoMap;
@@ -70,9 +70,9 @@ fn registered_instruments_are_the_documented_ones() {
     // Append, read, and a hole filled on the reader's deadline.
     let client = cluster.client().unwrap();
     let offset = client.append(Bytes::from_static(b"catalogue")).unwrap();
-    assert!(matches!(client.read(offset).unwrap(), ReadOutcome::Data(_)));
+    assert!(matches!(client.read(offset).unwrap(), Page::Data(_)));
     let hole = client.token(&[]).unwrap().offset;
-    assert_eq!(client.wait_read(hole).unwrap(), ReadOutcome::Junk);
+    assert_eq!(client.wait_read(hole).unwrap(), Page::Junk);
 
     // A committed and an aborted transaction, then checkpoint + trim and
     // one compaction pass (with scrub) on every storage node.
