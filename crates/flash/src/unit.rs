@@ -440,7 +440,7 @@ impl FlashUnit {
         let mut reads = Vec::with_capacity(addrs.len());
         let mut failed = None;
         let mut cold = Vec::new();
-        // The table answers for every page it holds; the cold data pages go
+        // The index answers for every page it holds; the cold data pages go
         // to the device in one call, and only if there are any. Until then
         // a cold page's data is empty.
         for (at, &addr) in addrs.iter().enumerate() {
