@@ -603,7 +603,7 @@ impl TangoRuntime {
             return None;
         }
         if reads.iter().all(|r| play.objects.contains_key(&r.oid)) {
-            Some(reads.iter().all(|r| !play.versions.is_stale(r)))
+            Some(reads.iter().all(|r| play.versions.conflict(r).is_none()))
         } else {
             None
         }
@@ -724,7 +724,7 @@ impl TangoRuntime {
             if p.reads.iter().any(written) {
                 continue;
             }
-            let committed = p.reads.iter().all(|r| !play.versions.is_stale(r));
+            let committed = p.reads.iter().all(|r| play.versions.conflict(r).is_none());
             play.decided.insert(txid, committed);
             if let Some(p) = self.deciding.lock().remove(&txid) {
                 decided.push((txid, p, committed));
@@ -1055,7 +1055,7 @@ impl TangoRuntime {
         self.play_to_locked(&mut play, commit_off)?;
         let committed = match (play.decided.get(&txid), commit_link) {
             (Some(&decided), _) => decided,
-            (None, None) => ctx.reads.iter().all(|r| !play.versions.is_stale(r)),
+            (None, None) => ctx.reads.iter().all(|r| play.versions.conflict(r).is_none()),
             (None, Some(link)) => {
                 let proj = self.stream.corfu().projection();
                 let home_log = log_of_offset(commit_off);
@@ -1063,7 +1063,7 @@ impl TangoRuntime {
                 let mut ok = true;
                 for r in &ctx.reads {
                     let stale = if proj.log_of_stream(r.oid) == home_log {
-                        play.versions.is_stale(r)
+                        play.versions.conflict(r).is_some()
                     } else {
                         let pin = self.read_pin(Some(link), r.oid, commit_off);
                         self.version_at(r.oid, r.key, pin, &mut memo, 0)? > r.version
@@ -1103,7 +1103,7 @@ impl TangoRuntime {
             self.sync()?;
         }
         let play = self.playback();
-        let ok = ctx.reads.iter().all(|r| !play.versions.is_stale(r));
+        let ok = ctx.reads.iter().all(|r| play.versions.conflict(r).is_none());
         Ok(self.count_outcome(ok))
     }
 

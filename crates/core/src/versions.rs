@@ -66,10 +66,11 @@ impl ConflictTable {
         }
     }
 
-    /// True if `read` is stale: something conflicting was written after the
-    /// version it observed.
-    pub fn is_stale(&self, read: &ReadKey) -> bool {
-        self.version_for_read(read.oid, read.key) > read.version
+    /// The witness that `read` is stale: the offset of the newest
+    /// conflicting write after the version it observed, if there is one.
+    pub fn conflict(&self, read: &ReadKey) -> Option<LogOffset> {
+        let version = self.version_for_read(read.oid, read.key);
+        (version > read.version).then(|| version - 1)
     }
 
     /// Drops all state for `oid` (object deregistration).
@@ -99,10 +100,10 @@ mod tests {
         assert_eq!(t.version_for_read(1, None), 0);
         t.record_write(1, None, 9);
         assert_eq!(t.version_for_read(1, None), 10);
-        assert!(t.is_stale(&read(1, None, 0)));
-        assert!(!t.is_stale(&read(1, None, 10)));
+        assert_eq!(t.conflict(&read(1, None, 0)), Some(9));
+        assert_eq!(t.conflict(&read(1, None, 10)), None);
         // Other objects are unaffected.
-        assert!(!t.is_stale(&read(2, None, 0)));
+        assert_eq!(t.conflict(&read(2, None, 0)), None);
     }
 
     #[test]
@@ -110,20 +111,20 @@ mod tests {
         let mut t = ConflictTable::new();
         t.record_write(1, Some(5), 3);
         // Key 5 read is stale, key 6 read is not.
-        assert!(t.is_stale(&read(1, Some(5), 0)));
-        assert!(!t.is_stale(&read(1, Some(6), 0)));
+        assert_eq!(t.conflict(&read(1, Some(5), 0)), Some(3));
+        assert_eq!(t.conflict(&read(1, Some(6), 0)), None);
         // A whole-object read conflicts with the key write.
-        assert!(t.is_stale(&read(1, None, 0)));
+        assert_eq!(t.conflict(&read(1, None, 0)), Some(3));
     }
 
     #[test]
     fn whole_write_conflicts_with_every_key_read() {
         let mut t = ConflictTable::new();
         t.record_write(1, None, 7);
-        assert!(t.is_stale(&read(1, Some(5), 0)));
-        assert!(t.is_stale(&read(1, Some(999), 0)));
+        assert_eq!(t.conflict(&read(1, Some(5), 0)), Some(7));
+        assert_eq!(t.conflict(&read(1, Some(999), 0)), Some(7));
         // A key read taken after the whole write is fine.
-        assert!(!t.is_stale(&read(1, Some(5), 8)));
+        assert_eq!(t.conflict(&read(1, Some(5), 8)), None);
     }
 
     #[test]
@@ -132,6 +133,8 @@ mod tests {
         t.record_write(1, Some(5), 10);
         t.record_write(1, Some(5), 4); // out-of-order record keeps the max
         assert_eq!(t.version_for_read(1, Some(5)), 11);
+        // The witness is the newest conflicting write, not the first.
+        assert_eq!(t.conflict(&read(1, Some(5), 0)), Some(10));
     }
 
     #[test]

@@ -383,16 +383,23 @@ impl StorageServer {
                 let from = start.max(prefix_trim);
                 let span = count.min(MAX_COPY_RANGE) as u64;
                 let next = from.saturating_add(span).min(local_tail).max(from);
-                let mut pages = Vec::new();
-                for addr in from..next {
-                    match inner.unit.read(addr) {
-                        Ok(Page::Data(bytes)) => pages.push((addr, PageCopy::Data(bytes))),
-                        Ok(Page::Junk) => pages.push((addr, PageCopy::Junk)),
-                        Ok(Page::Trimmed) => pages.push((addr, PageCopy::Trimmed)),
-                        Ok(Page::Unwritten) => {}
-                        Err(e) => return Inner::flash_error(e),
-                    }
-                }
+                // One batch read, as a `ReadBatch` is: the cold pages of the
+                // span cost a `pread` per run, not one each.
+                let addrs: Vec<u64> = (from..next).collect();
+                let read = match inner.unit.read_many(&addrs) {
+                    Ok(read) => read,
+                    Err(e) => return Inner::flash_error(e),
+                };
+                let pages = addrs
+                    .into_iter()
+                    .zip(read)
+                    .filter_map(|(addr, page)| match page {
+                        Page::Data(bytes) => Some((addr, PageCopy::Data(bytes))),
+                        Page::Junk => Some((addr, PageCopy::Junk)),
+                        Page::Trimmed => Some((addr, PageCopy::Trimmed)),
+                        Page::Unwritten => None,
+                    })
+                    .collect();
                 StorageResponse::PageChunk { local_tail, prefix_trim, next, pages }
             }
         }
@@ -1129,6 +1136,53 @@ mod tests {
             s.process(StorageRequest::LocalTail { epoch: 0 }),
             StorageResponse::ErrSealed { epoch: 1 }
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A rebuild's source read of cold pages is the batch read: the pages a
+    /// `CopyRange` streams are those a `ReadBatch` of its span reads, less
+    /// the unwritten ones.
+    #[test]
+    fn copy_range_reads_cold_pages_as_a_read_batch_does() {
+        let dir = tmpdir("copy-cold");
+        let store = tango_flash::TieredStore::open(&dir, 64, 8, 2).unwrap();
+        let s = StorageServer::new(FlashUnit::open(Box::new(store), 64).unwrap());
+        for addr in (0..40).filter(|addr| addr % 11 != 5) {
+            let (kind, payload) = match addr % 7 {
+                3 => (WriteKind::Junk, Bytes::new()),
+                _ => (WriteKind::Data, Bytes::from(format!("page-{addr}").into_bytes())),
+            };
+            let w = StorageRequest::Write { epoch: 0, addr, kind, payload };
+            assert_eq!(s.process(w), StorageResponse::Ok);
+        }
+        assert_eq!(s.process(StorageRequest::Trim { epoch: 0, addr: 9 }), StorageResponse::Ok);
+        while s.compact_once(false).migrated_pages > 0 {}
+        assert!(s.tier_stats().cold_pages > 30, "{:?}", s.tier_stats());
+
+        let StorageResponse::BatchOutcomes(batch) =
+            s.process(StorageRequest::ReadBatch { epoch: 0, addrs: (0..40).collect() })
+        else {
+            panic!("read batch failed");
+        };
+        let expected: Vec<(u64, PageCopy)> = (0..40)
+            .zip(batch)
+            .filter_map(|(addr, page)| match page {
+                Page::Data(bytes) => Some((addr, PageCopy::Data(bytes))),
+                Page::Junk => Some((addr, PageCopy::Junk)),
+                Page::Trimmed => Some((addr, PageCopy::Trimmed)),
+                Page::Unwritten => None,
+            })
+            .collect();
+        assert!(
+            expected.contains(&(9, PageCopy::Trimmed)) && expected.contains(&(3, PageCopy::Junk))
+        );
+        match s.process(StorageRequest::CopyRange { epoch: 0, start: 0, count: 100 }) {
+            StorageResponse::PageChunk { next, pages, .. } => {
+                assert_eq!(next, 40);
+                assert_eq!(pages, expected);
+            }
+            other => panic!("expected PageChunk, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

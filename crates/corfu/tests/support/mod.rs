@@ -1,5 +1,6 @@
 //! Shared test support: seeded sweeps of schedules on the simulated
-//! transport ([`corfu::cluster::Sim`]).
+//! transport ([`corfu::cluster::Sim`]), and the recorded history every
+//! schedule hands to one checker at its end ([`history`]).
 //!
 //! Integration test binaries pull this in with `mod support;`. Not every
 //! binary uses every helper, hence the crate-wide allowance below.
@@ -9,6 +10,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 use tango_rpc::Clock;
+
+pub mod history;
 
 /// The environment variable setting the first seed of every sweep, so a
 /// failing schedule reported by CI replays locally with the one-line
