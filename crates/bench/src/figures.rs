@@ -189,7 +189,13 @@ pub(crate) struct Machine {
 impl World {
     /// A log of `num_sets` replica sets of two on the testbed.
     pub(crate) fn new(num_sets: usize, seed: u64) -> Self {
-        let config = ClusterConfig { num_sets, ..ClusterConfig::paper_testbed() };
+        Self::sharded(1, num_sets, seed)
+    }
+
+    /// `num_logs` logs, each with its own sequencer and `num_sets` replica
+    /// sets of two, on the testbed.
+    pub(crate) fn sharded(num_logs: usize, num_sets: usize, seed: u64) -> Self {
+        let config = ClusterConfig { num_logs, num_sets, ..ClusterConfig::paper_testbed() };
         let cluster = Cluster::start(Sim::on_testbed(seed, Testbed::paper()), config)
             .expect("start the simulated testbed");
         Self { cluster, stop: Arc::default(), log: Log::default(), threads: Vec::new(), seed }
@@ -288,13 +294,27 @@ impl World {
 // Figure 2: sequencer throughput vs number of clients.
 // ----------------------------------------------------------------------
 
-/// One Figure 2 point: thousands of tokens a second the sequencer grants
-/// `clients` machines with `window` outstanding requests each.
-pub fn fig2_sequencer(clients: usize, window: usize, seed: u64, interval: Interval) -> f64 {
-    let mut world = World::new(9, seed);
+/// One Figure 2 point: thousands of tokens a second that `logs` sequencers
+/// grant `clients` machines with `window` outstanding requests each. Client
+/// `i` asks for tokens of a stream homed in log `i % logs`, so with more
+/// than one log the stream namespace is sharded and each log's sequencer
+/// queues only its own clients' calls.
+pub fn fig2_sequencer(
+    clients: usize,
+    window: usize,
+    logs: usize,
+    seed: u64,
+    interval: Interval,
+) -> f64 {
+    let mut world = World::sharded(logs, 9, seed);
+    let proj = world.client().projection();
     for i in 0..clients {
+        let log = (i % logs) as u32;
+        let stream = (1..).find(|&s| proj.log_of_stream(s) == log).expect("the shard map is total");
         let (machine, client) = (world.machine(i), world.client());
-        world.run(i, &machine, window, None, move |_| client.token(&[]).ok().map(|_| Done::Write));
+        world.run(i, &machine, window, None, move |_| {
+            client.token(&[stream]).ok().map(|_| Done::Write)
+        });
     }
     world.measure(interval).ks(&[Done::Write])
 }

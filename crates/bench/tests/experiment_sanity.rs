@@ -14,17 +14,29 @@ const INTERVAL: Interval =
 
 #[test]
 fn fig2_deterministic_and_plateaus() {
-    let a = experiments::fig2_sequencer(4, 8, 1, INTERVAL);
-    let b = experiments::fig2_sequencer(4, 8, 1, INTERVAL);
+    let a = experiments::fig2_sequencer(4, 8, 1, 1, INTERVAL);
+    let b = experiments::fig2_sequencer(4, 8, 1, 1, INTERVAL);
     assert_eq!(a, b, "same seed must reproduce exactly");
 
-    let few = experiments::fig2_sequencer(2, 8, 1, INTERVAL);
-    let mid = experiments::fig2_sequencer(16, 8, 1, INTERVAL);
-    let many = experiments::fig2_sequencer(36, 8, 1, INTERVAL);
+    let few = experiments::fig2_sequencer(2, 8, 1, 1, INTERVAL);
+    let mid = experiments::fig2_sequencer(16, 8, 1, 1, INTERVAL);
+    let many = experiments::fig2_sequencer(36, 8, 1, 1, INTERVAL);
     // Throughput grows with clients, then plateaus near 1/service_time
     // (~571K/s).
     assert!(few < mid, "few={few} mid={mid}");
     assert!(many > 450.0 && many < 620.0, "plateau at {many}K/s");
+}
+
+#[test]
+fn fig2_sharded_logs_scale_the_plateau() {
+    // 16 clients saturate one sequencer (the plateau above); two logs, each
+    // with its own sequencer, grant nearly twice the tokens. Tens of
+    // thousands of tokens a point: a shorter interval holds the ratio.
+    let short = Interval { warmup: Duration::from_millis(20), measure: Duration::from_millis(50) };
+    let one = experiments::fig2_sequencer(16, 8, 1, 1, short);
+    let two = experiments::fig2_sequencer(16, 8, 2, 1, short);
+    assert_eq!(two, experiments::fig2_sequencer(16, 8, 2, 1, short), "same seed, same numbers");
+    assert!(two >= 1.8 * one, "2 logs {two}K/s vs 1 log {one}K/s");
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! The history checker's own tests, on hand-built histories: one clean
-//! history passes, and each fault injected into it — an acked append lost, a
-//! stale read, a torn cross-log commit, a fill over data, a write told its
-//! token was lost that landed, a read that misses half of a commit that
-//! ended before it — is flagged with a message that names the offset or the
-//! call.
+//! history passes, and each fault injected into it — an acked append lost or
+//! landed twice, a stale read, a torn cross-log commit, a fill over data, a
+//! write told its token was lost that landed, a read that misses half of a
+//! commit that ended before it — is flagged with a message that names the
+//! offset or the call.
 //!
 //! They live in a binary of their own: the checker is shared test support,
 //! and every binary that includes it would run them again.
@@ -79,6 +79,8 @@ enum Fault {
     None,
     /// The second append's entry is lost.
     LostAck,
+    /// The second append's entry lands again, at a fresh offset.
+    LandedTwice,
     /// The fill's offset holds data.
     FillOverData,
     /// The write told its token was lost landed, and the fill saw it.
@@ -105,8 +107,10 @@ fn appends(fault: Fault) -> Vec<String> {
         let back = (0..offset).rev().collect();
         pages.insert(offset, entry(offset, 7, back, payload));
     }
-    if fault == Fault::LostAck {
-        pages.remove(&1);
+    match fault {
+        Fault::LostAck => drop(pages.remove(&1)),
+        Fault::LandedTwice => drop(pages.insert(4, entry(4, 7, vec![1, 0], Bytes::from("y")))),
+        _ => {}
     }
     called(&history, "filler", Op::Fill { offset: 2 }, Ret::Page(Page::Junk));
     let stored = match fault {
@@ -207,6 +211,13 @@ fn a_lost_ack_is_flagged_at_its_offset() {
         verdict.iter().any(|v| v.contains("append \"y\"") && v.contains("at 1: lost")),
         "{verdict:?}"
     );
+}
+
+#[test]
+fn an_append_that_lands_twice_is_flagged_with_its_offsets() {
+    let verdict = appends(Fault::LandedTwice);
+    assert_eq!(verdict.len(), 1, "{verdict:?}");
+    assert!(verdict[0].contains("append \"y\"") && verdict[0].ends_with("landed at [1, 4]"));
 }
 
 #[test]

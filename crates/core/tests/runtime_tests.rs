@@ -367,22 +367,38 @@ fn checkpoint_restore_and_compact() {
 
 #[test]
 fn checkpoint_and_trim_driver_bounds_the_log() {
-    let cluster = cluster();
+    bounds_the_log(ClusterConfig::default());
+    // Tiered nodes: small segments and hot tiers, so pages go cold and the
+    // trims reach whole segments.
+    let root = std::env::temp_dir().join(format!("tango-trim-driver-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    bounds_the_log(ClusterConfig::default().with_tiered_storage(&root, 8, 4));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+fn bounds_the_log(config: ClusterConfig) {
+    const ROUND: u64 = 20;
+    let cluster = LocalCluster::new(config);
     let rt = runtime(&cluster);
     let oid = rt.create_or_open("churn").unwrap();
     let reg = rt.register_object(oid, Register::default(), ObjectOptions::default()).unwrap();
 
     // Steady-state churn: write a burst, run the driver, repeat. The
-    // horizon must chase the tail so the live window stays bounded.
+    // horizon must chase the tail so the live window stays bounded, and so
+    // does each storage node's occupancy: about one round of pages.
     let mut horizons = Vec::new();
     let mut value = 0i64;
     for _ in 0..5 {
-        for _ in 0..20 {
+        for _ in 0..ROUND {
             value += 1;
             reg.update(None, value.to_le_bytes().to_vec()).unwrap();
         }
         reg.query(None, |_| ()).unwrap();
         horizons.push(rt.checkpoint_and_trim().unwrap());
+        for node in cluster.storage() {
+            let live = node.occupancy();
+            assert!(live <= ROUND, "a node holds {live} live pages after a trim: {horizons:?}");
+        }
     }
     assert!(horizons.windows(2).all(|w| w[0] <= w[1]), "horizon regressed: {horizons:?}");
     let last = *horizons.last().unwrap();

@@ -541,26 +541,16 @@ impl CorfuClient {
             let epoch = proj.epoch_of_log(log_of_offset(offset));
             let (_, local) = proj.map(offset);
             let request = WriteRef::stamp(framed, epoch, local, WriteKind::Data);
-            for (pos, &node) in proj.chain_for(offset).iter().enumerate() {
-                match self.call_raw(view, node, request)? {
-                    StorageResponse::Ok => {}
-                    StorageResponse::ErrAlreadyWritten if pos == 0 => {
-                        // The head arbitrates: someone else (a hole filler)
-                        // owns this offset now.
-                        return Err(CorfuError::TokenLost { offset });
-                    }
-                    StorageResponse::ErrAlreadyWritten => {
-                        // A repairing reader raced us past the head; the
-                        // value is ours either way (head-first ordering).
-                    }
-                    StorageResponse::ErrTrimmed => return Err(CorfuError::Trimmed { offset }),
-                    StorageResponse::ErrTooLarge { max } => {
-                        return Err(CorfuError::EntryTooLarge { len: body_len, max: max as usize })
-                    }
-                    other => return Err(storage_refusal(format_args!("write at {offset}"), other)),
-                }
+            let body = &request[request.len() - body_len..];
+            match self.chain_walk(view, proj, offset, request, body)? {
+                None => Ok(()),
+                // The head holds these very bytes: this write, taken before a
+                // seal made it go round again.
+                Some(Page::Data(held)) if held == body => Ok(()),
+                Some(Page::Trimmed) => Err(CorfuError::Trimmed { offset }),
+                // Someone else (a hole filler) owns the offset.
+                Some(_) => Err(CorfuError::TokenLost { offset }),
             }
-            Ok(())
         })
     }
 
@@ -836,6 +826,36 @@ impl CorfuClient {
         }
     }
 
+    /// Writes `request`, which carries `body` (a data write) or nothing (a
+    /// hole fill's junk), at `offset` down its chain in `proj`, head first.
+    /// The head arbitrates. `None`: it took the write, and so did the rest of
+    /// the chain. Else the head held a value already, and that value,
+    /// completed down the chain, is returned for the caller to judge; or a
+    /// trim took the offset (`Trimmed`).
+    fn chain_walk(
+        &self,
+        view: &View,
+        proj: &Projection,
+        offset: LogOffset,
+        request: &[u8],
+        body: &[u8],
+    ) -> Result<Option<Page<Bytes>>> {
+        let chain = proj.chain_for(offset);
+        let what = format_args!("write at {offset}");
+        match self.call_raw(view, chain[0], request)? {
+            StorageResponse::Ok => match self.write_past_head(view, chain, request, what)? {
+                true => Ok(None),
+                false => Ok(Some(Page::Trimmed)),
+            },
+            StorageResponse::ErrAlreadyWritten => self.repair_chain(view, proj, offset).map(Some),
+            StorageResponse::ErrTrimmed => Ok(Some(Page::Trimmed)),
+            StorageResponse::ErrTooLarge { max } => {
+                Err(CorfuError::EntryTooLarge { len: body.len(), max: max as usize })
+            }
+            other => Err(storage_refusal(what, other)),
+        }
+    }
+
     /// Completes a chain whose tail is missing the value: reads the head
     /// and pushes its value (data or junk) down the chain. Returns the
     /// authoritative value, or `Unwritten` if the head has nothing.
@@ -914,7 +934,6 @@ impl CorfuClient {
         let log = log_of_offset(offset);
         let epoch = proj.epoch_of_log(log);
         let (_, local) = proj.map(offset);
-        let chain = proj.chain_for(offset);
         // One request, head to tail, as for a data write.
         let request = encode_to_vec(&StorageRequest::Write {
             epoch,
@@ -922,38 +941,21 @@ impl CorfuClient {
             kind: WriteKind::Junk,
             payload: Bytes::new(),
         });
-        match self.call_raw(view, chain[0], &request)? {
-            StorageResponse::Ok => {
+        let emit = |kind| self.metrics.events.emit(kind, epoch, log as u64, local);
+        Ok(match self.chain_walk(view, proj, offset, &request, &[])? {
+            None => {
                 self.metrics.junk_forced.inc();
-                self.metrics.events.emit(
-                    tango_metrics::EventKind::JunkForced,
-                    epoch,
-                    log as u64,
-                    local,
-                );
-                let what = format_args!("fill at {offset}");
-                Ok(match self.write_past_head(view, chain, &request, what)? {
-                    true => Page::Junk,
-                    false => Page::Trimmed,
-                })
+                emit(tango_metrics::EventKind::JunkForced);
+                Page::Junk
             }
-            StorageResponse::ErrAlreadyWritten => {
-                // A writer won; complete its chain and return the value.
-                self.metrics.events.emit(
-                    tango_metrics::EventKind::HoleFilled,
-                    epoch,
-                    log as u64,
-                    local,
-                );
-                if chain.len() == 1 {
-                    self.read_with(view, proj, offset)
-                } else {
-                    self.repair_chain(view, proj, offset)
+            Some(page) => {
+                // A writer won; its chain is complete.
+                if matches!(page, Page::Data(_) | Page::Junk) {
+                    emit(tango_metrics::EventKind::HoleFilled);
                 }
+                page
             }
-            StorageResponse::ErrTrimmed => Ok(Page::Trimmed),
-            other => Err(storage_refusal(format_args!("fill at {offset}"), other)),
-        }
+        })
     }
 
     /// [`CorfuClient::wait_read_many`] of one offset.

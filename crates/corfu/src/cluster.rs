@@ -77,7 +77,7 @@ pub enum StorageBackend {
     InMemory,
     /// A [`TieredStore`] per node under `root/node-<id>`: RAM hot tail,
     /// segmented cold files, whole-segment reclamation below the trim
-    /// horizon. This is the backend the churn bench runs on.
+    /// horizon.
     Tiered {
         /// Directory under which each node's store lives.
         root: PathBuf,
@@ -137,8 +137,8 @@ impl ClusterConfig {
     }
 
     /// Puts every storage node on a [`TieredStore`] under `root` and turns
-    /// the background compactor on — the configuration the churn bench and
-    /// the reclamation integration tests run.
+    /// the background compactor on — the configuration the reclamation
+    /// tests run.
     pub fn with_tiered_storage(
         mut self,
         root: impl Into<PathBuf>,

@@ -1,12 +1,22 @@
 //! End-to-end tests of the CORFU deployment: append/read, chain repair,
 //! hole filling, checks, trims, and sequencer failover.
 
+// The sweeps are not what this binary runs.
+#[allow(unused_macros, unused_imports)]
+mod support;
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, SimCluster, TcpCluster, Transport};
-use corfu::reconfig;
+use corfu::proto::StorageRequest;
+use corfu::{reconfig, ClientOptions, ConnFactory, NodeId, NodeInfo};
 use corfu::{CorfuError, Page};
+use support::history::History;
+use tango_metrics::Registry;
+use tango_rpc::ClientConn;
 
 fn payload(i: u64) -> Bytes {
     Bytes::from(format!("entry-{i}").into_bytes())
@@ -213,7 +223,7 @@ fn half_written_chain_is_repaired_by_reader() {
     let body = corfu::EntryEnvelope::raw(payload(3)).encode(token.offset).unwrap();
     // Simulate a client that died after the head write: poke the head
     // storage server directly. With one replica set, local addr == offset.
-    use corfu::proto::{StorageRequest, StorageResponse, WriteKind};
+    use corfu::proto::{StorageResponse, WriteKind};
     let head = &cluster.storage()[0];
     let resp = head.process(StorageRequest::Write {
         epoch: 0,
@@ -229,6 +239,75 @@ fn half_written_chain_is_repaired_by_reader() {
     }
     // Now all replicas hold it.
     assert_eq!(cluster.storage()[2].stats().data_writes, 1);
+}
+
+/// Connections that run `before` once, on the first write sent to storage
+/// node `node`, before forwarding it.
+struct BeforeFirstWrite {
+    inner: Arc<dyn ConnFactory>,
+    node: NodeId,
+    before: Arc<dyn Fn() + Send + Sync>,
+    fired: Arc<AtomicBool>,
+}
+
+struct BeforeFirstWriteConn {
+    inner: Arc<dyn ClientConn>,
+    before: Arc<dyn Fn() + Send + Sync>,
+    fired: Arc<AtomicBool>,
+}
+
+impl ConnFactory for BeforeFirstWrite {
+    fn connect(&self, node: &NodeInfo) -> Arc<dyn ClientConn> {
+        let inner = self.inner.connect(node);
+        if node.id != self.node || !node.addr.starts_with("storage") {
+            return inner;
+        }
+        let (before, fired) = (Arc::clone(&self.before), Arc::clone(&self.fired));
+        Arc::new(BeforeFirstWriteConn { inner, before, fired })
+    }
+}
+
+impl ClientConn for BeforeFirstWriteConn {
+    fn call(&self, request: &[u8]) -> tango_rpc::Result<Vec<u8>> {
+        let request_kind = tango_wire::decode_from_slice::<StorageRequest>(request);
+        let write = matches!(request_kind, Ok(StorageRequest::Write { .. }));
+        if write && !self.fired.swap(true, Ordering::SeqCst) {
+            (self.before)();
+        }
+        self.inner.call(request)
+    }
+}
+
+#[test]
+fn a_chain_write_sealed_between_its_hops_lands_once() {
+    // The head takes the write; the epoch moves before the tail hop, which
+    // is refused as sealed. The write goes round again at the new epoch and
+    // meets its own bytes at the head: that is this write, not a lost token.
+    let cluster = LocalCluster::new(ClusterConfig::default());
+    let sealer = cluster.client().unwrap();
+    let tail = *sealer.projection().chain_for(0).last().unwrap();
+    let factory = Arc::new(BeforeFirstWrite {
+        inner: cluster.conn_factory(),
+        node: tail,
+        before: Arc::new(move || {
+            reconfig::bump_epoch(&sealer).unwrap();
+        }),
+        fired: Arc::default(),
+    });
+    let client = cluster
+        .client_with_factory(factory.clone(), ClientOptions::default(), Registry::disabled())
+        .unwrap();
+    let history = History::new(client.clock());
+    let client = history.client("writer", client);
+    let (offset, _) = client.append_streams(&[7], payload(1)).unwrap();
+    assert!(factory.fired.load(Ordering::SeqCst), "the tail hop was never reached");
+
+    assert_eq!(offset, 0);
+    let reader = cluster.client().unwrap();
+    assert_eq!(reader.check_tail_slow().unwrap(), 1, "the entry landed at one offset");
+    let (_, windows) = reader.tail_info(&[7]).unwrap();
+    assert_eq!(windows, vec![vec![offset]], "the stream holds the entry once");
+    history.judge(&cluster);
 }
 
 #[test]

@@ -29,6 +29,8 @@
 //! - an acked append's entry belongs to the streams it was appended to, and
 //!   each stream's acked entries point back at the stream's acked entries
 //!   just before them, newest first, less offsets that never landed;
+//! - an append lands once: one log's entries carry its payload at one
+//!   offset (a cross-log append has one part a log);
 //! - a cross-log append whose home part holds its link holds it on every
 //!   part;
 //! - a stream replay delivers the stream's entries in order, each once, and
@@ -262,6 +264,7 @@ impl History {
         lost_tokens_never_land(&calls, log, &mut out);
         trims_stay(&calls, log, &mut out);
         appends_join_their_streams(&calls, log, &mut out);
+        appends_land_once(&calls, log, &mut out);
         cross_log_appends_are_whole(log, &mut out);
         replays_deliver_the_stream(&calls, log, &mut out);
         out
@@ -659,6 +662,31 @@ fn appends_join_their_streams(calls: &[LogCall], log: &Log, out: &mut Vec<String
                      the stream's newest acked entries {newest:?}"
                 ));
             }
+        }
+    }
+}
+
+/// An append lands once: a log's committed entries carry a recorded
+/// append's payload at no more offsets than appends of it were recorded (a
+/// cross-log append has one part a log; the bodies of an attempt whose home
+/// part was lost are not committed).
+fn appends_land_once(calls: &[LogCall], log: &Log, out: &mut Vec<String>) {
+    let mut appends: BTreeMap<&[u8], Vec<&LogCall>> = BTreeMap::new();
+    for call in calls {
+        if let Op::Append { payload, .. } = &call.op {
+            appends.entry(payload).or_default().push(call);
+        }
+    }
+    let mut held: BTreeMap<(u32, &[u8]), Vec<LogOffset>> = BTreeMap::new();
+    for (offset, entry) in log.committed_entries() {
+        if appends.contains_key(&entry.payload[..]) {
+            held.entry((log_of_offset(offset), &entry.payload)).or_default().push(offset);
+        }
+    }
+    for ((_, payload), offsets) in held {
+        let calls = &appends[payload];
+        if offsets.len() > calls.len() {
+            out.push(format!("{} landed at {offsets:?}", calls[0]));
         }
     }
 }

@@ -276,8 +276,8 @@ impl FlashUnit {
     }
 
     /// Live (data or junk, not yet trimmed) pages currently occupying the
-    /// unit: the occupancy number the compactor exports and the churn bench
-    /// proves bounded.
+    /// unit: the occupancy number the compactor exports and the trim
+    /// driver's test holds to about one round of pages.
     pub fn live_pages(&self) -> u64 {
         self.tier.hot_pages + self.tier.cold_pages
     }

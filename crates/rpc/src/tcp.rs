@@ -37,7 +37,7 @@ use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use tango_metrics::{trace, Counter, Events, Gauge, Histogram, Registry};
+use tango_metrics::{trace, Counter, Events, Gauge, Registry};
 use tango_wire::IdMap;
 
 use crate::frame::{encode_frame, Frame, FrameAssembler, HEADER_LEN};
@@ -143,12 +143,10 @@ impl TcpServer {
 }
 
 /// Transport-level instrumentation shared by every [`TcpConn`] built from
-/// the same registry: round-trip latency, payload bytes each way, reconnect
-/// count, and in-flight request depth.
+/// the same registry: payload bytes each way, reconnect count, and in-flight
+/// request depth.
 #[derive(Clone, Default)]
 pub struct ConnMetrics {
-    /// Wall-clock latency of successful `call`s, in nanoseconds.
-    pub round_trip_ns: Histogram,
     /// Request payload bytes of successful calls.
     pub bytes_out: Counter,
     /// Response payload bytes of successful calls.
@@ -164,7 +162,6 @@ impl ConnMetrics {
     /// Binds the standard `rpc.*` instrument names in `registry`.
     pub fn from_registry(registry: &Registry) -> Self {
         Self {
-            round_trip_ns: registry.histogram("rpc.round_trip_ns"),
             bytes_out: registry.counter("rpc.bytes_out"),
             bytes_in: registry.counter("rpc.bytes_in"),
             reconnects: registry.counter("rpc.reconnects"),
@@ -467,7 +464,6 @@ impl TcpConn {
 pub(crate) struct Started {
     frame: Vec<u8>,
     id: u64,
-    begun: Instant,
     /// Taken by `finish`; an error if the frame could not be sent.
     attempt: Option<Result<(Arc<Live>, Instant)>>,
 }
@@ -487,7 +483,6 @@ impl ClientConn for TcpConn {
     }
 
     fn start(&self, request: &[u8]) -> Ticket {
-        let begun = Instant::now();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         // If the calling thread is inside a sampled trace, its context is
         // stamped on the frame. An oversized request fails here, before
@@ -496,7 +491,7 @@ impl ClientConn for TcpConn {
         Ticket(match encode_frame(id, trace::current(), request) {
             Ok(frame) => {
                 let attempt = Some(self.send(id, &frame));
-                TicketKind::Tcp(Started { frame, id, begun, attempt })
+                TicketKind::Tcp(Started { frame, id, attempt })
             }
             Err(e) => TicketKind::Called(Err(e)),
         })
@@ -520,7 +515,7 @@ impl ClientConn for TcpConn {
             // matched by id), so there is nothing to retry against.
             Err(RpcError::Timeout) => Err(RpcError::Timeout),
             // Reconnect and retry once: the server may have restarted.
-            // Failed calls stay out of the byte counts and the histogram.
+            // Failed calls stay out of the byte counts.
             Err(_) => {
                 let (live, deadline) = self.send(id, &started.frame)?;
                 live.await_response(id, deadline)
@@ -529,7 +524,6 @@ impl ClientConn for TcpConn {
         }?;
         self.metrics.bytes_out.add((started.frame.len() - HEADER_LEN) as u64);
         self.metrics.bytes_in.add(response.len() as u64);
-        self.metrics.round_trip_ns.record_duration(started.begun.elapsed());
         Ok(response)
     }
 }
@@ -600,7 +594,6 @@ mod tests {
         let snap = registry.snapshot();
         assert!(snap.counter("rpc.bytes_out") >= 6);
         assert!(snap.counter("rpc.bytes_in") >= 6);
-        assert!(snap.histogram("rpc.round_trip_ns").unwrap().count() >= 2);
         assert_eq!(snap.gauge("rpc.in_flight"), 0);
     }
 

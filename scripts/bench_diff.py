@@ -12,6 +12,13 @@ claimed from alternated pairs (ledger/README.md).
 against the counts that repeat exactly for a seed, which is what CI holds a
 commit to: a saving that drops a hop, writes a page twice or re-reads one
 fails here, not in a later benchmark.
+
+`scripts/bench_diff.py --ladder BENCH_41.json` prints where an operation's
+time goes in one traced run, rung by rung of the cost ladder (wire codec →
+flash unit → storage handler → RPC → stream sync → runtime apply → tx
+commit), as the markdown table EXPERIMENTS.md carries: each rung alone (the
+median of the five workloads' ladder readings) and in situ, per operation
+of each workload.
 """
 import json
 import statistics
@@ -89,11 +96,58 @@ def check_counts(path):
     require(len(readings) == 5 and overhead <= 6.5, f"metering an append costs {overhead:.2f} %")
 
 
+def ladder(path):
+    workloads = load(path)
+    names = list(workloads)
+    cell = lambda w, name: workloads[w]["per_layer"].get(name, {}).get("value", 0)
+    e2e = lambda w, name: workloads[w]["end_to_end"][name]["value"]
+    alone = lambda name: statistics.median(cell(w, name) for w in names)
+
+    def rpc(w, kind):
+        calls = cell(w, f"corfu.{kind}.calls_per_op")
+        if not calls:
+            return "—"
+        p50, share = cell(w, f"corfu.{kind}.call_p50_us"), cell(w, f"corfu.{kind}.call_share")
+        return f"{calls:.3g} × {num(p50)} µs ({share:.0%})"
+
+    def some(value, text):
+        return text if value else "—"
+
+    def num(value):
+        return f"{value:,.0f}".replace(",", " ") if value >= 100 else f"{value:.3g}"
+
+    rows = [
+        ("wire codec", f"encode {alone('wire.encode_entry_ns'):.0f} / decode {alone('wire.decode_entry_ns'):.0f} ns, CRC 4 KiB {alone('wire.crc32c_4k_ns'):.0f} ns",
+         lambda w: f"{cell(w, 'rpc.req_bytes_per_op'):.0f} / {cell(w, 'rpc.resp_bytes_per_op'):.0f} B"),
+        ("flash unit", f"write {alone('flash.write_ns'):.0f}, read {alone('flash.read_ns'):.0f}, cold read {alone('flash.tiered_cold_read_ns'):.0f} ns",
+         lambda w: f"{cell(w, 'flash.pages_written_per_op'):.3g} written, {cell(w, 'flash.reads_per_op'):.3g} read"),
+        ("storage handler", f"write {alone('corfu.storage.write_handle_ns'):.0f}, read {alone('corfu.storage.read_handle_ns'):.0f}, batch of 32 {alone('corfu.storage.readbatch32_handle_ns'):.0f} ns; sequencer {alone('corfu.seq.process_ns'):.0f} ns",
+         lambda w: some(cell(w, "corfu.storage.handler_ns"), f"storage {cell(w, 'corfu.storage.handler_ns'):.0f}, sequencer {cell(w, 'corfu.seq.handler_ns'):.0f} ns")),
+        ("sequencer RPC", f"TCP echo {alone('rpc.tcp_echo_rtt_us'):.1f} µs, in-process {alone('rpc.local_call_ns'):.0f} ns", lambda w: rpc(w, "seq")),
+        ("storage RPC", "", lambda w: rpc(w, "storage")),
+        ("stream sync", f"{alone('stream.local_sync_entry_ns'):.0f} ns an entry",
+         lambda w: some(cell(w, "stream.read_batch_mean"), f"{cell(w, 'stream.read_batch_mean'):.3g} an RPC, {cell(w, 'stream.cache_hit_ratio'):.0%} cached")),
+        ("runtime apply", f"{alone('core.local_replay_entry_ns'):.0f} ns an entry",
+         lambda w: some(cell(w, "flash.cold_page_share"), f"{1e9 / e2e(w, 'ops_per_s'):.0f} ns an entry, all in")),
+        ("tx commit", f"{alone('core.local_tx_commit_us'):.1f} µs",
+         lambda w: some(cell(w, "core.tx_commit_p50_us"), f"{cell(w, 'core.tx_commit_p50_us'):.3g} µs, {cell(w, 'core.tx_abort_ratio'):.1%} abort")),
+        ("client outside any RPC", "", lambda w: f"{num(cell(w, 'client.self_us'))} µs ({cell(w, 'client.self_share'):.0%})"),
+        ("operation: p50 (p99)", "", lambda w: f"{num(e2e(w, 'op_p50_us'))} ({num(cell(w, 'client.op_p99_us'))}) µs"),
+        ("operations a second", "", lambda w: f"{num(e2e(w, 'ops_per_s') / 1e3)} K"),
+    ]
+    print(f"| rung | alone | {' | '.join(f'`{w}`' for w in names)} |")
+    print(f"|---|---|{'---|' * len(names)}")
+    for rung, by_itself, in_situ in rows:
+        print(f"| {rung} | {by_itself} | {' | '.join(in_situ(w) for w in names)} |")
+
+
 def main(argv):
     layers = "--layers" in argv
     paths = [a for a in argv if not a.startswith("--")]
     if "--counts" in argv and len(paths) == 1:
         return check_counts(paths[0])
+    if "--ladder" in argv and len(paths) == 1:
+        return ladder(paths[0])
     if len(paths) != 2:
         sys.exit(__doc__)
     base, new = load(paths[0]), load(paths[1])
