@@ -1,9 +1,9 @@
 //! The history checker's own tests, on hand-built histories: one clean
 //! history passes, and each fault injected into it — an acked append lost or
-//! landed twice, a stale read, a torn cross-log commit, a fill over data, a
-//! write told its token was lost that landed, a read that misses half of a
-//! commit that ended before it — is flagged with a message that names the
-//! offset or the call.
+//! landed twice, two appends told one offset, a stale read, a torn cross-log
+//! commit, a fill over data, a write told its token was lost that landed, a
+//! read that misses half of a commit that ended before it — is flagged with a
+//! message that names the offset or the call.
 //!
 //! They live in a binary of their own: the checker is shared test support,
 //! and every binary that includes it would run them again.
@@ -79,8 +79,11 @@ enum Fault {
     None,
     /// The second append's entry is lost.
     LostAck,
-    /// The second append's entry lands again, at a fresh offset.
+    /// The second append's entry lands again, at a fresh offset, while
+    /// another append of its payload lands in log 1.
     LandedTwice,
+    /// A third append is told it landed at the second's offset.
+    AckedTwice,
     /// The fill's offset holds data.
     FillOverData,
     /// The write told its token was lost landed, and the fill saw it.
@@ -107,9 +110,16 @@ fn appends(fault: Fault) -> Vec<String> {
         let back = (0..offset).rev().collect();
         pages.insert(offset, entry(offset, 7, back, payload));
     }
+    let y = |stream| Op::Append { streams: vec![stream], payload: Bytes::from("y") };
     match fault {
         Fault::LostAck => drop(pages.remove(&1)),
-        Fault::LandedTwice => drop(pages.insert(4, entry(4, 7, vec![1, 0], Bytes::from("y")))),
+        Fault::LandedTwice => {
+            pages.insert(4, entry(4, 7, vec![1, 0], Bytes::from("y")));
+            let elsewhere = compose(1, 0);
+            called(&history, "appender", y(8), Ret::Offset(elsewhere));
+            pages.insert(elsewhere, entry(elsewhere, 8, vec![], Bytes::from("y")));
+        }
+        Fault::AckedTwice => called(&history, "other", y(7), Ret::Offset(1)),
         _ => {}
     }
     called(&history, "filler", Op::Fill { offset: 2 }, Ret::Page(Page::Junk));
@@ -218,6 +228,15 @@ fn an_append_that_lands_twice_is_flagged_with_its_offsets() {
     let verdict = appends(Fault::LandedTwice);
     assert_eq!(verdict.len(), 1, "{verdict:?}");
     assert!(verdict[0].contains("append \"y\"") && verdict[0].ends_with("landed at [1, 4]"));
+}
+
+#[test]
+fn two_appends_told_one_offset_are_flagged() {
+    let verdict = appends(Fault::AckedTwice);
+    assert!(
+        verdict.iter().any(|v| v.contains("other's") && v.ends_with("told they landed at 1")),
+        "{verdict:?}"
+    );
 }
 
 #[test]

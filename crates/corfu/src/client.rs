@@ -178,6 +178,17 @@ pub(crate) fn storage_refusal(what: impl std::fmt::Display, resp: StorageRespons
     }
 }
 
+/// How a write down one offset's chain ended (`CorfuClient::chain_walk`).
+enum Walk {
+    /// The head took the request, and so did the rest of the chain.
+    Took,
+    /// The head held a value already: that value, completed down the chain
+    /// (`Trimmed` if a trim took the offset meanwhile).
+    Held(Page<Bytes>),
+    /// A trim took the offset, at the head or past it.
+    Trimmed,
+}
+
 /// [`storage_refusal`] for the sequencer's answers.
 pub(crate) fn sequencer_refusal(what: &str, resp: SequencerResponse) -> CorfuError {
     match resp {
@@ -536,20 +547,24 @@ impl CorfuClient {
         framed: &mut [u8],
     ) -> Result<()> {
         let body_len = framed.len() - WRITE_HEAD_MAX;
+        // Whether the head took this write on an earlier attempt.
+        let mut took = false;
         self.with_retry("write_at", false, view, |view| {
             let proj = &view.proj;
             let epoch = proj.epoch_of_log(log_of_offset(offset));
             let (_, local) = proj.map(offset);
             let request = WriteRef::stamp(framed, epoch, local, WriteKind::Data);
             let body = &request[request.len() - body_len..];
-            match self.chain_walk(view, proj, offset, request, body)? {
-                None => Ok(()),
-                // The head holds these very bytes: this write, taken before a
-                // seal made it go round again.
-                Some(Page::Data(held)) if held == body => Ok(()),
-                Some(Page::Trimmed) => Err(CorfuError::Trimmed { offset }),
+            match self.chain_walk(view, proj, offset, request, body_len, || took = true)? {
+                Walk::Took => Ok(()),
+                // The head took this write before a seal made it go round
+                // again, and still holds its bytes. Equal bytes alone do not
+                // make it ours: an offset granted again after a sequencer
+                // replacement may hold another client's identical entry.
+                Walk::Held(Page::Data(held)) if took && held == body => Ok(()),
+                Walk::Held(Page::Trimmed) | Walk::Trimmed => Err(CorfuError::Trimmed { offset }),
                 // Someone else (a hole filler) owns the offset.
-                Some(_) => Err(CorfuError::TokenLost { offset }),
+                Walk::Held(_) => Err(CorfuError::TokenLost { offset }),
             }
         })
     }
@@ -826,31 +841,35 @@ impl CorfuClient {
         }
     }
 
-    /// Writes `request`, which carries `body` (a data write) or nothing (a
-    /// hole fill's junk), at `offset` down its chain in `proj`, head first.
-    /// The head arbitrates. `None`: it took the write, and so did the rest of
-    /// the chain. Else the head held a value already, and that value,
-    /// completed down the chain, is returned for the caller to judge; or a
-    /// trim took the offset (`Trimmed`).
+    /// Writes `request`, a data write of `len` entry bytes or a hole fill's
+    /// junk, at `offset` down its chain in `proj`, head first. The head
+    /// arbitrates: `took` runs once it has taken the request, before the
+    /// rest of the chain is written.
     fn chain_walk(
         &self,
         view: &View,
         proj: &Projection,
         offset: LogOffset,
         request: &[u8],
-        body: &[u8],
-    ) -> Result<Option<Page<Bytes>>> {
+        len: usize,
+        took: impl FnOnce(),
+    ) -> Result<Walk> {
         let chain = proj.chain_for(offset);
         let what = format_args!("write at {offset}");
         match self.call_raw(view, chain[0], request)? {
-            StorageResponse::Ok => match self.write_past_head(view, chain, request, what)? {
-                true => Ok(None),
-                false => Ok(Some(Page::Trimmed)),
-            },
-            StorageResponse::ErrAlreadyWritten => self.repair_chain(view, proj, offset).map(Some),
-            StorageResponse::ErrTrimmed => Ok(Some(Page::Trimmed)),
+            StorageResponse::Ok => {
+                took();
+                match self.write_past_head(view, chain, request, len, what)? {
+                    true => Ok(Walk::Took),
+                    false => Ok(Walk::Trimmed),
+                }
+            }
+            StorageResponse::ErrAlreadyWritten => {
+                self.repair_chain(view, proj, offset).map(Walk::Held)
+            }
+            StorageResponse::ErrTrimmed => Ok(Walk::Trimmed),
             StorageResponse::ErrTooLarge { max } => {
-                Err(CorfuError::EntryTooLarge { len: body.len(), max: max as usize })
+                Err(CorfuError::EntryTooLarge { len, max: max as usize })
             }
             other => Err(storage_refusal(what, other)),
         }
@@ -878,9 +897,10 @@ impl CorfuClient {
             Page::Junk => (WriteKind::Junk, Bytes::new()),
             Page::Unwritten | Page::Trimmed => return Ok(page),
         };
+        let len = payload.len();
         let write = StorageRequest::Write { epoch, addr: local, kind, payload };
         let what = format_args!("repair write at {offset}");
-        if !self.write_past_head(view, chain, &encode_to_vec(&write), what)? {
+        if !self.write_past_head(view, chain, &encode_to_vec(&write), len, what)? {
             return Ok(Page::Trimmed);
         }
         Ok(page)
@@ -890,17 +910,22 @@ impl CorfuClient {
     /// every node past the head: the rest of a hole fill or a chain repair.
     /// A node that has the value already is as good as one that takes it.
     /// `false`: a prefix trim overtook the writes and the offset is gone.
+    /// `len` is the value's length, for a node that refuses it as too large.
     fn write_past_head(
         &self,
         view: &View,
         chain: &[NodeId],
         request: &[u8],
+        len: usize,
         what: impl std::fmt::Display,
     ) -> Result<bool> {
         for &node in &chain[1..] {
             match self.call_raw(view, node, request)? {
                 StorageResponse::Ok | StorageResponse::ErrAlreadyWritten => {}
                 StorageResponse::ErrTrimmed => return Ok(false),
+                StorageResponse::ErrTooLarge { max } => {
+                    return Err(CorfuError::EntryTooLarge { len, max: max as usize })
+                }
                 other => return Err(storage_refusal(what, other)),
             }
         }
@@ -942,19 +967,18 @@ impl CorfuClient {
             payload: Bytes::new(),
         });
         let emit = |kind| self.metrics.events.emit(kind, epoch, log as u64, local);
-        Ok(match self.chain_walk(view, proj, offset, &request, &[])? {
-            None => {
-                self.metrics.junk_forced.inc();
-                emit(tango_metrics::EventKind::JunkForced);
-                Page::Junk
-            }
-            Some(page) => {
+        let forced = || {
+            self.metrics.junk_forced.inc();
+            emit(tango_metrics::EventKind::JunkForced);
+        };
+        Ok(match self.chain_walk(view, proj, offset, &request, 0, forced)? {
+            Walk::Took => Page::Junk,
+            Walk::Held(page) => {
                 // A writer won; its chain is complete.
-                if matches!(page, Page::Data(_) | Page::Junk) {
-                    emit(tango_metrics::EventKind::HoleFilled);
-                }
+                emit(tango_metrics::EventKind::HoleFilled);
                 page
             }
+            Walk::Trimmed => Page::Trimmed,
         })
     }
 

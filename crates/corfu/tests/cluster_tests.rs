@@ -311,6 +311,46 @@ fn a_chain_write_sealed_between_its_hops_lands_once() {
 }
 
 #[test]
+fn a_write_whose_offset_was_granted_again_lands_at_a_fresh_offset() {
+    // The sequencer is replaced between a token grant and its head write.
+    // The replacement recovers the tail from storage, where nothing holds
+    // the offset yet, and grants it again to a second client, which lands
+    // the very same bytes there. The first write, refused as sealed and
+    // sent round again, meets those bytes at the head: they are not its
+    // own, so its token is lost and the append lands at a fresh offset.
+    let cluster = LocalCluster::new(ClusterConfig::default());
+    let sealer = cluster.client().unwrap();
+    let head = sealer.projection().chain_for(0)[0];
+    let (info, _replacement) = cluster.spawn_replacement_sequencer().unwrap();
+    let history = History::new(sealer.clock());
+    let other = history.client("other", cluster.client().unwrap());
+    let factory = Arc::new(BeforeFirstWrite {
+        inner: cluster.conn_factory(),
+        node: head,
+        before: Arc::new(move || {
+            reconfig::replace_sequencer(&sealer, info.clone(), 4).unwrap();
+            let (offset, _) = other.append_streams(&[7], payload(1)).unwrap();
+            assert_eq!(offset, 0, "the replacement grants the offset again");
+        }),
+        fired: Arc::default(),
+    });
+    let client = cluster
+        .client_with_factory(factory.clone(), ClientOptions::default(), Registry::disabled())
+        .unwrap();
+    let client = history.client("writer", client);
+    let (offset, entry) = client.append_streams(&[7], payload(1)).unwrap();
+    assert!(factory.fired.load(Ordering::SeqCst), "the head write was never reached");
+
+    assert_eq!(offset, 1, "the write lost its token and appended again");
+    assert_eq!(entry.header_for(7).unwrap().backpointers, vec![0]);
+    let reader = cluster.client().unwrap();
+    assert_eq!(reader.check_tail_slow().unwrap(), 2, "two appends, two entries");
+    let (_, windows) = reader.tail_info(&[7]).unwrap();
+    assert_eq!(windows, vec![vec![1, 0]], "the stream holds both entries");
+    history.judge(&cluster);
+}
+
+#[test]
 fn trim_prefix_reclaims_and_reports() {
     let cluster = LocalCluster::new(ClusterConfig::default());
     let client = cluster.client().unwrap();

@@ -30,7 +30,8 @@
 //!   each stream's acked entries point back at the stream's acked entries
 //!   just before them, newest first, less offsets that never landed;
 //! - an append lands once: one log's entries carry its payload at one
-//!   offset (a cross-log append has one part a log);
+//!   offset (a cross-log append has one part a log), and no two appends or
+//!   writes are told they landed at the same offset;
 //! - a cross-log append whose home part holds its link holds it on every
 //!   part;
 //! - a stream replay delivers the stream's entries in order, each once, and
@@ -265,6 +266,7 @@ impl History {
         trims_stay(&calls, log, &mut out);
         appends_join_their_streams(&calls, log, &mut out);
         appends_land_once(&calls, log, &mut out);
+        offsets_are_acked_once(&calls, &mut out);
         cross_log_appends_are_whole(log, &mut out);
         replays_deliver_the_stream(&calls, log, &mut out);
         out
@@ -667,14 +669,31 @@ fn appends_join_their_streams(calls: &[LogCall], log: &Log, out: &mut Vec<String
 }
 
 /// An append lands once: a log's committed entries carry a recorded
-/// append's payload at no more offsets than appends of it were recorded (a
-/// cross-log append has one part a log; the bodies of an attempt whose home
-/// part was lost are not committed).
+/// append's payload at no more offsets than appends of it may have landed in
+/// that log — the acked ones whose entry is there (a cross-log append has one
+/// part a log; the bodies of an attempt whose home part was lost are not
+/// committed), and those whose outcome or entry is unknown.
 fn appends_land_once(calls: &[LogCall], log: &Log, out: &mut Vec<String>) {
+    // Per payload: its appends, and per log (`None`: any) how many of them
+    // may have landed there.
     let mut appends: BTreeMap<&[u8], Vec<&LogCall>> = BTreeMap::new();
+    let mut may_land: BTreeMap<(&[u8], Option<u32>), usize> = BTreeMap::new();
     for call in calls {
-        if let Op::Append { payload, .. } = &call.op {
-            appends.entry(payload).or_default().push(call);
+        let Op::Append { payload, .. } = &call.op else { continue };
+        appends.entry(payload).or_default().push(call);
+        let entry = match call.ret() {
+            Some(Ret::Offset(offset)) => log.entry(*offset).map(|entry| (*offset, entry)),
+            _ => None,
+        };
+        let logs: Vec<Option<u32>> = match entry {
+            None => vec![None],
+            Some((offset, entry)) => match &entry.link {
+                None => vec![Some(log_of_offset(offset))],
+                Some(link) => link.parts.iter().map(|&part| Some(log_of_offset(part))).collect(),
+            },
+        };
+        for at in logs {
+            *may_land.entry((payload, at)).or_default() += 1;
         }
     }
     let mut held: BTreeMap<(u32, &[u8]), Vec<LogOffset>> = BTreeMap::new();
@@ -683,10 +702,26 @@ fn appends_land_once(calls: &[LogCall], log: &Log, out: &mut Vec<String>) {
             held.entry((log_of_offset(offset), &entry.payload)).or_default().push(offset);
         }
     }
-    for ((_, payload), offsets) in held {
-        let calls = &appends[payload];
-        if offsets.len() > calls.len() {
-            out.push(format!("{} landed at {offsets:?}", calls[0]));
+    for ((at, payload), offsets) in held {
+        let count = |at| may_land.get(&(payload, at)).copied().unwrap_or(0);
+        if offsets.len() > count(Some(at)) + count(None) {
+            out.push(format!("{} landed at {offsets:?}", appends[payload][0]));
+        }
+    }
+}
+
+/// An offset is acked once: no two appends or writes were told they landed
+/// at the same offset (a cross-log append is told its home part's).
+fn offsets_are_acked_once(calls: &[LogCall], out: &mut Vec<String>) {
+    let mut acked: BTreeMap<LogOffset, &LogCall> = BTreeMap::new();
+    for call in calls {
+        let offset = match (&call.op, call.ret()) {
+            (Op::Append { .. }, Some(Ret::Offset(offset))) => *offset,
+            (Op::Write { offset, .. }, Some(Ret::Done)) => *offset,
+            _ => continue,
+        };
+        if let Some(first) = acked.insert(offset, call) {
+            out.push(format!("{first} and {call} were both told they landed at {offset}"));
         }
     }
 }
